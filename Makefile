@@ -2,7 +2,7 @@
 # .github/workflows/ci.yml) so a green `make check` locally predicts a
 # green pipeline.
 
-.PHONY: build test race lint escape-baseline bench-ci bench-diff check
+.PHONY: build test race lint escape-baseline bench-check bench-ci bench-diff loc check
 
 build:
 	go build ./...
@@ -33,6 +33,13 @@ lint:
 escape-baseline:
 	go run ./cmd/reprolint -write-escape-baseline -escape-baseline ESCAPE_baseline.json ./...
 
+# bench-check covers the repo benchmark (BENCHMARK.json): benchmark/ is a
+# nested module, so build, test and lint above never see it. Its tests
+# assert no timings.
+bench-check:
+	cd benchmark && go vet ./... && go test ./...
+	cd benchmark && go run repro/cmd/reprolint ./...
+
 # bench-ci emits the machine-readable quick-scale numbers CI archives
 # per commit: TLB locality (E11), work-stealing scaling (E12), the
 # persistent store (E14), asynchronous capture (E15), and wire-protocol
@@ -49,4 +56,11 @@ bench-ci:
 bench-diff:
 	go run ./cmd/benchdiff -seed BENCH_seed.json -ci BENCH_ci.json -json BENCH_diff.json
 
-check: build lint test race
+# loc prints non-test Go lines per package, largest first (ROADMAP aim 2
+# tracks this number; CHANGES.md entries quote it).
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -rn
+
+check: build lint test race bench-check

@@ -469,7 +469,7 @@ func BenchmarkE11SamePageReadTLB(b *testing.B)   { benchSamePageRead(b, true) }
 func BenchmarkE11SamePageReadNoTLB(b *testing.B) { benchSamePageRead(b, false) }
 
 // BenchmarkE11StridedWriteAt exercises the run-length write path: one
-// 32-page store resolves its leaf node once per 512-page span instead of
+// 32-page store resolves its leaf node once per leaf span (16 pages) instead of
 // walking from the root per page.
 func BenchmarkE11StridedWriteAt(b *testing.B) {
 	as := mem.NewAddressSpace(mem.NewFrameAllocator(0))

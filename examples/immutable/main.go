@@ -113,14 +113,17 @@ func main() {
 	show("v2 (overwrites)   ", v2, 1, 5, 1000)
 	show("v3 (branch of v1) ", v3, 1, 5, 1000)
 
+	// Drop the two mutable contexts first: each still reaches everything
+	// its last commit holds, and what the table should show is what the
+	// versions share with one another.
+	branchCtx.Release()
+	s.ctx.Release()
 	fp1, fp2, fp3 := v1.Footprint(), v2.Footprint(), v3.Footprint()
 	fmt.Printf("\nphysical sharing (1 MiB logical table per version):\n")
 	fmt.Printf("  v1: %s private, %s shared\n", trace.FormatBytes(fp1.PrivateBytes()), trace.FormatBytes(fp1.SharedBytes()))
 	fmt.Printf("  v2: %s private, %s shared\n", trace.FormatBytes(fp2.PrivateBytes()), trace.FormatBytes(fp2.SharedBytes()))
 	fmt.Printf("  v3: %s private, %s shared\n", trace.FormatBytes(fp3.PrivateBytes()), trace.FormatBytes(fp3.SharedBytes()))
 
-	branchCtx.Release()
-	s.ctx.Release()
 	v1.Release()
 	v2.Release()
 	v3.Release()

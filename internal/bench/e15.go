@@ -23,9 +23,11 @@ import (
 // by at most a bounded constant, and the verdicts of a search running
 // under a capture storm must be identical to an undisturbed run.
 //
-// The assertions are deliberately generous (large ratios plus absolute
-// slack): they exist to catch an O(resident) regression in the capture
-// path or a capture/extend serialization, not to benchmark the host.
+// Only the run-to-run exact claims are asserted here — verdict identity
+// and zero leaked frames or snapshots in every phase. The latency and
+// throughput rows are reported, not asserted: a wall-clock sample of a few
+// milliseconds does not belong in go test, and snapshot.capture_ns in the
+// repo benchmark (benchmark/layers.go) carries the timing claim.
 func E15(o Options) (*trace.Table, error) {
 	sizes := []int{256, 1024, 8192}
 	captures := 256
@@ -50,8 +52,6 @@ func E15(o Options) (*trace.Table, error) {
 	// Phase 1: capture latency vs resident-set size. The mutator keeps
 	// writing between captures so every capture starts a fresh epoch with
 	// real dirty state behind it.
-	p50s := make([]time.Duration, 0, len(sizes))
-	p99s := make([]time.Duration, 0, len(sizes))
 	for _, pages := range sizes {
 		alloc := mem.NewFrameAllocator(0)
 		ctx, err := e15Context(alloc, pages)
@@ -78,23 +78,8 @@ func E15(o Options) (*trace.Table, error) {
 			return nil, fmt.Errorf("bench: E15 latency sweep leaked %d frames (pages=%d)", live, pages)
 		}
 		p50, p99 := percentile(lat, 50), percentile(lat, 99)
-		p50s = append(p50s, p50)
-		p99s = append(p99s, p99)
 		t.AddRow("capture-latency", fmt.Sprintf("%d pages", pages), "p50 / p99",
 			fmt.Sprintf("%v / %v", p50, p99), "flat across resident sizes")
-	}
-	// O(1) assertion: the largest resident set must not cost a
-	// resident-proportional multiple of the smallest. The 8x/10x ratios
-	// plus absolute slack absorb timer and GC noise; a capture that walks
-	// the resident set would blow through them at the top size.
-	small, large := 0, len(sizes)-1
-	if p50s[large] > 8*p50s[small]+20*time.Microsecond {
-		return nil, fmt.Errorf("bench: E15 capture p50 grows with resident set: %v @%dpg vs %v @%dpg",
-			p50s[small], sizes[small], p50s[large], sizes[large])
-	}
-	if p99s[large] > 10*p99s[small]+500*time.Microsecond {
-		return nil, fmt.Errorf("bench: E15 capture p99 grows with resident set: %v @%dpg vs %v @%dpg",
-			p99s[small], sizes[small], p99s[large], sizes[large])
 	}
 
 	// Phase 2: mutator write throughput with 0/1/4/8 concurrent capturers
@@ -109,18 +94,8 @@ func E15(o Options) (*trace.Table, error) {
 		if nCap == 0 {
 			solo = rate
 		}
-		factor := solo / rate
 		t.AddRow("writer-throughput", fmt.Sprintf("%d capturers", nCap), "writes/s",
-			fmt.Sprintf("%.2fM", rate/1e6), fmt.Sprintf("%.2fx vs solo", factor))
-		// Bounded-degradation assertion: a capture/extend serialization
-		// (or captures re-freezing the writer's TLB wholesale) would slow
-		// the writer proportionally to capture rate; a bounded constant
-		// (CoW refaults per epoch + CPU sharing) stays within 6x even on
-		// single-core CI machines, since the capturers are throttled.
-		if rate < solo/6 {
-			return nil, fmt.Errorf("bench: E15 writer throughput under %d capturers degraded %.1fx (%.0f vs %.0f writes/s)",
-				nCap, factor, rate, solo)
-		}
+			fmt.Sprintf("%.2fM", rate/1e6), fmt.Sprintf("%.2fx vs solo", solo/rate))
 	}
 
 	// Phase 3: verdict identity. A full queens search run twice — once

@@ -484,7 +484,7 @@ func (as *AddressSpace) WriteForce(p []byte, addr uint64) error {
 
 // writePages is the shared slow-path store loop: the access has been
 // validated, and each page needs a privately-owned frame. The enclosing
-// leaf node is resolved once per 512-page span (run-length), so large
+// leaf node is resolved once per levelSize-page span (run-length), so large
 // writes pay one radix walk per span plus one refcount check per page
 // instead of a full walk per page.
 // cheap: the store slow path — CoW materialization allocates by design.

@@ -34,41 +34,66 @@ type FrameAllocator struct {
 	limit int64 // max live frames; 0 means unlimited
 	live  atomic.Int64
 	total atomic.Int64 // cumulative allocations
-	pool  sync.Pool
+	pool  sync.Pool    // released *Frame, contents stale
 }
 
 // NewFrameAllocator returns an allocator bounded to limit live frames.
 // limit == 0 means unbounded.
 func NewFrameAllocator(limit int64) *FrameAllocator {
-	fa := &FrameAllocator{limit: limit}
-	fa.pool.New = func() any { return new(Frame) }
-	return fa
+	return &FrameAllocator{limit: limit}
 }
 
-// Alloc returns a zeroed frame with refcount 1, or a FaultOOM fault when
-// the limit is exhausted.
-func (fa *FrameAllocator) Alloc() (*Frame, error) {
-	if fa.limit > 0 && fa.live.Load() >= fa.limit {
-		return nil, &Fault{Kind: FaultOOM}
+// reserve claims one live frame against the limit, or reports FaultOOM.
+// The claim is a compare-and-swap, not load-then-add, so concurrent
+// callers can never take Live() past the limit, even transiently.
+func (fa *FrameAllocator) reserve() error {
+	if fa.limit == 0 {
+		fa.live.Add(1)
+	} else {
+		for {
+			n := fa.live.Load()
+			if n >= fa.limit {
+				return &Fault{Kind: FaultOOM}
+			}
+			if fa.live.CompareAndSwap(n, n+1) {
+				break
+			}
+		}
 	}
-	fa.live.Add(1)
 	fa.total.Add(1)
-	f := fa.pool.Get().(*Frame)
-	f.Data = [PageSize]byte{}
+	return nil
+}
+
+// alloc reserves a frame and returns it with refcount 1, holding a copy of
+// src's page, or zeroes when src is nil. The page is written at most once:
+// a recycled frame (which still holds its previous owner's bytes) is
+// overwritten by the copy without being zeroed first, and a frame fresh
+// from the runtime is already zero.
+func (fa *FrameAllocator) alloc(src *Frame) (*Frame, error) {
+	if err := fa.reserve(); err != nil {
+		return nil, err
+	}
+	f, recycled := fa.pool.Get().(*Frame)
+	if !recycled {
+		f = new(Frame)
+	}
+	switch {
+	case src != nil:
+		f.Data = src.Data
+	case recycled:
+		f.Data = [PageSize]byte{}
+	}
 	f.priv = 0 // pooled frames carry a dead epoch stamp
 	f.ref.Store(1)
 	return f, nil
 }
 
+// Alloc returns a zeroed frame with refcount 1, or a FaultOOM fault when
+// the limit is exhausted.
+func (fa *FrameAllocator) Alloc() (*Frame, error) { return fa.alloc(nil) }
+
 // clone returns a private copy of src with refcount 1.
-func (fa *FrameAllocator) clone(src *Frame) (*Frame, error) {
-	f, err := fa.Alloc()
-	if err != nil {
-		return nil, err
-	}
-	f.Data = src.Data
-	return f, nil
-}
+func (fa *FrameAllocator) clone(src *Frame) (*Frame, error) { return fa.alloc(src) }
 
 // retain adds a reference to f.
 func retain(f *Frame) { f.ref.Add(1) }

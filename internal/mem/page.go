@@ -1,6 +1,6 @@
 // Package mem implements the simulated virtual-memory subsystem that
 // lightweight snapshots integrate with: 4 KiB pages, refcounted physical
-// frames, and persistent (path-copying) 4-level radix page tables that make
+// frames, and persistent (path-copying) radix page tables that make
 // snapshot creation O(1) and charge copy-on-write faults only for pages a
 // candidate extension actually touches.
 //
@@ -11,8 +11,17 @@
 // paper's granularity and locality arguments rest on.
 package mem
 
-// Address-space geometry. SVX64 uses 48-bit guest-virtual addresses split
-// x86-style into four 9-bit radix levels over 4 KiB pages.
+// Address-space geometry. SVX64 uses 48-bit guest-virtual addresses over
+// 4 KiB pages, like x86-64, but splits the 36 page-number bits into nine
+// 4-bit radix levels rather than hardware's four 9-bit ones. Hardware picks
+// 512 slots so that a table fills exactly one page; a software radix has no
+// such constraint, and its cost model is the opposite: path-copying a shared
+// node takes one locked refcount increment per populated slot (and the same
+// decrements when the copy dies), so a first write under a 512-slot leaf
+// cost 512 locked RMWs before the 4 KiB page copy it was there to enable.
+// With 16-slot nodes the nine clones of a full path copy touch at most 144
+// slots and 1.3 KiB. The price is a deeper walk on a TLB miss (nine
+// dependent loads, not four). DESIGN.md "Radix geometry" has the sweep.
 const (
 	// PageShift is log2 of the page size.
 	PageShift = 12
@@ -21,10 +30,10 @@ const (
 	// PageMask extracts the offset within a page.
 	PageMask = PageSize - 1
 
-	levelBits = 9
+	levelBits = 4
 	levelSize = 1 << levelBits
 	levelMask = levelSize - 1
-	numLevels = 4
+	numLevels = 9
 
 	// VABits is the number of significant guest-virtual address bits.
 	VABits = numLevels*levelBits + PageShift

@@ -1,32 +1,45 @@
 package mem
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+	"unsafe"
+)
 
-// tableNode is one node of a persistent 4-level radix page table.
+// tableNode is one node of a persistent radix page table (numLevels levels
+// of levelSize slots; see page.go for why the nodes are narrow). A node is
+// a single allocation: the slot array is part of it.
 //
 // Persistence discipline: a node reachable through any node whose refcount
 // exceeds one is logically frozen and must never be mutated. Writers that
 // need a private path perform path copying: they clone every shared node
 // from the root down to the PTE, retaining the children of each clone, and
 // only then mutate. Snapshot creation is therefore O(1) — it just retains
-// the root — while the first write to each shared subtree pays for the
-// pointer copies, and the first write to each shared page pays a single
-// 4 KiB copy (the simulated CoW fault).
+// the root — while the first write to each shared subtree pays one locked
+// increment per populated slot of each node on the path (and the matching
+// decrements when the clone dies), and the first write to each shared page
+// pays a single 4 KiB copy (the simulated CoW fault).
 type tableNode struct {
 	ref   atomic.Int32
 	level int8
-	kids  []*tableNode // level > 0: next-level nodes, len levelSize
-	ptes  []*Frame     // level == 0: physical frames, len levelSize
+	// slots holds *tableNode at level > 0 and *Frame at level 0. The level
+	// is the type tag: every cast (all in this file) sits under a test of
+	// it, or in a walk that counts levels down from the root.
+	slots [levelSize]unsafe.Pointer
 }
 
-func newNode(level int8) *tableNode {
-	n := &tableNode{level: level}
+// kid returns the next-level node in slot i of an interior node.
+// hot_path: one load.
+// inline:
+func (n *tableNode) kid(i int) *tableNode { return (*tableNode)(n.slots[i]) }
+
+// pte returns the frame in slot i of a level-0 node.
+// hot_path: one load.
+// inline:
+func (n *tableNode) pte(i int) *Frame { return (*Frame)(n.slots[i]) }
+
+func newNode(level int) *tableNode {
+	n := &tableNode{level: int8(level)}
 	n.ref.Store(1)
-	if level == 0 {
-		n.ptes = make([]*Frame, levelSize)
-	} else {
-		n.kids = make([]*tableNode, levelSize)
-	}
 	return n
 }
 
@@ -38,17 +51,13 @@ func releaseNode(fa *FrameAllocator, n *tableNode) {
 	if n == nil || n.ref.Add(-1) != 0 {
 		return
 	}
-	if n.level == 0 {
-		for _, f := range n.ptes {
-			if f != nil {
-				fa.release(f)
-			}
-		}
-		return
-	}
-	for _, k := range n.kids {
-		if k != nil {
-			releaseNode(fa, k)
+	for _, s := range n.slots {
+		switch {
+		case s == nil:
+		case n.level == 0:
+			fa.release((*Frame)(s))
+		default:
+			releaseNode(fa, (*tableNode)(s))
 		}
 	}
 }
@@ -56,23 +65,15 @@ func releaseNode(fa *FrameAllocator, n *tableNode) {
 // cloneNode returns a private copy of n with refcount 1, retaining every
 // child so the clone and the original safely share subtrees.
 func cloneNode(n *tableNode) *tableNode {
-	c := &tableNode{level: n.level}
+	c := &tableNode{level: n.level, slots: n.slots}
 	c.ref.Store(1)
-	if n.level == 0 {
-		c.ptes = make([]*Frame, levelSize)
-		copy(c.ptes, n.ptes)
-		for _, f := range c.ptes {
-			if f != nil {
-				retain(f)
-			}
-		}
-		return c
-	}
-	c.kids = make([]*tableNode, levelSize)
-	copy(c.kids, n.kids)
-	for _, k := range c.kids {
-		if k != nil {
-			retainNode(k)
+	for _, s := range c.slots {
+		switch {
+		case s == nil:
+		case n.level == 0:
+			retain((*Frame)(s))
+		default:
+			retainNode((*tableNode)(s))
 		}
 	}
 	return c
@@ -80,19 +81,19 @@ func cloneNode(n *tableNode) *tableNode {
 
 // lookup walks the table for a read access and returns the frame backing
 // addr, or nil when the page has never been written (demand-zero).
-// hot_path: a pure 4-level pointer chase; no allocation, no locks.
+// hot_path: a pure numLevels-deep pointer chase; no allocation, no locks.
 func lookup(root *tableNode, addr uint64) *Frame {
 	n := root
 	for level := numLevels - 1; level > 0; level-- {
 		if n == nil {
 			return nil
 		}
-		n = n.kids[levelIndex(addr, level)]
+		n = n.kid(levelIndex(addr, level))
 	}
 	if n == nil {
 		return nil
 	}
-	return n.ptes[levelIndex(addr, 0)]
+	return n.pte(levelIndex(addr, 0))
 }
 
 // pageTable wraps the mutable root pointer plus the bookkeeping the write
@@ -108,50 +109,75 @@ type pageTable struct {
 	epoch uint64
 }
 
-// ensureLeaf returns the exclusively-owned level-0 node covering addr,
-// path-copying every shared node from the root down. The leaf spans
-// levelSize contiguous pages, so run-length write paths resolve it once
-// per span instead of re-walking from the root per page. stats is charged
-// for node clones.
+// unshare replaces this table's reference to the shared node n by a
+// reference to a fresh clone, which it returns; the caller stores the clone
+// where n was. stats is charged one node clone.
 // cheap: the CoW fault path — node clones allocate by design, amortized
 // to one per shared subtree per epoch.
-func (pt *pageTable) ensureLeaf(addr uint64, stats *Stats) *tableNode {
-	if pt.root == nil {
-		pt.root = newNode(numLevels - 1)
-	} else if pt.root.ref.Load() > 1 {
-		c := cloneNode(pt.root)
-		releaseNode(pt.alloc, pt.root)
-		pt.root = c
-		stats.NodeClones++
-	}
+func (pt *pageTable) unshare(n *tableNode, stats *Stats) *tableNode {
+	c := cloneNode(n)
+	releaseNode(pt.alloc, n)
+	stats.NodeClones++
+	return c
+}
+
+// ownPath returns the exclusively-owned level-0 node covering addr,
+// path-copying every shared node from the root down. Missing nodes are
+// created when create is set; otherwise the walk stops at the first gap and
+// returns nil, leaving the nodes above it owned (harmless: they would have
+// been cloned by the next write under them anyway). A path this table
+// already owns — every write re-resolves it once per snapshot epoch — costs
+// one refcount load per level and no call.
+// cheap: the CoW fault path; see unshare.
+func (pt *pageTable) ownPath(addr uint64, create bool, stats *Stats) *tableNode {
 	n := pt.root
+	switch {
+	case n == nil:
+		if !create {
+			return nil
+		}
+		n = newNode(numLevels - 1)
+		pt.root = n
+	case n.ref.Load() != 1:
+		n = pt.unshare(n, stats)
+		pt.root = n
+	}
 	for level := numLevels - 1; level > 0; level-- {
-		idx := levelIndex(addr, level)
-		child := n.kids[idx]
+		slot := &n.slots[levelIndex(addr, level)]
+		child := (*tableNode)(*slot)
 		switch {
 		case child == nil:
-			child = newNode(int8(level - 1))
-			n.kids[idx] = child
-		case child.ref.Load() > 1:
-			c := cloneNode(child)
-			releaseNode(pt.alloc, child)
-			n.kids[idx] = c
-			child = c
-			stats.NodeClones++
+			if !create {
+				return nil
+			}
+			child = newNode(level - 1)
+			*slot = unsafe.Pointer(child)
+		case child.ref.Load() != 1:
+			child = pt.unshare(child, stats)
+			*slot = unsafe.Pointer(child)
 		}
 		n = child
 	}
 	return n
 }
 
-// ensureFrame returns a privately-owned frame at leaf.ptes[idx],
+// ensureLeaf returns the exclusively-owned level-0 node covering addr,
+// creating it if need be. The leaf spans levelSize contiguous pages, so
+// run-length write paths resolve it once per span instead of re-walking
+// from the root per page. stats is charged for node clones.
+// cheap: the CoW fault path; see unshare.
+func (pt *pageTable) ensureLeaf(addr uint64, stats *Stats) *tableNode {
+	return pt.ownPath(addr, true, stats)
+}
+
+// ensureFrame returns a privately-owned frame at slot idx of leaf,
 // materializing a demand-zero page or CoW-copying a shared one. leaf must
 // be exclusively owned (returned by ensureLeaf). stats is charged for
 // zero fills and CoW copies.
 // cheap: the CoW fault path — the private page copy allocates by design,
 // once per shared page per epoch.
 func (pt *pageTable) ensureFrame(leaf *tableNode, idx int, stats *Stats) (*Frame, error) {
-	f := leaf.ptes[idx]
+	f := leaf.pte(idx)
 	switch {
 	case f == nil:
 		var err error
@@ -159,7 +185,7 @@ func (pt *pageTable) ensureFrame(leaf *tableNode, idx int, stats *Stats) (*Frame
 		if err != nil {
 			return nil, err
 		}
-		leaf.ptes[idx] = f
+		leaf.slots[idx] = unsafe.Pointer(f)
 		stats.ZeroFills++
 	case f.ref.Load() > 1:
 		c, err := pt.alloc.clone(f)
@@ -167,7 +193,7 @@ func (pt *pageTable) ensureFrame(leaf *tableNode, idx int, stats *Stats) (*Frame
 			return nil, err
 		}
 		pt.alloc.release(f)
-		leaf.ptes[idx] = c
+		leaf.slots[idx] = unsafe.Pointer(c)
 		f = c
 		stats.CowCopies++
 	}
@@ -192,35 +218,14 @@ func (pt *pageTable) ensureWritable(addr uint64, stats *Stats) (*Frame, error) {
 // clearPage drops the frame backing addr if one exists. The path is made
 // exclusive first so shared snapshots keep their copy.
 func (pt *pageTable) clearPage(addr uint64, stats *Stats) {
-	if pt.root == nil {
+	leaf := pt.ownPath(addr, false, stats)
+	if leaf == nil {
 		return
 	}
-	if pt.root.ref.Load() > 1 {
-		c := cloneNode(pt.root)
-		releaseNode(pt.alloc, pt.root)
-		pt.root = c
-		stats.NodeClones++
-	}
-	n := pt.root
-	for level := numLevels - 1; level > 0; level-- {
-		idx := levelIndex(addr, level)
-		child := n.kids[idx]
-		if child == nil {
-			return
-		}
-		if child.ref.Load() > 1 {
-			c := cloneNode(child)
-			releaseNode(pt.alloc, child)
-			n.kids[idx] = c
-			child = c
-			stats.NodeClones++
-		}
-		n = child
-	}
 	idx := levelIndex(addr, 0)
-	if f := n.ptes[idx]; f != nil {
+	if f := leaf.pte(idx); f != nil {
 		pt.alloc.release(f)
-		n.ptes[idx] = nil
+		leaf.slots[idx] = nil
 	}
 }
 
@@ -228,33 +233,32 @@ func (pt *pageTable) clearPage(addr uint64, stats *Stats) {
 func forEachPage(root *tableNode, fn func(vpn uint64, f *Frame)) {
 	var walk func(n *tableNode, base uint64)
 	walk = func(n *tableNode, base uint64) {
-		if n == nil {
-			return
-		}
 		if n.level == 0 {
-			for i, f := range n.ptes {
-				if f != nil {
-					fn(base+uint64(i), f)
+			for i, s := range n.slots {
+				if s != nil {
+					fn(base+uint64(i), (*Frame)(s))
 				}
 			}
 			return
 		}
 		span := uint64(1) << (uint(n.level) * levelBits)
-		for i, k := range n.kids {
-			if k != nil {
-				walk(k, base+uint64(i)*span)
+		for i, s := range n.slots {
+			if s != nil {
+				walk((*tableNode)(s), base+uint64(i)*span)
 			}
 		}
 	}
-	walk(root, 0)
+	if root != nil {
+		walk(root, 0)
+	}
 }
 
 // Footprint summarizes physical residency of one table for the sharing
-// experiments (E8): frames reachable, split by whether they are shared with
-// another table, plus interior node counts.
+// experiments (E8): frames and nodes reachable, split by whether another
+// table can reach them too.
 type Footprint struct {
-	PrivatePages int // frames with refcount 1
-	SharedPages  int // frames with refcount > 1
+	PrivatePages int // frames only this table reaches
+	SharedPages  int // frames shared with another table
 	PrivateNodes int
 	SharedNodes  int
 }
@@ -265,37 +269,34 @@ func (f Footprint) PrivateBytes() int64 { return int64(f.PrivatePages) * PageSiz
 // SharedBytes returns the number of bytes shared with other tables.
 func (f Footprint) SharedBytes() int64 { return int64(f.SharedPages) * PageSize }
 
+// footprint classifies everything reachable from root. A node or frame is
+// shared when its own refcount exceeds one or when it is reached through a
+// shared node: path copying leaves everything below an uncloned node at
+// refcount 1 while two tables reach it.
 func footprint(root *tableNode) Footprint {
 	var fp Footprint
-	var walk func(n *tableNode)
-	walk = func(n *tableNode) {
-		if n == nil {
-			return
-		}
-		if n.ref.Load() > 1 {
+	var walk func(n *tableNode, shared bool)
+	walk = func(n *tableNode, shared bool) {
+		shared = shared || n.ref.Load() > 1
+		if shared {
 			fp.SharedNodes++
 		} else {
 			fp.PrivateNodes++
 		}
-		if n.level == 0 {
-			for _, f := range n.ptes {
-				if f == nil {
-					continue
-				}
-				if f.ref.Load() > 1 {
-					fp.SharedPages++
-				} else {
-					fp.PrivatePages++
-				}
-			}
-			return
-		}
-		for _, k := range n.kids {
-			if k != nil {
-				walk(k)
+		for _, s := range n.slots {
+			switch {
+			case s == nil:
+			case n.level > 0:
+				walk((*tableNode)(s), shared)
+			case shared || (*Frame)(s).ref.Load() > 1:
+				fp.SharedPages++
+			default:
+				fp.PrivatePages++
 			}
 		}
 	}
-	walk(root)
+	if root != nil {
+		walk(root, false)
+	}
 	return fp
 }

@@ -5,8 +5,8 @@ import "sync"
 // The software TLB: two small direct-mapped caches per address space that
 // short-circuit the hot path of the whole system. The paper's cost model
 // makes snapshot capture/restore O(1) and pushes all sharing cost onto the
-// write path, so the per-access work — VMA permission check, 4-level radix
-// walk, atomic refcount loads — is what every guest load and store pays.
+// write path, so the per-access work — VMA permission check, numLevels-deep
+// radix walk, atomic refcount loads — is what every guest load and store pays.
 // The TLB caches the *result* of that work per virtual page:
 //
 //   - a read entry (vpn → frame) asserts the page is mapped with PermRead
