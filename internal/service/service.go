@@ -65,6 +65,13 @@ const solveSliceConflicts = 4096
 // exercise the oversized-state path without building a >1 GiB solver.
 var marshalState = func(sol *solver.Solver) []byte { return sol.Marshal() }
 
+// solverPool recycles solvers across Extends. A request's solver is garbage
+// the moment its state is marshalled, and rebuilding one inside the arrays
+// of the last halves what an extend of a large problem allocates (the
+// clause arena, the watch lists, the per-variable arrays); nothing an
+// Extend returns points into the solver.
+var solverPool = sync.Pool{New: func() any { return solver.New(0) }}
+
 // tombstoneCap bounds the per-shard memory of evicted-id records: the ids
 // of the most recent evictions are remembered (ErrEvicted); beyond that a
 // very old evicted id degrades to ErrUnknownRef. Ids are 8 bytes, so this
@@ -104,7 +111,9 @@ type Result struct {
 	// Model is the satisfying assignment (Verdict == Sat), indexed by
 	// variable; index 0 unused.
 	Model []bool
-	// Learned is the number of retained learned clauses (diagnostics).
+	// Learned is the number of clauses this solve learned (diagnostics).
+	// The clauses the ancestors learned are not counted: a reloaded state
+	// carries them as problem clauses (see solver.Unmarshal).
 	Learned int
 }
 
@@ -728,14 +737,14 @@ func (s *Service) Extend(ctx context.Context, id uint64, clauses [][]int) (Resul
 	cand := parent.Restore()
 	defer cand.Release()
 
-	var sol *solver.Solver
+	sol := solverPool.Get().(*solver.Solver)
+	defer solverPool.Put(sol)
 	if data, err := cand.FS.ReadFile(stateFile); err == nil {
-		sol, err = solver.Unmarshal(data)
-		if err != nil {
+		if err := sol.Load(data); err != nil {
 			return Result{}, fmt.Errorf("service: corrupt state for %d: %w", id, err)
 		}
 	} else {
-		sol = solver.New(0)
+		sol.Reset()
 	}
 	for _, cl := range clauses {
 		if err := sol.AddClause(cl...); err != nil {
@@ -950,9 +959,18 @@ func (s *Service) Unpin(id uint64) error {
 // Counts reports the live reference and pinned counts without walking
 // footprints — cheap enough to poll while the service is under load
 // (the E13 bound sampler and monitoring loops use it instead of Stats).
+// The reference count is one instant's: every shard is locked before the
+// first is read. Summing shard by shard counts a victim in one shard and, an
+// eviction and a park later, its replacement in the next — one more than
+// the table ever held, which a sampler asserting the capacity bound reads
+// as a violation once extends take under ten microseconds.
 func (s *Service) Counts() (refs, pinned int) {
 	for _, sh := range s.shards {
+		//lint:ignore lockorder shards are taken in slice order, and nothing else holds two at once
 		sh.mu.Lock()
+	}
+	for _, sh := range s.shards {
+		//lint:ignore lockguard every shard is held, two loops up
 		refs += len(sh.entries)
 		sh.mu.Unlock()
 	}

@@ -364,3 +364,57 @@ func TestDeadlineInterruptsHardSolve(t *testing.T) {
 		t.Errorf("interrupted extend leaked: refs=%d live=%d", s.Refs(), s.LiveSnapshots())
 	}
 }
+
+// TestOversizedLiteralRefused: a clause naming a variable beyond
+// solver.VarLimit fails the Extend before the solver sizes anything by it
+// (at 1<<30 the per-variable arrays alone would be tens of GB — an
+// out-of-memory crash, not an error). Nothing is parked, nothing leaks,
+// and the parent stays extendable.
+func TestOversizedLiteralRefused(t *testing.T) {
+	s := New()
+	defer s.Close()
+	base, err := s.Extend(context.Background(), 0, [][]int{{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, live := s.Refs(), s.LiveSnapshots()
+	for _, l := range []int{1 << 30, -(1 << 30), solver.VarLimit + 1} {
+		if _, err := s.Extend(context.Background(), base.ID, [][]int{{3}, {l, 2}}); err == nil {
+			t.Fatalf("extend with literal %d accepted", l)
+		}
+	}
+	if s.Refs() != refs || s.LiveSnapshots() != live {
+		t.Errorf("refused extend parked state: refs %d→%d live %d→%d",
+			refs, s.Refs(), live, s.LiveSnapshots())
+	}
+	if r, err := s.Extend(context.Background(), base.ID, [][]int{{-1}}); err != nil || r.Verdict != solver.Sat || !r.Model[2] {
+		t.Errorf("extend after refused literal: %+v, %v", r, err)
+	}
+}
+
+// BenchmarkExtendBig is one svc-bigbase request without the wire: a
+// three-literal extend off a pinned 500-variable base. It asserts nothing.
+func BenchmarkExtendBig(b *testing.B) {
+	s := New()
+	defer s.Close()
+	ctx := context.Background()
+	base, err := s.Extend(ctx, 0, solver.Random3SAT(500, 1500, 1))
+	if err != nil || base.Verdict != solver.Sat {
+		b.Fatalf("base: %+v, %v", base.Verdict, err)
+	}
+	if err := s.Pin(base.ID); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := 1 + i%498
+		r, err := s.Extend(ctx, base.ID, [][]int{{v, -(v + 1), v + 2}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Release(r.ID); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

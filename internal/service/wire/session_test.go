@@ -178,25 +178,42 @@ func TestServerErrorKeepsSessionAlive(t *testing.T) {
 // TestDispatchBatchRollback: when group k of a batch fails, the
 // siblings groups 0..k-1 already parked are released — the batch is
 // atomic and nothing leaks. Literal 0 passes encode-free Dispatch and
-// fails in the solver, making group 1 the deterministic failure point.
+// fails in the solver, making group 1 the deterministic failure point; so
+// does 1<<30, which the codec carries (any non-zero int32 is a literal on
+// the wire) and the solver refuses as beyond solver.VarLimit — sizing its
+// per-variable arrays by it would take the server down with tens of GB.
 func TestDispatchBatchRollback(t *testing.T) {
-	svc := service.New()
-	defer svc.Close()
-	refs, live := svc.Refs(), svc.LiveSnapshots()
+	for _, bad := range []int{0, 1 << 30} {
+		svc := service.New()
+		refs, live := svc.Refs(), svc.LiveSnapshots()
 
-	resp := Dispatch(context.Background(), svc, Request{
-		Op: OpExtend, ReqID: 1, ID: 0,
-		Groups: [][][]int{{{1}}, {{0}}},
-	}, 0)
-	if resp.Err == "" || !strings.Contains(resp.Err, "group 1") {
-		t.Fatalf("batch with failing group 1: err=%q, want group attribution", resp.Err)
-	}
-	if len(resp.Results) != 0 {
-		t.Errorf("failed batch returned %d results", len(resp.Results))
-	}
-	if svc.Refs() != refs || svc.LiveSnapshots() != live {
-		t.Errorf("failed batch leaked: refs %d→%d, snapshots %d→%d",
-			refs, svc.Refs(), live, svc.LiveSnapshots())
+		req := Request{Op: OpExtend, ReqID: 1, ID: 0, Groups: [][][]int{{{1}}, {{bad, 2}}}}
+		if bad != 0 { // as a client would send it
+			frame, err := EncodeRequest(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if req, err = DecodeRequest(frame[4:]); err != nil {
+				t.Fatalf("literal %d refused by the codec: %v", bad, err)
+			}
+		}
+		resp := Dispatch(context.Background(), svc, req, 0)
+		if resp.Err == "" || !strings.Contains(resp.Err, "group 1") {
+			t.Fatalf("literal %d: batch with failing group 1: err=%q, want group attribution", bad, resp.Err)
+		}
+		if len(resp.Results) != 0 {
+			t.Errorf("literal %d: failed batch returned %d results", bad, len(resp.Results))
+		}
+		if svc.Refs() != refs || svc.LiveSnapshots() != live {
+			t.Errorf("literal %d: failed batch leaked: refs %d→%d, snapshots %d→%d",
+				bad, refs, svc.Refs(), live, svc.LiveSnapshots())
+		}
+		// The parent is untouched by the refused batch.
+		resp = Dispatch(context.Background(), svc, Request{Op: OpExtend, ReqID: 2, ID: 0, Groups: [][][]int{{{1}}}}, 0)
+		if resp.Err != "" || len(resp.Results) != 1 || resp.Results[0].Verdict != solver.Sat {
+			t.Errorf("literal %d: extend after the refused batch: %+v", bad, resp)
+		}
+		svc.Close()
 	}
 }
 

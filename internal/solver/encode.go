@@ -3,6 +3,7 @@ package solver
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -23,50 +24,82 @@ import (
 //     bytewise prefix of the child's and their shared blocks stay shared.
 //   - No section begins with its own count — counts live in the footer —
 //     so adding a clause shifts nothing before the learnt section.
-//   - Literals are emitted in canonical (sorted) order: propagation swaps
-//     watched literals inside clauses, so without canonicalization two
-//     solvers holding the same logical clauses would marshal to different
-//     bytes. Unmarshal rebuilds watches through AddClause, which accepts
-//     any literal order, so this changes no semantics.
+//   - A clause is its length followed by its literals (±var) in strictly
+//     ascending order: propagation swaps watched literals inside clauses,
+//     so without a canonical order two solvers holding the same logical
+//     clauses would marshal to different bytes.
+//
+// The output is sized exactly and allocated once; each clause is sorted
+// where it lands in the buffer.
 func (s *Solver) Marshal() []byte {
 	s.cancelUntil(0)
-	var buf []byte
-	put64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
-	writeClauses := func(cs [][]lit) {
-		var tmp []int64
-		for _, cl := range cs {
-			put64(uint64(len(cl)))
-			tmp = tmp[:0]
-			for _, l := range cl {
-				tmp = append(tmp, int64(l.ext()))
+	// Every arena word is a header or a literal, one output word each.
+	buf := make([]byte, 8*(len(s.arena)+len(s.trail)+s.nVars+footerWords))
+	at := 0
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[at:], v)
+		at += 8
+	}
+	// Problem clauses, then the clauses learned since the solver was made.
+	for _, learnt := range [2]lit{0, 1} {
+		if learnt == 1 && s.nLearnts == 0 {
+			break
+		}
+		for c := 0; c < len(s.arena); {
+			n := int(s.arena[c] >> 1)
+			if s.arena[c]&1 == learnt {
+				put(uint64(n))
+				from := at
+				for _, l := range s.arena[c+1 : c+1+n] {
+					put(uint64(int64(l.ext())))
+				}
+				sortWords(buf[from:at])
 			}
-			slices.Sort(tmp)
-			for _, v := range tmp {
-				put64(uint64(v))
-			}
+			c += 1 + n
 		}
 	}
-	writeClauses(s.clauses)
-	writeClauses(s.learnts)
 	// Level-0 facts (the trail bottom) and phases.
 	for _, l := range s.trail {
-		put64(uint64(int64(l.ext())))
+		put(uint64(int64(l.ext())))
 	}
 	for v := 1; v <= s.nVars; v++ {
-		put64(uint64(int64(s.phase[v])))
+		put(uint64(int64(s.phase[v])))
 	}
 	// Footer.
-	put64(uint64(len(s.clauses)))
-	put64(uint64(len(s.learnts)))
-	put64(uint64(len(s.trail)))
-	put64(uint64(s.nVars))
+	put(uint64(s.nClauses))
+	put(uint64(s.nLearnts))
+	put(uint64(len(s.trail)))
+	put(uint64(s.nVars))
 	ok := uint64(0)
 	if s.ok {
 		ok = 1
 	}
-	put64(ok)
-	put64(solverMagic)
+	put(ok)
+	put(solverMagic)
 	return buf
+}
+
+// sortWords sorts the little-endian int64 words of b in place. A Shell sort
+// with Knuth's gaps: for the three-literal clauses that dominate it is a
+// plain insertion sort, for a long learned clause it stays sub-quadratic,
+// and it needs no scratch.
+func sortWords(b []byte) {
+	le := binary.LittleEndian
+	n := len(b) / 8
+	h := 1
+	for h < n/3 {
+		h = 3*h + 1
+	}
+	for ; h >= 1; h /= 3 {
+		for i := h; i < n; i++ {
+			v := le.Uint64(b[8*i:])
+			j := i
+			for ; j >= h && int64(le.Uint64(b[8*(j-h):])) > int64(v); j -= h {
+				le.PutUint64(b[8*j:], le.Uint64(b[8*(j-h):]))
+			}
+			le.PutUint64(b[8*j:], v)
+		}
+	}
 }
 
 const solverMagic = 0x53415453_4e415053 // "SNAPSATS"
@@ -74,106 +107,174 @@ const solverMagic = 0x53415453_4e415053 // "SNAPSATS"
 // footerWords is the fixed trailer size of the Marshal format.
 const footerWords = 6
 
-// Unmarshal reconstructs a solver from Marshal output.
+// Unmarshal reconstructs a solver from Marshal output in one pass over the
+// bytes: the clause section becomes the clause arena word for word, the
+// watch lists are counted, cut from one array and filled, the per-variable
+// arrays are made once at the footer's nVars. Nothing is re-added through
+// AddClause, so the cost does not depend on what AddClause would do with
+// each clause — and neither does the result:
+//
+//   - Each clause is put back into the internal literal order AddClause
+//     stores (by variable, +v before ¬v). That order decides which two
+//     literals are watched, the watch lists follow clause order, and the
+//     search follows the watch lists: a reloaded solver decides, learns and
+//     answers exactly as one that was handed the same clauses directly.
+//   - Learned clauses come back as problem clauses: they are consequences
+//     of the problem, so nothing is lost, and NumLearnts restarts at zero.
+//   - Level-0 facts are asserted and propagated one by one, in trail order,
+//     after every clause is watched.
+//
+// Only what Marshal writes is accepted. A state whose footer counts do not
+// account for every body word, that claims more than VarLimit variables,
+// that names a literal 0 or a variable beyond nVars, or that holds a clause
+// Marshal cannot produce — fewer than two literals, literals not strictly
+// ascending, a variable twice (x ∨ ¬x included) — is rejected as corrupt.
+// Such a clause is not repaired: a state file is written by this package
+// alone, so a clause outside the canonical form means the bytes are not a
+// state, and a solver quietly built from them could answer for a different
+// problem.
 func Unmarshal(data []byte) (*Solver, error) {
+	s := &Solver{}
+	if err := s.Load(data); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset returns s to the state of New(0) but keeps its arrays, so the next
+// problem it holds allocates only what outgrows them.
+func (s *Solver) Reset() {
+	*s = Solver{
+		ok: true, varInc: 1,
+		arena: s.arena[:0], watches: s.watches[:0], watchMem: s.watchMem, watchCount: s.watchCount[:0],
+		assign: s.assign[:0], level: s.level[:0], reason: s.reason[:0], phase: s.phase[:0],
+		activity: s.activity[:0], heap: s.heap[:0], heapPos: s.heapPos[:0],
+		trail: s.trail[:0], trailLim: s.trailLim[:0], seen: s.seen[:0], scratch: s.scratch[:0],
+	}
+}
+
+// Load is Unmarshal into a solver that has been used before: s is Reset and
+// rebuilt from data inside the arrays it already owns. The result behaves
+// exactly as Unmarshal's. After an error s holds no usable problem.
+func (s *Solver) Load(data []byte) error {
+	s.Reset()
 	if len(data) < footerWords*8 || len(data)%8 != 0 {
-		return nil, fmt.Errorf("solver: truncated state (%d bytes)", len(data))
+		return fmt.Errorf("solver: truncated state (%d bytes)", len(data))
 	}
-	foot := len(data) - footerWords*8
-	ftr := func(i int) uint64 { return binary.LittleEndian.Uint64(data[foot+8*i:]) }
-	nClauses, nLearnts, nFacts := ftr(0), ftr(1), ftr(2)
-	nv, okFlag, magic := ftr(3), ftr(4), ftr(5)
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(data[8*i:]) }
+	words := len(data)/8 - footerWords
+	nClauses, nLearnts, nFacts := word(words), word(words+1), word(words+2)
+	nv, okFlag, magic := word(words+3), word(words+4), word(words+5)
 	if magic != solverMagic {
-		return nil, fmt.Errorf("solver: bad state magic")
+		return fmt.Errorf("solver: bad state magic")
 	}
-	// Every count must fit the body it describes: the phases section alone
-	// needs nv words, and each clause/fact at least one. Rejecting here
-	// keeps a corrupt footer from sizing the solver (New allocates O(nv))
-	// or the section loops off untrusted numbers.
-	if nv > uint64(foot)/8 || nClauses > uint64(foot)/8 || nLearnts > uint64(foot)/8 || nFacts > uint64(foot)/8 {
-		return nil, fmt.Errorf("solver: footer counts exceed state size")
+	if nv > VarLimit {
+		return fmt.Errorf("solver: state claims %d variables, beyond VarLimit (%d)", nv, VarLimit)
+	}
+	// Every count must fit the body it describes before it sizes anything:
+	// one word per phase and per fact, at least three per clause, and
+	// clause offsets must fit a cref.
+	w := uint64(words)
+	if nv > w || nFacts > w-nv || nClauses > w || nLearnts > w || 3*(nClauses+nLearnts) > w-nv-nFacts || w > math.MaxInt32/2 {
+		return fmt.Errorf("solver: footer counts exceed state size")
+	}
+	clauseWords := words - int(nv) - int(nFacts)
+
+	s.grow(int(nv))
+	s.nClauses = int(nClauses + nLearnts)
+	// The arena is the clause section — a length word becomes a header, a
+	// literal word a lit — with room for the clauses an extension adds.
+	if cap(s.arena) < clauseWords {
+		s.arena = make([]lit, clauseWords, clauseWords+clauseWords/8+64)
+	}
+	s.arena = s.arena[:clauseWords]
+	s.watchCount = append(s.watchCount, make([]int32, 2*nv+2)...)
+	counts := s.watchCount
+	at := 0
+	for i := 0; i < s.nClauses; i++ {
+		ln := word(at) // at worst a footer word: at never passes clauseWords
+		if rest := clauseWords - at - 1; ln < 2 || rest < 2 || ln > uint64(rest) {
+			return fmt.Errorf("solver: clause %d has length %d with %d words left", i, ln, rest)
+		}
+		s.arena[at] = lit(ln << 1)
+		cl := s.arena[at+1 : at+1+int(ln)]
+		prev := int64(math.MinInt64)
+		for j := range cl {
+			l := int64(word(at + 1 + j))
+			if l == 0 || l > int64(nv) || l < -int64(nv) {
+				return fmt.Errorf("solver: literal %d out of range for %d vars", l, nv)
+			}
+			if l <= prev {
+				return fmt.Errorf("solver: clause %d is not strictly ascending", i)
+			}
+			prev = l
+			cl[j] = toLit(int(l))
+		}
+		slices.Sort(cl)
+		for j := 1; j < len(cl); j++ {
+			if cl[j].variable() == cl[j-1].variable() {
+				return fmt.Errorf("solver: clause %d names variable %d twice", i, cl[j].variable())
+			}
+		}
+		counts[cl[0].neg()]++
+		counts[cl[1].neg()]++
+		at += 1 + len(cl)
+	}
+	// The footer counts must account for every body word: trailing data
+	// means the counts are inconsistent with the sections, and a solver
+	// silently missing constraints could answer sat for an unsat problem.
+	if at != clauseWords {
+		return fmt.Errorf("solver: %d state bytes unaccounted for by footer counts", 8*(clauseWords-at))
 	}
 
-	off := 0
-	get64 := func() (uint64, error) {
-		if off+8 > foot {
-			return 0, fmt.Errorf("solver: truncated state at %d", off)
-		}
-		v := binary.LittleEndian.Uint64(data[off:])
-		off += 8
-		return v, nil
+	// Watch lists: one array (kept across Loads) cut to each literal's count
+	// plus slack for the watches propagation moves in, filled in clause
+	// order.
+	total := 0
+	for _, n := range counts {
+		total += watchCap(n)
 	}
-	s := New(int(nv))
-	readClauses := func(n uint64) error {
-		for i := uint64(0); i < n; i++ {
-			ln, err := get64()
-			if err != nil {
-				return err
-			}
-			if ln > uint64(foot-off)/8 {
-				return fmt.Errorf("solver: clause length %d overruns state", ln)
-			}
-			ext := make([]int, ln)
-			for j := range ext {
-				v, err := get64()
-				if err != nil {
-					return err
-				}
-				l := int64(v)
-				// A well-formed state never names a variable beyond
-				// nVars (Marshal's nVars covers every clause); an
-				// out-of-range literal would make AddClause allocate
-				// O(|literal|) off corrupt bytes.
-				if l == 0 || l > int64(nv) || l < -int64(nv) {
-					return fmt.Errorf("solver: literal %d out of range for %d vars", l, nv)
-				}
-				ext[j] = int(l)
-			}
-			if err := s.AddClause(ext...); err != nil {
-				return err
-			}
-		}
-		return nil
+	if cap(s.watchMem) < total {
+		s.watchMem = make([]watch, total)
 	}
-	if err := readClauses(nClauses); err != nil {
-		return nil, err
+	backing := s.watchMem[:total]
+	for p := range s.watches { // empty when nv is 0
+		n := watchCap(counts[p])
+		s.watches[p] = backing[:0:n]
+		backing = backing[n:]
 	}
-	// Learned clauses re-enter as ordinary clauses: they are logical
-	// consequences, so correctness is unaffected and their propagation
-	// power is preserved.
-	if err := readClauses(nLearnts); err != nil {
-		return nil, err
+	for c := 0; c < clauseWords; {
+		cl := s.lits(cref(c))
+		s.attach(cref(c), cl)
+		c += 1 + len(cl)
 	}
-	for i := uint64(0); i < nFacts; i++ {
-		v, err := get64()
-		if err != nil {
-			return nil, err
-		}
-		l := int64(v)
+
+	for i := 0; i < int(nFacts); i++ {
+		l := int64(word(clauseWords + i))
 		if l == 0 || l > int64(nv) || l < -int64(nv) {
-			return nil, fmt.Errorf("solver: fact literal %d out of range for %d vars", l, nv)
+			return fmt.Errorf("solver: fact literal %d out of range for %d vars", l, nv)
 		}
-		if err := s.AddClause(int(l)); err != nil {
-			return nil, err
+		if !s.ok {
+			continue
+		}
+		switch p := toLit(int(l)); s.valueLit(p) {
+		case -1:
+			s.ok = false
+		case 0:
+			s.enqueue(p, crefNone)
+			if s.propagate() != crefNone {
+				s.ok = false
+			}
 		}
 	}
 	for v := 1; v <= int(nv); v++ {
-		ph, err := get64()
-		if err != nil {
-			return nil, err
-		}
-		if v < len(s.phase) {
-			s.phase[v] = int8(int64(ph))
-		}
-	}
-	// The footer counts must account for every body byte: trailing data
-	// means the counts are inconsistent with the sections, and a solver
-	// silently missing constraints could answer sat for an unsat problem.
-	if off != foot {
-		return nil, fmt.Errorf("solver: %d state bytes unaccounted for by footer counts", foot-off)
+		s.phase[v] = int8(int64(word(clauseWords + int(nFacts) + v - 1)))
 	}
 	if okFlag == 0 {
 		s.ok = false
 	}
-	return s, nil
+	return nil
 }
+
+// watchCap is the capacity a loaded watch list of n entries starts with.
+func watchCap(n int32) int { return int(n) + int(n)/2 + 4 }

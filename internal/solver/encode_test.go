@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 )
@@ -110,5 +111,125 @@ func TestUnmarshalCorruptFooter(t *testing.T) {
 
 	if _, err := Unmarshal(good); err != nil {
 		t.Errorf("pristine state rejected: %v", err)
+	}
+}
+
+// TestUnmarshalRejectsNonCanonical: a clause Marshal cannot have written
+// is corruption, not something to normalise.
+func TestUnmarshalRejectsNonCanonical(t *testing.T) {
+	cases := []struct {
+		name   string
+		clause []int
+	}{
+		{"one literal", []int{3}},
+		{"no literals", []int{}},
+		{"unsorted", []int{2, 1, 3}},
+		{"duplicated literal", []int{1, 2, 2}},
+		{"tautology", []int{-2, 1, 2}},
+	}
+	for _, tc := range cases {
+		data := rawState(3, []int{1, 3}, tc.clause)
+		if _, err := Unmarshal(data); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if _, err := unmarshalReference(data); err != nil {
+			t.Errorf("%s: the reference loader rejects it too (%v); the case pins nothing", tc.name, err)
+		}
+	}
+	if _, err := Unmarshal(rawState(3, []int{1, 3}, []int{-3, -1, 2})); err != nil {
+		t.Errorf("canonical hand-built state rejected: %v", err)
+	}
+}
+
+// TestUnmarshalVarLimit: a footer claiming more than VarLimit variables is
+// refused even when the body is large enough to hold their phases.
+func TestUnmarshalVarLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 128 MiB state")
+	}
+	if _, err := Unmarshal(rawState(VarLimit + 1)); err == nil {
+		t.Error("state with VarLimit+1 variables accepted")
+	}
+}
+
+// TestCodecAllocations pins the shape of the codec's cost: Unmarshal makes
+// a fixed number of allocations however many clauses the state holds (the
+// arena, one watch array, the per-variable arrays), Load into a recycled
+// solver makes none, and Marshal makes one.
+func TestCodecAllocations(t *testing.T) {
+	state := func(nClauses int) []byte {
+		s := New(500)
+		for _, cl := range Random3SAT(500, nClauses, 1) {
+			if err := s.AddClause(cl...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.Marshal()
+	}
+	small, big := state(150), state(1500)
+	load := func(data []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Unmarshal(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := load(small), load(big); b > a+2 {
+		t.Errorf("Unmarshal: %v allocations for 150 clauses, %v for 1500: not O(1) in clauses", a, b)
+	}
+	s, err := Unmarshal(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		if err := s.Load(big); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Load into a solver that held the same state allocates %v times, want 0", n)
+	}
+	s.Solve(0)
+	if n := testing.AllocsPerRun(20, func() { s.Marshal() }); n != 1 {
+		t.Errorf("Marshal allocates %v times, want 1", n)
+	}
+}
+
+// TestResetAndLoadReuse: a solver that has been used — solved, failed a
+// Load half way — then Reset or re-Loaded is indistinguishable from a new
+// one: same state bytes after the same clauses and the same solve.
+func TestResetAndLoadReuse(t *testing.T) {
+	solve := func(s *Solver, clauses [][]int) []byte {
+		for _, cl := range clauses {
+			if err := s.AddClause(cl...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Solve(0)
+		return s.Marshal()
+	}
+	a, b := Random3SAT(60, 250, 21), Random3SAT(40, 150, 22)
+	used := New(0)
+	stateA := solve(used, a)
+
+	used.Reset()
+	if !bytes.Equal(used.Marshal(), New(0).Marshal()) {
+		t.Error("a Reset solver does not marshal as New(0)")
+	}
+	if !bytes.Equal(solve(used, b), solve(New(0), b)) {
+		t.Error("a Reset solver and a new one solve the same clauses to different states")
+	}
+
+	if err := used.Load(stateA[8:]); err == nil {
+		t.Fatal("misaligned state accepted")
+	}
+	if err := used.Load(stateA); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Unmarshal(stateA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(solve(used, b[:20]), solve(fresh, b[:20])) {
+		t.Error("a re-Loaded solver and an Unmarshalled one extend to different states")
 	}
 }

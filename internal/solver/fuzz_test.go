@@ -2,16 +2,76 @@ package solver
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 )
 
+// nonCanonical names the rule of Marshal's clause form that a state the
+// reference loader accepts breaks, or "" if it breaks none: a clause
+// shorter than two literals, literals not strictly ascending, a variable
+// twice. It walks the clause section the way the reference does, so it is
+// only meaningful on input the reference accepted.
+func nonCanonical(data []byte) string {
+	word := func(i int) int64 { return int64(binary.LittleEndian.Uint64(data[8*i:])) }
+	words := len(data)/8 - footerWords
+	at := 0
+	for n := word(words) + word(words+1); n > 0; n-- {
+		ln := int(word(at))
+		if ln < 2 {
+			return "short clause"
+		}
+		vars := map[int64]bool{}
+		for j := 1; j <= ln; j++ {
+			l := word(at + j)
+			if j > 1 && l <= word(at+j-1) {
+				return "not strictly ascending"
+			}
+			if vars[max(l, -l)] {
+				return "repeated variable"
+			}
+			vars[max(l, -l)] = true
+		}
+		at += 1 + ln
+	}
+	return ""
+}
+
+// rawState assembles a state file from external clauses as given — no
+// sorting, no deduplication — to seed the fuzzer with what Marshal cannot
+// write.
+func rawState(nVars int, clauses ...[]int) []byte {
+	var b []byte
+	put := func(v int) { b = binary.LittleEndian.AppendUint64(b, uint64(int64(v))) }
+	for _, cl := range clauses {
+		put(len(cl))
+		for _, l := range cl {
+			put(l)
+		}
+	}
+	for v := 0; v < nVars; v++ {
+		put(-1) // phases
+	}
+	for _, v := range []int{len(clauses), 0, 0, nVars, 1} {
+		put(v)
+	}
+	return binary.LittleEndian.AppendUint64(b, solverMagic)
+}
+
 // FuzzSolverUnmarshal fuzzes the solver-state decoder with a corpus
-// seeded from real Marshal output. The contract under fuzzing: corrupt
-// input errors — it never panics, hangs, or allocates far beyond the
-// input size (footer counts are validated against the body before they
-// size anything) — and accepted input must survive a Marshal/Unmarshal
-// round-trip bit-exactly (Marshal canonicalizes, so a second round trip
-// is a fixed point).
+// seeded from real Marshal output and from hand-built non-canonical
+// states. The contract under fuzzing:
+//
+//   - corrupt input errors — it never panics, hangs, or allocates far
+//     beyond the input size (footer counts are validated against the body
+//     before they size anything);
+//   - accepted input survives a Marshal/Unmarshal round trip bit-exactly
+//     (Marshal canonicalizes, so a second round trip is a fixed point);
+//   - the loader agrees with unmarshalReference, the AddClause-based loader
+//     it replaced: whatever Unmarshal accepts the reference accepts, and
+//     the two solvers marshal to the same bytes and solve to the same
+//     verdict and model; what only the reference accepts breaks a named
+//     rule of the canonical clause form (or the VarLimit bound).
 func FuzzSolverUnmarshal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(New(0).Marshal())
@@ -44,14 +104,33 @@ func FuzzSolverUnmarshal(f *testing.F) {
 	u.Solve(0)
 	f.Add(u.Marshal())
 
+	// What the reference normalises and the loader refuses.
+	f.Add(rawState(3, []int{1, 2}, []int{3}))       // a len-1 clause
+	f.Add(rawState(3, []int{2, 1, 3}))              // unsorted
+	f.Add(rawState(3, []int{1, 2, 2}, []int{1, 3})) // a duplicated literal
+	f.Add(rawState(3, []int{-2, 1, 2}))             // a tautology
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Unmarshal(data)
+		ref, refErr := unmarshalReference(data)
 		if err != nil {
+			if refErr == nil && ref.NumVars() <= VarLimit && nonCanonical(data) == "" {
+				t.Fatalf("rejected a canonical state the reference accepts: %v", err)
+			}
 			return
+		}
+		if refErr != nil {
+			t.Fatalf("accepted a state the reference rejects: %v", refErr)
+		}
+		if rule := nonCanonical(data); rule != "" {
+			t.Fatalf("accepted a non-canonical state (%s)", rule)
 		}
 		// Accepted state must be internally consistent enough to
 		// re-marshal, and the canonical form must be a fixed point.
 		once := s.Marshal()
+		if !bytes.Equal(once, ref.Marshal()) {
+			t.Fatal("loader and reference marshal differently")
+		}
 		s2, err := Unmarshal(once)
 		if err != nil {
 			t.Fatalf("re-unmarshal of accepted state failed: %v", err)
@@ -59,6 +138,14 @@ func FuzzSolverUnmarshal(f *testing.F) {
 		twice := s2.Marshal()
 		if !bytes.Equal(once, twice) {
 			t.Fatal("canonical marshal is not a fixed point")
+		}
+		// Same search: bounded, so a hard fuzz input cannot stall a worker.
+		v, refV := s.Solve(2000), ref.Solve(2000)
+		if v != refV || (v == Sat && !slices.Equal(s.Model(), ref.Model())) {
+			t.Fatalf("loader solves to %v, reference to %v (or models differ)", v, refV)
+		}
+		if !bytes.Equal(s.Marshal(), ref.Marshal()) {
+			t.Fatal("loader and reference marshal differently after solving")
 		}
 	})
 }

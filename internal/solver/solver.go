@@ -11,7 +11,7 @@ package solver
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Status is a solver verdict.
@@ -46,6 +46,13 @@ type Stats struct {
 	Restarts     int64
 }
 
+// VarLimit is the largest variable index a solver accepts. Per-variable
+// state is allocated up to the largest index named, so an unbounded index
+// is an unbounded allocation: AddClause refuses a literal beyond the limit
+// and Unmarshal a state that claims more variables. 2*VarLimit+1 fits a
+// lit with room to spare.
+const VarLimit = 1 << 24
+
 // lit encoding: variable v (1-based) → 2v for +v, 2v+1 for ¬v.
 type lit int32
 
@@ -56,9 +63,19 @@ func toLit(l int) lit {
 	return lit(-2*l + 1)
 }
 
-func (l lit) neg() lit      { return l ^ 1 }
+// hot_path: one xor.
+// inline:
+func (l lit) neg() lit { return l ^ 1 }
+
+// hot_path: one shift.
+// inline:
 func (l lit) variable() int { return int(l >> 1) }
-func (l lit) sign() bool    { return l&1 == 0 } // true for positive
+
+// sign reports whether l is a positive literal.
+// hot_path: one mask.
+// inline:
+func (l lit) sign() bool { return l&1 == 0 }
+
 func (l lit) ext() int {
 	if l.sign() {
 		return l.variable()
@@ -66,10 +83,10 @@ func (l lit) ext() int {
 	return -l.variable()
 }
 
-// clause reference: index into clauses (>=0) or learnts (enc -1-i).
+// cref refers to a clause by the arena offset of its header word.
 type cref int32
 
-const crefNone cref = -1 << 30
+const crefNone cref = -1
 
 type watch struct {
 	c       cref
@@ -78,10 +95,15 @@ type watch struct {
 
 // Solver is a CDCL SAT solver. The zero value is not usable; call New.
 type Solver struct {
-	nVars   int
-	clauses [][]lit
-	learnts [][]lit
-	ok      bool // false once an empty clause is derived at level 0
+	nVars int
+	// arena holds every clause, problem and learnt, in the order added: a
+	// header word (length<<1 | learnt) followed by the literals. Clauses
+	// are never deleted, so every word is live, and references into the
+	// arena are offsets, which survive its growth.
+	arena    []lit
+	nClauses int
+	nLearnts int
+	ok       bool // false once an empty clause is derived at level 0
 
 	watches  [][]watch // indexed by lit
 	assign   []int8    // by var: 0 unset, +1 true, -1 false
@@ -91,17 +113,30 @@ type Solver struct {
 	activity []float64 // by var
 	varInc   float64
 
-	trail    []lit
+	// watchMem is the array Load cuts the watch lists from, watchCount its
+	// per-literal tally: kept only so that the next Load reuses them.
+	watchMem   []watch
+	watchCount []int32
+
+	// heap is a binary heap of variables ordered by decidesBefore; heapPos
+	// is each variable's index in it, or -1. Every unassigned variable is
+	// in the heap; assigned ones leave it lazily, when they reach the top.
+	heap    []int32
+	heapPos []int32
+
+	trail    []lit // capacity covers every variable: enqueue never grows it
 	trailLim []int
 	qhead    int
 
-	seen  []bool // scratch for conflict analysis
-	Stats Stats
+	seen    []bool // scratch for conflict analysis
+	scratch []lit  // a clause being built: AddClause's literals, analyze's learnt clause
+	Stats   Stats
 }
 
 // New returns a solver over variables 1..nVars (growable via AddVar).
 func New(nVars int) *Solver {
-	s := &Solver{ok: true, varInc: 1}
+	s := &Solver{}
+	s.Reset()
 	s.grow(nVars)
 	return s
 }
@@ -110,32 +145,48 @@ func New(nVars int) *Solver {
 func (s *Solver) NumVars() int { return s.nVars }
 
 // NumClauses returns the number of problem clauses.
-func (s *Solver) NumClauses() int { return len(s.clauses) }
+func (s *Solver) NumClauses() int { return s.nClauses }
 
-// NumLearnts returns the number of retained learned clauses.
-func (s *Solver) NumLearnts() int { return len(s.learnts) }
+// NumLearnts returns the number of clauses this solver has learned. A
+// solver rebuilt by Unmarshal starts at zero: the learned clauses of the
+// marshalled state come back as problem clauses.
+func (s *Solver) NumLearnts() int { return s.nLearnts }
 
+// grow extends every per-variable array to nVars in one step each.
 func (s *Solver) grow(nVars int) {
 	if nVars <= s.nVars {
 		return
 	}
 	s.nVars = nVars
-	for len(s.watches) < 2*nVars+2 {
-		s.watches = append(s.watches, nil)
-	}
-	for len(s.assign) < nVars+1 {
-		s.assign = append(s.assign, 0)
-		s.level = append(s.level, 0)
-		s.reason = append(s.reason, crefNone)
-		s.phase = append(s.phase, -1)
-		s.activity = append(s.activity, 0)
-		s.seen = append(s.seen, false)
+	s.watches = append(s.watches, make([][]watch, 2*nVars+2-len(s.watches))...)
+	from := len(s.assign)
+	n := nVars + 1 - from
+	s.assign = append(s.assign, make([]int8, n)...)
+	s.level = append(s.level, make([]int32, n)...)
+	s.reason = append(s.reason, make([]cref, n)...)
+	s.phase = append(s.phase, make([]int8, n)...)
+	s.activity = append(s.activity, make([]float64, n)...)
+	s.seen = append(s.seen, make([]bool, n)...)
+	s.heapPos = append(s.heapPos, make([]int32, n)...)
+	s.trail = slices.Grow(s.trail, nVars-len(s.trail))
+	s.heap = slices.Grow(s.heap, nVars-len(s.heap))
+	for v := from; v <= nVars; v++ {
+		s.reason[v] = crefNone
+		s.phase[v] = -1
+		s.heapPos[v] = -1
+		if v > 0 {
+			s.heapInsert(v)
+		}
 	}
 }
 
 // AddVar ensures variable v exists.
 func (s *Solver) AddVar(v int) { s.grow(v) }
 
+// valueLit is l's value under the current assignment: +1 true, -1 false,
+// 0 unassigned.
+// hot_path: one load.
+// inline:
 func (s *Solver) valueLit(l lit) int8 {
 	v := s.assign[l.variable()]
 	if v == 0 {
@@ -148,27 +199,35 @@ func (s *Solver) valueLit(l lit) int8 {
 }
 
 // AddClause adds a clause of external literals (±var). It returns an error
-// on malformed input. Adding clauses resets the solver to decision level 0
+// on malformed input — a literal 0, a variable beyond VarLimit — before
+// changing anything. Adding clauses resets the solver to decision level 0
 // but keeps learned clauses and phases (monotonic incrementality).
 func (s *Solver) AddClause(extLits ...int) error {
 	if !s.ok {
 		return nil // already UNSAT; additional clauses are irrelevant
 	}
-	s.cancelUntil(0)
-	cl := make([]lit, 0, len(extLits))
+	maxVar := 0
 	for _, e := range extLits {
 		if e == 0 {
 			return errors.New("solver: literal 0")
 		}
-		v := e
-		if v < 0 {
-			v = -v
+		v := max(e, -e)
+		if v < 0 || v > VarLimit { // v < 0: -e overflowed
+			return fmt.Errorf("solver: literal %d names a variable beyond VarLimit (%d)", e, VarLimit)
 		}
-		s.grow(v)
+		maxVar = max(maxVar, v)
+	}
+	s.cancelUntil(0)
+	s.grow(maxVar)
+	cl := s.scratch[:0]
+	for _, e := range extLits {
 		cl = append(cl, toLit(e))
 	}
-	// Normalize: sort, dedupe, drop tautologies, drop false lits at L0.
-	sort.Slice(cl, func(i, j int) bool { return cl[i] < cl[j] })
+	s.scratch = cl
+	// Normalize: sort (by variable, +v before ¬v — the order Load restores,
+	// because it fixes the watched pair and with it the whole search),
+	// dedupe, drop tautologies, drop false lits at L0.
+	slices.Sort(cl)
 	out := cl[:0]
 	var prev lit = -1
 	for _, l := range cl {
@@ -187,35 +246,53 @@ func (s *Solver) AddClause(extLits ...int) error {
 		out = append(out, l)
 		prev = l
 	}
-	cl = out
-	switch len(cl) {
+	switch len(out) {
 	case 0:
 		s.ok = false
-		return nil
 	case 1:
-		s.enqueue(cl[0], crefNone)
+		s.enqueue(out[0], crefNone)
 		if s.propagate() != crefNone {
 			s.ok = false
 		}
-		return nil
+	default:
+		s.store(out, false)
 	}
-	s.attach(cref(len(s.clauses)), cl)
-	s.clauses = append(s.clauses, cl)
 	return nil
 }
 
-func (s *Solver) clauseAt(c cref) []lit {
-	if c >= 0 {
-		return s.clauses[c]
-	}
-	return s.learnts[-1-int(c)]
+// lits returns clause c's literals: a view into the arena, valid until the
+// next clause is stored.
+//
+// hot_path: one header load and a sub-slice.
+// inline:
+func (s *Solver) lits(c cref) []lit {
+	n := int(s.arena[c] >> 1)
+	return s.arena[int(c)+1 : int(c)+1+n]
 }
 
+// store copies cl (at least two literals, watched pair first) into the
+// arena and watches it.
+func (s *Solver) store(cl []lit, learnt bool) cref {
+	c := cref(len(s.arena))
+	hdr := lit(len(cl) << 1)
+	if learnt {
+		hdr |= 1
+		s.nLearnts++
+	} else {
+		s.nClauses++
+	}
+	s.arena = append(append(s.arena, hdr), cl...)
+	s.attach(c, cl)
+	return c
+}
+
+// attach watches the first two literals of clause c.
 func (s *Solver) attach(c cref, cl []lit) {
 	s.watches[cl[0].neg()] = append(s.watches[cl[0].neg()], watch{c: c, blocker: cl[1]})
 	s.watches[cl[1].neg()] = append(s.watches[cl[1].neg()], watch{c: c, blocker: cl[0]})
 }
 
+// hot_path: four stores; the trail's capacity covers every variable.
 func (s *Solver) enqueue(l lit, from cref) {
 	v := l.variable()
 	if l.sign() {
@@ -225,59 +302,62 @@ func (s *Solver) enqueue(l lit, from cref) {
 	}
 	s.level[v] = int32(len(s.trailLim))
 	s.reason[v] = from
-	s.trail = append(s.trail, l)
+	n := len(s.trail)
+	s.trail = s.trail[:n+1]
+	s.trail[n] = l
 }
 
 // propagate performs unit propagation; it returns the conflicting clause
 // reference or crefNone.
+//
+// hot_path: each watch list is compacted in place; the only growth is a
+// watch moving to another literal's list.
 func (s *Solver) propagate() cref {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.Stats.Propagations++
 		ws := s.watches[p]
-		kept := ws[:0]
-		var conflict cref = crefNone
-		for wi := 0; wi < len(ws); wi++ {
-			w := ws[wi]
-			if conflict != crefNone {
-				kept = append(kept, ws[wi:]...)
-				break
-			}
+		conflict := crefNone
+		i, j := 0, 0
+	scan:
+		for i < len(ws) {
+			w := ws[i]
+			i++
 			if s.valueLit(w.blocker) == 1 {
-				kept = append(kept, w)
+				ws[j] = w
+				j++
 				continue
 			}
-			cl := s.clauseAt(w.c)
+			cl := s.lits(w.c)
 			// Ensure cl[1] is the falsified watch (p is ¬cl[i]).
 			if cl[0].neg() == p {
 				cl[0], cl[1] = cl[1], cl[0]
 			}
 			if s.valueLit(cl[0]) == 1 {
-				kept = append(kept, watch{c: w.c, blocker: cl[0]})
+				ws[j] = watch{c: w.c, blocker: cl[0]}
+				j++
 				continue
 			}
 			// Find a new literal to watch.
-			found := false
-			for i := 2; i < len(cl); i++ {
-				if s.valueLit(cl[i]) != -1 {
-					cl[1], cl[i] = cl[i], cl[1]
+			for k := 2; k < len(cl); k++ {
+				if s.valueLit(cl[k]) != -1 {
+					cl[1], cl[k] = cl[k], cl[1]
+					//lint:ignore hotpath amortized growth: a watch list doubles, O(1) per moved watch
 					s.watches[cl[1].neg()] = append(s.watches[cl[1].neg()], watch{c: w.c, blocker: cl[0]})
-					found = true
-					break
+					continue scan // watch moved; drop from this list
 				}
 			}
-			if found {
-				continue // watch moved; drop from this list
-			}
-			kept = append(kept, w)
+			ws[j] = w
+			j++
 			if s.valueLit(cl[0]) == -1 {
-				conflict = w.c // conflict
-			} else {
-				s.enqueue(cl[0], w.c) // unit
+				conflict = w.c
+				j += copy(ws[j:], ws[i:])
+				break
 			}
+			s.enqueue(cl[0], w.c) // unit
 		}
-		s.watches[p] = kept
+		s.watches[p] = ws[:j]
 		if conflict != crefNone {
 			return conflict
 		}
@@ -285,8 +365,12 @@ func (s *Solver) propagate() cref {
 	return crefNone
 }
 
+// hot_path: one length.
+// inline:
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
+// hot_path: unassigns the trail above lvl and returns its variables to the
+// order heap.
 func (s *Solver) cancelUntil(lvl int) {
 	if s.decisionLevel() <= lvl {
 		return
@@ -297,10 +381,94 @@ func (s *Solver) cancelUntil(lvl int) {
 		s.phase[v] = s.assign[v] // phase saving
 		s.assign[v] = 0
 		s.reason[v] = crefNone
+		s.heapInsert(v)
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:lvl]
 	s.qhead = len(s.trail)
+}
+
+// decidesBefore orders decisions: higher activity first, lower index on
+// equal activity. It is a strict total order, so the heap's minimum is one
+// particular variable however the heap came to be arranged — the variable
+// a scan of 1..nVars keeping the first strictly greater activity finds.
+//
+// hot_path: two loads and a compare.
+// inline:
+func (s *Solver) decidesBefore(a, b int32) bool {
+	return s.activity[a] > s.activity[b] || (s.activity[a] == s.activity[b] && a < b)
+}
+
+// hot_path: a sift of at most log2(nVars) steps.
+func (s *Solver) siftUp(i int) {
+	v := s.heap[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.decidesBefore(v, s.heap[parent]) {
+			break
+		}
+		s.heap[i] = s.heap[parent]
+		s.heapPos[s.heap[i]] = int32(i)
+		i = parent
+	}
+	s.heap[i] = v
+	s.heapPos[v] = int32(i)
+}
+
+// hot_path: a sift of at most log2(nVars) steps.
+func (s *Solver) siftDown(i int) {
+	v := s.heap[i]
+	for {
+		kid := 2*i + 1
+		if kid >= len(s.heap) {
+			break
+		}
+		if kid+1 < len(s.heap) && s.decidesBefore(s.heap[kid+1], s.heap[kid]) {
+			kid++
+		}
+		if !s.decidesBefore(s.heap[kid], v) {
+			break
+		}
+		s.heap[i] = s.heap[kid]
+		s.heapPos[s.heap[i]] = int32(i)
+		i = kid
+	}
+	s.heap[i] = v
+	s.heapPos[v] = int32(i)
+}
+
+// heapInsert puts v into the order heap unless it is already there.
+//
+// hot_path: the heap's capacity covers every variable.
+func (s *Solver) heapInsert(v int) {
+	if s.heapPos[v] >= 0 {
+		return
+	}
+	n := len(s.heap)
+	s.heap = s.heap[:n+1]
+	s.heap[n] = int32(v)
+	s.siftUp(n)
+}
+
+// pickBranchVar returns the unassigned variable that decides before every
+// other, or 0 when all are assigned.
+//
+// hot_path: pops assigned variables off the top until an unassigned one.
+func (s *Solver) pickBranchVar() int {
+	for len(s.heap) > 0 {
+		v := s.heap[0]
+		s.heapPos[v] = -1
+		last := s.heap[len(s.heap)-1]
+		s.heap = s.heap[:len(s.heap)-1]
+		if len(s.heap) > 0 {
+			s.heap[0] = last
+			s.siftDown(0)
+		}
+		if s.assign[v] == 0 {
+			return int(v)
+		}
+	}
+	return 0
 }
 
 func (s *Solver) bumpVar(v int) {
@@ -310,20 +478,27 @@ func (s *Solver) bumpVar(v int) {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
+		// Scaling can round distinct activities into a tie, which the
+		// index then breaks the other way: re-establish the heap.
+		for i := len(s.heap)/2 - 1; i >= 0; i-- {
+			s.siftDown(i)
+		}
+	} else if i := s.heapPos[v]; i >= 0 {
+		s.siftUp(int(i))
 	}
 }
 
 // analyze performs first-UIP learning; returns the learned clause (with the
-// asserting literal first) and the backjump level.
+// asserting literal first; it lives in s.scratch) and the backjump level.
 func (s *Solver) analyze(conflict cref) ([]lit, int) {
-	learned := []lit{0} // slot for the asserting literal
+	learned := append(s.scratch[:0], 0) // slot for the asserting literal
 	counter := 0
 	var p lit = -1
 	idx := len(s.trail) - 1
 
 	c := conflict
 	for {
-		cl := s.clauseAt(c)
+		cl := s.lits(c)
 		start := 0
 		if p != -1 {
 			start = 1 // skip the asserting literal of the reason
@@ -373,17 +548,8 @@ func (s *Solver) analyze(conflict cref) ([]lit, int) {
 	for i := 1; i < len(learned); i++ {
 		s.seen[learned[i].variable()] = false
 	}
+	s.scratch = learned
 	return learned, back
-}
-
-func (s *Solver) pickBranchVar() int {
-	best, bestAct := 0, -1.0
-	for v := 1; v <= s.nVars; v++ {
-		if s.assign[v] == 0 && s.activity[v] > bestAct {
-			best, bestAct = v, s.activity[v]
-		}
-	}
-	return best
 }
 
 // Solve searches for a verdict within maxConflicts (0 = unlimited).
@@ -412,10 +578,7 @@ func (s *Solver) Solve(maxConflicts int64) Status {
 			if len(learned) == 1 {
 				s.enqueue(learned[0], crefNone)
 			} else {
-				c := cref(-1 - len(s.learnts))
-				s.learnts = append(s.learnts, learned)
-				s.attach(c, learned)
-				s.enqueue(learned[0], c)
+				s.enqueue(learned[0], s.store(learned, true))
 				s.Stats.Learned++
 			}
 			s.varInc *= 1.0 / 0.95

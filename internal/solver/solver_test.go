@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -61,6 +62,41 @@ func TestBadLiteral(t *testing.T) {
 	s := New(1)
 	if err := s.AddClause(0); err == nil {
 		t.Error("literal 0 accepted")
+	}
+}
+
+// TestVarLimit: a literal beyond VarLimit is an error before anything is
+// sized by it — at 1<<30 the per-variable arrays alone would be tens of GB.
+func TestVarLimit(t *testing.T) {
+	s := New(2)
+	for _, cl := range [][]int{{1 << 30, 2}, {1, -(1 << 30)}, {VarLimit + 1}, {math.MinInt}} {
+		if err := s.AddClause(cl...); err == nil {
+			t.Errorf("AddClause(%v) accepted", cl)
+		}
+	}
+	if s.NumVars() != 2 || s.NumClauses() != 0 {
+		t.Errorf("refused clauses left %d vars, %d clauses", s.NumVars(), s.NumClauses())
+	}
+	if err := s.AddClause(1, 2); err != nil || s.Solve(0) != Sat {
+		t.Errorf("solver unusable after refused clauses: %v", err)
+	}
+}
+
+// TestAddClauseRetainsNothingForDroppedClauses: a tautology or a clause
+// satisfied at level 0 is normalised in the solver's scratch and leaves no
+// allocation behind.
+func TestAddClauseRetainsNothingForDroppedClauses(t *testing.T) {
+	s := New(8)
+	s.AddClause(1)
+	s.AddClause(2, 3, 4) // sizes the scratch
+	if n := testing.AllocsPerRun(50, func() {
+		s.AddClause(5, 6, -5)
+		s.AddClause(1, 7, 8)
+	}); n != 0 {
+		t.Errorf("dropped clauses cost %v allocations, want 0", n)
+	}
+	if s.NumClauses() != 1 {
+		t.Errorf("%d clauses stored, want 1", s.NumClauses())
 	}
 }
 
