@@ -48,8 +48,14 @@ var AcqNames = map[string]bool{
 	"clone":          true,
 	"Materialize":    true,
 	"Snapshot":       true,
-	"Load":           true,
-	"Get":            true,
+	// The in-place forms fill storage the caller provides and return it:
+	// what they hand back must be released like the allocating forms'
+	// results (an engine worker's Context after RestoreInto).
+	"RestoreInto":     true,
+	"ForkInto":        true,
+	"MaterializeInto": true,
+	"Load":            true,
+	"Get":             true,
 }
 
 // ReleaseNames are the method names whose call discharges (and consumes)

@@ -7,7 +7,7 @@
 // Three diagnostics, all flow-sensitive over the per-function CFG:
 //
 //  1. Leak: a value obtained from a snapshot/frame acquisition function
-//     (Capture, Fork, Retain, Alloc, ... — callgraph.AcqNames) reaches a
+//     (Capture, Fork, RestoreInto, Retain, Alloc, ... — callgraph.AcqNames) reaches a
 //     function exit on some path without being released or transferred.
 //     Passing the value to a callee whose summary says it merely
 //     *borrows* the matching parameter discharges nothing — only calls
@@ -43,6 +43,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"repro/internal/analysis/astcfg"
 	"repro/internal/analysis/callgraph"
@@ -104,7 +105,7 @@ func checkNode(pass *reprolint.ProgramPass, node *callgraph.Node, sums map[*call
 				return true
 			}
 			if lhs.Name == "_" {
-				if name != "Retain" && hasReleaseMethod(info, call) {
+				if !keepsHandle(name) && hasReleaseMethod(info, call) {
 					pass.Reportf(n.Pos(), "result of %s is discarded; the acquired value can never be released", name)
 				}
 				return true
@@ -134,7 +135,7 @@ func checkNode(pass *reprolint.ProgramPass, node *callgraph.Node, sums map[*call
 			if !ok {
 				return true
 			}
-			if name, acq := isAcquisition(info, call); acq && name != "Retain" && hasReleaseMethod(info, call) {
+			if name, acq := isAcquisition(info, call); acq && !keepsHandle(name) && hasReleaseMethod(info, call) {
 				pass.Reportf(n.Pos(), "result of %s is discarded; the acquired value can never be released", name)
 			}
 		}
@@ -168,6 +169,14 @@ func checkNode(pass *reprolint.ProgramPass, node *callgraph.Node, sums map[*call
 		}
 		sm.check(p, nil)
 	}
+}
+
+// keepsHandle reports whether a caller that discards the result of the
+// named acquisition still holds the value: Retain returns its receiver,
+// and the in-place forms (RestoreInto, ForkInto, …) return the destination
+// the caller passed in.
+func keepsHandle(name string) bool {
+	return name == "Retain" || strings.HasSuffix(name, "Into")
 }
 
 // retainNames are the refcount-bump method names.

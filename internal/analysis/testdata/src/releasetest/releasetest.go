@@ -20,6 +20,10 @@ func Capture() *State { return &State{refs: 1} }
 // Alloc mirrors FrameAllocator.Alloc: acquisition with a paired error.
 func Alloc() (*State, error) { return &State{refs: 1}, nil }
 
+// RestoreInto mirrors snapshot.State.RestoreInto: it fills storage the
+// caller provides and returns it; what it returns must be released.
+func (s *State) RestoreInto(dst *State) *State { dst.refs = 1; return dst }
+
 // registry gives register a real escape: the summary layer classifies a
 // parameter as transferred only when the callee body actually stores or
 // releases it, so an empty helper would (correctly) count as borrowing.
@@ -184,6 +188,27 @@ func suppressedDoubleRelease(s *State) {
 	s.Release()
 	//lint:ignore releasecheck Release is idempotent on this handle during teardown
 	s.Release()
+}
+
+// goodFilledInPlace restores into storage it owns and releases it, as an
+// engine worker does every step.
+func goodFilledInPlace(snap, spare *State) {
+	ctx := snap.RestoreInto(spare)
+	ctx.Release()
+}
+
+// goodFilledDiscarded drops the returned pointer but still holds the
+// destination it passed in: nothing is lost at the call.
+func goodFilledDiscarded(snap, spare *State) {
+	snap.RestoreInto(spare)
+	spare.Release()
+}
+
+// badFilledNotReleased fills a context in place and forgets it: the next
+// RestoreInto would find it live.
+func badFilledNotReleased(snap, spare *State) int {
+	ctx := snap.RestoreInto(spare) // want `neither released nor transferred`
+	return inspect(ctx)
 }
 
 // cleanNoAcquisition has nothing to check.

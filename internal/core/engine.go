@@ -172,20 +172,25 @@ type Engine struct {
 
 	ran atomic.Bool // Run already called (the contract allows one call)
 
-	nodes      atomic.Int64
-	guesses    atomic.Int64
-	fails      atomic.Int64
-	exits      atomic.Int64
-	errors     atomic.Int64
-	emitted    atomic.Int64
-	evicted    atomic.Int64
-	maxDepth   atomic.Int64
-	cowCopies  atomic.Int64
-	zeroFills  atomic.Int64
-	nodeClones atomic.Int64
-	epochs     atomic.Int64
-	tlbHits    atomic.Int64
-	tlbMisses  atomic.Int64
+	// workers holds what each worker owns outright, so a step writes no
+	// cache line another worker reads; Run folds the counters at the end.
+	workers []worker
+
+	budget  atomic.Int64 // steps admitted under Config.MaxNodes; unused without a budget
+	evicted atomic.Int64 // SM-A* drops: the hook runs under the queue lock, not as a worker
+}
+
+// worker is one simulated core's private state: the Context every step it
+// evaluates is restored into, the buffer its sibling batches are built in,
+// and its share of the run's counters. The ownership rule: only worker w's
+// goroutine (or Run, before the workers start and after they have exited)
+// touches workers[w]; nothing in it is retained by a step, a strategy or a
+// snapshot once the call it was passed to returns.
+type worker struct {
+	ctx   snapshot.Context
+	sibs  []Ext
+	stats Stats
+	_     [64]byte // keep neighbours' counters off this worker's lines
 }
 
 // ErrEngineReused is returned by Run (and surfaced by Solutions) when an
@@ -208,7 +213,7 @@ func New(m Machine, cfg Config) *Engine {
 	if st == nil {
 		st = search.NewDFS[*snapshot.State]()
 	}
-	e := &Engine{machine: m, cfg: cfg, tree: snapshot.NewTree()}
+	e := &Engine{machine: m, cfg: cfg, tree: snapshot.NewTree(), workers: make([]worker, cfg.Workers)}
 	e.adoptStrategy(st)
 	return e
 }
@@ -294,10 +299,11 @@ func (e *Engine) Run(ctx context.Context, root *snapshot.Context) (*Result, erro
 
 	// Evaluate the root step synchronously: it may select the strategy
 	// (and with it the scheduler) before any sibling is queued.
+	// It runs as worker 0, which has not started yet.
 	e.evaluate(0, nil, root, 0)
 
 	var wg sync.WaitGroup
-	for w := 0; w < e.cfg.Workers; w++ {
+	for w := range e.workers {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -316,40 +322,50 @@ func (e *Engine) Run(ctx context.Context, root *snapshot.Context) (*Result, erro
 	if e.fatal != nil {
 		return nil, e.fatal
 	}
-	steals, localPops := e.sched.stats()
 	res := &Result{
 		Solutions:      e.solutions,
 		Strategy:       e.strategy.Name(),
 		FirstPathError: e.pathErr,
-		Stats: Stats{
-			Nodes:      e.nodes.Load(),
-			Guesses:    e.guesses.Load(),
-			Fails:      e.fails.Load(),
-			Exits:      e.exits.Load(),
-			Errors:     e.errors.Load(),
-			Emitted:    e.emitted.Load(),
-			Evicted:    e.evicted.Load(),
-			Snapshots:  e.tree.Created(),
-			CaptureNs:  e.tree.CaptureNs(),
-			Epochs:     e.epochs.Load(),
-			MaxDepth:   e.maxDepth.Load(),
-			CowCopies:  e.cowCopies.Load(),
-			ZeroFills:  e.zeroFills.Load(),
-			NodeClones: e.nodeClones.Load(),
-			TLBHits:    e.tlbHits.Load(),
-			TLBMisses:  e.tlbMisses.Load(),
-			Steals:     steals,
-			LocalPops:  localPops,
-		},
 	}
+	st := &res.Stats
+	for i := range e.workers {
+		st.add(&e.workers[i].stats)
+	}
+	st.Nodes += e.budget.Load()
+	st.Evicted = e.evicted.Load()
+	st.Snapshots = e.tree.Created()
+	st.CaptureNs = e.tree.CaptureNs()
+	st.Steals, st.LocalPops = e.sched.stats()
 	return res, ctx.Err()
 }
 
+// add folds one worker's counters into the run's.
+func (s *Stats) add(w *Stats) {
+	s.Nodes += w.Nodes
+	s.Guesses += w.Guesses
+	s.Fails += w.Fails
+	s.Exits += w.Exits
+	s.Errors += w.Errors
+	s.Emitted += w.Emitted
+	s.Epochs += w.Epochs
+	s.MaxDepth = max(s.MaxDepth, w.MaxDepth)
+	s.CowCopies += w.CowCopies
+	s.ZeroFills += w.ZeroFills
+	s.NodeClones += w.NodeClones
+	s.TLBHits += w.TLBHits
+	s.TLBMisses += w.TLBMisses
+}
+
 // worker is one simulated core: pop, restore, evaluate, retire — with no
-// shared engine lock on the hot path. The scheduler owns blocking and
-// termination; countNode owns the MaxNodes budget.
+// shared engine lock, no allocation and no write to a line another worker
+// reads on the hot path. The scheduler owns blocking and termination;
+// countNode owns the MaxNodes budget.
+//
+// hot_path: the engine loop.
 func (e *Engine) worker(w int) {
+	ws := &e.workers[w]
 	for {
+		//lint:ignore hotpath the scheduler owns blocking: an idle worker waits in next by design; its pop path (Sharded.Pop) is annotated itself
 		item, ok := e.sched.next(w)
 		if !ok {
 			return
@@ -358,32 +374,36 @@ func (e *Engine) worker(w int) {
 		// stop's drain sweeps the other shards must be released, not
 		// evaluated — a stopped engine finishes in-flight steps but
 		// never starts new ones (halted is set before the drain begins).
-		if !e.halted.Load() && e.countNode() {
-			ctx := item.Payload.Restore()
-			e.evaluate(w, item.Payload, ctx, item.Choice)
+		if !e.halted.Load() && e.countNode(ws) {
+			//lint:ignore hotpath evaluate runs the guest and captures a State per guess: the one allocation a step may make
+			e.evaluate(w, item.Payload, item.Payload.RestoreInto(&ws.ctx), item.Choice)
 		}
 		item.Payload.Release()
+		//lint:ignore hotpath the global queue's done takes its lock; the stealing pool's is empty
 		e.sched.done(w)
 	}
 }
 
 // countNode reserves one extension evaluation against Config.MaxNodes,
 // stopping the engine and returning false when the budget is exhausted.
-// The reservation happens *before* the counter moves, so Stats.Nodes can
+// Without a budget the count is the worker's own. With one, the
+// reservation happens *before* the shared counter moves, so Stats.Nodes can
 // never exceed the cap — with many workers racing, the CAS loop admits
 // exactly MaxNodes evaluations and every later pop is rejected uncounted.
-func (e *Engine) countNode() bool {
+// hot_path: a branch and a plain increment without a budget.
+func (e *Engine) countNode(ws *worker) bool {
 	if e.cfg.MaxNodes <= 0 {
-		e.nodes.Add(1)
+		ws.stats.Nodes++
 		return true
 	}
 	for {
-		n := e.nodes.Load()
+		n := e.budget.Load()
 		if n >= e.cfg.MaxNodes {
+			//lint:ignore hotpath budget exhausted: the run is over
 			e.stop(nil)
 			return false
 		}
-		if e.nodes.CompareAndSwap(n, n+1) {
+		if e.budget.CompareAndSwap(n, n+1) {
 			return true
 		}
 	}
@@ -408,35 +428,39 @@ func (e *Engine) stop(err error) {
 }
 
 // evaluate runs extension steps starting from ctx until the path dies or a
-// guess hands all children to the scheduler (as worker w). Under DFS
-// run-through, a guess instead queues only the siblings and the loop
-// continues extension 0 in the live context, avoiding a restore and the
-// first-write path copies for the spine of the search tree. evaluate
+// guess hands all children to the scheduler (as worker w), then folds the
+// context's memory counters into the worker's and releases it. evaluate
 // consumes ctx.
 func (e *Engine) evaluate(w int, parent *snapshot.State, ctx *snapshot.Context, retval uint64) {
-	var held *snapshot.State // capture ref for the snapshot we ran through
-	defer func() {
-		if held != nil {
-			held.Release()
-		}
-		st := ctx.Mem.Stats()
-		e.cowCopies.Add(st.CowCopies)
-		e.zeroFills.Add(st.ZeroFills)
-		e.nodeClones.Add(st.NodeClones)
-		e.epochs.Add(st.Epochs)
-		e.tlbHits.Add(st.TLBHits)
-		e.tlbMisses.Add(st.TLBMisses)
-		if e.cfg.Observer != nil {
-			e.cfg.Observer.OnStepStats(st)
-		}
-		ctx.Release()
-	}()
+	ws := &e.workers[w]
+	if held := e.extend(w, parent, ctx, retval); held != nil {
+		held.Release()
+	}
+	st := ctx.Mem.Stats()
+	ws.stats.CowCopies += st.CowCopies
+	ws.stats.ZeroFills += st.ZeroFills
+	ws.stats.NodeClones += st.NodeClones
+	ws.stats.Epochs += st.Epochs
+	ws.stats.TLBHits += st.TLBHits
+	ws.stats.TLBMisses += st.TLBMisses
+	if e.cfg.Observer != nil {
+		e.cfg.Observer.OnStepStats(st)
+	}
+	ctx.Release()
+}
 
+// extend is evaluate's loop. Under DFS run-through, a guess queues only the
+// siblings and the loop continues extension 0 in the live context, avoiding
+// a restore and the first-write path copies for the spine of the search
+// tree; the capture reference of the snapshot it last ran through is
+// returned for the caller to drop.
+func (e *Engine) extend(w int, parent *snapshot.State, ctx *snapshot.Context, retval uint64) (held *snapshot.State) {
+	ws := &e.workers[w]
 	for {
 		ev, err := e.machine.Resume(ctx, retval)
 		if err != nil {
 			e.stop(err)
-			return
+			return held
 		}
 		for ev.Kind == EventStrategy {
 			ack := uint64(0)
@@ -457,7 +481,7 @@ func (e *Engine) evaluate(w int, parent *snapshot.State, ctx *snapshot.Context, 
 			ev, err = e.machine.Resume(ctx, ack)
 			if err != nil {
 				e.stop(err)
-				return
+				return held
 			}
 		}
 
@@ -465,29 +489,24 @@ func (e *Engine) evaluate(w int, parent *snapshot.State, ctx *snapshot.Context, 
 		if parent != nil {
 			depth = parent.Depth() + 1
 		}
-		for {
-			old := e.maxDepth.Load()
-			if int64(depth) <= old || e.maxDepth.CompareAndSwap(old, int64(depth)) {
-				break
-			}
-		}
+		ws.stats.MaxDepth = max(ws.stats.MaxDepth, int64(depth))
 
 		switch ev.Kind {
 		case EventGuess:
 			if ev.N == 0 { // sys_guess(0) ≡ sys_guess_fail
-				e.fails.Add(1)
+				ws.stats.Fails++
 				if e.cfg.Observer != nil {
 					e.cfg.Observer.OnFail(depth)
 				}
-				e.recordEmission(parent, ctx)
-				return
+				e.recordEmission(ws, parent, ctx)
+				return held
 			}
 			if ev.N > e.cfg.MaxFanout {
-				e.errors.Add(1)
+				ws.stats.Errors++
 				e.samplePathErr(fmt.Errorf("core: guess(%d) exceeds fanout bound %d", ev.N, e.cfg.MaxFanout))
-				return
+				return held
 			}
-			e.guesses.Add(1)
+			ws.stats.Guesses++
 			snap := e.tree.Capture(ctx, parent)
 			if e.cfg.Observer != nil {
 				e.cfg.Observer.OnGuess(depth, ev.N)
@@ -498,7 +517,9 @@ func (e *Engine) evaluate(w int, parent *snapshot.State, ctx *snapshot.Context, 
 			if runThrough {
 				first = 1 // extension 0 continues in this worker
 			}
-			items := make([]Ext, 0, ev.N-first)
+			// The batch is built in the worker's buffer: push copies it
+			// (Strategy.PushAll and Sharded.Push must not retain it).
+			items := ws.sibs[:0]
 			for c := first; c < ev.N; c++ {
 				snap.Retain()
 				items = append(items, Ext{
@@ -508,6 +529,7 @@ func (e *Engine) evaluate(w int, parent *snapshot.State, ctx *snapshot.Context, 
 					Priority: int64(snap.Depth()) + ev.Hint,
 				})
 			}
+			ws.sibs = items
 			if len(items) > 0 {
 				if e.halted.Load() || !e.sched.push(w, items) {
 					// Stopped: the scheduler refused the batch (or would
@@ -519,7 +541,7 @@ func (e *Engine) evaluate(w int, parent *snapshot.State, ctx *snapshot.Context, 
 			}
 			if !runThrough {
 				snap.Release() // the capture reference
-				return
+				return held
 			}
 			// Continue as extension 0 of the new candidate. The new
 			// snapshot's parent link keeps earlier spine snapshots alive,
@@ -530,12 +552,12 @@ func (e *Engine) evaluate(w int, parent *snapshot.State, ctx *snapshot.Context, 
 			held = snap
 			parent = snap
 			retval = 0
-			if !e.countNode() {
-				return
+			if !e.countNode(ws) {
+				return held
 			}
 
 		case EventExit:
-			e.exits.Add(1)
+			ws.stats.Exits++
 			sol := Solution{
 				Kind:   SolutionExit,
 				Out:    append([]byte(nil), ctx.Out...),
@@ -549,31 +571,31 @@ func (e *Engine) evaluate(w int, parent *snapshot.State, ctx *snapshot.Context, 
 				}
 			}
 			e.recordSolution(sol)
-			return
+			return held
 
 		case EventFail:
-			e.fails.Add(1)
+			ws.stats.Fails++
 			if e.cfg.Observer != nil {
 				e.cfg.Observer.OnFail(depth)
 			}
-			e.recordEmission(parent, ctx)
-			return
+			e.recordEmission(ws, parent, ctx)
+			return held
 
 		case EventError:
-			e.errors.Add(1)
+			ws.stats.Errors++
 			e.samplePathErr(ev.Err)
-			return
+			return held
 
 		default:
 			e.stop(fmt.Errorf("core: machine returned unexpected event %v", ev))
-			return
+			return held
 		}
 	}
 }
 
 // recordEmission surfaces output printed by a failing path (Fig. 1's
 // print-then-fail idiom): the delta beyond the parent's frozen output.
-func (e *Engine) recordEmission(parent *snapshot.State, ctx *snapshot.Context) {
+func (e *Engine) recordEmission(ws *worker, parent *snapshot.State, ctx *snapshot.Context) {
 	base := 0
 	if parent != nil {
 		base = len(parent.Out())
@@ -585,7 +607,7 @@ func (e *Engine) recordEmission(parent *snapshot.State, ctx *snapshot.Context) {
 	if parent != nil {
 		depth = parent.Depth() + 1
 	}
-	e.emitted.Add(1)
+	ws.stats.Emitted++
 	e.recordSolution(Solution{
 		Kind:  SolutionEmitted,
 		Out:   append([]byte(nil), ctx.Out[base:]...),

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/fs"
 	"repro/internal/mem"
@@ -30,6 +31,10 @@ type Machine interface {
 // backtracking calls. All cross-step state must live in the simulated
 // address space or filesystem — Go-level variables captured by the step
 // closure are NOT part of the snapshot and must be treated as constants.
+//
+// An Env is valid only until the step function it was passed to returns:
+// the machine recycles it for the next step, and a retained Env refuses to
+// decide.
 type Env struct {
 	ctx     *snapshot.Context
 	choice  uint64
@@ -60,6 +65,9 @@ func (e *Env) Write(p []byte) (int, error) {
 }
 
 func (e *Env) decide(ev Event) {
+	if e.ctx == nil {
+		panic("core: Env used after its step returned (an Env is valid only during the step it was passed to)")
+	}
 	if e.decided {
 		panic("core: hosted step decided twice (Guess/Fail/Exit must be called exactly once)")
 	}
@@ -85,7 +93,9 @@ func (e *Env) Exit(status uint64) { e.decide(Event{Kind: EventExit, Status: stat
 // StepFunc is one hosted candidate-extension step: read the parent state
 // from simulated memory, apply Choice, write the successor state, and call
 // exactly one of Guess/GuessHint/Fail/Exit before returning. Returning an
-// error marks the path as crashed (EventError).
+// error marks the path as crashed (EventError). env is valid only until
+// the function returns — it must not be retained, handed to a goroutine
+// that outlives the step, or captured by a closure that does.
 type StepFunc func(env *Env) error
 
 // HostedMachine runs hosted guests: each extension step is one StepFunc
@@ -93,22 +103,45 @@ type StepFunc func(env *Env) error
 // evaluation runs the target until the next symbolic branch.
 type HostedMachine struct {
 	step StepFunc
+	envs sync.Pool // *Env between steps: ctx nil, so a retained one panics in decide
 }
 
 // NewHostedMachine returns a Machine evaluating step per extension.
 func NewHostedMachine(step StepFunc) *HostedMachine { return &HostedMachine{step: step} }
 
 // Resume implements Machine.
+//
+// hot_path: one pooled Env per step; the step function is the guest.
 func (m *HostedMachine) Resume(ctx *snapshot.Context, retval uint64) (Event, error) {
-	env := &Env{ctx: ctx, choice: retval}
-	if err := m.step(env); err != nil {
+	env := m.getEnv()
+	*env = Env{ctx: ctx, choice: retval}
+	//lint:ignore hotpath the step function is the guest's own work, not the engine's
+	err := m.step(env)
+	ev, decided := env.ev, env.decided
+	*env = Env{} // ctx nil: the Env is dead to whoever kept it
+	m.putEnv(env)
+	if err != nil {
 		return Event{Kind: EventError, Err: err}, nil
 	}
-	if !env.decided {
+	if !decided {
+		//lint:ignore hotpath infrastructure-failure path
 		return Event{}, fmt.Errorf("core: hosted step returned without calling Guess/Fail/Exit")
 	}
-	return env.ev, nil
+	return ev, nil
 }
+
+// getEnv takes an Env from the pool.
+// cheap: allocates only until every worker has run a step.
+func (m *HostedMachine) getEnv() *Env {
+	if env, ok := m.envs.Get().(*Env); ok {
+		return env
+	}
+	return new(Env)
+}
+
+// putEnv returns a dead Env to the pool.
+// cheap: a pool put.
+func (m *HostedMachine) putEnv(env *Env) { m.envs.Put(env) }
 
 // HostedHeapBase is where NewHostedContext maps the state heap.
 const HostedHeapBase uint64 = 0x1000_0000

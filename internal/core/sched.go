@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/search"
@@ -25,7 +24,7 @@ type sched interface {
 	// w, returning false when the search is over: stopped, or no queued
 	// work and no worker that could produce more. Every true return must
 	// be paired with done after the item's evaluation — including the
-	// pushes it performs — completes.
+	// pushes it performs — completes, and before the worker's next call.
 	next(w int) (Ext, bool)
 	// done retires the item most recently handed to worker w.
 	done(w int)
@@ -44,14 +43,21 @@ type sched interface {
 // microsecond steps, so both cancellation and new-work pickup latencies
 // stay far below one extension step.
 type stealSched struct {
-	q         *search.Sharded[*snapshot.State]
-	steals    atomic.Int64
-	localPops atomic.Int64
+	q   *search.Sharded[*snapshot.State]
+	per []popCounts // indexed by worker; each written by its worker only
+}
+
+// popCounts is one worker's steal/local-pop tally, padded so that counting
+// a pop writes no line another worker counts on.
+type popCounts struct {
+	steals, localPops int64
+	_                 [48]byte
 }
 
 func newStealSched(workers int, kind search.StealKind, seed uint64) *stealSched {
-	return &stealSched{q: search.NewSharded[*snapshot.State](workers, kind, seed,
-		func(it Ext) { it.Payload.Release() })}
+	q := search.NewSharded[*snapshot.State](workers, kind, seed,
+		func(it Ext) { it.Payload.Release() })
+	return &stealSched{q: q, per: make([]popCounts, q.Workers())}
 }
 
 func (s *stealSched) push(w int, items []Ext) bool { return s.q.Push(w, items) }
@@ -64,9 +70,9 @@ func (s *stealSched) next(w int) (Ext, bool) {
 		}
 		if it, stolen, ok := s.q.Pop(w); ok {
 			if stolen {
-				s.steals.Add(1)
+				s.per[w].steals++
 			} else {
-				s.localPops.Add(1)
+				s.per[w].localPops++
 			}
 			return it, true
 		}
@@ -88,11 +94,20 @@ func (s *stealSched) next(w int) (Ext, bool) {
 	}
 }
 
-func (s *stealSched) done(w int) { s.q.Done(w) }
+// done has nothing to retire: the pool counts idle workers, not items, and
+// the worker's next call to next is what says it holds nothing.
+func (s *stealSched) done(w int) {}
 
 func (s *stealSched) stop() { s.q.Close() }
 
-func (s *stealSched) stats() (int64, int64) { return s.steals.Load(), s.localPops.Load() }
+// stats sums the per-worker tallies; Run calls it after the workers exit.
+func (s *stealSched) stats() (steals, localPops int64) {
+	for i := range s.per {
+		steals += s.per[i].steals
+		localPops += s.per[i].localPops
+	}
+	return steals, localPops
+}
 
 // globalSched serializes one order-sensitive strategy under its own
 // mutex + condvar — the scheduler "shard" dedicated to queue order, kept

@@ -50,8 +50,13 @@ func newFile() *File {
 // Size returns the file length in bytes.
 func (f *File) Size() int64 { return f.size }
 
+// retain adds a reference to f.
+// hot_path: one atomic increment.
+// inline:
 func (f *File) retain() { f.ref.Add(1) }
 
+// release drops a reference; the last one drops the file's block references.
+// cheap: one atomic decrement while the file is shared with a snapshot.
 func (f *File) release() {
 	if f.ref.Add(-1) != 0 {
 		return
@@ -198,13 +203,21 @@ const MaxFileSize = int64(1) << 30
 // FD numbers 0..2 are reserved for the stdio streams handled by the
 // interposition layer; file descriptors start at 3.
 type FS struct {
-	inodes map[string]*File
-	fds    []FD // index 0 ↔ fd 3
+	inodes map[string]*File // nil until the first file is created
+	fds    []FD             // index 0 ↔ fd 3
 }
 
-// New returns an empty filesystem.
-func New() *FS {
-	return &FS{inodes: make(map[string]*File)}
+// New returns an empty filesystem. An empty file table is a nil map — most
+// candidates of a search never touch a file, and their views should cost
+// nothing to build — so every insertion goes through put.
+func New() *FS { return &FS{} }
+
+// put installs f under name, making the table on first use.
+func (s *FS) put(name string, f *File) {
+	if s.inodes == nil {
+		s.inodes = make(map[string]*File)
+	}
+	s.inodes[name] = f
 }
 
 // FirstFD is the lowest fd number Open can return.
@@ -229,7 +242,7 @@ func (s *FS) WriteFile(name string, data []byte) error {
 	f := newFile()
 	f.writeAt(data, 0)
 	f.truncate(int64(len(data)))
-	s.inodes[name] = f
+	s.put(name, f)
 	return nil
 }
 
@@ -314,7 +327,7 @@ func (s *FS) Open(name string, flags int) (int, error) {
 			return 0, ErrNotExist
 		}
 		f = newFile()
-		s.inodes[name] = f
+		s.put(name, f)
 	} else if flags&OTrunc != 0 && flags&accessMask != ORdOnly {
 		s.exclusive(name, f).truncate(0)
 	}
@@ -471,27 +484,39 @@ func (s *FS) SetFDs(fds []FD) {
 	copy(s.fds, fds)
 }
 
-// Release drops this view's references. The view must not be used after.
+// Release drops this view's references. The view must not be used after,
+// except as the destination of a MaterializeInto, which is why the (now
+// empty) table and descriptor slice keep their capacity.
+// hot_path: O(#files) decrements; nothing for a view without files.
 func (s *FS) Release() {
 	for _, f := range s.inodes {
 		f.release()
 	}
-	s.inodes = nil
-	s.fds = nil
+	clear(s.inodes)
+	s.fds = s.fds[:0]
 }
 
 // Snapshot captures an immutable logical copy of the filesystem and of the
 // descriptor table. Cost is O(#files) pointer copies; content is shared
 // copy-on-write.
-func (s *FS) Snapshot() *Snapshot {
-	inodes := make(map[string]*File, len(s.inodes))
-	for p, f := range s.inodes {
-		f.retain()
-		inodes[p] = f
+func (s *FS) Snapshot() *Snapshot { return s.SnapshotInto(new(Snapshot)) }
+
+// SnapshotInto is Snapshot into caller-provided storage (a State holds its
+// image by value); dst must be a zero Snapshot. A view with no files and
+// no descriptors captures as a nil map and a nil slice: no allocation.
+func (s *FS) SnapshotInto(dst *Snapshot) *Snapshot {
+	if len(s.inodes) > 0 {
+		dst.inodes = make(map[string]*File, len(s.inodes))
+		for p, f := range s.inodes {
+			f.retain()
+			dst.inodes[p] = f
+		}
 	}
-	fds := make([]FD, len(s.fds))
-	copy(fds, s.fds)
-	return &Snapshot{inodes: inodes, fds: fds}
+	if len(s.fds) > 0 {
+		dst.fds = make([]FD, len(s.fds))
+		copy(dst.fds, s.fds)
+	}
+	return dst
 }
 
 // Snapshot is a frozen filesystem image: part of a partial candidate.
@@ -543,20 +568,30 @@ func (s *FS) ImportFile(img FileImage) error {
 	if old, ok := s.inodes[name]; ok {
 		old.release()
 	}
-	s.inodes[name] = f
+	s.put(name, f)
 	return nil
 }
 
 // Materialize builds a fresh mutable view seeded from the snapshot.
-func (sn *Snapshot) Materialize() *FS {
-	inodes := make(map[string]*File, len(sn.inodes))
+func (sn *Snapshot) Materialize() *FS { return sn.MaterializeInto(new(FS)) }
+
+// MaterializeInto makes dst a mutable view seeded from the snapshot and
+// returns it. dst must be a zero FS or one that has been Released; its
+// table and descriptor slice are refilled in place, so a warm dst costs no
+// allocation, and an image with no files leaves a nil table nil.
+// hot_path: O(#files) pointer copies into storage dst already owns.
+func (sn *Snapshot) MaterializeInto(dst *FS) *FS {
+	if len(dst.inodes) != 0 || len(dst.fds) != 0 {
+		panic("fs: MaterializeInto a live view (Release it first)")
+	}
 	for p, f := range sn.inodes {
 		f.retain()
-		inodes[p] = f
+		//lint:ignore hotpath the first file a recycled view ever holds makes its table; later steps refill it
+		dst.put(p, f)
 	}
-	fds := make([]FD, len(sn.fds))
-	copy(fds, sn.fds)
-	return &FS{inodes: inodes, fds: fds}
+	//lint:ignore hotpath amortized: the descriptor slice grows to the image's size once
+	dst.fds = append(dst.fds[:0], sn.fds...)
+	return dst
 }
 
 // ReadFile reads a file out of the frozen image (solution extraction).
@@ -697,6 +732,7 @@ func (sn *Snapshot) Files() []string {
 }
 
 // Release drops the snapshot's references.
+// cheap: O(#files) decrements, once per snapshot lifetime.
 func (sn *Snapshot) Release() {
 	for _, f := range sn.inodes {
 		f.release()

@@ -44,8 +44,12 @@ type AddressSpace struct {
 	// stlb is the sealed-read cache, allocated lazily on the first sealed
 	// read miss. It is its own structure (not the single-owner tlb) because
 	// concurrent restorers and inspectors fill it racily; see sealedTLB.
-	stlb  atomic.Pointer[sealedTLB]
-	vmas  []VMA // sorted by Start, non-overlapping
+	stlb atomic.Pointer[sealedTLB]
+	// vmas is sorted by Start and non-overlapping. The backing array is
+	// immutable once assigned: forks share it (ForkInto copies the slice
+	// header, not the regions), so every edit — Map, Unmap, Protect, Brk —
+	// builds a new list and swaps it in.
+	vmas  []VMA
 	brk   uint64
 	stats Stats
 }
@@ -187,8 +191,13 @@ func (as *AddressSpace) Map(start, length uint64, perm Perm, name string) error 
 				name, start, end, v.Name, v.Start, v.End)
 		}
 	}
-	as.vmas = append(as.vmas, VMA{Start: start, End: end, Perm: perm, Name: name})
-	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
+	// A published region list is never edited in place (forks share it):
+	// build the new list around the insertion point.
+	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].Start > start })
+	out := make([]VMA, 0, len(as.vmas)+1)
+	out = append(out, as.vmas[:i]...)
+	out = append(out, VMA{Start: start, End: end, Perm: perm, Name: name})
+	as.vmas = append(out, as.vmas[i:]...)
 	return nil
 }
 
@@ -279,16 +288,17 @@ func (as *AddressSpace) Brk(newBrk uint64) (uint64, error) {
 	if newBrk == 0 {
 		return as.brk, nil
 	}
-	var heap *VMA
+	hi := -1
 	for i := range as.vmas {
 		if as.vmas[i].Name == "heap" {
-			heap = &as.vmas[i]
+			hi = i
 			break
 		}
 	}
-	if heap == nil {
+	if hi < 0 {
 		return as.brk, fmt.Errorf("mem: Brk: no heap region")
 	}
+	heap := as.vmas[hi]
 	if newBrk < heap.Start {
 		return as.brk, fmt.Errorf("mem: Brk: %#x below heap base %#x", newBrk, heap.Start)
 	}
@@ -305,23 +315,32 @@ func (as *AddressSpace) Brk(newBrk uint64) (uint64, error) {
 				return as.brk, fmt.Errorf("mem: Brk: heap would collide with %q", v.Name)
 			}
 		}
-		heap.End = newEnd
+		as.setHeapEnd(hi, newEnd)
 	} else if newEnd < heap.End {
-		as.shrinkHeap(heap, newEnd)
+		as.shrinkHeap(hi, newEnd)
 	}
 	as.brk = newBrk
 	return as.brk, nil
 }
 
-// shrinkHeap trims the heap region to newEnd, dropping the frames of the
+// setHeapEnd moves the end of region i in a fresh copy of the region list:
+// forks may share the current one.
+func (as *AddressSpace) setHeapEnd(i int, end uint64) {
+	out := make([]VMA, len(as.vmas))
+	copy(out, as.vmas)
+	out[i].End = end
+	as.vmas = out
+}
+
+// shrinkHeap trims the heap region (index i) to newEnd, dropping the frames of the
 // unmapped tail. Split out of Brk because only the shrink direction
 // changes sharing: growth maps nothing.
 //
 // sharing_boundary: dropped frames may still be cached.
-func (as *AddressSpace) shrinkHeap(heap *VMA, newEnd uint64) {
+func (as *AddressSpace) shrinkHeap(i int, newEnd uint64) {
 	start := newEnd
-	end := heap.End
-	heap.End = newEnd
+	end := as.vmas[i].End
+	as.setHeapEnd(i, newEnd)
 	for addr := start; addr < end; addr += PageSize {
 		as.pt.clearPage(addr, &as.stats)
 	}
@@ -517,7 +536,7 @@ func (as *AddressSpace) writePages(p []byte, addr uint64, force bool) error {
 			var err error
 			f, err = as.pt.ensureFrame(leaf, int(vpn&levelMask), &as.stats)
 			if err != nil {
-				return err
+				return writeFaultAt(err, addr)
 			}
 			if force {
 				as.tlb.refreshRead(vpn, f)
@@ -657,47 +676,65 @@ func (as *AddressSpace) ReadCString(addr uint64, maxLen int) (string, error) {
 	return "", fmt.Errorf("mem: unterminated string at %#x", addr)
 }
 
-// Fork returns an O(1) logical copy of the address space. Parent and child
-// share every page copy-on-write; the VMA list and break are duplicated.
-// This is the primitive lightweight snapshots build on.
+// Fork returns an O(1) logical copy of the address space in a new struct;
+// see ForkInto.
+func (as *AddressSpace) Fork() *AddressSpace { return as.ForkInto(new(AddressSpace)) }
+
+// ForkInto makes dst an O(1) logical copy of the address space and returns
+// it. Parent and child share every page copy-on-write and share the region
+// list outright (it is immutable; see AddressSpace.vmas); the break is
+// copied. This is the primitive lightweight snapshots build on. dst must be
+// a zero AddressSpace or one that has been Released — the engine restores
+// every step into the same struct — and starts with an empty TLB, zeroed
+// counters, unsealed, and a fresh epoch of its own.
 //
-// Fork is an epoch boundary: the parent's privately-owned pages become
+// ForkInto is an epoch boundary: the parent's privately-owned pages become
 // shared the instant the fork exists, so the parent starts a new snapshot
 // epoch. Its write-TLB entries — which cache private ownership under the
 // epoch they were filled in — go stale in O(1) without being touched, and
 // the parent's next write to each page re-resolves through the fault path
 // (copy-on-first-write-per-epoch). AdvanceEpoch itself no-ops on sealed
 // snapshot spaces, which are forked concurrently by restoring workers and
-// must not be mutated. The child starts with an empty TLB and a fresh
-// epoch of its own.
+// must not be mutated.
 //
 // epoch_boundary: the parent's privately-owned pages become shared.
-func (as *AddressSpace) Fork() *AddressSpace {
+// hot_path: two atomic increments and a dozen stores; no allocation.
+func (as *AddressSpace) ForkInto(dst *AddressSpace) *AddressSpace {
+	if dst.pt.root != nil {
+		panic("mem: ForkInto a live address space (Release it first)")
+	}
 	as.AdvanceEpoch()
 	if as.pt.root != nil {
 		retainNode(as.pt.root)
 	}
-	vmas := make([]VMA, len(as.vmas))
-	copy(vmas, as.vmas)
-	return &AddressSpace{
-		pt:   pageTable{root: as.pt.root, alloc: as.pt.alloc, epoch: nextEpoch()},
-		vmas: vmas,
-		brk:  as.brk,
-	}
+	dst.pt = pageTable{root: as.pt.root, alloc: as.pt.alloc, epoch: nextEpoch()}
+	// Release left the entry block with the pool and the sealed cache nil;
+	// what is left to reset is what a previous life may have set.
+	dst.tlb.off, dst.tlb.hits, dst.tlb.misses = false, 0, 0
+	dst.sealed = false
+	dst.vmas = as.vmas
+	dst.brk = as.brk
+	dst.stats = Stats{}
+	return dst
 }
 
 // Release drops this space's reference to its page table, freeing frames
-// whose last reference this was. The space must not be used afterwards.
+// whose last reference this was. The space must not be used afterwards,
+// except as the destination of a ForkInto.
 //
 // sharing_boundary: cached frames are released out from under the TLB.
+// hot_path: one refcount decrement when the table is still shared; the
+// teardown below it is cheap.
 func (as *AddressSpace) Release() {
 	if as.pt.root != nil {
 		releaseNode(as.pt.alloc, as.pt.root)
 		as.pt.root = nil
 	}
 	as.vmas = nil
-	as.tlb.flush()     // cached frames were just released
-	as.stlb.Store(nil) // likewise the sealed read cache
+	as.tlb.flush() // cached frames were just released
+	if as.sealed {
+		as.stlb.Store(nil) // likewise the sealed read cache
+	}
 }
 
 // Footprint walks the page table and reports residency and sharing.

@@ -35,6 +35,7 @@ type FrameAllocator struct {
 	live  atomic.Int64
 	total atomic.Int64 // cumulative allocations
 	pool  sync.Pool    // released *Frame, contents stale
+	nodes sync.Pool    // released *tableNode, refcount 0, every slot nil
 }
 
 // NewFrameAllocator returns an allocator bounded to limit live frames.

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"sync/atomic"
 	"unsafe"
 )
@@ -37,36 +38,63 @@ func (n *tableNode) kid(i int) *tableNode { return (*tableNode)(n.slots[i]) }
 // inline:
 func (n *tableNode) pte(i int) *Frame { return (*Frame)(n.slots[i]) }
 
-func newNode(level int) *tableNode {
-	n := &tableNode{level: int8(level)}
+// node returns a node at the given level with refcount 1 and every slot
+// nil: recycled from the allocator's pool when one is there (releaseNode
+// empties a node before pooling it), fresh from the runtime otherwise.
+// A pooled node whose refcount is not zero was released while something
+// still referenced it, or released twice; handing it out would make it
+// shared mutable memory, so that panics instead.
+// cheap: the CoW fault path; allocates only when the pool is empty.
+func (fa *FrameAllocator) node(level int8) *tableNode {
+	n, _ := fa.nodes.Get().(*tableNode)
+	if n == nil {
+		n = new(tableNode)
+	} else if r := n.ref.Load(); r != 0 {
+		panic(fmt.Sprintf("mem: pooled page-table node has refcount %d", r))
+	}
+	n.level = level
 	n.ref.Store(1)
 	return n
 }
 
+// retainNode adds a reference to n.
+// hot_path: one atomic increment.
+// inline:
 func retainNode(n *tableNode) { n.ref.Add(1) }
 
-// releaseNode drops one reference; at zero it recursively releases children
-// and returns frames to the allocator. Node memory itself is left to GC.
+// releaseNode drops one reference; at zero it recursively releases children,
+// returns frames to the allocator and the emptied node to its node pool.
+// cheap: one atomic decrement while the node is still shared — what the
+// release of a restored space costs; the teardown happens once per node.
 func releaseNode(fa *FrameAllocator, n *tableNode) {
-	if n == nil || n.ref.Add(-1) != 0 {
+	if n == nil {
 		return
 	}
-	for _, s := range n.slots {
+	if r := n.ref.Add(-1); r != 0 {
+		if r < 0 {
+			panic(fmt.Sprintf("mem: page-table node released twice (refcount %d)", r))
+		}
+		return
+	}
+	for i, s := range n.slots {
 		switch {
 		case s == nil:
+			continue
 		case n.level == 0:
 			fa.release((*Frame)(s))
 		default:
 			releaseNode(fa, (*tableNode)(s))
 		}
+		n.slots[i] = nil
 	}
+	fa.nodes.Put(n)
 }
 
 // cloneNode returns a private copy of n with refcount 1, retaining every
 // child so the clone and the original safely share subtrees.
-func cloneNode(n *tableNode) *tableNode {
-	c := &tableNode{level: n.level, slots: n.slots}
-	c.ref.Store(1)
+func cloneNode(fa *FrameAllocator, n *tableNode) *tableNode {
+	c := fa.node(n.level)
+	c.slots = n.slots
 	for _, s := range c.slots {
 		switch {
 		case s == nil:
@@ -112,10 +140,10 @@ type pageTable struct {
 // unshare replaces this table's reference to the shared node n by a
 // reference to a fresh clone, which it returns; the caller stores the clone
 // where n was. stats is charged one node clone.
-// cheap: the CoW fault path — node clones allocate by design, amortized
-// to one per shared subtree per epoch.
+// cheap: the CoW fault path — one node clone per shared subtree per epoch,
+// taken from the allocator's node pool.
 func (pt *pageTable) unshare(n *tableNode, stats *Stats) *tableNode {
-	c := cloneNode(n)
+	c := cloneNode(pt.alloc, n)
 	releaseNode(pt.alloc, n)
 	stats.NodeClones++
 	return c
@@ -136,7 +164,7 @@ func (pt *pageTable) ownPath(addr uint64, create bool, stats *Stats) *tableNode 
 		if !create {
 			return nil
 		}
-		n = newNode(numLevels - 1)
+		n = pt.alloc.node(numLevels - 1)
 		pt.root = n
 	case n.ref.Load() != 1:
 		n = pt.unshare(n, stats)
@@ -150,7 +178,7 @@ func (pt *pageTable) ownPath(addr uint64, create bool, stats *Stats) *tableNode 
 			if !create {
 				return nil
 			}
-			child = newNode(level - 1)
+			child = pt.alloc.node(int8(level - 1))
 			*slot = unsafe.Pointer(child)
 		case child.ref.Load() != 1:
 			child = pt.unshare(child, stats)
@@ -212,7 +240,21 @@ func (pt *pageTable) ensureFrame(leaf *tableNode, idx int, stats *Stats) (*Frame
 // stats is charged for clones, zero fills and CoW copies.
 // cheap: composition of the two CoW fault helpers.
 func (pt *pageTable) ensureWritable(addr uint64, stats *Stats) (*Frame, error) {
-	return pt.ensureFrame(pt.ensureLeaf(addr, stats), levelIndex(addr, 0), stats)
+	f, err := pt.ensureFrame(pt.ensureLeaf(addr, stats), levelIndex(addr, 0), stats)
+	if err != nil {
+		return nil, writeFaultAt(err, addr)
+	}
+	return f, nil
+}
+
+// writeFaultAt completes an allocator fault with what only the write path
+// knows: the allocator reports FaultOOM without an address, and the guest
+// (and FirstPathError) should see which store ran out of frames.
+func writeFaultAt(err error, addr uint64) error {
+	if f, ok := IsFault(err); ok && f.Kind == FaultOOM {
+		f.Addr, f.Access = addr, AccessWrite
+	}
+	return err
 }
 
 // clearPage drops the frame backing addr if one exists. The path is made

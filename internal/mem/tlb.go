@@ -35,10 +35,14 @@ import "sync"
 // disables this single-owner TLB entirely; sealed reads instead go through
 // a separate lock-free read-only cache (see sealedTLB in addrspace.go).
 //
-// The entry arrays live behind a lazily-allocated pointer so that Fork —
-// the O(1) snapshot primitive the paper's latency claims rest on — pays
-// nothing for the TLB: a fresh fork starts with no entry block and
-// allocates one only when its first slow-path access fills an entry.
+// The entry arrays live behind a pointer so that ForkInto — the O(1)
+// snapshot primitive the paper's latency claims rest on — pays nothing for
+// the TLB: a fork starts with no entry block, whether its struct is new or
+// is the one an engine worker forks every step into (Release returned the
+// previous step's block to the pool), and takes one from the pool only
+// when its first slow-path access fills an entry. A step that faults
+// nothing in — or a snapshot's frozen fork, which is sealed at once —
+// never touches a block.
 type tlb struct {
 	// off suppresses fills (and therefore future hits): set for sealed
 	// snapshot spaces and for benchmark baselines.
@@ -75,9 +79,11 @@ type tlbEntries struct {
 }
 
 // tlbEntriesPool recycles entry blocks: the engine restores (forks) one
-// short-lived address space per extension step, and allocating a fresh
-// block per context showed up as GC pressure in engine profiles. Blocks
-// are zeroed before Put, so Get always returns an all-invalid block.
+// short-lived address space per extension step — into the same struct each
+// time, but a space's block goes back at Release so that flushing stays one
+// code path — and allocating a block per step showed up as GC pressure in
+// engine profiles. Blocks are zeroed before Put, so Get always returns an
+// all-invalid block.
 var tlbEntriesPool = sync.Pool{New: func() any { return new(tlbEntries) }}
 
 // readFrame probes the read cache. On a hit it charges the hit and returns
@@ -177,6 +183,8 @@ func (t *tlb) refreshRead(vpn uint64, f *Frame) {
 // flush drops every entry (mapping/permission change or release) and
 // returns the block to the pool: flush points are cold, and a released
 // space should not pin its block.
+// cheap: a nil check for a space that never filled an entry; otherwise one
+// block clear and a pool put.
 func (t *tlb) flush() {
 	if e := t.e; e != nil {
 		*e = tlbEntries{} // the next owner must see an all-invalid block

@@ -76,49 +76,72 @@ func NewHostedContext(alloc *mem.FrameAllocator, n int) (*snapshot.Context, erro
 	return ctx, nil
 }
 
+// heap is a step's view of the hosted state: word accessors relative to
+// core.HostedHeapBase that remember the first fault. After a fault, loads
+// return 0 and stores do nothing, so a step reads and writes in straight
+// lines and checks err once before it decides.
+type heap struct {
+	m   *mem.AddressSpace
+	err error
+}
+
+func (h *heap) rd8(off uint64) uint64 {
+	if h.err != nil {
+		return 0
+	}
+	v, err := h.m.ReadU64(core.HostedHeapBase + off)
+	h.err = err
+	return v
+}
+
+func (h *heap) wr8(off, v uint64) {
+	if h.err == nil {
+		h.err = h.m.WriteU64(core.HostedHeapBase+off, v)
+	}
+}
+
 // HostedStep returns the step function implementing Figure 1 as a hosted
 // guest. When exitOnFirst is true a completed board exits (first-solution
 // mode); otherwise it prints the board and fails, enumerating all
-// solutions exactly like the paper's main().
+// solutions exactly like the paper's main(). A memory fault — with a
+// bounded frame allocator a CoW write can legitimately run out of frames —
+// is returned, which the engine counts as a crashed path.
 func HostedStep(exitOnFirst bool) core.StepFunc {
 	return func(env *core.Env) error {
-		m := env.Mem()
-		base := core.HostedHeapBase
-		rd8 := func(off uint64) uint64 {
-			v, err := m.ReadU64(base + off)
-			if err != nil {
-				panic(err) // heap is always mapped; a fault is a harness bug
-			}
-			return v
-		}
-		wr8 := func(off, v uint64) {
-			if err := m.WriteU64(base+off, v); err != nil {
-				panic(err)
-			}
-		}
-		n := rd8(offN)
+		h := heap{m: env.Mem()}
+		n := h.rd8(offN)
 		colOff := uint64(offCol)
 		rowOff := colOff + 8*n
 		ldOff := rowOff + 8*n
 		rdOff := ldOff + 16*n
 
-		if rd8(offStarted) == 0 { // root step: main() up to the first guess
-			wr8(offStarted, 1)
+		if h.rd8(offStarted) == 0 { // root step: main() up to the first guess
+			h.wr8(offStarted, 1)
+			if h.err != nil {
+				return h.err
+			}
 			env.Guess(n)
 			return nil
 		}
-		c := rd8(offC)
+		c := h.rd8(offC)
 		r := env.Choice()
-		if rd8(rowOff+8*r) != 0 || rd8(ldOff+8*(r+c)) != 0 || rd8(rdOff+8*(n+r-c)) != 0 {
+		taken := h.rd8(rowOff+8*r) != 0 || h.rd8(ldOff+8*(r+c)) != 0 || h.rd8(rdOff+8*(n+r-c)) != 0
+		if h.err != nil {
+			return h.err
+		}
+		if taken {
 			env.Fail()
 			return nil
 		}
-		wr8(colOff+8*c, r)
-		wr8(rowOff+8*r, 1)
-		wr8(ldOff+8*(r+c), 1)
-		wr8(rdOff+8*(n+r-c), 1)
+		h.wr8(colOff+8*c, r)
+		h.wr8(rowOff+8*r, 1)
+		h.wr8(ldOff+8*(r+c), 1)
+		h.wr8(rdOff+8*(n+r-c), 1)
 		c++
-		wr8(offC, c)
+		h.wr8(offC, c)
+		if h.err != nil {
+			return h.err
+		}
 		if c < n {
 			env.Guess(n)
 			return nil
@@ -128,7 +151,10 @@ func HostedStep(exitOnFirst bool) core.StepFunc {
 			if i > 0 {
 				sb.WriteByte(' ')
 			}
-			fmt.Fprintf(&sb, "%d", rd8(colOff+8*i))
+			fmt.Fprintf(&sb, "%d", h.rd8(colOff+8*i))
+		}
+		if h.err != nil {
+			return h.err
 		}
 		sb.WriteByte('\n')
 		env.Printf("%s", sb.String())

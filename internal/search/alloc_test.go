@@ -24,7 +24,6 @@ func TestDequeLocalPathZeroAlloc(t *testing.T) {
 			if !ok {
 				break
 			}
-			s.Done(0)
 		}
 		allocs := testing.AllocsPerRun(200, func() {
 			if !s.Push(0, batch) {
@@ -34,11 +33,10 @@ func TestDequeLocalPathZeroAlloc(t *testing.T) {
 				if _, _, ok := s.Pop(0); !ok {
 					t.Fatal("Pop failed")
 				}
-				s.Done(0)
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("kind %d: local Push/Pop/Done allocated %.1f times per op; the local deque path must not touch the heap", kind, allocs)
+			t.Fatalf("kind %d: local Push/Pop allocated %.1f times per op; the local deque path must not touch the heap", kind, allocs)
 		}
 	}
 }

@@ -36,7 +36,12 @@ type shard[T any] struct {
 	items  []Item[T]
 	victim int    // round-robin steal cursor; owner-confined, not lock-guarded
 	rng    uint64 // guarded_by: mu — xorshift64* state for StealRandom local pops
-	_      [64]byte
+	// idle mirrors this worker's contribution to Sharded.idle. Owner-confined:
+	// only worker w reads or writes shards[w].idle (it clears it while holding
+	// the lock of the deque it is about to take from, which orders the counter
+	// update before the take, not the flag).
+	idle bool
+	_    [64]byte
 }
 
 // Sharded distributes one logical work pool over per-worker deques for
@@ -46,12 +51,23 @@ type shard[T any] struct {
 // (FIFO — the shallowest items, which head the largest remaining
 // subtrees, so one steal buys the thief the most private work).
 //
-// Termination uses a single task counter: an item is *pending* from the
-// Push that enqueues it until the Done that retires it, so a worker that
-// pops it and pushes its children raises the counter before lowering it.
-// Quiescent is therefore one atomic load — zero means no queued items
-// and no in-flight evaluation that could produce more — with none of the
-// ordering windows a separate queued/busy pair would open.
+// Termination counts idle workers, not tasks, so that moving work touches
+// no line two workers share. A worker is *idle* from the Pop in which its
+// own deque and a full steal sweep both came up empty until the Pop that
+// next hands it an item; it leaves the count while it still holds the lock
+// of the deque it takes from, i.e. before the item leaves that deque. Two
+// invariants follow. An idle worker holds no item, and its own deque is
+// empty and stays empty: only the owner pushes to a deque, and only while
+// it is evaluating something. And an item is always either in a deque or
+// in the hands of a worker that is not counted idle. So when the count
+// equals the number of shards, every deque is empty, nobody holds an item,
+// and nobody can produce one: the pool is quiescent, and stays so. Push and
+// a successful local Pop never touch the count.
+//
+// The contract that makes this sound: Push(w, …) is called only by worker w
+// while it is evaluating an item it popped (or by whoever seeds the pool
+// before the workers start), and a worker calls Pop only when it holds
+// nothing — every child of the item it popped last has been pushed.
 //
 // Sharded is not a Strategy: its operations are worker-addressed. All
 // methods are safe for concurrent use.
@@ -60,9 +76,8 @@ type Sharded[T any] struct {
 	kind   StealKind
 	drop   func(Item[T]) // receives items discarded by Close (and steal-vs-Close losers)
 
-	queued  atomic.Int64 // items sitting in deques (Len)
-	pending atomic.Int64 // queued + popped-but-not-Done (termination)
-	closed  atomic.Bool
+	idle   atomic.Int32 // workers whose last Pop found nothing anywhere
+	closed atomic.Bool
 }
 
 // NewSharded returns a pool of `workers` deques. seed parameterizes the
@@ -89,21 +104,36 @@ func NewSharded[T any](workers int, kind StealKind, seed uint64, drop func(Item[
 // Workers returns the number of shards.
 func (s *Sharded[T]) Workers() int { return len(s.shards) }
 
-// Len returns the number of queued items across all shards.
-func (s *Sharded[T]) Len() int { return int(s.queued.Load()) }
+// Len returns the number of queued items across all shards (a sum of
+// per-shard lengths taken one lock at a time: exact only when nothing is
+// moving). Diagnostics and tests; the engine never asks.
+func (s *Sharded[T]) Len() int {
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		n += len(sh.items)
+		sh.mu.Unlock()
+	}
+	return n
+}
 
 // Closed reports whether Close has run.
 func (s *Sharded[T]) Closed() bool { return s.closed.Load() }
 
-// Quiescent reports global termination: nothing queued and nothing
-// popped-but-unfinished, so no future push can occur.
-func (s *Sharded[T]) Quiescent() bool { return s.pending.Load() == 0 }
+// Quiescent reports global termination: every worker's last Pop found
+// nothing anywhere, so nothing is queued, nothing is being evaluated, and
+// no future push can occur.
+// hot_path: one atomic load, on the idle path only.
+// inline:
+func (s *Sharded[T]) Quiescent() bool { return int(s.idle.Load()) == len(s.shards) }
 
 // Push appends worker w's sibling batch to its own deque, in reverse so
 // the lowest Choice pops first under LIFO (matching DFS.PushAll). It
 // returns false — without retaining anything — when the pool is closed;
-// the caller still owns the items. A worker that pushes from inside an
-// evaluation must do so before its Done, or Quiescent can fire early.
+// the caller still owns the items. The items are copied: the caller may
+// reuse the slice as soon as Push returns. A worker pushes the children of
+// an item before its next Pop, or Quiescent can fire early.
 // hot_path: locks=mu one short critical section per sibling batch.
 func (s *Sharded[T]) Push(w int, items []Item[T]) bool {
 	if len(items) == 0 {
@@ -119,17 +149,15 @@ func (s *Sharded[T]) Push(w int, items []Item[T]) bool {
 		//lint:ignore hotpath amortized growth: the deque doubles capacity, O(1)/push
 		sh.items = append(sh.items, items[i])
 	}
-	s.queued.Add(int64(len(items)))
-	s.pending.Add(int64(len(items)))
 	sh.mu.Unlock()
 	return true
 }
 
 // Pop takes the next item for worker w: its own deque first, then a
-// steal sweep over the other shards. The item stays pending until the
-// caller's Done, so every successful Pop must be paired with Done after
-// the evaluation — and any pushes it performs — complete. stolen reports
-// whether the item came from another worker's deque.
+// steal sweep over the other shards. Calling Pop says the worker holds
+// nothing (see Sharded): when both come up empty it is counted idle until
+// a later Pop succeeds. stolen reports whether the item came from another
+// worker's deque.
 // hot_path: the local pop is the common case; a steal sweep is cheap.
 func (s *Sharded[T]) Pop(w int) (it Item[T], stolen bool, ok bool) {
 	if it, ok := s.popLocal(w); ok {
@@ -138,14 +166,25 @@ func (s *Sharded[T]) Pop(w int) (it Item[T], stolen bool, ok bool) {
 	if it, ok := s.steal(w); ok {
 		return it, true, true
 	}
+	if me := &s.shards[w]; !me.idle {
+		me.idle = true
+		s.idle.Add(1)
+	}
 	var zero Item[T]
 	return zero, false, false
 }
 
-// Done retires an item returned by a successful Pop.
-// hot_path: one atomic decrement.
+// wake takes worker w out of the idle count. Called with the lock of the
+// deque w is about to take from held, so the count drops before the item
+// leaves the deque.
+// hot_path: a branch; the decrement only after an idle spell.
 // inline:
-func (s *Sharded[T]) Done(w int) { s.pending.Add(-1) }
+func (s *Sharded[T]) wake(w int) {
+	if me := &s.shards[w]; me.idle {
+		me.idle = false
+		s.idle.Add(-1)
+	}
+}
 
 // popLocal pops from w's own deque (newest-first, or uniformly random
 // under StealRandom).
@@ -165,12 +204,12 @@ func (s *Sharded[T]) popLocal(w int) (Item[T], bool) {
 		sh.rng, out = xorshiftMul(sh.rng)
 		i = int(out % uint64(n))
 	}
+	s.wake(w) // only after a seed pushed to an idle worker's deque
 	it := sh.items[i]
 	sh.items[i] = sh.items[n-1]
 	var zero Item[T]
 	sh.items[n-1] = zero
 	sh.items = sh.items[:n-1]
-	s.queued.Add(-1)
 	sh.mu.Unlock()
 	return it, true
 }
@@ -192,7 +231,7 @@ func (s *Sharded[T]) steal(w int) (Item[T], bool) {
 		if v == w {
 			v = (v + 1) % n
 		}
-		loot := s.stealFrom(v)
+		loot := s.stealFrom(v, w)
 		v = (v + 1) % n
 		if len(loot) == 0 {
 			continue
@@ -209,22 +248,19 @@ func (s *Sharded[T]) steal(w int) (Item[T], bool) {
 					s.drop(it)
 				}
 			}
-			s.queued.Add(-int64(len(loot)))
-			s.pending.Add(-int64(len(loot)))
 			return zero, false
 		}
 		me.items = append(me.items, loot[1:]...)
-		s.queued.Add(-1) // only the returned item leaves the deques
 		me.mu.Unlock()
 		return loot[0], true
 	}
 	return zero, false
 }
 
-// stealFrom removes and returns the older half (rounded up) of shard v.
-// The moved items stay counted in queued until re-banked or returned.
+// stealFrom removes and returns the older half (rounded up) of shard v
+// for worker w, which stops being idle before the items leave v's deque.
 // cheap: locks=mu the loot slice allocates once per successful steal.
-func (s *Sharded[T]) stealFrom(v int) []Item[T] {
+func (s *Sharded[T]) stealFrom(v, w int) []Item[T] {
 	sh := &s.shards[v]
 	sh.mu.Lock()
 	n := len(sh.items)
@@ -232,6 +268,7 @@ func (s *Sharded[T]) stealFrom(v int) []Item[T] {
 		sh.mu.Unlock()
 		return nil
 	}
+	s.wake(w)
 	take := (n + 1) / 2
 	loot := make([]Item[T], take)
 	copy(loot, sh.items[:take])
@@ -263,7 +300,5 @@ func (s *Sharded[T]) Close() {
 				s.drop(it)
 			}
 		}
-		s.queued.Add(-int64(len(items)))
-		s.pending.Add(-int64(len(items)))
 	}
 }

@@ -22,6 +22,8 @@ type Strategy[T any] interface {
 	// Name identifies the policy ("dfs", "bfs", ...).
 	Name() string
 	// PushAll enqueues sibling extensions (ordered by ascending Choice).
+	// It must not retain items: the engine builds every batch in one
+	// per-worker buffer and overwrites it as soon as PushAll returns.
 	PushAll(items []Item[T])
 	// Pop removes and returns the next extension to evaluate.
 	Pop() (Item[T], bool)

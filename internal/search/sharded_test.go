@@ -42,7 +42,6 @@ func TestShardedSingleWorkerIsDFS(t *testing.T) {
 			s.Push(0, mkItems(10, 11))
 			d.PushAll(mkItems(10, 11))
 		}
-		s.Done(0)
 	}
 	if !s.Quiescent() {
 		t.Error("drained pool not quiescent")
@@ -79,8 +78,57 @@ func TestShardedStealHalf(t *testing.T) {
 	if it2.Payload != 4 {
 		t.Errorf("banked pop = %d, want 4", it2.Payload)
 	}
-	s.Done(1)
-	s.Done(1)
+	if s.Quiescent() {
+		t.Error("pool with queued items and a busy worker reported quiescent")
+	}
+}
+
+// TestShardedIdleCount walks the termination protocol step by step: a
+// worker counts as idle from a Pop that found nothing anywhere until the
+// Pop that next hands it an item, and the pool is quiescent only when every
+// worker is idle — in particular not while a thief that was idle is still
+// evaluating what it stole.
+func TestShardedIdleCount(t *testing.T) {
+	s := NewSharded[int](2, StealLIFO, 0, nil)
+	if _, _, ok := s.Pop(1); ok {
+		t.Fatal("pop on an empty pool")
+	}
+	if s.Quiescent() {
+		t.Fatal("quiescent with worker 0 never having looked")
+	}
+	if _, _, ok := s.Pop(1); ok { // polling again must not count worker 1 twice
+		t.Fatal("pop on an empty pool")
+	}
+	s.Push(0, mkItems(1, 2))
+	if _, stolen, ok := s.Pop(1); !ok || !stolen {
+		t.Fatal("worker 1 should have stolen from worker 0")
+	}
+	// Worker 1 now holds an item. Worker 0 drains its own deque and goes
+	// idle; the pool must not be quiescent until worker 1 comes back empty.
+	for {
+		if _, _, ok := s.Pop(0); !ok {
+			break
+		}
+	}
+	if s.Quiescent() {
+		t.Fatal("quiescent while the thief still holds the item it stole")
+	}
+	// The thief's item has children: it pushes them, and worker 0 — idle —
+	// finds them on its next poll and is no longer idle.
+	s.Push(1, mkItems(3, 4, 5, 6))
+	if _, stolen, ok := s.Pop(0); !ok || !stolen {
+		t.Fatal("idle worker 0 should have stolen the thief's children")
+	}
+	for w := 0; w < 2; w++ {
+		for {
+			if _, _, ok := s.Pop(w); !ok {
+				break
+			}
+		}
+	}
+	if !s.Quiescent() || s.Len() != 0 {
+		t.Errorf("both workers came back empty: quiescent=%v len=%d", s.Quiescent(), s.Len())
+	}
 }
 
 // TestShardedCloseDrains: Close hands every queued item to drop exactly
@@ -97,8 +145,15 @@ func TestShardedCloseDrains(t *testing.T) {
 	if s.Push(1, mkItems(9)) {
 		t.Error("push after Close must be refused")
 	}
-	if _, _, ok := s.Pop(0); ok {
-		t.Error("pop after Close must find nothing")
+	// Every worker's next Pop finds nothing and counts it idle: a closed,
+	// drained pool is quiescent once all of them have looked.
+	for w := 0; w < s.Workers(); w++ {
+		if s.Quiescent() {
+			t.Errorf("quiescent after only %d of %d workers went idle", w, s.Workers())
+		}
+		if _, _, ok := s.Pop(w); ok {
+			t.Error("pop after Close must find nothing")
+		}
 	}
 	if !s.Quiescent() || s.Len() != 0 {
 		t.Errorf("closed pool: quiescent=%v len=%d", s.Quiescent(), s.Len())
@@ -111,8 +166,8 @@ func TestShardedCloseDrains(t *testing.T) {
 
 // TestShardedConcurrentTree drives a synthetic fork/join workload from
 // every worker under -race: each popped item pushes children until a
-// depth bound, and the pending accounting must end exactly at zero with
-// every produced item consumed exactly once.
+// depth bound, and the idle count must reach the worker count only when
+// every produced item has been consumed exactly once.
 func TestShardedConcurrentTree(t *testing.T) {
 	const workers = 4
 	const depth = 12
@@ -137,7 +192,6 @@ func TestShardedConcurrentTree(t *testing.T) {
 					if it.Payload < depth {
 						s.Push(w, mkItems(it.Payload+1, it.Payload+1))
 					}
-					s.Done(w)
 				}
 			}(w)
 		}

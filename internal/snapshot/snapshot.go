@@ -4,10 +4,12 @@
 // the output stream, linked into a refcounted tree of partial candidates.
 //
 // Creation cost is O(1) in the size of the address space (the page-table
-// root is shared and frozen); restoration is likewise O(1) and returns a
-// mutable Context whose writes copy-on-write away from the snapshot. The
-// parent relationship encodes candidates space-efficiently: a child
-// physically shares every page it did not touch with its ancestors.
+// root is shared and frozen) and one allocation, the State; restoration is
+// likewise O(1) and fills a mutable Context — a new one (Restore) or one
+// the caller owns and reuses (RestoreInto: no allocation) — whose writes
+// copy-on-write away from the snapshot. The parent relationship encodes
+// candidates space-efficiently: a child physically shares every page it
+// did not touch with its ancestors.
 package snapshot
 
 import (
@@ -23,14 +25,29 @@ import (
 // Context is the mutable execution state of one candidate extension step:
 // what the libOS hands to a virtual CPU (or hosted step function) when it
 // schedules an extension for evaluation.
+//
+// A Context carries the storage State.RestoreInto fills — an address space,
+// a file view, the Out buffer's capacity — so an engine worker restores
+// every step it evaluates into the one Context it owns and allocates
+// nothing doing so. Mem and FS point into that storage after a restore, or
+// at whatever the caller put there when it built the Context by hand. A
+// Context must not be copied once used.
 type Context struct {
 	Mem  *mem.AddressSpace
 	FS   *fs.FS
 	Regs vm.Registers
 	Out  []byte // captured stdout/stderr of this path
+
+	mem mem.AddressSpace // RestoreInto's fork lives here
+	fs  fs.FS            // and its file view here
 }
 
-// Release frees the context's resources.
+// Release frees the context's resources. Mem and FS become nil — a step
+// that kept the context and uses it afterwards fails loudly — while the
+// storage behind them and Out's capacity stay with the Context: the only
+// legal use of a released Context is as the destination of RestoreInto.
+//
+// hot_path: two releases and two stores.
 func (c *Context) Release() {
 	if c.Mem != nil {
 		c.Mem.Release()
@@ -60,10 +77,13 @@ type State struct {
 	tree   *Tree
 	refs   atomic.Int32
 
-	mem  *mem.AddressSpace // frozen CoW view (owned)
-	fsys *fs.Snapshot      // frozen file image (owned)
+	// The frozen CoW view and file image are part of the State, not behind
+	// pointers: a capture is one allocation. Both hold atomics, so a State
+	// is never copied.
+	mem  mem.AddressSpace
+	fsys fs.Snapshot
 	regs vm.Registers
-	out  []byte // output captured up to the snapshot point
+	out  []byte // output captured up to the snapshot point (nil when empty)
 }
 
 // ID returns the snapshot's unique id within its tree.
@@ -87,14 +107,14 @@ func (s *State) Regs() vm.Registers { return s.regs }
 func (s *State) Out() []byte { return s.out }
 
 // FS returns the frozen file image. Callers must not mutate it.
-func (s *State) FS() *fs.Snapshot { return s.fsys }
+func (s *State) FS() *fs.Snapshot { return &s.fsys }
 
 // Footprint reports page-level residency and sharing of this snapshot.
 func (s *State) Footprint() mem.Footprint { return s.mem.Footprint() }
 
 // Mem exposes the frozen address space for read-only inspection (solution
 // extraction, checkpoint baselines). Callers must not write through it.
-func (s *State) Mem() *mem.AddressSpace { return s.mem }
+func (s *State) Mem() *mem.AddressSpace { return &s.mem }
 
 // Retain adds a reference. Retaining a snapshot whose count already hit
 // zero is a use-after-free — the backing pages and file blocks may already
@@ -115,6 +135,9 @@ func (s *State) Retain() *State {
 // the count negative is a double-release: it panics with the state id
 // rather than silently corrupting the tree's live accounting (and
 // potentially freeing a snapshot still held elsewhere).
+//
+// hot_path: one atomic decrement while siblings still hold the state — the
+// engine's per-step release; the teardown below it happens once per state.
 func (s *State) Release() {
 	for s != nil {
 		n := s.refs.Add(-1)
@@ -122,6 +145,7 @@ func (s *State) Release() {
 			return
 		}
 		if n < 0 {
+			//lint:ignore hotpath panic message construction on the failure path only
 			panic(fmt.Sprintf("snapshot: double release of state %d", s.id))
 		}
 		s.mem.Release()
@@ -133,17 +157,30 @@ func (s *State) Release() {
 	}
 }
 
-// Restore materializes a fresh mutable Context whose initial state is
+// Restore materializes a new mutable Context whose initial state is
 // exactly this snapshot. O(1) in the address-space size.
-func (s *State) Restore() *Context {
-	out := make([]byte, len(s.out))
-	copy(out, s.out)
-	return &Context{
-		Mem:  s.mem.Fork(),
-		FS:   s.fsys.Materialize(),
-		Regs: s.regs,
-		Out:  out,
+func (s *State) Restore() *Context { return s.RestoreInto(new(Context)) }
+
+// RestoreInto makes c a mutable Context whose initial state is exactly
+// this snapshot, and returns it. c must be a zero Context or one that has
+// been Released — Release followed by RestoreInto is the only legal reuse —
+// and nothing of its previous life shows through: memory, files,
+// descriptors, registers, output and counters are those of the snapshot.
+// O(1) in the address-space size, and no allocation once c's storage is
+// warm (the Out buffer has grown to the snapshot's output, the file table
+// exists if the snapshot has files).
+//
+// hot_path: the engine's per-step restore.
+func (s *State) RestoreInto(c *Context) *Context {
+	if c.Mem != nil || c.FS != nil {
+		panic("snapshot: RestoreInto a live Context (Release it first)")
 	}
+	c.Mem = s.mem.ForkInto(&c.mem)
+	c.FS = s.fsys.MaterializeInto(&c.fs)
+	c.Regs = s.regs
+	//lint:ignore hotpath amortized: Out grows to the longest output restored, once
+	c.Out = append(c.Out[:0], s.out...)
+	return c
 }
 
 // Tree tracks snapshot identity and liveness statistics for one search.
@@ -179,24 +216,22 @@ func (t *Tree) Capture(ctx *Context, parent *State) *State {
 // non-nil parent, depth is ignored and the child sits at parent.depth+1.
 func (t *Tree) CaptureAtDepth(ctx *Context, parent *State, depth int) *State {
 	start := time.Now()
-	out := make([]byte, len(ctx.Out))
-	copy(out, ctx.Out)
-	frozen := ctx.Mem.Fork()
-	// A captured space is shared across goroutines (restores fork it,
-	// inspectors read it concurrently); sealing switches its reads onto
-	// the lock-free shared cache so those accesses never race, while
-	// ctx.Mem keeps its own TLB live and merely enters a new epoch.
-	frozen.Seal()
 	s := &State{
 		id:     t.nextID.Add(1),
 		seq:    stateSeq.Add(1),
 		depth:  depth,
 		tree:   t,
 		parent: parent,
-		mem:    frozen,
-		fsys:   ctx.FS.Snapshot(),
 		regs:   ctx.Regs,
-		out:    out,
+	}
+	// A captured space is shared across goroutines (restores fork it,
+	// inspectors read it concurrently); sealing switches its reads onto
+	// the lock-free shared cache so those accesses never race, while
+	// ctx.Mem keeps its own TLB live and merely enters a new epoch.
+	ctx.Mem.ForkInto(&s.mem).Seal()
+	ctx.FS.SnapshotInto(&s.fsys)
+	if len(ctx.Out) > 0 {
+		s.out = append([]byte(nil), ctx.Out...)
 	}
 	if parent != nil {
 		parent.Retain()
