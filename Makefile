@@ -2,7 +2,7 @@
 # .github/workflows/ci.yml) so a green `make check` locally predicts a
 # green pipeline.
 
-.PHONY: build test race lint escape-baseline bench-check bench-ci bench-diff loc check
+.PHONY: build test race lint escape-baseline bench-check loc check
 
 build:
 	go build ./...
@@ -39,22 +39,6 @@ escape-baseline:
 bench-check:
 	cd benchmark && go vet ./... && go test ./...
 	cd benchmark && go run repro/cmd/reprolint ./...
-
-# bench-ci emits the machine-readable quick-scale numbers CI archives
-# per commit: TLB locality (E11), work-stealing scaling (E12), the
-# persistent store (E14), asynchronous capture (E15), and wire-protocol
-# pipelining (E16). BENCH_seed.json is the committed baseline from the
-# PR that introduced the trajectory; diff new artifacts against it.
-bench-ci:
-	go run ./cmd/snapbench -quick -e 11,12,14,15,16 -json BENCH_ci.json
-
-# bench-diff gates the fresh bench-ci artifact against the committed
-# seed: generous cross-machine thresholds (3x latency, 1/3 throughput)
-# catch lost fast paths, not scheduler jitter. A rule matching zero
-# rows fails loudly so a renamed workload cannot silently skip its
-# gate. BENCH_diff.json is the per-row report CI uploads.
-bench-diff:
-	go run ./cmd/benchdiff -seed BENCH_seed.json -ci BENCH_ci.json -json BENCH_diff.json
 
 # loc prints non-test Go lines per package, largest first (ROADMAP aim 2
 # tracks this number; CHANGES.md entries quote it).

@@ -23,12 +23,12 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
+	"text/tabwriter"
 	"time"
 
 	"repro/internal/loadgen"
 	"repro/internal/service"
 	"repro/internal/service/wire"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -73,11 +73,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "loadgen: in-process server on %s\n", target)
 	}
 
-	tbl := &trace.Table{
-		Title:   "loadgen: binary protocol throughput and tail latency",
-		Note:    fmt.Sprintf("mix %s, %d requests per point, seed %d", mix, *requests, *seed),
-		Columns: []string{"conns", "depth", "requests", "errors", "req/s", "p50", "p99", "p999"},
-	}
+	fmt.Println("loadgen: binary protocol throughput and tail latency")
+	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "conns\tdepth\trequests\terrors\treq/s\tp50\tp99\tp999")
 	for _, c := range conns {
 		for _, d := range depths {
 			res, err := loadgen.Run(ctx, loadgen.Config{
@@ -93,14 +91,12 @@ func main() {
 			if err != nil {
 				fatal(fmt.Errorf("conns=%d depth=%d: %w", c, d, err))
 			}
-			tbl.AddRow(c, d, res.Requests, res.Errors,
-				fmt.Sprintf("%.0f", res.RPS),
-				trace.FormatDuration(res.P50),
-				trace.FormatDuration(res.P99),
-				trace.FormatDuration(res.P999))
+			fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%.0f\t%v\t%v\t%v\n", c, d, res.Requests, res.Errors, res.RPS,
+				res.P50.Round(time.Microsecond), res.P99.Round(time.Microsecond), res.P999.Round(time.Microsecond))
 		}
 	}
-	fmt.Print(tbl.Render())
+	tw.Flush()
+	fmt.Printf("mix %s, %d requests per point, seed %d\n", mix, *requests, *seed)
 
 	if svc != nil {
 		if live := svc.LiveSnapshots(); live != 1 {

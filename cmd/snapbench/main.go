@@ -1,24 +1,21 @@
 // Command snapbench regenerates the reproduction's experiment tables
-// (E1–E16 in DESIGN.md / EXPERIMENTS.md).
+// (E1–E8 and E10 in DESIGN.md / EXPERIMENTS.md).
 //
 // Usage:
 //
 //	snapbench                 run every experiment at full scale
 //	snapbench -e 4            run one experiment
-//	snapbench -e 11,12,14     run a comma-separated subset, in order
+//	snapbench -e 1,3,4        run a comma-separated subset, in order
 //	snapbench -quick          small sizes (seconds instead of minutes)
-//	snapbench -json FILE      also write machine-readable results to FILE
 //	snapbench -list           print the experiment index
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -27,28 +24,7 @@ import (
 	"repro/internal/bench"
 )
 
-// jsonResult is the machine-readable run summary written by -json: enough
-// environment to interpret the numbers (CI archives these across commits)
-// plus each experiment's table verbatim.
-type jsonResult struct {
-	GoVersion   string           `json:"go_version"`
-	GOOS        string           `json:"goos"`
-	GOARCH      string           `json:"goarch"`
-	GOMAXPROCS  int              `json:"gomaxprocs"`
-	Quick       bool             `json:"quick"`
-	Experiments []jsonExperiment `json:"experiments"`
-}
-
-type jsonExperiment struct {
-	ID      int        `json:"id"`
-	Name    string     `json:"name"`
-	Claim   string     `json:"claim"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	Seconds float64    `json:"seconds"`
-}
-
-// parseIDs expands a comma-separated -e value ("11,12,14") into
+// parseIDs expands a comma-separated -e value ("1,3,4") into
 // experiments, preserving order. "0" or "" means all.
 func parseIDs(spec string) ([]bench.Experiment, error) {
 	spec = strings.TrimSpace(spec)
@@ -76,10 +52,9 @@ func main() {
 	// First signal: finish the current experiment, skip the rest. Restore
 	// default handling so a second signal kills immediately.
 	go func() { <-ctx.Done(); stop() }()
-	ids := flag.String("e", "", "experiment ids (1-16), comma-separated; empty or 0 runs all")
+	ids := flag.String("e", "", "experiment ids (1-8, 10), comma-separated; empty or 0 runs all")
 	quick := flag.Bool("quick", false, "reduced problem sizes")
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonPath := flag.String("json", "", "write machine-readable results to this file")
 	flag.Parse()
 
 	if *list {
@@ -97,14 +72,6 @@ func main() {
 	}
 
 	opts := bench.Options{Quick: *quick}
-	result := jsonResult{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Quick:      *quick,
-	}
-
 	for _, e := range toRun {
 		if ctx.Err() != nil {
 			fmt.Fprintln(os.Stderr, "interrupted; remaining experiments skipped")
@@ -116,31 +83,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "E%d (%s): %v\n", e.ID, e.Name, err)
 			os.Exit(1)
 		}
-		elapsed := time.Since(start)
 		fmt.Printf("# E%d — %s\n", e.ID, e.Claim)
 		fmt.Println(tb.Render())
-		fmt.Printf("(completed in %s)\n\n", elapsed.Round(time.Millisecond))
-		result.Experiments = append(result.Experiments, jsonExperiment{
-			ID:      e.ID,
-			Name:    e.Name,
-			Claim:   e.Claim,
-			Columns: tb.Columns,
-			Rows:    tb.Rows,
-			Seconds: elapsed.Seconds(),
-		})
-	}
-
-	if *jsonPath != "" {
-		buf, err := json.MarshalIndent(result, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "encode json: %v\n", err)
-			os.Exit(1)
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*jsonPath, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "write %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d experiments)\n", *jsonPath, len(result.Experiments))
+		fmt.Printf("(completed in %s)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/fs"
 	"repro/internal/mem"
 	"repro/internal/snapshot"
-	"repro/internal/trace"
 )
 
 // store is a fixed-capacity open-addressing hash table laid out in a
@@ -120,9 +119,10 @@ func main() {
 	s.ctx.Release()
 	fp1, fp2, fp3 := v1.Footprint(), v2.Footprint(), v3.Footprint()
 	fmt.Printf("\nphysical sharing (1 MiB logical table per version):\n")
-	fmt.Printf("  v1: %s private, %s shared\n", trace.FormatBytes(fp1.PrivateBytes()), trace.FormatBytes(fp1.SharedBytes()))
-	fmt.Printf("  v2: %s private, %s shared\n", trace.FormatBytes(fp2.PrivateBytes()), trace.FormatBytes(fp2.SharedBytes()))
-	fmt.Printf("  v3: %s private, %s shared\n", trace.FormatBytes(fp3.PrivateBytes()), trace.FormatBytes(fp3.SharedBytes()))
+	kib := func(n int64) float64 { return float64(n) / 1024 }
+	fmt.Printf("  v1: %.1fKiB private, %.1fKiB shared\n", kib(fp1.PrivateBytes()), kib(fp1.SharedBytes()))
+	fmt.Printf("  v2: %.1fKiB private, %.1fKiB shared\n", kib(fp2.PrivateBytes()), kib(fp2.SharedBytes()))
+	fmt.Printf("  v3: %.1fKiB private, %.1fKiB shared\n", kib(fp3.PrivateBytes()), kib(fp3.SharedBytes()))
 
 	v1.Release()
 	v2.Release()

@@ -15,7 +15,7 @@ import (
 type Options struct {
 	// JSONPath, when non-empty, writes a machine-readable report of the
 	// run — per-finding analyzer/position/message plus the suppressed
-	// count — to this file (CI archives it next to BENCH_ci.json).
+	// count — to this file (CI archives it as the reprolint artifact).
 	JSONPath string
 	// Time prints per-analyzer cumulative wall time to stderr after the
 	// run.

@@ -1,7 +1,8 @@
 // Package bench implements the reproduction's experiment harness: one
-// function per experiment in DESIGN.md's index (E1–E16), each returning a
-// rendered table with the same rows the paper's claims are judged against.
-// cmd/snapbench and the root benchmark suite both drive these.
+// function per paper claim in DESIGN.md's index (E1–E8, E10), each
+// returning a rendered table with the rows the claim is judged against.
+// cmd/snapbench prints them; timing claims beyond these tables live in the
+// repo benchmark (BENCHMARK.json).
 package bench
 
 import (
@@ -15,7 +16,6 @@ import (
 	"repro/internal/guest"
 	"repro/internal/mem"
 	"repro/internal/snapshot"
-	"repro/internal/trace"
 )
 
 // Options tunes experiment scale. Quick shrinks problem sizes so the whole
@@ -29,7 +29,7 @@ type Experiment struct {
 	ID    int
 	Name  string
 	Claim string // the paper anchor being tested
-	Run   func(Options) (*trace.Table, error)
+	Run   func(Options) (*Table, error)
 }
 
 // All returns the experiments in index order.
@@ -43,14 +43,7 @@ func All() []Experiment {
 		{6, "symexec-forking", "§2: snapshot state forking vs eager state copy", E6},
 		{7, "strategies", "§3.1: pluggable DFS/BFS/A*/Random policies", E7},
 		{8, "snapshot-trees", "§1: rapid creation/destruction of snapshot trees", E8},
-		{9, "parallel-cores", "Fig.2: extension evaluation across CPU cores", E9},
 		{10, "interposition", "§5: system-call interposition cost", E10},
-		{11, "tlb-write-locality", "§4: software TLB makes the hot write path O(1), not O(radix)", E11},
-		{12, "work-stealing", "Fig.2: sharded scheduler scales extension evaluation across cores", E12},
-		{13, "concurrent-service", "§3.2: concurrent clients branch one shared base; the sharded table keeps solves off-lock and the cap bounds parked state", E13},
-		{14, "persistent-store", "§3.2 scaled out: eviction becomes demotion to a content-addressed disk tier; spilled ids reload transparently, siblings dedup on disk, and a restarted server answers old ids", E14},
-		{15, "async-capture", "§1/§4: capture is an O(1) epoch bump — cost independent of resident set, mutators never stall, verdicts identical to the synchronous path", E15},
-		{16, "wire-pipelining", "§3.2 as a network service: pipelined framed requests with out-of-order completion beat request/reply throughput, with verdict streams identical to the serial ground truth", E16},
 	}
 }
 

@@ -11,25 +11,24 @@ import (
 	"repro/internal/mem"
 	"repro/internal/queens"
 	"repro/internal/solver"
-	"repro/internal/trace"
 )
 
 // E1 reproduces the paper's only quantitative claim (§5): on toy n-queens,
 // system-level backtracking is substantially slower than a hand-coded
 // solver but faster than a Prolog implementation.
-func E1(o Options) (*trace.Table, error) {
+func E1(o Options) (*Table, error) {
 	ns := []int{6, 7, 8}
 	if o.Quick {
 		ns = []int{5, 6}
 	}
-	t := &trace.Table{
+	t := &Table{
 		Title:   "E1: n-queens, all solutions — hand-coded vs snapshots vs Prolog",
 		Columns: []string{"n", "solutions", "hand-coded", "snap-hosted", "snap-native", "prolog", "snap/hand", "prolog/snap"},
 		Note:    "paper §5 expects hand-coded < snapshots < Prolog",
 	}
 	for _, n := range ns {
 		var count int
-		handT := trace.Time(func() { count = queens.HandCoded(n, nil) })
+		handT := timed(func() { count = queens.HandCoded(n, nil) })
 
 		var hostedT time.Duration
 		{
@@ -40,7 +39,7 @@ func E1(o Options) (*trace.Table, error) {
 			}
 			eng := core.New(core.NewHostedMachine(queens.HostedStep(false)), core.Config{})
 			var res *core.Result
-			hostedT = trace.Time(func() { res, err = eng.Run(context.Background(), ctx) })
+			hostedT = timed(func() { res, err = eng.Run(context.Background(), ctx) })
 			if err != nil {
 				return nil, err
 			}
@@ -56,7 +55,7 @@ func E1(o Options) (*trace.Table, error) {
 				return nil, err
 			}
 			var res *core.Result
-			nativeT = trace.Time(func() { res, err = runNativeEngine(img, core.Config{}) })
+			nativeT = timed(func() { res, err = runNativeEngine(img, core.Config{}) })
 			if err != nil {
 				return nil, err
 			}
@@ -69,7 +68,7 @@ func E1(o Options) (*trace.Table, error) {
 		{
 			var got int
 			var err error
-			prologT = trace.Time(func() { got, _, err = queens.PrologCount(n, 0) })
+			prologT = timed(func() { got, _, err = queens.PrologCount(n, 0) })
 			if err != nil {
 				return nil, err
 			}
@@ -79,7 +78,7 @@ func E1(o Options) (*trace.Table, error) {
 		}
 
 		t.AddRow(n, count, handT, hostedT, nativeT, prologT,
-			trace.Ratio(hostedT, handT), trace.Ratio(prologT, hostedT))
+			ratio(hostedT, handT), ratio(prologT, hostedT))
 	}
 	return t, nil
 }
@@ -87,14 +86,14 @@ func E1(o Options) (*trace.Table, error) {
 // E2 sweeps work per extension step (§5 "problem granularity"): the
 // snapshot machinery's per-step cost is flat, so its relative overhead
 // against a hand-coded solver falls as steps do more work.
-func E2(o Options) (*trace.Table, error) {
+func E2(o Options) (*Table, error) {
 	works := []int{1, 10, 100, 1000}
 	depth := 10
 	if o.Quick {
 		works = []int{1, 100}
 		depth = 6
 	}
-	t := &trace.Table{
+	t := &Table{
 		Title:   "E2: per-step work sweep (binary tree, depth " + fmt.Sprint(depth) + ")",
 		Columns: []string{"work/step", "steps", "snap/step", "hand/step", "overhead"},
 		Note:    "overhead = snapshot time per step / hand-coded time per step",
@@ -135,7 +134,7 @@ func E2(o Options) (*trace.Table, error) {
 		}
 		eng := core.New(core.NewHostedMachine(step), core.Config{})
 		var res *core.Result
-		snapT := trace.Time(func() { res, err = eng.Run(context.Background(), ctx) })
+		snapT := timed(func() { res, err = eng.Run(context.Background(), ctx) })
 		if err != nil {
 			return nil, err
 		}
@@ -154,11 +153,11 @@ func E2(o Options) (*trace.Table, error) {
 			rec(d+1, 0)
 			rec(d+1, 1)
 		}
-		handT := trace.Time(func() { rec(1, 0); rec(1, 1) })
+		handT := timed(func() { rec(1, 0); rec(1, 1) })
 
 		perSnap := snapT / time.Duration(max(steps, 1))
 		perHand := handT / time.Duration(max(int64(1), steps))
-		t.AddRow(w, steps, perSnap, perHand, trace.Ratio(perSnap, perHand))
+		t.AddRow(w, steps, perSnap, perHand, ratio(perSnap, perHand))
 	}
 	return t, nil
 }
@@ -167,7 +166,7 @@ func E2(o Options) (*trace.Table, error) {
 // (§5 "page-level memory locality"): lightweight snapshots pay CoW faults
 // proportional to touched pages, while a full-copy checkpoint pays for the
 // whole state every step.
-func E3(o Options) (*trace.Table, error) {
+func E3(o Options) (*Table, error) {
 	statePages := 1024 // 4 MiB
 	touches := []int{1, 4, 16, 64, 256, 1024}
 	steps := 64
@@ -176,7 +175,7 @@ func E3(o Options) (*trace.Table, error) {
 		touches = []int{1, 16, 128}
 		steps = 16
 	}
-	t := &trace.Table{
+	t := &Table{
 		Title:   fmt.Sprintf("E3: pages touched per step (state = %d pages)", statePages),
 		Columns: []string{"touched", "cow/step", "snap µs/step", "fullcopy µs/step", "fullcopy/snap"},
 		Note:    "snapshot cost tracks touched pages; full copy pays the whole state",
@@ -239,7 +238,7 @@ func E3(o Options) (*trace.Table, error) {
 		t.AddRow(p, cow/int64(steps),
 			fmt.Sprintf("%.2f", float64(snapPer.Nanoseconds())/1e3),
 			fmt.Sprintf("%.2f", float64(fullPer.Nanoseconds())/1e3),
-			trace.Ratio(fullPer, snapPer))
+			ratio(fullPer, snapPer))
 	}
 	return t, nil
 }
@@ -248,14 +247,14 @@ func E3(o Options) (*trace.Table, error) {
 // for four designs: path-copying lightweight snapshots (ours), the
 // scan-the-page-table ablation (D1), libckpt-style full checkpoints, and
 // eager fork (§3's naive baseline).
-func E4(o Options) (*trace.Table, error) {
+func E4(o Options) (*Table, error) {
 	sizesMiB := []int{1, 4, 16, 64}
 	reps := 32
 	if o.Quick {
 		sizesMiB = []int{1, 4}
 		reps = 8
 	}
-	t := &trace.Table{
+	t := &Table{
 		Title:   "E4: snapshot+restore latency vs resident size",
 		Columns: []string{"resident", "lightweight", "scan-RO", "full-ckpt", "eager-fork", "ckpt/light"},
 		Note:    "lightweight is O(1); the others scale with resident pages",
@@ -315,8 +314,8 @@ func E4(o Options) (*trace.Table, error) {
 			return nil, err
 		}
 		as.Release()
-		t.AddRow(trace.FormatBytes(int64(mib)<<20), lightPer, scanPer, ckptPer, forkPer,
-			trace.Ratio(ckptPer, lightPer))
+		t.AddRow(formatBytes(int64(mib)<<20), lightPer, scanPer, ckptPer, forkPer,
+			ratio(ckptPer, lightPer))
 	}
 	return t, nil
 }
@@ -325,12 +324,12 @@ func E4(o Options) (*trace.Table, error) {
 // p∧q from p's retained state beats solving p∧q from scratch. Three arms:
 // from-scratch, in-process incremental, and the snapshot-service shape
 // that serializes solver state into the candidate (what cmd/solversvc does).
-func E5(o Options) (*trace.Table, error) {
+func E5(o Options) (*Table, error) {
 	nVars, nBase, batch, nBatches := 150, 520, 25, 5
 	if o.Quick {
 		nVars, nBase, batch, nBatches = 60, 200, 10, 3
 	}
-	t := &trace.Table{
+	t := &Table{
 		Title:   fmt.Sprintf("E5: incremental SAT — base %dv/%dc + %d×%d clauses", nVars, nBase, nBatches, batch),
 		Columns: []string{"step", "verdict", "scratch", "incremental", "snapshot-svc", "scratch/incr"},
 		Note:    "incremental retains learned clauses and phases across steps",
@@ -343,7 +342,7 @@ func E5(o Options) (*trace.Table, error) {
 	for _, cl := range baseClauses {
 		inc.AddClause(cl...)
 	}
-	incBaseT := trace.Time(func() { inc.Solve(0) })
+	incBaseT := timed(func() { inc.Solve(0) })
 
 	// Snapshot-service arm: solver state parked as serialized bytes (the
 	// candidate's "memory image"), reloaded per request.
@@ -358,14 +357,14 @@ func E5(o Options) (*trace.Table, error) {
 	}
 
 	// Step 0: the base problem p itself.
-	scratchBaseT := trace.Time(func() {
+	scratchBaseT := timed(func() {
 		s := solver.New(nVars)
 		for _, cl := range baseClauses {
 			s.AddClause(cl...)
 		}
 		s.Solve(0)
 	})
-	t.AddRow("p", "sat", scratchBaseT, incBaseT, "-", trace.Ratio(scratchBaseT, incBaseT))
+	t.AddRow("p", "sat", scratchBaseT, incBaseT, "-", ratio(scratchBaseT, incBaseT))
 
 	accum := append([][]int(nil), baseClauses...)
 	for b := 0; b < nBatches; b++ {
@@ -373,14 +372,14 @@ func E5(o Options) (*trace.Table, error) {
 		accum = append(accum, chunk...)
 
 		var verdict solver.Status
-		scratchT := trace.Time(func() {
+		scratchT := timed(func() {
 			s := solver.New(nVars)
 			for _, cl := range accum {
 				s.AddClause(cl...)
 			}
 			verdict = s.Solve(0)
 		})
-		incT := trace.Time(func() {
+		incT := timed(func() {
 			for _, cl := range chunk {
 				inc.AddClause(cl...)
 			}
@@ -390,7 +389,7 @@ func E5(o Options) (*trace.Table, error) {
 		})
 		var svcT time.Duration
 		{
-			svcT = trace.Time(func() {
+			svcT = timed(func() {
 				s, err := solver.Unmarshal(svcState)
 				if err != nil {
 					panic(err)
@@ -405,7 +404,7 @@ func E5(o Options) (*trace.Table, error) {
 			})
 		}
 		t.AddRow(fmt.Sprintf("p∧q%d", b+1), verdict.String(), scratchT, incT, svcT,
-			trace.Ratio(scratchT, incT))
+			ratio(scratchT, incT))
 		if verdict == solver.Unsat {
 			break
 		}

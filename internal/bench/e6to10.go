@@ -12,11 +12,9 @@ import (
 	"repro/internal/guest"
 	"repro/internal/interpose"
 	"repro/internal/mem"
-	"repro/internal/queens"
 	"repro/internal/search"
 	"repro/internal/snapshot"
 	"repro/internal/symexec"
-	"repro/internal/trace"
 )
 
 // symTreeProgram builds an SVX64 program with depth sequential symbolic
@@ -55,14 +53,14 @@ skip%d:
 // E6 compares state forking by lightweight snapshot against eager full
 // copy in the symbolic executor — the §2 argument that S2E's hand-rolled
 // state copying is what system-level snapshots replace.
-func E6(o Options) (*trace.Table, error) {
+func E6(o Options) (*Table, error) {
 	depths := []int{4, 6, 8}
 	dataMiB := 2
 	if o.Quick {
 		depths = []int{3, 4}
 		dataMiB = 1
 	}
-	t := &trace.Table{
+	t := &Table{
 		Title:   fmt.Sprintf("E6: symbolic-execution forking (%d MiB guest data)", dataMiB),
 		Columns: []string{"branches", "paths", "snapshot", "eager-copy", "eager/snap"},
 		Note:    "same exploration; only the state-fork mechanism differs",
@@ -78,7 +76,7 @@ func E6(o Options) (*trace.Table, error) {
 				return 0, 0, err
 			}
 			var rep *symexec.Report
-			dur := trace.Time(func() { rep, err = ex.Run() })
+			dur := timed(func() { rep, err = ex.Run() })
 			if err != nil {
 				return 0, 0, err
 			}
@@ -95,7 +93,7 @@ func E6(o Options) (*trace.Table, error) {
 		if paths != paths2 || paths != 1<<d {
 			return nil, fmt.Errorf("E6: paths %d vs %d, want %d", paths, paths2, 1<<d)
 		}
-		t.AddRow(d, paths, snapT, eagerT, trace.Ratio(eagerT, snapT))
+		t.AddRow(d, paths, snapT, eagerT, ratio(eagerT, snapT))
 	}
 	return t, nil
 }
@@ -142,7 +140,7 @@ func lockStep(depth int, fanout uint64, goal []uint64) core.StepFunc {
 
 // E7 compares search strategies on the combination lock: nodes expanded to
 // the first solution under each §3.1 policy.
-func E7(o Options) (*trace.Table, error) {
+func E7(o Options) (*Table, error) {
 	depth, fanout := 6, uint64(4)
 	if o.Quick {
 		depth, fanout = 4, 3
@@ -151,7 +149,7 @@ func E7(o Options) (*trace.Table, error) {
 	for i := range goal {
 		goal[i] = uint64((i*7 + 3)) % fanout
 	}
-	t := &trace.Table{
+	t := &Table{
 		Title:   fmt.Sprintf("E7: strategies on a %d-digit base-%d lock", depth, fanout),
 		Columns: []string{"strategy", "nodes", "snapshots", "time", "found"},
 		Note:    "A* follows the goal-distance hints; DFS/BFS/Random are uninformed",
@@ -174,7 +172,7 @@ func E7(o Options) (*trace.Table, error) {
 		eng := core.New(core.NewHostedMachine(lockStep(depth, fanout, goal)),
 			core.Config{Strategy: st.make(), MaxSolutions: 1})
 		var res *core.Result
-		dur := trace.Time(func() { res, err = eng.Run(context.Background(), ctx) })
+		dur := timed(func() { res, err = eng.Run(context.Background(), ctx) })
 		if err != nil {
 			return nil, err
 		}
@@ -187,17 +185,17 @@ func E7(o Options) (*trace.Table, error) {
 // E8 measures raw snapshot-tree throughput: deep chains (capture after
 // each mutation) and wide fanout (many children of one parent), plus the
 // physical sharing the tree achieves.
-func E8(o Options) (*trace.Table, error) {
+func E8(o Options) (*Table, error) {
 	n := 5000
 	statePages := 256
 	if o.Quick {
 		n = 500
 		statePages = 64
 	}
-	t := &trace.Table{
+	t := &Table{
 		Title:   "E8: snapshot tree operations",
 		Columns: []string{"shape", "ops", "ops/sec", "private", "shared"},
-		Note:    "state = " + trace.FormatBytes(int64(statePages)*mem.PageSize) + " resident",
+		Note:    "state = " + formatBytes(int64(statePages)*mem.PageSize) + " resident",
 	}
 	base := uint64(0x100000)
 	mk := func() (*snapshot.Tree, *snapshot.Context) {
@@ -218,7 +216,7 @@ func E8(o Options) (*trace.Table, error) {
 	{
 		tree, ctx := mk()
 		var last *snapshot.State
-		dur := trace.Time(func() {
+		dur := timed(func() {
 			for i := 0; i < n; i++ {
 				ctx.Mem.WriteU64(base+uint64(i%statePages)*mem.PageSize, uint64(i))
 				s := tree.Capture(ctx, last)
@@ -230,7 +228,7 @@ func E8(o Options) (*trace.Table, error) {
 		})
 		fp := last.Footprint()
 		t.AddRow("deep-chain", n, fmt.Sprintf("%.0f", float64(n)/dur.Seconds()),
-			trace.FormatBytes(fp.PrivateBytes()), trace.FormatBytes(fp.SharedBytes()))
+			formatBytes(fp.PrivateBytes()), formatBytes(fp.SharedBytes()))
 		last.Release()
 		ctx.Release()
 	}
@@ -239,15 +237,15 @@ func E8(o Options) (*trace.Table, error) {
 	{
 		tree, ctx := mk()
 		children := make([]*snapshot.State, 0, n)
-		dur := trace.Time(func() {
+		dur := timed(func() {
 			for i := 0; i < n; i++ {
 				children = append(children, tree.Capture(ctx, nil))
 			}
 		})
 		fp := children[0].Footprint()
 		t.AddRow("wide-fanout", n, fmt.Sprintf("%.0f", float64(n)/dur.Seconds()),
-			trace.FormatBytes(fp.PrivateBytes()), trace.FormatBytes(fp.SharedBytes()))
-		relT := trace.Time(func() {
+			formatBytes(fp.PrivateBytes()), formatBytes(fp.SharedBytes()))
+		relT := timed(func() {
 			for _, c := range children {
 				c.Release()
 			}
@@ -258,117 +256,15 @@ func E8(o Options) (*trace.Table, error) {
 	return t, nil
 }
 
-// E9 scales worker count on the Fig. 2 architecture, on two workloads:
-// fine-grained extensions (n-queens checks, microseconds per step) and
-// coarse-grained ones (heavy per-step computation). The contrast is the
-// paper's granularity argument applied to parallelism: scheduling and
-// restore costs swamp tiny steps, while coarse steps scale with cores.
-func E9(o Options) (*trace.Table, error) {
-	n := 8
-	workers := []int{1, 2, 4}
-	coarseWork := 4000
-	treeDepth := 9
-	if o.Quick {
-		n = 6
-		workers = []int{1, 2}
-		coarseWork = 500
-		treeDepth = 6
-	}
-	t := &trace.Table{
-		Title:   fmt.Sprintf("E9: parallel extension evaluation (fine: queens n=%d; coarse: %d work units/step)", n, coarseWork),
-		Columns: []string{"workers", "fine time", "fine speedup", "coarse time", "coarse speedup"},
-		Note:    "immutable snapshots need no locks; only coarse steps amortize scheduling",
-	}
-
-	runFine := func(w int) (time.Duration, error) {
-		alloc := mem.NewFrameAllocator(0)
-		ctx, err := queens.NewHostedContext(alloc, n)
-		if err != nil {
-			return 0, err
-		}
-		eng := core.New(core.NewHostedMachine(queens.HostedStep(false)), core.Config{Workers: w})
-		var res *core.Result
-		dur := trace.Time(func() { res, err = eng.Run(context.Background(), ctx) })
-		if err != nil {
-			return 0, err
-		}
-		if len(res.Solutions) != queens.Counts[n] {
-			return 0, fmt.Errorf("E9: %d workers found %d solutions", w, len(res.Solutions))
-		}
-		return dur, nil
-	}
-
-	// Coarse workload: full binary tree; each step burns coarseWork
-	// read-modify-writes in simulated memory before guessing again.
-	coarseStep := func(env *core.Env) error {
-		m := env.Mem()
-		base := core.HostedHeapBase
-		d, _ := m.ReadU64(base)
-		started, _ := m.ReadU64(base + 8)
-		if started == 0 {
-			m.WriteU64(base+8, 1)
-			env.Guess(2)
-			return nil
-		}
-		for i := 0; i < coarseWork; i++ {
-			off := base + 16 + uint64(i%256)*8
-			v, _ := m.ReadU64(off)
-			m.WriteU64(off, v*6364136223846793005+env.Choice()+1)
-		}
-		d++
-		m.WriteU64(base, d)
-		if d < uint64(treeDepth) {
-			env.Guess(2)
-		} else {
-			env.Fail()
-		}
-		return nil
-	}
-	runCoarse := func(w int) (time.Duration, error) {
-		alloc := mem.NewFrameAllocator(0)
-		ctx, err := core.NewHostedContext(alloc, 16+256*8)
-		if err != nil {
-			return 0, err
-		}
-		eng := core.New(core.NewHostedMachine(coarseStep), core.Config{Workers: w})
-		var res *core.Result
-		dur := trace.Time(func() { res, err = eng.Run(context.Background(), ctx) })
-		if err != nil {
-			return 0, err
-		}
-		if res.Stats.Errors != 0 {
-			return 0, fmt.Errorf("E9 coarse: %v", res.FirstPathError)
-		}
-		return dur, nil
-	}
-
-	var fineBase, coarseBase time.Duration
-	for _, w := range workers {
-		fine, err := runFine(w)
-		if err != nil {
-			return nil, err
-		}
-		coarse, err := runCoarse(w)
-		if err != nil {
-			return nil, err
-		}
-		if w == workers[0] {
-			fineBase, coarseBase = fine, coarse
-		}
-		t.AddRow(w, fine, trace.Ratio(fineBase, fine), coarse, trace.Ratio(coarseBase, coarse))
-	}
-	return t, nil
-}
-
 // E10 measures interposed system-call cost (§5): the null syscall
 // (gettick), contained stdout writes, brk (structurally reverted — no undo
 // log needed), and the classic log-and-undo alternative for comparison.
-func E10(o Options) (*trace.Table, error) {
+func E10(o Options) (*Table, error) {
 	iters := 200_000
 	if o.Quick {
 		iters = 20_000
 	}
-	t := &trace.Table{
+	t := &Table{
 		Title:   "E10: system-call interposition cost",
 		Columns: []string{"call", "iters", "ns/call"},
 		Note:    "brk containment is structural (snapshotted VMAs); undo-log shown for contrast",
@@ -379,7 +275,7 @@ func E10(o Options) (*trace.Table, error) {
 			return 0, err
 		}
 		var res *core.Result
-		dur := trace.Time(func() { res, err = runNativeEngine(img, core.Config{}) })
+		dur := timed(func() { res, err = runNativeEngine(img, core.Config{}) })
 		if err != nil {
 			return 0, err
 		}
@@ -437,7 +333,7 @@ loop:
 	// The classic alternative: log an undo record per state-changing call.
 	var log interpose.UndoLog
 	val := 0
-	undoT := trace.Time(func() {
+	undoT := timed(func() {
 		for i := 0; i < iters; i++ {
 			prev := val
 			val = i

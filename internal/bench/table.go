@@ -1,7 +1,4 @@
-// Package trace provides the measurement plumbing for the benchmark
-// harness: fixed-width table rendering (the rows the experiment index in
-// DESIGN.md promises) and small timing helpers.
-package trace
+package bench
 
 import (
 	"fmt"
@@ -25,7 +22,7 @@ func (t *Table) AddRow(cells ...any) {
 		case string:
 			row[i] = v
 		case time.Duration:
-			row[i] = FormatDuration(v)
+			row[i] = formatDuration(v)
 		case float64:
 			row[i] = fmt.Sprintf("%.2f", v)
 		default:
@@ -76,9 +73,9 @@ func (t *Table) Render() string {
 	return sb.String()
 }
 
-// FormatDuration renders a duration with 3 significant digits and a
+// formatDuration renders a duration with 3 significant digits and a
 // human-appropriate unit.
-func FormatDuration(d time.Duration) string {
+func formatDuration(d time.Duration) string {
 	switch {
 	case d < time.Microsecond:
 		return fmt.Sprintf("%dns", d.Nanoseconds())
@@ -91,8 +88,8 @@ func FormatDuration(d time.Duration) string {
 	}
 }
 
-// FormatBytes renders a byte count with binary units.
-func FormatBytes(n int64) string {
+// formatBytes renders a byte count with binary units.
+func formatBytes(n int64) string {
 	switch {
 	case n < 1<<10:
 		return fmt.Sprintf("%dB", n)
@@ -105,15 +102,15 @@ func FormatBytes(n int64) string {
 	}
 }
 
-// Time runs fn and returns its wall-clock duration.
-func Time(fn func()) time.Duration {
+// timed runs fn and returns its wall-clock duration.
+func timed(fn func()) time.Duration {
 	start := time.Now()
 	fn()
 	return time.Since(start)
 }
 
-// Ratio renders a/b with a sensible fallback for zero denominators.
-func Ratio(a, b time.Duration) string {
+// ratio renders a/b with a sensible fallback for zero denominators.
+func ratio(a, b time.Duration) string {
 	if b == 0 {
 		return "n/a"
 	}

@@ -1,4 +1,4 @@
-package trace
+package bench
 
 import (
 	"strings"
@@ -39,8 +39,8 @@ func TestFormatDuration(t *testing.T) {
 		1500 * time.Millisecond: "1.500s",
 	}
 	for d, want := range cases {
-		if got := FormatDuration(d); got != want {
-			t.Errorf("FormatDuration(%v) = %q, want %q", d, got, want)
+		if got := formatDuration(d); got != want {
+			t.Errorf("formatDuration(%v) = %q, want %q", d, got, want)
 		}
 	}
 }
@@ -53,24 +53,24 @@ func TestFormatBytes(t *testing.T) {
 		5 << 30: "5.00GiB",
 	}
 	for n, want := range cases {
-		if got := FormatBytes(n); got != want {
-			t.Errorf("FormatBytes(%d) = %q, want %q", n, got, want)
+		if got := formatBytes(n); got != want {
+			t.Errorf("formatBytes(%d) = %q, want %q", n, got, want)
 		}
 	}
 }
 
 func TestRatio(t *testing.T) {
-	if got := Ratio(2*time.Second, time.Second); got != "2.00x" {
-		t.Errorf("Ratio = %q", got)
+	if got := ratio(2*time.Second, time.Second); got != "2.00x" {
+		t.Errorf("ratio = %q", got)
 	}
-	if got := Ratio(time.Second, 0); got != "n/a" {
-		t.Errorf("Ratio zero = %q", got)
+	if got := ratio(time.Second, 0); got != "n/a" {
+		t.Errorf("ratio zero = %q", got)
 	}
 }
 
 func TestTime(t *testing.T) {
-	d := Time(func() { time.Sleep(5 * time.Millisecond) })
+	d := timed(func() { time.Sleep(5 * time.Millisecond) })
 	if d < 4*time.Millisecond {
-		t.Errorf("Time measured %v", d)
+		t.Errorf("timed measured %v", d)
 	}
 }

@@ -3,12 +3,15 @@ package core_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fs"
+	"repro/internal/guest"
 	"repro/internal/mem"
 	"repro/internal/queens"
 	"repro/internal/search"
@@ -298,6 +301,170 @@ func TestParallelCombinedStress(t *testing.T) {
 		}
 		if live := alloc.Live(); live != 0 {
 			t.Fatalf("iteration %d: frame leak: %d live", i, live)
+		}
+	}
+}
+
+// symGuessSrc is a native guest of 6 sequential sys_guess(2) forks over a
+// 1 MiB data segment, CoW-dirtying one page per level, each leaf exiting
+// with its path id (the choices read as a binary number) — the state
+// forking of multi-path symbolic execution, in the engine's own calls.
+const symGuessSrc = `
+.data
+blob: .space 1048576
+.text
+_start:
+    mov r13, 0          ; acc = path id
+    mov r14, 0          ; level
+loop:
+    mov rax, 500        ; sys_guess(2)
+    mov rdi, 2
+    syscall
+    shl r13, 1
+    add r13, rax        ; acc = acc*2 + choice
+    mov rbx, r14
+    mul rbx, 4096
+    mov r15, =blob
+    add r15, rbx
+    store r13, [r15]    ; dirty one page per level
+    add r14, 1
+    cmp r14, 6
+    jl loop
+    mov rdi, r13
+    mov rax, 60
+    syscall
+`
+
+// TestNativeGuestPathSetAcrossWorkers runs a VM guest at 1, 2 and 4
+// workers: every run must reach each of the 64 paths exactly once, crash
+// none, and leave no snapshot or frame live.
+func TestNativeGuestPathSetAcrossWorkers(t *testing.T) {
+	img, err := guest.AssembleImage(symGuessSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		alloc := mem.NewFrameAllocator(0)
+		as, regs, err := guest.Load(img, alloc, guest.LoadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := core.New(core.NewVMMachine(0), core.Config{Workers: workers})
+		res, err := eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.New(), Regs: regs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Errors != 0 {
+			t.Fatalf("workers=%d: %d crashed paths: %v", workers, res.Stats.Errors, res.FirstPathError)
+		}
+		ids := make([]uint64, 0, len(res.Solutions))
+		for _, s := range res.Solutions {
+			ids = append(ids, s.Status)
+		}
+		slices.Sort(ids)
+		if len(ids) != 64 {
+			t.Fatalf("workers=%d: %d paths, want 64", workers, len(ids))
+		}
+		for i, id := range ids {
+			if id != uint64(i) {
+				t.Fatalf("workers=%d: path set %v, want 0..63 once each", workers, ids)
+			}
+		}
+		if eng.Tree().Live() != 0 || alloc.Live() != 0 {
+			t.Errorf("workers=%d: leak: %d snapshots, %d frames", workers, eng.Tree().Live(), alloc.Live())
+		}
+	}
+}
+
+// coarseStep is a full binary tree of the given depth whose every step
+// burns work read-modify-writes over 256 heap words before guessing again;
+// each leaf exits with the sum of those words, so a leaf's status depends
+// on exactly the choices on its path.
+func coarseStep(depth, work int) core.StepFunc {
+	return func(env *core.Env) error {
+		m := env.Mem()
+		base := core.HostedHeapBase
+		d, _ := m.ReadU64(base)
+		started, _ := m.ReadU64(base + 8)
+		if started == 0 {
+			m.WriteU64(base+8, 1)
+			env.Guess(2)
+			return nil
+		}
+		for i := 0; i < work; i++ {
+			off := base + 16 + uint64(i%256)*8
+			v, _ := m.ReadU64(off)
+			m.WriteU64(off, v*6364136223846793005+env.Choice()+1)
+		}
+		d++
+		m.WriteU64(base, d)
+		if d < uint64(depth) {
+			env.Guess(2)
+			return nil
+		}
+		var sum uint64
+		for i := uint64(0); i < 256; i++ {
+			v, _ := m.ReadU64(base + 16 + i*8)
+			sum += v
+		}
+		env.Exit(sum)
+		return nil
+	}
+}
+
+// TestParallelGrainsAcrossWorkers runs a fine-grained search (hosted
+// 6-queens) and a coarse one (coarseStep) at 1, 2 and 4 workers: the
+// queens count and the coarse leaf-status multiset must not depend on the
+// worker count, no path may crash, and nothing may stay live.
+func TestParallelGrainsAcrossWorkers(t *testing.T) {
+	const depth = 6
+	var want []uint64
+	for _, workers := range []int{1, 2, 4} {
+		alloc := mem.NewFrameAllocator(0)
+		root, err := queens.NewHostedContext(alloc, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := core.New(core.NewHostedMachine(queens.HostedStep(false)), core.Config{Workers: workers})
+		res, err := eng.Run(context.Background(), root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Solutions) != queens.Counts[6] {
+			t.Errorf("workers=%d: fine: %d solutions, want %d", workers, len(res.Solutions), queens.Counts[6])
+		}
+		if eng.Tree().Live() != 0 || alloc.Live() != 0 {
+			t.Errorf("workers=%d: fine leak: %d snapshots, %d frames", workers, eng.Tree().Live(), alloc.Live())
+		}
+
+		alloc = mem.NewFrameAllocator(0)
+		root, err = core.NewHostedContext(alloc, 16+256*8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng = core.New(core.NewHostedMachine(coarseStep(depth, 500)), core.Config{Workers: workers})
+		res, err = eng.Run(context.Background(), root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Errors != 0 {
+			t.Fatalf("workers=%d: coarse: %d crashed paths: %v", workers, res.Stats.Errors, res.FirstPathError)
+		}
+		got := make([]uint64, 0, len(res.Solutions))
+		for _, s := range res.Solutions {
+			got = append(got, s.Status)
+		}
+		slices.Sort(got)
+		if len(got) != 1<<depth {
+			t.Fatalf("workers=%d: coarse: %d leaves, want %d", workers, len(got), 1<<depth)
+		}
+		if want == nil {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Errorf("workers=%d: coarse leaf statuses differ from 1 worker", workers)
+		}
+		if eng.Tree().Live() != 0 || alloc.Live() != 0 {
+			t.Errorf("workers=%d: coarse leak: %d snapshots, %d frames", workers, eng.Tree().Live(), alloc.Live())
 		}
 	}
 }

@@ -410,7 +410,7 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 
 // ServeInProc starts a loopback TCP server speaking the negotiated
 // binary protocol against svc — the in-process twin of `solversvc
-// -listen` that the CI smoke and E16 measure against, sharing
+// -listen` that the CI smoke and the loadgen tests run against, sharing
 // wire.Serve and wire.Dispatch with the real server. The returned
 // shutdown blocks until every session has ended.
 func ServeInProc(ctx context.Context, svc *service.Service, opts wire.ServeOptions) (addr string, shutdown func(), err error) {

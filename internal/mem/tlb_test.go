@@ -468,3 +468,66 @@ func TestTLBWriteForceKeepsReadCoherent(t *testing.T) {
 		t.Errorf("snapshot = %d, want 1", v)
 	}
 }
+
+// TestTLBWriteLocality is the write-locality sweep: round-robin stores over
+// a pre-touched working set of 1, 64 and 4096 pages. A set within TLB
+// reach hits on every store; a set 64x beyond it thrashes the direct-mapped
+// cache and misses on every store. With the TLB off the same sweep counts
+// nothing and leaves byte-identical memory.
+func TestTLBWriteLocality(t *testing.T) {
+	const (
+		base   = 0x100000 // vpn 256: page i lands in slot i%tlbSize
+		writes = 1 << 14
+	)
+	sweep := func(pages int, enabled bool) (*AddressSpace, Stats) {
+		as := newAS(t)
+		as.SetTLBEnabled(enabled)
+		mustMap(t, as, base, uint64(pages)*PageSize, PermRW, "data")
+		for i := 0; i < pages; i++ {
+			if err := as.WriteU64(base+uint64(i)*PageSize, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		as.ResetStats()
+		for i := 0; i < writes; i++ {
+			addr := base + uint64(i%pages)*PageSize + uint64(i%512)*8
+			if err := as.WriteU64(addr, uint64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return as, as.Stats()
+	}
+	for _, tc := range []struct {
+		pages        int
+		hits, misses int64
+	}{
+		{1, writes, 0},
+		{tlbSize, writes, 0},
+		{4096, 0, writes},
+	} {
+		on, st := sweep(tc.pages, true)
+		if st.TLBHits != tc.hits || st.TLBMisses != tc.misses {
+			t.Errorf("pages=%d: hits/misses = %d/%d, want %d/%d",
+				tc.pages, st.TLBHits, st.TLBMisses, tc.hits, tc.misses)
+		}
+		off, st := sweep(tc.pages, false)
+		if st.TLBHits != 0 || st.TLBMisses != 0 {
+			t.Errorf("pages=%d: disabled TLB counted %d/%d", tc.pages, st.TLBHits, st.TLBMisses)
+		}
+		a, b := make([]byte, PageSize), make([]byte, PageSize)
+		for i := 0; i < tc.pages; i++ {
+			addr := base + uint64(i)*PageSize
+			if err := on.ReadAt(a, addr); err != nil {
+				t.Fatal(err)
+			}
+			if err := off.ReadAt(b, addr); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("pages=%d: page %d differs with the TLB off", tc.pages, i)
+			}
+		}
+		on.Release()
+		off.Release()
+	}
+}

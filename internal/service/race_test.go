@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,19 +13,34 @@ import (
 	"repro/internal/solver"
 )
 
+// The chain workload: clients branch one pinned, solved Random3SAT base,
+// each extending its own chain by a fixed clause batch per step. A step's
+// verdict depends only on the batches applied since the base, so a serial
+// run of the same chains is the ground truth for every interleaving.
+const chainVars = 60
+
+func chainBase() [][]int { return solver.Random3SAT(chainVars, 200, 7) }
+
+func chainBatch(c, k int) [][]int {
+	return solver.Random3SAT(chainVars, 4, int64(1009+257*c+k))
+}
+
 // TestConcurrentExtendAcrossShards drives many clients branching one
-// shared base concurrently (the E13 shape) and asserts verdict stability,
-// the capacity bound, and zero live snapshots after Close. Run with -race:
-// the point is that lookups/parks on different references touch different
-// shards and the solve runs entirely off-lock.
+// shared base concurrently and asserts verdict identity with a serial
+// replay of exactly the chains they ran, the capacity bound, that an early
+// child answers ErrEvicted once the cap has pushed it out, and zero live
+// snapshots after Close. Run with -race: the point is that lookups/parks
+// on different references touch different shards and the solve runs
+// entirely off-lock.
 func TestConcurrentExtendAcrossShards(t *testing.T) {
 	const (
 		clients = 8
 		steps   = 12
 		capRefs = 24
 	)
+	ctx := context.Background()
 	s := NewWithConfig(Config{Capacity: capRefs, Shards: 8})
-	base, err := s.Extend(context.Background(), 0, [][]int{{1, 2}, {-1, 3}})
+	base, err := s.Extend(ctx, 0, chainBase())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +48,17 @@ func TestConcurrentExtendAcrossShards(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// step is one served extend: the batch it applied, whether it branched
+	// the base, and the verdict it got.
+	type step struct {
+		k        int
+		fromBase bool
+		verdict  solver.Status
+	}
+	runs := make([][]step, clients)
 	var wg sync.WaitGroup
 	var overCap atomic.Int64
+	var firstID atomic.Uint64
 	errs := make([]error, clients)
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -41,7 +66,7 @@ func TestConcurrentExtendAcrossShards(t *testing.T) {
 			defer wg.Done()
 			prev := base.ID
 			for k := 0; k < steps; k++ {
-				r, err := s.Extend(context.Background(), prev, [][]int{{c + 4, -(k + 4)}})
+				r, err := s.Extend(ctx, prev, chainBatch(c, k))
 				if errors.Is(err, ErrEvicted) {
 					// Our chain tip aged out under the shared cap:
 					// restart from the pinned base, as a client would.
@@ -52,6 +77,8 @@ func TestConcurrentExtendAcrossShards(t *testing.T) {
 					errs[c] = err
 					return
 				}
+				firstID.CompareAndSwap(0, r.ID)
+				runs[c] = append(runs[c], step{k, prev == base.ID, r.Verdict})
 				prev = r.ID
 				refs, pinned := s.Counts()
 				if unpinned := refs - pinned; unpinned > capRefs {
@@ -75,9 +102,132 @@ func TestConcurrentExtendAcrossShards(t *testing.T) {
 	if err := s.Touch(base.ID); err != nil {
 		t.Errorf("pinned base after load: %v", err)
 	}
+	if s.Stats().Evictions == 0 {
+		t.Errorf("no evictions under cap %d with %d parks", capRefs, clients*steps)
+	}
+	// The earliest parked child has long aged out of a cap this small.
+	if err := s.Touch(firstID.Load()); !errors.Is(err, ErrEvicted) {
+		t.Errorf("first child %d = %v, want ErrEvicted", firstID.Load(), err)
+	}
 	s.Close()
 	if live := s.LiveSnapshots(); live != 0 {
 		t.Errorf("live snapshots after Close = %d, want 0", live)
+	}
+
+	// Serial replay, one chain after another, of what each client ran.
+	ref := New()
+	defer ref.Close()
+	rbase, err := ref.Extend(ctx, 0, chainBase())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[solver.Status]int{}
+	for c, run := range runs {
+		prev := rbase.ID
+		for i, st := range run {
+			if st.fromBase {
+				prev = rbase.ID
+			}
+			r, err := ref.Extend(ctx, prev, chainBatch(c, st.k))
+			if err != nil {
+				t.Fatalf("serial client %d step %d: %v", c, st.k, err)
+			}
+			if st.verdict != r.Verdict {
+				t.Errorf("client %d extend %d (batch %d): verdict %v, serial %v", c, i, st.k, st.verdict, r.Verdict)
+			}
+			seen[r.Verdict]++
+			prev = r.ID
+		}
+	}
+	if seen[solver.Sat] == 0 || seen[solver.Unsat] == 0 {
+		t.Fatalf("verdicts %v: the chains need both outcomes to compare anything", seen)
+	}
+}
+
+// TestConcurrentClientSweepMatchesSerial runs the chain workload uncapped
+// at 1, 2 and 4 clients: nothing is evicted, so every client finishes all
+// its steps and its verdict sequence must equal the serial run of the same
+// chain elementwise, with zero live snapshots after every Close.
+func TestConcurrentClientSweepMatchesSerial(t *testing.T) {
+	const (
+		maxClients = 4
+		steps      = 12
+	)
+	ctx := context.Background()
+	serial := make([][]solver.Status, maxClients)
+	ref := New()
+	rbase, err := ref.Extend(ctx, 0, chainBase())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range serial {
+		prev := rbase.ID
+		for k := 0; k < steps; k++ {
+			r, err := ref.Extend(ctx, prev, chainBatch(c, k))
+			if err != nil {
+				t.Fatalf("serial client %d step %d: %v", c, k, err)
+			}
+			serial[c] = append(serial[c], r.Verdict)
+			prev = r.ID
+		}
+	}
+	ref.Close()
+	if live := ref.LiveSnapshots(); live != 0 {
+		t.Fatalf("serial run leaked %d snapshots", live)
+	}
+	seen := map[solver.Status]int{}
+	for _, run := range serial {
+		for _, v := range run {
+			seen[v]++
+		}
+	}
+	if seen[solver.Sat] == 0 || seen[solver.Unsat] == 0 {
+		t.Fatalf("serial verdicts %v: the chains need both outcomes to compare anything", seen)
+	}
+
+	for _, clients := range []int{1, 2, maxClients} {
+		s := New()
+		base, err := s.Extend(ctx, 0, chainBase())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Pin(base.ID); err != nil {
+			t.Fatal(err)
+		}
+		verdicts := make([][]solver.Status, clients)
+		errs := make([]error, clients)
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				prev := base.ID
+				for k := 0; k < steps; k++ {
+					r, err := s.Extend(ctx, prev, chainBatch(c, k))
+					if err != nil {
+						errs[c] = err
+						return
+					}
+					verdicts[c] = append(verdicts[c], r.Verdict)
+					prev = r.ID
+				}
+			}(c)
+		}
+		wg.Wait()
+		s.Close()
+		for c, err := range errs {
+			if err != nil {
+				t.Fatalf("clients=%d: client %d: %v", clients, c, err)
+			}
+		}
+		for c := range verdicts {
+			if !slices.Equal(verdicts[c], serial[c]) {
+				t.Errorf("clients=%d: client %d verdicts %v, serial %v", clients, c, verdicts[c], serial[c])
+			}
+		}
+		if live := s.LiveSnapshots(); live != 0 {
+			t.Errorf("clients=%d: live snapshots after Close = %d, want 0", clients, live)
+		}
 	}
 }
 

@@ -156,6 +156,82 @@ func TestSessionPipelining(t *testing.T) {
 	}
 }
 
+// TestPipelinedVerdictsMatchSerial sends a sat/unsat mix of problems all
+// in flight at once on one connection against an 8-wide window, so replies
+// complete in whatever order the handlers finish, then sends the same
+// problems as one batched extend. Both verdict streams must equal direct
+// serial Extend calls elementwise, and releasing every id must leave only
+// the root.
+func TestPipelinedVerdictsMatchSerial(t *testing.T) {
+	const n = 20
+	// A reply lost to the wrong call must fail the test, not hang it.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	groups := make([][][]int, n)
+	want := make([]solver.Status, n)
+	seen := map[solver.Status]int{}
+	ref := service.New()
+	for i := range groups {
+		groups[i] = solver.Random3SAT(25, 105, int64(4001+i))
+		r, err := ref.Extend(ctx, 0, groups[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r.Verdict
+		seen[r.Verdict]++
+	}
+	ref.Close()
+	if seen[solver.Sat] == 0 || seen[solver.Unsat] == 0 {
+		t.Fatalf("serial verdicts %v: need both outcomes to compare anything", seen)
+	}
+
+	svc := service.New()
+	defer svc.Close()
+	cli, _ := startSession(t, svc, ServeOptions{MaxInflight: 8})
+	calls := make([]*Call, n)
+	for i, g := range groups {
+		calls[i] = cli.Go(Request{Op: OpExtend, ID: 0, Groups: [][][]int{g}}, nil)
+	}
+	ids := make([]uint64, 0, 2*n)
+	for i, call := range calls {
+		select {
+		case <-call.Done:
+		case <-ctx.Done():
+			t.Fatalf("call %d never completed", i)
+		}
+		if call.Err != nil || call.Resp.Err != "" || len(call.Resp.Results) != 1 {
+			t.Fatalf("pipelined group %d: %v %+v", i, call.Err, call.Resp)
+		}
+		r := call.Resp.Results[0]
+		if r.Verdict != want[i] {
+			t.Errorf("pipelined group %d: verdict %v, serial %v", i, r.Verdict, want[i])
+		}
+		ids = append(ids, r.ID)
+	}
+
+	batched, err := cli.Extend(ctx, 0, groups)
+	if err != nil {
+		t.Fatalf("batched extend: %v", err)
+	}
+	if len(batched) != n {
+		t.Fatalf("batched extend returned %d results for %d groups", len(batched), n)
+	}
+	for i, r := range batched {
+		if r.Verdict != want[i] {
+			t.Errorf("batched group %d: verdict %v, serial %v", i, r.Verdict, want[i])
+		}
+		ids = append(ids, r.ID)
+	}
+	for _, id := range ids {
+		if err := cli.Release(ctx, id); err != nil {
+			t.Fatalf("release %d: %v", id, err)
+		}
+	}
+	if live := svc.LiveSnapshots(); live != 1 {
+		t.Errorf("%d live snapshots after releasing every id, want 1 (root)", live)
+	}
+}
+
 // TestServerErrorKeepsSessionAlive: a refused request (unknown
 // reference) answers with a ServerError and the connection keeps
 // working.

@@ -20,7 +20,7 @@
 //	service    the §3.2 multi-path solver service: a sharded, LRU-evicting
 //	           reference table over the snapshot tree, served concurrently
 //	           by cmd/solversvc (stdin/stdout or TCP with -listen)
-//	bench      the E1–E13 experiment harness
+//	bench      the E1–E8, E10 experiment harness
 //
 // # Quickstart
 //
