@@ -11,7 +11,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/mem/ ./internal/fs/ ./internal/snapshot/ ./internal/queens/ ./internal/core/ ./internal/search/ ./internal/service/ ./internal/service/wire/ ./internal/loadgen/ ./internal/store/ ./internal/checkpoint/ ./internal/analysis/... .
+	go test -race ./...
 
 # lint runs reprolint, the repo's own go/analysis suite enforcing the
 # snapshot-lifecycle, lock-guard, lock-order/no_block, atomic-access,

@@ -277,12 +277,20 @@ func (s *FS) UpdateFile(name string, data []byte) error {
 }
 
 // ReadFile returns the full content of a file — the host inspection API.
-func (s *FS) ReadFile(name string) ([]byte, error) {
+func (s *FS) ReadFile(name string) ([]byte, error) { return s.ReadFileInto(name, nil) }
+
+// ReadFileInto is ReadFile into dst's array: it returns the content as
+// dst[:size], or in a new array of exactly the size when dst's is smaller.
+func (s *FS) ReadFileInto(name string, dst []byte) ([]byte, error) {
 	f, ok := s.inodes[cleanPath(name)]
 	if !ok {
 		return nil, ErrNotExist
 	}
-	out := make([]byte, f.size)
+	out := dst[:0]
+	if int64(cap(out)) < f.size {
+		out = make([]byte, f.size)
+	}
+	out = out[:f.size]
 	f.readAt(out, 0)
 	return out, nil
 }

@@ -337,11 +337,11 @@ func TestOversizedStateUnderConcurrency(t *testing.T) {
 	// bound rejects before reading), and per-call 1 GiB allocations make
 	// the test dominate the package's runtime.
 	huge := make([]byte, fs.MaxFileSize+1)
-	marshalState = func(sol *solver.Solver) []byte {
+	marshalState = func(sol *solver.Solver, loaded []byte) []byte {
 		if flip.Add(1)%4 == 0 {
 			return huge
 		}
-		return orig(sol)
+		return orig(sol, loaded)
 	}
 	s := New()
 	var wg sync.WaitGroup

@@ -61,16 +61,26 @@ const stateFile = "/solver.state"
 // that slicing adds no measurable overhead to easy instances.
 const solveSliceConflicts = 4096
 
-// marshalState serializes a solver for parking. A seam so tests can
-// exercise the oversized-state path without building a >1 GiB solver.
-var marshalState = func(sol *solver.Solver) []byte { return sol.Marshal() }
+// marshalState serializes a solver for parking onto the state it was
+// loaded from (nil if none). A seam so tests can exercise the
+// oversized-state path without building a >1 GiB solver.
+var marshalState = func(sol *solver.Solver, loaded []byte) []byte { return sol.MarshalOnto(loaded) }
 
-// solverPool recycles solvers across Extends. A request's solver is garbage
-// the moment its state is marshalled, and rebuilding one inside the arrays
-// of the last halves what an extend of a large problem allocates (the
-// clause arena, the watch lists, the per-variable arrays); nothing an
-// Extend returns points into the solver.
-var solverPool = sync.Pool{New: func() any { return solver.New(0) }}
+// pooledSolver is what one Extend borrows: a solver, and the buffer the
+// parent's state is read into and the child's is marshalled onto.
+type pooledSolver struct {
+	sol *solver.Solver
+	buf []byte
+}
+
+// solverPool recycles solvers and their state buffers across Extends. A
+// request's solver is garbage the moment its state is marshalled, and its
+// buffer the moment fs.UpdateFile has copied it into blocks; rebuilding
+// both inside the arrays of the last request leaves an extend of a large
+// problem allocating nothing in proportion to it (not the clause arena,
+// the watch lists, the per-variable arrays, nor the state read or
+// written). Nothing an Extend returns points into either.
+var solverPool = sync.Pool{New: func() any { return &pooledSolver{sol: solver.New(0)} }}
 
 // tombstoneCap bounds the per-shard memory of evicted-id records: the ids
 // of the most recent evictions are remembered (ErrEvicted); beyond that a
@@ -737,14 +747,16 @@ func (s *Service) Extend(ctx context.Context, id uint64, clauses [][]int) (Resul
 	cand := parent.Restore()
 	defer cand.Release()
 
-	sol := solverPool.Get().(*solver.Solver)
-	defer solverPool.Put(sol)
-	if data, err := cand.FS.ReadFile(stateFile); err == nil {
+	pooled := solverPool.Get().(*pooledSolver)
+	defer solverPool.Put(pooled)
+	sol := pooled.sol
+	data, err := cand.FS.ReadFileInto(stateFile, pooled.buf)
+	if err == nil {
 		if err := sol.Load(data); err != nil {
 			return Result{}, fmt.Errorf("service: corrupt state for %d: %w", id, err)
 		}
 	} else {
-		sol.Reset()
+		sol.Reset() // the root: no state yet, and data is nil
 	}
 	for _, cl := range clauses {
 		if err := sol.AddClause(cl...); err != nil {
@@ -781,8 +793,12 @@ func (s *Service) Extend(ctx context.Context, id uint64, clauses [][]int) (Resul
 	// physically shared across the whole sibling set. A state too large
 	// to park fails the whole Extend — no reference is parked, nothing
 	// leaks, and the parent stays usable.
-	if err := cand.FS.UpdateFile(stateFile, marshalState(sol)); err != nil {
+	state := marshalState(sol, data)
+	if err := cand.FS.UpdateFile(stateFile, state); err != nil {
 		return Result{}, fmt.Errorf("service: parking state for extension of %d: %w", id, err)
+	}
+	if cap(state) > cap(pooled.buf) { // grown by the read or the marshal
+		pooled.buf = state
 	}
 
 	res.ID, err = s.park(s.tree.Capture(cand, parent))

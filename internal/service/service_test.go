@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -297,7 +298,7 @@ func TestOversizedStateNotParked(t *testing.T) {
 	// MaxFileSize+1 bytes of untouched zero pages: rejected by the fs
 	// bound before any block is allocated.
 	huge := make([]byte, fs.MaxFileSize+1)
-	marshalState = func(sol *solver.Solver) []byte { return huge }
+	marshalState = func(*solver.Solver, []byte) []byte { return huge }
 	s := New()
 	defer s.Close()
 	refs, live := s.Refs(), s.LiveSnapshots()
@@ -389,6 +390,53 @@ func TestOversizedLiteralRefused(t *testing.T) {
 	}
 	if r, err := s.Extend(context.Background(), base.ID, [][]int{{-1}}); err != nil || r.Verdict != solver.Sat || !r.Model[2] {
 		t.Errorf("extend after refused literal: %+v, %v", r, err)
+	}
+}
+
+// TestExtendAllocatesNothingPerClause: what an extend allocates does not
+// grow with the problem it extends. Off a 150-clause and a 1 500-clause
+// base over the same 500 variables, the same extends allocate the same
+// bytes each, give or take the state blocks they rewrite: the state is
+// read into and marshalled onto a pooled buffer, and the solver is loaded
+// into pooled arrays.
+func TestExtendAllocatesNothingPerClause(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	perExtend := func(nClauses int) float64 {
+		s := New()
+		defer s.Close()
+		ctx := context.Background()
+		base, err := s.Extend(ctx, 0, solver.Random3SAT(500, nClauses, 1))
+		if err != nil || base.Verdict != solver.Sat {
+			t.Fatalf("base of %d clauses: %+v, %v", nClauses, base.Verdict, err)
+		}
+		extend := func(i int) {
+			v := 1 + i%498
+			r, err := s.Extend(ctx, base.ID, [][]int{{v, -(v + 1), v + 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Release(r.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 20; i++ { // the pool's buffers grow to this base
+			extend(i)
+		}
+		const n = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			extend(i)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / n
+	}
+	small, big := perExtend(150), perExtend(1500)
+	t.Logf("bytes allocated per extend: %.0f off 150 clauses, %.0f off 1 500", small, big)
+	if big > small+2*fs.BlockSize {
+		t.Errorf("an extend off 1 500 clauses allocates %.0f bytes, off 150 %.0f: something grows with the problem", big, small)
 	}
 }
 

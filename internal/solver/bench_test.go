@@ -35,41 +35,79 @@ func BenchmarkUnmarshalBig(b *testing.B) {
 	})
 }
 
-// BenchmarkMarshalBig marshals a solver that has just solved, as an extend
-// does: the backtrack to level 0 that Marshal starts with is part of it.
-// The solve runs with the timer stopped.
+// BenchmarkMarshalBig marshals a solver that has just been loaded, extended
+// by one clause and solved, as an extend does: the backtrack to level 0
+// that Marshal starts with is part of it. full is Marshal, onto is
+// MarshalOnto the loaded bytes (the service's path), which encodes only
+// what followed the load. The load, clause and solve run with the timer
+// stopped.
 func BenchmarkMarshalBig(b *testing.B) {
 	state, _ := bigBaseState(b)
-	s, err := Unmarshal(state)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(len(state)))
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s.Solve(0)
-		b.StartTimer()
-		benchSink += len(s.Marshal())
+	for _, onto := range []bool{false, true} {
+		name := "full"
+		if onto {
+			name = "onto"
+		}
+		b.Run(name, func(b *testing.B) {
+			s := New(0)
+			loaded := make([]byte, len(state), len(state)+4096)
+			b.ReportAllocs()
+			b.SetBytes(int64(len(state)))
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				copy(loaded, state)
+				if err := s.Load(loaded); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.AddClause(17, -230, 451); err != nil {
+					b.Fatal(err)
+				}
+				s.Solve(0)
+				b.StartTimer()
+				if onto {
+					benchSink += len(s.MarshalOnto(loaded))
+				} else {
+					benchSink += len(s.Marshal())
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkSolveAfterLoad times AddClause+Solve on a freshly loaded state;
-// the load itself runs with the timer stopped.
+// the load itself runs with the timer stopped. The clause is one the base's
+// model satisfies (model-holds: Solve checks the saved phases and stops) or
+// falsifies (model-breaks: Solve searches).
 func BenchmarkSolveAfterLoad(b *testing.B) {
-	state, _ := bigBaseState(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		s, err := Unmarshal(state)
-		if err != nil {
-			b.Fatal(err)
+	state, base := bigBaseState(b)
+	for _, holds := range []bool{true, false} {
+		// Each literal false under the base's model, which its saved phases
+		// hold; model-holds flips the first.
+		clause := []int{17, 230, 451}
+		for i, v := range clause {
+			if base.phase[v] != -1 {
+				clause[i] = -v
+			}
 		}
-		b.StartTimer()
-		if err := s.AddClause(17, -230, 451); err != nil {
-			b.Fatal(err)
+		name := "model-breaks"
+		if holds {
+			name = "model-holds"
+			clause[0] = -clause[0]
 		}
-		benchSink += int(s.Solve(0))
+		b.Run(name, func(b *testing.B) {
+			s := New(0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := s.Load(state); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := s.AddClause(clause...); err != nil {
+					b.Fatal(err)
+				}
+				benchSink += int(s.Solve(0))
+			}
+		})
 	}
 }

@@ -31,29 +31,52 @@ import (
 //
 // The output is sized exactly and allocated once; each clause is sorted
 // where it lands in the buffer.
-func (s *Solver) Marshal() []byte {
+func (s *Solver) Marshal() []byte { return s.MarshalOnto(nil) }
+
+// MarshalOnto is Marshal for a solver built by Load, given the bytes it
+// loaded. When loaded is the very slice the last successful Load read (same
+// array, same length), its clause section — which the caller must not have
+// changed since — is already the state's first clauses in canonical form:
+// Load accepts nothing else, and clauses are never deleted or reordered.
+// Those bytes stay where they are and only what followed the Load is
+// encoded: new problem clauses, learnt clauses, facts, phases and the
+// footer. The result goes into loaded's array, over what followed the
+// clause section, when the array has room, and otherwise into a new one
+// grown from it as append would. Any other slice, nil included, gets the
+// full encode into a new buffer and is not written. Either way the bytes
+// are exactly Marshal's.
+func (s *Solver) MarshalOnto(loaded []byte) []byte {
 	s.cancelUntil(0)
 	// Every arena word is a header or a literal, one output word each.
-	buf := make([]byte, 8*(len(s.arena)+len(s.trail)+s.nVars+footerWords))
-	at := 0
+	size := 8 * (len(s.arena) + len(s.trail) + s.nVars + footerWords)
+	from := 0 // first arena word to encode
+	var buf []byte
+	if s.loadedFrom != nil && len(loaded) == s.loadedLen && &loaded[0] == s.loadedFrom {
+		from = s.loadedWords
+		buf = slices.Grow(loaded[:8*from], size-8*from)[:size]
+	} else {
+		buf = make([]byte, size)
+	}
+	at := 8 * from
 	put := func(v uint64) {
 		binary.LittleEndian.PutUint64(buf[at:], v)
 		at += 8
 	}
 	// Problem clauses, then the clauses learned since the solver was made.
+	// Every clause before from is a loaded problem clause.
 	for _, learnt := range [2]lit{0, 1} {
 		if learnt == 1 && s.nLearnts == 0 {
 			break
 		}
-		for c := 0; c < len(s.arena); {
+		for c := from; c < len(s.arena); {
 			n := int(s.arena[c] >> 1)
 			if s.arena[c]&1 == learnt {
 				put(uint64(n))
-				from := at
+				start := at
 				for _, l := range s.arena[c+1 : c+1+n] {
 					put(uint64(int64(l.ext())))
 				}
-				sortWords(buf[from:at])
+				sortWords(buf[start:at])
 			}
 			c += 1 + n
 		}
@@ -115,10 +138,12 @@ const footerWords = 6
 // each clause — and neither does the result:
 //
 //   - Each clause is put back into the internal literal order AddClause
-//     stores (by variable, +v before ¬v). That order decides which two
-//     literals are watched, the watch lists follow clause order, and the
-//     search follows the watch lists: a reloaded solver decides, learns and
-//     answers exactly as one that was handed the same clauses directly.
+//     stores (by variable, +v before ¬v), by one merge of the two runs its
+//     canonical order already holds, not by a sort. That order decides
+//     which two literals are watched, the watch lists follow clause order,
+//     and the search follows the watch lists: a reloaded solver decides,
+//     learns and answers exactly as one that was handed the same clauses
+//     directly.
 //   - Learned clauses come back as problem clauses: they are consequences
 //     of the problem, so nothing is lost, and NumLearnts restarts at zero.
 //   - Level-0 facts are asserted and propagated one by one, in trail order,
@@ -155,7 +180,8 @@ func (s *Solver) Reset() {
 
 // Load is Unmarshal into a solver that has been used before: s is Reset and
 // rebuilt from data inside the arrays it already owns. The result behaves
-// exactly as Unmarshal's. After an error s holds no usable problem.
+// exactly as Unmarshal's. After an error s holds no usable problem. After
+// success s remembers which slice it read, for MarshalOnto.
 func (s *Solver) Load(data []byte) error {
 	s.Reset()
 	if len(data) < footerWords*8 || len(data)%8 != 0 {
@@ -190,16 +216,24 @@ func (s *Solver) Load(data []byte) error {
 	s.arena = s.arena[:clauseWords]
 	s.watchCount = append(s.watchCount, make([]int32, 2*nv+2)...)
 	counts := s.watchCount
+	// A clause names each variable at most once, so it fits nv literals.
+	s.scratch = slices.Grow(s.scratch[:0], int(nv))
 	at := 0
 	for i := 0; i < s.nClauses; i++ {
 		ln := word(at) // at worst a footer word: at never passes clauseWords
 		if rest := clauseWords - at - 1; ln < 2 || rest < 2 || ln > uint64(rest) {
 			return fmt.Errorf("solver: clause %d has length %d with %d words left", i, ln, rest)
 		}
+		if ln > nv {
+			return fmt.Errorf("solver: clause %d has %d literals over %d variables", i, ln, nv)
+		}
 		s.arena[at] = lit(ln << 1)
 		cl := s.arena[at+1 : at+1+int(ln)]
-		prev := int64(math.MinInt64)
-		for j := range cl {
+		// Strictly ascending, the clause is its negative literals by falling
+		// variable, then its positive ones by rising variable.
+		in := s.scratch[:len(cl)]
+		prev, neg := int64(math.MinInt64), 0
+		for j := range in {
 			l := int64(word(at + 1 + j))
 			if l == 0 || l > int64(nv) || l < -int64(nv) {
 				return fmt.Errorf("solver: literal %d out of range for %d vars", l, nv)
@@ -208,12 +242,25 @@ func (s *Solver) Load(data []byte) error {
 				return fmt.Errorf("solver: clause %d is not strictly ascending", i)
 			}
 			prev = l
-			cl[j] = toLit(int(l))
+			if l < 0 {
+				neg = j + 1
+			}
+			in[j] = toLit(int(l))
 		}
-		slices.Sort(cl)
-		for j := 1; j < len(cl); j++ {
-			if cl[j].variable() == cl[j-1].variable() {
-				return fmt.Errorf("solver: clause %d names variable %d twice", i, cl[j].variable())
+		// Merge the two runs, the negative one read backwards, into the
+		// internal order (by variable, +v before ¬v). Each run names a
+		// variable at most once, so the merge alone meets a repeated one.
+		n, p := neg-1, neg
+		for j := range cl {
+			switch {
+			case n < 0 || (p < len(in) && in[p] < in[n].neg()):
+				cl[j] = in[p]
+				p++
+			case p == len(in) || in[n] < in[p]:
+				cl[j] = in[n]
+				n--
+			default:
+				return fmt.Errorf("solver: clause %d names variable %d twice", i, in[p].variable())
 			}
 		}
 		counts[cl[0].neg()]++
@@ -273,6 +320,7 @@ func (s *Solver) Load(data []byte) error {
 	if okFlag == 0 {
 		s.ok = false
 	}
+	s.loadedFrom, s.loadedLen, s.loadedWords = &data[0], len(data), clauseWords
 	return nil
 }
 

@@ -155,8 +155,12 @@ func TestUnmarshalVarLimit(t *testing.T) {
 // TestCodecAllocations pins the shape of the codec's cost: Unmarshal makes
 // a fixed number of allocations however many clauses the state holds (the
 // arena, one watch array, the per-variable arrays), Load into a recycled
-// solver makes none, and Marshal makes one.
+// solver makes none, Marshal makes one, and MarshalOnto the loaded buffer
+// makes none when the buffer has room.
 func TestCodecAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
 	state := func(nClauses int) []byte {
 		s := New(500)
 		for _, cl := range Random3SAT(500, nClauses, 1) {
@@ -191,6 +195,19 @@ func TestCodecAllocations(t *testing.T) {
 	s.Solve(0)
 	if n := testing.AllocsPerRun(20, func() { s.Marshal() }); n != 1 {
 		t.Errorf("Marshal allocates %v times, want 1", n)
+	}
+	buf := append(make([]byte, 0, len(big)+4096), big...)
+	if n := testing.AllocsPerRun(20, func() {
+		copy(buf, big) // MarshalOnto wrote over the tail
+		if err := s.Load(buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddClause(1, -2, 3); err != nil {
+			t.Fatal(err)
+		}
+		s.MarshalOnto(buf)
+	}); n != 0 {
+		t.Errorf("Load + AddClause + MarshalOnto the loaded buffer allocates %v times, want 0", n)
 	}
 }
 

@@ -140,12 +140,33 @@ func FuzzSolverUnmarshal(f *testing.F) {
 			t.Fatal("canonical marshal is not a fixed point")
 		}
 		// Same search: bounded, so a hard fuzz input cannot stall a worker.
-		v, refV := s.Solve(2000), ref.Solve(2000)
+		// search alone, from a third solver, agrees with Solve's phase check.
+		bare, err := Unmarshal(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, refV, bareV := s.Solve(2000), ref.Solve(2000), bare.search(2000)
 		if v != refV || (v == Sat && !slices.Equal(s.Model(), ref.Model())) {
 			t.Fatalf("loader solves to %v, reference to %v (or models differ)", v, refV)
 		}
-		if !bytes.Equal(s.Marshal(), ref.Marshal()) {
-			t.Fatal("loader and reference marshal differently after solving")
+		if v != bareV || (v == Sat && !slices.Equal(s.Model(), bare.Model())) {
+			t.Fatalf("Solve says %v, search alone %v (or models differ)", v, bareV)
+		}
+		solved := s.Marshal()
+		if !bytes.Equal(solved, ref.Marshal()) || !bytes.Equal(solved, bare.Marshal()) {
+			t.Fatal("loader, reference and search alone marshal differently after solving")
+		}
+		// An extend marshalled onto the bytes it was loaded from is Marshal.
+		loaded := slices.Clone(data)
+		if err := s.Load(loaded); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddClause(-1, s.NumVars()+1); err != nil {
+			t.Fatal(err)
+		}
+		s.Solve(2000)
+		if want := s.Marshal(); !bytes.Equal(s.MarshalOnto(loaded), want) {
+			t.Fatal("MarshalOnto the loaded bytes differs from Marshal")
 		}
 	})
 }

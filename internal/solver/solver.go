@@ -130,7 +130,15 @@ type Solver struct {
 
 	seen    []bool // scratch for conflict analysis
 	scratch []lit  // a clause being built: AddClause's literals, analyze's learnt clause
-	Stats   Stats
+
+	// loadedFrom and loadedLen identify the bytes the last successful Load
+	// read, loadedWords the arena words it took from them: MarshalOnto
+	// keeps those bytes instead of encoding the clauses again.
+	loadedFrom  *byte
+	loadedLen   int
+	loadedWords int
+
+	Stats Stats
 }
 
 // New returns a solver over variables 1..nVars (growable via AddVar).
@@ -553,7 +561,88 @@ func (s *Solver) analyze(conflict cref) ([]lit, int) {
 }
 
 // Solve searches for a verdict within maxConflicts (0 = unlimited).
+//
+// Before searching it checks the model the saved phases describe: if every
+// clause holds under the level-0 assignment completed by the phases, that
+// is the assignment the search would end on, and Solve takes it without
+// searching (see phasesSatisfy).
 func (s *Solver) Solve(maxConflicts int64) Status {
+	if s.ok {
+		s.cancelUntil(0)
+		// The clauses added since a Load are checked first: a Sat parent
+		// saved its model as the phases, so all the loaded clauses held
+		// under them, and a clause that fails now is most likely a new one.
+		if s.propagate() != crefNone {
+			s.ok = false
+		} else if s.phasesSatisfy(s.loadedWords, len(s.arena)) && s.phasesSatisfy(0, s.loadedWords) {
+			s.decidePhases()
+			return Sat
+		}
+	}
+	return s.search(maxConflicts)
+}
+
+// phasesSatisfy reports whether every clause in arena[from:to] (both at
+// clause boundaries) has a literal that is true under the level-0
+// assignment or, for an unassigned variable, under its saved phase
+// (anything but -1 reads as true, as in a decision).
+//
+// Over the whole arena it is Solve's condition for skipping the search.
+// The search decides each variable it picks from that same model, so by
+// induction every literal it implies agrees with the model — a clause can
+// become unit only on its one literal the model makes true — and no clause
+// can become a conflict. It therefore ends on exactly this assignment, with no
+// conflict, learnt clause, restart or activity change, and cancelUntil(0)
+// saves the same phases afterwards. What differs is only how the watch
+// lists, the literals inside clauses and the order heap are arranged.
+// Marshal writes none of that, so a state reloaded from its bytes goes on
+// exactly as after the search; a solver kept in memory and extended again
+// may propagate in another order from here, to the same verdicts.
+//
+// hot_path: one read-only pass over the range.
+func (s *Solver) phasesSatisfy(from, to int) bool {
+	for c := from; c < to; {
+		n := int(s.arena[c] >> 1)
+		sat := false
+		for _, l := range s.arena[c+1 : c+1+n] {
+			v := s.assign[l.variable()]
+			if v == 0 {
+				v = s.phase[l.variable()]
+			}
+			if (v != -1) == l.sign() {
+				sat = true
+				break
+			}
+		}
+		if !sat {
+			return false
+		}
+		c += 1 + n
+	}
+	return true
+}
+
+// decidePhases assigns every unassigned variable its saved phase at one
+// decision level: the model phasesSatisfy checked, as the search would
+// reach it.
+func (s *Solver) decidePhases() {
+	s.trailLim = append(s.trailLim, len(s.trail))
+	for v := 1; v <= s.nVars; v++ {
+		if s.assign[v] != 0 {
+			continue
+		}
+		l := toLit(v)
+		if s.phase[v] == -1 {
+			l = l.neg()
+		}
+		s.enqueue(l, crefNone)
+		s.Stats.Decisions++
+	}
+	s.qhead = len(s.trail)
+}
+
+// search is Solve without the phase check: CDCL from level 0.
+func (s *Solver) search(maxConflicts int64) Status {
 	if !s.ok {
 		return Unsat
 	}
