@@ -143,7 +143,7 @@ func TestWorkerContextReuseIsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "files=[/seed] fds=0 seed=v1 brk=+0x4000 vmas=1 w0=0x0,<nil> w1=0x0,<nil> w2=0x0,<nil> w3=0x0,<nil> write=<nil> cow=0 clones=9"
+	const want = "files=[/seed] fds=0 seed=v1 brk=+0x4000 vmas=1 w0=0x0,<nil> w1=0x0,<nil> w2=0x0,<nil> w3=0x0,<nil> write=<nil> cow=0 clones=1"
 	if len(seen) != 2 || seen[0] != want || seen[1] != want {
 		t.Errorf("steps after the dirty one saw:\n%q\nwant twice:\n%q", seen, want)
 	}

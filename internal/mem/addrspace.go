@@ -309,9 +309,10 @@ func (as *AddressSpace) Brk(newBrk uint64) (uint64, error) {
 	}
 	newEnd := PageCeil(newBrk)
 	if newEnd > heap.End {
-		// Refuse to grow into a neighbouring region.
-		for _, v := range as.vmas {
-			if v.Start >= heap.End && v.Start < newEnd {
+		// Refuse to grow into a neighbouring region. A heap shrunk to
+		// nothing starts at its own end, so it is skipped by index.
+		for j, v := range as.vmas {
+			if j != hi && v.Start >= heap.End && v.Start < newEnd {
 				return as.brk, fmt.Errorf("mem: Brk: heap would collide with %q", v.Name)
 			}
 		}
@@ -445,13 +446,13 @@ func (as *AddressSpace) read(p []byte, addr uint64, access Access) error {
 		if access == AccessRead {
 			var ok bool
 			if f, ok = as.tlb.readFrame(addr >> PageShift); !ok {
-				f = lookup(as.pt.root, addr)
+				f = lookup(as.pt.root, as.pt.base, addr)
 				as.tlb.fillRead(addr>>PageShift, f)
 			}
 		} else {
 			// Instruction fetches stay out of the TLB and its hit/miss
 			// accounting; the CPU keeps its own fetch TLB.
-			f = lookup(as.pt.root, addr)
+			f = lookup(as.pt.root, as.pt.base, addr)
 		}
 		if f != nil {
 			copy(p[:k], f.Data[off:off+k])
@@ -530,7 +531,7 @@ func (as *AddressSpace) writePages(p []byte, addr uint64, force bool) error {
 		}
 		if f == nil {
 			if base := vpn >> levelBits; leaf == nil || base != leafBase {
-				leaf = as.pt.ensureLeaf(addr, &as.stats)
+				leaf = as.pt.ownPath(addr, true, &as.stats)
 				leafBase = base
 			}
 			var err error
@@ -564,7 +565,7 @@ func (as *AddressSpace) ReadU64(addr uint64) (uint64, error) {
 				if err := as.check(addr, 8, AccessRead); err != nil {
 					return 0, err
 				}
-				f = lookup(as.pt.root, addr)
+				f = lookup(as.pt.root, as.pt.base, addr)
 				as.sealedFill(vpn, f)
 			}
 			if f == nil {
@@ -583,7 +584,7 @@ func (as *AddressSpace) ReadU64(addr uint64) (uint64, error) {
 		if err := as.check(addr, 8, AccessRead); err != nil {
 			return 0, err
 		}
-		f := lookup(as.pt.root, addr)
+		f := lookup(as.pt.root, as.pt.base, addr)
 		as.tlb.fillRead(vpn, f)
 		if f == nil {
 			return 0, nil
@@ -707,7 +708,7 @@ func (as *AddressSpace) ForkInto(dst *AddressSpace) *AddressSpace {
 	if as.pt.root != nil {
 		retainNode(as.pt.root)
 	}
-	dst.pt = pageTable{root: as.pt.root, alloc: as.pt.alloc, epoch: nextEpoch()}
+	dst.pt = pageTable{root: as.pt.root, base: as.pt.base, alloc: as.pt.alloc, epoch: nextEpoch()}
 	// Release left the entry block with the pool and the sealed cache nil;
 	// what is left to reset is what a previous life may have set.
 	dst.tlb.off, dst.tlb.hits, dst.tlb.misses = false, 0, 0
@@ -749,7 +750,7 @@ func (as *AddressSpace) ResidentPages() int {
 // ForEachPage calls fn for every resident page in ascending address order;
 // fn must not retain f. Used by the full-copy checkpoint baseline.
 func (as *AddressSpace) ForEachPage(fn func(addr uint64, f *Frame)) {
-	forEachPage(as.pt.root, func(vpn uint64, f *Frame) { fn(vpn<<PageShift, f) })
+	forEachPage(as.pt.root, as.pt.base, func(vpn uint64, f *Frame) { fn(vpn<<PageShift, f) })
 }
 
 // FrameAt returns the physical frame backing addr for reading, or nil when
@@ -757,7 +758,7 @@ func (as *AddressSpace) ForEachPage(fn func(addr uint64, f *Frame)) {
 // be shared with snapshots. Protection is not checked here — callers are
 // trusted internal paths (instruction-fetch TLB, checkpoint walkers) that
 // validated the access already.
-func (as *AddressSpace) FrameAt(addr uint64) *Frame { return lookup(as.pt.root, addr) }
+func (as *AddressSpace) FrameAt(addr uint64) *Frame { return lookup(as.pt.root, as.pt.base, addr) }
 
 // TouchWritable forces the page containing addr to be privately owned,
 // taking the CoW fault eagerly. Benchmarks use it to charge fault costs at

@@ -140,6 +140,12 @@ func TestForEachPageAscendingAtLevelEdges(t *testing.T) {
 }
 
 func TestFirstWriteAfterForkCopiesOnePath(t *testing.T) {
+	if levelSize < 4 {
+		t.Skip("four leaves do not share one parent node at this geometry")
+	}
+	// The four leaves written below sit under one level-1 root, so a path
+	// is that root and one leaf.
+	const path = 2
 	as := newAS(t)
 	defer as.Release()
 	mustMap(t, as, 0, 4*levelSize*PageSize, PermRW, "data")
@@ -153,17 +159,17 @@ func TestFirstWriteAfterForkCopiesOnePath(t *testing.T) {
 	if err := child.WriteU8(PageSize, 2); err != nil {
 		t.Fatal(err)
 	}
-	if st := child.Stats(); st.NodeClones != numLevels || st.CowCopies != 1 {
+	if st := child.Stats(); st.NodeClones != path || st.CowCopies != 1 {
 		t.Errorf("first write after Fork: %d node clones, %d CoW copies; want %d and 1",
-			st.NodeClones, st.CowCopies, numLevels)
+			st.NodeClones, st.CowCopies, path)
 	}
 	// The second page of the same leaf pays a page copy and nothing else.
 	if err := child.WriteU8(2*PageSize, 2); err != nil {
 		t.Fatal(err)
 	}
-	if st := child.Stats(); st.NodeClones != numLevels || st.CowCopies != 2 {
+	if st := child.Stats(); st.NodeClones != path || st.CowCopies != 2 {
 		t.Errorf("second write in the leaf: %d node clones, %d CoW copies; want %d and 2",
-			st.NodeClones, st.CowCopies, numLevels)
+			st.NodeClones, st.CowCopies, path)
 	}
 	// The child's path copy dropped its references to the parent's path, so
 	// the parent owns that path and the replaced page outright again.
@@ -175,6 +181,135 @@ func TestFirstWriteAfterForkCopiesOnePath(t *testing.T) {
 		t.Errorf("parent write after the child's copy: %d node clones, %d CoW copies; want 0 and 0",
 			st.NodeClones, st.CowCopies)
 	}
+}
+
+// TestHeightFollowsSpan pins the height rule: the root sits at the lowest
+// level whose span covers every page written so far, so a first write
+// under a fresh fork path-copies as many nodes as that height needs.
+func TestHeightFollowsSpan(t *testing.T) {
+	height := func(as *AddressSpace) (int8, uint64) { return as.pt.root.level, as.pt.base }
+	write := func(t *testing.T, as *AddressSpace, addr, v uint64) {
+		t.Helper()
+		if err := as.WriteU64(addr, v); err != nil {
+			t.Fatalf("write %#x: %v", addr, err)
+		}
+	}
+	read := func(t *testing.T, as *AddressSpace, addr, want uint64) {
+		t.Helper()
+		if v, err := as.ReadU64(addr); err != nil || v != want {
+			t.Errorf("read %#x = %#x, %v; want %#x", addr, v, err, want)
+		}
+	}
+
+	t.Run("one page clones one node", func(t *testing.T) {
+		const at = 0x1234_5000
+		as := newAS(t)
+		defer as.Release()
+		mustMap(t, as, at, PageSize, PermRW, "page")
+		write(t, as, at, 1)
+		if l, b := height(as); l != 0 || b != PageNumber(at)&^levelMask {
+			t.Errorf("root at level %d base %#x; want level 0 base %#x", l, b, PageNumber(at)&^levelMask)
+		}
+		for i := 0; i < 3; i++ {
+			child := as.Fork()
+			write(t, child, at, 2)
+			if st := child.Stats(); st.NodeClones != 1 || st.CowCopies != 1 {
+				t.Errorf("fork %d: %d node clones, %d CoW copies; want 1 and 1", i, st.NodeClones, st.CowCopies)
+			}
+			child.Release()
+		}
+		read(t, as, at, 1)
+	})
+
+	t.Run("64 MiB hosted heap roots at level 3", func(t *testing.T) {
+		const heapBase, heapBytes = 0x1000_0000, 64 << 20 // core.HostedHeapBase
+		as := newAS(t)
+		defer as.Release()
+		mustMap(t, as, heapBase, heapBytes, PermRW, "heap")
+		write(t, as, heapBase, 1)
+		write(t, as, heapBase+heapBytes-8, 2)
+		if l, b := height(as); l != 3 || b != PageNumber(heapBase) {
+			t.Errorf("root at level %d base %#x; want level 3 base %#x", l, b, PageNumber(heapBase))
+		}
+		child := as.Fork()
+		defer child.Release()
+		write(t, child, heapBase+8, 3)
+		if st := child.Stats(); st.NodeClones != 4 {
+			t.Errorf("first write under the fork cloned %d nodes; want the 4 of a level-3 path", st.NodeClones)
+		}
+	})
+
+	t.Run("opposite ends root at the top level", func(t *testing.T) {
+		as := newAS(t)
+		defer as.Release()
+		mustMap(t, as, 0, PageSize, PermRW, "low")
+		mustMap(t, as, MaxVA-PageSize, PageSize, PermRW, "high")
+		write(t, as, MaxVA-8, 1)
+		write(t, as, 0, 2)
+		if l, b := height(as); l != numLevels-1 || b != 0 {
+			t.Errorf("root at level %d base %#x; want level %d base 0", l, b, numLevels-1)
+		}
+		read(t, as, MaxVA-8, 1)
+		read(t, as, 0, 2)
+	})
+
+	t.Run("write below base grows", func(t *testing.T) {
+		const hi, lo = uint64(5*levelSize+3) * PageSize, uint64(levelSize-1) * PageSize
+		as := newAS(t)
+		defer as.Release()
+		mustMap(t, as, 0, hi+PageSize, PermRW, "data")
+		write(t, as, hi, 1)
+		if l, b := height(as); l != 0 || b != PageNumber(hi)&^levelMask {
+			t.Fatalf("root at level %d base %#x; want level 0 base %#x", l, b, PageNumber(hi)&^levelMask)
+		}
+		write(t, as, lo, 2)
+		if l, b := height(as); l != 1 || b != 0 {
+			t.Errorf("root at level %d base %#x; want level 1 base 0", l, b)
+		}
+		read(t, as, hi, 1)
+		read(t, as, lo, 2)
+		read(t, as, lo+PageSize, 0)
+		var got []uint64
+		as.ForEachPage(func(addr uint64, _ *Frame) { got = append(got, addr) })
+		if len(got) != 2 || got[0] != lo || got[1] != hi {
+			t.Errorf("ForEachPage visited %#x; want [%#x %#x]", got, lo, hi)
+		}
+	})
+
+	t.Run("growth under a shared root", func(t *testing.T) {
+		const near, far = uint64(0x40_0000), uint64(0x7_0000_0000)
+		as := newAS(t)
+		defer as.Release()
+		mustMap(t, as, near, PageSize, PermRW, "near")
+		mustMap(t, as, far, PageSize, PermRW, "far")
+		write(t, as, near, 1)
+		child := as.Fork()
+		defer child.Release()
+		// The child grows over the root it shares with the parent; the new
+		// parents are fresh nodes, and the old root is not cloned because
+		// the write does not pass through it.
+		write(t, child, far, 2)
+		if st := child.Stats(); st.NodeClones != 0 || st.ZeroFills != 1 {
+			t.Errorf("growing write: %d node clones, %d zero fills; want 0 and 1", st.NodeClones, st.ZeroFills)
+		}
+		if l, _ := height(as); l != 0 {
+			t.Errorf("sibling's root moved to level %d", l)
+		}
+		read(t, as, near, 1)
+		read(t, as, far, 0)
+		// Now the child writes under the shared old root: one clone, and
+		// the sibling still reads its own value.
+		write(t, child, near, 3)
+		if st := child.Stats(); st.NodeClones != 1 || st.CowCopies != 1 {
+			t.Errorf("write under the old root: %d node clones, %d CoW copies; want 1 and 1", st.NodeClones, st.CowCopies)
+		}
+		read(t, as, near, 1)
+		read(t, child, near, 3)
+		read(t, child, far, 2)
+		if fp := as.Footprint(); fp != (Footprint{PrivatePages: 1, PrivateNodes: 1}) {
+			t.Errorf("sibling footprint %+v; want one private page and node", fp)
+		}
+	})
 }
 
 // TestScriptedForkWriteRelease pins the page-level cost of a fixed
@@ -243,7 +378,8 @@ func TestFootprintAcrossLeaves(t *testing.T) {
 			}
 		}
 	}
-	const nodes = numLevels + 2 // one path plus two more leaves
+	// The three leaves sit under one level-1 root: a path is two nodes.
+	const nodes = 1 + 3
 	if fp, want := as.Footprint(), (Footprint{PrivatePages: 6, PrivateNodes: nodes}); fp != want {
 		t.Errorf("before Fork: %+v, want %+v", fp, want)
 	}
@@ -261,7 +397,7 @@ func TestFootprintAcrossLeaves(t *testing.T) {
 	}
 	// Each side now owns its path and its version of the written page; the
 	// page's leaf neighbour and the two other leaves are common.
-	want := Footprint{PrivatePages: 1, SharedPages: 5, PrivateNodes: numLevels, SharedNodes: 2}
+	want := Footprint{PrivatePages: 1, SharedPages: 5, PrivateNodes: 2, SharedNodes: 2}
 	if fp := child.Footprint(); fp != want {
 		t.Errorf("child after one write: %+v, want %+v", fp, want)
 	}
@@ -294,7 +430,8 @@ func BenchmarkForkWriteRelease(b *testing.B) {
 
 // BenchmarkRefaultPrivate is the other side of the geometry trade: a write
 // to a page the space already owns, first in its epoch, re-walks the whole
-// (private) path, so its cost grows with numLevels. It asserts nothing.
+// (private) path, so its cost grows with the table's height. It asserts
+// nothing.
 func BenchmarkRefaultPrivate(b *testing.B) {
 	as := benchReadSpace(b, 256, false)
 	defer as.Release()

@@ -300,6 +300,24 @@ func TestBrkCollision(t *testing.T) {
 	}
 }
 
+// A heap shrunk to nothing starts at its own end; growing it again must
+// not count the heap itself as the region it would collide with.
+func TestBrkRegrowsEmptyHeap(t *testing.T) {
+	as := newAS(t)
+	defer as.Release()
+	mustMap(t, as, 0x100000, PageSize, PermRW, "heap")
+	as.InitBrk(0x100000 + PageSize)
+	if _, err := as.Brk(0x100000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := as.Brk(0x100000 + 2*PageSize); err != nil {
+		t.Fatalf("regrowing an empty heap: %v", err)
+	}
+	if err := as.WriteU8(0x100000+PageSize, 1); err != nil {
+		t.Errorf("write to regrown heap: %v", err)
+	}
+}
+
 func TestForkIsolation(t *testing.T) {
 	as := newAS(t)
 	mustMap(t, as, 0x10000, 8*PageSize, PermRW, "data")

@@ -19,8 +19,11 @@ package mem
 // node takes one locked refcount increment per populated slot (and the same
 // decrements when the copy dies), so a first write under a 512-slot leaf
 // cost 512 locked RMWs before the 4 KiB page copy it was there to enable.
-// With 16-slot nodes the nine clones of a full path copy touch at most 144
-// slots and 1.3 KiB. The price is a deeper walk on a TLB miss (nine
+// With 16-slot nodes a path copy touches at most 16 slots per node, and the
+// table is only as tall as the mapped span needs (see pageTable): a space
+// whose pages fit in one 16-page leaf clones one node per first write, a
+// 64 MiB heap four, and only a space spanning the whole range all nine.
+// The price is a deeper walk on a TLB miss in a wide space (up to nine
 // dependent loads, not four). DESIGN.md "Radix geometry" has the sweep.
 const (
 	// PageShift is log2 of the page size.
@@ -56,7 +59,7 @@ func PageCeil(addr uint64) uint64 {
 func PageNumber(addr uint64) uint64 { return addr >> PageShift }
 
 // levelIndex returns the radix index of addr at the given level.
-// Level numLevels-1 is the root, level 0 holds PTEs.
+// Level 0 holds PTEs; a root sits at most at level numLevels-1.
 // hot_path: shift-and-mask arithmetic.
 // inline:
 func levelIndex(addr uint64, level int) int {

@@ -107,27 +107,51 @@ func cloneNode(fa *FrameAllocator, n *tableNode) *tableNode {
 	return c
 }
 
-// lookup walks the table for a read access and returns the frame backing
-// addr, or nil when the page has never been written (demand-zero).
-// hot_path: a pure numLevels-deep pointer chase; no allocation, no locks.
-func lookup(root *tableNode, addr uint64) *Frame {
+// spans reports whether a node at the given level whose first VPN is base
+// covers vpn. A level-L node covers levelSize^(L+1) pages; a vpn below base
+// wraps to a huge difference and fails the same test.
+// hot_path: a subtract, a shift and a compare.
+// inline:
+func spans(level int8, base, vpn uint64) bool {
+	return (vpn-base)>>(uint(level+1)*levelBits) == 0
+}
+
+// lookup walks the table rooted at root (covering VPNs from base) for a
+// read access and returns the frame backing addr, or nil when the page has
+// never been written (demand-zero) — which includes every page outside the
+// root's span.
+// hot_path: one span test, then a root.level-deep pointer chase; no
+// allocation, no locks.
+func lookup(root *tableNode, base, addr uint64) *Frame {
 	n := root
-	for level := numLevels - 1; level > 0; level-- {
-		if n == nil {
-			return nil
-		}
-		n = n.kid(levelIndex(addr, level))
-	}
 	if n == nil {
 		return nil
 	}
-	return n.pte(levelIndex(addr, 0))
+	// The spans test, written against the walk's shift: calling spans
+	// would put lookup over the inlining budget.
+	vpn := addr >> PageShift
+	shift := uint(n.level) * levelBits
+	if (vpn-base)>>shift >= levelSize {
+		return nil
+	}
+	for ; shift > 0; shift -= levelBits {
+		if n = n.kid(int(vpn >> shift & levelMask)); n == nil {
+			return nil
+		}
+	}
+	return n.pte(int(vpn & levelMask))
 }
 
 // pageTable wraps the mutable root pointer plus the bookkeeping the write
 // path needs. It is owned by exactly one AddressSpace.
+//
+// The table is only as tall as the mapped span needs: root sits at level
+// root.level and covers the levelSize^(root.level+1) pages from base. The
+// first write creates a level-0 root; a write outside the span grows the
+// table upward (see grow). The table never shrinks.
 type pageTable struct {
 	root  *tableNode
+	base  uint64 // first VPN root covers; meaningless while root is nil
 	alloc *FrameAllocator
 	// epoch is the space's current snapshot-epoch token, drawn from the
 	// process-wide counter so every (space, epoch) pair is globally unique.
@@ -149,28 +173,56 @@ func (pt *pageTable) unshare(n *tableNode, stats *Stats) *tableNode {
 	return c
 }
 
+// grow makes the root tall enough to cover vpn and returns it. Each new
+// parent is owned and takes over this table's reference to the old root in
+// the slot that covers it, so no retain is needed: a shared old root stays
+// shared and is cloned by the ordinary walk below it, if a write ever
+// reaches it. Growth ends at level numLevels-1 at the latest, whose span is
+// the whole address space (MaxVA is enforced before any write).
+// cheap: one fresh node per level added, at most numLevels-1 per space.
+func (pt *pageTable) grow(vpn uint64) *tableNode {
+	n := pt.root
+	for !spans(n.level, pt.base, vpn) {
+		p := pt.alloc.node(n.level + 1)
+		p.slots[(pt.base>>(uint(p.level)*levelBits))&levelMask] = unsafe.Pointer(n)
+		shift := uint(p.level+1) * levelBits
+		pt.base = pt.base >> shift << shift
+		n = p
+	}
+	pt.root = n
+	return n
+}
+
 // ownPath returns the exclusively-owned level-0 node covering addr,
 // path-copying every shared node from the root down. Missing nodes are
-// created when create is set; otherwise the walk stops at the first gap and
-// returns nil, leaving the nodes above it owned (harmless: they would have
-// been cloned by the next write under them anyway). A path this table
-// already owns — every write re-resolves it once per snapshot epoch — costs
-// one refcount load per level and no call.
+// created when create is set, growing the table if addr lies outside its
+// span; otherwise the walk returns nil outside the span or at the first
+// gap, leaving the nodes above a gap owned (harmless: they would have been
+// cloned by the next write under them anyway). A path this table already
+// owns — every write re-resolves it once per snapshot epoch — costs one
+// refcount load per level and no call. The leaf spans levelSize contiguous
+// pages, so run-length write paths resolve it once per span.
 // cheap: the CoW fault path; see unshare.
 func (pt *pageTable) ownPath(addr uint64, create bool, stats *Stats) *tableNode {
+	vpn := addr >> PageShift
 	n := pt.root
 	switch {
 	case n == nil:
 		if !create {
 			return nil
 		}
-		n = pt.alloc.node(numLevels - 1)
-		pt.root = n
+		n = pt.alloc.node(0)
+		pt.root, pt.base = n, vpn&^levelMask
+	case !spans(n.level, pt.base, vpn):
+		if !create {
+			return nil
+		}
+		n = pt.grow(vpn)
 	case n.ref.Load() != 1:
 		n = pt.unshare(n, stats)
 		pt.root = n
 	}
-	for level := numLevels - 1; level > 0; level-- {
+	for level := int(n.level); level > 0; level-- {
 		slot := &n.slots[levelIndex(addr, level)]
 		child := (*tableNode)(*slot)
 		switch {
@@ -189,18 +241,9 @@ func (pt *pageTable) ownPath(addr uint64, create bool, stats *Stats) *tableNode 
 	return n
 }
 
-// ensureLeaf returns the exclusively-owned level-0 node covering addr,
-// creating it if need be. The leaf spans levelSize contiguous pages, so
-// run-length write paths resolve it once per span instead of re-walking
-// from the root per page. stats is charged for node clones.
-// cheap: the CoW fault path; see unshare.
-func (pt *pageTable) ensureLeaf(addr uint64, stats *Stats) *tableNode {
-	return pt.ownPath(addr, true, stats)
-}
-
 // ensureFrame returns a privately-owned frame at slot idx of leaf,
 // materializing a demand-zero page or CoW-copying a shared one. leaf must
-// be exclusively owned (returned by ensureLeaf). stats is charged for
+// be exclusively owned (returned by ownPath). stats is charged for
 // zero fills and CoW copies.
 // cheap: the CoW fault path — the private page copy allocates by design,
 // once per shared page per epoch.
@@ -240,7 +283,7 @@ func (pt *pageTable) ensureFrame(leaf *tableNode, idx int, stats *Stats) (*Frame
 // stats is charged for clones, zero fills and CoW copies.
 // cheap: composition of the two CoW fault helpers.
 func (pt *pageTable) ensureWritable(addr uint64, stats *Stats) (*Frame, error) {
-	f, err := pt.ensureFrame(pt.ensureLeaf(addr, stats), levelIndex(addr, 0), stats)
+	f, err := pt.ensureFrame(pt.ownPath(addr, true, stats), levelIndex(addr, 0), stats)
 	if err != nil {
 		return nil, writeFaultAt(err, addr)
 	}
@@ -271,8 +314,9 @@ func (pt *pageTable) clearPage(addr uint64, stats *Stats) {
 	}
 }
 
-// forEachPage invokes fn for every resident page, in ascending VPN order.
-func forEachPage(root *tableNode, fn func(vpn uint64, f *Frame)) {
+// forEachPage invokes fn for every resident page of the table rooted at
+// root (covering VPNs from base), in ascending VPN order.
+func forEachPage(root *tableNode, base uint64, fn func(vpn uint64, f *Frame)) {
 	var walk func(n *tableNode, base uint64)
 	walk = func(n *tableNode, base uint64) {
 		if n.level == 0 {
@@ -291,7 +335,7 @@ func forEachPage(root *tableNode, fn func(vpn uint64, f *Frame)) {
 		}
 	}
 	if root != nil {
-		walk(root, 0)
+		walk(root, base)
 	}
 }
 

@@ -84,7 +84,7 @@ func (as *AddressSpace) readSealed(p []byte, addr uint64, access Access) error {
 	for len(p) > 0 {
 		off := int(addr & PageMask)
 		k := min(PageSize-off, len(p))
-		f := lookup(as.pt.root, addr)
+		f := lookup(as.pt.root, as.pt.base, addr)
 		if access == AccessRead {
 			as.sealedFill(addr>>PageShift, f)
 		}

@@ -1,12 +1,15 @@
 package mem
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // The software TLB: two small direct-mapped caches per address space that
 // short-circuit the hot path of the whole system. The paper's cost model
 // makes snapshot capture/restore O(1) and pushes all sharing cost onto the
-// write path, so the per-access work — VMA permission check, numLevels-deep
-// radix walk, atomic refcount loads — is what every guest load and store pays.
+// write path, so the per-access work — VMA permission check, radix walk,
+// atomic refcount loads — is what every guest load and store pays.
 // The TLB caches the *result* of that work per virtual page:
 //
 //   - a read entry (vpn → frame) asserts the page is mapped with PermRead
@@ -33,7 +36,7 @@ import "sync"
 // A sealed snapshot space (Seal) is read concurrently by workers restoring
 // it (State.Restore forks it from many goroutines at once), so sealing
 // disables this single-owner TLB entirely; sealed reads instead go through
-// a separate lock-free read-only cache (see sealedTLB in addrspace.go).
+// a separate lock-free read-only cache (see sealedTLB in sealedtlb.go).
 //
 // The entry arrays live behind a pointer so that ForkInto — the O(1)
 // snapshot primitive the paper's latency claims rest on — pays nothing for
@@ -70,7 +73,12 @@ const (
 // an O(1) epoch bump instead of a flush. A stale entry's frame pointer is
 // never dereferenced (the epoch check fails first), so entries need no
 // eager invalidation when the frame is later CoW-replaced or released.
+//
+// used has bit i set once slot i of either cache has been filled, so flush
+// clears only those slots: a step that faults in one or two pages hands its
+// block back at the cost of those slots, not of the whole 2.5 KiB block.
 type tlbEntries struct {
+	used   uint64
 	rtag   [tlbSize]uint64
 	rframe [tlbSize]*Frame
 	wtag   [tlbSize]uint64
@@ -82,8 +90,8 @@ type tlbEntries struct {
 // short-lived address space per extension step — into the same struct each
 // time, but a space's block goes back at Release so that flushing stays one
 // code path — and allocating a block per step showed up as GC pressure in
-// engine profiles. Blocks are zeroed before Put, so Get always returns an
-// all-invalid block.
+// engine profiles. flush clears every filled slot before Put, so Get always
+// returns an all-invalid block.
 var tlbEntriesPool = sync.Pool{New: func() any { return new(tlbEntries) }}
 
 // readFrame probes the read cache. On a hit it charges the hit and returns
@@ -141,6 +149,7 @@ func (t *tlb) fillRead(vpn uint64, f *Frame) {
 	t.misses++
 	e := t.entries()
 	i := vpn & tlbMask
+	e.used |= 1 << i
 	e.rtag[i] = vpn + 1
 	e.rframe[i] = f
 }
@@ -157,6 +166,7 @@ func (t *tlb) fillWrite(vpn uint64, f *Frame, epoch uint64) {
 	t.misses++
 	e := t.entries()
 	i := vpn & tlbMask
+	e.used |= 1 << i
 	e.wtag[i] = vpn + 1
 	e.wepoch[i] = epoch
 	e.wframe[i] = f
@@ -182,13 +192,22 @@ func (t *tlb) refreshRead(vpn uint64, f *Frame) {
 
 // flush drops every entry (mapping/permission change or release) and
 // returns the block to the pool: flush points are cold, and a released
-// space should not pin its block.
-// cheap: a nil check for a space that never filled an entry; otherwise one
-// block clear and a pool put.
+// space should not pin its block. Only the slots in the used mask are
+// cleared; every other slot is still zero from the pool, so the next
+// owner sees an all-invalid block either way.
+// cheap: a nil check for a space that never filled an entry; otherwise
+// one clear per filled slot and a pool put.
 func (t *tlb) flush() {
-	if e := t.e; e != nil {
-		*e = tlbEntries{} // the next owner must see an all-invalid block
-		tlbEntriesPool.Put(e)
-		t.e = nil
+	e := t.e
+	if e == nil {
+		return
 	}
+	for m := e.used; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
+		e.rtag[i], e.rframe[i] = 0, nil
+		e.wtag[i], e.wepoch[i], e.wframe[i] = 0, 0, nil
+	}
+	e.used = 0
+	tlbEntriesPool.Put(e)
+	t.e = nil
 }

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -529,5 +530,37 @@ func TestTLBWriteLocality(t *testing.T) {
 		}
 		on.Release()
 		off.Release()
+	}
+}
+
+// TestTLBFlushReturnsAllInvalidBlock checks the pool invariant flush keeps
+// while clearing only the slots in the used mask: after any mix of
+// fillRead, fillWrite and refreshRead, the block it hands back equals the
+// zero block.
+func TestTLBFlushReturnsAllInvalidBlock(t *testing.T) {
+	frames := []*Frame{nil, new(Frame), new(Frame)}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		var tl tlb
+		for op := rng.Intn(2 * tlbSize); op >= 0; op-- {
+			vpn := uint64(rng.Intn(4 * tlbSize))
+			f := frames[rng.Intn(len(frames))]
+			switch rng.Intn(3) {
+			case 0:
+				tl.fillRead(vpn, f)
+			case 1:
+				tl.fillWrite(vpn, f, uint64(rng.Intn(3)+1))
+			default:
+				tl.refreshRead(vpn, f)
+			}
+		}
+		e := tl.e
+		tl.flush()
+		if tl.e != nil {
+			t.Fatalf("trial %d: flush kept its block", trial)
+		}
+		if e != nil && *e != (tlbEntries{}) {
+			t.Fatalf("trial %d: flush handed back a block with live slots (used %#x)", trial, e.used)
+		}
 	}
 }
