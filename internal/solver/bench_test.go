@@ -1,14 +1,44 @@
 package solver
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // The three O(problem) stages of a service extend, on the svc-bigbase base
 // state (500 variables, ~1 520 clauses). They assert nothing.
 
 var benchSink int
 
+// bigBaseChildren returns two children of the svc-bigbase base state as
+// the service parks them: the base loaded, one clause added, solved and
+// marshalled. Each clause is the next of a fixed random sequence whose
+// search learns, so each child holds learnt clauses of its own after its
+// new clause.
+func bigBaseChildren(tb testing.TB) [2][]byte {
+	state, _ := bigBaseState(tb)
+	rng := rand.New(rand.NewSource(1))
+	s := New(0)
+	var children [2][]byte
+	for k := 0; k < len(children); {
+		if err := s.Load(state); err != nil {
+			tb.Fatal(err)
+		}
+		if err := s.AddClause(randomClause(rng, 500, 3)...); err != nil {
+			tb.Fatal(err)
+		}
+		if s.Solve(0); s.NumLearnts() > 0 {
+			children[k] = s.Marshal()
+			k++
+		}
+	}
+	return children
+}
+
 // BenchmarkUnmarshalBig loads the state into a new solver (fresh) and into
-// the arrays of the solver loaded before (recycled, the service's path).
+// the arrays of the solver loaded before: the same state again (recycled),
+// and two children of it in turn (siblings, the service's path on
+// svc-bigbase, where a Load decodes only the clauses the last one lacked).
 func BenchmarkUnmarshalBig(b *testing.B) {
 	state, _ := bigBaseState(b)
 	b.Run("fresh", func(b *testing.B) {
@@ -28,6 +58,18 @@ func BenchmarkUnmarshalBig(b *testing.B) {
 		b.SetBytes(int64(len(state)))
 		for i := 0; i < b.N; i++ {
 			if err := s.Load(state); err != nil {
+				b.Fatal(err)
+			}
+			benchSink += s.NumClauses()
+		}
+	})
+	children := bigBaseChildren(b)
+	b.Run("siblings", func(b *testing.B) {
+		s := New(0)
+		b.ReportAllocs()
+		b.SetBytes(int64(len(children[0])))
+		for i := 0; i < b.N; i++ {
+			if err := s.Load(children[i%2]); err != nil {
 				b.Fatal(err)
 			}
 			benchSink += s.NumClauses()

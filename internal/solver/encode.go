@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -158,16 +159,23 @@ const footerWords = 6
 // alone, so a clause outside the canonical form means the bytes are not a
 // state, and a solver quietly built from them could answer for a different
 // problem.
+//
+// The new solver keeps no copy of what it decoded: that copy pays only
+// when the same solver Loads a related state next (see Load).
 func Unmarshal(data []byte) (*Solver, error) {
-	s := &Solver{}
-	if err := s.Load(data); err != nil {
+	// new, not &Solver{}: it keeps Unmarshal within the inlining budget, so
+	// a caller that keeps the solver local keeps it on its stack.
+	s := new(Solver)
+	if err := s.load(data, false); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
 // Reset returns s to the state of New(0) but keeps its arrays, so the next
-// problem it holds allocates only what outgrows them.
+// problem it holds allocates only what outgrows them. It also keeps the
+// last Load's decoded clauses: they are not solver state, only what lets
+// the next Load skip the clauses it shares with them.
 func (s *Solver) Reset() {
 	*s = Solver{
 		ok: true, varInc: 1,
@@ -175,6 +183,7 @@ func (s *Solver) Reset() {
 		assign: s.assign[:0], level: s.level[:0], reason: s.reason[:0], phase: s.phase[:0],
 		activity: s.activity[:0], heap: s.heap[:0], heapPos: s.heapPos[:0],
 		trail: s.trail[:0], trailLim: s.trailLim[:0], seen: s.seen[:0], scratch: s.scratch[:0],
+		memoRaw: s.memoRaw, memoArena: s.memoArena, memoMaxVar: s.memoMaxVar,
 	}
 }
 
@@ -182,7 +191,28 @@ func (s *Solver) Reset() {
 // rebuilt from data inside the arrays it already owns. The result behaves
 // exactly as Unmarshal's. After an error s holds no usable problem. After
 // success s remembers which slice it read, for MarshalOnto.
-func (s *Solver) Load(data []byte) error {
+//
+// Load also keeps the clause section it decoded and the arena words it
+// decoded them to. The next Load decodes only from the first clause whose
+// bytes differ from those; the clauses before it are copied from the kept
+// words. That is what a sibling of the last state costs: the clauses its
+// parent added, not the whole base. The copy is exact. A clause's decode
+// depends on its bytes, which are compared; on where it starts, which is
+// the same because everything before it is the same; on the words left
+// after it, which it fits because it lies inside the compared prefix; and
+// on nVars, through the literal range check and the length check. The
+// copy is made only when the nVars the kept words were decoded under,
+// which bounds every variable they name, is at most the new one. That
+// passes both checks: a clause names each variable once, so it has no more
+// literals than its largest variable. The copy also stops at the footer's
+// clause count. So each copied clause decodes, and raises no error,
+// exactly as a full decode would make it, and an error is raised by the
+// same clause, with the same text.
+func (s *Solver) Load(data []byte) error { return s.load(data, true) }
+
+// load is Load; keep says whether to keep the decoded clauses for the next
+// one.
+func (s *Solver) load(data []byte, keep bool) error {
 	s.Reset()
 	if len(data) < footerWords*8 || len(data)%8 != 0 {
 		return fmt.Errorf("solver: truncated state (%d bytes)", len(data))
@@ -218,8 +248,24 @@ func (s *Solver) Load(data []byte) error {
 	counts := s.watchCount
 	// A clause names each variable at most once, so it fits nv literals.
 	s.scratch = slices.Grow(s.scratch[:0], int(nv))
-	at := 0
-	for i := 0; i < s.nClauses; i++ {
+	// Copy the whole clauses inside the prefix this clause section shares
+	// with the last decoded one, and decode from the first clause after.
+	at, i := 0, 0
+	if s.memoMaxVar <= int(nv) {
+		same := sharedWords(s.memoRaw, data[:8*clauseWords])
+		for ; i < s.nClauses && at < same; i++ {
+			n := int(s.memoArena[at] >> 1)
+			if at+1+n > same {
+				break
+			}
+			counts[s.memoArena[at+1].neg()]++
+			counts[s.memoArena[at+2].neg()]++
+			at += 1 + n
+		}
+		copy(s.arena, s.memoArena[:at])
+	}
+	from := at
+	for ; i < s.nClauses; i++ {
 		ln := word(at) // at worst a footer word: at never passes clauseWords
 		if rest := clauseWords - at - 1; ln < 2 || rest < 2 || ln > uint64(rest) {
 			return fmt.Errorf("solver: clause %d has length %d with %d words left", i, ln, rest)
@@ -272,6 +318,14 @@ func (s *Solver) Load(data []byte) error {
 	// silently missing constraints could answer sat for an unsat problem.
 	if at != clauseWords {
 		return fmt.Errorf("solver: %d state bytes unaccounted for by footer counts", 8*(clauseWords-at))
+	}
+	if keep {
+		// Before attach and the facts: propagation swaps watched literals.
+		// nv bounds the clauses just decoded and, by the check above, the
+		// ones copied.
+		s.memoRaw = append(s.memoRaw[:8*from], data[8*from:8*clauseWords]...)
+		s.memoArena = append(s.memoArena[:from], s.arena[from:clauseWords]...)
+		s.memoMaxVar = int(nv)
 	}
 
 	// Watch lists: one array (kept across Loads) cut to each literal's count
@@ -326,3 +380,17 @@ func (s *Solver) Load(data []byte) error {
 
 // watchCap is the capacity a loaded watch list of n entries starts with.
 func watchCap(n int32) int { return int(n) + int(n)/2 + 4 }
+
+// sharedWords is the number of leading 8-byte words a and b have in common,
+// compared 4 KiB at a time and then word by word.
+func sharedWords(a, b []byte) int {
+	n := min(len(a), len(b)) &^ 7
+	i := 0
+	for i+4096 <= n && bytes.Equal(a[i:i+4096], b[i:i+4096]) {
+		i += 4096
+	}
+	for i < n && binary.LittleEndian.Uint64(a[i:]) == binary.LittleEndian.Uint64(b[i:]) {
+		i += 8
+	}
+	return i / 8
+}

@@ -3,6 +3,8 @@ package solver
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -209,6 +211,164 @@ func TestCodecAllocations(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Load + AddClause + MarshalOnto the loaded buffer allocates %v times, want 0", n)
 	}
+}
+
+// loadLikeUnmarshal Loads data into s and holds the result to a fresh
+// Unmarshal of the same bytes: the same error text or, on success, the same
+// arena and watch lists, the same Marshal bytes, and after Solve(2000) the
+// same verdict, model and bytes. It returns the Load's error.
+func loadLikeUnmarshal(t *testing.T, s *Solver, data []byte) error {
+	t.Helper()
+	err := s.Load(data)
+	fresh, freshErr := Unmarshal(data)
+	if fmt.Sprint(err) != fmt.Sprint(freshErr) {
+		t.Fatalf("Load says %v, Unmarshal %v", err, freshErr)
+	}
+	if err != nil {
+		return err
+	}
+	if !slices.Equal(s.arena, fresh.arena) || !slices.EqualFunc(s.watches, fresh.watches, slices.Equal[[]watch]) {
+		t.Fatal("Load and Unmarshal order the clauses' literals or the watch lists differently")
+	}
+	if !bytes.Equal(s.Marshal(), fresh.Marshal()) {
+		t.Fatal("Load and Unmarshal marshal differently")
+	}
+	v, freshV := s.Solve(2000), fresh.Solve(2000)
+	if v != freshV || (v == Sat && !slices.Equal(s.Model(), fresh.Model())) {
+		t.Fatalf("Load solves to %v, Unmarshal to %v (or the models differ)", v, freshV)
+	}
+	if !bytes.Equal(s.Marshal(), fresh.Marshal()) {
+		t.Fatal("Load and Unmarshal marshal differently after solving")
+	}
+	return nil
+}
+
+// TestLoadReusesOnlyWhatItChecked: Load copies the clauses a state shares
+// with the last one it decoded, and must still answer exactly as a fresh
+// Unmarshal: when the new footer has fewer variables than the copied
+// clauses name or counts fewer clauses than the shared bytes hold, when one
+// word inside the shared clauses changed, after a failed Load, and across a
+// family of states whose level-0 facts swap watched literals inside the
+// shared clauses.
+func TestLoadReusesOnlyWhatItChecked(t *testing.T) {
+	t.Run("fewer variables", func(t *testing.T) {
+		s := New(0)
+		// The second state keeps the first clause and changes the second, so
+		// the bound must still cover the clause it kept.
+		for _, data := range [][]byte{
+			rawState(600, []int{1, 550}, []int{2, 3}),
+			rawState(600, []int{1, 550}, []int{2, 4}),
+		} {
+			if err := loadLikeUnmarshal(t, s, data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if loadLikeUnmarshal(t, s, rawState(500, []int{1, 550}, []int{2, 3})) == nil {
+			t.Fatal("a literal beyond nVars accepted")
+		}
+	})
+	t.Run("fewer clauses", func(t *testing.T) {
+		s := New(0)
+		data := rawState(3, []int{1, 2}, []int{2, 3})
+		if err := loadLikeUnmarshal(t, s, data); err != nil {
+			t.Fatal(err)
+		}
+		data = slices.Clone(data)
+		binary.LittleEndian.PutUint64(data[len(data)-footerWords*8:], 1) // nClauses
+		if loadLikeUnmarshal(t, s, data) == nil {
+			t.Fatal("a clause the footer does not count accepted")
+		}
+	})
+
+	state, _ := bigBaseState(t)
+	// corrupt is state with the last literal of clause k set equal to the
+	// one before it, in the middle of the prefix state shares with itself.
+	corrupt := func(k int) []byte {
+		d := slices.Clone(state)
+		at := 0
+		for ; k > 0; k-- {
+			at += 1 + int(binary.LittleEndian.Uint64(d[8*at:]))
+		}
+		n := int(binary.LittleEndian.Uint64(d[8*at:]))
+		copy(d[8*(at+n):], d[8*(at+n-1):8*(at+n)])
+		return d
+	}
+	t.Run("changed literal", func(t *testing.T) {
+		s := New(0)
+		if err := loadLikeUnmarshal(t, s, state); err != nil {
+			t.Fatal(err)
+		}
+		err := loadLikeUnmarshal(t, s, corrupt(760))
+		if want := "solver: clause 760 is not strictly ascending"; fmt.Sprint(err) != want {
+			t.Fatalf("Load says %v, want %q", err, want)
+		}
+	})
+
+	// A family: a parent whose level-0 facts propagate through its clauses,
+	// two children of it, and a state unrelated to all three.
+	solved := func(s *Solver, clauses ...[]int) []byte {
+		for _, cl := range clauses {
+			if err := s.AddClause(cl...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Solve(0)
+		return s.Marshal()
+	}
+	p := New(60)
+	solved(p, Random3SAT(60, 240, 31)...)
+	model := p.Model()
+	var units [][]int
+	for v := 1; v <= 6; v++ {
+		if model[v] {
+			units = append(units, []int{v})
+		} else {
+			units = append(units, []int{-v})
+		}
+	}
+	parent := solved(p, units...)
+	child := func(clause ...int) []byte {
+		s, err := Unmarshal(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return solved(s, clause)
+	}
+	sibling1, sibling2 := child(7, -20, 33), child(-8, 21, -34)
+	unrelated := solved(New(40), Random3SAT(40, 150, 32)...)
+	if nFacts := binary.LittleEndian.Uint64(parent[len(parent)-4*8:]); nFacts < 6 {
+		t.Fatalf("the parent holds %d level-0 facts, want at least 6", nFacts)
+	}
+
+	t.Run("after a failed load", func(t *testing.T) {
+		s := New(0)
+		if err := loadLikeUnmarshal(t, s, state); err != nil {
+			t.Fatal(err)
+		}
+		if loadLikeUnmarshal(t, s, corrupt(760)) == nil {
+			t.Fatal("corrupt clause accepted")
+		}
+		if err := loadLikeUnmarshal(t, s, state); err != nil {
+			t.Fatal(err)
+		}
+		// A Load whose clauses decode but whose first fact is out of range.
+		badFact := slices.Clone(parent)
+		words := len(badFact)/8 - footerWords
+		nv, nFacts := binary.LittleEndian.Uint64(badFact[8*(words+3):]), binary.LittleEndian.Uint64(badFact[8*(words+2):])
+		binary.LittleEndian.PutUint64(badFact[8*(words-int(nv)-int(nFacts)):], nv+1)
+		for _, data := range [][]byte{sibling1, badFact, sibling2, badFact, state} {
+			loadLikeUnmarshal(t, s, data)
+		}
+	})
+
+	t.Run("family in turn", func(t *testing.T) {
+		s := New(0)
+		for i, data := range [][]byte{sibling1, parent, sibling2, unrelated, sibling1, sibling2, parent, state, sibling1} {
+			if err := loadLikeUnmarshal(t, s, data); err != nil {
+				t.Fatalf("load %d: %v", i, err)
+			}
+		}
+	})
 }
 
 // TestResetAndLoadReuse: a solver that has been used — solved, failed a

@@ -71,10 +71,14 @@ func rawState(nVars int, clauses ...[]int) []byte {
 //     it replaced: whatever Unmarshal accepts the reference accepts, and
 //     the two solvers marshal to the same bytes and solve to the same
 //     verdict and model; what only the reference accepts breaks a named
-//     rule of the canonical clause form (or the VarLimit bound).
+//     rule of the canonical clause form (or the VarLimit bound);
+//   - a solver whose last Load was any one of the seed states Loads the
+//     input exactly as Unmarshal does (see loadLikeUnmarshal), so the
+//     clauses it copies from that Load instead of decoding change nothing.
 func FuzzSolverUnmarshal(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(New(0).Marshal())
+	// The states Marshal wrote seed the corpus and, in turn, the last Load
+	// of the recycled solver.
+	memos := [][]byte{New(0).Marshal()}
 
 	s := New(4)
 	for _, cl := range [][]int{{1, 2}, {-1, 3}, {-2, -3, 4}, {2, -4}} {
@@ -85,7 +89,7 @@ func FuzzSolverUnmarshal(f *testing.F) {
 	if got := s.Solve(0); got != Sat {
 		f.Fatalf("seed solve = %v", got)
 	}
-	f.Add(s.Marshal())
+	memos = append(memos, s.Marshal())
 
 	// A solved random instance with learned clauses and saved phases.
 	r := New(30)
@@ -95,14 +99,19 @@ func FuzzSolverUnmarshal(f *testing.F) {
 		}
 	}
 	r.Solve(0)
-	f.Add(r.Marshal())
+	memos = append(memos, r.Marshal())
 
 	// An unsat instance (ok flag exercised).
 	u := New(1)
 	u.AddClause(1)
 	u.AddClause(-1)
 	u.Solve(0)
-	f.Add(u.Marshal())
+	memos = append(memos, u.Marshal())
+
+	f.Add([]byte{})
+	for _, m := range memos {
+		f.Add(m)
+	}
 
 	// What the reference normalises and the loader refuses.
 	f.Add(rawState(3, []int{1, 2}, []int{3}))       // a len-1 clause
@@ -111,6 +120,14 @@ func FuzzSolverUnmarshal(f *testing.F) {
 	f.Add(rawState(3, []int{-2, 1, 2}))             // a tautology
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		recycled := New(0)
+		for _, m := range memos {
+			if err := recycled.Load(m); err != nil {
+				t.Fatal(err)
+			}
+			loadLikeUnmarshal(t, recycled, data)
+		}
+
 		s, err := Unmarshal(data)
 		ref, refErr := unmarshalReference(data)
 		if err != nil {

@@ -138,6 +138,17 @@ type Solver struct {
 	loadedLen   int
 	loadedWords int
 
+	// memoRaw is the clause section of the last Load whose clauses all
+	// decoded, memoArena the arena words they decoded to (taken before any
+	// propagation swapped a watched literal), memoMaxVar the nVars they were
+	// decoded under, a bound on every variable memoArena names. The next
+	// Load copies the clauses whose bytes are unchanged instead of decoding
+	// them again. They are a cache, not solver state: Reset keeps them, and
+	// Unmarshal never fills them.
+	memoRaw    []byte
+	memoArena  []lit
+	memoMaxVar int
+
 	Stats Stats
 }
 
