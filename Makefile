@@ -2,10 +2,16 @@
 # .github/workflows/ci.yml) so a green `make check` locally predicts a
 # green pipeline.
 
-.PHONY: build test race lint escape-baseline bench-check loc check
+.PHONY: build vet test race lint escape-baseline bench-check loc check
 
 build:
 	go build ./...
+
+# vet is CI's formatting and vet step: gofmt must list no file, and go vet
+# must pass (its copylocks check is what rejects a copied AddressSpace).
+vet:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	go vet ./...
 
 test:
 	go test ./...
@@ -47,4 +53,4 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -rn
 
-check: build lint test race bench-check
+check: build vet lint test race bench-check

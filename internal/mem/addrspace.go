@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -29,22 +30,22 @@ func (v VMA) contains(addr uint64) bool { return addr >= v.Start && addr < v.End
 //
 // An AddressSpace is owned by a single goroutine — reads fill the TLB, so
 // even read-only use mutates internal state. The exceptions are a sealed
-// space (Seal), whose reads go through a lock-free shared cache and which
-// may therefore be read and forked from many goroutines at once, and the
-// *shared* structures underneath (frames, table nodes), whose atomic
-// refcounts let address spaces forked from a common snapshot run on
-// different goroutines concurrently.
+// space (Seal), whose TLB is off so that a read walks the radix and writes
+// nothing, and which may therefore be read and forked from many goroutines
+// at once, and the *shared* structures underneath (frames, table nodes),
+// whose atomic refcounts let address spaces forked from a common snapshot
+// run on different goroutines concurrently.
 type AddressSpace struct {
+	// A copy would hold the page table without a retain, and releasing both
+	// frees it twice; the lock makes go vet's copylocks check reject one. It
+	// is the first field because a trailing zero-size field is padded.
+	_   [0]sync.Mutex
 	pt  pageTable
 	tlb tlb
 	// sealed marks a settled snapshot view: the space is shared across
-	// goroutines, must never be written, and serves reads through stlb.
-	// Set once by Seal before the space is published; never cleared.
+	// goroutines, must never be written, and its TLB is off. Set once by
+	// Seal before the space is published; never cleared.
 	sealed bool
-	// stlb is the sealed-read cache, allocated lazily on the first sealed
-	// read miss. It is its own structure (not the single-owner tlb) because
-	// concurrent restorers and inspectors fill it racily; see sealedTLB.
-	stlb atomic.Pointer[sealedTLB]
 	// vmas is sorted by Start and non-overlapping. The backing array is
 	// immutable once assigned: forks share it (ForkInto copies the slice
 	// header, not the regions), so every edit — Map, Unmap, Protect, Brk —
@@ -73,34 +74,16 @@ func NewAddressSpace(alloc *FrameAllocator) *AddressSpace {
 func (as *AddressSpace) Alloc() *FrameAllocator { return as.pt.alloc }
 
 // Stats returns the event counters accumulated by this space, folding in
-// the TLB hit/miss counters kept alongside the TLB entries and, for a
-// sealed space, the shared read-cache counters.
+// the TLB hit/miss counters kept alongside the TLB entries.
 func (as *AddressSpace) Stats() Stats {
 	s := as.stats
 	s.TLBHits = as.tlb.hits
 	s.TLBMisses = as.tlb.misses
-	if st := as.stlb.Load(); st != nil {
-		s.TLBHits += st.hits.Load()
-		s.TLBMisses += st.misses.Load()
-	}
 	return s
-}
-
-// ResetStats zeroes the event counters (benchmark plumbing).
-func (as *AddressSpace) ResetStats() {
-	as.stats = Stats{}
-	as.tlb.hits, as.tlb.misses = 0, 0
-	if st := as.stlb.Load(); st != nil {
-		st.hits.Store(0)
-		st.misses.Store(0)
-	}
 }
 
 // Epoch returns the space's current snapshot-epoch token.
 func (as *AddressSpace) Epoch() uint64 { return as.pt.epoch }
-
-// Sealed reports whether Seal has been called on this space.
-func (as *AddressSpace) Sealed() bool { return as.sealed }
 
 // AdvanceEpoch starts a new snapshot epoch and returns its token. Every
 // write-TLB entry filled under the previous epoch goes stale in O(1) (the
@@ -124,13 +107,11 @@ func (as *AddressSpace) AdvanceEpoch() uint64 {
 }
 
 // Seal marks the space as a settled snapshot view that may be shared
-// across goroutines: the single-owner TLB is flushed and disabled, writes
-// fault, and subsequent reads are served (and cached) through a lock-free
-// read-only cache, so concurrent Restore forks and inspectors neither
-// mutate unsynchronized state nor pay a radix walk per read. Capture paths
-// call this on the fork they publish; it replaces the old Freeze protocol,
-// which disabled caching entirely and made every shared-state read a full
-// table walk.
+// across goroutines: the TLB is flushed and switched off, and writes
+// fault. A read of a sealed space is then a VMA check and a radix walk
+// that fills nothing and counts nothing, so concurrent Restore forks and
+// inspectors write no line they share. Capture paths call this on the fork
+// they publish.
 //
 // sharing_boundary: the space becomes shared across goroutines.
 // flushes_tlb
@@ -138,6 +119,14 @@ func (as *AddressSpace) Seal() {
 	as.tlb.off = true
 	as.tlb.flush()
 	as.sealed = true
+}
+
+// sealedWriteFault is the fault every write path raises on a sealed space:
+// the view is shared read-only by contract, exactly like a page whose VMA
+// grants no write permission.
+// cheap: constructs the fault; writes to sealed views are off the hot path.
+func sealedWriteFault(addr uint64) error {
+	return &Fault{Kind: FaultProtection, Addr: addr, Access: AccessWrite}
 }
 
 // SetTLBEnabled toggles the software TLB (benchmark plumbing: the disabled
@@ -419,9 +408,6 @@ func (as *AddressSpace) read(p []byte, addr uint64, access Access) error {
 	if n == 0 {
 		return nil
 	}
-	if as.sealed {
-		return as.readSealed(p, addr, access)
-	}
 	// TLB fast path: a single-page read whose page is cached needs no VMA
 	// check (the entry asserts PermRead) and no radix walk.
 	if access == AccessRead {
@@ -506,7 +492,9 @@ func (as *AddressSpace) WriteForce(p []byte, addr uint64) error {
 // validated, and each page needs a privately-owned frame. The enclosing
 // leaf node is resolved once per levelSize-page span (run-length), so large
 // writes pay one radix walk per span plus one refcount check per page
-// instead of a full walk per page.
+// instead of a full walk per page. A forced write skips the TLB probe so
+// it charges no hit: on a page it already owns this epoch, ownPath clones
+// nothing and ensureFrame restamps the same epoch.
 // cheap: the store slow path — CoW materialization allocates by design.
 func (as *AddressSpace) writePages(p []byte, addr uint64, force bool) error {
 	if as.sealed {
@@ -520,14 +508,8 @@ func (as *AddressSpace) writePages(p []byte, addr uint64, force bool) error {
 		n := min(PageSize-off, len(p))
 		vpn := addr >> PageShift
 		var f *Frame
-		if force {
-			// Peek without charging guest hit accounting; the epoch must
-			// match just like a guest probe, or the frame may be shared.
-			if e := as.tlb.e; e != nil && e.wtag[vpn&tlbMask] == vpn+1 && e.wepoch[vpn&tlbMask] == epoch {
-				f = e.wframe[vpn&tlbMask]
-			}
-		} else if hit, ok := as.tlb.writeFrame(vpn, epoch); ok {
-			f = hit
+		if !force {
+			f, _ = as.tlb.writeFrame(vpn, epoch)
 		}
 		if f == nil {
 			if base := vpn >> levelBits; leaf == nil || base != leafBase {
@@ -559,21 +541,6 @@ func (as *AddressSpace) writePages(p []byte, addr uint64, force bool) error {
 func (as *AddressSpace) ReadU64(addr uint64) (uint64, error) {
 	if addr&7 == 0 {
 		vpn := addr >> PageShift
-		if as.sealed {
-			f, ok := as.sealedProbe(vpn)
-			if !ok {
-				if err := as.check(addr, 8, AccessRead); err != nil {
-					return 0, err
-				}
-				f = lookup(as.pt.root, as.pt.base, addr)
-				as.sealedFill(vpn, f)
-			}
-			if f == nil {
-				return 0, nil
-			}
-			off := addr & PageMask
-			return binary.LittleEndian.Uint64(f.Data[off : off+8]), nil
-		}
 		if f, ok := as.tlb.readFrame(vpn); ok {
 			if f == nil {
 				return 0, nil
@@ -709,8 +676,8 @@ func (as *AddressSpace) ForkInto(dst *AddressSpace) *AddressSpace {
 		retainNode(as.pt.root)
 	}
 	dst.pt = pageTable{root: as.pt.root, base: as.pt.base, alloc: as.pt.alloc, epoch: nextEpoch()}
-	// Release left the entry block with the pool and the sealed cache nil;
-	// what is left to reset is what a previous life may have set.
+	// Release left the entry block with the pool; what is left to reset is
+	// what a previous life may have set.
 	dst.tlb.off, dst.tlb.hits, dst.tlb.misses = false, 0, 0
 	dst.sealed = false
 	dst.vmas = as.vmas
@@ -733,9 +700,6 @@ func (as *AddressSpace) Release() {
 	}
 	as.vmas = nil
 	as.tlb.flush() // cached frames were just released
-	if as.sealed {
-		as.stlb.Store(nil) // likewise the sealed read cache
-	}
 }
 
 // Footprint walks the page table and reports residency and sharing.

@@ -44,7 +44,7 @@ func TestForkIntoResetsDestination(t *testing.T) {
 	}
 	dst.SetTLBEnabled(false)
 	dst.Seal()
-	if _, err := dst.ReadU64(0x10008); err != nil { // sealed read cache
+	if _, err := dst.ReadU64(0x10008); err != nil { // a sealed read
 		t.Fatal(err)
 	}
 	dst.Release()
@@ -56,7 +56,7 @@ func TestForkIntoResetsDestination(t *testing.T) {
 	if got != dst {
 		t.Fatal("ForkInto returned a different struct")
 	}
-	if got.Sealed() {
+	if got.sealed {
 		t.Error("destination still sealed")
 	}
 	if s := got.Stats(); s != (Stats{}) {
@@ -327,4 +327,25 @@ func TestOOMFaultNamesTheStore(t *testing.T) {
 			t.Errorf("%s: %d frames live", name, alloc.Live())
 		}
 	}
+}
+
+// TestAddressSpaceIsNotCopyable: a copied AddressSpace would hold the page
+// table without a retain, so releasing both would free it twice. go vet's
+// copylocks check rejects such a copy as long as some field, or the element
+// of an array field, is a type whose pointer has Lock and Unlock.
+func TestAddressSpaceIsNotCopyable(t *testing.T) {
+	typ := reflect.TypeOf((*AddressSpace)(nil)).Elem()
+	for i := 0; i < typ.NumField(); i++ {
+		ft := typ.Field(i).Type
+		for ft.Kind() == reflect.Array {
+			ft = ft.Elem()
+		}
+		p := reflect.PointerTo(ft)
+		_, lock := p.MethodByName("Lock")
+		_, unlock := p.MethodByName("Unlock")
+		if lock && unlock {
+			return
+		}
+	}
+	t.Error("no field of AddressSpace has Lock and Unlock, so go vet accepts a copy")
 }

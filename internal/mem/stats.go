@@ -16,9 +16,11 @@ type Stats struct {
 
 	// TLBHits and TLBMisses count per-page software-TLB outcomes for
 	// guest read and write data accesses (instruction fetches and the
-	// kernel WriteForce path are not counted). For every such access,
-	// each page-sized unit increments exactly one of the two, so
-	// TLBHits+TLBMisses equals the number of page accesses issued.
+	// kernel WriteForce path are not counted). For every such access
+	// made while the TLB is on, each page-sized unit increments exactly
+	// one of the two, so TLBHits+TLBMisses equals the number of page
+	// accesses issued. With the TLB off — SetTLBEnabled(false), or a
+	// sealed space — accesses count nothing.
 	TLBHits   int64
 	TLBMisses int64
 }

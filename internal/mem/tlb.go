@@ -35,8 +35,11 @@ import (
 //
 // A sealed snapshot space (Seal) is read concurrently by workers restoring
 // it (State.Restore forks it from many goroutines at once), so sealing
-// disables this single-owner TLB entirely; sealed reads instead go through
-// a separate lock-free read-only cache (see sealedTLB in sealedtlb.go).
+// switches this single-owner TLB off: a read probes the nil entry block,
+// walks the radix and fills nothing, and concurrent readers write nothing.
+// There is no second, shared cache: one measured 2.5–4x slower than the
+// walk under two readers, because every reader wrote its slots and
+// counters.
 //
 // The entry arrays live behind a pointer so that ForkInto — the O(1)
 // snapshot primitive the paper's latency claims rest on — pays nothing for

@@ -37,7 +37,7 @@ func TestTLBHitMissAccounting(t *testing.T) {
 	}
 
 	// Multi-page accesses count one unit per page.
-	as.ResetStats()
+	before := st
 	buf := make([]byte, 3*PageSize)
 	if err := as.WriteAt(buf, 0x10000); err != nil {
 		t.Fatal(err)
@@ -49,13 +49,14 @@ func TestTLBHitMissAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = as.Stats()
-	if got := st.TLBHits + st.TLBMisses; got != 9 {
+	hits, misses := st.TLBHits-before.TLBHits, st.TLBMisses-before.TLBMisses
+	if got := hits + misses; got != 9 {
 		t.Errorf("hits+misses after 3x3-page accesses = %d, want 9", got)
 	}
 	// Page 0's entries are warm from the loops above (1 write hit + 1 read
 	// hit); the second write hits on all 3 pages.
-	if st.TLBHits != 5 {
-		t.Errorf("hits = %d, want 5", st.TLBHits)
+	if hits != 5 {
+		t.Errorf("hits = %d, want 5", hits)
 	}
 }
 
@@ -370,7 +371,7 @@ func TestBrkBeyondMaxVA(t *testing.T) {
 // TestTLBConcurrentSealedRestore mirrors the engine's sharing pattern
 // under -race: a sealed capture is forked and read by many goroutines at
 // once while each fork writes privately. The sealed space must serve every
-// read correctly through its shared read cache and every fork must diverge
+// read correctly without writing anything, and every fork must diverge
 // correctly.
 func TestTLBConcurrentSealedRestore(t *testing.T) {
 	alloc := NewFrameAllocator(0)
@@ -423,10 +424,13 @@ func TestTLBConcurrentSealedRestore(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	// The sealed read cache serves the frozen reads: every frozen.ReadU64
-	// charges exactly one of hit/miss, so the two sum to the read count.
-	if st := frozen.Stats(); st.TLBHits+st.TLBMisses != workers*64 {
-		t.Errorf("sealed hits+misses = %d/%d, want sum %d", st.TLBHits, st.TLBMisses, workers*64)
+	// A sealed read writes nothing: the TLB stays off, so no entry block
+	// was taken and no hit or miss was counted.
+	if frozen.tlb.e != nil {
+		t.Error("sealed reads filled a TLB entry block")
+	}
+	if st := frozen.Stats(); st.TLBHits != 0 || st.TLBMisses != 0 {
+		t.Errorf("sealed reads counted %d hits, %d misses; want none", st.TLBHits, st.TLBMisses)
 	}
 	// A sealed view is read-only by contract: writes fault like a page
 	// with no write permission.
@@ -489,14 +493,17 @@ func TestTLBWriteLocality(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		as.ResetStats()
+		before := as.Stats()
 		for i := 0; i < writes; i++ {
 			addr := base + uint64(i%pages)*PageSize + uint64(i%512)*8
 			if err := as.WriteU64(addr, uint64(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return as, as.Stats()
+		st := as.Stats()
+		st.TLBHits -= before.TLBHits
+		st.TLBMisses -= before.TLBMisses
+		return as, st
 	}
 	for _, tc := range []struct {
 		pages        int

@@ -78,8 +78,8 @@ type State struct {
 	refs   atomic.Int32
 
 	// The frozen CoW view and file image are part of the State, not behind
-	// pointers: a capture is one allocation. Both hold atomics, so a State
-	// is never copied.
+	// pointers: a capture is one allocation. A State is never copied: refs
+	// is atomic, and go vet rejects a copied AddressSpace as well.
 	mem  mem.AddressSpace
 	fsys fs.Snapshot
 	regs vm.Registers
@@ -225,9 +225,9 @@ func (t *Tree) CaptureAtDepth(ctx *Context, parent *State, depth int) *State {
 		regs:   ctx.Regs,
 	}
 	// A captured space is shared across goroutines (restores fork it,
-	// inspectors read it concurrently); sealing switches its reads onto
-	// the lock-free shared cache so those accesses never race, while
-	// ctx.Mem keeps its own TLB live and merely enters a new epoch.
+	// inspectors read it concurrently); sealing switches its TLB off, so
+	// those reads walk the radix and write nothing, while ctx.Mem keeps
+	// its own TLB live and merely enters a new epoch.
 	ctx.Mem.ForkInto(&s.mem).Seal()
 	ctx.FS.SnapshotInto(&s.fsys)
 	if len(ctx.Out) > 0 {
