@@ -2,7 +2,7 @@
 # .github/workflows/ci.yml) so a green `make check` locally predicts a
 # green pipeline.
 
-.PHONY: build vet test race lint escape-baseline bench-check loc check
+.PHONY: build vet test race lint bench-check loc check
 
 build:
 	go build ./...
@@ -20,24 +20,16 @@ race:
 	go test -race ./...
 
 # lint runs reprolint, the repo's own go/analysis suite enforcing the
-# snapshot-lifecycle, lock-guard, lock-order/no_block, atomic-access,
-# TLB-flush, fsync-ordering and hot-path performance invariants (see
-# DESIGN.md "Static analysis & invariants" and "Performance
-# invariants"). -escape additionally rebuilds the module with
-# -gcflags=-json and diffs the compiler's escape/inlining verdicts on
-# hot_path:/inline: functions against the committed golden baseline.
-# Any diagnostic is a hard failure; -time prints per-analyzer wall time
-# so a slow checker is visible here before it slows CI.
+# snapshot-lifecycle, lock-order/guarded_by/no_block, TLB-flush/epoch,
+# fsync-ordering and hot-path performance invariants (see DESIGN.md
+# "Static analysis & invariants" and "Performance invariants"). -escape
+# additionally rebuilds the module with -gcflags=-json and reports every
+# compiler escape in a hot_path: function and every declined inline:
+# that no //lint:ignore escapegate accepts. Any diagnostic is a hard
+# failure; -time prints per-analyzer wall time so a slow checker is
+# visible here before it slows CI.
 lint:
-	go run ./cmd/reprolint -time -escape -escape-baseline ESCAPE_baseline.json -escape-report ESCAPE_report.json ./...
-
-# escape-baseline re-records the compiler's current escape/inlining
-# verdicts on every hot_path:/inline: function. Run it when lint
-# reports escapegate drift, then review and commit the diff — the diff
-# IS the review surface for a performance-relevant compiler-behavior
-# change.
-escape-baseline:
-	go run ./cmd/reprolint -write-escape-baseline -escape-baseline ESCAPE_baseline.json ./...
+	go run ./cmd/reprolint -time -escape ./...
 
 # bench-check covers the repo benchmark (BENCHMARK.json): benchmark/ is a
 # nested module, so build, test and lint above never see it. Its tests

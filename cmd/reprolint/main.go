@@ -14,20 +14,9 @@
 //	             count, package/analyzer inventory) to FILE
 //	-time        print per-analyzer cumulative wall time to stderr
 //	-jobs N      bound the per-package worker pool (default GOMAXPROCS)
-//
-//	-escape                  also run escapegate: rebuild the module with
-//	                         -gcflags=-json and cross-check hot_path:/inline:
-//	                         annotations against the compiler's escape and
-//	                         inlining verdicts
-//	-escape-baseline FILE    golden allowlist to diff against (empty =
-//	                         pure violation mode)
-//	-escape-report FILE      write the full escapegate report JSON
-//	-write-escape-baseline   regenerate the golden file instead of
-//	                         checking against it
-//
-// Build with -tags reprolint_xtools (requires a populated module cache
-// for golang.org/x/tools) to also run the standard nilness, lostcancel,
-// copylocks and unusedwrite analyzers.
+//	-escape      also run escapegate: rebuild the module with
+//	             -gcflags=-json and report every compiler escape in a
+//	             hot_path: function and every declined inline:
 package main
 
 import (
@@ -35,12 +24,9 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/analysis/atomicfield"
+	"repro/internal/analysis/boundary"
 	"repro/internal/analysis/escapegate"
-	"repro/internal/analysis/flushcheck"
-	"repro/internal/analysis/fsyncorder"
 	"repro/internal/analysis/hotpath"
-	"repro/internal/analysis/lockguard"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/releasecheck"
 	"repro/internal/analysis/reprolint"
@@ -52,48 +38,33 @@ import (
 func suite() []*reprolint.Analyzer {
 	return []*reprolint.Analyzer{
 		releasecheck.Analyzer,
-		lockguard.Analyzer,
-		flushcheck.Analyzer,
-		fsyncorder.Analyzer,
 		lockorder.Analyzer,
-		atomicfield.Analyzer,
+		boundary.Analyzer,
 		hotpath.Analyzer,
 	}
 }
 
 func main() {
 	var opts reprolint.Options
-	var escape, writeBaseline bool
-	var escapeBaseline, escapeReport string
+	var escape bool
 	fs := flag.NewFlagSet("reprolint", flag.ExitOnError)
 	fs.StringVar(&opts.JSONPath, "json", "", "write a JSON report to this file")
 	fs.BoolVar(&opts.Time, "time", false, "print per-analyzer wall time to stderr")
 	fs.IntVar(&opts.Jobs, "jobs", 0, "per-package worker pool size (0 = GOMAXPROCS)")
 	fs.BoolVar(&escape, "escape", false, "cross-check hot_path:/inline: annotations against the compiler (escapegate)")
-	fs.StringVar(&escapeBaseline, "escape-baseline", "", "escapegate golden allowlist JSON (empty = violation mode)")
-	fs.StringVar(&escapeReport, "escape-report", "", "write the full escapegate report JSON to this file")
-	fs.BoolVar(&writeBaseline, "write-escape-baseline", false, "regenerate the escapegate baseline and exit")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
 
-	analyzers := suite()
 	dir, err := os.Getwd()
 	if err != nil {
 		os.Stderr.WriteString("reprolint: " + err.Error() + "\n")
 		os.Exit(2)
 	}
 
-	if writeBaseline {
-		os.Exit(regenBaseline(dir, fs.Args(), escapeBaseline))
-	}
-
-	code := reprolint.MainOpts(os.Stdout, os.Stderr, dir, analyzers, fs.Args(), opts)
-	if code == 0 {
-		code = runExtra(dir, fs.Args())
-	}
+	code := reprolint.MainOpts(os.Stdout, os.Stderr, dir, suite(), fs.Args(), opts)
 	if escape && code != 2 {
-		if ecode := runEscapegate(dir, fs.Args(), escapeBaseline, escapeReport); ecode > code {
+		if ecode := runEscapegate(dir, fs.Args()); ecode > code {
 			code = ecode
 		}
 	}
@@ -102,13 +73,8 @@ func main() {
 
 // runEscapegate drives the compiler-grounded checker and prints its
 // findings in the same file:line format as the AST analyzers.
-func runEscapegate(dir string, patterns []string, baseline, report string) int {
-	res, err := escapegate.Run(escapegate.Options{
-		Dir:      dir,
-		Patterns: patterns,
-		Baseline: baseline,
-		Report:   report,
-	})
+func runEscapegate(dir string, patterns []string) int {
+	res, err := escapegate.Run(escapegate.Options{Dir: dir, Patterns: patterns})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -120,24 +86,5 @@ func runEscapegate(dir string, patterns []string, baseline, report string) int {
 		fmt.Fprintf(os.Stderr, "escapegate: %d finding(s)\n", len(res.Findings))
 		return 1
 	}
-	return 0
-}
-
-// regenBaseline records the compiler's current verdicts as the new
-// golden file (default ESCAPE_baseline.json).
-func regenBaseline(dir string, patterns []string, path string) int {
-	if path == "" {
-		path = "ESCAPE_baseline.json"
-	}
-	res, err := escapegate.Run(escapegate.Options{Dir: dir, Patterns: patterns})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if err := escapegate.WriteBaseline(path, res); err != nil {
-		fmt.Fprintln(os.Stderr, "escapegate: "+err.Error())
-		return 2
-	}
-	fmt.Fprintf(os.Stderr, "escapegate: wrote %s (%d annotated functions)\n", path, len(res.Functions))
 	return 0
 }

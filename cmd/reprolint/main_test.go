@@ -100,21 +100,6 @@ func crossShard(a *shardA, b *shardB) {
 `, "lockorder")
 }
 
-// TestSeededAtomicPlainRead: a field written with sync/atomic must not
-// be read with a plain load.
-func TestSeededAtomicPlainRead(t *testing.T) {
-	assertFinds(t, `package tmpmod
-
-import "sync/atomic"
-
-type gauge struct{ v int64 }
-
-func (g *gauge) inc() { atomic.AddInt64(&g.v, 1) }
-
-func (g *gauge) peek() int64 { return g.v }
-`, "atomicfield")
-}
-
 // TestSeededHotPathBlocking: a hot_path function acquiring a mutex it
 // did not declare with locks= is a blocking hot path.
 func TestSeededHotPathBlocking(t *testing.T) {
@@ -155,17 +140,18 @@ func push(head *node) *node {
 func TestJSONReport(t *testing.T) {
 	dir := writeModule(t, `package tmpmod
 
-import "sync/atomic"
+import "sync"
 
-type gauge struct{ v int64 }
+type counter struct {
+	mu sync.Mutex
+	n  int // guarded_by: mu
+}
 
-func (g *gauge) inc() { atomic.AddInt64(&g.v, 1) }
+func (c *counter) peek() int { return c.n }
 
-func (g *gauge) peek() int64 { return g.v }
-
-func (g *gauge) quiet() int64 {
-	//lint:ignore atomicfield test fixture reads under an external barrier
-	return g.v
+func (c *counter) quiet() int {
+	//lint:ignore lockorder test fixture reads before the counter is shared
+	return c.n
 }
 `)
 	path := filepath.Join(t.TempDir(), "report.json")
@@ -195,9 +181,9 @@ func (g *gauge) quiet() int64 {
 		t.Fatalf("findings = %+v, want exactly one", rep.Findings)
 	}
 	f := rep.Findings[0]
-	if f.Analyzer != "atomicfield" || !strings.HasSuffix(f.File, "p.go") ||
-		f.Line == 0 || !strings.Contains(f.Message, "plain access") {
-		t.Errorf("finding = %+v, want atomicfield plain-access at p.go:<line>", f)
+	if f.Analyzer != "lockorder" || !strings.HasSuffix(f.File, "p.go") ||
+		f.Line == 0 || !strings.Contains(f.Message, "guarded_by: mu") {
+		t.Errorf("finding = %+v, want a lockorder guarded_by finding at p.go:<line>", f)
 	}
 	if rep.Suppressed != 1 {
 		t.Errorf("suppressed = %d, want 1 (the lint:ignore in quiet)", rep.Suppressed)
@@ -275,8 +261,10 @@ func mutate(t *testing.T, dir, rel, old, new string) func() {
 
 // TestNegativeControls deletes one load-bearing statement at a time
 // from a copy of the real tree — a snapshot Release, the Fork epoch
-// bump, the manifest-log Sync — and asserts the gate convicts each
-// mutant while passing the unmutated copy.
+// bump, the manifest-log Sync, a shard lock, a TLB flush — and asserts
+// the gate convicts each mutant while passing the unmutated copy. No
+// test catches the Release (releasecheck), the shard lock (lockorder;
+// -race passes too) or the Seal flush (boundary) rows.
 func TestNegativeControls(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-tree loads are slow; skipped in -short")
@@ -305,7 +293,7 @@ func TestNegativeControls(t *testing.T) {
 			rel:      filepath.Join("internal", "mem", "addrspace.go"),
 			old:      "\tas.AdvanceEpoch()\n\tif as.pt.root != nil {",
 			new:      "\tif as.pt.root != nil {",
-			analyzer: "flushcheck",
+			analyzer: "boundary",
 		},
 		{
 			name:     "allocation seeded into the TLB read hot path",
@@ -321,7 +309,21 @@ func TestNegativeControls(t *testing.T) {
 				"\t\treturn fmt.Errorf(\"store: sync log: %w\", err)\n" +
 				"\t}\n",
 			new:      "",
-			analyzer: "fsyncorder",
+			analyzer: "boundary",
+		},
+		{
+			name:     "deleted shard lock in Refs",
+			rel:      filepath.Join("internal", "service", "service.go"),
+			old:      "\t\tsh.mu.Lock()\n\t\tn += len(sh.entries)\n\t\tsh.mu.Unlock()\n",
+			new:      "\t\tn += len(sh.entries)\n",
+			analyzer: "lockorder",
+		},
+		{
+			name:     "deleted Seal TLB flush",
+			rel:      filepath.Join("internal", "mem", "addrspace.go"),
+			old:      "\tas.tlb.off = true\n\tas.tlb.flush()\n\tas.sealed = true\n",
+			new:      "\tas.tlb.off = true\n\tas.sealed = true\n",
+			analyzer: "boundary",
 		},
 	}
 	for _, c := range controls {

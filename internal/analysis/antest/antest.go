@@ -39,6 +39,13 @@ import (
 // and checks analyzer a against the package's want comments.
 func Run(t *testing.T, testdata string, a *reprolint.Analyzer, pkgpath string) {
 	t.Helper()
+	RunAs(t, testdata, a, pkgpath, pkgpath)
+}
+
+// RunAs is Run with the package type-checked under importPath, for rules
+// that apply only to the packages with that path.
+func RunAs(t *testing.T, testdata string, a *reprolint.Analyzer, pkgpath, importPath string) {
+	t.Helper()
 	dir := filepath.Join(testdata, "src", filepath.FromSlash(pkgpath))
 	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil || len(names) == 0 {
@@ -61,12 +68,12 @@ func Run(t *testing.T, testdata string, a *reprolint.Analyzer, pkgpath string) {
 		Importer: stdImporter(fset),
 		Sizes:    types.SizesFor("gc", runtime.GOARCH),
 	}
-	tpkg, err := conf.Check(pkgpath, fset, files, info)
+	tpkg, err := conf.Check(importPath, fset, files, info)
 	if err != nil {
 		t.Fatalf("antest: typecheck %s: %v", pkgpath, err)
 	}
 	pkg := &reprolint.Package{
-		ImportPath: pkgpath,
+		ImportPath: importPath,
 		Fset:       fset,
 		Files:      files,
 		Types:      tpkg,

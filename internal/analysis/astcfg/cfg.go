@@ -1,7 +1,7 @@
 // Package astcfg builds a small intraprocedural control-flow graph over a
 // function body's AST. It exists so reprolint's every-path analyses
-// (releasecheck's "every path releases", flushcheck's "every path
-// flushes", fsyncorder's "no path commits before syncing") can reason
+// (releasecheck's "every path releases", boundary's "every path
+// flushes" and "no path commits before syncing") can reason
 // about early returns, branches and loops without a dependency on
 // golang.org/x/tools/go/cfg, which the build environment cannot fetch.
 //

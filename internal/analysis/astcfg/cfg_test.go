@@ -101,7 +101,7 @@ func TestEveryPathThroughCall(t *testing.T) {
 }
 
 func TestPathToCommitOrdering(t *testing.T) {
-	// fsyncorder shape: a path from publish() to commit() that skips
+	// boundary's fsync shape: a path from publish() to commit() that skips
 	// sync() must be detected; syncing on every such path must not.
 	bad := isCall("commit")
 	stop := isCall("sync")

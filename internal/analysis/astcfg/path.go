@@ -16,8 +16,8 @@ import "go/ast"
 //
 // This is the one query all of reprolint's flow checks reduce to:
 //   - releasecheck:  bad = non-exempt exit, stop = release/transfer of x
-//   - flushcheck:    bad = success return,  stop = TLB flush call
-//   - fsyncorder:    bad = log commit,      stop = sync call
+//   - boundary:      bad = success return,  stop = TLB flush call
+//   - boundary:      bad = log commit,      stop = sync call
 func (g *Graph) PathTo(from ast.Node, bad, stop func(ast.Node) bool) (ast.Node, bool) {
 	startBlk := g.Entry
 	startIdx := 0

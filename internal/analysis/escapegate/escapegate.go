@@ -5,19 +5,12 @@
 // whether anything in those functions still escapes to the heap, and
 // whether every `// inline:` function is in fact inlinable.
 //
-// The contract is a committed golden baseline (ESCAPE_baseline.json,
-// regenerated with `make escape-baseline`): the compiler's current
-// verdicts are diffed against it, so any drift — a new escape in a hot
-// function, an inlining decision withdrawn, an annotated function
-// added or removed without refreshing the baseline — is a finding and
-// a reviewable diff, never a silent regression. With no baseline,
-// escapegate runs in pure violation mode: any escape in a hot_path
-// function and any declined inline: is a finding (this is the
-// bootstrap and test mode).
-//
-// Findings respect //lint:ignore escapegate suppressions on the
+// Every escape in a hot_path function and every declined inline: is a
+// finding. An escape the code accepts (a panic message, a first-use
+// allocation) carries a //lint:ignore escapegate suppression on the
 // escaping line (or the line above), via the same annotation machinery
-// as the AST analyzers.
+// as the AST analyzers, so the exception and its reason sit next to
+// the code that makes it.
 package escapegate
 
 import (
@@ -32,7 +25,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -49,52 +41,12 @@ type Options struct {
 	// Patterns selects the packages whose annotations are checked
 	// (default ./...). The compiler always builds the whole module.
 	Patterns []string
-	// Baseline is the committed allowlist JSON; empty means pure
-	// violation mode (every escape/declined-inline is a finding).
-	Baseline string
-	// Report, when non-empty, writes the full per-function report JSON
-	// (CI archives it as an artifact).
-	Report string
-}
-
-// FuncReport is the compiler's verdict on one annotated function.
-type FuncReport struct {
-	// Annotation is "hot_path", "inline" or "hot_path,inline".
-	Annotation string `json:"annotation"`
-	// File is the module-relative source file (informational; functions
-	// are keyed by their type-checker FullName).
-	File string `json:"file"`
-	// CanInline records whether gc reported canInlineFunction.
-	CanInline bool `json:"can_inline"`
-	// InlineNote is gc's cannotInlineFunction reason, if any.
-	InlineNote string `json:"inline_note,omitempty"`
-	// Escapes are the distinct escape-analysis messages inside the
-	// function body, sorted (line numbers deliberately omitted so the
-	// baseline does not churn when code above moves).
-	Escapes []string `json:"escapes,omitempty"`
-}
-
-// Baseline is the committed golden file.
-type Baseline struct {
-	Go        string                 `json:"go"`
-	Functions map[string]*FuncReport `json:"functions"`
 }
 
 // Result is what a run produced.
 type Result struct {
-	GoVersion  string
 	Findings   []reprolint.Diagnostic
 	Suppressed int
-	Functions  map[string]*FuncReport
-}
-
-// report is the -escape-report payload.
-type report struct {
-	Go         string                 `json:"go"`
-	Baseline   string                 `json:"baseline,omitempty"`
-	Findings   []string               `json:"findings"`
-	Suppressed int                    `json:"suppressed"`
-	Functions  map[string]*FuncReport `json:"functions"`
 }
 
 // annFn is one annotated function with its source extent.
@@ -116,7 +68,8 @@ type compilerDiag struct {
 }
 
 // Run loads the annotated functions, rebuilds the module with logopt
-// enabled, and diffs the compiler's verdicts against the baseline.
+// enabled, and reports every escape in a hot function and every
+// declined inline.
 func Run(opts Options) (*Result, error) {
 	patterns := opts.Patterns
 	if len(patterns) == 0 {
@@ -168,41 +121,38 @@ func Run(opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{GoVersion: runtime.Version(), Functions: map[string]*FuncReport{}}
-	events := map[string][]compilerDiag{} // fn name -> escape events (with lines)
+	res := &Result{}
 	for _, fn := range fns {
-		fr := &FuncReport{Annotation: annString(fn), File: relTo(opts.Dir, fn.file)}
+		canInline, inlineNote := false, ""
 		seen := map[string]bool{}
 		for _, d := range diags[fn.file] {
 			if d.line < fn.declLine || d.line > fn.endLine {
 				continue
 			}
 			switch {
-			case isEscapeCode(d.code):
+			case isEscapeCode(d.code) && fn.hot:
 				if d.msg == "" || seen[d.msg] {
 					continue // logopt emits empty/duplicate escape entries
 				}
 				seen[d.msg] = true
-				fr.Escapes = append(fr.Escapes, d.msg)
-				events[fn.name] = append(events[fn.name], d)
+				res.Findings = append(res.Findings, reprolint.Diagnostic{
+					Pos:      token.Position{Filename: fn.file, Line: d.line, Column: 1},
+					Analyzer: Name,
+					Message:  fmt.Sprintf("compiler reports an escape in hot path %s: %s", fn.name, d.msg),
+				})
 			case d.code == "canInlineFunction" && d.line == fn.declLine:
-				fr.CanInline = true
+				canInline = true
 			case d.code == "cannotInlineFunction" && d.line == fn.declLine:
-				fr.InlineNote = d.msg
+				inlineNote = d.msg
 			}
 		}
-		sort.Strings(fr.Escapes)
-		res.Functions[fn.name] = fr
-	}
-
-	if opts.Baseline != "" {
-		base, err := readBaseline(opts.Baseline)
-		if err != nil {
-			return nil, err
+		if fn.inline && !canInline {
+			msg := fmt.Sprintf("compiler declined to inline %s", fn.name)
+			if inlineNote != "" {
+				msg += ": " + inlineNote
+			}
+			res.Findings = append(res.Findings, reprolint.Diagnostic{Pos: fn.pos, Analyzer: Name, Message: msg})
 		}
-		res.Findings = diffBaseline(base, opts.Baseline, fns, res.Functions, events)
-	} else {
-		res.Findings = violations(fns, res.Functions, events)
 	}
 
 	ann := reprolint.CollectAnnotations(fset, allFiles)
@@ -214,111 +164,7 @@ func Run(opts Options) (*Result, error) {
 		}
 		return a.Line < b.Line
 	})
-
-	if opts.Report != "" {
-		if err := writeReport(opts.Report, opts.Baseline, res); err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
-}
-
-// violations is pure violation mode: no baseline, every bad verdict is
-// a finding.
-func violations(fns []*annFn, cur map[string]*FuncReport, events map[string][]compilerDiag) []reprolint.Diagnostic {
-	var out []reprolint.Diagnostic
-	for _, fn := range fns {
-		fr := cur[fn.name]
-		if fn.hot {
-			for _, e := range events[fn.name] {
-				out = append(out, diagAt(fn.file, e.line,
-					"compiler reports an escape in hot path %s: %s", fn.name, e.msg))
-			}
-		}
-		if fn.inline && !fr.CanInline {
-			out = append(out, reprolint.Diagnostic{
-				Pos: fn.pos, Analyzer: Name,
-				Message: declinedMsg(fn.name, fr),
-			})
-		}
-	}
-	return out
-}
-
-// diffBaseline compares the compiler's current verdicts against the
-// committed golden file. New escapes and withdrawn inlines are
-// regressions; any other mismatch is drift that must be re-baselined,
-// so it shows up as a diff in review rather than rotting silently.
-func diffBaseline(base *Baseline, basePath string, fns []*annFn, cur map[string]*FuncReport, events map[string][]compilerDiag) []reprolint.Diagnostic {
-	var out []reprolint.Diagnostic
-	refresh := "; run `make escape-baseline` and commit the diff"
-	for _, fn := range fns {
-		fr := cur[fn.name]
-		b, ok := base.Functions[fn.name]
-		if !ok {
-			out = append(out, reprolint.Diagnostic{Pos: fn.pos, Analyzer: Name,
-				Message: fmt.Sprintf("%s (%s) is not in the baseline%s", fn.name, fr.Annotation, refresh)})
-			continue
-		}
-		if b.Annotation != fr.Annotation {
-			out = append(out, reprolint.Diagnostic{Pos: fn.pos, Analyzer: Name,
-				Message: fmt.Sprintf("%s annotation changed from %q to %q%s", fn.name, b.Annotation, fr.Annotation, refresh)})
-		}
-		if fn.hot {
-			allowed := map[string]bool{}
-			for _, m := range b.Escapes {
-				allowed[m] = true
-			}
-			now := map[string]bool{}
-			for _, e := range events[fn.name] {
-				now[e.msg] = true
-				if !allowed[e.msg] {
-					out = append(out, diagAt(fn.file, e.line,
-						"new escape in hot path %s not in the baseline: %s", fn.name, e.msg))
-				}
-			}
-			for _, m := range b.Escapes {
-				if !now[m] {
-					out = append(out, reprolint.Diagnostic{Pos: fn.pos, Analyzer: Name,
-						Message: fmt.Sprintf("baseline lists an escape no longer reported in %s (%q) — stale baseline%s", fn.name, m, refresh)})
-				}
-			}
-		}
-		if fn.inline {
-			switch {
-			case b.CanInline && !fr.CanInline:
-				out = append(out, reprolint.Diagnostic{Pos: fn.pos, Analyzer: Name,
-					Message: declinedMsg(fn.name, fr) + " (baseline says it was inlinable)"})
-			case !b.CanInline && fr.CanInline:
-				out = append(out, reprolint.Diagnostic{Pos: fn.pos, Analyzer: Name,
-					Message: fmt.Sprintf("%s is now inlinable — stale baseline%s", fn.name, refresh)})
-			}
-		}
-	}
-	for name := range base.Functions {
-		if _, ok := cur[name]; !ok {
-			out = append(out, reprolint.Diagnostic{
-				Pos: token.Position{Filename: basePath}, Analyzer: Name,
-				Message: fmt.Sprintf("baseline entry %s no longer exists or lost its annotation%s", name, refresh)})
-		}
-	}
-	return out
-}
-
-func declinedMsg(name string, fr *FuncReport) string {
-	msg := fmt.Sprintf("compiler declined to inline %s", name)
-	if fr.InlineNote != "" {
-		msg += ": " + fr.InlineNote
-	}
-	return msg
-}
-
-func diagAt(file string, line int, format string, args ...any) reprolint.Diagnostic {
-	return reprolint.Diagnostic{
-		Pos:      token.Position{Filename: file, Line: line, Column: 1},
-		Analyzer: Name,
-		Message:  fmt.Sprintf(format, args...),
-	}
 }
 
 // isEscapeCode reports whether a logopt code is an escape-analysis
@@ -326,17 +172,6 @@ func diagAt(file string, line int, format string, args ...any) reprolint.Diagnos
 // allocation in this function and is deliberately excluded.
 func isEscapeCode(code string) bool {
 	return code == "escape" || code == "escapes"
-}
-
-func annString(fn *annFn) string {
-	switch {
-	case fn.hot && fn.inline:
-		return "hot_path,inline"
-	case fn.hot:
-		return "hot_path"
-	default:
-		return "inline"
-	}
 }
 
 // compile rebuilds the whole module with logopt enabled into a fresh
@@ -432,54 +267,4 @@ func goListModule(dir string) (string, error) {
 		return "", fmt.Errorf("escapegate: go list -m: %v\n%s", err, stderr.String())
 	}
 	return strings.TrimSpace(string(out)), nil
-}
-
-func readBaseline(path string) (*Baseline, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("escapegate: %w (run `make escape-baseline` to create it)", err)
-	}
-	var b Baseline
-	if err := json.Unmarshal(buf, &b); err != nil {
-		return nil, fmt.Errorf("escapegate: parse %s: %w", path, err)
-	}
-	if b.Functions == nil {
-		b.Functions = map[string]*FuncReport{}
-	}
-	return &b, nil
-}
-
-// WriteBaseline writes the run's per-function verdicts as the new
-// golden file.
-func WriteBaseline(path string, res *Result) error {
-	buf, err := json.MarshalIndent(Baseline{Go: res.GoVersion, Functions: res.Functions}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-func writeReport(path, baseline string, res *Result) error {
-	rep := report{
-		Go:         res.GoVersion,
-		Baseline:   baseline,
-		Findings:   []string{},
-		Suppressed: res.Suppressed,
-		Functions:  res.Functions,
-	}
-	for _, d := range res.Findings {
-		rep.Findings = append(rep.Findings, d.String())
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
-func relTo(dir, path string) string {
-	if rel, err := filepath.Rel(dir, path); err == nil && !strings.HasPrefix(rel, "..") {
-		return filepath.ToSlash(rel)
-	}
-	return path
 }

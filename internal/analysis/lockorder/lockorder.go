@@ -1,6 +1,6 @@
-// Package lockorder implements reprolint's whole-program deadlock
-// analyzer. It derives a global lock-acquisition graph and enforces
-// three disciplines over it:
+// Package lockorder implements reprolint's whole-program lock analyzer.
+// One held-lock walk per function body derives a global lock-acquisition
+// graph and enforces four disciplines:
 //
 //  1. Cycle freedom. Every mutex in the program belongs to a lock
 //     *class* — a (struct type, field) pair for mutex fields, a package
@@ -23,6 +23,17 @@
 //     default), no select without a default, no further Lock/RLock of
 //     any class, no Wait or Sleep — directly or through any resolved
 //     callee.
+//
+//  4. Guarded fields. A struct field annotated `// guarded_by: mu` names
+//     a sibling mutex field; every read or write of it must happen where
+//     `base.mu` is held on every incoming path, `base` printing the same
+//     as the access's base expression (`sh.mu.Lock()` guards
+//     `sh.entries`), or in a function annotated `// locks_held: mu` (the
+//     caller contract). A function literal inherits the locks_held
+//     contract of the declaration it is defined in — the
+//     synchronous-callback idiom — unless it is handed to a `go`
+//     statement, as the spawned function or an argument: it runs after
+//     the caller may have unlocked, so it must re-acquire the mutex.
 //
 // Soundness holes, deliberate and documented in DESIGN.md: the held-set
 // walk is syntactic (a lock passed by pointer and locked through an
@@ -74,6 +85,8 @@ type analysis struct {
 	graph   *callgraph.Graph
 	classes map[types.Object]*class            // mutex object → class
 	fields  map[types.Object]map[string]*class // struct TypeName → field name → class
+	guards  map[*types.Var][]string            // guarded_by field → mutex field names
+	goLits  map[*ast.FuncLit]bool              // literals handed to a go statement
 	mayAcq  map[*callgraph.Node]map[*class]bool
 	mayBlk  map[*callgraph.Node]bool
 	edges   map[*class]map[*class]token.Pos
@@ -85,11 +98,13 @@ func run(pass *reprolint.ProgramPass) error {
 		graph:   callgraph.Build(pass.Prog),
 		classes: map[types.Object]*class{},
 		fields:  map[types.Object]map[string]*class{},
+		guards:  map[*types.Var][]string{},
+		goLits:  map[*ast.FuncLit]bool{},
 		edges:   map[*class]map[*class]token.Pos{},
 	}
 	a.collectClasses()
+	a.collectGoLits()
 	a.computeMayAcquire()
-	a.computeMayBlock()
 	for _, n := range a.graph.Nodes {
 		a.walkNode(n)
 	}
@@ -113,7 +128,7 @@ func isMutexType(t types.Type) bool {
 
 // collectClasses registers every mutex-typed struct field and
 // package-level variable in the program, parsing lock_rank/no_block
-// directives from the attached comments.
+// directives from the attached comments, and every guarded_by field.
 func (a *analysis) collectClasses() {
 	for _, pkg := range a.pass.Prog.Pkgs {
 		info := pkg.TypesInfo
@@ -136,6 +151,13 @@ func (a *analysis) collectClasses() {
 							continue
 						}
 						for _, field := range st.Fields.List {
+							if mus := reprolint.FieldGuards(field); len(mus) > 0 {
+								for _, name := range field.Names {
+									if v, ok := info.Defs[name].(*types.Var); ok {
+										a.guards[v] = mus
+									}
+								}
+							}
 							tv, ok := info.Types[field.Type]
 							if !ok || !isMutexType(tv.Type) {
 								continue
@@ -211,26 +233,42 @@ func (a *analysis) classOf(info *types.Info, expr ast.Expr) *class {
 
 // lockEvent is one Lock/Unlock-family call inside a statement.
 type lockEvent struct {
-	pos     token.Pos
 	class   *class
+	recv    string // the locked expression as printed, e.g. "sh.mu"
 	acquire bool
-	read    bool
+}
+
+// heldLock is one mutex in the walk's held set: its class, and the
+// expression it was locked through, which guarded_by accesses match.
+type heldLock struct {
+	class *class
+	recv  string
+}
+
+// access is one read or write of a guarded_by field.
+type access struct {
+	sel  *ast.SelectorExpr
+	base string   // sel.X as printed
+	mus  []string // the guarding mutex field names
 }
 
 var acquireNames = map[string]bool{"Lock": true, "RLock": true}
 var releaseNames = map[string]bool{"Unlock": true, "RUnlock": true}
 
-// stmtOps gathers, in position order, the lock events and resolved call
-// edges inside one CFG statement node, without descending into nested
-// function literals (their bodies are other call-graph nodes).
+// stmtOps gathers, in position order, the lock events, resolved call
+// edges and guarded-field accesses inside one CFG statement node, without
+// descending into nested function literals (their bodies are other
+// call-graph nodes).
 type stmtOp struct {
-	pos   token.Pos
-	lock  *lockEvent
-	call  *ast.CallExpr // non-lock call site, for interprocedural facts
-	block string        // non-empty: a directly blocking construct (description)
+	pos    token.Pos
+	lock   *lockEvent
+	call   *ast.CallExpr // non-lock call site, for interprocedural facts
+	block  string        // non-empty: a directly blocking construct (description)
+	access *access
 }
 
 func (a *analysis) stmtOps(info *types.Info, n ast.Node, nonBlocking map[ast.Node]bool) []stmtOp {
+	fset := a.pass.Prog.Fset
 	var ops []stmtOp
 	var walk func(m ast.Node)
 	walk = func(m ast.Node) {
@@ -258,20 +296,28 @@ func (a *analysis) stmtOps(info *types.Info, n ast.Node, nonBlocking map[ast.Nod
 			}
 			walk(x.X)
 			return
+		case *ast.SelectorExpr:
+			if v, ok := info.Uses[x.Sel].(*types.Var); ok && a.guards[v] != nil {
+				ops = append(ops, stmtOp{pos: x.Pos(), access: &access{
+					sel: x, base: reprolint.ExprString(fset, x.X), mus: a.guards[v],
+				}})
+			}
+			walk(x.X)
+			return
 		case *ast.CallExpr:
 			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
 				name := sel.Sel.Name
 				if (acquireNames[name] || releaseNames[name]) && len(x.Args) == 0 {
 					if c := a.classOf(info, sel.X); c != nil {
 						ops = append(ops, stmtOp{pos: x.Pos(), lock: &lockEvent{
-							pos: x.Pos(), class: c, acquire: acquireNames[name], read: name == "RLock" || name == "RUnlock",
+							class: c, recv: reprolint.ExprString(fset, ast.Unparen(sel.X)), acquire: acquireNames[name],
 						}})
 						walk(sel.X)
 						return
 					}
 				}
 				if name == "Wait" || name == "Sleep" {
-					ops = append(ops, stmtOp{pos: x.Pos(), block: "call to " + reprolint.ExprString(a.pass.Prog.Fset, x.Fun)})
+					ops = append(ops, stmtOp{pos: x.Pos(), block: "call to " + reprolint.ExprString(fset, x.Fun)})
 					walk(sel.X)
 					for _, arg := range x.Args {
 						walk(arg)
@@ -426,13 +472,46 @@ func (a *analysis) computeMayAcquire() {
 	}
 }
 
-// computeMayBlock is folded into computeMayAcquire (one fixpoint).
-func (a *analysis) computeMayBlock() {}
+// collectGoLits records the function literals handed to a go statement,
+// as the spawned function or as one of its arguments: they run on
+// another goroutine, so the enclosing declaration's locks_held contract
+// does not extend into them.
+func (a *analysis) collectGoLits() {
+	for _, n := range a.graph.Nodes {
+		for _, e := range n.Calls {
+			if !e.Go {
+				continue
+			}
+			for _, x := range append([]ast.Expr{e.Site.Fun}, e.Site.Args...) {
+				if lit, ok := ast.Unparen(x).(*ast.FuncLit); ok {
+					a.goLits[lit] = true
+				}
+			}
+		}
+	}
+}
+
+// contract is the set of mutex names n's callers promise to hold: its
+// own locks_held annotation and, for a literal not handed to a go
+// statement, its enclosing declaration's.
+func (a *analysis) contract(n *callgraph.Node) map[string]bool {
+	decls := []*ast.FuncDecl{n.Decl}
+	if n.Lit != nil && !a.goLits[n.Lit] {
+		decls = append(decls, n.Encl)
+	}
+	out := map[string]bool{}
+	for _, fd := range decls {
+		for _, mu := range reprolint.FuncAnnotation(fd).LocksHeld {
+			out[mu] = true
+		}
+	}
+	return out
+}
 
 // entryHeld resolves a locks_held annotation to classes of the
 // receiver's struct fields.
-func (a *analysis) entryHeld(n *callgraph.Node) map[*class]token.Pos {
-	held := map[*class]token.Pos{}
+func (a *analysis) entryHeld(n *callgraph.Node) map[heldLock]bool {
+	held := map[heldLock]bool{}
 	if n.Decl == nil || n.Decl.Recv == nil || len(n.Decl.Recv.List) == 0 {
 		return held
 	}
@@ -451,14 +530,14 @@ func (a *analysis) entryHeld(n *callgraph.Node) map[*class]token.Pos {
 	byName := a.fields[named.Obj()]
 	for _, name := range ann.LocksHeld {
 		if c, ok := byName[name]; ok {
-			held[c] = n.Decl.Pos()
+			held[heldLock{class: c}] = true
 		}
 	}
 	return held
 }
 
 // walkNode runs the held-set walk over one function body, recording
-// acquisition edges and no_block violations.
+// acquisition edges, no_block violations and unguarded field accesses.
 func (a *analysis) walkNode(n *callgraph.Node) {
 	info := n.Pkg.TypesInfo
 	edgeOf := map[*ast.CallExpr]callgraph.Edge{}
@@ -468,6 +547,7 @@ func (a *analysis) walkNode(n *callgraph.Node) {
 	nb := nonBlockingOps(n.Body)
 	g := astcfg.Build(n.Body)
 	entry := a.entryHeld(n)
+	contract := a.contract(n)
 
 	type visitKey struct {
 		b  *astcfg.Block
@@ -475,27 +555,44 @@ func (a *analysis) walkNode(n *callgraph.Node) {
 	}
 	visited := map[visitKey]bool{}
 	reported := map[token.Pos]bool{}
+	unguarded := map[*ast.SelectorExpr]bool{}
 
-	fingerprint := func(held map[*class]token.Pos) string {
+	fingerprint := func(held map[heldLock]bool) string {
 		names := make([]string, 0, len(held))
-		for c := range held {
-			names = append(names, c.name)
+		for h := range held {
+			names = append(names, h.class.name+"@"+h.recv)
 		}
 		sort.Strings(names)
 		return strings.Join(names, "|")
 	}
 
-	noBlockHeld := func(held map[*class]token.Pos) *class {
-		for c := range held {
-			if c.noBlock {
-				return c
+	noBlockHeld := func(held map[heldLock]bool) *class {
+		for h := range held {
+			if h.class.noBlock {
+				return h.class
 			}
 		}
 		return nil
 	}
 
-	var walk func(b *astcfg.Block, held map[*class]token.Pos)
-	walk = func(b *astcfg.Block, held map[*class]token.Pos) {
+	// guarded reports whether one of acc's mutexes is held through acc's
+	// base expression, or promised by the contract.
+	guarded := func(acc *access, held map[heldLock]bool) bool {
+		for _, mu := range acc.mus {
+			if contract[mu] {
+				return true
+			}
+			for h := range held {
+				if h.recv == acc.base+"."+mu {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	var walk func(b *astcfg.Block, held map[heldLock]bool)
+	walk = func(b *astcfg.Block, held map[heldLock]bool) {
 		key := visitKey{b, fingerprint(held)}
 		if visited[key] {
 			return
@@ -506,37 +603,51 @@ func (a *analysis) walkNode(n *callgraph.Node) {
 		cloned := false
 		mut := func() {
 			if !cloned {
-				c := make(map[*class]token.Pos, len(cur))
-				for k, v := range cur {
-					c[k] = v
+				c := make(map[heldLock]bool, len(cur))
+				for k := range cur {
+					c[k] = true
 				}
 				cur, cloned = c, true
 			}
 		}
 		for _, stmt := range b.Nodes {
-			if _, isDefer := stmt.(*ast.DeferStmt); isDefer {
-				continue // runs at exit; does not affect the held walk
-			}
+			// A deferred call runs at exit and does not affect the held
+			// walk; only the reads its arguments make happen here.
+			_, deferred := stmt.(*ast.DeferStmt)
 			for _, op := range a.stmtOps(info, stmt, nb) {
 				switch {
+				case op.access != nil:
+					if acc := op.access; !unguarded[acc.sel] && !guarded(acc, cur) {
+						unguarded[acc.sel] = true
+						a.pass.Reportf(acc.sel.Pos(), "access to %s.%s (guarded_by: %s) without holding the mutex in %s",
+							acc.base, acc.sel.Sel.Name, acc.mus[0], n.Name())
+					}
+				case deferred:
 				case op.lock != nil:
 					ev := op.lock
-					if ev.acquire {
-						if nbc := noBlockHeld(cur); nbc != nil && !reported[op.pos] {
-							reported[op.pos] = true
-							a.pass.Reportf(op.pos, "acquiring %s while holding no_block lock %s", ev.class.name, nbc.name)
+					k := heldLock{ev.class, ev.recv}
+					mut()
+					if !ev.acquire {
+						if !cur[k] {
+							// Unlocked through another expression for the
+							// same lock: drop every instance of the class.
+							for h := range cur {
+								if h.class == ev.class {
+									delete(cur, h)
+								}
+							}
 						}
-						for h := range cur {
-							a.addEdge(h, ev.class, op.pos)
-						}
-						mut()
-						if _, already := cur[ev.class]; !already {
-							cur[ev.class] = op.pos
-						}
-					} else {
-						mut()
-						delete(cur, ev.class)
+						delete(cur, k)
+						continue
 					}
+					if nbc := noBlockHeld(cur); nbc != nil && !reported[op.pos] {
+						reported[op.pos] = true
+						a.pass.Reportf(op.pos, "acquiring %s while holding no_block lock %s", ev.class.name, nbc.name)
+					}
+					for h := range cur {
+						a.addEdge(h.class, ev.class, op.pos)
+					}
+					cur[k] = true
 				case op.call != nil:
 					e, ok := edgeOf[op.call]
 					if !ok {
@@ -549,7 +660,7 @@ func (a *analysis) walkNode(n *callgraph.Node) {
 					for _, callee := range e.Callees {
 						for c := range a.mayAcq[callee] {
 							for h := range cur {
-								a.addEdge(h, c, op.pos)
+								a.addEdge(h.class, c, op.pos)
 							}
 						}
 						if nbc != nil && a.mayBlk[callee] && !reported[op.pos] {

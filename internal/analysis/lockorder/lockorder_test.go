@@ -10,3 +10,7 @@ import (
 func TestLockorder(t *testing.T) {
 	antest.Run(t, "../testdata", lockorder.Analyzer, "lockordertest")
 }
+
+func TestLockguard(t *testing.T) {
+	antest.Run(t, "../testdata", lockorder.Analyzer, "locktest")
+}

@@ -21,7 +21,7 @@ import (
 //	// guarded_by: <mutex-field>
 //	    On a struct field: every read/write outside a function that
 //	    syntactically holds the named sibling mutex (or is annotated
-//	    locks_held) is a lockguard finding.
+//	    locks_held) is a lockorder finding.
 //
 //	// locks_held: <mutex-field>[, <mutex-field>...]
 //	    On a function: callers are contractually holding the named
@@ -29,7 +29,7 @@ import (
 //
 //	// sharing_boundary
 //	    On a function: every success path must invalidate the TLB
-//	    (flushcheck).
+//	    (boundary).
 //
 //	// flushes_tlb
 //	    On a function: calling it counts as a TLB invalidation.
@@ -37,7 +37,7 @@ import (
 //	// epoch_boundary
 //	    On a function: it makes privately-owned pages shared (capture,
 //	    fork), so every success path must advance the snapshot epoch
-//	    (flushcheck).
+//	    (boundary).
 //
 //	// bumps_epoch
 //	    On a function: calling it counts as a snapshot-epoch advance.
@@ -45,7 +45,7 @@ import (
 //	// durable: publishes-synced
 //	    On a function: it renames/creates files AND syncs their
 //	    directory entries internally, so calls to it are already-synced
-//	    publishes for fsyncorder.
+//	    publishes for boundary's store rules.
 //
 //	// lock_rank: <int> [prose]
 //	    On a mutex field or package-level mutex var: its position in the

@@ -13,10 +13,10 @@ func TestIgnoreRequiresReason(t *testing.T) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "x.go", `package p
 
-//lint:ignore lockguard
+//lint:ignore lockorder
 var a int
 
-//lint:ignore lockguard because reasons
+//lint:ignore lockorder because reasons
 var b int
 `, parser.ParseComments)
 	if err != nil {
@@ -26,7 +26,7 @@ var b int
 	mk := func(line int) Diagnostic {
 		return Diagnostic{
 			Pos:      token.Position{Filename: "x.go", Line: line},
-			Analyzer: "lockguard",
+			Analyzer: "lockorder",
 		}
 	}
 	// Line 4 is `var a` (directive above lacks a reason); line 7 is `var b`.
@@ -51,10 +51,10 @@ var a int
 	}
 	ann := CollectAnnotations(fset, []*ast.File{f})
 	rel := Diagnostic{Pos: token.Position{Filename: "x.go", Line: 4}, Analyzer: "releasecheck"}
-	other := Diagnostic{Pos: token.Position{Filename: "x.go", Line: 4}, Analyzer: "lockguard"}
+	other := Diagnostic{Pos: token.Position{Filename: "x.go", Line: 4}, Analyzer: "lockorder"}
 	got, suppressed := ann.filterIgnored([]Diagnostic{rel, other})
-	if len(got) != 1 || got[0].Analyzer != "lockguard" || suppressed != 1 {
-		t.Errorf("filterIgnored = %v (suppressed %d), want only the lockguard diagnostic kept", got, suppressed)
+	if len(got) != 1 || got[0].Analyzer != "lockorder" || suppressed != 1 {
+		t.Errorf("filterIgnored = %v (suppressed %d), want only the lockorder diagnostic kept", got, suppressed)
 	}
 }
 

@@ -18,38 +18,14 @@ func ExprString(fset *token.FileSet, e ast.Expr) string {
 }
 
 // FuncScope is one analyzable function body: a declaration or a literal.
-// Function literals are independent scopes — a closure passed to another
-// goroutine holds no caller locks, and its acquisitions are its own.
 type FuncScope struct {
 	Decl *ast.FuncDecl // nil for literals
 	Lit  *ast.FuncLit  // nil for declarations
 	Body *ast.BlockStmt
-	// Encl is the function declaration a literal is defined inside, if
-	// any. Contract annotations (locks_held) extend to enclosed literals
-	// — the synchronous-callback idiom (`m.refs(func(h) {...})`) runs
-	// the literal under the caller's contract.
-	Encl *ast.FuncDecl
-}
-
-// Name returns a human-readable name for diagnostics.
-func (fs FuncScope) Name() string {
-	if fs.Decl != nil {
-		return fs.Decl.Name.Name
-	}
-	return "func literal"
-}
-
-// Pos returns the scope's position.
-func (fs FuncScope) Pos() token.Pos {
-	if fs.Decl != nil {
-		return fs.Decl.Pos()
-	}
-	return fs.Lit.Pos()
 }
 
 // FuncScopes returns every function body in the file: declarations and
-// (recursively) literals, each exactly once. Literals carry the
-// declaration they are defined inside in Encl.
+// (recursively) literals, each exactly once.
 func FuncScopes(file *ast.File) []FuncScope {
 	var out []FuncScope
 	for _, d := range file.Decls {
@@ -60,7 +36,7 @@ func FuncScopes(file *ast.File) []FuncScope {
 		out = append(out, FuncScope{Decl: fd, Body: fd.Body})
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok {
-				out = append(out, FuncScope{Lit: lit, Body: lit.Body, Encl: fd})
+				out = append(out, FuncScope{Lit: lit, Body: lit.Body})
 			}
 			return true
 		})

@@ -1,14 +1,13 @@
 // Package reprolint is the project's static-analysis framework: a small,
 // dependency-free mirror of the golang.org/x/tools/go/analysis API plus a
 // package loader built on `go list -export` and the standard library's
-// gc-export-data importer. The four project analyzers (releasecheck,
-// lockguard, flushcheck, fsyncorder) run on it via cmd/reprolint, which
-// CI enforces as a hard gate over ./...
+// gc-export-data importer. The project analyzers (releasecheck,
+// lockorder, boundary, hotpath) run on it via cmd/reprolint, which CI
+// enforces as a hard gate over ./...
 //
 // The shapes deliberately match go/analysis (Analyzer, Pass, Diagnostic,
-// Reportf) so that, in an environment where golang.org/x/tools is
-// fetchable, the analyzers can be lifted onto the real multichecker
-// mechanically (see cmd/reprolint's build-tagged xtools driver).
+// Reportf) so that the analyzers could be lifted onto the real
+// multichecker mechanically.
 package reprolint
 
 import (
@@ -17,7 +16,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -28,16 +26,12 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
-	// DirFilter, when non-empty, restricts the analyzer (under the
-	// driver; test harnesses run analyzers directly) to packages whose
-	// import path ends in one of these suffixes.
-	DirFilter []string
 	// Run analyzes one package, reporting findings via pass.Report.
 	// Exactly one of Run and RunProgram must be set.
 	Run func(pass *Pass) error
 	// RunProgram marks a whole-program analyzer: the driver invokes it
 	// once with every loaded package (so cross-package facts — call
-	// graphs, lock graphs, atomic-access sets — are visible), instead
+	// graphs, lock graphs — are visible), instead
 	// of once per package. Test harnesses wrap a single package in a
 	// one-package Program, which keeps per-package testdata suites
 	// usable for whole-program analyzers too.
@@ -201,18 +195,4 @@ func sortDiags(diags []Diagnostic) {
 		}
 		return diags[i].Analyzer < diags[j].Analyzer
 	})
-}
-
-// matchesFilter reports whether importPath passes the analyzer's
-// DirFilter (an empty filter passes everything).
-func (a *Analyzer) matchesFilter(importPath string) bool {
-	if len(a.DirFilter) == 0 {
-		return true
-	}
-	for _, suf := range a.DirFilter {
-		if importPath == suf || strings.HasSuffix(importPath, "/"+suf) {
-			return true
-		}
-	}
-	return false
 }

@@ -10,9 +10,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis/flushcheck"
-	"repro/internal/analysis/fsyncorder"
-	"repro/internal/analysis/lockguard"
+	"repro/internal/analysis/boundary"
+	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/releasecheck"
 	"repro/internal/analysis/reprolint"
 )
@@ -34,7 +33,10 @@ func writeModule(t *testing.T, src string) string {
 
 const violatingSrc = `package tmpmod
 
-import "sync"
+import (
+	"os"
+	"sync"
+)
 
 type counter struct {
 	mu sync.Mutex
@@ -53,7 +55,7 @@ func (c *counter) good() int {
 }
 
 func (c *counter) suppressed() int {
-	//lint:ignore lockguard single-threaded in this test fixture
+	//lint:ignore lockorder single-threaded in this test fixture
 	return c.n
 }
 
@@ -71,20 +73,26 @@ func leak() {
 	r := Alloc()
 	_ = r.n
 }
+
+func publish(tmp, final string) error {
+	if err := os.Rename(tmp, final); err != nil {
+		return err
+	}
+	return nil
+}
 `
 
 // TestMainReportsAndSuppresses drives the full pipeline — load, run,
 // annotation collection, suppression, diagnostic printing, exit code —
 // over a module with one violation per flow analyzer plus one suppressed
-// access. fsyncorder rides along to prove DirFilter skips non-store
-// packages.
+// access. The unsynced rename in publish proves boundary's store rules
+// skip other packages.
 func TestMainReportsAndSuppresses(t *testing.T) {
 	dir := writeModule(t, violatingSrc)
 	analyzers := []*reprolint.Analyzer{
 		releasecheck.Analyzer,
-		lockguard.Analyzer,
-		flushcheck.Analyzer,
-		fsyncorder.Analyzer,
+		lockorder.Analyzer,
+		boundary.Analyzer,
 	}
 	var stdout, stderr bytes.Buffer
 	code := reprolint.Main(&stdout, &stderr, dir, analyzers, nil)
@@ -92,13 +100,13 @@ func TestMainReportsAndSuppresses(t *testing.T) {
 		t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
 	out := stdout.String()
-	for _, want := range []string{"lockguard", "flushcheck", "releasecheck"} {
+	for _, want := range []string{"lockorder", "boundary", "releasecheck"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %s finding in output:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "fsyncorder") {
-		t.Errorf("fsyncorder ran outside its DirFilter:\n%s", out)
+	if strings.Contains(out, "os.Rename") {
+		t.Errorf("boundary's store rules ran outside the store:\n%s", out)
 	}
 	if n := strings.Count(out, "\n"); n != 3 {
 		t.Errorf("%d findings, want exactly 3 (the suppressed access must be filtered):\n%s", n, out)
@@ -126,7 +134,7 @@ func (c *counter) get() int {
 `)
 	var stdout, stderr bytes.Buffer
 	code := reprolint.Main(&stdout, &stderr, dir, []*reprolint.Analyzer{
-		releasecheck.Analyzer, lockguard.Analyzer, flushcheck.Analyzer,
+		releasecheck.Analyzer, lockorder.Analyzer, boundary.Analyzer,
 	}, []string{"./..."})
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
@@ -141,7 +149,7 @@ func (c *counter) get() int {
 func TestMainLoadError(t *testing.T) {
 	dir := writeModule(t, "package tmpmod\n")
 	var stdout, stderr bytes.Buffer
-	code := reprolint.Main(&stdout, &stderr, dir, []*reprolint.Analyzer{lockguard.Analyzer}, []string{"./no/such/dir"})
+	code := reprolint.Main(&stdout, &stderr, dir, []*reprolint.Analyzer{lockorder.Analyzer}, []string{"./no/such/dir"})
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
 	}

@@ -42,7 +42,7 @@ type jsonReport struct {
 }
 
 // Main loads the packages matching patterns (relative to dir) and runs
-// the given analyzers over each, honoring per-analyzer DirFilters.
+// the given analyzers over each.
 // Diagnostics print to stdout, loader failures to stderr. The return
 // value is the process exit code: 0 clean, 1 findings, 2 load/run error
 // — so `go run ./cmd/reprolint ./...` is a usable CI gate.
@@ -110,17 +110,7 @@ func MainOpts(stdout, stderr io.Writer, dir string, analyzers []*Analyzer, patte
 		go func() {
 			defer wg.Done()
 			for i := range work {
-				pkg := pkgs[i]
-				var active []*Analyzer
-				for _, a := range perPkg {
-					if a.matchesFilter(pkg.ImportPath) {
-						active = append(active, a)
-					}
-				}
-				if len(active) == 0 {
-					continue
-				}
-				diags, suppressed, err := runAnalyzers(pkg, active, timing)
+				diags, suppressed, err := runAnalyzers(pkgs[i], perPkg, timing)
 				results[i] = pkgResult{diags: diags, suppressed: suppressed, err: err}
 			}
 		}()

@@ -95,7 +95,7 @@ func badEarlySuccess(s *espace) error { // want `no snapshot-epoch advance`
 //
 // epoch_boundary
 //
-//lint:ignore flushcheck the space is sealed, owns no write entries, and can never privatize a page
+//lint:ignore boundary the space is sealed, owns no write entries, and can never privatize a page
 func suppressedBoundary(s *espace) {
 	s.sealed = true
 }

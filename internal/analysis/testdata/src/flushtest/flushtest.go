@@ -8,8 +8,8 @@ import "errors"
 
 type tlb struct{ off bool }
 
-func (t *tlb) flush()      {}
-func (t *tlb) flushWrite() {}
+// flush drops every cached translation.
+func (t *tlb) flush() {}
 
 type space struct {
 	t      tlb
@@ -32,7 +32,7 @@ func goodLinear(s *space) {
 // sharing_boundary
 func goodBothArms(s *space) {
 	if cond {
-		s.t.flushWrite()
+		s.t.flush()
 		return
 	}
 	s.t.flush()
@@ -80,7 +80,7 @@ func badNoFlush(s *space) { // want `no TLB invalidation`
 }
 
 // badEarlySuccess flushes on the fallthrough path but returns success
-// early without one — the Fork-without-flushWrite bug shape.
+// early without one — the Fork-without-flush bug shape.
 //
 // sharing_boundary
 func badEarlySuccess(s *space) error { // want `no TLB invalidation`
@@ -95,7 +95,7 @@ func badEarlySuccess(s *space) error { // want `no TLB invalidation`
 //
 // sharing_boundary
 //
-//lint:ignore flushcheck the space is frozen and can never fault again
+//lint:ignore boundary the space is frozen and can never fault again
 func suppressedBoundary(s *space) {
 	s.frozen = true
 }

@@ -100,7 +100,7 @@ func badDiscardedSync(f *os.File, b []byte) error {
 
 // suppressedPublish: the caller syncs, documented at the call site.
 func suppressedPublish(tmp, final string) error {
-	//lint:ignore fsyncorder the caller fsyncs the parent directory before commit
+	//lint:ignore boundary the caller fsyncs the parent directory before commit
 	if err := os.Rename(tmp, final); err != nil {
 		return err
 	}

@@ -63,7 +63,7 @@ func badClosure(sh *shard) {
 // suppressedConstructor: single-threaded init is a documented exception.
 func suppressedConstructor() *shard {
 	sh := &shard{entries: map[int]int{}}
-	//lint:ignore lockguard the shard is not yet published to other goroutines
+	//lint:ignore lockorder the shard is not yet published to other goroutines
 	sh.entries[0] = 1
 	return sh
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/interpose"
+	"repro/internal/mem"
 	"repro/internal/search"
 	"repro/internal/snapshot"
 )
@@ -111,24 +112,20 @@ type Solution struct {
 
 // Stats aggregates engine-level counters for one run.
 type Stats struct {
-	Nodes      int64 // extension steps evaluated (never exceeds Config.MaxNodes)
-	Guesses    int64
-	Fails      int64
-	Exits      int64
-	Errors     int64 // crashed paths
-	Emitted    int64
-	Evicted    int64 // extensions dropped by a memory-bounded strategy (SM-A*)
-	Snapshots  int64 // partial candidates captured
-	CaptureNs  int64 // cumulative wall time inside Tree.Capture (capture stall budget)
-	Epochs     int64 // snapshot-epoch advances across all extension contexts
-	MaxDepth   int64
-	CowCopies  int64
-	ZeroFills  int64
-	NodeClones int64
-	TLBHits    int64 // software-TLB hits across all extension contexts
-	TLBMisses  int64 // software-TLB misses (slow-path resolutions)
-	Steals     int64 // work-stealing scheduler: items taken from other workers
-	LocalPops  int64 // work-stealing scheduler: items popped from the own deque
+	Nodes     int64 // extension steps evaluated (never exceeds Config.MaxNodes)
+	Guesses   int64
+	Fails     int64
+	Exits     int64
+	Errors    int64 // crashed paths
+	Emitted   int64
+	Evicted   int64 // extensions dropped by a memory-bounded strategy (SM-A*)
+	Snapshots int64 // partial candidates captured
+	CaptureNs int64 // cumulative wall time inside Tree.Capture (capture stall budget)
+	MaxDepth  int64
+	Steals    int64 // work-stealing scheduler: items taken from other workers
+	LocalPops int64 // work-stealing scheduler: items popped from the own deque
+	// Stats sums the memory counters of every extension context.
+	mem.Stats
 }
 
 // Result reports a completed search.
@@ -347,13 +344,8 @@ func (s *Stats) add(w *Stats) {
 	s.Exits += w.Exits
 	s.Errors += w.Errors
 	s.Emitted += w.Emitted
-	s.Epochs += w.Epochs
 	s.MaxDepth = max(s.MaxDepth, w.MaxDepth)
-	s.CowCopies += w.CowCopies
-	s.ZeroFills += w.ZeroFills
-	s.NodeClones += w.NodeClones
-	s.TLBHits += w.TLBHits
-	s.TLBMisses += w.TLBMisses
+	s.Stats.Add(w.Stats)
 }
 
 // worker is one simulated core: pop, restore, evaluate, retire — with no
@@ -437,12 +429,7 @@ func (e *Engine) evaluate(w int, parent *snapshot.State, ctx *snapshot.Context, 
 		held.Release()
 	}
 	st := ctx.Mem.Stats()
-	ws.stats.CowCopies += st.CowCopies
-	ws.stats.ZeroFills += st.ZeroFills
-	ws.stats.NodeClones += st.NodeClones
-	ws.stats.Epochs += st.Epochs
-	ws.stats.TLBHits += st.TLBHits
-	ws.stats.TLBMisses += st.TLBMisses
+	ws.stats.Stats.Add(st)
 	if e.cfg.Observer != nil {
 		e.cfg.Observer.OnStepStats(st)
 	}

@@ -113,6 +113,7 @@ func NewHostedMachine(step StepFunc) *HostedMachine { return &HostedMachine{step
 //
 // hot_path: one pooled Env per step; the step function is the guest.
 func (m *HostedMachine) Resume(ctx *snapshot.Context, retval uint64) (Event, error) {
+	//lint:ignore escapegate new(Env) when the pool is empty, inlined from getEnv: a first-use allocation
 	env := m.getEnv()
 	*env = Env{ctx: ctx, choice: retval}
 	//lint:ignore hotpath the step function is the guest's own work, not the engine's

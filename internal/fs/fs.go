@@ -590,12 +590,13 @@ func (sn *Snapshot) Materialize() *FS { return sn.MaterializeInto(new(FS)) }
 // hot_path: O(#files) pointer copies into storage dst already owns.
 func (sn *Snapshot) MaterializeInto(dst *FS) *FS {
 	if len(dst.inodes) != 0 || len(dst.fds) != 0 {
+		//lint:ignore escapegate the panic message escapes on the misuse path only
 		panic("fs: MaterializeInto a live view (Release it first)")
 	}
 	for p, f := range sn.inodes {
 		f.retain()
 		//lint:ignore hotpath the first file a recycled view ever holds makes its table; later steps refill it
-		dst.put(p, f)
+		dst.put(p, f) //lint:ignore escapegate first use only: the map a recycled view keeps
 	}
 	//lint:ignore hotpath amortized: the descriptor slice grows to the image's size once
 	dst.fds = append(dst.fds[:0], sn.fds...)

@@ -582,6 +582,7 @@ func (as *AddressSpace) WriteU64(addr, val uint64) error {
 			return err
 		}
 		if as.sealed {
+			//lint:ignore escapegate &Fault{...} of the inlined fault constructor: a write to a sealed space is a guest error
 			return sealedWriteFault(addr)
 		}
 		f, err := as.pt.ensureWritable(addr, &as.stats)
@@ -669,6 +670,7 @@ func (as *AddressSpace) Fork() *AddressSpace { return as.ForkInto(new(AddressSpa
 // hot_path: two atomic increments and a dozen stores; no allocation.
 func (as *AddressSpace) ForkInto(dst *AddressSpace) *AddressSpace {
 	if dst.pt.root != nil {
+		//lint:ignore escapegate the panic message escapes on the misuse path only
 		panic("mem: ForkInto a live address space (Release it first)")
 	}
 	as.AdvanceEpoch()
@@ -737,6 +739,7 @@ func (as *AddressSpace) TouchWritable(addr uint64) error {
 		return err
 	}
 	if as.sealed {
+		//lint:ignore escapegate &Fault{...} of the inlined fault constructor: a write to a sealed space is a guest error
 		return sealedWriteFault(addr)
 	}
 	f, err := as.pt.ensureWritable(addr, &as.stats)

@@ -95,7 +95,7 @@ func NewSharded[T any](workers int, kind StealKind, seed uint64, drop func(Item[
 	for i := range s.shards {
 		s.shards[i].victim = (i + 1) % workers
 		// splitmix64 over the seed: decorrelated non-zero per-shard states.
-		//lint:ignore lockguard the pool is not yet published to any worker
+		//lint:ignore lockorder the pool is not yet published to any worker
 		s.shards[i].rng = splitmix64(seed+uint64(i+1)*0x9e3779b97f4a7c15) | 1
 	}
 	return s

@@ -391,7 +391,7 @@ func NewWithConfig(cfg Config) *Service {
 	// Root candidate: empty filesystem, empty solver. Pinned forever.
 	as := mem.NewAddressSpace(s.alloc)
 	ctx := &snapshot.Context{Mem: as, FS: fs.New()}
-	//lint:ignore lockguard the service is not yet published to any other goroutine
+	//lint:ignore lockorder the service is not yet published to any other goroutine
 	s.shardFor(0).entries[0] = &entry{id: 0, state: s.tree.Capture(ctx, nil), pinned: true}
 	s.pinned.Store(1)
 	ctx.Release()
@@ -986,7 +986,7 @@ func (s *Service) Counts() (refs, pinned int) {
 		sh.mu.Lock()
 	}
 	for _, sh := range s.shards {
-		//lint:ignore lockguard every shard is held, two loops up
+		//lint:ignore lockorder every shard is held, two loops up
 		refs += len(sh.entries)
 		sh.mu.Unlock()
 	}

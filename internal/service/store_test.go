@@ -241,6 +241,24 @@ func TestRestartNeverReusesReleasedID(t *testing.T) {
 	_ = r1
 }
 
+// TestParkReserveFailureReleasesChild: when park cannot make the new id's
+// reservation durable, Extend fails with the store's error and the
+// captured child is released — only the root stays live.
+func TestParkReserveFailureReleasesChild(t *testing.T) {
+	cold := openStore(t, t.TempDir())
+	svc := NewWithConfig(Config{Store: cold})
+	defer svc.Close()
+	if err := cold.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Extend(context.Background(), 0, [][]int{{1}}); !errors.Is(err, store.ErrClosed) {
+		t.Fatalf("extend with a closed store = %v, want store.ErrClosed", err)
+	}
+	if live := svc.LiveSnapshots(); live != 1 {
+		t.Fatalf("%d live snapshots after the failed park, want 1 (the root)", live)
+	}
+}
+
 // TestReleaseSpilledPurgesColdCopy: releasing a demoted id removes the
 // manifest, so the id is gone for good (unknown, not evicted) and a
 // restart cannot resurrect it.

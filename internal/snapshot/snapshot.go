@@ -124,7 +124,7 @@ func (s *State) Mem() *mem.AddressSpace { return &s.mem }
 func (s *State) Retain() *State {
 	if s.refs.Add(1) <= 1 {
 		//lint:ignore hotpath panic message construction on the failure path only
-		panic(fmt.Sprintf("snapshot: retain after free of state %d", s.id))
+		panic(fmt.Sprintf("snapshot: retain after free of state %d", s.id)) //lint:ignore escapegate panic message on the failure path only
 	}
 	return s
 }
@@ -146,7 +146,7 @@ func (s *State) Release() {
 		}
 		if n < 0 {
 			//lint:ignore hotpath panic message construction on the failure path only
-			panic(fmt.Sprintf("snapshot: double release of state %d", s.id))
+			panic(fmt.Sprintf("snapshot: double release of state %d", s.id)) //lint:ignore escapegate panic message on the failure path only
 		}
 		s.mem.Release()
 		s.fsys.Release()
@@ -173,9 +173,11 @@ func (s *State) Restore() *Context { return s.RestoreInto(new(Context)) }
 // hot_path: the engine's per-step restore.
 func (s *State) RestoreInto(c *Context) *Context {
 	if c.Mem != nil || c.FS != nil {
+		//lint:ignore escapegate the panic message escapes on the misuse path only
 		panic("snapshot: RestoreInto a live Context (Release it first)")
 	}
 	c.Mem = s.mem.ForkInto(&c.mem)
+	//lint:ignore escapegate MaterializeInto inlines here: its misuse panic and the first-use map of a recycled view
 	c.FS = s.fsys.MaterializeInto(&c.fs)
 	c.Regs = s.regs
 	//lint:ignore hotpath amortized: Out grows to the longest output restored, once

@@ -169,7 +169,7 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: seek log: %w", err)
 	}
 	// Account chunk payload sizes for manifests that survived replay.
-	//lint:ignore lockguard the store is not yet published to any other goroutine
+	//lint:ignore lockorder the store is not yet published to any other goroutine
 	for _, m := range s.manifests {
 		s.accountManifest(m, +1)
 	}
