@@ -53,6 +53,7 @@ var AcqNames = map[string]bool{
 	// results (an engine worker's Context after RestoreInto).
 	"RestoreInto":     true,
 	"ForkInto":        true,
+	"ViewInto":        true,
 	"MaterializeInto": true,
 	"Load":            true,
 	"Get":             true,

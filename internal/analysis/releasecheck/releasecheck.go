@@ -181,7 +181,7 @@ func keepsHandle(name string) bool {
 
 // retainNames are the refcount-bump method names.
 var retainNames = map[string]bool{
-	"Retain": true, "retain": true, "Ref": true, "IncRef": true,
+	"Retain": true, "RetainN": true, "retain": true, "Ref": true, "IncRef": true,
 }
 
 // refcounted reports whether obj's refcount is bumped somewhere in the

@@ -24,6 +24,10 @@ func Alloc() (*State, error) { return &State{refs: 1}, nil }
 // caller provides and returns it; what it returns must be released.
 func (s *State) RestoreInto(dst *State) *State { dst.refs = 1; return dst }
 
+// ViewInto mirrors mem.AddressSpace.ViewInto: a borrowed view filled into
+// caller storage; it holds the table until Released, like a fork.
+func (s *State) ViewInto(dst *State) *State { dst.refs = 1; return dst }
+
 // registry gives register a real escape: the summary layer classifies a
 // parameter as transferred only when the callee body actually stores or
 // releases it, so an empty helper would (correctly) count as borrowing.
@@ -209,6 +213,19 @@ func goodFilledDiscarded(snap, spare *State) {
 func badFilledNotReleased(snap, spare *State) int {
 	ctx := snap.RestoreInto(spare) // want `neither released nor transferred`
 	return inspect(ctx)
+}
+
+// goodViewReleased views a sealed state in place and releases the view.
+func goodViewReleased(sealed, spare *State) {
+	v := sealed.ViewInto(spare)
+	v.Release()
+}
+
+// badViewNotReleased forgets a view: a later ViewInto or ForkInto into the
+// same storage would find it live.
+func badViewNotReleased(sealed, spare *State) int {
+	v := sealed.ViewInto(spare) // want `neither released nor transferred`
+	return inspect(v)
 }
 
 // cleanNoAcquisition has nothing to check.

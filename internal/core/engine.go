@@ -505,10 +505,10 @@ func (e *Engine) extend(w int, parent *snapshot.State, ctx *snapshot.Context, re
 				first = 1 // extension 0 continues in this worker
 			}
 			// The batch is built in the worker's buffer: push copies it
-			// (Strategy.PushAll and Sharded.Push must not retain it).
+			// (Strategy.PushAll and Sharded.Push must not retain it). Its
+			// references are taken with one add, not one per sibling.
 			items := ws.sibs[:0]
 			for c := first; c < ev.N; c++ {
-				snap.Retain()
 				items = append(items, Ext{
 					Payload:  snap,
 					Choice:   c,
@@ -518,6 +518,7 @@ func (e *Engine) extend(w int, parent *snapshot.State, ctx *snapshot.Context, re
 			}
 			ws.sibs = items
 			if len(items) > 0 {
+				snap.RetainN(len(items))
 				if e.halted.Load() || !e.sched.push(w, items) {
 					// Stopped: the scheduler refused the batch (or would
 					// have); the sibling references are ours to drop.

@@ -25,8 +25,10 @@ func (v VMA) contains(addr uint64) bool { return addr >= v.Start && addr < v.End
 // AddressSpace is one mutable guest address space: a VMA list plus a
 // persistent page table and a software TLB caching hot translations (see
 // tlb.go). Forking an address space is O(1): the fork shares the
-// page-table root, starts a new snapshot epoch, and both sides
-// copy-on-write from then on.
+// page-table root, the parent starts a new snapshot epoch, and both sides
+// copy-on-write from then on. A sealed space can also be viewed
+// (ViewInto): a view borrows the root and becomes a fork at its first
+// table mutation.
 //
 // An AddressSpace is owned by a single goroutine — reads fill the TLB, so
 // even read-only use mutates internal state. The exceptions are a sealed
@@ -93,6 +95,9 @@ func (as *AddressSpace) Epoch() uint64 { return as.pt.epoch }
 // comparing frame stamps. On a sealed space this is a no-op returning the
 // current token: sealed spaces are shared read-only and must not be
 // mutated, and since they take no writes their dirty set is empty anyway.
+// On a view (ViewInto) it first takes the view's own reference on the
+// table, as its first write would: a view that is forked or checkpointed
+// is a view no longer.
 //
 // bumps_epoch
 // hot_path: the O(1) capture primitive — a branch, an atomic increment,
@@ -101,7 +106,10 @@ func (as *AddressSpace) AdvanceEpoch() uint64 {
 	if as.sealed {
 		return as.pt.epoch
 	}
-	as.pt.epoch = nextEpoch()
+	// Zeroed first, the epoch is what own draws: one draw, and a borrowed
+	// table never holds a token.
+	as.pt.epoch = 0
+	as.pt.own()
 	as.stats.Epochs++
 	return as.pt.epoch
 }
@@ -494,13 +502,13 @@ func (as *AddressSpace) WriteForce(p []byte, addr uint64) error {
 // writes pay one radix walk per span plus one refcount check per page
 // instead of a full walk per page. A forced write skips the TLB probe so
 // it charges no hit: on a page it already owns this epoch, ownPath clones
-// nothing and ensureFrame restamps the same epoch.
+// nothing and ensureFrame restamps the same epoch. The epoch is read per
+// page, not once: a fork's or view's first ownPath draws it.
 // cheap: the store slow path — CoW materialization allocates by design.
 func (as *AddressSpace) writePages(p []byte, addr uint64, force bool) error {
 	if as.sealed {
 		return sealedWriteFault(addr)
 	}
-	epoch := as.pt.epoch
 	var leaf *tableNode
 	leafBase := ^uint64(0)
 	for len(p) > 0 {
@@ -509,7 +517,7 @@ func (as *AddressSpace) writePages(p []byte, addr uint64, force bool) error {
 		vpn := addr >> PageShift
 		var f *Frame
 		if !force {
-			f, _ = as.tlb.writeFrame(vpn, epoch)
+			f, _ = as.tlb.writeFrame(vpn, as.pt.epoch)
 		}
 		if f == nil {
 			if base := vpn >> levelBits; leaf == nil || base != leafBase {
@@ -524,7 +532,7 @@ func (as *AddressSpace) writePages(p []byte, addr uint64, force bool) error {
 			if force {
 				as.tlb.refreshRead(vpn, f)
 			} else {
-				as.tlb.fillWrite(vpn, f, epoch)
+				as.tlb.fillWrite(vpn, f, as.pt.epoch)
 			}
 		}
 		copy(f.Data[off:off+n], p[:n])
@@ -655,7 +663,9 @@ func (as *AddressSpace) Fork() *AddressSpace { return as.ForkInto(new(AddressSpa
 // copied. This is the primitive lightweight snapshots build on. dst must be
 // a zero AddressSpace or one that has been Released — the engine restores
 // every step into the same struct — and starts with an empty TLB, zeroed
-// counters, unsealed, and a fresh epoch of its own.
+// counters and unsealed. Its epoch is 0 until its first table mutation
+// draws a fresh one (pageTable.own), so a fork that is sealed at once, as
+// every capture's is, never draws.
 //
 // ForkInto is an epoch boundary: the parent's privately-owned pages become
 // shared the instant the fork exists, so the parent starts a new snapshot
@@ -677,35 +687,79 @@ func (as *AddressSpace) ForkInto(dst *AddressSpace) *AddressSpace {
 	if as.pt.root != nil {
 		retainNode(as.pt.root)
 	}
-	dst.pt = pageTable{root: as.pt.root, base: as.pt.base, alloc: as.pt.alloc, epoch: nextEpoch()}
-	// Release left the entry block with the pool; what is left to reset is
-	// what a previous life may have set.
-	dst.tlb.off, dst.tlb.hits, dst.tlb.misses = false, 0, 0
-	dst.sealed = false
-	dst.vmas = as.vmas
-	dst.brk = as.brk
-	dst.stats = Stats{}
+	dst.pt = pageTable{root: as.pt.root, base: as.pt.base, alloc: as.pt.alloc}
+	dst.inherit(as)
 	return dst
 }
 
+// ViewInto makes dst a borrowed view of this sealed space and returns it:
+// what ForkInto gives, minus the reference and the epoch bump, so it
+// costs a dozen stores and no atomic. Reads walk the sealed table through
+// dst's own TLB. The first table mutation — a store, WriteForce, Unmap, a
+// Brk shrink, or a fork or checkpoint of dst — takes the reference and
+// draws an epoch (pageTable.own); from then on dst is exactly a fork.
+// Map, Protect and Brk growth edit only dst's region list.
+//
+// The caller must keep the sealed space alive until dst is Released, since
+// dst may read a table it holds no reference on; Own ends the borrow at
+// once. dst must be a zero AddressSpace or one that has been Released. The
+// source must be sealed: an owner could write its table in place.
+//
+// hot_path: a dozen stores; no atomic, no allocation.
+func (as *AddressSpace) ViewInto(dst *AddressSpace) *AddressSpace {
+	if !as.sealed || dst.pt.root != nil {
+		//lint:ignore escapegate the panic message escapes on the misuse path only
+		panic("mem: ViewInto needs a sealed source and a released destination")
+	}
+	dst.pt = pageTable{root: as.pt.root, base: as.pt.base, alloc: as.pt.alloc, borrowed: true}
+	dst.inherit(as)
+	return dst
+}
+
+// inherit gives a fork or view destination the source's regions and break
+// and resets what a previous life may have set. Release left the entry
+// block with the pool.
+// hot_path: stores only.
+func (as *AddressSpace) inherit(src *AddressSpace) {
+	as.tlb.off, as.tlb.hits, as.tlb.misses = false, 0, 0
+	as.sealed = false
+	as.vmas = src.vmas
+	as.brk = src.brk
+	as.stats = Stats{}
+}
+
+// Own ends a view's borrow (ViewInto) without waiting for a write: the
+// space takes its reference on the table and draws an epoch, and from
+// then on lives independently of the sealed space it viewed. A no-op on a
+// space that owns its table.
+func (as *AddressSpace) Own() {
+	if as.pt.borrowed {
+		as.pt.own()
+	}
+}
+
 // Release drops this space's reference to its page table, freeing frames
-// whose last reference this was. The space must not be used afterwards,
-// except as the destination of a ForkInto.
+// whose last reference this was; a view that was never written holds no
+// reference and only forgets the table. The space must not be used
+// afterwards, except as the destination of a ForkInto or ViewInto.
 //
 // sharing_boundary: cached frames are released out from under the TLB.
 // hot_path: one refcount decrement when the table is still shared; the
 // teardown below it is cheap.
 func (as *AddressSpace) Release() {
 	if as.pt.root != nil {
-		releaseNode(as.pt.alloc, as.pt.root)
+		if !as.pt.borrowed {
+			releaseNode(as.pt.alloc, as.pt.root)
+		}
 		as.pt.root = nil
 	}
+	as.pt.borrowed = false
 	as.vmas = nil
 	as.tlb.flush() // cached frames were just released
 }
 
 // Footprint walks the page table and reports residency and sharing.
-func (as *AddressSpace) Footprint() Footprint { return footprint(as.pt.root) }
+func (as *AddressSpace) Footprint() Footprint { return footprint(as.pt.root, as.pt.borrowed) }
 
 // ResidentPages returns the number of frames reachable from this space.
 func (as *AddressSpace) ResidentPages() int {

@@ -53,13 +53,14 @@ func TestEpochStamping(t *testing.T) {
 }
 
 // TestEpochForkUniqueness checks the sharing-side: Fork advances the
-// parent's epoch (its cached write entries go stale) and the child starts
-// in a globally fresh epoch, so no space can mistake another lineage's
+// parent's epoch (its cached write entries go stale), and the child draws
+// a globally fresh epoch at its first write — none before, so a fork that
+// is never written never draws — so no space can mistake another lineage's
 // stamps for its own.
 func TestEpochForkUniqueness(t *testing.T) {
 	as := newAS(t)
 	defer as.Release()
-	mustMap(t, as, 0x1000, PageSize, PermRW, "data")
+	mustMap(t, as, 0x1000, 2*PageSize, PermRW, "data")
 	if err := as.WriteU64(0x1000, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +70,17 @@ func TestEpochForkUniqueness(t *testing.T) {
 	if as.Epoch() <= parentBefore {
 		t.Fatalf("Fork left parent epoch at %d (was %d); stale write entries survive", as.Epoch(), parentBefore)
 	}
-	if child.Epoch() == as.Epoch() || child.Epoch() <= parentBefore {
-		t.Fatalf("child epoch %d not fresh (parent %d -> %d)", child.Epoch(), parentBefore, as.Epoch())
+	if child.Epoch() != 0 {
+		t.Fatalf("unwritten child drew epoch %d; want 0 until its first write", child.Epoch())
+	}
+	if err := child.WriteU64(0x2000, 2); err != nil {
+		t.Fatal(err)
+	}
+	if child.Epoch() <= as.Epoch() {
+		t.Fatalf("child epoch %d after its first write not fresh (parent %d -> %d)", child.Epoch(), parentBefore, as.Epoch())
+	}
+	if got := child.FrameAt(0x2000).Epoch(); got != child.Epoch() {
+		t.Fatalf("child's first write stamped %d, want its epoch %d", got, child.Epoch())
 	}
 	// The shared frame's stamp predates both new epochs: neither side may
 	// consider it privately written in its current epoch.

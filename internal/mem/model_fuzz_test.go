@@ -19,6 +19,9 @@ type modelSpace struct {
 	heapLo uint64            // first heap byte; the heap ends at brk
 	brk    uint64
 	sealed bool
+	// src is the sealed space a view (ViewInto) was made of. The model
+	// treats the view as a fork of it; src is released after the view.
+	src *modelSpace
 }
 
 func (m *modelSpace) allMapped(addr, n uint64) bool {
@@ -64,8 +67,12 @@ func (m *modelSpace) unmap(lo, hi uint64) {
 	}
 }
 
-func (m *modelSpace) fork() *modelSpace {
-	c := &modelSpace{as: m.as.Fork(), mapped: map[uint64]bool{}, pages: map[uint64][]byte{},
+func (m *modelSpace) fork() *modelSpace { return m.copyTo(m.as.Fork()) }
+
+// copyTo returns a model of as, a fork or view of m's space: m's pages and
+// regions, unsealed.
+func (m *modelSpace) copyTo(as *AddressSpace) *modelSpace {
+	c := &modelSpace{as: as, mapped: map[uint64]bool{}, pages: map[uint64][]byte{},
 		heapLo: m.heapLo, brk: m.brk}
 	for vpn := range m.mapped {
 		c.mapped[vpn] = true
@@ -111,6 +118,20 @@ func (m *modelSpace) verify(t *testing.T) {
 	if fp := m.as.Footprint(); fp.PrivatePages+fp.SharedPages != len(vpns) {
 		t.Fatalf("Footprint counts %d pages; model has %d", fp.PrivatePages+fp.SharedPages, len(vpns))
 	}
+	if m.src != nil {
+		m.src.verify(t) // nothing the view did may reach the sealed space
+	}
+}
+
+// release verifies the space and releases it, then the sealed space it
+// viewed, if any.
+func (m *modelSpace) release(t *testing.T) {
+	t.Helper()
+	m.verify(t)
+	m.as.Release()
+	if m.src != nil {
+		m.src.as.Release()
+	}
 }
 
 // modelAnchors are page addresses spread over the whole 48-bit range:
@@ -152,13 +173,13 @@ func (o *modelOps) page() uint64 {
 // pages of each anchor, weighted towards maps, writes and forks so that
 // the seed corpus alone exercises sharing, growth and teardown.
 func modelSeed(rng *rand.Rand, n int) []byte {
-	weights := [10]int{4, 3, 3, 2, 2, 1, 1, 2, 1, 2} // by op, as in the switch below
+	weights := [11]int{4, 3, 3, 2, 2, 1, 1, 2, 1, 2, 2} // by op, as in the switch below
 	pg := func() byte { return byte(rng.Intn(8) | rng.Intn(4)<<3) }
 	anyByte := func() byte { return byte(rng.Intn(256)) }
 	var b []byte
 	live := 0
 	for ; n > 0; n-- {
-		op, w := 0, rng.Intn(21)
+		op, w := 0, rng.Intn(23)
 		for w >= weights[op] {
 			w -= weights[op]
 			op++
@@ -177,7 +198,7 @@ func modelSeed(rng *rand.Rand, n int) []byte {
 			b = append(b, anyByte(), pg())
 		case 4:
 			live = min(live+1, 6)
-		case 7:
+		case 7, 10:
 			b = append(b, anyByte())
 		case 8:
 			live--
@@ -187,8 +208,8 @@ func modelSeed(rng *rand.Rand, n int) []byte {
 }
 
 // FuzzAddressSpaceModel runs random Map/WriteAt/WriteU64/ReadU64/ReadAt/
-// Fork/Seal/Unmap/Brk/Release sequences over up to six spaces sharing one
-// allocator, checking every result against modelSpace and, at the end,
+// Fork/Seal/Unmap/Brk/Release/View sequences over up to six spaces sharing
+// one allocator, checking every result against modelSpace and, at the end,
 // that releasing every space frees every frame.
 func FuzzAddressSpaceModel(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
@@ -218,7 +239,7 @@ func FuzzAddressSpaceModel(f *testing.F) {
 			}
 			si := int(o.next()) % len(spaces)
 			m := spaces[si]
-			switch op % 10 {
+			switch op % 11 {
 			case 0: // Map 1–4 pages
 				addr, n := o.page(), uint64(o.next()%4+1)*PageSize
 				if m.sealed {
@@ -320,8 +341,7 @@ func FuzzAddressSpaceModel(f *testing.F) {
 				}
 				m.brk = nb
 			case 8: // Release
-				m.verify(t)
-				m.as.Release()
+				m.release(t)
 				spaces = append(spaces[:si], spaces[si+1:]...)
 			case 9: // ReadAt, up to three pages
 				addr := o.page() + uint64(o.next())*16
@@ -335,11 +355,20 @@ func FuzzAddressSpaceModel(f *testing.F) {
 				if ok && !bytes.Equal(buf, m.read(addr, n)) {
 					t.Fatalf("step %d: ReadAt(%#x,%d) differs from the model", step, addr, n)
 				}
+			case 10: // View: seal a fork of space si, view it into space j's struct
+				j := int(o.next()) % len(spaces)
+				src := m.fork()
+				src.as.Seal()
+				src.sealed = true
+				dst := spaces[j]
+				dst.release(t) // the struct is reused, as an engine worker's is
+				v := src.copyTo(src.as.ViewInto(dst.as))
+				v.src = src
+				spaces[j] = v
 			}
 		}
 		for _, m := range spaces {
-			m.verify(t)
-			m.as.Release()
+			m.release(t)
 		}
 		if live := alloc.Live(); live != 0 {
 			t.Fatalf("%d frames live after every space was released", live)

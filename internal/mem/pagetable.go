@@ -157,8 +157,33 @@ type pageTable struct {
 	// process-wide counter so every (space, epoch) pair is globally unique.
 	// ensureFrame stamps it onto frames as they are privatized or written;
 	// a frame whose stamp equals the current token is exclusively owned by
-	// this table and was written during the current epoch.
+	// this table and was written during the current epoch. 0 means not
+	// drawn yet: a fork or a view draws its first token at its first
+	// mutation (own), so one that is never written never draws.
 	epoch uint64
+	// borrowed marks a view (AddressSpace.ViewInto): root belongs to the
+	// sealed space viewed and this table holds no reference on it. A
+	// borrowed table always has epoch 0; own ends the borrow.
+	borrowed bool
+}
+
+// own makes the table this space's own before its first mutation. A view
+// takes the reference on the root it borrowed, so the path copy that
+// follows sees the root as shared and clones it instead of writing the
+// sealed space's node; a table that has not drawn an epoch draws one, so
+// what the mutation stamps carries a fresh token.
+// cheap: two not-taken branches once owned; a view's or fork's first
+// mutation pays one atomic add for each.
+func (pt *pageTable) own() {
+	if pt.borrowed {
+		pt.borrowed = false
+		if pt.root != nil {
+			retainNode(pt.root)
+		}
+	}
+	if pt.epoch == 0 {
+		pt.epoch = nextEpoch()
+	}
 }
 
 // unshare replaces this table's reference to the shared node n by a
@@ -201,9 +226,12 @@ func (pt *pageTable) grow(vpn uint64) *tableNode {
 // cloned by the next write under them anyway). A path this table already
 // owns — every write re-resolves it once per snapshot epoch — costs one
 // refcount load per level and no call. The leaf spans levelSize contiguous
-// pages, so run-length write paths resolve it once per span.
+// pages, so run-length write paths resolve it once per span. Every table
+// mutation goes through here, so this is where a view or a fork takes
+// ownership (own).
 // cheap: the CoW fault path; see unshare.
 func (pt *pageTable) ownPath(addr uint64, create bool, stats *Stats) *tableNode {
+	pt.own()
 	vpn := addr >> PageShift
 	n := pt.root
 	switch {
@@ -358,8 +386,9 @@ func (f Footprint) SharedBytes() int64 { return int64(f.SharedPages) * PageSize 
 // footprint classifies everything reachable from root. A node or frame is
 // shared when its own refcount exceeds one or when it is reached through a
 // shared node: path copying leaves everything below an uncloned node at
-// refcount 1 while two tables reach it.
-func footprint(root *tableNode) Footprint {
+// refcount 1 while two tables reach it. A borrowed root is shared whatever
+// its count: the view holds no reference of its own on it.
+func footprint(root *tableNode, borrowed bool) Footprint {
 	var fp Footprint
 	var walk func(n *tableNode, shared bool)
 	walk = func(n *tableNode, shared bool) {
@@ -382,7 +411,7 @@ func footprint(root *tableNode) Footprint {
 		}
 	}
 	if root != nil {
-		walk(root, false)
+		walk(root, borrowed)
 	}
 	return fp
 }

@@ -39,13 +39,18 @@ import (
 // walks the radix and fills nothing, and concurrent readers write nothing.
 // There is no second, shared cache: one measured 2.5–4x slower than the
 // walk under two readers, because every reader wrote its slots and
-// counters.
+// counters. A worker that restores a snapshot reads it through a view
+// (ViewInto), whose TLB is on and its own: the view's read entries name
+// the sealed table's frames, and stay valid when its first write takes a
+// reference on that table, since the frames do not move; the CoW fill
+// refreshes the entry of the page it copies, as in any fork.
 //
-// The entry arrays live behind a pointer so that ForkInto — the O(1)
-// snapshot primitive the paper's latency claims rest on — pays nothing for
-// the TLB: a fork starts with no entry block, whether its struct is new or
-// is the one an engine worker forks every step into (Release returned the
-// previous step's block to the pool), and takes one from the pool only
+// The entry arrays live behind a pointer so that ForkInto and ViewInto —
+// the O(1) snapshot primitives the paper's latency claims rest on — pay
+// nothing for the TLB: a fork or view starts with no entry block, whether
+// its struct is new or is the one an engine worker restores every step
+// into (Release returned the previous step's block to the pool), and takes
+// one from the pool only
 // when its first slow-path access fills an entry. A step that faults
 // nothing in — or a snapshot's frozen fork, which is sealed at once —
 // never touches a block.

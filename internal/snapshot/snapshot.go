@@ -32,13 +32,18 @@ import (
 // nothing doing so. Mem and FS point into that storage after a restore, or
 // at whatever the caller put there when it built the Context by hand. A
 // Context must not be copied once used.
+//
+// A Context filled by RestoreInto borrows the snapshot's memory until its
+// first write (mem.AddressSpace.ViewInto): the caller holds a reference to
+// the State it restored until the Context is Released. One filled by
+// Restore owns its memory and has no such tie.
 type Context struct {
 	Mem  *mem.AddressSpace
 	FS   *fs.FS
 	Regs vm.Registers
 	Out  []byte // captured stdout/stderr of this path
 
-	mem mem.AddressSpace // RestoreInto's fork lives here
+	mem mem.AddressSpace // RestoreInto's view lives here
 	fs  fs.FS            // and its file view here
 }
 
@@ -121,8 +126,15 @@ func (s *State) Mem() *mem.AddressSpace { return &s.mem }
 // be recycled — so it panics instead of resurrecting the state.
 //
 // hot_path: one atomic increment on the lookup hit path.
-func (s *State) Retain() *State {
-	if s.refs.Add(1) <= 1 {
+func (s *State) Retain() *State { return s.RetainN(1) }
+
+// RetainN adds n references with one atomic add, where n Retains would be
+// n: a guess queues its siblings this way. n must be positive; retaining a
+// freed snapshot panics as Retain does, whatever n is.
+//
+// hot_path: one atomic add per batch.
+func (s *State) RetainN(n int) *State {
+	if s.refs.Add(int32(n)) <= int32(n) {
 		//lint:ignore hotpath panic message construction on the failure path only
 		panic(fmt.Sprintf("snapshot: retain after free of state %d", s.id)) //lint:ignore escapegate panic message on the failure path only
 	}
@@ -158,8 +170,13 @@ func (s *State) Release() {
 }
 
 // Restore materializes a new mutable Context whose initial state is
-// exactly this snapshot. O(1) in the address-space size.
-func (s *State) Restore() *Context { return s.RestoreInto(new(Context)) }
+// exactly this snapshot. O(1) in the address-space size. The Context owns
+// its memory at once, so it may outlive every reference to s.
+func (s *State) Restore() *Context {
+	c := s.RestoreInto(new(Context))
+	c.Mem.Own()
+	return c
+}
 
 // RestoreInto makes c a mutable Context whose initial state is exactly
 // this snapshot, and returns it. c must be a zero Context or one that has
@@ -170,13 +187,20 @@ func (s *State) Restore() *Context { return s.RestoreInto(new(Context)) }
 // warm (the Out buffer has grown to the snapshot's output, the file table
 // exists if the snapshot has files).
 //
+// c.Mem is a view of the snapshot's sealed memory (mem.ViewInto): a step
+// that only reads takes no reference on the page table and draws no
+// epoch, and its first write takes both. So the caller must hold a
+// reference to s until c is Released. An engine worker does: it releases
+// the State it popped after the step.
+//
 // hot_path: the engine's per-step restore.
 func (s *State) RestoreInto(c *Context) *Context {
 	if c.Mem != nil || c.FS != nil {
 		//lint:ignore escapegate the panic message escapes on the misuse path only
 		panic("snapshot: RestoreInto a live Context (Release it first)")
 	}
-	c.Mem = s.mem.ForkInto(&c.mem)
+	//lint:ignore escapegate ViewInto inlines here: its misuse panic's message
+	c.Mem = s.mem.ViewInto(&c.mem)
 	//lint:ignore escapegate MaterializeInto inlines here: its misuse panic and the first-use map of a recycled view
 	c.FS = s.fsys.MaterializeInto(&c.fs)
 	c.Regs = s.regs
@@ -187,9 +211,8 @@ func (s *State) RestoreInto(c *Context) *Context {
 
 // Tree tracks snapshot identity and liveness statistics for one search.
 type Tree struct {
-	nextID    atomic.Uint64
+	nextID    atomic.Uint64 // ids are 1, 2, …: the last one is the count captured
 	live      atomic.Int64
-	created   atomic.Int64
 	captureNs atomic.Int64 // cumulative wall time spent inside Capture
 }
 
@@ -241,7 +264,6 @@ func (t *Tree) CaptureAtDepth(ctx *Context, parent *State, depth int) *State {
 	}
 	s.refs.Store(1)
 	t.live.Add(1)
-	t.created.Add(1)
 	t.captureNs.Add(time.Since(start).Nanoseconds())
 	return s
 }
@@ -250,7 +272,7 @@ func (t *Tree) CaptureAtDepth(ctx *Context, parent *State, depth int) *State {
 func (t *Tree) Live() int64 { return t.live.Load() }
 
 // Created returns the cumulative number of snapshots captured.
-func (t *Tree) Created() int64 { return t.created.Load() }
+func (t *Tree) Created() int64 { return int64(t.nextID.Load()) }
 
 // CaptureNs returns the cumulative wall-clock nanoseconds spent capturing
 // snapshots on this tree — the capture-stall budget the epoch protocol is

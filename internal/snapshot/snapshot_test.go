@@ -228,6 +228,8 @@ func TestDoubleReleasePanics(t *testing.T) {
 	}
 }
 
+// TestRetainAfterFreePanics: Retain and a batch RetainN of any size refuse
+// to resurrect a freed state, and a batch is released one by one.
 func TestRetainAfterFreePanics(t *testing.T) {
 	alloc := mem.NewFrameAllocator(0)
 	tree := NewTree()
@@ -237,6 +239,26 @@ func TestRetainAfterFreePanics(t *testing.T) {
 	id := snap.ID()
 	snap.Release()
 	mustPanic(t, fmt.Sprintf("retain after free of state %d", id), func() { snap.Retain() })
+
+	for _, n := range []int{1, 2, 7} {
+		snap := tree.Capture(ctx, nil)
+		id := snap.ID()
+		snap.Release()
+		mustPanic(t, fmt.Sprintf("retain after free of state %d", id), func() { snap.RetainN(n) })
+	}
+
+	live := tree.Live()
+	snap = tree.Capture(ctx, nil)
+	snap.RetainN(3)
+	for i := 0; i < 4; i++ {
+		if tree.Live() != live+1 {
+			t.Fatalf("state freed after %d of its 4 releases", i)
+		}
+		snap.Release()
+	}
+	if tree.Live() != live {
+		t.Fatalf("live = %d after the batch was released, want %d", tree.Live(), live)
+	}
 }
 
 // TestCaptureStormLeaksNothing: a writer dirties pages and branches its
