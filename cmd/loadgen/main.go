@@ -4,9 +4,8 @@
 // requests/sec with p50/p99/p999 latency per matrix point.
 //
 // With -addr it targets a running `solversvc -listen` server; without,
-// it spins up an in-process loopback server (the same wire.Serve and
-// dispatch path the real server uses) so a single command demonstrates
-// the pipelining win:
+// it starts that same server (wire.ServeListener) in process on a
+// loopback port, so a single command demonstrates the pipelining win:
 //
 //	loadgen -conns 1,2 -depth 1,8 -requests 2000
 //

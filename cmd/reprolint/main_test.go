@@ -261,9 +261,9 @@ func mutate(t *testing.T, dir, rel, old, new string) func() {
 
 // TestNegativeControls deletes one load-bearing statement at a time
 // from a copy of the real tree — a snapshot Release, the Fork epoch
-// bump, the manifest-log Sync, a shard lock, a TLB flush — and asserts
+// bump, the manifest-log Sync, a client lock, a TLB flush — and asserts
 // the gate convicts each mutant while passing the unmutated copy. No
-// test catches the Release (releasecheck), the shard lock (lockorder;
+// test catches the Release (releasecheck), the client lock (lockorder;
 // -race passes too) or the Seal flush (boundary) rows.
 func TestNegativeControls(t *testing.T) {
 	if testing.Short() {
@@ -312,10 +312,12 @@ func TestNegativeControls(t *testing.T) {
 			analyzer: "boundary",
 		},
 		{
-			name:     "deleted shard lock in Refs",
-			rel:      filepath.Join("internal", "service", "service.go"),
-			old:      "\t\tsh.mu.Lock()\n\t\tn += len(sh.entries)\n\t\tsh.mu.Unlock()\n",
-			new:      "\t\tn += len(sh.entries)\n",
+			name: "deleted lock in Client.forget",
+			rel:  filepath.Join("internal", "service", "wire", "client.go"),
+			old: "\tc.mu.Lock()\n\tif cur, ok := c.pending[call.Req.ReqID]; ok && cur == call {\n" +
+				"\t\tdelete(c.pending, call.Req.ReqID)\n\t}\n\tc.mu.Unlock()\n",
+			new: "\tif cur, ok := c.pending[call.Req.ReqID]; ok && cur == call {\n" +
+				"\t\tdelete(c.pending, call.Req.ReqID)\n\t}\n",
 			analyzer: "lockorder",
 		},
 		{

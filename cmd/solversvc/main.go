@@ -1,43 +1,34 @@
 // Command solversvc runs the multi-path incremental SAT solver service of
-// the paper's §3.2 over a line protocol — on stdin/stdout by default, or
+// the paper's §3.2: on stdin/stdout by default (the text protocol), or
 // as a TCP server with -listen, where every connection gets its own
-// session goroutine against the one shared snapshot tree. That sharing is
-// the point: a reference parked by one client can be branched by another,
+// session against the one shared snapshot tree. That sharing is the
+// point: a reference parked by one client can be branched by another,
 // and siblings physically share all unmodified state.
 //
-// TCP sessions can upgrade to a length-prefixed binary protocol
-// (internal/service/wire): a client whose first line is "binary <maxver>"
-// gets "proto binary <ver>" back and the connection switches to framed
-// requests with client-chosen request ids, pipelining with out-of-order
-// completion, and batched extends (N clause groups → N sibling ids in
-// one round trip). Anything else on the first line — including the
-// "err: unknown command" an older server would answer — keeps the
-// session in the text protocol, so clients degrade gracefully.
-// Per-reply write deadlines (-write-timeout) terminate a session whose
-// peer has stopped reading instead of wedging its goroutine in a write.
+// The protocols and the server live in internal/service/wire: the text
+// commands (send `help`), the binary upgrade a TCP client negotiates
+// with a first line of "binary <maxver>", and wire.ServeListener, which
+// is also the server loadgen and the benchmark measure.
+//
+// Flags:
+//
+//	-listen ADDR         serve TCP on ADDR instead of stdin/stdout
+//	-cap N               keep at most N unpinned references; LRU-evict beyond
+//	-shards N            reference-table lock shards (0 = default)
+//	-req-timeout D       per-request deadline for extend (default 30s; 0 disables)
+//	-write-timeout D     per-reply write deadline on TCP (default 5s; 0 disables)
+//	-store DIR           demote evictions to DIR instead of dropping them
+//
+// Reference 0 is the permanent empty root problem: it can be neither
+// released nor evicted, so `extend 0 ...` always works. Evicted ids
+// answer "evicted" errors afterwards; with -store, they reload on access
+// instead, shutdown demotes every parked reference, and a restarted
+// server with the same -store answers the ids a previous process parked.
 //
 // SIGINT/SIGTERM shut the service down gracefully: the listener stops
 // accepting, in-flight commands finish (their solves are cancelled via
 // the request context), every parked snapshot is released, and the
-// process exits after verifying no snapshots leaked.
-//
-// Protocol (one command per line; see `help`):
-//
-//	extend <id> <lit ... 0 [lit ... 0 ...]>   extend problem <id>; prints "id=N verdict=..."
-//	release <id>                              drop a reference (id 0 is permanent)
-//	pin <id> | unpin <id>                     exempt from / re-expose to eviction
-//	touch <id>                                LRU keep-alive / liveness probe
-//	refs | stats                              table and service counters
-//	quit                                      end the session
-//
-// Reference 0 is the permanent empty root problem: it can be neither
-// released nor evicted, so `extend 0 ...` always works. With -cap N the
-// service keeps at most N unpinned references; older ones are LRU-evicted
-// and answer "evicted" errors afterwards. With -store DIR, eviction
-// demotes to a content-addressed on-disk tier instead of dropping:
-// demoted ids transparently reload on access, shutdown demotes every
-// parked reference, and a restarted server with the same -store answers
-// the ids a previous process parked.
+// process exits after verifying no snapshots leaked (exit 1 if any did).
 //
 // Example session:
 //
@@ -47,60 +38,19 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/service"
 	"repro/internal/service/wire"
-	"repro/internal/solver"
 	"repro/internal/store"
 )
-
-// maxLineBytes bounds one protocol line (a large extend carries many
-// clauses; 64 variables per clause × thousands of clauses easily exceeds
-// bufio.Scanner's 64 KiB default). Longer lines fail loudly with a read
-// error instead of silently ending the session.
-const maxLineBytes = 8 << 20
-
-// config carries the per-session serving knobs.
-type config struct {
-	reqTimeout   time.Duration // per-request deadline for extend; 0 = none
-	writeTimeout time.Duration // per-reply write deadline; 0 = none
-}
-
-const banner = "solversvc ready; problem 0 is the permanent empty root (send `help` for the protocol)"
-
-const helpText = `commands:
-  extend <id> <lit ... 0 [lit ... 0 ...]>  solve states[id] ∧ clauses, park result, print new id
-  release <id>                             drop a reference (reference 0 is permanent: refused)
-  pin <id> / unpin <id>                    pinned references are never evicted by -cap
-  touch <id>                               LRU keep-alive; errors if evicted/unknown
-  refs                                     live reference and snapshot counts
-  stats                                    extends, evictions, refs, live snapshots, sharing footprint
-  help                                     this text
-  quit                                     end the session
-  binary <maxver>                          (first line of a TCP session only) switch to the
-                                           length-prefixed binary protocol: pipelined framed
-                                           requests with client-chosen ids and batched extends
-rules: reference 0 is the permanent empty base problem — it can be neither
-released nor evicted, so every session can branch from it. With -cap N at
-most N unpinned references stay parked; the least recently used beyond
-that are evicted and answer "evicted" errors afterwards — unless -store
-DIR is set, in which case they demote to disk and reload on access, and a
-restarted server recovers every previously-parked reference.`
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -131,7 +81,6 @@ func main() {
 		}
 	}
 	svc := service.NewWithConfig(service.Config{Capacity: *capacity, Shards: *shards, Store: cold})
-	cfg := config{reqTimeout: *reqTimeout, writeTimeout: *writeTimeout}
 
 	var sessionErr error
 	if *listen != "" {
@@ -141,14 +90,14 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "solversvc: listening on %s\n", ln.Addr())
-		serveTCP(ctx, svc, ln, cfg)
+		wire.ServeListener(ctx, svc, ln, wire.ServeOptions{ReqTimeout: *reqTimeout, WriteTimeout: *writeTimeout})
 	} else {
-		out := bufio.NewWriter(os.Stdout)
-		fmt.Fprintln(out, banner)
-		if err := out.Flush(); err != nil {
+		if _, err := fmt.Fprintln(os.Stdout, wire.Banner); err != nil {
 			sessionErr = fmt.Errorf("write: %w", err)
 		} else {
-			sessionErr = runSession(ctx, svc, os.Stdin, out, cfg)
+			// Stdout is not a deadline-capable transport, so -write-timeout
+			// does not apply here.
+			sessionErr = wire.ServeText(ctx, svc, os.Stdin, os.Stdout, wire.ServeOptions{ReqTimeout: *reqTimeout})
 		}
 		if sessionErr != nil {
 			fmt.Fprintf(os.Stderr, "solversvc: %v\n", sessionErr)
@@ -181,331 +130,4 @@ func main() {
 		// the process so drivers can tell, after the clean drain above.
 		os.Exit(1)
 	}
-}
-
-// serveTCP accepts connections until ctx is cancelled, running one session
-// goroutine per connection against the shared service — cross-client
-// physical sharing of the snapshot tree is the whole point. Shutdown is a
-// drain: the listener closes, open connections are closed to unblock
-// their readers, in-flight commands observe the cancelled context, and
-// serveTCP returns only when every session goroutine has exited.
-func serveTCP(ctx context.Context, svc *service.Service, ln net.Listener, cfg config) {
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	conns := make(map[net.Conn]struct{})
-	go func() {
-		<-ctx.Done()
-		ln.Close()
-		mu.Lock()
-		for c := range conns {
-			c.Close()
-		}
-		mu.Unlock()
-	}()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, net.ErrClosed) {
-				break
-			}
-			// Transient failure (e.g. EMFILE under connection load): log,
-			// back off briefly, and keep serving rather than silently
-			// taking the whole server down.
-			fmt.Fprintf(os.Stderr, "solversvc: accept: %v (retrying)\n", err)
-			select {
-			case <-ctx.Done():
-			case <-time.After(100 * time.Millisecond):
-			}
-			continue
-		}
-		mu.Lock()
-		conns[conn] = struct{}{}
-		mu.Unlock()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				conn.Close()
-				mu.Lock()
-				delete(conns, conn)
-				mu.Unlock()
-			}()
-			serveConn(ctx, svc, conn, cfg)
-		}()
-	}
-	wg.Wait()
-}
-
-// serveConn runs one TCP connection: banner, then protocol selection.
-// A first line of "binary <maxver>" negotiates the binary protocol and
-// hands the connection to wire.Serve; anything else (including a first
-// command too long to be a hello) replays the consumed bytes into the
-// text session, so pre-binary clients see exactly the old behavior.
-func serveConn(ctx context.Context, svc *service.Service, conn net.Conn, cfg config) {
-	br := bufio.NewReader(conn)
-	out := bufio.NewWriter(&deadlineWriter{conn: conn, timeout: cfg.writeTimeout})
-	fmt.Fprintln(out, banner)
-	if err := out.Flush(); err != nil {
-		return
-	}
-	line, isHello, consumed := peekHello(br)
-	if isHello {
-		if maxVer, ok := wire.ParseHello(line); ok {
-			ver, _ := wire.Negotiate(maxVer) // ParseHello guarantees maxVer ≥ 1
-			fmt.Fprintln(out, wire.Accept(ver))
-			if err := out.Flush(); err != nil {
-				return
-			}
-			err := wire.Serve(ctx, svc, conn, br, wire.ServeOptions{
-				ReqTimeout:   cfg.reqTimeout,
-				WriteTimeout: cfg.writeTimeout,
-			})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "solversvc: binary session %s: %v\n", conn.RemoteAddr(), err)
-			}
-			return
-		}
-		// "binary <garbage>": not a negotiation we speak. Fall through to
-		// the text session, which answers with a text error — the same
-		// fallback signal a pre-binary server gives a newer client.
-	}
-	r := io.MultiReader(bytes.NewReader(consumed), br)
-	if err := runSession(ctx, svc, r, out, cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "solversvc: session %s: %v\n", conn.RemoteAddr(), err)
-	}
-}
-
-// peekHello reads just enough of a session's first bytes to decide
-// whether the client is negotiating the binary protocol. It matches the
-// "binary " prefix byte-at-a-time — never reading past the first
-// divergence — so a short text first command ("refs\n") is replayed
-// immediately instead of blocking a prefix-sized read. On any read
-// error the bytes consumed so far are replayed and the error resurfaces
-// from the underlying reader.
-func peekHello(br *bufio.Reader) (line string, isHello bool, consumed []byte) {
-	const prefix = "binary "
-	for i := 0; i < len(prefix); i++ {
-		b, err := br.ReadByte()
-		if err != nil {
-			return "", false, consumed
-		}
-		consumed = append(consumed, b)
-		if b != prefix[i] {
-			return "", false, consumed
-		}
-	}
-	// Prefix matched: a hello line is short, so anything long is a text
-	// command that merely starts with "binary " and gets replayed.
-	const maxHello = 64
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return "", false, consumed
-		}
-		consumed = append(consumed, b)
-		if b == '\n' {
-			return string(consumed[:len(consumed)-1]), true, consumed
-		}
-		if len(consumed) > maxHello {
-			return "", false, consumed
-		}
-	}
-}
-
-// deadlineWriter arms conn's write deadline before every chunk the
-// session writes: a peer that stops reading (half-closed socket, wedged
-// consumer) fails the next Flush with a timeout instead of parking the
-// session goroutine in a blocking write forever.
-type deadlineWriter struct {
-	conn    net.Conn
-	timeout time.Duration
-}
-
-func (w *deadlineWriter) Write(p []byte) (int, error) {
-	if w.timeout > 0 {
-		if err := w.conn.SetWriteDeadline(time.Now().Add(w.timeout)); err != nil {
-			return 0, err
-		}
-	}
-	return w.conn.Write(p)
-}
-
-// scanMsg is one unit from the session reader: a line or a terminal error.
-type scanMsg struct {
-	line string
-	err  error
-}
-
-// runSession runs the command loop for one client until EOF, quit, ctx
-// cancellation, or a read error (which is both reported to the client and
-// returned). The scanner buffer is grown to maxLineBytes so large clause
-// batches arrive intact, and scanner errors surface instead of silently
-// ending the session.
-func runSession(ctx context.Context, svc *service.Service, r io.Reader, out *bufio.Writer, cfg config) error {
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Read on a separate goroutine so cancellation interrupts a session
-	// blocked on input (TCP conns are additionally closed by serveTCP).
-	lines := make(chan scanMsg)
-	go func() {
-		defer close(lines)
-		sc := bufio.NewScanner(r)
-		sc.Buffer(make([]byte, 64*1024), maxLineBytes)
-		for sc.Scan() {
-			select {
-			case lines <- scanMsg{line: sc.Text()}:
-			case <-sctx.Done():
-				return
-			}
-		}
-		if err := sc.Err(); err != nil {
-			select {
-			case lines <- scanMsg{err: err}:
-			case <-sctx.Done():
-			}
-		}
-	}()
-
-	for {
-		var msg scanMsg
-		var open bool
-		select {
-		case <-ctx.Done():
-			return nil
-		case msg, open = <-lines:
-			if !open {
-				return nil // clean EOF
-			}
-		}
-		if msg.err != nil {
-			if ctx.Err() != nil {
-				// Drain-induced: the server closed this connection to
-				// unblock the reader. Not a session failure.
-				return nil
-			}
-			err := fmt.Errorf("read: %w", msg.err)
-			fmt.Fprintf(out, "err: %v\n", err)
-			out.Flush()
-			return err
-		}
-		quit := handle(ctx, svc, out, strings.Fields(msg.line), cfg)
-		if err := out.Flush(); err != nil {
-			// The peer stopped reading (closed its read side, or stalled past
-			// the write deadline): terminate instead of solving into a broken
-			// pipe command after command.
-			return fmt.Errorf("write: %w", err)
-		}
-		if quit {
-			return nil
-		}
-	}
-}
-
-// handle executes one command, writing the reply; returns true on quit.
-func handle(ctx context.Context, svc *service.Service, out *bufio.Writer, fields []string, cfg config) bool {
-	if len(fields) == 0 {
-		return false
-	}
-	parseID := func() (uint64, bool) {
-		if len(fields) != 2 {
-			fmt.Fprintf(out, "err: %s <id>\n", fields[0])
-			return 0, false
-		}
-		id, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			fmt.Fprintf(out, "err: %v\n", err)
-			return 0, false
-		}
-		return id, true
-	}
-	switch fields[0] {
-	case "quit", "exit":
-		return true
-	case "help":
-		fmt.Fprintln(out, helpText)
-	case "refs":
-		fmt.Fprintf(out, "refs=%d live-snapshots=%d\n", svc.Refs(), svc.LiveSnapshots())
-	case "stats":
-		fmt.Fprintln(out, svc.Stats().Line())
-	case "binary":
-		fmt.Fprintln(out, "err: binary negotiation: expected `binary <maxver>` as the first line of a TCP session (-listen)")
-	case "release", "pin", "unpin", "touch":
-		id, ok := parseID()
-		if !ok {
-			break
-		}
-		var err error
-		switch fields[0] {
-		case "release":
-			err = svc.Release(id)
-		case "pin":
-			err = svc.Pin(id)
-		case "unpin":
-			err = svc.Unpin(id)
-		case "touch":
-			err = svc.Touch(id)
-		}
-		if err != nil {
-			fmt.Fprintf(out, "err: %v\n", err)
-		} else {
-			fmt.Fprintln(out, "ok")
-		}
-	case "extend":
-		if len(fields) < 2 {
-			fmt.Fprintln(out, "err: extend <id> <lit ... 0 ...>")
-			break
-		}
-		id, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			fmt.Fprintf(out, "err: %v\n", err)
-			break
-		}
-		var clauses [][]int
-		var cur []int
-		for _, f := range fields[2:] {
-			v, err := strconv.Atoi(f)
-			if err != nil {
-				fmt.Fprintf(out, "err: bad literal %q\n", f)
-				return false
-			}
-			if v == 0 {
-				clauses = append(clauses, cur)
-				cur = nil
-				continue
-			}
-			cur = append(cur, v)
-		}
-		if len(cur) > 0 {
-			clauses = append(clauses, cur)
-		}
-		rctx, cancel := ctx, func() {}
-		if cfg.reqTimeout > 0 {
-			rctx, cancel = context.WithTimeout(ctx, cfg.reqTimeout)
-		}
-		res, err := svc.Extend(rctx, id, clauses)
-		cancel()
-		if err != nil {
-			fmt.Fprintf(out, "err: %v\n", err)
-			break
-		}
-		fmt.Fprintf(out, "id=%d verdict=%s", res.ID, res.Verdict)
-		if res.Verdict == solver.Sat {
-			fmt.Fprint(out, " model=")
-			for v := 1; v < len(res.Model); v++ {
-				if v > 1 {
-					fmt.Fprint(out, ",")
-				}
-				if res.Model[v] {
-					fmt.Fprintf(out, "%d", v)
-				} else {
-					fmt.Fprintf(out, "-%d", v)
-				}
-			}
-		}
-		fmt.Fprintln(out)
-	default:
-		fmt.Fprintf(out, "err: unknown command %q\n", fields[0])
-	}
-	return false
 }

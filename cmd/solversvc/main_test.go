@@ -21,8 +21,8 @@ func session(t *testing.T, svc *service.Service, input string) string {
 	t.Helper()
 	var sb strings.Builder
 	out := bufio.NewWriter(&sb)
-	if err := runSession(context.Background(), svc, strings.NewReader(input), out, config{}); err != nil {
-		t.Fatalf("runSession: %v", err)
+	if err := wire.ServeText(context.Background(), svc, strings.NewReader(input), out, wire.ServeOptions{}); err != nil {
+		t.Fatalf("ServeText: %v", err)
 	}
 	out.Flush()
 	return sb.String()
@@ -56,19 +56,19 @@ func TestLongExtendLine(t *testing.T) {
 	}
 }
 
-// TestOverlongLineSurfacesScannerError: a line beyond maxLineBytes must
+// TestOverlongLineSurfacesScannerError: a line beyond wire.MaxLineBytes must
 // produce a visible read error, not a silent session end.
 func TestOverlongLineSurfacesScannerError(t *testing.T) {
 	svc := service.New()
 	defer svc.Close()
 
-	input := "extend 0 " + strings.Repeat("1 ", maxLineBytes/2) + "0\n"
+	input := "extend 0 " + strings.Repeat("1 ", wire.MaxLineBytes/2) + "0\n"
 	var sb strings.Builder
 	out := bufio.NewWriter(&sb)
-	err := runSession(context.Background(), svc, strings.NewReader(input), out, config{})
+	err := wire.ServeText(context.Background(), svc, strings.NewReader(input), out, wire.ServeOptions{})
 	out.Flush()
 	if err == nil {
-		t.Fatal("overlong line: runSession returned nil error")
+		t.Fatal("overlong line: ServeText returned nil error")
 	}
 	if !strings.Contains(sb.String(), "err: read:") {
 		t.Errorf("no client-visible diagnostic for overlong line: %.200s", sb.String())
@@ -116,7 +116,7 @@ func TestProtocolRootAndEviction(t *testing.T) {
 // and branches a reference parked by the first from the second — the
 // cross-client sharing the server exists for — then exercises graceful
 // drain: cancelling the context closes the listener and every connection,
-// and serveTCP returns with all sessions ended.
+// and ServeListener returns with all sessions ended.
 func TestTCPSessionsShareTree(t *testing.T) {
 	svc := service.New()
 	defer svc.Close()
@@ -127,7 +127,7 @@ func TestTCPSessionsShareTree(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
-		serveTCP(ctx, svc, ln, config{reqTimeout: 10 * time.Second})
+		wire.ServeListener(ctx, svc, ln, wire.ServeOptions{ReqTimeout: 10 * time.Second})
 		close(done)
 	}()
 
@@ -174,7 +174,7 @@ func TestTCPSessionsShareTree(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("serveTCP did not drain after cancel")
+		t.Fatal("ServeListener did not drain after cancel")
 	}
 	if _, err := brA.ReadString('\n'); err == nil {
 		t.Error("client A connection still open after drain")
@@ -285,10 +285,9 @@ func TestSessionEndsOnWriteFailure(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		in.WriteString("extend 0 1 0\n")
 	}
-	out := bufio.NewWriter(&failingWriter{allow: 0})
-	err := runSession(context.Background(), svc, strings.NewReader(in.String()), out, config{})
+	err := wire.ServeText(context.Background(), svc, strings.NewReader(in.String()), &failingWriter{allow: 0}, wire.ServeOptions{})
 	if err == nil || !strings.Contains(err.Error(), "write:") {
-		t.Fatalf("runSession after write failure: err=%v, want write error", err)
+		t.Fatalf("ServeText after write failure: err=%v, want write error", err)
 	}
 	if n := svc.Stats().Extends; n != 1 {
 		t.Errorf("session executed %d extends into a dead writer; want 1 (the command whose reply failed)", n)
@@ -309,8 +308,7 @@ func TestStalledReaderWriteTimeout(t *testing.T) {
 
 	errc := make(chan error, 1)
 	go func() {
-		out := bufio.NewWriter(&deadlineWriter{conn: server, timeout: 50 * time.Millisecond})
-		errc <- runSession(context.Background(), svc, server, out, config{writeTimeout: 50 * time.Millisecond})
+		errc <- wire.ServeText(context.Background(), svc, server, server, wire.ServeOptions{WriteTimeout: 50 * time.Millisecond})
 	}()
 	// Send one command, then stall: never read the reply.
 	if _, err := fmt.Fprintln(client, "refs"); err != nil {
@@ -345,7 +343,7 @@ func TestBinaryNegotiationTCP(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
-		serveTCP(ctx, svc, ln, config{reqTimeout: 10 * time.Second, writeTimeout: 5 * time.Second})
+		wire.ServeListener(ctx, svc, ln, wire.ServeOptions{ReqTimeout: 10 * time.Second, WriteTimeout: 5 * time.Second})
 		close(done)
 	}()
 	defer func() {

@@ -10,7 +10,6 @@
 package loadgen
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -408,57 +407,23 @@ func percentile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i]
 }
 
-// ServeInProc starts a loopback TCP server speaking the negotiated
-// binary protocol against svc — the in-process twin of `solversvc
-// -listen` that the CI smoke and the loadgen tests run against, sharing
-// wire.Serve and wire.Dispatch with the real server. The returned
-// shutdown blocks until every session has ended.
+// ServeInProc starts `solversvc -listen`'s server, wire.ServeListener,
+// on a loopback port against svc: the CI smoke, the loadgen tests and
+// the benchmark's svc workloads run the production server, not a copy.
+// The returned shutdown blocks until every session has ended.
 func ServeInProc(ctx context.Context, svc *service.Service, opts wire.ServeOptions) (addr string, shutdown func(), err error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", nil, err
 	}
 	sctx, cancel := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	wg.Add(1)
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer conn.Close()
-				serveNegotiated(sctx, svc, conn, opts)
-			}()
-		}
+		defer close(done)
+		wire.ServeListener(sctx, svc, ln, opts)
 	}()
 	return ln.Addr().String(), func() {
 		cancel()
-		ln.Close()
-		wg.Wait()
+		<-done
 	}, nil
-}
-
-// serveNegotiated runs solversvc's negotiation prologue (banner, hello,
-// accept) and then the binary session. Unlike solversvc there is no
-// text fallback: this server exists for the binary-protocol harness.
-func serveNegotiated(ctx context.Context, svc *service.Service, conn net.Conn, opts wire.ServeOptions) {
-	br := bufio.NewReader(conn)
-	fmt.Fprintf(conn, "loadgen in-process server\n")
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return
-	}
-	maxVer, ok := wire.ParseHello(line)
-	if !ok {
-		fmt.Fprintf(conn, "err: this server speaks only the binary protocol\n")
-		return
-	}
-	ver, _ := wire.Negotiate(maxVer)
-	fmt.Fprintf(conn, "%s\n", wire.Accept(ver))
-	_ = wire.Serve(ctx, svc, conn, br, opts)
 }

@@ -131,10 +131,9 @@ func TestRunCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestServeInProcRefusesText: the in-process server exists for the
-// binary harness; a text client gets an explanatory error instead of a
-// hung connection.
-func TestServeInProcRefusesText(t *testing.T) {
+// TestServeInProcServesText: the in-process server is solversvc's own,
+// so a text client gets the text protocol's normal replies.
+func TestServeInProcServesText(t *testing.T) {
 	svc := service.New()
 	defer svc.Close()
 	addr, shutdown, err := ServeInProc(context.Background(), svc, wire.ServeOptions{})
@@ -152,12 +151,12 @@ func TestServeInProcRefusesText(t *testing.T) {
 	if _, err := br.ReadString('\n'); err != nil { // banner
 		t.Fatal(err)
 	}
-	fmt.Fprintln(conn, "refs")
+	fmt.Fprintln(conn, "extend 0 1 2 0")
 	line, err := br.ReadString('\n')
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(line, "err:") {
-		t.Errorf("text command answered %q, want an error line", line)
+	if !strings.HasPrefix(line, "id=1 verdict=sat") {
+		t.Errorf("text extend answered %q, want id=1 verdict=sat", line)
 	}
 }

@@ -84,6 +84,11 @@ func TestConcurrentExtendAcrossShards(t *testing.T) {
 				if unpinned := refs - pinned; unpinned > capRefs {
 					overCap.Store(int64(unpinned))
 				}
+				// Refs is the same one-instant count: the pins (root and
+				// base) do not change under this load.
+				if unpinned := s.Refs() - pinned; unpinned > capRefs {
+					overCap.Store(int64(unpinned))
+				}
 			}
 		}(c)
 	}

@@ -993,15 +993,11 @@ func (s *Service) Counts() (refs, pinned int) {
 	return refs, int(s.pinned.Load())
 }
 
-// Refs returns the number of live problem references.
+// Refs returns the number of live problem references, counted at one
+// instant (see Counts).
 func (s *Service) Refs() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+	refs, _ := s.Counts()
+	return refs
 }
 
 // LiveSnapshots returns the snapshot tree's live count (diagnostics).

@@ -11,31 +11,39 @@ import (
 	"repro/internal/service"
 )
 
-// DefaultMaxInflight caps a connection's concurrently executing
-// requests when ServeOptions.MaxInflight is zero. Reads stall once the
-// window is full, so a client pipelining deeper sees backpressure, not
-// unbounded server goroutines.
-const DefaultMaxInflight = 64
+// maxInflight caps a binary connection's concurrently executing
+// requests. Reads stall once the window is full, so a client pipelining
+// deeper sees backpressure, not unbounded server goroutines.
+const maxInflight = 64
 
-// ServeOptions tunes one binary session.
+// ServeOptions tunes the sessions of either protocol.
 type ServeOptions struct {
 	// ReqTimeout bounds each extend's solve (0 = none), matching
 	// solversvc's -req-timeout.
 	ReqTimeout time.Duration
-	// WriteTimeout arms a write deadline before every reply frame when
-	// the transport supports deadlines (net.Conn does): a peer that
-	// stops reading fails the session instead of parking its writer
-	// goroutine forever. 0 disables.
+	// WriteTimeout arms a write deadline before every reply when the
+	// transport supports deadlines (net.Conn does): a peer that stops
+	// reading fails the session instead of parking its writer forever.
+	// 0 disables.
 	WriteTimeout time.Duration
-	// MaxInflight caps concurrently executing requests (0 = DefaultMaxInflight).
-	MaxInflight int
 }
 
-// writeDeadliner is the slice of net.Conn the reply writer needs;
-// transports without deadlines (pipes to a subprocess) still work, they
-// just cannot be protected from a stalled reader.
-type writeDeadliner interface {
-	SetWriteDeadline(t time.Time) error
+// deadlineWriter arms w's write deadline before every chunk written
+// through it. Transports without deadlines are written to unarmed.
+type deadlineWriter struct {
+	w       io.Writer
+	timeout time.Duration
+}
+
+func (d *deadlineWriter) Write(p []byte) (int, error) {
+	if d.timeout > 0 {
+		if c, ok := d.w.(interface{ SetWriteDeadline(time.Time) error }); ok {
+			if err := c.SetWriteDeadline(time.Now().Add(d.timeout)); err != nil {
+				return 0, err
+			}
+		}
+	}
+	return d.w.Write(p)
 }
 
 // Serve speaks one already-negotiated binary session over rw until the
@@ -54,10 +62,6 @@ type writeDeadliner interface {
 func Serve(ctx context.Context, svc *service.Service, rw io.ReadWriter, br io.Reader, opts ServeOptions) error {
 	if br == nil {
 		br = bufio.NewReader(rw)
-	}
-	maxInflight := opts.MaxInflight
-	if maxInflight <= 0 {
-		maxInflight = DefaultMaxInflight
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -83,19 +87,12 @@ func Serve(ctx context.Context, svc *service.Service, rw io.ReadWriter, br io.Re
 	var writeErr error
 	go func() {
 		defer close(writerDone)
-		ds, hasDeadline := rw.(writeDeadliner)
+		dw := &deadlineWriter{w: rw, timeout: opts.WriteTimeout}
 		for frame := range replies {
 			if writeErr != nil {
 				continue
 			}
-			if opts.WriteTimeout > 0 && hasDeadline {
-				if err := ds.SetWriteDeadline(time.Now().Add(opts.WriteTimeout)); err != nil {
-					writeErr = fmt.Errorf("wire: arming write deadline: %w", err)
-					cancel()
-					continue
-				}
-			}
-			if _, err := rw.Write(frame); err != nil {
+			if _, err := dw.Write(frame); err != nil {
 				writeErr = fmt.Errorf("wire: write: %w", err)
 				cancel()
 			}
@@ -153,14 +150,15 @@ reading:
 	return readErr
 }
 
-// Dispatch executes one decoded request against svc and builds its
-// reply. It is the seam shared by solversvc's binary sessions and the
-// in-process servers the load harness and E16 spin up, so every path
-// serves identical semantics.
+// Dispatch executes one request against svc and builds its reply. It is
+// the only place a request reaches the service: binary frames (Serve)
+// and text lines (ServeText) both arrive here, so every front end serves
+// identical semantics.
 //
 // An extend batch is atomic: group i extends req.ID (all groups are
 // siblings of one parent); on the first failure the siblings already
-// parked are released and the whole batch reports the error.
+// parked are released and the whole batch reports the error, prefixed
+// with the failing group's index when the batch has more than one.
 func Dispatch(ctx context.Context, svc *service.Service, req Request, reqTimeout time.Duration) Response {
 	resp := Response{Op: req.Op, ReqID: req.ReqID}
 	switch req.Op {
@@ -180,7 +178,10 @@ func Dispatch(ctx context.Context, svc *service.Service, req Request, reqTimeout
 					// unreferenced sibling for Close to reap.
 					_ = svc.Release(r.ID)
 				}
-				resp.Err = fmt.Sprintf("group %d: %v", gi, err)
+				resp.Err = err.Error()
+				if len(req.Groups) > 1 {
+					resp.Err = fmt.Sprintf("group %d: %v", gi, err)
+				}
 				return resp
 			}
 			results = append(results, ExtendResult{ID: res.ID, Verdict: res.Verdict, Model: res.Model})

@@ -110,7 +110,7 @@ func TestSessionEndToEnd(t *testing.T) {
 func TestSessionPipelining(t *testing.T) {
 	svc := service.New()
 	defer svc.Close()
-	cli, _ := startSession(t, svc, ServeOptions{MaxInflight: 8})
+	cli, _ := startSession(t, svc, ServeOptions{})
 
 	const n = 32
 	calls := make([]*Call, n)
@@ -157,7 +157,7 @@ func TestSessionPipelining(t *testing.T) {
 }
 
 // TestPipelinedVerdictsMatchSerial sends a sat/unsat mix of problems all
-// in flight at once on one connection against an 8-wide window, so replies
+// in flight at once on one connection against the in-flight window, so replies
 // complete in whatever order the handlers finish, then sends the same
 // problems as one batched extend. Both verdict streams must equal direct
 // serial Extend calls elementwise, and releasing every id must leave only
@@ -187,7 +187,7 @@ func TestPipelinedVerdictsMatchSerial(t *testing.T) {
 
 	svc := service.New()
 	defer svc.Close()
-	cli, _ := startSession(t, svc, ServeOptions{MaxInflight: 8})
+	cli, _ := startSession(t, svc, ServeOptions{})
 	calls := make([]*Call, n)
 	for i, g := range groups {
 		calls[i] = cli.Go(Request{Op: OpExtend, ID: 0, Groups: [][][]int{g}}, nil)

@@ -11,6 +11,12 @@
 // answers the hello with a text error, which is the fallback signal:
 // the client simply keeps speaking text.
 //
+// ServeListener is the one server for both protocols (solversvc -listen
+// and loadgen.ServeInProc run it): it greets each connection with
+// Banner, negotiates, and hands the connection to Serve or ServeText. A
+// text line is parsed into the Request a binary frame would carry, so
+// both protocols reach the service only through Dispatch.
+//
 // Frame layout (all integers big-endian):
 //
 //	frame    := u32 payloadLen | payload              (payloadLen ≤ MaxFrameBytes)
@@ -506,14 +512,7 @@ func ParseAccept(line string) (ver int, ok bool) {
 	return v, true
 }
 
-// Negotiate picks the version a server serves for a client maximum:
-// the highest version both sides speak.
-func Negotiate(clientMax int) (ver int, ok bool) {
-	if clientMax < 1 {
-		return 0, false
-	}
-	if clientMax > Version {
-		return Version, true
-	}
-	return clientMax, true
-}
+// Negotiate picks the version a server serves for a client maximum
+// accepted by ParseHello (so at least 1): the highest version both
+// sides speak.
+func Negotiate(clientMax int) int { return min(clientMax, Version) }

@@ -248,14 +248,11 @@ func TestNegotiationLines(t *testing.T) {
 		}
 	}
 
-	if v, ok := Negotiate(1); !ok || v != 1 {
-		t.Errorf("Negotiate(1) = %d, %v", v, ok)
+	if v := Negotiate(1); v != 1 {
+		t.Errorf("Negotiate(1) = %d", v)
 	}
-	if v, ok := Negotiate(99); !ok || v != Version {
-		t.Errorf("Negotiate(99) = %d, %v, want server max", v, ok)
-	}
-	if _, ok := Negotiate(0); ok {
-		t.Error("Negotiate(0) accepted")
+	if v := Negotiate(99); v != Version {
+		t.Errorf("Negotiate(99) = %d, want server max", v)
 	}
 }
 
