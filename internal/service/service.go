@@ -132,6 +132,8 @@ type Result struct {
 type Stats struct {
 	// Extends counts successfully served Extend calls.
 	Extends uint64
+	// PhaseAnswers counts those the parent's phases answered, no solver.
+	PhaseAnswers uint64
 	// Evictions counts references dropped by the capacity bound.
 	Evictions uint64
 	// Refs is the number of live references (pinned included).
@@ -176,8 +178,8 @@ type Stats struct {
 // the text protocol's `stats` command and the binary protocol's stats
 // reply, so both surfaces stay field-for-field identical.
 func (st Stats) Line() string {
-	return fmt.Sprintf("extends=%d evictions=%d refs=%d pinned=%d live-snapshots=%d captures=%d capture-ns=%d private-bytes=%d shared-bytes=%d shared-ratio=%.2f spills=%d spill-failures=%d reloads=%d cold-bytes=%d cold-shared-ratio=%.2f",
-		st.Extends, st.Evictions, st.Refs, st.Pinned, st.LiveSnapshots,
+	return fmt.Sprintf("extends=%d phase-answers=%d evictions=%d refs=%d pinned=%d live-snapshots=%d captures=%d capture-ns=%d private-bytes=%d shared-bytes=%d shared-ratio=%.2f spills=%d spill-failures=%d reloads=%d cold-bytes=%d cold-shared-ratio=%.2f",
+		st.Extends, st.PhaseAnswers, st.Evictions, st.Refs, st.Pinned, st.LiveSnapshots,
 		st.Captures, st.CaptureNs,
 		st.PrivateBytes, st.SharedBytes, st.SharedRatio(),
 		st.Spills, st.SpillFailures, st.Reloads, st.ColdBytes, st.ColdSharedRatio)
@@ -316,6 +318,7 @@ type Service struct {
 	pinned    atomic.Int64  // pinned entries (root included)
 	capacity  int
 	extends   atomic.Uint64
+	answered  atomic.Uint64 // extends answered by the parent's phases, with no solver
 	evictions atomic.Uint64
 
 	// Persistence tier (nil = evictions drop state, the pre-store mode).
@@ -750,54 +753,64 @@ func (s *Service) Extend(ctx context.Context, id uint64, clauses [][]int) (Resul
 	pooled := solverPool.Get().(*pooledSolver)
 	defer solverPool.Put(pooled)
 	sol := pooled.sol
+	// A Sat parent whose model satisfies the new clauses is answered from
+	// its state bytes alone; any other extend loads a solver.
 	data, err := cand.FS.ReadFileInto(stateFile, pooled.buf)
-	if err == nil {
-		if err := sol.Load(data); err != nil {
-			return Result{}, fmt.Errorf("service: corrupt state for %d: %w", id, err)
-		}
-	} else {
-		sol.Reset() // the root: no state yet, and data is nil
+	loaded, answered := err == nil, false
+	res := Result{Verdict: solver.Sat}
+	var state []byte
+	if loaded {
+		state, res.Model, answered = sol.ExtendFromPhases(data, clauses)
 	}
-	for _, cl := range clauses {
-		if err := sol.AddClause(cl...); err != nil {
-			return Result{}, err
+	if !answered {
+		if loaded {
+			if err := sol.Load(data); err != nil {
+				return Result{}, fmt.Errorf("service: corrupt state for %d: %w", id, err)
+			}
+		} else {
+			sol.Reset() // the root: no state yet, and data is nil
 		}
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
+		for _, cl := range clauses {
+			if err := sol.AddClause(cl...); err != nil {
+				return Result{}, err
+			}
+			if err := ctx.Err(); err != nil {
+				return Result{}, err
+			}
 		}
-	}
-	// Solve in conflict-budget slices so a cancelled or deadlined ctx
-	// interrupts even a hard instance mid-solve (learned clauses persist
-	// across slices, so the chunking costs only the restart). This is
-	// what lets a server drain in-flight extends on shutdown instead of
-	// waiting out an unbounded solve.
-	var verdict solver.Status
-	for {
-		verdict = sol.Solve(solveSliceConflicts)
-		if verdict != solver.Unknown {
-			break
+		// Solve in conflict-budget slices so a cancelled or deadlined ctx
+		// interrupts even a hard instance mid-solve (learned clauses
+		// persist across slices, so the chunking costs only the restart).
+		// This is what lets a server drain in-flight extends on shutdown
+		// instead of waiting out an unbounded solve.
+		for {
+			if res.Verdict = sol.Solve(solveSliceConflicts); res.Verdict != solver.Unknown {
+				break
+			}
+			if err := ctx.Err(); err != nil {
+				return Result{}, err
+			}
 		}
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
+		res.Learned = sol.NumLearnts()
+		if res.Verdict == solver.Sat {
+			res.Model = sol.Model()
 		}
-	}
-	res := Result{Verdict: verdict, Learned: sol.NumLearnts()}
-	if verdict == solver.Sat {
-		res.Model = sol.Model()
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
+	}
+	if !answered {
+		state = marshalState(sol, data)
 	}
 	// Block-aware update: only the state bytes this extension changed are
 	// rewritten, so the common prefix (the base problem's clauses) stays
 	// physically shared across the whole sibling set. A state too large
 	// to park fails the whole Extend — no reference is parked, nothing
 	// leaks, and the parent stays usable.
-	state := marshalState(sol, data)
 	if err := cand.FS.UpdateFile(stateFile, state); err != nil {
 		return Result{}, fmt.Errorf("service: parking state for extension of %d: %w", id, err)
 	}
-	if cap(state) > cap(pooled.buf) { // grown by the read or the marshal
+	if cap(state) > cap(pooled.buf) { // grown by the read or the child state
 		pooled.buf = state
 	}
 
@@ -806,6 +819,9 @@ func (s *Service) Extend(ctx context.Context, id uint64, clauses [][]int) (Resul
 		return Result{}, err
 	}
 	s.extends.Add(1)
+	if answered {
+		s.answered.Add(1)
+	}
 	return res, nil
 }
 
@@ -1009,6 +1025,7 @@ func (s *Service) LiveSnapshots() int64 { return s.tree.Live() }
 func (s *Service) Stats() Stats {
 	st := Stats{
 		Extends:       s.extends.Load(),
+		PhaseAnswers:  s.answered.Load(),
 		Evictions:     s.evictions.Load(),
 		LiveSnapshots: s.tree.Live(),
 		Captures:      s.tree.Created(),

@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -108,21 +110,156 @@ func TestCloseFreesEverything(t *testing.T) {
 	}
 }
 
+// cancelsAfter is a context whose Err is nil for its first n calls and
+// context.Canceled from then on: an Extend cancelled after its check on
+// entry.
+type cancelsAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelsAfter) Err() error {
+	if c.n > 0 {
+		c.n--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestExtendCancelledContext cancels extends of the root, which loads a
+// solver, and of a Sat parent whose phases answer the clause with none,
+// before the extend starts and after its check on entry. Each returns
+// context.Canceled, parks no reference, leaks no snapshot, and leaves the
+// parent usable.
 func TestExtendCancelledContext(t *testing.T) {
 	s := New()
 	defer s.Close()
-	ctx, cancel := context.WithCancel(context.Background())
+	base, err := s.Extend(context.Background(), 0, [][]int{{1, 2}})
+	if err != nil || base.Verdict != solver.Sat || !base.Model[2] {
+		t.Fatalf("base: %+v, %v", base, err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.Extend(ctx, 0, [][]int{{1}}); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
+	for _, parent := range []uint64{0, base.ID} {
+		for _, ctx := range []context.Context{cancelled, &cancelsAfter{context.Background(), 1}} {
+			refs, live := s.Refs(), s.LiveSnapshots()
+			if _, err := s.Extend(ctx, parent, [][]int{{1, 2}}); !errors.Is(err, context.Canceled) {
+				t.Errorf("extend of %d: err = %v, want context.Canceled", parent, err)
+			}
+			if s.Refs() != refs || s.LiveSnapshots() != live {
+				t.Errorf("cancelled extend of %d parked state: refs %d→%d live %d→%d",
+					parent, refs, s.Refs(), live, s.LiveSnapshots())
+			}
+		}
+		r, err := s.Extend(context.Background(), parent, [][]int{{1, 2}})
+		if err != nil || r.Verdict != solver.Sat {
+			t.Errorf("%d unusable after cancelled Extends: %+v, %v", parent, r, err)
+		}
 	}
-	// No reference parked, no snapshot leaked beyond the root.
-	if s.Refs() != 1 {
-		t.Errorf("refs = %d, want 1 (root only)", s.Refs())
+	if st := s.Stats(); st.PhaseAnswers != 1 {
+		t.Errorf("phase answers = %d, want 1: the Sat parent's extend took the solver path", st.PhaseAnswers)
 	}
-	r, err := s.Extend(context.Background(), 0, [][]int{{1}})
-	if err != nil || r.Verdict != solver.Sat {
-		t.Errorf("service unusable after cancelled Extend: %+v, %v", r, err)
+}
+
+// parkedState is the solver state file parked behind id, or nil for the
+// root.
+func parkedState(t *testing.T, s *Service, id uint64) []byte {
+	t.Helper()
+	st, err := s.lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.inflight.Done()
+	defer st.Release()
+	cand := st.Restore()
+	defer cand.Release()
+	data, err := cand.FS.ReadFile(stateFile)
+	if err != nil && id != 0 {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestPhaseAnswers: an extend of a Sat parent whose model satisfies every
+// new clause is answered from the parent's phases with no solver, and
+// counted in Stats.PhaseAnswers; every other extend loads a solver. Either
+// way verdict, model, learnt count and parked bytes are what Load,
+// AddClause, Solve and Marshal make of the same parent.
+func TestPhaseAnswers(t *testing.T) {
+	s := New()
+	defer s.Close()
+	ctx := context.Background()
+	extend := func(id uint64, clauses ...[]int) Result {
+		t.Helper()
+		r, err := s.Extend(ctx, id, clauses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	base := extend(0, []int{1, 2}, []int{-1, 3}, []int{-2, -3, 4})
+	unsat := extend(0, []int{1}, []int{-1})
+	facts := extend(0, []int{1}, []int{2, 3})
+	if base.Verdict != solver.Sat || unsat.Verdict != solver.Unsat || facts.Verdict != solver.Sat {
+		t.Fatalf("parents: %v, %v, %v", base.Verdict, unsat.Verdict, facts.Verdict)
+	}
+	// holds is v's literal that base's model makes true.
+	holds := func(v int) int {
+		if base.Model[v] {
+			return v
+		}
+		return -v
+	}
+	for _, tc := range []struct {
+		name     string
+		parent   uint64
+		clauses  [][]int
+		answered bool
+	}{
+		{"a clause the model satisfies", base.ID, [][]int{{holds(1), -holds(2)}}, true},
+		{"tautologies only", base.ID, [][]int{{1, -1}, {2, 3, -2}}, true},
+		{"no clauses", base.ID, nil, true},
+		{"a clause the model falsifies", base.ID, [][]int{{-holds(1), -holds(2)}}, false},
+		{"a unit clause", base.ID, [][]int{{holds(1)}}, false},
+		{"a new variable", base.ID, [][]int{{holds(1), 5}}, false},
+		{"an Unsat parent", unsat.ID, [][]int{{1, 2}}, false},
+		{"level-0 facts", facts.ID, [][]int{{1, 2}}, false},
+		{"the root", 0, [][]int{{1, 2}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sol := solver.New(0)
+			if parent := parkedState(t, s, tc.parent); parent != nil {
+				if err := sol.Load(parent); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, cl := range tc.clauses {
+				if err := sol.AddClause(cl...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := Result{Verdict: sol.Solve(0), Learned: sol.NumLearnts()}
+			if want.Verdict == solver.Sat {
+				want.Model = sol.Model()
+			}
+
+			wantDelta := uint64(0)
+			if tc.answered {
+				wantDelta = 1
+			}
+			before := s.Stats().PhaseAnswers
+			got := extend(tc.parent, tc.clauses...)
+			if delta := s.Stats().PhaseAnswers - before; delta != wantDelta {
+				t.Errorf("phase answers rose by %d, want %d", delta, wantDelta)
+			}
+			if got.Verdict != want.Verdict || got.Learned != want.Learned || !slices.Equal(got.Model, want.Model) {
+				t.Errorf("got %v, model %v, %d learnt; the solver says %v, %v, %d",
+					got.Verdict, got.Model, got.Learned, want.Verdict, want.Model, want.Learned)
+			}
+			if !bytes.Equal(parkedState(t, s, got.ID), sol.Marshal()) {
+				t.Error("the parked state differs from the solver's")
+			}
+		})
 	}
 }
 
@@ -441,7 +578,11 @@ func TestExtendAllocatesNothingPerClause(t *testing.T) {
 }
 
 // BenchmarkExtendBig is one svc-bigbase request without the wire: a
-// three-literal extend off a pinned 500-variable base. It asserts nothing.
+// three-literal extend off a pinned 500-variable base. In /model-holds
+// the base's model satisfies most clauses (7 in 8, as on svc-bigbase), so
+// the parent's phases answer them with no solver; in /model-breaks every
+// clause is false under that model, so each extend loads a solver and
+// searches. It asserts nothing.
 func BenchmarkExtendBig(b *testing.B) {
 	s := New()
 	defer s.Close()
@@ -453,16 +594,31 @@ func BenchmarkExtendBig(b *testing.B) {
 	if err := s.Pin(base.ID); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := 1 + i%498
-		r, err := s.Extend(ctx, base.ID, [][]int{{v, -(v + 1), v + 2}})
-		if err != nil {
-			b.Fatal(err)
+	// fails is v's literal that base's model makes false.
+	fails := func(v int) int {
+		if base.Model[v] {
+			return -v
 		}
-		if err := s.Release(r.ID); err != nil {
-			b.Fatal(err)
-		}
+		return v
+	}
+	for _, bc := range []struct {
+		name   string
+		clause func(v int) []int
+	}{
+		{"model-holds", func(v int) []int { return []int{v, -(v + 1), v + 2} }},
+		{"model-breaks", func(v int) []int { return []int{fails(v), fails(v + 1), fails(v + 2)} }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r, err := s.Extend(ctx, base.ID, [][]int{bc.clause(1 + i%498)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Release(r.ID); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -126,6 +126,168 @@ func sortWords(b []byte) {
 	}
 }
 
+// ExtendFromPhases answers an extend of a parked state by clauses with
+// no solver, when the state's saved phases satisfy the extended problem:
+// it returns what Load, AddClause for each clause, Solve, Model and
+// MarshalOnto(state) would, the child built in state's array if it has
+// room, or ok false with state untouched. It answers only when the footer
+// is valid with the ok flag 1 and no level-0 facts, and every clause —
+// those of clauses sorted, a tautology dropped, and every loaded one — is
+// canonical as Load demands, names only the state's variables, and has a
+// literal true under the phases (anything but -1 reads as true, as in a
+// decision). Checking the loaded clauses, Solve's own phase check, is
+// what keeps it from trusting that an ok state was marshalled after Sat.
+//
+// s lends only a memo, as to Load: its last answer's clause section and
+// phases. The whole clauses of the prefix that state's clause section
+// shares with it are canonical, as Load's memo argues, if the memo has no
+// more variables; they hold under equal phase bytes, and otherwise only
+// their literals' phases are read, up to a true one.
+func (s *Solver) ExtendFromPhases(state []byte, clauses [][]int) (child []byte, model []bool, ok bool) {
+	f, err := readFooter(state)
+	if err != nil || f.ok != 1 || f.facts != 0 {
+		return nil, nil, false
+	}
+	le := binary.LittleEndian
+	cw, nv := f.clauseWords, int(f.vars)
+	words := cw + nv
+	phases := state[8*cw : 8*words]
+	// The new clauses first, staged in canonical form apart from state.
+	var small [512]byte
+	add, k := small[:0], uint64(0)
+	for _, cl := range clauses {
+		start := len(add)
+		add = le.AppendUint64(add, 0)
+		for _, e := range cl {
+			if v := max(e, -e); v <= 0 || v > nv { // v < 0: -e overflowed
+				return nil, nil, false
+			}
+			add = le.AppendUint64(add, uint64(int64(e)))
+		}
+		lits := add[start+8:]
+		sortWords(lits)
+		if namesTwice(lits) { // x ∨ ¬x (or x ∨ x ∨ ¬x): AddClause drops it
+			add = add[:start]
+			continue
+		}
+		le.PutUint64(add[start:], uint64(len(lits)/8))
+		k++
+	}
+	if !phaseClauses(add, k, phases) {
+		return nil, nil, false
+	}
+	// Then the loaded clauses, which are many more.
+	at, n, same := 0, f.clauses+f.learnts, 0
+	if len(s.heldPhases) <= len(phases) {
+		same = 8 * sharedWords(s.heldClauses, state[:8*cw])
+	}
+	samePhases := bytes.Equal(phases, s.heldPhases)
+	for ; n > 0 && at+8 <= same; n-- {
+		// A length word inside the memo's clauses is one it checked.
+		end := at + 8 + 8*int(le.Uint64(state[at:]))
+		if end > same {
+			break
+		}
+		if !samePhases && !phaseHolds(state[at+8:end], phases) {
+			return nil, nil, false
+		}
+		at = end
+	}
+	if !phaseClauses(state[at:8*cw], n, phases) {
+		return nil, nil, false
+	}
+
+	child = slices.Grow(state[:8*words], len(add)+8*footerWords)[:len(state)+len(add)]
+	moved := child[8*cw+len(add) : 8*words+len(add)]
+	copy(moved, child[8*cw:8*words])
+	copy(child[8*cw:], add)
+	model = make([]bool, nv+1)
+	for v := 1; v <= nv; v++ {
+		p := moved[8*(v-1):]
+		model[v] = int8(p[0]) != -1
+		le.PutUint64(p, ^uint64(0)) // -1
+		if model[v] {
+			le.PutUint64(p, 1)
+		}
+	}
+	tail := child[8*words+len(add):]
+	for i, w := range [footerWords]uint64{f.clauses + f.learnts + k, 0, 0, f.vars, 1, solverMagic} {
+		le.PutUint64(tail[8*i:], w)
+	}
+	s.heldClauses = append(s.heldClauses[:same], child[same:8*cw+len(add)]...)
+	s.heldPhases = append(s.heldPhases[:0], moved...)
+	return child, model, true
+}
+
+// phaseClauses reports that body is n clauses Load accepts — a length
+// word of at least 2, then strictly ascending literals naming variables
+// 1..len(phases)/8, none twice — each with a literal true under phases.
+//
+// hot_path: one read-only pass over body, no allocation.
+func phaseClauses(body []byte, n uint64, phases []byte) bool {
+	le := binary.LittleEndian
+	nv := int64(len(phases) / 8)
+	for ; n > 0 && len(body) >= 8; n-- {
+		ln := le.Uint64(body)
+		if ln < 2 || ln > uint64(nv) || ln > uint64(len(body)/8-1) {
+			return false
+		}
+		lits := body[8 : 8+8*ln]
+		body = body[8+8*ln:]
+		prev := int64(math.MinInt64)
+		for j := 0; j < len(lits); j += 8 {
+			l := int64(le.Uint64(lits[j:]))
+			if l == 0 || l > nv || l < -nv || l <= prev {
+				return false
+			}
+			prev = l
+		}
+		if namesTwice(lits) || !phaseHolds(lits, phases) {
+			return false
+		}
+	}
+	return n == 0 && len(body) == 0
+}
+
+// phaseHolds reports that a literal of lits, all in range, holds.
+//
+// hot_path: a read-only pass over lits up to the first true literal.
+func phaseHolds(lits, phases []byte) bool {
+	for ; len(lits) >= 8; lits = lits[8:] {
+		l := int64(binary.LittleEndian.Uint64(lits))
+		neg := uint64(l) >> 63
+		v := uint64((l ^ -int64(neg)) + int64(neg)) // |l|
+		if (uint64(phases[8*(v-1)])+1)>>8 == neg {
+			return true
+		}
+	}
+	return false
+}
+
+// namesTwice reports that the ascending literals of lits name a
+// variable both ways: one merge of the negative run, read backwards, with
+// the positive one.
+//
+// hot_path: one read-only merge over lits.
+func namesTwice(lits []byte) bool {
+	le := binary.LittleEndian
+	p := 0
+	for p < len(lits) && int64(le.Uint64(lits[p:])) < 0 {
+		p += 8
+	}
+	for n := p - 8; n >= 0 && p < len(lits); {
+		switch a, b := -int64(le.Uint64(lits[n:])), int64(le.Uint64(lits[p:])); {
+		case a == b:
+			return true
+		case a < b:
+			n -= 8
+		default:
+			p += 8
+		}
+	}
+	return false
+}
+
 const solverMagic = 0x53415453_4e415053 // "SNAPSATS"
 
 // footerWords is the fixed trailer size of the Marshal format.
@@ -184,6 +346,7 @@ func (s *Solver) Reset() {
 		activity: s.activity[:0], heap: s.heap[:0], heapPos: s.heapPos[:0],
 		trail: s.trail[:0], trailLim: s.trailLim[:0], seen: s.seen[:0], scratch: s.scratch[:0],
 		memoRaw: s.memoRaw, memoArena: s.memoArena, memoMaxVar: s.memoMaxVar,
+		heldClauses: s.heldClauses, heldPhases: s.heldPhases,
 	}
 }
 
@@ -214,27 +377,12 @@ func (s *Solver) Load(data []byte) error { return s.load(data, true) }
 // one.
 func (s *Solver) load(data []byte, keep bool) error {
 	s.Reset()
-	if len(data) < footerWords*8 || len(data)%8 != 0 {
-		return fmt.Errorf("solver: truncated state (%d bytes)", len(data))
+	f, err := readFooter(data)
+	if err != nil {
+		return err
 	}
 	word := func(i int) uint64 { return binary.LittleEndian.Uint64(data[8*i:]) }
-	words := len(data)/8 - footerWords
-	nClauses, nLearnts, nFacts := word(words), word(words+1), word(words+2)
-	nv, okFlag, magic := word(words+3), word(words+4), word(words+5)
-	if magic != solverMagic {
-		return fmt.Errorf("solver: bad state magic")
-	}
-	if nv > VarLimit {
-		return fmt.Errorf("solver: state claims %d variables, beyond VarLimit (%d)", nv, VarLimit)
-	}
-	// Every count must fit the body it describes before it sizes anything:
-	// one word per phase and per fact, at least three per clause, and
-	// clause offsets must fit a cref.
-	w := uint64(words)
-	if nv > w || nFacts > w-nv || nClauses > w || nLearnts > w || 3*(nClauses+nLearnts) > w-nv-nFacts || w > math.MaxInt32/2 {
-		return fmt.Errorf("solver: footer counts exceed state size")
-	}
-	clauseWords := words - int(nv) - int(nFacts)
+	nClauses, nLearnts, nFacts, nv, clauseWords := f.clauses, f.learnts, f.facts, f.vars, f.clauseWords
 
 	s.grow(int(nv))
 	s.nClauses = int(nClauses + nLearnts)
@@ -371,11 +519,41 @@ func (s *Solver) load(data []byte, keep bool) error {
 	for v := 1; v <= int(nv); v++ {
 		s.phase[v] = int8(int64(word(clauseWords + int(nFacts) + v - 1)))
 	}
-	if okFlag == 0 {
+	if f.ok == 0 {
 		s.ok = false
 	}
 	s.loadedFrom, s.loadedLen, s.loadedWords = &data[0], len(data), clauseWords
 	return nil
+}
+
+// footer is a state's trailer and the clause section's length in words.
+type footer struct {
+	clauses, learnts, facts, vars, ok uint64
+	clauseWords                       int
+}
+
+// readFooter reads data's footer and checks it against the body before
+// any count sizes anything: one word per phase and per fact, at least
+// three per clause, and clause offsets must fit a cref.
+func readFooter(data []byte) (footer, error) {
+	if len(data) < footerWords*8 || len(data)%8 != 0 {
+		return footer{}, fmt.Errorf("solver: truncated state (%d bytes)", len(data))
+	}
+	words := len(data)/8 - footerWords
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(data[8*(words+i):]) }
+	f := footer{clauses: word(0), learnts: word(1), facts: word(2), vars: word(3), ok: word(4)}
+	if word(5) != solverMagic {
+		return footer{}, fmt.Errorf("solver: bad state magic")
+	}
+	if f.vars > VarLimit {
+		return footer{}, fmt.Errorf("solver: state claims %d variables, beyond VarLimit (%d)", f.vars, VarLimit)
+	}
+	w, nv := uint64(words), f.vars
+	if nv > w || f.facts > w-nv || f.clauses > w || f.learnts > w || 3*(f.clauses+f.learnts) > w-nv-f.facts || w > math.MaxInt32/2 {
+		return footer{}, fmt.Errorf("solver: footer counts exceed state size")
+	}
+	f.clauseWords = words - int(nv) - int(f.facts)
+	return f, nil
 }
 
 // watchCap is the capacity a loaded watch list of n entries starts with.

@@ -39,21 +39,30 @@ func nonCanonical(data []byte) string {
 
 // rawState assembles a state file from external clauses as given — no
 // sorting, no deduplication — to seed the fuzzer with what Marshal cannot
-// write.
+// write. Every phase is -1.
 func rawState(nVars int, clauses ...[]int) []byte {
+	phases := make([]int64, nVars)
+	for i := range phases {
+		phases[i] = -1
+	}
+	return phasedState(phases, clauses...)
+}
+
+// phasedState is rawState with the given phase words.
+func phasedState(phases []int64, clauses ...[]int) []byte {
 	var b []byte
-	put := func(v int) { b = binary.LittleEndian.AppendUint64(b, uint64(int64(v))) }
+	put := func(v int64) { b = binary.LittleEndian.AppendUint64(b, uint64(v)) }
 	for _, cl := range clauses {
-		put(len(cl))
+		put(int64(len(cl)))
 		for _, l := range cl {
-			put(l)
+			put(int64(l))
 		}
 	}
-	for v := 0; v < nVars; v++ {
-		put(-1) // phases
+	for _, p := range phases {
+		put(p)
 	}
-	for _, v := range []int{len(clauses), 0, 0, nVars, 1} {
-		put(v)
+	for _, v := range []int{len(clauses), 0, 0, len(phases), 1} {
+		put(int64(v))
 	}
 	return binary.LittleEndian.AppendUint64(b, solverMagic)
 }
