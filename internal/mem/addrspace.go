@@ -20,8 +20,6 @@ type VMA struct {
 // Size returns the region length in bytes.
 func (v VMA) Size() uint64 { return v.End - v.Start }
 
-func (v VMA) contains(addr uint64) bool { return addr >= v.Start && addr < v.End }
-
 // AddressSpace is one mutable guest address space: a VMA list plus a
 // persistent page table and a software TLB caching hot translations (see
 // tlb.go). Forking an address space is O(1): the fork shares the
@@ -158,11 +156,22 @@ func (as *AddressSpace) VMAs() []VMA {
 	return out
 }
 
-// findVMA returns the region containing addr, or nil.
+// findVMA returns the region containing addr, or nil: a binary search for
+// the first region ending above addr (ends ascend with starts).
+// hot_path: every TLB miss of a word access resolves its permission here.
+// inline:
 func (as *AddressSpace) findVMA(addr uint64) *VMA {
-	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > addr })
-	if i < len(as.vmas) && as.vmas[i].contains(addr) {
-		return &as.vmas[i]
+	vs := as.vmas
+	lo, hi := 0, len(vs)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); vs[m].End > addr {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	if lo < len(vs) && vs[lo].Start <= addr {
+		return &vs[lo]
 	}
 	return nil
 }
@@ -226,7 +235,7 @@ func (as *AddressSpace) Unmap(start, length uint64) error {
 		default: // fully covered
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	// out is in order: each region's pieces ascend, as the regions do.
 	as.vmas = out
 	for addr := start; addr < end; addr += PageSize {
 		as.pt.clearPage(addr, &as.stats)
@@ -269,7 +278,7 @@ func (as *AddressSpace) Protect(start, length uint64, perm Perm) error {
 			out = append(out, VMA{Start: end, End: v.End, Perm: v.Perm, Name: v.Name})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	// out is in order: each region's pieces ascend, as the regions do.
 	as.vmas = out
 	as.tlb.flush() // cached entries encode the old permissions
 	return nil
@@ -556,8 +565,11 @@ func (as *AddressSpace) ReadU64(addr uint64) (uint64, error) {
 			off := addr & PageMask
 			return binary.LittleEndian.Uint64(f.Data[off : off+8]), nil
 		}
-		if err := as.check(addr, 8, AccessRead); err != nil {
-			return 0, err
+		// An aligned word lies inside one page, so inside one page-aligned
+		// region that ends at or below MaxVA: one probe settles the access,
+		// and check builds the fault when it fails.
+		if v := as.findVMA(addr); v == nil || !v.Perm.Can(PermRead) {
+			return 0, as.check(addr, 8, AccessRead)
 		}
 		f := lookup(as.pt.root, as.pt.base, addr)
 		as.tlb.fillRead(vpn, f)
@@ -586,8 +598,9 @@ func (as *AddressSpace) WriteU64(addr, val uint64) error {
 			binary.LittleEndian.PutUint64(f.Data[off:off+8], val)
 			return nil
 		}
-		if err := as.check(addr, 8, AccessWrite); err != nil {
-			return err
+		// One probe settles an aligned word, as in ReadU64.
+		if v := as.findVMA(addr); v == nil || !v.Perm.Can(PermWrite) {
+			return as.check(addr, 8, AccessWrite)
 		}
 		if as.sealed {
 			//lint:ignore escapegate &Fault{...} of the inlined fault constructor: a write to a sealed space is a guest error

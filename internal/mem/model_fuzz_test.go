@@ -9,12 +9,12 @@ import (
 )
 
 // modelSpace is the reference model of one AddressSpace: which pages are
-// mapped, the contents of every page that has a frame, and the heap. Every
-// region is mapped read-write, so an access succeeds exactly when all its
-// pages are mapped (and, for a write, the space is not sealed).
+// mapped and with what protection, the contents of every page that has a
+// frame, and the heap. Protection is kept per page, as a PTE would keep it,
+// so the model knows nothing of how the space splits its regions.
 type modelSpace struct {
 	as     *AddressSpace
-	mapped map[uint64]bool   // vpn → mapped
+	mapped map[uint64]Perm   // vpn → protection, for mapped pages
 	pages  map[uint64][]byte // vpn → contents, for pages with a frame
 	heapLo uint64            // first heap byte; the heap ends at brk
 	brk    uint64
@@ -24,16 +24,36 @@ type modelSpace struct {
 	src *modelSpace
 }
 
-func (m *modelSpace) allMapped(addr, n uint64) bool {
-	if n == 0 || addr+n > MaxVA || addr+n < addr {
-		return false
+// fault returns the fault an n-byte access at addr must raise, or nil: the
+// first page, in address order, that is unmapped or withholds the access's
+// permission, and on a sealed space a write to the first byte.
+func (m *modelSpace) fault(addr, n uint64, access Access) *Fault {
+	if addr+n > MaxVA || addr+n < addr {
+		return &Fault{Kind: FaultBadAddress, Addr: addr, Access: access}
 	}
-	for vpn := PageNumber(addr); vpn <= PageNumber(addr+n-1); vpn++ {
-		if !m.mapped[vpn] {
-			return false
+	for a := addr; a < addr+n; a = PageFloor(a) + PageSize {
+		p, ok := m.mapped[PageNumber(a)]
+		if !ok {
+			return &Fault{Kind: FaultNotMapped, Addr: a, Access: access}
+		}
+		if !p.Can(access.perm()) {
+			return &Fault{Kind: FaultProtection, Addr: a, Access: access}
 		}
 	}
-	return true
+	if access == AccessWrite && m.sealed {
+		return &Fault{Kind: FaultProtection, Addr: addr, Access: access}
+	}
+	return nil
+}
+
+// sameFault reports whether err is exactly the fault want, or nil when want
+// is nil.
+func sameFault(err error, want *Fault) bool {
+	if want == nil {
+		return err == nil
+	}
+	f, ok := IsFault(err)
+	return ok && *f == *want
 }
 
 func (m *modelSpace) write(addr uint64, p []byte) {
@@ -72,10 +92,10 @@ func (m *modelSpace) fork() *modelSpace { return m.copyTo(m.as.Fork()) }
 // copyTo returns a model of as, a fork or view of m's space: m's pages and
 // regions, unsealed.
 func (m *modelSpace) copyTo(as *AddressSpace) *modelSpace {
-	c := &modelSpace{as: as, mapped: map[uint64]bool{}, pages: map[uint64][]byte{},
+	c := &modelSpace{as: as, mapped: map[uint64]Perm{}, pages: map[uint64][]byte{},
 		heapLo: m.heapLo, brk: m.brk}
-	for vpn := range m.mapped {
-		c.mapped[vpn] = true
+	for vpn, p := range m.mapped {
+		c.mapped[vpn] = p
 	}
 	for vpn, pg := range m.pages {
 		c.pages[vpn] = bytes.Clone(pg)
@@ -84,8 +104,8 @@ func (m *modelSpace) copyTo(as *AddressSpace) *modelSpace {
 }
 
 // verify compares everything observable about the space with the model:
-// every page reads back, ForEachPage visits exactly the model's pages in
-// ascending order with their contents, and Footprint counts them.
+// every readable page reads back, ForEachPage visits exactly the model's
+// pages in ascending order with their contents, and Footprint counts them.
 func (m *modelSpace) verify(t *testing.T) {
 	t.Helper()
 	vpns := make([]uint64, 0, len(m.pages))
@@ -95,6 +115,9 @@ func (m *modelSpace) verify(t *testing.T) {
 	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
 	buf := make([]byte, PageSize)
 	for _, vpn := range vpns {
+		if !m.mapped[vpn].Can(PermRead) {
+			continue
+		}
 		if err := m.as.ReadAt(buf, vpn<<PageShift); err != nil {
 			t.Fatalf("read page %#x: %v", vpn<<PageShift, err)
 		}
@@ -173,13 +196,13 @@ func (o *modelOps) page() uint64 {
 // pages of each anchor, weighted towards maps, writes and forks so that
 // the seed corpus alone exercises sharing, growth and teardown.
 func modelSeed(rng *rand.Rand, n int) []byte {
-	weights := [11]int{4, 3, 3, 2, 2, 1, 1, 2, 1, 2, 2} // by op, as in the switch below
+	weights := [12]int{4, 3, 3, 2, 2, 1, 1, 2, 1, 2, 2, 2} // by op, as in the switch below
 	pg := func() byte { return byte(rng.Intn(8) | rng.Intn(4)<<3) }
 	anyByte := func() byte { return byte(rng.Intn(256)) }
 	var b []byte
 	live := 0
 	for ; n > 0; n-- {
-		op, w := 0, rng.Intn(23)
+		op, w := 0, rng.Intn(25)
 		for w >= weights[op] {
 			w -= weights[op]
 			op++
@@ -192,7 +215,7 @@ func modelSeed(rng *rand.Rand, n int) []byte {
 		switch op {
 		case 0, 2, 6:
 			b = append(b, pg(), anyByte())
-		case 1, 9:
+		case 1, 9, 11:
 			b = append(b, pg(), anyByte(), anyByte())
 		case 3:
 			b = append(b, anyByte(), pg())
@@ -208,9 +231,10 @@ func modelSeed(rng *rand.Rand, n int) []byte {
 }
 
 // FuzzAddressSpaceModel runs random Map/WriteAt/WriteU64/ReadU64/ReadAt/
-// Fork/Seal/Unmap/Brk/Release/View sequences over up to six spaces sharing
-// one allocator, checking every result against modelSpace and, at the end,
-// that releasing every space frees every frame.
+// Fork/Seal/Unmap/Brk/Release/View/Protect sequences over up to six spaces
+// sharing one allocator, checking every result — and every fault's kind,
+// address and access — against modelSpace and, at the end, that releasing
+// every space frees every frame.
 func FuzzAddressSpaceModel(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 8; i++ {
@@ -223,7 +247,7 @@ func FuzzAddressSpaceModel(f *testing.F) {
 		alloc := NewFrameAllocator(0)
 		var spaces []*modelSpace
 		newRoot := func(heap uint64) *modelSpace {
-			m := &modelSpace{as: NewAddressSpace(alloc), mapped: map[uint64]bool{PageNumber(heap): true},
+			m := &modelSpace{as: NewAddressSpace(alloc), mapped: map[uint64]Perm{PageNumber(heap): PermRW},
 				pages: map[uint64][]byte{}, heapLo: heap, brk: heap + PageSize}
 			if err := m.as.Map(heap, PageSize, PermRW, "heap"); err != nil {
 				t.Fatalf("map heap at %#x: %v", heap, err)
@@ -239,7 +263,7 @@ func FuzzAddressSpaceModel(f *testing.F) {
 			}
 			si := int(o.next()) % len(spaces)
 			m := spaces[si]
-			switch op % 11 {
+			switch op % 12 {
 			case 0: // Map 1–4 pages
 				addr, n := o.page(), uint64(o.next()%4+1)*PageSize
 				if m.sealed {
@@ -249,46 +273,47 @@ func FuzzAddressSpaceModel(f *testing.F) {
 				// may begin or end there, but not straddle it.
 				free := addr+n <= MaxVA && !(m.brk == m.heapLo && addr < m.heapLo && m.heapLo < addr+n)
 				for a := addr; free && a < addr+n; a += PageSize {
-					free = !m.mapped[PageNumber(a)]
+					_, used := m.mapped[PageNumber(a)]
+					free = !used
 				}
 				err := m.as.Map(addr, n, PermRW, "m")
 				if (err == nil) != free {
 					t.Fatalf("step %d: Map(%#x,+%#x) = %v; model free=%v", step, addr, n, err, free)
 				}
 				for a := addr; err == nil && a < addr+n; a += PageSize {
-					m.mapped[PageNumber(a)] = true
+					m.mapped[PageNumber(a)] = PermRW
 				}
 			case 1: // WriteAt, up to four pages from any offset
 				addr := o.page() + uint64(o.next())*16
 				p := bytes.Repeat([]byte{byte(step) | 1}, 1+int(o.next())*40)
 				err := m.as.WriteAt(p, addr)
-				ok := !m.sealed && m.allMapped(addr, uint64(len(p)))
-				if (err == nil) != ok {
-					t.Fatalf("step %d: WriteAt(%#x,%d) = %v; model ok=%v", step, addr, len(p), err, ok)
+				want := m.fault(addr, uint64(len(p)), AccessWrite)
+				if !sameFault(err, want) {
+					t.Fatalf("step %d: WriteAt(%#x,%d) = %v; model %v", step, addr, len(p), err, want)
 				}
-				if ok {
+				if want == nil {
 					m.write(addr, p)
 				}
 			case 2: // WriteU64, aligned
 				addr := o.page() + uint64(o.next())*8%PageSize
 				v := uint64(step)<<32 | uint64(si)
 				err := m.as.WriteU64(addr, v)
-				ok := !m.sealed && m.allMapped(addr, 8)
-				if (err == nil) != ok {
-					t.Fatalf("step %d: WriteU64(%#x) = %v; model ok=%v", step, addr, err, ok)
+				want := m.fault(addr, 8, AccessWrite)
+				if !sameFault(err, want) {
+					t.Fatalf("step %d: WriteU64(%#x) = %v; model %v", step, addr, err, want)
 				}
-				if ok {
+				if want == nil {
 					m.write(addr, binary.LittleEndian.AppendUint64(nil, v))
 				}
 			case 3: // ReadU64, sometimes unaligned and across a page edge
 				k := o.next()
 				addr := o.page() + uint64(k)*8%PageSize + uint64(k&1)*3
 				v, err := m.as.ReadU64(addr)
-				ok := m.allMapped(addr, 8)
-				if (err == nil) != ok {
-					t.Fatalf("step %d: ReadU64(%#x) = %v; model ok=%v", step, addr, err, ok)
+				fault := m.fault(addr, 8, AccessRead)
+				if !sameFault(err, fault) {
+					t.Fatalf("step %d: ReadU64(%#x) = %v; model %v", step, addr, err, fault)
 				}
-				if want := binary.LittleEndian.Uint64(m.read(addr, 8)); ok && v != want {
+				if want := binary.LittleEndian.Uint64(m.read(addr, 8)); fault == nil && v != want {
 					t.Fatalf("step %d: ReadU64(%#x) = %#x; model %#x", step, addr, v, want)
 				}
 			case 4: // Fork
@@ -321,7 +346,8 @@ func FuzzAddressSpaceModel(f *testing.F) {
 				}
 				ok := nb >= m.heapLo && nb <= MaxVA
 				for a := m.brk; ok && a < nb; a += PageSize {
-					ok = !m.mapped[PageNumber(a)]
+					_, used := m.mapped[PageNumber(a)]
+					ok = !used
 				}
 				got, err := m.as.Brk(nb)
 				if (err == nil) != ok {
@@ -334,7 +360,7 @@ func FuzzAddressSpaceModel(f *testing.F) {
 					t.Fatalf("step %d: Brk(%#x) = %#x", step, nb, got)
 				}
 				for a := m.brk; a < nb; a += PageSize {
-					m.mapped[PageNumber(a)] = true
+					m.mapped[PageNumber(a)] = PermRW
 				}
 				if nb < m.brk {
 					m.unmap(nb, m.brk)
@@ -348,11 +374,11 @@ func FuzzAddressSpaceModel(f *testing.F) {
 				n := 1 + uint64(o.next())*40
 				buf := make([]byte, n)
 				err := m.as.ReadAt(buf, addr)
-				ok := m.allMapped(addr, n)
-				if (err == nil) != ok {
-					t.Fatalf("step %d: ReadAt(%#x,%d) = %v; model ok=%v", step, addr, n, err, ok)
+				want := m.fault(addr, n, AccessRead)
+				if !sameFault(err, want) {
+					t.Fatalf("step %d: ReadAt(%#x,%d) = %v; model %v", step, addr, n, err, want)
 				}
-				if ok && !bytes.Equal(buf, m.read(addr, n)) {
+				if want == nil && !bytes.Equal(buf, m.read(addr, n)) {
 					t.Fatalf("step %d: ReadAt(%#x,%d) differs from the model", step, addr, n)
 				}
 			case 10: // View: seal a fork of space si, view it into space j's struct
@@ -365,6 +391,28 @@ func FuzzAddressSpaceModel(f *testing.F) {
 				v := src.copyTo(src.as.ViewInto(dst.as))
 				v.src = src
 				spaces[j] = v
+			case 11: // Protect 1–4 pages with any permission, never the heap or
+				// the start of one shrunk to nothing
+				addr, n := o.page(), uint64(o.next()%4+1)*PageSize
+				perm := Perm(o.next()) & PermRWX
+				if m.sealed || (addr < max(m.brk, m.heapLo+1) && m.heapLo < addr+n) {
+					continue
+				}
+				var want *Fault
+				if addr+n > MaxVA {
+					want = &Fault{Kind: FaultBadAddress, Addr: addr}
+				}
+				for a := addr; want == nil && a < addr+n; a += PageSize {
+					if _, ok := m.mapped[PageNumber(a)]; !ok {
+						want = &Fault{Kind: FaultNotMapped, Addr: a}
+					}
+				}
+				if err := m.as.Protect(addr, n, perm); !sameFault(err, want) {
+					t.Fatalf("step %d: Protect(%#x,+%#x,%v) = %v; model %v", step, addr, n, perm, err, want)
+				}
+				for a := addr; want == nil && a < addr+n; a += PageSize {
+					m.mapped[PageNumber(a)] = perm
+				}
 			}
 		}
 		for _, m := range spaces {

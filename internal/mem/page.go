@@ -67,8 +67,10 @@ func levelIndex(addr uint64, level int) int {
 }
 
 // Perm is a page-protection bit set. Protection is tracked per region
-// (VMA); the hardware analogue would fold these bits into each PTE, but
-// region-granular checks observe the same faults for the workloads we model.
+// (VMA); the hardware analogue would fold these bits into each PTE. A
+// region-granular check observes the same faults (FuzzAddressSpaceModel
+// holds it to a per-page model), and a word access that misses the TLB
+// settles it with one inlined region probe, as a walk would read the PTE.
 type Perm uint8
 
 // Protection bits.
@@ -86,6 +88,8 @@ const (
 )
 
 // Can reports whether p grants every bit in want.
+// hot_path: a mask and a compare.
+// inline:
 func (p Perm) Can(want Perm) bool { return p&want == want }
 
 func (p Perm) String() string {
