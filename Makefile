@@ -22,14 +22,14 @@ race:
 # lint runs reprolint, the repo's own go/analysis suite enforcing the
 # snapshot-lifecycle, lock-order/guarded_by/no_block, TLB-flush/epoch,
 # fsync-ordering and hot-path performance invariants (see DESIGN.md
-# "Static analysis & invariants" and "Performance invariants"). -escape
-# additionally rebuilds the module with -gcflags=-json and reports every
-# compiler escape in a hot_path: function and every declined inline:
-# that no //lint:ignore escapegate accepts. Any diagnostic is a hard
-# failure; -time prints per-analyzer wall time so a slow checker is
-# visible here before it slows CI.
+# "Static analysis & invariants" and "Performance invariants"). Its
+# escapegate analyzer rebuilds the annotated packages with
+# -gcflags=-json and reports every compiler escape in a hot_path:
+# function and every declined inline: that no //lint:ignore escapegate
+# accepts. Any diagnostic is a hard failure; -time prints per-analyzer
+# wall time so a slow checker is visible here before it slows CI.
 lint:
-	go run ./cmd/reprolint -time -escape ./...
+	go run ./cmd/reprolint -time ./...
 
 # bench-check covers the repo benchmark (BENCHMARK.json): benchmark/ is a
 # nested module, so build, test and lint above never see it. Its tests

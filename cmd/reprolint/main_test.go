@@ -38,9 +38,9 @@ func writeModule(t *testing.T, src string) string {
 	return dir
 }
 
-// assertFinds runs the suite over a seeded-defect module and checks the
-// expected analyzer convicts it.
-func assertFinds(t *testing.T, src, analyzer string) {
+// assertFinds runs the suite over a seeded-defect module, checks the
+// expected analyzer convicts it, and returns the output.
+func assertFinds(t *testing.T, src, analyzer string) string {
 	t.Helper()
 	code, out := runSuite(t, writeModule(t, src), reprolint.Options{})
 	if code != 1 {
@@ -49,6 +49,7 @@ func assertFinds(t *testing.T, src, analyzer string) {
 	if !strings.Contains(out, analyzer+":") {
 		t.Fatalf("no %s finding in output:\n%s", analyzer, out)
 	}
+	return out
 }
 
 // TestSeededDoubleReleaseChain: a second release routed through a
@@ -121,10 +122,11 @@ func (t *tab) get() int {
 `, "hotpath")
 }
 
-// TestSeededHotPathAllocation: a heap-allocation site in a hot_path
-// function is a finding even when nothing blocks.
+// TestSeededHotPathAllocation: an escaping allocation in a hot_path
+// function is a finding even when nothing blocks. It is escapegate's
+// alone: hotpath has no rule for composite literals.
 func TestSeededHotPathAllocation(t *testing.T) {
-	assertFinds(t, `package tmpmod
+	out := assertFinds(t, `package tmpmod
 
 type node struct{ next *node }
 
@@ -132,11 +134,14 @@ type node struct{ next *node }
 func push(head *node) *node {
 	return &node{next: head}
 }
-`, "hotpath")
+`, "escapegate")
+	if strings.Contains(out, "hotpath:") {
+		t.Fatalf("hotpath reported the escape too:\n%s", out)
+	}
 }
 
-// TestJSONReport: -json writes a machine-readable report with the
-// finding's analyzer, position, and message.
+// TestJSONReport: -json writes a machine-readable report with each
+// finding's analyzer, position, and message, escapegate's included.
 func TestJSONReport(t *testing.T) {
 	dir := writeModule(t, `package tmpmod
 
@@ -152,6 +157,17 @@ func (c *counter) peek() int { return c.n }
 func (c *counter) quiet() int {
 	//lint:ignore lockorder test fixture reads before the counter is shared
 	return c.n
+}
+
+// hot_path:
+func fresh() *counter {
+	return &counter{}
+}
+
+// hot_path:
+func accepted() *counter {
+	//lint:ignore escapegate test fixture's accepted escape
+	return &counter{}
 }
 `)
 	path := filepath.Join(t.TempDir(), "report.json")
@@ -177,16 +193,19 @@ func (c *counter) quiet() int {
 	if err := json.Unmarshal(data, &rep); err != nil {
 		t.Fatalf("bad JSON: %v\n%s", err, data)
 	}
-	if len(rep.Findings) != 1 {
-		t.Fatalf("findings = %+v, want exactly one", rep.Findings)
+	if len(rep.Findings) != 2 {
+		t.Fatalf("findings = %+v, want exactly two", rep.Findings)
 	}
 	f := rep.Findings[0]
 	if f.Analyzer != "lockorder" || !strings.HasSuffix(f.File, "p.go") ||
 		f.Line == 0 || !strings.Contains(f.Message, "guarded_by: mu") {
 		t.Errorf("finding = %+v, want a lockorder guarded_by finding at p.go:<line>", f)
 	}
-	if rep.Suppressed != 1 {
-		t.Errorf("suppressed = %d, want 1 (the lint:ignore in quiet)", rep.Suppressed)
+	if f := rep.Findings[1]; f.Analyzer != "escapegate" || !strings.Contains(f.Message, "hot path tmpmod.fresh") {
+		t.Errorf("finding = %+v, want escapegate's escape in fresh", f)
+	}
+	if rep.Suppressed != 2 {
+		t.Errorf("suppressed = %d, want 2 (the lint:ignore lines in quiet and accepted)", rep.Suppressed)
 	}
 	if rep.Packages == 0 || len(rep.Analyzers) != len(suite()) {
 		t.Errorf("inventory packages=%d analyzers=%v", rep.Packages, rep.Analyzers)
@@ -261,10 +280,12 @@ func mutate(t *testing.T, dir, rel, old, new string) func() {
 
 // TestNegativeControls deletes one load-bearing statement at a time
 // from a copy of the real tree — a snapshot Release, the Fork epoch
-// bump, the manifest-log Sync, a client lock, a TLB flush — and asserts
-// the gate convicts each mutant while passing the unmutated copy. No
-// test catches the Release (releasecheck), the client lock (lockorder;
-// -race passes too) or the Seal flush (boundary) rows.
+// bump, the manifest-log Sync, a client lock, a TLB flush — or seeds an
+// allocation into the TLB read hit path, and asserts the gate convicts
+// each mutant while passing the unmutated copy. No test catches the
+// Release (releasecheck), the client lock (lockorder; -race passes too)
+// or the Seal flush (boundary) rows. A sole row must be reported by its
+// analyzer alone.
 func TestNegativeControls(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-tree loads are slow; skipped in -short")
@@ -280,6 +301,7 @@ func TestNegativeControls(t *testing.T) {
 		rel      string
 		old, new string
 		analyzer string
+		sole     bool
 	}{
 		{
 			name:     "deleted snapshot release",
@@ -301,6 +323,17 @@ func TestNegativeControls(t *testing.T) {
 			old:      "\t\tif f, ok := as.tlb.readFrame(vpn); ok {",
 			new:      "\t\t_ = fmt.Sprintf(\"hot %d\", vpn)\n\t\tif f, ok := as.tlb.readFrame(vpn); ok {",
 			analyzer: "hotpath",
+		},
+		{
+			// The store sits on a branch no test takes, so the
+			// AllocsPerRun pins cannot see it either.
+			name: "escaping store seeded into the TLB read hot path",
+			rel:  filepath.Join("internal", "mem", "addrspace.go"),
+			old:  "\t\tif f, ok := as.tlb.readFrame(vpn); ok {",
+			new: "\t\tif f, ok := as.tlb.readFrame(vpn); ok {\n" +
+				"\t\t\tif f == nil && vpn == 0 {\n\t\t\t\tas.tlb.e = &tlbEntries{}\n\t\t\t}",
+			analyzer: "escapegate",
+			sole:     true,
 		},
 		{
 			name: "deleted manifest log sync",
@@ -338,6 +371,9 @@ func TestNegativeControls(t *testing.T) {
 			}
 			if !strings.Contains(out, c.analyzer+":") {
 				t.Fatalf("no %s finding for the mutation; output:\n%s", c.analyzer, out)
+			}
+			if c.sole && strings.Count(out, ": "+c.analyzer+": ") != strings.Count(out, "\n") {
+				t.Fatalf("a finding from another analyzer than %s; output:\n%s", c.analyzer, out)
 			}
 		})
 	}

@@ -1,9 +1,12 @@
 // Package escapegate cross-checks the performance annotations against
-// the real compiler. hotpath proves the absence of *syntactic*
-// allocation and blocking in `// hot_path:` functions; escapegate asks
-// gc itself — via -gcflags=-json structured diagnostics (logopt) —
-// whether anything in those functions still escapes to the heap, and
-// whether every `// inline:` function is in fact inlinable.
+// the real compiler. It asks gc itself — via -gcflags=-json structured
+// diagnostics (logopt) — whether anything in a `// hot_path:` function
+// escapes to the heap, and whether every `// inline:` function is in
+// fact inlinable. It is the allocation gate for everything that
+// escapes: composite literals, new/make, boxing, closures, method
+// values, variadic slices, and the allocations of inlined callees.
+// hotpath keeps what the escape verdicts cannot show (append growth,
+// string building, calls to unannotated code) and all blocking rules.
 //
 // Every escape in a hot_path function and every declined inline: is a
 // finding. An escape the code accepts (a panic message, a first-use
@@ -25,39 +28,29 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis/reprolint"
 )
 
-// Name is the analyzer name findings carry (and //lint:ignore targets).
-const Name = "escapegate"
-
-// Options configures one escapegate run.
-type Options struct {
-	// Dir is the module directory the patterns resolve in.
-	Dir string
-	// Patterns selects the packages whose annotations are checked
-	// (default ./...). The compiler always builds the whole module.
-	Patterns []string
-}
-
-// Result is what a run produced.
-type Result struct {
-	Findings   []reprolint.Diagnostic
-	Suppressed int
+// Analyzer rebuilds the packages that hold a hot_path: or inline:
+// function with logopt enabled and reports every escape in a hot
+// function and every declined inline.
+var Analyzer = &reprolint.Analyzer{
+	Name:       "escapegate",
+	Doc:        "nothing in a hot_path: function may escape to the heap, and every inline: function must inline, by the compiler's own verdict",
+	RunProgram: run,
 }
 
 // annFn is one annotated function with its source extent.
 type annFn struct {
 	name     string // types.Func FullName
-	file     string // absolute, cleaned
-	declLine int    // line of the func keyword
+	tf       *token.File
+	declLine int // line of the func keyword
 	endLine  int
 	hot      bool
 	inline   bool
-	pos      token.Position
+	pos      token.Pos
 }
 
 // compilerDiag is one logopt diagnostic mapped into a source file.
@@ -67,27 +60,13 @@ type compilerDiag struct {
 	msg  string
 }
 
-// Run loads the annotated functions, rebuilds the module with logopt
-// enabled, and reports every escape in a hot function and every
-// declined inline.
-func Run(opts Options) (*Result, error) {
-	patterns := opts.Patterns
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := reprolint.Load(opts.Dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	if len(pkgs) == 0 {
-		return nil, fmt.Errorf("escapegate: no packages match %v", patterns)
-	}
-	fset := pkgs[0].Fset
-
+func run(pass *reprolint.ProgramPass) error {
+	fset := pass.Prog.Fset
 	var fns []*annFn
-	var allFiles []*ast.File
-	for _, pkg := range pkgs {
-		allFiles = append(allFiles, pkg.Files...)
+	var dir string
+	var paths []string
+	for _, pkg := range pass.Prog.Pkgs {
+		n := len(fns)
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
@@ -102,30 +81,35 @@ func Run(opts Options) (*Result, error) {
 				if !ok {
 					continue
 				}
-				pos := fset.Position(fd.Pos())
 				fns = append(fns, &annFn{
 					name:     obj.FullName(),
-					file:     filepath.Clean(pos.Filename),
-					declLine: pos.Line,
+					tf:       fset.File(fd.Pos()),
+					declLine: fset.Position(fd.Pos()).Line,
 					endLine:  fset.Position(fd.End()).Line,
 					hot:      a.HotPath,
 					inline:   a.Inline,
-					pos:      pos,
+					pos:      fd.Pos(),
 				})
 			}
 		}
+		if len(fns) > n {
+			dir = filepath.Dir(fns[n].tf.Name())
+			paths = append(paths, pkg.ImportPath)
+		}
+	}
+	if len(fns) == 0 {
+		return nil
 	}
 
-	diags, err := compile(opts.Dir)
+	diags, err := compile(dir, paths)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
-	res := &Result{}
 	for _, fn := range fns {
 		canInline, inlineNote := false, ""
 		seen := map[string]bool{}
-		for _, d := range diags[fn.file] {
+		for _, d := range diags[filepath.Clean(fn.tf.Name())] {
 			if d.line < fn.declLine || d.line > fn.endLine {
 				continue
 			}
@@ -135,11 +119,7 @@ func Run(opts Options) (*Result, error) {
 					continue // logopt emits empty/duplicate escape entries
 				}
 				seen[d.msg] = true
-				res.Findings = append(res.Findings, reprolint.Diagnostic{
-					Pos:      token.Position{Filename: fn.file, Line: d.line, Column: 1},
-					Analyzer: Name,
-					Message:  fmt.Sprintf("compiler reports an escape in hot path %s: %s", fn.name, d.msg),
-				})
+				pass.Reportf(fn.tf.LineStart(d.line), "compiler reports an escape in hot path %s: %s", fn.name, d.msg)
 			case d.code == "canInlineFunction" && d.line == fn.declLine:
 				canInline = true
 			case d.code == "cannotInlineFunction" && d.line == fn.declLine:
@@ -151,20 +131,10 @@ func Run(opts Options) (*Result, error) {
 			if inlineNote != "" {
 				msg += ": " + inlineNote
 			}
-			res.Findings = append(res.Findings, reprolint.Diagnostic{Pos: fn.pos, Analyzer: Name, Message: msg})
+			pass.Reportf(fn.pos, "%s", msg)
 		}
 	}
-
-	ann := reprolint.CollectAnnotations(fset, allFiles)
-	res.Findings, res.Suppressed = ann.Filter(res.Findings)
-	sort.Slice(res.Findings, func(i, j int) bool {
-		a, b := res.Findings[i].Pos, res.Findings[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	return res, nil
+	return nil
 }
 
 // isEscapeCode reports whether a logopt code is an escape-analysis
@@ -174,21 +144,23 @@ func isEscapeCode(code string) bool {
 	return code == "escape" || code == "escapes"
 }
 
-// compile rebuilds the whole module with logopt enabled into a fresh
-// temp dir (a fresh dir changes the cache key, defeating the build
-// cache's diagnostic suppression) and parses every emitted JSON file.
-func compile(dir string) (map[string][]compilerDiag, error) {
-	mod, err := goListModule(dir)
-	if err != nil {
-		return nil, err
-	}
+// compile rebuilds the packages at paths with logopt enabled into a
+// fresh temp dir (a fresh dir changes their cache key, defeating the
+// build cache's diagnostic suppression; their dependencies stay cached)
+// and parses every emitted JSON file. dir is any directory inside the
+// module.
+func compile(dir string, paths []string) (map[string][]compilerDiag, error) {
 	tmp, err := os.MkdirTemp("", "escapegate-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(tmp)
 
-	cmd := exec.Command("go", "build", "-gcflags="+mod+"/...=-json=0,"+tmp, "./...")
+	args := []string{"build"}
+	for _, p := range paths {
+		args = append(args, "-gcflags="+p+"=-json=0,"+tmp)
+	}
+	cmd := exec.Command("go", append(args, paths...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -255,16 +227,4 @@ func parseLogopt(path string, out map[string][]compilerDiag) error {
 		})
 	}
 	return sc.Err()
-}
-
-func goListModule(dir string) (string, error) {
-	cmd := exec.Command("go", "list", "-m")
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return "", fmt.Errorf("escapegate: go list -m: %v\n%s", err, stderr.String())
-	}
-	return strings.TrimSpace(string(out)), nil
 }

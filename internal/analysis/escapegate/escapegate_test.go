@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis/escapegate"
+	"repro/internal/analysis/reprolint"
 )
 
 // writeModule lays out a throwaway module the gate can compile.
@@ -44,16 +45,26 @@ const noinlineSrc = `package egtest
 func Spin() int { return 1 }
 `
 
-func run(t *testing.T, dir string) *escapegate.Result {
-	t.Helper()
-	res, err := escapegate.Run(escapegate.Options{Dir: dir})
-	if err != nil {
-		t.Fatalf("escapegate.Run: %v", err)
-	}
-	return res
+// result is what one run of the gate over a module produced.
+type result struct {
+	Findings   []reprolint.Diagnostic
+	Suppressed int
 }
 
-func assertFinding(t *testing.T, res *escapegate.Result, want string) {
+func run(t *testing.T, dir string) *result {
+	t.Helper()
+	pkgs, err := reprolint.Load(dir, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, suppressed, err := reprolint.RunWholeProgram(reprolint.NewProgram(pkgs), []*reprolint.Analyzer{escapegate.Analyzer}, nil)
+	if err != nil {
+		t.Fatalf("escapegate: %v", err)
+	}
+	return &result{diags, suppressed}
+}
+
+func assertFinding(t *testing.T, res *result, want string) {
 	t.Helper()
 	for _, d := range res.Findings {
 		if strings.Contains(d.Message, want) {

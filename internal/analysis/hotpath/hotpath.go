@@ -4,38 +4,42 @@
 // epoch bump, the sharded deque and the service shard lookup must not
 // regress into allocation or blocking without the diff saying so.
 //
-// A function annotated `// hot_path:` may contain
+// It shares the allocation half of that job with escapegate, which
+// asks the compiler what escapes. hotpath keeps only what the compiler
+// cannot see or does not report as an escape. A function annotated
+// `// hot_path:` may contain
 //
-//   - no heap-allocation site: new/make, append (growth is a heap
-//     operation; provably amortized growth carries a //lint:ignore),
-//     &composite and slice/map literals, escaping closure literals,
-//     method-value bindings, interface boxing at assignments,
-//     arguments, returns and conversions, string concatenation or
-//     string<->[]byte/[]rune conversion, and variadic calls (the
-//     argument slice allocates — this is what keeps fmt out);
-//   - no defer, except a deferred Unlock/RUnlock of a lock class the
-//     annotation allows via locks=;
+//   - no append (growth is a heap operation the escape verdicts never
+//     show; provably amortized growth carries a //lint:ignore);
+//   - no string concatenation and no string<->[]byte/[]rune
+//     conversion (they allocate above 32 bytes even when the result
+//     stays on the stack);
+//   - no go statement, and no defer except a deferred Unlock/RUnlock
+//     of a lock class the annotation allows via locks=;
 //   - no blocking op: channel send/receive outside a select with a
-//     default, select without default, ranging over a channel, go
-//     statements, WaitGroup/Cond waits, time.Sleep, and mutex
-//     acquisition unless the class is named in locks=.
+//     default, select without default, ranging over a channel,
+//     WaitGroup/Cond waits, Once.Do, time.Sleep, and mutex acquisition
+//     unless the class is named in locks=.
 //
 // The discipline is transitive: every resolved callee must itself be
 // hot_path:, cheap:, or on the small stdlib allowlist (sync/atomic,
 // math/bits, encoding/binary, WaitGroup.Add/Done, runtime.KeepAlive).
-// A `// cheap:` function is trusted to be amortized-cheap — it may
-// allocate (the CoW fault path allocates the private copy by design)
-// and its callees are not chased, but direct blocking ops in it are
-// still findings. Arguments to panic are exempt from the boxing rules:
-// a panicking execution has already left the hot path.
+// This call rule is what keeps fmt, strconv and unannotated helpers
+// out, whether or not the compiler inlines them. A `// cheap:`
+// function is trusted to be amortized-cheap — it may allocate (the CoW
+// fault path allocates the private copy by design) and its callees are
+// not chased, but direct blocking ops in it are still findings.
+//
+// Composite literals, new/make, boxing, closures, method values and
+// variadic slices are escapegate's: it reports the ones that escape,
+// and the ones that do not are stack-allocated and cost nothing.
 //
 // Known soundness holes, deliberate and documented (DESIGN.md
 // "Performance invariants"): cheap bodies are trusted, not measured
-// (escapegate and the AllocsPerOp gates are the dynamic backstop);
-// calls through function values resolve to no callee and are reported
-// as unresolvable rather than traced; map writes of interface values
-// and implicit conversions in composite-literal elements are not
-// boxing-checked.
+// (the AllocsPerRun gates are the dynamic backstop); calls through
+// function values resolve to no callee and are reported as
+// unresolvable rather than traced; map-insert growth is caught by
+// neither gate.
 package hotpath
 
 import (
@@ -50,7 +54,7 @@ import (
 // Analyzer is the hot-path performance-invariant checker.
 var Analyzer = &reprolint.Analyzer{
 	Name:       "hotpath",
-	Doc:        "hot_path: functions must not allocate, defer, or block; callees must be hot_path, cheap, or allowlisted",
+	Doc:        "hot_path: functions must not block, defer, spawn, append or build strings; callees must be hot_path, cheap, or allowlisted (escapes are escapegate's)",
 	RunProgram: run,
 }
 
@@ -110,13 +114,8 @@ func run(pass *reprolint.ProgramPass) error {
 		}
 	}
 	for _, n := range c.g.Nodes {
-		a := c.ann[n]
-		locks := nameSet(a.HotLocks)
-		switch {
-		case a.HotPath:
-			c.checkHot(n, locks)
-		case a.Cheap:
-			c.checkCheap(n, locks)
+		if a := c.ann[n]; a.HotPath || a.Cheap {
+			c.check(n, nameSet(a.HotLocks), a.HotPath)
 		}
 	}
 	return nil
@@ -133,167 +132,104 @@ func nameSet(names []string) map[string]bool {
 	return m
 }
 
-// checkHot enforces the full hot-path discipline on n's body. locks is
-// the set of lock-field classes the annotation allows acquiring.
-func (c *checker) checkHot(n *callgraph.Node, locks map[string]bool) {
+// check walks n's body once. Blocking operations are findings in hot
+// and cheap bodies alike; hot bodies also get the call, go, defer,
+// growth and string rules. locks is the set of lock-field classes the
+// annotation allows acquiring.
+func (c *checker) check(n *callgraph.Node, locks map[string]bool, hot bool) {
 	info := n.Pkg.TypesInfo
-	name := n.Name()
+	where := "cheap function " + n.Name()
+	if hot {
+		where = "hot path " + n.Name()
+	}
 	edges := make(map[*ast.CallExpr]callgraph.Edge, len(n.Calls))
 	for _, e := range n.Calls {
 		edges[e.Site] = e
 	}
 	nonBlock := nonBlockingOps(n.Body)
-	// invoked marks immediately-invoked literals (checked through their
-	// own node, with the same lock context) and the selector expressions
-	// serving as call funs (so x.m() is not a method-value binding).
-	invoked := map[*ast.FuncLit]bool{}
-	callFuns := map[ast.Expr]bool{}
-	var walk func(root ast.Node)
-	walk = func(root ast.Node) {
-		ast.Inspect(root, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.FuncLit:
-				if m == root {
-					return true
-				}
-				if !invoked[m] {
-					c.pass.Reportf(m.Pos(), "closure literal in hot path %s escapes (allocates); only an immediately-invoked literal is exempt", name)
-				}
-				return false // the literal's body is its own node
-			case *ast.GoStmt:
-				callFuns[ast.Unparen(m.Call.Fun)] = true
-				c.pass.Reportf(m.Pos(), "go statement in hot path %s: spawning a goroutine allocates and hands off to the scheduler", name)
-			case *ast.DeferStmt:
-				callFuns[ast.Unparen(m.Call.Fun)] = true
-				if !c.deferredUnlock(info, m.Call, locks) {
-					c.pass.Reportf(m.Pos(), "defer in hot path %s; only a deferred Unlock of a locks= class is exempt", name)
-				}
-			case *ast.SendStmt:
-				if !nonBlock[m] {
-					c.pass.Reportf(m.Pos(), "channel send in hot path %s blocks", name)
-				}
-			case *ast.UnaryExpr:
-				if m.Op == token.ARROW && !nonBlock[m] {
-					c.pass.Reportf(m.Pos(), "channel receive in hot path %s blocks", name)
-				}
-				if m.Op == token.AND {
-					if _, ok := ast.Unparen(m.X).(*ast.CompositeLit); ok {
-						c.pass.Reportf(m.Pos(), "heap allocation in hot path %s: &composite literal", name)
-					}
-				}
-			case *ast.SelectStmt:
-				if !hasDefault(m) {
-					c.pass.Reportf(m.Pos(), "select without default in hot path %s blocks", name)
-				}
-			case *ast.RangeStmt:
-				if t := info.Types[m.X].Type; t != nil {
-					if _, ok := t.Underlying().(*types.Chan); ok {
-						c.pass.Reportf(m.Pos(), "ranging over a channel in hot path %s blocks", name)
-					}
-				}
-			case *ast.CompositeLit:
-				if t := info.Types[m].Type; t != nil {
-					switch t.Underlying().(type) {
-					case *types.Slice:
-						c.pass.Reportf(m.Pos(), "heap allocation in hot path %s: slice literal", name)
-					case *types.Map:
-						c.pass.Reportf(m.Pos(), "heap allocation in hot path %s: map literal", name)
-					}
-				}
-			case *ast.BinaryExpr:
-				if m.Op == token.ADD && isStringType(info.Types[m].Type) && info.Types[m].Value == nil {
-					c.pass.Reportf(m.Pos(), "string concatenation in hot path %s allocates", name)
-				}
-			case *ast.SelectorExpr:
-				if sel, ok := info.Selections[m]; ok && sel.Kind() == types.MethodVal && !callFuns[m] {
-					c.pass.Reportf(m.Pos(), "method value binding in hot path %s allocates a closure", name)
-				}
-			case *ast.AssignStmt:
-				if m.Tok == token.ASSIGN && len(m.Lhs) == len(m.Rhs) {
-					for i, lhs := range m.Lhs {
-						if t := info.Types[lhs].Type; c.boxes(info, t, m.Rhs[i]) {
-							c.pass.Reportf(m.Rhs[i].Pos(), "interface boxing in hot path %s: assignment allocates", name)
-						}
-					}
-				}
-				if m.Tok == token.ADD_ASSIGN && isStringType(info.Types[m.Lhs[0]].Type) {
-					c.pass.Reportf(m.Pos(), "string concatenation in hot path %s allocates", name)
-				}
-			case *ast.ValueSpec:
-				for i, v := range m.Values {
-					if i < len(m.Names) {
-						if obj := info.Defs[m.Names[i]]; obj != nil && c.boxes(info, obj.Type(), v) {
-							c.pass.Reportf(v.Pos(), "interface boxing in hot path %s: declaration allocates", name)
-						}
-					}
-				}
-			case *ast.ReturnStmt:
-				sig := c.signatureOf(n)
-				if sig != nil && len(m.Results) == sig.Results().Len() {
-					for i, r := range m.Results {
-						if c.boxes(info, sig.Results().At(i).Type(), r) {
-							c.pass.Reportf(r.Pos(), "interface boxing in hot path %s: return allocates", name)
-						}
-					}
-				}
-			case *ast.CallExpr:
-				callFuns[ast.Unparen(m.Fun)] = true
-				c.checkCall(n, m, edges, locks, invoked, name)
+	ast.Inspect(n.Body, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.FuncLit:
+			return false // a literal is its own node
+		case *ast.SendStmt:
+			if !nonBlock[m] {
+				c.pass.Reportf(m.Pos(), "channel send in %s blocks", where)
 			}
+		case *ast.UnaryExpr:
+			if m.Op == token.ARROW && !nonBlock[m] {
+				c.pass.Reportf(m.Pos(), "channel receive in %s blocks", where)
+			}
+		case *ast.SelectStmt:
+			if !hasDefault(m) {
+				c.pass.Reportf(m.Pos(), "select without default in %s blocks", where)
+			}
+		case *ast.RangeStmt:
+			if t := info.Types[m.X].Type; t != nil {
+				if _, ok := t.Underlying().(*types.Chan); ok {
+					c.pass.Reportf(m.Pos(), "ranging over a channel in %s blocks", where)
+				}
+			}
+		case *ast.CallExpr:
+			c.checkCall(n, m, edges, locks, hot, where)
+		}
+		if !hot {
 			return true
-		})
-	}
-	walk(n.Body)
+		}
+		switch m := m.(type) {
+		case *ast.GoStmt:
+			c.pass.Reportf(m.Pos(), "go statement in %s: spawning a goroutine allocates and hands off to the scheduler", where)
+		case *ast.DeferStmt:
+			if !c.deferredUnlock(info, m.Call, locks) {
+				c.pass.Reportf(m.Pos(), "defer in %s; only a deferred Unlock of a locks= class is exempt", where)
+			}
+		case *ast.BinaryExpr:
+			if m.Op == token.ADD && isStringType(info.Types[m].Type) && info.Types[m].Value == nil {
+				c.pass.Reportf(m.Pos(), "string concatenation in %s allocates", where)
+			}
+		case *ast.AssignStmt:
+			if m.Tok == token.ADD_ASSIGN && isStringType(info.Types[m.Lhs[0]].Type) {
+				c.pass.Reportf(m.Pos(), "string concatenation in %s allocates", where)
+			}
+		}
+		return true
+	})
 }
 
-// checkCall applies the allocation and call-discipline rules to one
-// callsite in a hot function.
-func (c *checker) checkCall(n *callgraph.Node, call *ast.CallExpr, edges map[*ast.CallExpr]callgraph.Edge, locks map[string]bool, invoked map[*ast.FuncLit]bool, name string) {
+// checkCall applies the blocking rules to one callsite and, in a hot
+// body, the growth, string-conversion and callee rules.
+func (c *checker) checkCall(n *callgraph.Node, call *ast.CallExpr, edges map[*ast.CallExpr]callgraph.Edge, locks map[string]bool, hot bool, where string) {
 	info := n.Pkg.TypesInfo
 	fun := ast.Unparen(call.Fun)
 
-	// Builtins: the allocating ones are findings, the rest are free.
+	// Builtins: append may grow; the rest are escapegate's or free.
 	if id, ok := fun.(*ast.Ident); ok {
 		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			switch id.Name {
-			case "new":
-				c.pass.Reportf(call.Pos(), "heap allocation in hot path %s: new", name)
-			case "make":
-				c.pass.Reportf(call.Pos(), "heap allocation in hot path %s: make", name)
-			case "append":
-				c.pass.Reportf(call.Pos(), "append in hot path %s may grow its backing array", name)
+			if hot && id.Name == "append" {
+				c.pass.Reportf(call.Pos(), "append in %s may grow its backing array", where)
 			}
 			return
 		}
 	}
 
-	// Conversions: string<->bytes allocates; converting a concrete value
-	// to an interface type boxes. Constant-folded conversions are free.
+	// Conversions: string<->bytes allocates. Constant-folded ones are
+	// free.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		if len(call.Args) != 1 || info.Types[call].Value != nil {
+		if !hot || len(call.Args) != 1 || info.Types[call].Value != nil {
 			return
 		}
-		dst, src := tv.Type, info.Types[call.Args[0]].Type
-		if src == nil {
-			return
-		}
-		if isStringType(dst) != isStringType(src) && (isStringType(dst) || isStringType(src)) {
-			c.pass.Reportf(call.Pos(), "string conversion in hot path %s allocates", name)
-		}
-		if c.boxes(info, dst, call.Args[0]) {
-			c.pass.Reportf(call.Pos(), "interface boxing in hot path %s: conversion allocates", name)
+		if src := info.Types[call.Args[0]].Type; src != nil && isStringType(tv.Type) != isStringType(src) {
+			c.pass.Reportf(call.Pos(), "string conversion in %s allocates", where)
 		}
 		return
 	}
 
 	// Immediately-invoked literal: its body runs here, under the same
-	// lock context, through its own call-graph node.
+	// lock context, through its own call-graph node. A cheap body does
+	// not extend to its literals.
 	if lit, ok := fun.(*ast.FuncLit); ok {
-		invoked[lit] = true
-		if ln, ok := c.g.ByLit[lit]; ok {
-			c.checkHot(ln, locks)
+		if ln, ok := c.g.ByLit[lit]; ok && hot {
+			c.check(ln, locks, true)
 		}
-		c.checkCallBoxing(info, call, name)
 		return
 	}
 
@@ -301,9 +237,28 @@ func (c *checker) checkCall(n *callgraph.Node, call *ast.CallExpr, edges map[*as
 	if !ok {
 		return
 	}
-	if e.Go || e.Defer {
-		return // reported by the go/defer rules
+	if e.Func != nil {
+		full := e.Func.FullName()
+		switch {
+		case blockingFuncs[full]:
+			c.pass.Reportf(call.Pos(), "%s in %s blocks", full, where)
+			return
+		case acquireFuncs[full]:
+			if cls := lockClass(fun); !locks[cls] {
+				c.pass.Reportf(call.Pos(), "acquiring %s in %s blocks; name it in the annotation (locks=%s) if this short critical section is part of the contract", cls, where, cls)
+			}
+			return
+		case releaseFuncs[full], cheapFuncs[full]:
+			return // releasing never blocks; acquisition is the witness
+		}
+		if pkg := e.Func.Pkg(); pkg != nil && cheapPkgs[pkg.Path()] {
+			return
+		}
 	}
+	if !hot || e.Go || e.Defer {
+		return // cheap callees are not chased; go/defer have their own rules
+	}
+
 	// A call to a generic function resolves to the instantiated method
 	// object (the graph keys the generic origin), and a cross-package
 	// call resolves to an export-data object (the graph keys the
@@ -316,146 +271,18 @@ func (c *checker) checkCall(n *callgraph.Node, call *ast.CallExpr, edges map[*as
 			e.Callees = []*callgraph.Node{target}
 		}
 	}
-
-	if e.Func != nil {
-		full := e.Func.FullName()
-		switch {
-		case blockingFuncs[full]:
-			c.pass.Reportf(call.Pos(), "%s in hot path %s blocks", full, name)
-			return
-		case acquireFuncs[full]:
-			if cls := lockClass(fun); !locks[cls] {
-				c.pass.Reportf(call.Pos(), "acquiring %s in hot path %s blocks; name it in the annotation (hot_path: locks=%s) if this short critical section is part of the contract", cls, name, cls)
-			}
-			return
-		case releaseFuncs[full]:
-			return // releasing never blocks; acquisition is the witness
-		case cheapFuncs[full]:
-			c.checkCallBoxing(info, call, name)
-			return
-		}
-		if pkg := e.Func.Pkg(); pkg != nil && cheapPkgs[pkg.Path()] {
-			c.checkCallBoxing(info, call, name)
-			return
-		}
-	}
-
 	switch {
 	case len(e.Callees) > 0:
 		for _, callee := range e.Callees {
-			if callee.Lit != nil {
-				continue // literals are flagged at their definition site
-			}
-			ca := c.ann[callee]
-			if !ca.HotPath && !ca.Cheap {
-				c.pass.Reportf(call.Pos(), "hot path %s calls %s, which is neither hot_path: nor cheap:", name, callee.Name())
+			if ca := c.ann[callee]; !ca.HotPath && !ca.Cheap {
+				c.pass.Reportf(call.Pos(), "%s calls %s, which is neither hot_path: nor cheap:", where, callee.Name())
 			}
 		}
 	case e.Func != nil:
-		c.pass.Reportf(call.Pos(), "hot path %s calls %s, which is outside the program and not on the cheap allowlist", name, e.Func.FullName())
+		c.pass.Reportf(call.Pos(), "%s calls %s, which is outside the program and not on the cheap allowlist", where, e.Func.FullName())
 	default:
-		c.pass.Reportf(call.Pos(), "call through a function value in hot path %s: callee unresolvable, cannot prove it cheap", name)
+		c.pass.Reportf(call.Pos(), "call through a function value in %s: callee unresolvable, cannot prove it cheap", where)
 	}
-	c.checkCallBoxing(info, call, name)
-}
-
-// checkCallBoxing reports arguments that box into interface parameters
-// and variadic calls (whose argument slice allocates). Arguments to
-// panic never reach here (panic is a builtin).
-func (c *checker) checkCallBoxing(info *types.Info, call *ast.CallExpr, name string) {
-	tv, ok := info.Types[call.Fun]
-	if !ok || tv.Type == nil {
-		return
-	}
-	sig, ok := tv.Type.Underlying().(*types.Signature)
-	if !ok {
-		return
-	}
-	params := sig.Params()
-	fixed := params.Len()
-	if sig.Variadic() {
-		fixed--
-		if call.Ellipsis == token.NoPos && len(call.Args) > fixed {
-			c.pass.Reportf(call.Pos(), "variadic call in hot path %s allocates its argument slice", name)
-		}
-	}
-	for i, arg := range call.Args {
-		if i >= fixed {
-			break // variadic tail already reported as a slice allocation
-		}
-		if c.boxes(info, params.At(i).Type(), arg) {
-			c.pass.Reportf(arg.Pos(), "interface boxing in hot path %s: argument allocates", name)
-		}
-	}
-}
-
-// boxes reports whether passing src into a slot of type dst converts a
-// concrete value to an interface (which allocates). Type parameters are
-// skipped: their instantiations are checked at concrete callsites.
-func (c *checker) boxes(info *types.Info, dst types.Type, src ast.Expr) bool {
-	if dst == nil {
-		return false
-	}
-	if _, isTP := types.Unalias(dst).(*types.TypeParam); isTP {
-		return false
-	}
-	if !types.IsInterface(dst) {
-		return false
-	}
-	tv, ok := info.Types[src]
-	if !ok || tv.Type == nil || tv.IsNil() {
-		return false
-	}
-	st := tv.Type
-	if _, isTP := types.Unalias(st).(*types.TypeParam); isTP {
-		return false
-	}
-	return !types.IsInterface(st)
-}
-
-// checkCheap trusts n's body to be amortized-cheap but still rejects
-// direct blocking operations in it.
-func (c *checker) checkCheap(n *callgraph.Node, locks map[string]bool) {
-	info := n.Pkg.TypesInfo
-	name := n.Name()
-	nonBlock := nonBlockingOps(n.Body)
-	ast.Inspect(n.Body, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit:
-			return false // a literal is its own node; cheap does not extend
-		case *ast.SendStmt:
-			if !nonBlock[m] {
-				c.pass.Reportf(m.Pos(), "channel send in cheap function %s blocks", name)
-			}
-		case *ast.UnaryExpr:
-			if m.Op == token.ARROW && !nonBlock[m] {
-				c.pass.Reportf(m.Pos(), "channel receive in cheap function %s blocks", name)
-			}
-		case *ast.SelectStmt:
-			if !hasDefault(m) {
-				c.pass.Reportf(m.Pos(), "select without default in cheap function %s blocks", name)
-			}
-		case *ast.RangeStmt:
-			if t := info.Types[m.X].Type; t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					c.pass.Reportf(m.Pos(), "ranging over a channel in cheap function %s blocks", name)
-				}
-			}
-		case *ast.CallExpr:
-			if fn := reprolint.CalleeFunc(info, m); fn != nil {
-				full := fn.FullName()
-				switch {
-				case blockingFuncs[full]:
-					c.pass.Reportf(m.Pos(), "%s in cheap function %s blocks", full, name)
-				case acquireFuncs[full]:
-					if cls := lockClass(ast.Unparen(m.Fun)); !locks[cls] {
-						c.pass.Reportf(m.Pos(), "acquiring %s in cheap function %s blocks; name it in the annotation (cheap: locks=%s) if intended", cls, name, cls)
-					}
-				}
-			}
-		}
-		return true
-	})
 }
 
 // deferredUnlock reports whether call is `<lock>.Unlock()`/`RUnlock()`
@@ -482,22 +309,6 @@ func lockClass(fun ast.Expr) string {
 		return recv.Name
 	}
 	return ""
-}
-
-func (c *checker) signatureOf(n *callgraph.Node) *types.Signature {
-	if n.Func != nil {
-		if sig, ok := n.Func.Type().(*types.Signature); ok {
-			return sig
-		}
-	}
-	if n.Lit != nil {
-		if tv, ok := n.Pkg.TypesInfo.Types[n.Lit]; ok {
-			if sig, ok := tv.Type.(*types.Signature); ok {
-				return sig
-			}
-		}
-	}
-	return nil
 }
 
 // nonBlockingOps marks the send/receive operations appearing as the

@@ -2,8 +2,8 @@
 // dependency-free mirror of the golang.org/x/tools/go/analysis API plus a
 // package loader built on `go list -export` and the standard library's
 // gc-export-data importer. The project analyzers (releasecheck,
-// lockorder, boundary, hotpath) run on it via cmd/reprolint, which CI
-// enforces as a hard gate over ./...
+// lockorder, boundary, hotpath, escapegate) run on it via
+// cmd/reprolint, which CI enforces as a hard gate over ./...
 //
 // The shapes deliberately match go/analysis (Analyzer, Pass, Diagnostic,
 // Reportf) so that the analyzers could be lifted onto the real

@@ -1,5 +1,5 @@
-// Package hotpathtest exercises the hotpath analyzer: allocation,
-// defer, blocking, boxing and call-discipline findings in hot_path:
+// Package hotpathtest exercises the hotpath analyzer: growth, string,
+// go, defer, blocking and call-discipline findings in hot_path:
 // functions, blocking findings in cheap: bodies, the locks= escape,
 // the deferred-unlock exemption, and the amortized-growth suppression.
 package hotpathtest
@@ -76,22 +76,8 @@ func (c *counter) hotGrowSuppressed(v uint64) {
 }
 
 // hot_path:
-func hotAllocs() *counter {
-	m := make(map[int]int) // want `heap allocation in hot path hotAllocs: make`
-	_ = m
-	q := &counter{} // want `heap allocation in hot path hotAllocs: &composite literal`
-	_ = q
-	return new(counter) // want `heap allocation in hot path hotAllocs: new`
-}
-
-// hot_path:
 func (c *counter) hotAppend(v uint64) {
 	c.buf = append(c.buf, v) // want `append in hot path hotAppend may grow its backing array`
-}
-
-// hot_path:
-func hotSliceLit() []int {
-	return []int{1, 2, 3} // want `heap allocation in hot path hotSliceLit: slice literal`
 }
 
 // hot_path:
@@ -127,18 +113,11 @@ func hotWG(wg *sync.WaitGroup) {
 	wg.Wait() // want `WaitGroup.*Wait in hot path hotWG blocks`
 }
 
-// hot_path:
-func hotClosure() func() {
-	f := func() {} // want `closure literal in hot path hotClosure escapes`
-	return f
-}
-
 // hotIIFE: an immediately-invoked literal's body is checked as hot.
 // hot_path:
-func hotIIFE(x uint64) uint64 {
-	return func() uint64 {
-		m := make([]byte, x) // want `heap allocation in hot path func literal: make`
-		return uint64(len(m))
+func hotIIFE(s []uint64) []uint64 {
+	return func() []uint64 {
+		return append(s, 1) // want `append in hot path func literal may grow its backing array`
 	}()
 }
 
@@ -153,15 +132,8 @@ func hotConv(b []byte) string {
 }
 
 // hot_path:
-func hotBox(v uint64) any {
-	var x any = v // want `interface boxing in hot path hotBox: declaration allocates`
-	_ = x
-	return v // want `interface boxing in hot path hotBox: return allocates`
-}
-
-// hot_path:
-func hotVariadic(v uint64) {
-	_ = fmt.Sprint(v) // want `hot path hotVariadic calls fmt.Sprint` `variadic call in hot path hotVariadic allocates its argument slice`
+func hotSprint(v uint64) {
+	_ = fmt.Sprint(v) // want `hot path hotSprint calls fmt.Sprint`
 }
 
 func plain() {}
@@ -174,11 +146,6 @@ func hotCallsPlain() {
 // hot_path:
 func hotFuncValue(f func()) {
 	f() // want `call through a function value in hot path hotFuncValue`
-}
-
-// hot_path:
-func hotMethodValue(c *counter) func() {
-	return c.cheapFill // want `method value binding in hot path hotMethodValue allocates a closure`
 }
 
 // cheap: locks=mu
