@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -52,9 +53,9 @@ func (d *deadlineWriter) Write(p []byte) (int, error) {
 // buffered bytes past the accept line); otherwise rw is read directly.
 //
 // Requests execute concurrently up to the in-flight cap and complete
-// out of order; a per-connection writer goroutine serializes reply
-// frames, so replies interleave at frame granularity only. A write or
-// flush failure — a half-closed or stalled peer — cancels the session
+// out of order; each handler writes its own reply under the session's
+// write mutex, so replies interleave at frame granularity only. A write
+// failure — a half-closed or stalled peer — cancels the session
 // context, which aborts in-flight solves instead of leaving the session
 // solving into a broken pipe.
 //
@@ -78,29 +79,30 @@ func Serve(ctx context.Context, svc *service.Service, rw io.ReadWriter, br io.Re
 		}()
 	}
 
-	// Reply writer: the only goroutine touching rw's write side. After a
-	// write failure it keeps draining the channel (so no handler blocks)
-	// but stops writing, and the cancelled session context unwinds the
-	// reader and every in-flight solve.
-	replies := make(chan []byte, maxInflight)
-	writerDone := make(chan struct{})
-	var writeErr error
-	go func() {
-		defer close(writerDone)
-		dw := &deadlineWriter{w: rw, timeout: opts.WriteTimeout}
-		for frame := range replies {
-			if writeErr != nil {
-				continue
+	s := &session{w: deadlineWriter{w: rw, timeout: opts.WriteTimeout}, cancel: cancel}
+	handle := func(req Request) {
+		resp := Dispatch(sctx, svc, req, opts.ReqTimeout)
+		frame, err := encodeReply(resp)
+		if err != nil {
+			// Reply too large to frame (a batch of huge models): the
+			// request still gets an answer, an error one, and the
+			// children the client will never learn of are released
+			// (best effort, like Dispatch's rollback), so the batch
+			// stays atomic.
+			for _, r := range resp.Results {
+				_ = svc.Release(r.ID)
 			}
-			if _, err := dw.Write(frame); err != nil {
-				writeErr = fmt.Errorf("wire: write: %w", err)
-				cancel()
+			if frame, err = encodeReply(Response{Op: req.Op, ReqID: req.ReqID, Err: "server: " + err.Error()}); err != nil {
+				return
 			}
 		}
-	}()
-
-	sem := make(chan struct{}, maxInflight)
+		s.write(frame)
+	}
+	// Handlers start on demand up to the window and then stay parked on
+	// reqs until the session ends; unbuffered, a send reaches a handler.
+	reqs := make(chan Request)
 	var handlers sync.WaitGroup
+	live := 0
 	var readErr error
 reading:
 	for sctx.Err() == nil {
@@ -119,35 +121,58 @@ reading:
 			break
 		}
 		select {
-		case sem <- struct{}{}:
+		case reqs <- req:
+			continue
+		default:
+		}
+		if live < maxInflight {
+			live++
+			handlers.Add(1)
+			go func(req Request) { // an argument: a captured req would move to the heap
+				defer handlers.Done()
+				for ok := true; ok; req, ok = <-reqs {
+					handle(req)
+				}
+			}(req)
+			continue
+		}
+		select { // the window is full: backpressure until a handler idles
+		case reqs <- req:
 		case <-sctx.Done():
 			break reading
 		}
-		handlers.Add(1)
-		go func(req Request) {
-			defer handlers.Done()
-			defer func() { <-sem }()
-			frame, err := EncodeResponse(Dispatch(sctx, svc, req, opts.ReqTimeout))
-			if err != nil {
-				// Reply too large to frame (a batch of huge models): the
-				// request still gets an answer, just an error one.
-				frame, err = EncodeResponse(Response{Op: req.Op, ReqID: req.ReqID, Err: "server: " + err.Error()})
-				if err != nil {
-					return
-				}
-			}
-			// Never blocks forever: the writer drains until the channel
-			// closes, which happens only after every handler returns.
-			replies <- frame
-		}(req)
 	}
+	close(reqs)
 	handlers.Wait()
-	close(replies)
-	<-writerDone
-	if writeErr != nil {
-		return writeErr
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return cmp.Or(s.writeErr, readErr)
+}
+
+// encodeReply is Serve's reply encoder, a variable so a test can make a
+// reply unframeable without building 16 MiB of models.
+var encodeReply = EncodeResponse
+
+// session is a binary connection's write side, shared by its handlers.
+type session struct {
+	cancel   context.CancelFunc
+	wmu      sync.Mutex
+	w        deadlineWriter // guarded_by: wmu
+	writeErr error          // guarded_by: wmu — the first failure; later replies are skipped
+}
+
+// write sends one reply frame unless an earlier write failed; the first
+// failure is latched and cancels the session, unwinding the reader and
+// every in-flight solve.
+func (s *session) write(frame []byte) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.writeErr == nil {
+		if _, err := s.w.Write(frame); err != nil {
+			s.writeErr = fmt.Errorf("wire: write: %w", err)
+			s.cancel()
+		}
 	}
-	return readErr
 }
 
 // Dispatch executes one request against svc and builds its reply. It is

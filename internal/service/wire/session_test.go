@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -359,6 +360,185 @@ func TestServeWriteTimeoutStalledClient(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve still blocked on a stalled reader; write deadline did not fire")
 	}
+}
+
+// TestServeUnframeableExtendReleasesChildren: when an extend's reply
+// cannot be framed, the client gets an error reply and never learns the
+// ids Dispatch parked, so Serve must release them — the batch stays
+// atomic. A reply really over MaxFrameBytes costs gigabytes of models, so
+// the encoder seam refuses every extend reply that carries results.
+func TestServeUnframeableExtendReleasesChildren(t *testing.T) {
+	orig := encodeReply
+	t.Cleanup(func() { encodeReply = orig }) // after the session has ended
+	encodeReply = func(resp Response) ([]byte, error) {
+		if resp.Op == OpExtend && len(resp.Results) > 0 {
+			return nil, fmt.Errorf("%w: pretend", ErrFrameTooBig)
+		}
+		return orig(resp)
+	}
+	svc := service.New()
+	defer svc.Close()
+	cli, _ := startSession(t, svc, ServeOptions{})
+	ctx := context.Background()
+
+	_, err := cli.Extend(ctx, 0, [][][]int{{{1, 2}}, {{-1}}})
+	var serr ServerError
+	if !errors.As(err, &serr) || !strings.Contains(err.Error(), ErrFrameTooBig.Error()) {
+		t.Fatalf("unframeable extend reply: %v, want a %q ServerError", err, ErrFrameTooBig)
+	}
+	if n := svc.Refs(); n != 1 {
+		t.Errorf("refs after an unframeable extend reply: %d, want 1 (root)", n)
+	}
+	if err := cli.Touch(ctx, 0); err != nil {
+		t.Fatalf("session dead after an unframeable reply: %v", err)
+	}
+}
+
+// TestSessionWindowBoundsHandlers: a client that pipelines three windows
+// of touches and never reads. Handlers are started only while fewer than
+// maxInflight are live, so the session's goroutines stay within the
+// window (plus Serve, its read watchdog and the client's writer) while
+// every reply write is stalled; the write deadline then fails the
+// session with a timeout, and every goroutine it started is gone once
+// Serve returns.
+func TestSessionWindowBoundsHandlers(t *testing.T) {
+	svc := service.New()
+	defer svc.Close()
+	var frames []byte
+	for i := 0; i < 3*maxInflight; i++ {
+		frame, err := EncodeRequest(Request{Op: OpTouch, ReqID: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame...)
+	}
+
+	base := runtime.NumGoroutine()
+	cconn, sconn := net.Pipe()
+	errc := make(chan error, 1)
+	go func() {
+		errc <- Serve(context.Background(), svc, sconn, nil, ServeOptions{WriteTimeout: 50 * time.Millisecond})
+	}()
+	wrote := make(chan struct{})
+	go func() {
+		defer close(wrote)
+		cconn.Write(frames) // fails once the pipe closes; nothing reads replies
+	}()
+
+	peak := 0
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	timeout := time.After(5 * time.Second)
+	var err error
+waiting:
+	for {
+		peak = max(peak, runtime.NumGoroutine()-base)
+		select {
+		case err = <-errc:
+			break waiting
+		case <-tick.C:
+		case <-timeout:
+			t.Fatal("Serve still blocked on a stalled reader; write deadline did not fire")
+		}
+	}
+	if peak > maxInflight+4 {
+		t.Errorf("peak of %d goroutines beyond the baseline, want at most %d (window %d)", peak, maxInflight+4, maxInflight)
+	}
+	var nerr net.Error
+	if !errors.As(err, &nerr) || !nerr.Timeout() {
+		t.Fatalf("stalled pipelining client: %v, want net timeout", err)
+	}
+
+	cconn.Close()
+	sconn.Close()
+	<-wrote
+	extra := 0
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if extra = runtime.NumGoroutine() - base; extra <= 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if extra > 0 {
+		t.Errorf("%d goroutines still running after Serve returned", extra)
+	}
+}
+
+// BenchmarkSessionRoundTrip is the wire path's own number: what Serve and
+// the client add to a request over an in-memory pipe, at one request in
+// flight and at eight. An extend parks a child of the root; the children
+// are released in untimed batches so the tree stays small.
+func BenchmarkSessionRoundTrip(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		req  Request
+	}{
+		{"touch", Request{Op: OpTouch, ID: 0}},
+		{"extend", Request{Op: OpExtend, ID: 0, Groups: [][][]int{{{1}}}}},
+	} {
+		for _, depth := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/depth%d", bc.name, depth), func(b *testing.B) {
+				benchRoundTrip(b, bc.req, depth)
+			})
+		}
+	}
+}
+
+func benchRoundTrip(b *testing.B, req Request, depth int) {
+	svc := service.New()
+	defer svc.Close()
+	cconn, sconn := net.Pipe()
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() { errc <- Serve(ctx, svc, sconn, nil, ServeOptions{}) }()
+	cli := NewClient(cconn, nil)
+	defer func() {
+		cli.Close()
+		cancel()
+		sconn.Close()
+		<-errc
+	}()
+
+	var parked []uint64
+	release := func() {
+		done := make(chan *Call, len(parked))
+		for _, id := range parked {
+			cli.Go(Request{Op: OpRelease, ID: id}, done)
+		}
+		for range parked {
+			if call := <-done; call.Err != nil || call.Resp.Err != "" {
+				b.Fatalf("release: %v %q", call.Err, call.Resp.Err)
+			}
+		}
+		parked = parked[:0]
+	}
+	done := make(chan *Call, depth)
+	collect := func() {
+		call := <-done
+		if call.Err != nil || call.Resp.Err != "" {
+			b.Fatalf("%v: %v %q", call.Req.Op, call.Err, call.Resp.Err)
+		}
+		for _, r := range call.Resp.Results {
+			parked = append(parked, r.ID)
+		}
+		if len(parked) >= 1024 {
+			b.StopTimer()
+			release()
+			b.StartTimer()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i >= depth {
+			collect()
+		}
+		cli.Go(req, done)
+	}
+	for i := min(b.N, depth); i > 0; i-- {
+		collect()
+	}
+	b.StopTimer()
+	release()
 }
 
 // TestClientDoCtxCancellation: an abandoned call frees its pending slot,
