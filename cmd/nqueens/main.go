@@ -115,7 +115,7 @@ func main() {
 			return 0, "", err
 		}
 		eng := core.New(core.NewVMMachine(0), core.Config{MaxSolutions: maxSol})
-		res, err := eng.Run(ctx, &snapshot.Context{Mem: as, FS: fs.New(), Regs: regs})
+		res, err := eng.Run(ctx, &snapshot.Context{Mem: as, FS: fs.NewOn(as.Alloc()), Regs: regs})
 		if err != nil {
 			return partial(res), "", err
 		}

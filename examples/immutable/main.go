@@ -33,7 +33,7 @@ func newStore() (*store, error) {
 	if err := as.Map(base, buckets*16, mem.PermRW, "kv"); err != nil {
 		return nil, err
 	}
-	return &store{ctx: &snapshot.Context{Mem: as, FS: fs.New()}, tree: snapshot.NewTree()}, nil
+	return &store{ctx: &snapshot.Context{Mem: as, FS: fs.NewOn(as.Alloc())}, tree: snapshot.NewTree()}, nil
 }
 
 func slot(key uint64) uint64 { return (key * 0x9e3779b97f4a7c15) % buckets }

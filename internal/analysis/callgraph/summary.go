@@ -46,6 +46,7 @@ var AcqNames = map[string]bool{
 	"Fork":           true,
 	"Alloc":          true,
 	"clone":          true,
+	"Clone":          true,
 	"Materialize":    true,
 	"Snapshot":       true,
 	// The in-place forms fill storage the caller provides and return it:

@@ -64,7 +64,7 @@ func runNativeEngine(img *guest.Image, cfg core.Config) (*core.Result, error) {
 		return nil, err
 	}
 	eng := core.New(core.NewVMMachine(0), cfg)
-	return eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.New(), Regs: regs})
+	return eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.NewOn(as.Alloc()), Regs: regs})
 }
 
 // timeIt runs fn n times and returns total duration and per-op time.

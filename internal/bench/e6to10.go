@@ -207,7 +207,7 @@ func E8(o Options) (*Table, error) {
 		for i := 0; i < statePages; i++ {
 			as.WriteU64(base+uint64(i)*mem.PageSize, uint64(i))
 		}
-		ctx := &snapshot.Context{Mem: as, FS: fs.New()}
+		ctx := &snapshot.Context{Mem: as, FS: fs.NewOn(alloc)}
 		return snapshot.NewTree(), ctx
 	}
 

@@ -3,10 +3,6 @@
 //
 //   - Full copy ([14] libckpt-style): every resident page is copied out at
 //     capture and copied back at restore — O(resident) both ways.
-//   - Incremental: only pages dirtied since the previous capture are
-//     copied, with dirty detection keyed off snapshot epochs: each capture
-//     advances the space's epoch, and a page is dirty iff its frame was
-//     stamped at or after the previous capture's epoch.
 //   - EagerFork: the naive sys_fork cost model of §3 — a complete eager
 //     duplication of the address space per exploration branch.
 //   - ScanSnapshot: the D1 ablation — snapshot creation that walks every
@@ -107,102 +103,4 @@ func ScanSnapshot(as *mem.AddressSpace) (*mem.AddressSpace, int) {
 		scanned++
 	})
 	return as.Fork(), scanned
-}
-
-// Incremental checkpoints a live address space repeatedly, copying only
-// pages dirtied since the previous capture. Dirty detection keys off
-// snapshot epochs instead of the old freeze-point fork: every slow-path
-// write stamps the frame with the space's current epoch token, so "written
-// since the last capture" is simply a stamp at or after that capture's
-// epoch. Each Capture then advances the epoch, which stales the space's
-// write-TLB entries in O(1) and forces the next write per page back
-// through the stamping fault path — no CoW reference fork, no O(resident)
-// baseline to retain between captures.
-type Incremental struct {
-	epoch  uint64 // epoch token issued by the previous Capture; 0 = none yet
-	layers []*Image
-}
-
-// NewIncremental starts an incremental checkpoint series.
-func NewIncremental() *Incremental { return &Incremental{} }
-
-// Capture records pages changed since the last Capture (everything, the
-// first time) and returns the delta image.
-func (inc *Incremental) Capture(as *mem.AddressSpace) *Image {
-	img := &Image{VMAs: as.VMAs()}
-	img.Brk, _ = as.Brk(0)
-	as.ForEachPage(func(addr uint64, f *mem.Frame) {
-		if inc.epoch != 0 && f.Epoch() < inc.epoch {
-			return // not written since the previous capture's epoch
-		}
-		p := Page{Addr: addr}
-		p.Data = f.Data
-		img.Pages = append(img.Pages, p)
-	})
-	inc.epoch = as.AdvanceEpoch()
-	inc.layers = append(inc.layers, img)
-	return img
-}
-
-// Layers returns the captured deltas in order. Entries freed by
-// ReleaseLayer are nil.
-func (inc *Incremental) Layers() []*Image { return inc.layers }
-
-// ReleaseLayer frees the page payload of one captured delta — memory
-// reclamation for a series whose early deltas have been shipped or
-// superseded. The chain is left with a hole: Restore refuses to run until
-// the series is re-captured from scratch, because replaying around a
-// missing delta would silently rebuild an image with stale (or zero)
-// pages where the released layer's writes belonged.
-func (inc *Incremental) ReleaseLayer(i int) error {
-	if i < 0 || i >= len(inc.layers) {
-		return fmt.Errorf("checkpoint: no layer %d (have %d)", i, len(inc.layers))
-	}
-	inc.layers[i] = nil
-	return nil
-}
-
-// Restore rebuilds the state as of the latest capture by replaying every
-// layer in order. A chain holed by ReleaseLayer errors instead of
-// restoring: every layer's pages are needed, since a page written in
-// layer k and untouched afterwards exists nowhere else.
-func (inc *Incremental) Restore(alloc *mem.FrameAllocator) (*mem.AddressSpace, error) {
-	if len(inc.layers) == 0 {
-		return nil, fmt.Errorf("checkpoint: no layers")
-	}
-	for i, layer := range inc.layers {
-		if layer == nil {
-			return nil, fmt.Errorf("checkpoint: layer %d of %d released; image incomplete", i, len(inc.layers))
-		}
-	}
-	latest := inc.layers[len(inc.layers)-1]
-	as := mem.NewAddressSpace(alloc)
-	for _, v := range latest.VMAs {
-		if err := as.Map(v.Start, v.Size(), v.Perm, v.Name); err != nil {
-			as.Release()
-			return nil, err
-		}
-	}
-	as.InitBrk(latest.Brk)
-	for _, layer := range inc.layers {
-		for i := range layer.Pages {
-			p := &layer.Pages[i]
-			// Pages may have been unmapped later; skip those.
-			if err := as.WriteForce(p.Data[:], p.Addr); err != nil {
-				if _, ok := mem.IsFault(err); ok {
-					continue
-				}
-				as.Release()
-				return nil, err
-			}
-		}
-	}
-	return as, nil
-}
-
-// Release ends the incremental series. The epoch-keyed dirty walk holds no
-// memory reference point, so this only resets the series state; it is kept
-// so call sites releasing a checkpoint source stay uniform.
-func (inc *Incremental) Release() {
-	inc.epoch = 0
 }

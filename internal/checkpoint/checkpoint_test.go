@@ -86,55 +86,6 @@ func TestScanSnapshot(t *testing.T) {
 	}
 }
 
-func TestIncrementalDeltas(t *testing.T) {
-	alloc := mem.NewFrameAllocator(0)
-	as := buildSpace(t, alloc, 10)
-	defer as.Release()
-	inc := NewIncremental()
-	defer inc.Release()
-
-	first := inc.Capture(as)
-	if len(first.Pages) != 10 {
-		t.Fatalf("first capture = %d pages, want 10 (everything)", len(first.Pages))
-	}
-	// Touch 3 pages.
-	for i := 0; i < 3; i++ {
-		as.WriteU64(0x10000+uint64(i)*mem.PageSize, uint64(100+i))
-	}
-	second := inc.Capture(as)
-	if len(second.Pages) != 3 {
-		t.Fatalf("second capture = %d pages, want 3 (dirty only)", len(second.Pages))
-	}
-	// No writes → empty delta.
-	third := inc.Capture(as)
-	if len(third.Pages) != 0 {
-		t.Fatalf("third capture = %d pages, want 0", len(third.Pages))
-	}
-	// Restore replays layers to the latest state.
-	re, err := inc.Restore(alloc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Release()
-	for i := 0; i < 10; i++ {
-		want := uint64(i + 1)
-		if i < 3 {
-			want = uint64(100 + i)
-		}
-		v, _ := re.ReadU64(0x10000 + uint64(i)*mem.PageSize)
-		if v != want {
-			t.Errorf("restored page %d = %d, want %d", i, v, want)
-		}
-	}
-}
-
-func TestIncrementalEmptyRestore(t *testing.T) {
-	inc := NewIncremental()
-	if _, err := inc.Restore(mem.NewFrameAllocator(0)); err == nil {
-		t.Error("restore of empty series succeeded")
-	}
-}
-
 func TestRestorePreservesBrk(t *testing.T) {
 	alloc := mem.NewFrameAllocator(0)
 	as := buildSpace(t, alloc, 4)
@@ -151,42 +102,5 @@ func TestRestorePreservesBrk(t *testing.T) {
 	b, _ := re.Brk(0)
 	if b != 0x10000+2*mem.PageSize {
 		t.Errorf("restored brk = %#x", b)
-	}
-}
-
-// TestRestoreAfterMidChainReleaseErrors is the regression test for the
-// hole-punched-image bug: releasing a mid-chain delta and then restoring
-// must error cleanly — the released layer's pages exist nowhere else, so
-// a "successful" restore would silently contain stale data.
-func TestRestoreAfterMidChainReleaseErrors(t *testing.T) {
-	alloc := mem.NewFrameAllocator(0)
-	as := buildSpace(t, alloc, 6)
-	defer as.Release()
-	inc := NewIncremental()
-	defer inc.Release()
-
-	inc.Capture(as)
-	// Layer 1 carries page 0's only copy of value 200.
-	as.WriteU64(0x10000, 200)
-	inc.Capture(as)
-	// Layer 2 touches a different page, so layer 1 stays load-bearing.
-	as.WriteU64(0x10000+mem.PageSize, 300)
-	inc.Capture(as)
-
-	if err := inc.ReleaseLayer(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := inc.Restore(alloc); err == nil {
-		t.Fatal("Restore over a released mid-chain layer succeeded; want error")
-	}
-	if got := inc.Layers()[1]; got != nil {
-		t.Errorf("released layer still present: %v", got)
-	}
-	// Out-of-range release is rejected.
-	if err := inc.ReleaseLayer(7); err == nil {
-		t.Error("ReleaseLayer(7) accepted")
-	}
-	if err := inc.ReleaseLayer(-1); err == nil {
-		t.Error("ReleaseLayer(-1) accepted")
 	}
 }

@@ -162,5 +162,5 @@ func NewHostedContext(alloc *mem.FrameAllocator, heapBytes uint64) (*snapshot.Co
 		return nil, err
 	}
 	as.InitBrk(HostedHeapBase + size)
-	return &snapshot.Context{Mem: as, FS: fs.New()}, nil
+	return &snapshot.Context{Mem: as, FS: fs.NewOn(alloc)}, nil
 }

@@ -1,5 +1,6 @@
 // Package fs implements the simulated file layer that lightweight snapshots
-// capture: regular files stored as refcounted copy-on-write blocks, plus a
+// capture: regular files stored as copy-on-write blocks that are pager
+// frames (mem.Frame) drawn from the view's FrameAllocator, plus a
 // per-candidate file-descriptor table. A snapshot takes a logical copy of
 // the whole filesystem and of every open descriptor; extension steps that
 // write files version them privately, so file side effects stay contained
@@ -17,32 +18,25 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/mem"
 )
 
-// BlockSize is the CoW granularity for file content.
-const BlockSize = 4096
-
-type block struct {
-	ref  atomic.Int32
-	data [BlockSize]byte
-}
-
-func newBlock() *block {
-	b := &block{}
-	b.ref.Store(1)
-	return b
-}
+// BlockSize is the CoW granularity for file content: one pager frame.
+const BlockSize = mem.PageSize
 
 // File is a regular file. Files referenced by more than one filesystem view
-// (or snapshot) are frozen; mutating views clone them first.
+// (or snapshot) are frozen; mutating views clone them first. Its blocks
+// are frames of alloc, nil for a hole.
 type File struct {
 	ref    atomic.Int32
-	blocks []*block
+	alloc  *mem.FrameAllocator
+	blocks []*mem.Frame
 	size   int64
 }
 
-func newFile() *File {
-	f := &File{}
+func newFile(alloc *mem.FrameAllocator) *File {
+	f := &File{alloc: alloc}
 	f.ref.Store(1)
 	return f
 }
@@ -63,7 +57,7 @@ func (f *File) release() {
 	}
 	for _, b := range f.blocks {
 		if b != nil {
-			b.ref.Add(-1)
+			f.alloc.Release(b)
 		}
 	}
 	f.blocks = nil
@@ -71,13 +65,13 @@ func (f *File) release() {
 
 // clone returns a private copy sharing all blocks CoW.
 func (f *File) clone() *File {
-	c := newFile()
+	c := newFile(f.alloc)
 	c.size = f.size
-	c.blocks = make([]*block, len(f.blocks))
+	c.blocks = make([]*mem.Frame, len(f.blocks))
 	copy(c.blocks, f.blocks)
 	for _, b := range c.blocks {
 		if b != nil {
-			b.ref.Add(1)
+			mem.Retain(b)
 		}
 	}
 	return c
@@ -94,7 +88,7 @@ func (f *File) readAt(p []byte, off int64) int {
 		bo := int((off + int64(done)) % BlockSize)
 		chunk := min(BlockSize-bo, n-done)
 		if bi < len(f.blocks) && f.blocks[bi] != nil {
-			copy(p[done:done+chunk], f.blocks[bi].data[bo:bo+chunk])
+			copy(p[done:done+chunk], f.blocks[bi].Data[bo:bo+chunk])
 		} else {
 			clear(p[done : done+chunk])
 		}
@@ -103,63 +97,81 @@ func (f *File) readAt(p []byte, off int64) int {
 	return n
 }
 
+// own returns block bi made private to f: a zero frame for a hole, a copy
+// for a shared block. The receiver must be exclusively owned (ref==1).
+func (f *File) own(bi int) (*mem.Frame, error) {
+	b := f.blocks[bi]
+	var err error
+	switch {
+	case b == nil:
+		b, err = f.alloc.Alloc()
+	case b.Shared():
+		old := b
+		if b, err = f.alloc.Clone(old); err == nil {
+			f.alloc.Release(old)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	f.blocks[bi] = b
+	return b, nil
+}
+
 // writeAt stores p at offset off, growing the file and CoW-copying shared
-// blocks. The receiver must be exclusively owned (ref==1).
-func (f *File) writeAt(p []byte, off int64) {
+// blocks, and returns how many bytes it stored. The receiver must be
+// exclusively owned (ref==1). When the allocator refuses a block it stops
+// there with the fault: each block is old or new, and the size covers
+// only what was stored.
+func (f *File) writeAt(p []byte, off int64) (int, error) {
 	end := off + int64(len(p))
-	needBlocks := int((end + BlockSize - 1) / BlockSize)
-	for len(f.blocks) < needBlocks {
+	for len(f.blocks) < int((end+BlockSize-1)/BlockSize) {
 		f.blocks = append(f.blocks, nil)
 	}
-	for done := 0; done < len(p); {
+	done := 0
+	var err error
+	for done < len(p) {
 		bi := int((off + int64(done)) / BlockSize)
 		bo := int((off + int64(done)) % BlockSize)
 		chunk := min(BlockSize-bo, len(p)-done)
-		b := f.blocks[bi]
-		switch {
-		case b == nil:
-			b = newBlock()
-			f.blocks[bi] = b
-		case b.ref.Load() > 1:
-			nb := newBlock()
-			nb.data = b.data
-			b.ref.Add(-1)
-			f.blocks[bi] = nb
-			b = nb
+		var b *mem.Frame
+		if b, err = f.own(bi); err != nil {
+			break
 		}
-		copy(b.data[bo:bo+chunk], p[done:done+chunk])
+		copy(b.Data[bo:bo+chunk], p[done:done+chunk])
 		done += chunk
 	}
-	if end > f.size {
-		f.size = end
+	if done > 0 || err == nil {
+		f.size = max(f.size, off+int64(done))
 	}
+	f.blocks = f.blocks[:(f.size+BlockSize-1)/BlockSize]
+	return done, err
 }
 
 // truncate sets the file size; the receiver must be exclusively owned.
-func (f *File) truncate(size int64) {
+// Only a cut inside a shared block allocates (to zero its tail), before
+// anything changes, so a refused truncate leaves the file as it was.
+func (f *File) truncate(size int64) error {
 	if size < f.size {
 		keep := int((size + BlockSize - 1) / BlockSize)
-		for i := keep; i < len(f.blocks); i++ {
-			if f.blocks[i] != nil {
-				f.blocks[i].ref.Add(-1)
-				f.blocks[i] = nil
-			}
-		}
-		f.blocks = f.blocks[:keep]
 		// Zero the tail of the boundary block so regrowth reads zeroes.
-		if keep > 0 && f.blocks[keep-1] != nil && size%BlockSize != 0 {
-			b := f.blocks[keep-1]
-			if b.ref.Load() > 1 {
-				nb := newBlock()
-				nb.data = b.data
-				b.ref.Add(-1)
-				f.blocks[keep-1] = nb
-				b = nb
+		if tail := size % BlockSize; tail != 0 && f.blocks[keep-1] != nil {
+			b, err := f.own(keep - 1)
+			if err != nil {
+				return err
 			}
-			clear(b.data[size%BlockSize:])
+			clear(b.Data[tail:])
 		}
+		for _, b := range f.blocks[keep:] {
+			if b != nil {
+				f.alloc.Release(b)
+			}
+		}
+		clear(f.blocks[keep:])
+		f.blocks = f.blocks[:keep]
 	}
 	f.size = size
+	return nil
 }
 
 // Open flags (a deliberately small POSIX subset).
@@ -203,14 +215,22 @@ const MaxFileSize = int64(1) << 30
 // FD numbers 0..2 are reserved for the stdio streams handled by the
 // interposition layer; file descriptors start at 3.
 type FS struct {
-	inodes map[string]*File // nil until the first file is created
-	fds    []FD             // index 0 ↔ fd 3
+	alloc  *mem.FrameAllocator // where new blocks come from
+	inodes map[string]*File    // nil until the first file is created
+	fds    []FD                // index 0 ↔ fd 3
 }
 
-// New returns an empty filesystem. An empty file table is a nil map — most
-// candidates of a search never touch a file, and their views should cost
-// nothing to build — so every insertion goes through put.
-func New() *FS { return &FS{} }
+// unbounded backs the views New makes.
+var unbounded = mem.NewFrameAllocator(0)
+
+// NewOn returns an empty filesystem whose blocks are frames of alloc, so
+// they count toward its Live() and its limit. An empty file table is a
+// nil map — most candidates of a search never touch a file, and their
+// views should cost nothing to build — so every insertion goes through put.
+func NewOn(alloc *mem.FrameAllocator) *FS { return &FS{alloc: alloc} }
+
+// New returns an empty filesystem on a package-level unbounded allocator.
+func New() *FS { return NewOn(unbounded) }
 
 // put installs f under name, making the table on first use.
 func (s *FS) put(name string, f *File) {
@@ -228,20 +248,21 @@ func cleanPath(p string) string { return path.Clean("/" + p) }
 // WriteFile creates (or replaces) a file with the given content — the host
 // API for seeding inputs before a run and for parking serialized state
 // inside a candidate (service layer). It enforces the same MaxFileSize
-// bound as the fd-based Write path: oversized content is rejected with
-// ErrTooBig before any mutation, so a failed WriteFile leaves the view
-// untouched.
+// bound as the fd-based Write path. A failed WriteFile — ErrTooBig, or the
+// allocator's FaultOOM — leaves the view untouched.
 func (s *FS) WriteFile(name string, data []byte) error {
 	if int64(len(data)) > MaxFileSize {
 		return ErrTooBig
+	}
+	f := newFile(s.alloc)
+	if _, err := f.writeAt(data, 0); err != nil {
+		f.release()
+		return err
 	}
 	name = cleanPath(name)
 	if old, ok := s.inodes[name]; ok {
 		old.release()
 	}
-	f := newFile()
-	f.writeAt(data, 0)
-	f.truncate(int64(len(data)))
 	s.put(name, f)
 	return nil
 }
@@ -251,8 +272,9 @@ func (s *FS) WriteFile(name string, data []byte) error {
 // with snapshots that hold the previous version — the path the service
 // layer uses to park serialized solver state, where an extension changes
 // a suffix of the file and the common prefix keeps being shared by the
-// whole sibling set. Enforces the MaxFileSize bound like WriteFile; on
-// failure the view is untouched. Creates the file if absent.
+// whole sibling set. Enforces the MaxFileSize bound like WriteFile, and
+// then the view is untouched; when the allocator refuses a block, each
+// block is old or new. Creates the file if absent.
 func (s *FS) UpdateFile(name string, data []byte) error {
 	if int64(len(data)) > MaxFileSize {
 		return ErrTooBig
@@ -267,13 +289,14 @@ func (s *FS) UpdateFile(name string, data []byte) error {
 		chunk := data[off:min(off+BlockSize, len(data))]
 		bi := off / BlockSize
 		if bi < len(f.blocks) && f.blocks[bi] != nil &&
-			bytes.Equal(f.blocks[bi].data[:len(chunk)], chunk) {
+			bytes.Equal(f.blocks[bi].Data[:len(chunk)], chunk) {
 			continue // identical: keep sharing the old block
 		}
-		f.writeAt(chunk, int64(off))
+		if _, err := f.writeAt(chunk, int64(off)); err != nil {
+			return err
+		}
 	}
-	f.truncate(int64(len(data)))
-	return nil
+	return f.truncate(int64(len(data)))
 }
 
 // ReadFile returns the full content of a file — the host inspection API.
@@ -334,10 +357,10 @@ func (s *FS) Open(name string, flags int) (int, error) {
 		if flags&OCreate == 0 {
 			return 0, ErrNotExist
 		}
-		f = newFile()
+		f = newFile(s.alloc)
 		s.put(name, f)
 	} else if flags&OTrunc != 0 && flags&accessMask != ORdOnly {
-		s.exclusive(name, f).truncate(0)
+		_ = s.exclusive(name, f).truncate(0) // to zero allocates nothing, so cannot fail
 	}
 	fd := FD{Path: name, Flags: flags, Open: true}
 	for i := range s.fds {
@@ -395,6 +418,8 @@ func (s *FS) Read(fdnum int, p []byte) (int, error) {
 
 // Write writes to an open descriptor, advancing its offset. The write is
 // contained in this view: snapshots and other views keep the old content.
+// When the allocator refuses a block, Write returns the bytes stored
+// before it with the fault.
 func (s *FS) Write(fdnum int, p []byte) (int, error) {
 	fd, err := s.fd(fdnum)
 	if err != nil {
@@ -418,10 +443,9 @@ func (s *FS) Write(fdnum int, p []byte) (int, error) {
 	if int64(len(p)) > MaxFileSize-off {
 		return 0, ErrTooBig
 	}
-	f = s.exclusive(fd.Path, f)
-	f.writeAt(p, off)
-	fd.Off = off + int64(len(p))
-	return len(p), nil
+	n, err := s.exclusive(fd.Path, f).writeAt(p, off)
+	fd.Off = off + int64(n)
+	return n, err
 }
 
 // Seek whence values.
@@ -513,6 +537,7 @@ func (s *FS) Snapshot() *Snapshot { return s.SnapshotInto(new(Snapshot)) }
 // image by value); dst must be a zero Snapshot. A view with no files and
 // no descriptors captures as a nil map and a nil slice: no allocation.
 func (s *FS) SnapshotInto(dst *Snapshot) *Snapshot {
+	dst.alloc = s.alloc
 	if len(s.inodes) > 0 {
 		dst.inodes = make(map[string]*File, len(s.inodes))
 		for p, f := range s.inodes {
@@ -529,6 +554,7 @@ func (s *FS) SnapshotInto(dst *Snapshot) *Snapshot {
 
 // Snapshot is a frozen filesystem image: part of a partial candidate.
 type Snapshot struct {
+	alloc  *mem.FrameAllocator
 	inodes map[string]*File
 	fds    []FD
 
@@ -544,8 +570,9 @@ type Snapshot struct {
 // The inverse of Snapshot.Export, used by the persistence tier to rebuild
 // a demoted image — unlike WriteFile it never materializes holes, so a
 // sparse file reloads at its resident footprint, not its logical size.
-// Block contents are copied. Enforces the MaxFileSize bound and the dense
-// block-table shape decodeManifest guarantees; on error the view is
+// Block contents are copied into frames of the view's allocator. Enforces
+// the MaxFileSize bound and the dense block-table shape decodeManifest
+// guarantees; on error, the allocator's FaultOOM included, the view is
 // untouched.
 func (s *FS) ImportFile(img FileImage) error {
 	if img.Size < 0 || img.Size > MaxFileSize {
@@ -555,22 +582,26 @@ func (s *FS) ImportFile(img FileImage) error {
 		return fmt.Errorf("fs: import %q: %d blocks inconsistent with size %d: %w",
 			img.Path, len(img.Blocks), img.Size, ErrInvalid)
 	}
-	f := newFile()
+	f := newFile(s.alloc)
 	f.size = img.Size
-	f.blocks = make([]*block, len(img.Blocks))
+	f.blocks = make([]*mem.Frame, len(img.Blocks))
 	for i, src := range img.Blocks {
 		if src == nil {
 			continue
 		}
-		b := newBlock()
-		b.data = *src
+		b, err := s.alloc.Alloc()
+		if err != nil {
+			f.release()
+			return err
+		}
+		b.Data = *src
 		f.blocks[i] = b
 	}
 	// Keep truncate's invariant: the final block's tail past size reads
 	// (and stays) zero. Exported images already satisfy it; hand-built
 	// ones may not.
 	if k := len(f.blocks); k > 0 && f.blocks[k-1] != nil && img.Size%BlockSize != 0 {
-		clear(f.blocks[k-1].data[img.Size%BlockSize:])
+		clear(f.blocks[k-1].Data[img.Size%BlockSize:])
 	}
 	name := cleanPath(img.Path)
 	if old, ok := s.inodes[name]; ok {
@@ -593,6 +624,7 @@ func (sn *Snapshot) MaterializeInto(dst *FS) *FS {
 		//lint:ignore escapegate the panic message escapes on the misuse path only
 		panic("fs: MaterializeInto a live view (Release it first)")
 	}
+	dst.alloc = sn.alloc
 	for p, f := range sn.inodes {
 		f.retain()
 		//lint:ignore hotpath the first file a recycled view ever holds makes its table; later steps refill it
@@ -626,7 +658,7 @@ func (sn *Snapshot) Footprint() (privateBytes, sharedBytes int64) {
 			if b == nil {
 				continue
 			}
-			if wholeFileShared || b.ref.Load() > 1 {
+			if wholeFileShared || b.Shared() {
 				sharedBytes += BlockSize
 			} else {
 				privateBytes += BlockSize
@@ -657,7 +689,10 @@ type FileImage struct {
 
 // Export walks the frozen image in path order — the block-level view the
 // persistence tier chunks and content-hashes when a snapshot is demoted to
-// disk. O(#files + #blocks) pointer work; no content is copied.
+// disk. O(#files + #blocks) pointer work; no content is copied. The block
+// pointers are the Data of pooled frames: once the snapshot's Release
+// drops the last reference, the allocator hands the frame to another
+// holder, and a pointer kept past it reads another file's bytes.
 func (sn *Snapshot) Export() []FileImage {
 	out := make([]FileImage, 0, len(sn.inodes))
 	for _, p := range sn.Files() {
@@ -665,7 +700,7 @@ func (sn *Snapshot) Export() []FileImage {
 		img := FileImage{Path: p, Size: f.size, Blocks: make([]*[BlockSize]byte, len(f.blocks))}
 		for i, b := range f.blocks {
 			if b != nil {
-				img.Blocks[i] = &b.data
+				img.Blocks[i] = &b.Data
 			}
 		}
 		out = append(out, img)
@@ -706,11 +741,11 @@ func (sn *Snapshot) contentHash() [32]byte {
 			// Only bytes within the logical size are observable; the last
 			// block's tail past f.size is zeroed by truncate, so hashing
 			// full resident blocks stays content-stable.
-			if b == nil || b.data == zeroBlock {
+			if b == nil || b.Data == zeroBlock {
 				continue
 			}
 			putU64(uint64(i))
-			h.Write(b.data[:])
+			h.Write(b.Data[:])
 		}
 	}
 	putU64(uint64(len(sn.fds)))

@@ -56,9 +56,9 @@ type AddressSpace struct {
 }
 
 // epochCounter issues process-wide snapshot-epoch tokens. Tokens are
-// globally unique across address spaces (not per-space sequence numbers),
-// so a frame stamp can be compared against any space's current epoch
-// without tracking which space issued it.
+// globally unique across address spaces (not per-space sequence numbers).
+// Only a space's own write-TLB entries compare against its token, so
+// nothing needs that uniqueness any more (DESIGN.md "Snapshot epochs").
 var epochCounter atomic.Uint64
 
 // nextEpoch issues the next process-wide epoch token.
@@ -88,11 +88,9 @@ func (as *AddressSpace) Epoch() uint64 { return as.pt.epoch }
 // AdvanceEpoch starts a new snapshot epoch and returns its token. Every
 // write-TLB entry filled under the previous epoch goes stale in O(1) (the
 // probe compares epochs), and every subsequent write re-resolves through
-// the fault path, restamping its frame with the new token — which is what
-// lets captures and incremental checkpoints detect "written since" by
-// comparing frame stamps. On a sealed space this is a no-op returning the
-// current token: sealed spaces are shared read-only and must not be
-// mutated, and since they take no writes their dirty set is empty anyway.
+// the fault path once per page. On a sealed space this is a no-op
+// returning the current token: sealed spaces are shared read-only and
+// must not be mutated.
 // On a view (ViewInto) it first takes the view's own reference on the
 // table, as its first write would: a view that is forked or checkpointed
 // is a view no longer.
@@ -511,7 +509,7 @@ func (as *AddressSpace) WriteForce(p []byte, addr uint64) error {
 // writes pay one radix walk per span plus one refcount check per page
 // instead of a full walk per page. A forced write skips the TLB probe so
 // it charges no hit: on a page it already owns this epoch, ownPath clones
-// nothing and ensureFrame restamps the same epoch. The epoch is read per
+// nothing and ensureFrame copies nothing. The epoch is read per
 // page, not once: a fork's or view's first ownPath draws it.
 // cheap: the store slow path — CoW materialization allocates by design.
 func (as *AddressSpace) writePages(p []byte, addr uint64, force bool) error {

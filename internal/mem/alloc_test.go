@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // The hot_path: annotations on the TLB-hit read/write paths promise
@@ -76,7 +77,7 @@ func TestAllocLimitUnderContention(t *testing.T) {
 					continue
 				}
 				runtime.Gosched() // hold the frame across a reschedule
-				fa.release(f)
+				fa.Release(f)
 			}
 		}()
 	}
@@ -89,5 +90,14 @@ func TestAllocLimitUnderContention(t *testing.T) {
 	}
 	if live := fa.Live(); live != 0 {
 		t.Errorf("Live() = %d after every frame was released", live)
+	}
+}
+
+// TestFrameDataOffset pins Frame.Data at offset 16: without the pad after
+// the refcount it would sit at offset 4, and every aligned guest word
+// would become a misaligned host load or store.
+func TestFrameDataOffset(t *testing.T) {
+	if off := unsafe.Offsetof(Frame{}.Data); off != 16 {
+		t.Fatalf("Frame.Data at offset %d, want 16", off)
 	}
 }

@@ -6,57 +6,10 @@ import (
 	"testing"
 )
 
-// TestEpochStamping checks the write-side of the epoch protocol: every
-// privatizing write stamps the frame with the space's current epoch, an
-// AdvanceEpoch leaves old stamps behind (so "written since" is exactly
-// `stamp >= boundary`), and rewriting a privately-owned page after a bump
-// restamps it in place — the arm incremental checkpoints depend on.
-func TestEpochStamping(t *testing.T) {
-	as := newAS(t)
-	defer as.Release()
-	mustMap(t, as, 0x1000, 3*PageSize, PermRW, "data")
-
-	if err := as.WriteU64(0x1000, 1); err != nil {
-		t.Fatal(err)
-	}
-	e0 := as.Epoch()
-	if got := as.FrameAt(0x1000).Epoch(); got != e0 {
-		t.Fatalf("fresh write stamped epoch %d, space epoch %d", got, e0)
-	}
-
-	e1 := as.AdvanceEpoch()
-	if e1 <= e0 {
-		t.Fatalf("AdvanceEpoch went %d -> %d, want strictly increasing", e0, e1)
-	}
-	if got := as.FrameAt(0x1000).Epoch(); got != e0 {
-		t.Fatalf("bump restamped an untouched frame: %d, want %d", got, e0)
-	}
-	if got := as.FrameAt(0x1000).Epoch(); got >= e1 {
-		t.Fatalf("untouched frame reads as dirty in epoch %d", e1)
-	}
-
-	// Rewrite the privately-owned page: no CoW happens (refcount 1), so
-	// the stamp must be updated in place.
-	if err := as.WriteU64(0x1000, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := as.FrameAt(0x1000).Epoch(); got != e1 {
-		t.Fatalf("in-place rewrite stamped %d, want current epoch %d", got, e1)
-	}
-	// A page never written since the bump stays below the boundary.
-	if err := as.WriteU64(0x2000, 3); err != nil {
-		t.Fatal(err)
-	}
-	if got := as.FrameAt(0x2000).Epoch(); got != e1 {
-		t.Fatalf("first-touch after bump stamped %d, want %d", got, e1)
-	}
-}
-
 // TestEpochForkUniqueness checks the sharing-side: Fork advances the
 // parent's epoch (its cached write entries go stale), and the child draws
 // a globally fresh epoch at its first write — none before, so a fork that
-// is never written never draws — so no space can mistake another lineage's
-// stamps for its own.
+// is never written never draws.
 func TestEpochForkUniqueness(t *testing.T) {
 	as := newAS(t)
 	defer as.Release()
@@ -78,14 +31,6 @@ func TestEpochForkUniqueness(t *testing.T) {
 	}
 	if child.Epoch() <= as.Epoch() {
 		t.Fatalf("child epoch %d after its first write not fresh (parent %d -> %d)", child.Epoch(), parentBefore, as.Epoch())
-	}
-	if got := child.FrameAt(0x2000).Epoch(); got != child.Epoch() {
-		t.Fatalf("child's first write stamped %d, want its epoch %d", got, child.Epoch())
-	}
-	// The shared frame's stamp predates both new epochs: neither side may
-	// consider it privately written in its current epoch.
-	if got := as.FrameAt(0x1000).Epoch(); got >= as.Epoch() || got >= child.Epoch() {
-		t.Fatalf("shared frame stamp %d not below post-fork epochs %d/%d", got, as.Epoch(), child.Epoch())
 	}
 }
 

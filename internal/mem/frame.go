@@ -5,26 +5,21 @@ import (
 	"sync/atomic"
 )
 
-// Frame is a refcounted 4 KiB physical frame. Frames referenced by more
-// than one page table are immutable; writers copy them first (CoW).
+// Frame is a refcounted 4 KiB physical frame: a page of a page table or a
+// block of an fs.File. Frames referenced more than once are immutable;
+// writers copy them first (CoW).
 type Frame struct {
 	ref atomic.Int32
-	// priv is the snapshot-epoch token of the owning space at the moment
-	// the frame was last privatized or written through the slow path (see
-	// AddressSpace.AdvanceEpoch). It is written only while the frame is
-	// exclusively owned — sharing a frame requires a Fork, which starts a
-	// new epoch — so plain (non-atomic) access is race-free: any goroutine
-	// that can read a stale value can only be looking at a frozen frame
-	// whose stamp no longer changes.
-	priv uint64
+	// The pad keeps Data at offset 16, so every aligned guest word is an
+	// aligned host word (TestFrameDataOffset pins it).
+	_    [12]byte
 	Data [PageSize]byte
 }
 
-// Epoch returns the snapshot-epoch token the frame was last privatized or
-// slow-path-written in. Incremental checkpoints compare it against the
-// epoch of their previous capture to detect dirty pages without walking a
-// baseline copy.
-func (f *Frame) Epoch() uint64 { return f.priv }
+// Shared reports whether more than one holder references f, so a writer
+// must Clone it first.
+// inline:
+func (f *Frame) Shared() bool { return f.ref.Load() > 1 }
 
 // FrameAllocator hands out physical frames against a configurable limit and
 // recycles freed frames through a pool. It is safe for concurrent use; all
@@ -84,7 +79,6 @@ func (fa *FrameAllocator) alloc(src *Frame) (*Frame, error) {
 	case recycled:
 		f.Data = [PageSize]byte{}
 	}
-	f.priv = 0 // pooled frames carry a dead epoch stamp
 	f.ref.Store(1)
 	return f, nil
 }
@@ -93,14 +87,14 @@ func (fa *FrameAllocator) alloc(src *Frame) (*Frame, error) {
 // the limit is exhausted.
 func (fa *FrameAllocator) Alloc() (*Frame, error) { return fa.alloc(nil) }
 
-// clone returns a private copy of src with refcount 1.
-func (fa *FrameAllocator) clone(src *Frame) (*Frame, error) { return fa.alloc(src) }
+// Clone returns a private copy of src with refcount 1, or a FaultOOM fault.
+func (fa *FrameAllocator) Clone(src *Frame) (*Frame, error) { return fa.alloc(src) }
 
-// retain adds a reference to f.
-func retain(f *Frame) { f.ref.Add(1) }
+// Retain adds a reference to f.
+func Retain(f *Frame) { f.ref.Add(1) }
 
-// release drops a reference to f, returning it to the pool at zero.
-func (fa *FrameAllocator) release(f *Frame) {
+// Release drops a reference to f, returning it to the pool at zero.
+func (fa *FrameAllocator) Release(f *Frame) {
 	if f.ref.Add(-1) == 0 {
 		fa.live.Add(-1)
 		fa.pool.Put(f)

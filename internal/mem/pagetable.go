@@ -81,7 +81,7 @@ func releaseNode(fa *FrameAllocator, n *tableNode) {
 		case s == nil:
 			continue
 		case n.level == 0:
-			fa.release((*Frame)(s))
+			fa.Release((*Frame)(s))
 		default:
 			releaseNode(fa, (*tableNode)(s))
 		}
@@ -99,7 +99,7 @@ func cloneNode(fa *FrameAllocator, n *tableNode) *tableNode {
 		switch {
 		case s == nil:
 		case n.level == 0:
-			retain((*Frame)(s))
+			Retain((*Frame)(s))
 		default:
 			retainNode((*tableNode)(s))
 		}
@@ -155,9 +155,8 @@ type pageTable struct {
 	alloc *FrameAllocator
 	// epoch is the space's current snapshot-epoch token, drawn from the
 	// process-wide counter so every (space, epoch) pair is globally unique.
-	// ensureFrame stamps it onto frames as they are privatized or written;
-	// a frame whose stamp equals the current token is exclusively owned by
-	// this table and was written during the current epoch. 0 means not
+	// The TLB tags write entries with it: an entry filled under the
+	// current token names a frame this table owns exclusively. 0 means not
 	// drawn yet: a fork or a view draws its first token at its first
 	// mutation (own), so one that is never written never draws.
 	epoch uint64
@@ -171,7 +170,7 @@ type pageTable struct {
 // takes the reference on the root it borrowed, so the path copy that
 // follows sees the root as shared and clones it instead of writing the
 // sealed space's node; a table that has not drawn an epoch draws one, so
-// what the mutation stamps carries a fresh token.
+// the write entries the mutation fills carry a fresh token.
 // cheap: two not-taken branches once owned; a view's or fork's first
 // mutation pays one atomic add for each.
 func (pt *pageTable) own() {
@@ -286,23 +285,16 @@ func (pt *pageTable) ensureFrame(leaf *tableNode, idx int, stats *Stats) (*Frame
 		}
 		leaf.slots[idx] = unsafe.Pointer(f)
 		stats.ZeroFills++
-	case f.ref.Load() > 1:
-		c, err := pt.alloc.clone(f)
+	case f.Shared():
+		c, err := pt.alloc.Clone(f)
 		if err != nil {
 			return nil, err
 		}
-		pt.alloc.release(f)
+		pt.alloc.Release(f)
 		leaf.slots[idx] = unsafe.Pointer(c)
 		f = c
 		stats.CowCopies++
 	}
-	// Stamp the frame with the current epoch on every slow-path resolution,
-	// including the already-private arm: the restamp is what lets an
-	// incremental checkpoint (which advances the epoch without forking, so
-	// refcounts stay 1) see "written since the last capture" as
-	// f.priv >= captureEpoch. The frame is exclusively owned here, so the
-	// plain store cannot race with a concurrent reader.
-	f.priv = pt.epoch
 	return f, nil
 }
 
@@ -337,7 +329,7 @@ func (pt *pageTable) clearPage(addr uint64, stats *Stats) {
 	}
 	idx := levelIndex(addr, 0)
 	if f := leaf.pte(idx); f != nil {
-		pt.alloc.release(f)
+		pt.alloc.Release(f)
 		leaf.slots[idx] = nil
 	}
 }

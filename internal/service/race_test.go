@@ -25,11 +25,28 @@ func chainBatch(c, k int) [][]int {
 	return solver.Random3SAT(chainVars, 4, int64(1009+257*c+k))
 }
 
+// closeCountingFrames asserts that the parked states' file blocks are
+// frames of the service's allocator, then closes s and asserts that Close
+// freed every frame and every snapshot.
+func closeCountingFrames(t *testing.T, s *Service) {
+	t.Helper()
+	if n := s.alloc.Live(); n <= 0 {
+		t.Errorf("%d frames live with states parked, want > 0", n)
+	}
+	s.Close()
+	if live := s.LiveSnapshots(); live != 0 {
+		t.Errorf("live snapshots after Close = %d, want 0", live)
+	}
+	if n := s.alloc.Live(); n != 0 {
+		t.Errorf("%d frames live after Close, want 0", n)
+	}
+}
+
 // TestConcurrentExtendAcrossShards drives many clients branching one
 // shared base concurrently and asserts verdict identity with a serial
 // replay of exactly the chains they ran, the capacity bound, that an early
 // child answers ErrEvicted once the cap has pushed it out, and zero live
-// snapshots after Close. Run with -race: the point is that lookups/parks
+// snapshots and frames after Close. Run with -race: the point is that lookups/parks
 // on different references touch different shards and the solve runs
 // entirely off-lock.
 func TestConcurrentExtendAcrossShards(t *testing.T) {
@@ -114,10 +131,7 @@ func TestConcurrentExtendAcrossShards(t *testing.T) {
 	if err := s.Touch(firstID.Load()); !errors.Is(err, ErrEvicted) {
 		t.Errorf("first child %d = %v, want ErrEvicted", firstID.Load(), err)
 	}
-	s.Close()
-	if live := s.LiveSnapshots(); live != 0 {
-		t.Errorf("live snapshots after Close = %d, want 0", live)
-	}
+	closeCountingFrames(t, s)
 
 	// Serial replay, one chain after another, of what each client ran.
 	ref := New()
@@ -322,6 +336,9 @@ func TestConcurrentExtendReleaseClose(t *testing.T) {
 
 	if live := s.LiveSnapshots(); live != 0 {
 		t.Errorf("live snapshots after Close = %d, want 0", live)
+	}
+	if n := s.alloc.Live(); n != 0 {
+		t.Errorf("%d frames live after Close, want 0", n)
 	}
 	if s.Refs() != 0 {
 		t.Errorf("refs after Close = %d, want 0", s.Refs())

@@ -66,6 +66,11 @@ const solveSliceConflicts = 4096
 // oversized-state path without building a >1 GiB solver.
 var marshalState = func(sol *solver.Solver, loaded []byte) []byte { return sol.MarshalOnto(loaded) }
 
+// frameLimit bounds the live frames of a new service's allocator, which
+// hold every parked state's file blocks (0 means unbounded). A seam so
+// tests can drive an extend into the allocator's FaultOOM.
+var frameLimit int64
+
 // pooledSolver is what one Extend borrows: a solver, and the buffer the
 // parent's state is read into and the child's is marshalled onto.
 type pooledSolver struct {
@@ -374,7 +379,7 @@ func NewWithConfig(cfg Config) *Service {
 		shards:    make([]*shard, n),
 		mask:      uint64(n - 1),
 		tree:      snapshot.NewTree(),
-		alloc:     mem.NewFrameAllocator(0),
+		alloc:     mem.NewFrameAllocator(frameLimit),
 		capacity:  cfg.Capacity,
 		store:     cfg.Store,
 		reloading: make(map[uint64]*reloadCall),
@@ -393,7 +398,7 @@ func NewWithConfig(cfg Config) *Service {
 	}
 	// Root candidate: empty filesystem, empty solver. Pinned forever.
 	as := mem.NewAddressSpace(s.alloc)
-	ctx := &snapshot.Context{Mem: as, FS: fs.New()}
+	ctx := &snapshot.Context{Mem: as, FS: fs.NewOn(s.alloc)}
 	//lint:ignore lockorder the service is not yet published to any other goroutine
 	s.shardFor(0).entries[0] = &entry{id: 0, state: s.tree.Capture(ctx, nil), pinned: true}
 	s.pinned.Store(1)

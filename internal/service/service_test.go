@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/fs"
+	"repro/internal/mem"
 	"repro/internal/solver"
 )
 
@@ -450,6 +451,49 @@ func TestOversizedStateNotParked(t *testing.T) {
 	marshalState = orig
 	if r, err := s.Extend(context.Background(), 0, [][]int{{1}}); err != nil || r.Verdict != solver.Sat {
 		t.Errorf("extend after failed park: %+v, %v", r, err)
+	}
+}
+
+// TestFrameLimitedExtendRefusesOOM runs one extend of a small parent by
+// a large clause set on an unbounded service, counting the frames the
+// child's state takes, and then on a service bounded one frame short of
+// that. There the extend fails with the allocator's FaultOOM, parks
+// nothing, leaks no frame, and the parent still serves an extend that
+// fits.
+func TestFrameLimitedExtendRefusesOOM(t *testing.T) {
+	ctx := context.Background()
+	big := solver.Random3SAT(150, 620, 3)
+	free := New()
+	defer free.Close()
+	small := mustExtend(t, free, 0, [][]int{{1, 2}})
+	held := free.alloc.Live()
+	mustExtend(t, free, small.ID, big)
+	need := free.alloc.Live() - held
+	if held < 1 || need < 2 {
+		t.Fatalf("parent holds %d frames and the child adds %d; the test needs >= 1 and >= 2", held, need)
+	}
+
+	defer func(orig int64) { frameLimit = orig }(frameLimit)
+	frameLimit = held + need - 1
+	s := New()
+	defer s.Close()
+	parent := mustExtend(t, s, 0, [][]int{{1, 2}})
+	refs, snaps, live := s.Refs(), s.LiveSnapshots(), s.alloc.Live()
+	_, err := s.Extend(ctx, parent.ID, big)
+	var fault *mem.Fault
+	if !errors.As(err, &fault) || fault.Kind != mem.FaultOOM {
+		t.Fatalf("over-limit extend = %v, want a FaultOOM", err)
+	}
+	if s.Refs() != refs || s.LiveSnapshots() != snaps || s.alloc.Live() != live {
+		t.Errorf("failed extend left refs %d→%d, snapshots %d→%d, frames %d→%d",
+			refs, s.Refs(), snaps, s.LiveSnapshots(), live, s.alloc.Live())
+	}
+	if r, err := s.Extend(ctx, parent.ID, [][]int{{3}}); err != nil || r.Verdict != solver.Sat {
+		t.Errorf("extend of the parent after the refusal: %+v, %v", r, err)
+	}
+	s.Close()
+	if n := s.alloc.Live(); n != 0 {
+		t.Errorf("%d frames live after Close, want 0", n)
 	}
 }
 

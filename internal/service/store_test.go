@@ -487,7 +487,8 @@ func TestDemotionCountersSingleClient(t *testing.T) {
 // invariants are asserted: the cap holds, no id answers ErrEvicted (with
 // a store, eviction is demotion), every verdict matches the serial run,
 // every chain id — spilled or resident — extends to its serial revisit
-// verdict, and nothing leaks.
+// verdict, the reloaded states' blocks count as frames, and Close leaks
+// neither snapshots nor frames.
 func TestConcurrentChainsDemoteAndReload(t *testing.T) {
 	truth := serialChains(t)
 	cold := openStore(t, t.TempDir())
@@ -548,10 +549,7 @@ func TestConcurrentChainsDemoteAndReload(t *testing.T) {
 	if st := svc.Stats(); st.Reloads == 0 {
 		t.Errorf("revisits promoted nothing: %+v", st)
 	}
-	svc.Close()
-	if live := svc.LiveSnapshots(); live != 0 {
-		t.Fatalf("%d snapshots leaked", live)
-	}
+	closeCountingFrames(t, svc)
 }
 
 // TestSiblingDemotionDedupsOnDisk parks a wide sibling set off one large,

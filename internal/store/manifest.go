@@ -37,11 +37,6 @@ const (
 	maxNameBytes = 1<<16 - 1
 )
 
-// The store chunks memory pages and file blocks interchangeably: one
-// granularity, one hash space, so a page and a block with equal bytes
-// deduplicate against each other.
-var _ [0]struct{} = [chunkSize - fs.BlockSize]struct{}{}
-
 // PageRef names one resident page of a demoted address space.
 type PageRef struct {
 	Addr uint64

@@ -6,11 +6,10 @@
 // keyed by SHA-256 of their content, so sibling states share identical
 // chunks on disk exactly the way fs.UpdateFile shares blocks in memory.
 //
-// Writing a spill reuses checkpoint.Incremental's dirty-page detection:
-// a page whose backing frame is identical to the parent's (FrameAt
-// pointer equality, the CoW layer's "not dirtied since the fork" signal)
-// reuses the parent's recorded hash instead of being re-hashed, so a
-// spill costs work proportional to pages changed since the parent, and a
+// Writing a spill is incremental against the parent: a page whose backing
+// frame is identical to the parent's (FrameAt pointer equality, the CoW
+// layer's "not dirtied since the fork" signal) reuses the parent's
+// recorded hash instead of being re-hashed, so a spill costs work proportional to pages changed since the parent, and a
 // chunk that is already resident on disk is never rewritten.
 //
 // Durability is an append-only manifest log: each record is a framed,
@@ -511,9 +510,8 @@ var spillTestHook func()
 // is a no-op — states are immutable and ids are never reused, so the
 // resident manifest is authoritative and a demote-after-promote is free.
 //
-// The page walk is incremental against the live parent, mirroring
-// checkpoint.Incremental: a page whose frame is identical to the parent's
-// reuses the parent's cached hash, so only pages dirtied since the fork
+// The page walk is incremental against the live parent: a page whose
+// frame is identical to the parent's reuses the parent's cached hash, so only pages dirtied since the fork
 // are re-hashed (and only chunks absent from disk are written).
 //
 // The expensive work — hashing and chunk-file writes — runs outside
@@ -727,7 +725,7 @@ func (s *Store) Load(id uint64, alloc *mem.FrameAllocator) (*snapshot.Context, i
 		}
 	}
 
-	fsys := fs.New()
+	fsys := fs.NewOn(alloc)
 	failFS := func(err error) (*snapshot.Context, int, error) {
 		fsys.Release()
 		return fail(err)

@@ -23,7 +23,7 @@ func buildState(t *testing.T, mutate func(*snapshot.Context)) (*snapshot.Tree, *
 	if err := as.Map(0x1000, 16*mem.PageSize, mem.PermRead|mem.PermWrite, "heap"); err != nil {
 		t.Fatal(err)
 	}
-	ctx := &snapshot.Context{Mem: as, FS: fs.New()}
+	ctx := &snapshot.Context{Mem: as, FS: fs.NewOn(alloc)}
 	if mutate != nil {
 		mutate(ctx)
 	}
@@ -688,6 +688,52 @@ func TestSparseFileRoundTrip(t *testing.T) {
 	}
 	if string(data[holeBlocks*fs.BlockSize:]) != "tail" {
 		t.Fatalf("tail = %q", data[holeBlocks*fs.BlockSize:])
+	}
+}
+
+// TestLoadUnderFrameLimitLeaksNothing reloads a state of two pages and a
+// three-block file under every frame limit too small for it: each Load
+// fails with the allocator's FaultOOM and leaves no frame live, and at the
+// limit that fits it reloads the spilled image.
+func TestLoadUnderFrameLimitLeaksNothing(t *testing.T) {
+	tree, _, st := buildState(t, func(ctx *snapshot.Context) {
+		mustWriteU64(t, ctx.Mem, 0x1000, 1)
+		mustWriteU64(t, ctx.Mem, 0x1000+4*mem.PageSize, 2)
+		if err := ctx.FS.WriteFile("/state", bytes.Repeat([]byte("xyz"), fs.BlockSize)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	defer func() { st.Release(); _ = tree }()
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Spill(1, st); err != nil {
+		t.Fatal(err)
+	}
+	const need = 2 + 3
+	for limit := int64(1); limit <= need; limit++ {
+		alloc := mem.NewFrameAllocator(limit)
+		ctx, _, err := s.Load(1, alloc)
+		if limit < need {
+			var fault *mem.Fault
+			if !errors.As(err, &fault) || fault.Kind != mem.FaultOOM {
+				t.Errorf("limit %d: Load = %v, want a FaultOOM", limit, err)
+			}
+		} else if err != nil {
+			t.Fatalf("limit %d: %v", limit, err)
+		} else {
+			sn := ctx.FS.Snapshot()
+			if sn.ContentHash() != st.FS().ContentHash() {
+				t.Error("reloaded file image differs from the spilled one")
+			}
+			sn.Release()
+			ctx.Release()
+		}
+		if n := alloc.Live(); n != 0 {
+			t.Errorf("limit %d: %d frames live after Load", limit, n)
+		}
 	}
 }
 

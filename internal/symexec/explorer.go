@@ -146,7 +146,7 @@ func NewExplorer(img *guest.Image, opts Options) (*Explorer, error) {
 		return nil, err
 	}
 	ex := &Explorer{alloc: alloc, tree: snapshot.NewTree(), opts: opts}
-	ex.rootCtx = &snapshot.Context{Mem: as, FS: fs.New(), Regs: regs}
+	ex.rootCtx = &snapshot.Context{Mem: as, FS: fs.NewOn(alloc), Regs: regs}
 	switch opts.Strategy {
 	case "", "dfs":
 		ex.strategy = search.NewDFS[*pending]()

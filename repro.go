@@ -167,5 +167,5 @@ func LoadImage(img *Image, alloc *FrameAllocator) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Context{Mem: as, FS: fs.New(), Regs: regs}, nil
+	return &Context{Mem: as, FS: fs.NewOn(alloc), Regs: regs}, nil
 }
