@@ -10,13 +10,10 @@ package fs
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"path"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/mem"
@@ -557,12 +554,6 @@ type Snapshot struct {
 	alloc  *mem.FrameAllocator
 	inodes map[string]*File
 	fds    []FD
-
-	// ContentHash memoization: the image is frozen, so the hash is
-	// computed at most once no matter how many spills consult it (every
-	// demotion records its own and its parent's image hash).
-	hashOnce sync.Once
-	hash     [32]byte
 }
 
 // ImportFile installs (or replaces) a file from its exported image form:
@@ -706,63 +697,6 @@ func (sn *Snapshot) Export() []FileImage {
 		out = append(out, img)
 	}
 	return out
-}
-
-// zeroBlock is the all-zero block content, for hole-equivalence checks.
-var zeroBlock [BlockSize]byte
-
-// ContentHash returns a stable SHA-256 over the frozen image's logical
-// content: paths, sizes, block residency and bytes, and the descriptor
-// table. Two snapshots hash equal iff a guest could not tell them apart
-// through the file API — the identity the persistence tier records as a
-// manifest's parent hash and verifies after a reload round-trip. Because
-// a hole and a resident all-zero block read identically, the hash treats
-// them identically too (all-zero blocks are skipped like holes); without
-// that, guest-indistinguishable images could hash apart. The image is
-// frozen, so the result is memoized.
-func (sn *Snapshot) ContentHash() [32]byte {
-	sn.hashOnce.Do(func() { sn.hash = sn.contentHash() })
-	return sn.hash
-}
-
-func (sn *Snapshot) contentHash() [32]byte {
-	h := sha256.New()
-	var word [8]byte
-	putU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(word[:], v)
-		h.Write(word[:])
-	}
-	for _, p := range sn.Files() {
-		f := sn.inodes[p]
-		putU64(uint64(len(p)))
-		io.WriteString(h, p)
-		putU64(uint64(f.size))
-		for i, b := range f.blocks {
-			// Only bytes within the logical size are observable; the last
-			// block's tail past f.size is zeroed by truncate, so hashing
-			// full resident blocks stays content-stable.
-			if b == nil || b.Data == zeroBlock {
-				continue
-			}
-			putU64(uint64(i))
-			h.Write(b.Data[:])
-		}
-	}
-	putU64(uint64(len(sn.fds)))
-	for _, fd := range sn.fds {
-		putU64(uint64(len(fd.Path)))
-		io.WriteString(h, fd.Path)
-		putU64(uint64(fd.Off))
-		putU64(uint64(fd.Flags))
-		open := uint64(0)
-		if fd.Open {
-			open = 1
-		}
-		putU64(open)
-	}
-	var sum [32]byte
-	h.Sum(sum[:0])
-	return sum
 }
 
 // Files returns the sorted list of paths in the frozen image.

@@ -896,15 +896,10 @@ func (s *Service) Pin(id uint64) error {
 		e, ok := sh.entries[id]
 		if !ok {
 			sh.mu.Unlock()
-			if s.store != nil && s.store.Has(id) {
-				if err := s.reload(id); err != nil {
-					return err
-				}
+			retry, err := s.resolveMiss(sh, id)
+			if retry {
 				continue
 			}
-			sh.mu.Lock()
-			err := sh.missing(id)
-			sh.mu.Unlock()
 			return err
 		}
 		if !e.pinned {

@@ -20,11 +20,14 @@ type Hash [32]byte
 var ErrCorrupt = fmt.Errorf("store: corrupt data")
 
 const (
-	// manifestMagic opens every serialized manifest ("SNAPSTO1").
-	manifestMagic = uint64(0x314F5453_50414E53)
+	// manifestMagic opens every serialized manifest ("SNAPSTO2"). The
+	// first layout ("SNAPSTO1") carried two file-image hashes after the
+	// depth; the bump makes a log in that layout fail Open as corrupt
+	// instead of misparsing.
+	manifestMagic = uint64(0x324F5453_50414E53)
 	// chunkSize is the logical size of every chunk: one memory page or one
-	// file block. The two layers share a granularity by construction; the
-	// compile-time assertion below keeps them from drifting apart.
+	// file block. A file block is a pager frame, and describe hands both
+	// to hashChunk as one array type, so the two cannot drift apart.
 	chunkSize = mem.PageSize
 	// maxManifestBytes bounds one manifest record (a 1 GiB state at 40
 	// bytes per page reference is ~10 MiB; 256 MiB is far past any real
@@ -68,16 +71,8 @@ type Manifest struct {
 	ID uint64
 	// Depth is the snapshot's distance from the root candidate.
 	Depth uint64
-	// ParentHash is the parent's file-image content hash at spill time
-	// (zero for a root child): a provenance link letting an auditor chain
-	// manifests the way snapshot parents chain in memory.
-	ParentHash [32]byte
-	// FSHash is this snapshot's own file-image content hash, re-checkable
-	// after a reload round-trip.
-	FSHash [32]byte
-
-	Regs vm.Registers
-	Out  []byte
+	Regs  vm.Registers
+	Out   []byte
 
 	Brk   uint64
 	VMAs  []mem.VMA
@@ -117,8 +112,6 @@ func encodeManifest(m *Manifest) []byte {
 	put64(manifestMagic)
 	put64(m.ID)
 	put64(m.Depth)
-	buf = append(buf, m.ParentHash[:]...)
-	buf = append(buf, m.FSHash[:]...)
 	for _, r := range m.Regs.GPR {
 		put64(r)
 	}
@@ -271,8 +264,6 @@ func decodeManifest(data []byte) (*Manifest, error) {
 		return nil, fmt.Errorf("%w: bad manifest magic %#x", ErrCorrupt, magic)
 	}
 	m := &Manifest{ID: c.u64(), Depth: c.u64()}
-	copy(m.ParentHash[:], c.take(32))
-	copy(m.FSHash[:], c.take(32))
 	for i := range m.Regs.GPR {
 		m.Regs.GPR[i] = c.u64()
 	}

@@ -1,16 +1,16 @@
 // Package store is the persistence tier under the snapshot tree: a
 // durable, content-addressed snapshot store that turns capacity eviction
 // into demotion instead of loss. A demoted snapshot.State is serialized
-// as a manifest (registers, depth, parent hash, address-space shape, file
-// image, descriptor table) plus chunks — memory pages and file blocks —
-// keyed by SHA-256 of their content, so sibling states share identical
-// chunks on disk exactly the way fs.UpdateFile shares blocks in memory.
+// as a manifest (registers, depth, address-space shape, file image,
+// descriptor table) plus chunks — memory pages and file blocks — keyed by
+// SHA-256 of their content, so sibling states share identical chunks on
+// disk exactly the way fs.UpdateFile shares blocks in memory.
 //
-// Writing a spill is incremental against the parent: a page whose backing
-// frame is identical to the parent's (FrameAt pointer equality, the CoW
-// layer's "not dirtied since the fork" signal) reuses the parent's
-// recorded hash instead of being re-hashed, so a spill costs work proportional to pages changed since the parent, and a
-// chunk that is already resident on disk is never rewritten.
+// Writing a spill is incremental against the parent: pages and file
+// blocks are both pager frames, hashed in one walk through a memo keyed by
+// frame, so a frame the parent also holds (the CoW layer's "not written
+// since the fork" signal) reuses the parent's hash, and a chunk already
+// resident on disk is never rewritten.
 //
 // Durability is an append-only manifest log: each record is a framed,
 // checksummed put or delete. Open replays the log (truncating a torn
@@ -32,6 +32,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"repro/internal/fs"
 	"repro/internal/mem"
@@ -61,8 +62,8 @@ const (
 	recHdrBytes = 4 + 1 + 4 // magic, op, payload length
 )
 
-// hashCacheCap bounds the page-hash cache (per live ancestor state); each
-// entry is one map of page hashes, so this caps memory, not correctness —
+// hashCacheCap bounds the frame-hash cache (per live ancestor state); each
+// entry is one state's frame memo, so this caps memory, not correctness —
 // a missing entry just re-hashes.
 const hashCacheCap = 4096
 
@@ -114,15 +115,24 @@ type Store struct {
 	refChunks int64  // guarded_by: mu — chunk references across all manifests
 	idMark    uint64 // guarded_by: mu — durable service-id high-water mark (ReserveIDs)
 
-	// pageHashes caches per-state page hashes keyed by the state's
+	// frameHashes caches per-state frame memos keyed by the state's
 	// process-global sequence number (snapshot.State.Seq), so sibling
-	// spills off one live parent hash the shared pages once. The key must
+	// spills off one live parent hash the shared frames once. The key must
 	// be the seq, not the tree-local id: the store outlives a service, and
 	// a successor service's tree reuses ids 1,2,3..., so an id-keyed cache
 	// would hand a new tree's spill a dead tree's hashes.
 	// guarded_by: mu
-	pageHashes map[uint64]map[uint64]Hash
+	frameHashes map[uint64]frameMemo
 }
+
+// frameMemo is one state's chunk hashes keyed by the address of each
+// frame's data: an address, not a pointer, so a memo that outlives its
+// state pins none of its frames (heap objects do not move).
+type frameMemo map[uintptr]Hash
+
+// hashChunk content-addresses one chunk. A variable so tests can count
+// the hashes a spill takes.
+var hashChunk = func(data *[chunkSize]byte) Hash { return sha256.Sum256(data[:]) }
 
 // Open creates or reopens a store rooted at dir, replaying the manifest
 // log. A torn final record (crash mid-append) is discarded and the log
@@ -144,12 +154,12 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("store: sync store dir: %w", err)
 	}
 	s := &Store{
-		dir:        dir,
-		log:        f,
-		manifests:  make(map[uint64]*Manifest),
-		chunkRefs:  make(map[Hash]int),
-		chunkSize:  make(map[Hash]int64),
-		pageHashes: make(map[uint64]map[uint64]Hash),
+		dir:         dir,
+		log:         f,
+		manifests:   make(map[uint64]*Manifest),
+		chunkRefs:   make(map[Hash]int),
+		chunkSize:   make(map[Hash]int64),
+		frameHashes: make(map[uint64]frameMemo),
 	}
 	good, err := s.replay(f)
 	if err != nil {
@@ -441,31 +451,60 @@ func (s *Store) readChunk(h Hash) ([]byte, error) {
 	return decodeChunk(payload, h)
 }
 
-// cacheHashes remembers a state's page hashes for sibling spills, bounding
-// total cache entries. seq is the state's process-global sequence number
-// (snapshot.State.Seq) — never a tree-local id, which a successor tree
-// would reuse. Callers hold s.mu.
+// cacheHashes remembers a state's frame memo for the spills of its
+// children, bounding total cache entries. seq is the state's
+// process-global sequence number (snapshot.State.Seq) — never a tree-local
+// id, which a successor tree would reuse. Callers hold s.mu and have
+// checked the store is open (Close drops the cache).
 //
 // locks_held: mu
-func (s *Store) cacheHashes(seq uint64, hashes map[uint64]Hash) {
-	if len(s.pageHashes) >= hashCacheCap {
-		for k := range s.pageHashes {
-			delete(s.pageHashes, k)
-			if len(s.pageHashes) < hashCacheCap {
+func (s *Store) cacheHashes(seq uint64, memo frameMemo) {
+	if len(s.frameHashes) >= hashCacheCap {
+		for k := range s.frameHashes {
+			delete(s.frameHashes, k)
+			if len(s.frameHashes) < hashCacheCap {
 				break
 			}
 		}
 	}
-	s.pageHashes[seq] = hashes
+	s.frameHashes[seq] = memo
 }
 
-// hashPages content-hashes every resident page of a frozen address space.
-func hashPages(as *mem.AddressSpace) map[uint64]Hash {
-	out := make(map[uint64]Hash)
-	as.ForEachPage(func(addr uint64, f *mem.Frame) {
-		out[addr] = sha256.Sum256(f.Data[:])
+// describe walks state's frames once — resident pages, then each file's
+// blocks in path order — into m.Pages and m.Files, and returns every
+// frame's hash and every chunk's payload (aliasing the frames). A frame
+// in parent reuses its recorded hash; any other is hashed once. That is
+// sound only while parent's state is alive, so none of its frames can
+// have been recycled: Spill passes only the memo of the spilled state's
+// own parent, and a state holds its parent.
+func describe(m *Manifest, state *snapshot.State, parent frameMemo) (frameMemo, map[Hash][]byte) {
+	memo := make(frameMemo)
+	chunks := make(map[Hash][]byte)
+	hash := func(data *[chunkSize]byte) Hash {
+		key := uintptr(unsafe.Pointer(data))
+		h, ok := memo[key]
+		if !ok {
+			if h, ok = parent[key]; !ok {
+				h = hashChunk(data)
+			}
+			memo[key] = h
+			chunks[h] = data[:]
+		}
+		return h
+	}
+	state.Mem().ForEachPage(func(addr uint64, f *mem.Frame) {
+		m.Pages = append(m.Pages, PageRef{Addr: addr, Hash: hash(&f.Data)})
 	})
-	return out
+	for _, fi := range state.FS().Export() {
+		fr := FileRef{Path: fi.Path, Size: fi.Size, Blocks: make([]BlockRef, len(fi.Blocks))}
+		for i, b := range fi.Blocks {
+			if b != nil {
+				fr.Blocks[i] = BlockRef{Present: true, Hash: hash(b)}
+			}
+		}
+		m.Files = append(m.Files, fr)
+	}
+	return memo, chunks
 }
 
 // discardWritten removes chunk files a failed spill published but never
@@ -510,9 +549,9 @@ var spillTestHook func()
 // is a no-op — states are immutable and ids are never reused, so the
 // resident manifest is authoritative and a demote-after-promote is free.
 //
-// The page walk is incremental against the live parent: a page whose
-// frame is identical to the parent's reuses the parent's cached hash, so only pages dirtied since the fork
-// are re-hashed (and only chunks absent from disk are written).
+// The frame walk is incremental against the live parent: a frame the
+// parent also holds reuses its memoized hash, so only frames written since
+// the fork are hashed (and only chunks absent from disk are written).
 //
 // The expensive work — hashing and chunk-file writes — runs outside
 // s.mu, so concurrent Has/Load/Stats callers are not serialized behind a
@@ -535,84 +574,45 @@ func (s *Store) Spill(id uint64, state *snapshot.State) error {
 		Depth: uint64(state.Depth()),
 		Regs:  state.Regs(),
 		Out:   append([]byte(nil), state.Out()...),
+		VMAs:  state.Mem().VMAs(),
+		FDs:   state.FS().FDs(),
 	}
-	as := state.Mem()
-	m.VMAs = as.VMAs()
-	m.Brk, _ = as.Brk(0)
-	m.FSHash = state.FS().ContentHash()
-	if p := state.Parent(); p != nil {
-		m.ParentHash = p.FS().ContentHash()
-	}
+	m.Brk, _ = state.Mem().Brk(0)
 	for _, v := range m.VMAs {
 		if len(v.Name) > maxNameBytes {
 			return fmt.Errorf("store: spill %d: vma name of %d bytes unencodable", id, len(v.Name))
 		}
 	}
-
-	// Pages: dirty-walk against the parent's frozen space.
-	var parentAS *mem.AddressSpace
-	var parentHashes map[uint64]Hash
-	if p := state.Parent(); p != nil {
-		parentAS = p.Mem()
-		s.mu.Lock()
-		parentHashes = s.pageHashes[p.Seq()]
-		s.mu.Unlock()
-		if parentHashes == nil {
-			parentHashes = hashPages(parentAS)
-			s.mu.Lock()
-			s.cacheHashes(p.Seq(), parentHashes)
-			s.mu.Unlock()
-		}
-	}
-	myHashes := make(map[uint64]Hash)
-	// chunks maps every chunk the manifest references to its payload. The
-	// payload aliases the state's own frame/block storage, which the
-	// caller's retained state keeps alive for the duration of the spill.
-	// Every referenced chunk keeps its payload — not only the ones absent
-	// from disk right now — so the commit can re-verify each one under the
-	// lock and rewrite any whose file a concurrent Delete GC'd between
-	// this walk and the commit.
-	chunks := make(map[Hash][]byte)
-	need := func(h Hash, data []byte) {
-		if _, ok := chunks[h]; !ok {
-			chunks[h] = data
-		}
-	}
-	as.ForEachPage(func(addr uint64, f *mem.Frame) {
-		h, ok := Hash{}, false
-		if parentAS != nil && parentAS.FrameAt(addr) == f {
-			h, ok = parentHashes[addr]
-		}
-		if !ok {
-			h = sha256.Sum256(f.Data[:])
-		}
-		myHashes[addr] = h
-		m.Pages = append(m.Pages, PageRef{Addr: addr, Hash: h})
-		need(h, f.Data[:])
-	})
-
-	// File image: every resident block becomes a chunk; identical blocks
-	// across siblings (fs.UpdateFile's shared prefixes) land on the same
-	// content address and are written once.
-	for _, fi := range state.FS().Export() {
-		if len(fi.Path) > maxNameBytes {
-			return fmt.Errorf("store: spill %d: path of %d bytes unencodable", id, len(fi.Path))
-		}
-		fr := FileRef{Path: fi.Path, Size: fi.Size, Blocks: make([]BlockRef, len(fi.Blocks))}
-		for i, b := range fi.Blocks {
-			if b == nil {
-				continue
-			}
-			h := sha256.Sum256(b[:])
-			fr.Blocks[i] = BlockRef{Present: true, Hash: h}
-			need(h, b[:])
-		}
-		m.Files = append(m.Files, fr)
-	}
-	m.FDs = state.FS().FDs()
 	for _, fd := range m.FDs {
 		if len(fd.Path) > maxNameBytes {
 			return fmt.Errorf("store: spill %d: fd path of %d bytes unencodable", id, len(fd.Path))
+		}
+	}
+
+	// The parent's memo: cached by its own spill or an earlier sibling's,
+	// else built by one pass over the parent.
+	var parent frameMemo
+	if p := state.Parent(); p != nil {
+		s.mu.Lock()
+		parent = s.frameHashes[p.Seq()]
+		s.mu.Unlock()
+		if parent == nil {
+			parent, _ = describe(new(Manifest), p, nil)
+			s.mu.Lock()
+			if !s.closed {
+				s.cacheHashes(p.Seq(), parent)
+			}
+			s.mu.Unlock()
+		}
+	}
+	// chunks keeps every referenced chunk's payload — not only the ones
+	// absent from disk right now — so the commit can re-verify each one
+	// under the lock and rewrite any whose file a concurrent Delete GC'd
+	// between this walk and the commit.
+	memo, chunks := describe(m, state, parent)
+	for _, f := range m.Files {
+		if len(f.Path) > maxNameBytes {
+			return fmt.Errorf("store: spill %d: path of %d bytes unencodable", id, len(f.Path))
 		}
 	}
 	payload := encodeManifest(m)
@@ -685,7 +685,7 @@ func (s *Store) Spill(id uint64, state *snapshot.State) error {
 	}
 	s.manifests[id] = m
 	s.accountManifest(m, +1)
-	s.cacheHashes(state.Seq(), myHashes)
+	s.cacheHashes(state.Seq(), memo)
 	return nil
 }
 
@@ -876,7 +876,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	s.pageHashes = nil
+	s.frameHashes = nil
 	err := s.log.Sync()
 	if cerr := s.log.Close(); err == nil {
 		err = cerr

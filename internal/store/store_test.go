@@ -3,10 +3,14 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/fs"
 	"repro/internal/mem"
@@ -73,11 +77,12 @@ func TestSpillLoadRoundTrip(t *testing.T) {
 	if err := s.Spill(17, st); err != nil {
 		t.Fatal(err)
 	}
-	wantFSHash := st.FS().ContentHash()
-	st.Release()
-	if live := tree.Live(); live != 0 {
-		t.Fatalf("%d snapshots live after release", live)
-	}
+	defer func() {
+		st.Release()
+		if live := tree.Live(); live != 0 {
+			t.Fatalf("%d snapshots live after release", live)
+		}
+	}()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +126,19 @@ func TestSpillLoadRoundTrip(t *testing.T) {
 	if n, err := ctx.FS.Seek(3, 0, fs.SeekCur); err != nil || n != 100 {
 		t.Errorf("fd 3 offset = %d, %v", n, err)
 	}
-	// Content hash of the rebuilt image matches the manifest's record.
+	// The rebuilt image equals the spilled one.
 	sn := ctx.FS.Snapshot()
 	defer sn.Release()
-	if got := sn.ContentHash(); got != wantFSHash {
-		t.Error("reloaded fs content hash differs from spilled image")
+	if !sameImage(sn, st.FS()) {
+		t.Error("reloaded file image differs from the spilled one")
 	}
+}
+
+// sameImage reports whether two frozen file images are equal: paths,
+// sizes, block residency and bytes (DeepEqual follows the block
+// pointers), and the descriptor tables.
+func sameImage(a, b *fs.Snapshot) bool {
+	return reflect.DeepEqual(a.Export(), b.Export()) && reflect.DeepEqual(a.FDs(), b.FDs())
 }
 
 // TestSpillDeltaSharesParentChunks spills a parent and two children that
@@ -181,13 +193,6 @@ func TestSpillDeltaSharesParentChunks(t *testing.T) {
 	}
 	if r := st.DedupRatio(); r < 0.6 {
 		t.Errorf("dedup ratio = %.2f, want sibling sharing", r)
-	}
-
-	// Chain linkage: each child manifest records the parent's fs hash.
-	pm, _ := s.Manifest(1)
-	cm, _ := s.Manifest(2)
-	if cm.ParentHash != pm.FSHash {
-		t.Error("child manifest ParentHash != parent manifest FSHash")
 	}
 
 	for _, c := range children {
@@ -629,8 +634,8 @@ func TestCorruptChunkFailsLoad(t *testing.T) {
 
 // TestSparseFileRoundTrip spills a file with a hole (guest Seek past the
 // end, then Write): the reload must keep the hole — resident footprint
-// stays O(written blocks), not O(logical size) — and the rebuilt image's
-// ContentHash must match the manifest's recorded FSHash.
+// stays O(written blocks), not O(logical size) — and the rebuilt image
+// must equal the spilled one.
 func TestSparseFileRoundTrip(t *testing.T) {
 	const holeBlocks = 64
 	tree, alloc, st := buildState(t, func(ctx *snapshot.Context) {
@@ -646,7 +651,6 @@ func TestSparseFileRoundTrip(t *testing.T) {
 		}
 	})
 	defer func() { st.Release(); _ = tree }()
-	wantHash := st.FS().ContentHash()
 	priv, shared := st.FS().Footprint()
 	wantResident := priv + shared
 
@@ -669,8 +673,8 @@ func TestSparseFileRoundTrip(t *testing.T) {
 	}
 	sn := ctx.FS.Snapshot()
 	defer sn.Release()
-	if got := sn.ContentHash(); got != wantHash {
-		t.Error("reloaded sparse image hash differs from spilled image")
+	if !sameImage(sn, st.FS()) {
+		t.Error("reloaded sparse image differs from the spilled one")
 	}
 	gotPriv, gotShared := sn.Footprint()
 	if got := gotPriv + gotShared; got != wantResident {
@@ -725,7 +729,7 @@ func TestLoadUnderFrameLimitLeaksNothing(t *testing.T) {
 			t.Fatalf("limit %d: %v", limit, err)
 		} else {
 			sn := ctx.FS.Snapshot()
-			if sn.ContentHash() != st.FS().ContentHash() {
+			if !sameImage(sn, st.FS()) {
 				t.Error("reloaded file image differs from the spilled one")
 			}
 			sn.Release()
@@ -768,15 +772,12 @@ func TestManifestRoundTrip(t *testing.T) {
 		},
 		FDs: []fs.FD{{Path: "/x", Off: 33, Flags: fs.ORdWr, Open: true}},
 	}
-	m.ParentHash[0] = 0xaa
-	m.FSHash[0] = 0xbb
 	got, err := decodeManifest(encodeManifest(m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.ID != m.ID || got.Depth != m.Depth || got.Regs != m.Regs ||
-		string(got.Out) != string(m.Out) || got.Brk != m.Brk ||
-		got.ParentHash != m.ParentHash || got.FSHash != m.FSHash {
+		string(got.Out) != string(m.Out) || got.Brk != m.Brk {
 		t.Errorf("scalar fields: %+v", got)
 	}
 	if len(got.VMAs) != 1 || got.VMAs[0] != m.VMAs[0] {
@@ -836,5 +837,186 @@ func TestClosedStore(t *testing.T) {
 	}
 	if err := s.Delete(1); !errors.Is(err, ErrClosed) {
 		t.Errorf("Delete after Close = %v", err)
+	}
+}
+
+// countHashes swaps the chunk-hash seam for a counting one until the test
+// ends and returns the counter.
+func countHashes(t *testing.T) *atomic.Int64 {
+	t.Helper()
+	var n atomic.Int64
+	orig := hashChunk
+	hashChunk = func(data *[chunkSize]byte) Hash {
+		n.Add(1)
+		return orig(data)
+	}
+	t.Cleanup(func() { hashChunk = orig })
+	return &n
+}
+
+// TestSpillHashesOnlyWrittenFrames: a child that shares all but k frames
+// with a spilled (so memoized) parent hashes exactly k chunks, whether the
+// k frames are dirtied pages or file blocks UpdateFile rewrote — pages and
+// blocks go through one frame memo. The reload still equals the child.
+func TestSpillHashesOnlyWrittenFrames(t *testing.T) {
+	const frames, k = 12, 3
+	content := make([]byte, frames*fs.BlockSize)
+	for i := range content {
+		content[i] = byte(i / fs.BlockSize)
+	}
+	for _, tc := range []struct {
+		name  string
+		write func(*testing.T, *snapshot.Context)
+	}{
+		{"pages", func(t *testing.T, ctx *snapshot.Context) {
+			for i := 0; i < k; i++ {
+				mustWriteU64(t, ctx.Mem, 0x1000+uint64(3*i)*mem.PageSize, 0xd1e7)
+			}
+		}},
+		{"blocks", func(t *testing.T, ctx *snapshot.Context) {
+			next := append([]byte(nil), content...)
+			for i := 0; i < k; i++ {
+				next[(3*i+1)*fs.BlockSize] ^= 0xff
+			}
+			if err := ctx.FS.UpdateFile("/state", next); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree, alloc, parent := buildState(t, func(ctx *snapshot.Context) {
+				for i := 0; i < frames; i++ {
+					mustWriteU64(t, ctx.Mem, 0x1000+uint64(i)*mem.PageSize, uint64(i)+1)
+				}
+				if err := ctx.FS.WriteFile("/state", content); err != nil {
+					t.Fatal(err)
+				}
+			})
+			cctx := parent.Restore()
+			tc.write(t, cctx)
+			child := tree.Capture(cctx, parent)
+			cctx.Release()
+			defer func() {
+				child.Release()
+				parent.Release()
+				if tree.Live() != 0 || alloc.Live() != 0 {
+					t.Errorf("leak: %d snapshots, %d frames", tree.Live(), alloc.Live())
+				}
+			}()
+
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			n := countHashes(t)
+			if err := s.Spill(1, parent); err != nil {
+				t.Fatal(err)
+			}
+			if got := n.Swap(0); got != 2*frames {
+				t.Errorf("parent spill hashed %d chunks, want %d", got, 2*frames)
+			}
+			if err := s.Spill(2, child); err != nil {
+				t.Fatal(err)
+			}
+			if got := n.Load(); got != k {
+				t.Errorf("child spill hashed %d chunks, want the %d it wrote", got, k)
+			}
+			ctx, _, err := s.Load(2, alloc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctx.Release()
+			sn := ctx.FS.Snapshot()
+			defer sn.Release()
+			if !sameImage(sn, child.FS()) {
+				t.Error("reloaded file image differs from the child's")
+			}
+			for i := 0; i < frames; i++ {
+				addr := 0x1000 + uint64(i)*mem.PageSize
+				want, _ := child.Mem().ReadU64(addr)
+				if got, err := ctx.Mem.ReadU64(addr); err != nil || got != want {
+					t.Errorf("page %d = %#x, %v; want %#x", i, got, err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSpillRacingCloseReturnsCleanly starts Close at a sweep of offsets
+// into a Spill whose parent is not memoized yet, so Close lands before,
+// during and after the pass that builds the parent's memo. Spill must
+// return nil or ErrClosed; recording the memo in a closed store's dropped
+// cache used to panic on a nil map.
+func TestSpillRacingCloseReturnsCleanly(t *testing.T) {
+	const pages = 4096
+	alloc := mem.NewFrameAllocator(0)
+	as := mem.NewAddressSpace(alloc)
+	if err := as.Map(0x1000, pages*mem.PageSize, mem.PermRead|mem.PermWrite, "heap"); err != nil {
+		t.Fatal(err)
+	}
+	// One content on every page: the memo pass still hashes 4096 frames,
+	// but a Spill that wins the race writes two chunk files, not 4096.
+	for i := 0; i < pages; i++ {
+		mustWriteU64(t, as, 0x1000+uint64(i)*mem.PageSize, 1)
+	}
+	tree := snapshot.NewTree()
+	ctx := &snapshot.Context{Mem: as, FS: fs.NewOn(alloc)}
+	parent := tree.Capture(ctx, nil)
+	ctx.Release()
+	cctx := parent.Restore()
+	mustWriteU64(t, cctx.Mem, 0x1000, 0xc1d)
+	child := tree.Capture(cctx, parent)
+	cctx.Release()
+	defer func() {
+		child.Release()
+		parent.Release()
+		if tree.Live() != 0 || alloc.Live() != 0 {
+			t.Errorf("leak: %d snapshots, %d frames", tree.Live(), alloc.Live())
+		}
+	}()
+
+	for delay := time.Duration(0); delay <= 2*time.Millisecond; delay += 50 * time.Microsecond {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- s.Spill(1, child) }()
+		time.Sleep(delay)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil && !errors.Is(err, ErrClosed) {
+			t.Errorf("close after %v: Spill = %v, want nil or ErrClosed", delay, err)
+		}
+	}
+}
+
+// TestOldManifestLayoutFailsOpen: a log written in the first manifest
+// layout, which carried two image hashes after the depth, fails Open as
+// corrupt rather than misparsing them as registers.
+func TestOldManifestLayoutFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := encodeManifest(&Manifest{ID: 1})
+	body = body[:len(body)-sha256.Size]
+	old := binary.LittleEndian.AppendUint64(nil, 0x314F5453_50414E53) // "SNAPSTO1"
+	old = append(old, body[8:24]...)                                  // id, depth
+	old = append(old, make([]byte, 64)...)                            // parent and image hash
+	old = append(old, body[24:]...)
+	sum := sha256.Sum256(old)
+	s.mu.Lock()
+	err = s.appendRecord(opPut, append(old, sum[:]...))
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open over an old-layout manifest = %v, want ErrCorrupt", err)
 	}
 }
