@@ -66,6 +66,10 @@ const solveSliceConflicts = 4096
 // oversized-state path without building a >1 GiB solver.
 var marshalState = func(sol *solver.Solver, loaded []byte) []byte { return sol.MarshalOnto(loaded) }
 
+// scanning runs before each phase-answer attempt on an unchecked parent,
+// which scans its loaded clauses. A seam so tests can count the scans.
+var scanning = func() {}
+
 // frameLimit bounds the live frames of a new service's allocator, which
 // hold every parked state's file blocks (0 means unbounded). A seam so
 // tests can drive an extend into the allocator's FaultOOM.
@@ -127,8 +131,8 @@ type Result struct {
 	// variable; index 0 unused.
 	Model []bool
 	// Learned is the number of clauses this solve learned (diagnostics).
-	// The clauses the ancestors learned are not counted: a reloaded state
-	// carries them as problem clauses (see solver.Unmarshal).
+	// The clauses the ancestors learned are not counted: a loaded state
+	// carries them as problem clauses (see solver.Load).
 	Learned int
 }
 
@@ -212,6 +216,11 @@ type entry struct {
 	// evictor owns a demoting entry end to end; only a client Release
 	// can remove it from the table underneath that evictor.
 	demoting bool
+	// checked records that the (immutable) parked state passes the
+	// loaded-clause check of solver.ExtendFromPhases. It is set on a
+	// phase-answered child at park, and on a parent whose full scan
+	// passed; see DESIGN.md "Same answers".
+	checked bool // guarded_by: mu
 	// Intrusive per-shard LRU list links (unpinned entries only):
 	// the shard's lruHead is its least recently used entry, so finding
 	// an eviction victim is O(1) per shard instead of a map scan.
@@ -272,13 +281,30 @@ func (sh *shard) lruPushBack(e *entry) {
 	e.inLRU = true
 }
 
-// lruTouch moves e to the most-recently-used end. Callers hold sh.mu.
+// use stamps e with the LRU clock tick, moves it to the most-recently-used
+// end unless it is pinned or being demoted, and reports whether its state
+// is checked. Callers hold sh.mu.
 //
 // locks_held: mu
-// hot_path: two splices, no allocation.
-func (sh *shard) lruTouch(e *entry) {
-	sh.lruRemove(e)
-	sh.lruPushBack(e)
+// hot_path: a stamp and two splices, no allocation.
+func (sh *shard) use(e *entry, tick uint64) (checked bool) {
+	e.lastUse = tick
+	if !e.pinned && !e.demoting {
+		sh.lruRemove(e)
+		sh.lruPushBack(e)
+	}
+	return e.checked
+}
+
+// markChecked records that st, read from id's entry, passed the
+// loaded-clause check, unless the entry now holds another state (a
+// demotion and a reload came in between). Callers hold sh.mu.
+//
+// locks_held: mu
+func (sh *shard) markChecked(id uint64, st *snapshot.State) {
+	if e, ok := sh.entries[id]; ok && e.state == st {
+		e.checked = true
+	}
 }
 
 // missing explains why id is absent from the shard: recently evicted ids
@@ -431,43 +457,54 @@ func (s *Service) resolveMiss(sh *shard, id uint64) (retry bool, err error) {
 	return false, err
 }
 
-// lookup retains the state behind id and bumps its LRU clock, and marks
-// one in-flight operation. A spilled id is transparently promoted from
-// the persistence tier first. On success the caller must Release the
-// state and call s.inflight.Done().
+// lookup bumps the LRU clock of the entry behind id and returns its
+// checked bit; with retain, it also retains the entry's state and marks
+// one in-flight operation, and on success the caller must Release the
+// state and call s.inflight.Done(). A spilled id is transparently
+// promoted from the persistence tier first.
 //
 // hot_path: locks=closeMu,mu the hit path is two short critical
 // sections and two atomic bumps; the miss arm lives in resolveMiss.
-func (s *Service) lookup(id uint64) (*snapshot.State, error) {
+func (s *Service) lookup(id uint64, retain bool) (st *snapshot.State, checked bool, err error) {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed {
-		return nil, ErrClosed
+		return nil, false, ErrClosed
 	}
+	sh, e, err := s.find(id)
+	if err != nil {
+		return nil, false, err
+	}
+	checked = sh.use(e, s.clock.Add(1))
+	if retain {
+		st = e.state.Retain()
+		// Ordering: Add happens while closeMu is held shared and after the
+		// closed check, so Close (exclusive lock, then Wait) cannot pass
+		// the Wait before this operation registers.
+		s.inflight.Add(1)
+	}
+	sh.mu.Unlock()
+	return st, checked, nil
+}
+
+// find returns the live entry behind id with its shard locked, promoting
+// a spilled id from the persistence tier first. On error no lock is held.
+// Callers hold closeMu shared.
+//
+// hot_path: locks=mu the hit path is one map probe under the shard lock;
+// the miss arm lives in resolveMiss.
+func (s *Service) find(id uint64) (*shard, *entry, error) {
 	for {
 		sh := s.shardFor(id)
 		sh.mu.Lock()
-		e, ok := sh.entries[id]
-		if !ok {
-			sh.mu.Unlock()
-			//lint:ignore hotpath cold miss path: promote from the store or explain the absence
-			retry, err := s.resolveMiss(sh, id)
-			if retry {
-				continue
-			}
-			return nil, err
+		if e, ok := sh.entries[id]; ok {
+			return sh, e, nil
 		}
-		e.lastUse = s.clock.Add(1)
-		if !e.pinned && !e.demoting {
-			sh.lruTouch(e)
-		}
-		st := e.state.Retain()
 		sh.mu.Unlock()
-		// Ordering: Add happens while closeMu is held shared and after the
-		// closed check, so Close (exclusive lock, then Wait) cannot pass the
-		// Wait before this operation registers.
-		s.inflight.Add(1)
-		return st, nil
+		//lint:ignore hotpath cold miss path: promote from the store or explain the absence
+		if retry, err := s.resolveMiss(sh, id); !retry {
+			return nil, nil, err
+		}
 	}
 }
 
@@ -504,7 +541,8 @@ func (s *Service) reload(id uint64) error {
 // doReload materializes the demoted snapshot behind id and parks it as a
 // live unpinned entry, enforcing the capacity bound the same way park
 // does (reserve, then evict until the reservation fits — possibly
-// demoting a colder entry to make room for the promoted one).
+// demoting a colder entry to make room for the promoted one). The entry
+// starts unchecked: its bytes came back from disk.
 func (s *Service) doReload(id uint64) error {
 	ctx, depth, err := s.store.Load(id, s.alloc)
 	if err != nil {
@@ -513,14 +551,7 @@ func (s *Service) doReload(id uint64) error {
 	st := s.tree.CaptureAtDepth(ctx, nil, depth)
 	ctx.Release()
 
-	s.parked.Add(1)
-	if s.capacity > 0 {
-		for s.parked.Load() > int64(s.capacity) {
-			if !s.evictOne() {
-				break
-			}
-		}
-	}
+	s.reserve()
 	sh := s.shardFor(id)
 	sh.mu.Lock()
 	if _, exists := sh.entries[id]; exists {
@@ -550,25 +581,16 @@ func (s *Service) doReload(id uint64) error {
 
 // park inserts child behind a fresh id, enforcing the capacity bound by
 // reserving a slot first and evicting LRU victims until the reservation
-// fits. On ErrClosed the child has been released.
-func (s *Service) park(child *snapshot.State) (uint64, error) {
+// fits; checked is the new entry's checked bit. On ErrClosed the child
+// has been released.
+func (s *Service) park(child *snapshot.State, checked bool) (uint64, error) {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed {
 		child.Release()
 		return 0, ErrClosed
 	}
-	// Reserve before inserting: the counter over-approximates the number
-	// of unpinned entries, so evicting until it fits keeps the real entry
-	// count at or under the cap at every instant.
-	s.parked.Add(1)
-	if s.capacity > 0 {
-		for s.parked.Load() > int64(s.capacity) {
-			if !s.evictOne() {
-				break // everything evictable is a concurrent reservation or pinned
-			}
-		}
-	}
+	s.reserve()
 	id := s.nextID.Add(1)
 	if err := s.reserveID(id); err != nil {
 		// The id's no-reuse guarantee could not be made durable; handing
@@ -581,11 +603,25 @@ func (s *Service) park(child *snapshot.State) (uint64, error) {
 	}
 	sh := s.shardFor(id)
 	sh.mu.Lock()
-	e := &entry{id: id, state: child, lastUse: s.clock.Add(1)}
+	e := &entry{id: id, state: child, lastUse: s.clock.Add(1), checked: checked}
 	sh.entries[id] = e
 	sh.lruPushBack(e)
 	sh.mu.Unlock()
 	return id, nil
+}
+
+// reserve counts one more parked entry before it is inserted, then evicts
+// LRU victims until the count fits the capacity, or until everything
+// evictable is a concurrent reservation or pinned. The count
+// over-approximates the unpinned entries, so the real number stays at or
+// under the cap at every instant.
+func (s *Service) reserve() {
+	s.parked.Add(1)
+	for s.capacity > 0 && s.parked.Load() > int64(s.capacity) {
+		if !s.evictOne() {
+			return
+		}
+	}
 }
 
 // idReserveBatch is how far past the issued ids park pushes the durable
@@ -638,9 +674,11 @@ func (s *Service) evictOne() bool {
 	}
 	victimShard.mu.Lock()
 	e, ok := victimShard.entries[victimID]
-	if !ok || e.pinned {
-		// Raced with a Release or Pin; the counter moved, so report
-		// progress and let the caller re-check it.
+	if !ok || e.pinned || e.demoting {
+		// Raced with a Release, a Pin or another evictor (whose demotion,
+		// done twice, would purge its own cold copy as if released); the
+		// counter moved or will, so report progress and let the caller
+		// re-check it.
 		victimShard.mu.Unlock()
 		return true
 	}
@@ -741,7 +779,7 @@ func (s *Service) Extend(ctx context.Context, id uint64, clauses [][]int) (Resul
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	parent, err := s.lookup(id)
+	parent, checked, err := s.lookup(id, true)
 	if err != nil {
 		return Result{}, err
 	}
@@ -759,13 +797,23 @@ func (s *Service) Extend(ctx context.Context, id uint64, clauses [][]int) (Resul
 	defer solverPool.Put(pooled)
 	sol := pooled.sol
 	// A Sat parent whose model satisfies the new clauses is answered from
-	// its state bytes alone; any other extend loads a solver.
+	// its state bytes alone; any other extend loads a solver. A parent
+	// whose clauses passed the phase check is marked: they need no rescan.
 	data, err := cand.FS.ReadFileInto(stateFile, pooled.buf)
 	loaded, answered := err == nil, false
 	res := Result{Verdict: solver.Sat}
 	var state []byte
 	if loaded {
-		state, res.Model, answered = sol.ExtendFromPhases(data, clauses)
+		if !checked {
+			scanning()
+		}
+		state, res.Model, answered = solver.ExtendFromPhases(data, clauses, checked)
+	}
+	if answered && !checked {
+		sh := s.shardFor(id)
+		sh.mu.Lock()
+		sh.markChecked(id, parent)
+		sh.mu.Unlock()
 	}
 	if !answered {
 		if loaded {
@@ -819,7 +867,8 @@ func (s *Service) Extend(ctx context.Context, id uint64, clauses [][]int) (Resul
 		pooled.buf = state
 	}
 
-	res.ID, err = s.park(s.tree.Capture(cand, parent))
+	// A phase-answered child passes the check by construction.
+	res.ID, err = s.park(s.tree.Capture(cand, parent), answered)
 	if err != nil {
 		return Result{}, err
 	}
@@ -890,27 +939,18 @@ func (s *Service) Pin(id uint64) error {
 	if s.closed {
 		return ErrClosed
 	}
-	for {
-		sh := s.shardFor(id)
-		sh.mu.Lock()
-		e, ok := sh.entries[id]
-		if !ok {
-			sh.mu.Unlock()
-			retry, err := s.resolveMiss(sh, id)
-			if retry {
-				continue
-			}
-			return err
-		}
-		if !e.pinned {
-			e.pinned = true
-			sh.lruRemove(e)
-			s.parked.Add(-1)
-			s.pinned.Add(1)
-		}
-		sh.mu.Unlock()
-		return nil
+	sh, e, err := s.find(id)
+	if err != nil {
+		return err
 	}
+	if !e.pinned {
+		e.pinned = true
+		sh.lruRemove(e)
+		s.parked.Add(-1)
+		s.pinned.Add(1)
+	}
+	sh.mu.Unlock()
+	return nil
 }
 
 // Touch bumps a reference's LRU clock without extending it — a client
@@ -919,34 +959,10 @@ func (s *Service) Pin(id uint64) error {
 // Returns nil for a live or spilled reference, ErrEvicted or
 // ErrUnknownRef otherwise.
 //
-// hot_path: locks=closeMu,mu a keep-alive is lookup's hit path minus
-// the Retain; the miss arm lives in resolveMiss.
+// hot_path: a keep-alive is lookup without the Retain.
 func (s *Service) Touch(id uint64) error {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	for {
-		sh := s.shardFor(id)
-		sh.mu.Lock()
-		e, ok := sh.entries[id]
-		if !ok {
-			sh.mu.Unlock()
-			//lint:ignore hotpath cold miss path: promote from the store or explain the absence
-			retry, err := s.resolveMiss(sh, id)
-			if retry {
-				continue
-			}
-			return err
-		}
-		e.lastUse = s.clock.Add(1)
-		if !e.pinned && !e.demoting {
-			sh.lruTouch(e)
-		}
-		sh.mu.Unlock()
-		return nil
-	}
+	_, _, err := s.lookup(id, false)
+	return err
 }
 
 // Unpin makes a reference evictable again. The root cannot be unpinned.
@@ -982,9 +998,7 @@ func (s *Service) Unpin(id uint64) error {
 	sh.lruPushBack(e)
 	sh.mu.Unlock()
 	s.pinned.Add(-1)
-	if s.parked.Add(1) > int64(s.capacity) && s.capacity > 0 {
-		s.evictOne()
-	}
+	s.reserve()
 	return nil
 }
 

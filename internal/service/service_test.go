@@ -166,9 +166,18 @@ func TestExtendCancelledContext(t *testing.T) {
 // root.
 func parkedState(t *testing.T, s *Service, id uint64) []byte {
 	t.Helper()
-	st, err := s.lookup(id)
+	data, err := readParked(s, id)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return data
+}
+
+// readParked is parkedState for a goroutine other than the test's.
+func readParked(s *Service, id uint64) ([]byte, error) {
+	st, _, err := s.lookup(id, true)
+	if err != nil {
+		return nil, err
 	}
 	defer s.inflight.Done()
 	defer st.Release()
@@ -176,9 +185,9 @@ func parkedState(t *testing.T, s *Service, id uint64) []byte {
 	defer cand.Release()
 	data, err := cand.FS.ReadFile(stateFile)
 	if err != nil && id != 0 {
-		t.Fatal(err)
+		return nil, err
 	}
-	return data
+	return data, nil
 }
 
 // TestPhaseAnswers: an extend of a Sat parent whose model satisfies every
@@ -624,9 +633,11 @@ func TestExtendAllocatesNothingPerClause(t *testing.T) {
 // BenchmarkExtendBig is one svc-bigbase request without the wire: a
 // three-literal extend off a pinned 500-variable base. In /model-holds
 // the base's model satisfies most clauses (7 in 8, as on svc-bigbase), so
-// the parent's phases answer them with no solver; in /model-breaks every
-// clause is false under that model, so each extend loads a solver and
-// searches. It asserts nothing.
+// the parent's phases answer them with no solver, and after the first
+// such extend the base is checked; in /model-breaks every clause is false
+// under that model, so each extend loads a solver and searches;
+// /checked-chain is /model-holds off a grandchild of the base that its
+// phases answered, parked checked. It asserts nothing.
 func BenchmarkExtendBig(b *testing.B) {
 	s := New()
 	defer s.Close()
@@ -645,17 +656,31 @@ func BenchmarkExtendBig(b *testing.B) {
 		}
 		return v
 	}
+	mixed := func(v int) []int { return []int{v, -(v + 1), v + 2} }
+	grandchild := base.ID
+	for v := 1; v <= 4; v += 3 {
+		r, err := s.Extend(ctx, grandchild, [][]int{{-fails(v), fails(v + 1)}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		grandchild = r.ID
+	}
+	if st := s.Stats(); st.PhaseAnswers != 2 {
+		b.Fatalf("%d of the grandchild's two extends answered from the phases", st.PhaseAnswers)
+	}
 	for _, bc := range []struct {
 		name   string
+		parent uint64
 		clause func(v int) []int
 	}{
-		{"model-holds", func(v int) []int { return []int{v, -(v + 1), v + 2} }},
-		{"model-breaks", func(v int) []int { return []int{fails(v), fails(v + 1), fails(v + 2)} }},
+		{"model-holds", base.ID, mixed},
+		{"model-breaks", base.ID, func(v int) []int { return []int{fails(v), fails(v + 1), fails(v + 2)} }},
+		{"checked-chain", grandchild, mixed},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				r, err := s.Extend(ctx, base.ID, [][]int{bc.clause(1 + i%498)})
+				r, err := s.Extend(ctx, bc.parent, [][]int{bc.clause(1 + i%498)})
 				if err != nil {
 					b.Fatal(err)
 				}

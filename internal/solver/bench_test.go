@@ -2,7 +2,6 @@ package solver
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -157,40 +156,27 @@ func BenchmarkSolveAfterLoad(b *testing.B) {
 
 // BenchmarkExtendFromPhases answers a clause the base's model satisfies
 // from the base state's bytes, onto a buffer with room for the child, as
-// the service's pooled buffer has after its first extend. The solver's
-// memo is the child of the last iteration (same-phases); that child's,
-// but the state alternates with a copy whose phase words differ and decide
-// alike (other-phases, so only the canonical checks are skipped); or none,
-// a new solver each time (fresh, which checks everything).
+// the service's pooled buffer has after its first extend: with the loaded
+// clauses known to pass the phase check (checked), as for a parked state
+// the service marked, or scanned (unchecked).
 func BenchmarkExtendFromPhases(b *testing.B) {
 	state, base := bigBaseState(b)
 	clause := []int{17, 230, 451}
 	if base.phase[17] == -1 {
 		clause[0] = -17
 	}
-	other := slices.Clone(state)
-	at, nv := phaseIndex(other, 1)
-	for w := at; w < at+nv; w++ {
-		if other[8*w] == 1 {
-			other[8*w] = 2
+	for _, checked := range []bool{true, false} {
+		name := "unchecked"
+		if checked {
+			name = "checked"
 		}
-	}
-	for _, name := range []string{"same-phases", "other-phases", "fresh"} {
 		b.Run(name, func(b *testing.B) {
-			s := New(0)
 			buf := make([]byte, len(state), len(state)+4096)
 			b.ReportAllocs()
 			b.SetBytes(int64(len(state)))
 			for i := 0; i < b.N; i++ {
-				parent := state
-				switch {
-				case name == "fresh":
-					s = New(0)
-				case name == "other-phases" && i%2 == 1:
-					parent = other
-				}
-				copy(buf, parent)
-				if _, _, ok := s.ExtendFromPhases(buf, [][]int{clause}); !ok {
+				copy(buf, state)
+				if _, _, ok := ExtendFromPhases(buf, [][]int{clause}, checked); !ok {
 					b.Fatal("declined")
 				}
 			}

@@ -138,12 +138,14 @@ func sortWords(b []byte) {
 // decision). Checking the loaded clauses, Solve's own phase check, is
 // what keeps it from trusting that an ok state was marshalled after Sat.
 //
-// s lends only a memo, as to Load: its last answer's clause section and
-// phases. The whole clauses of the prefix that state's clause section
-// shares with it are canonical, as Load's memo argues, if the memo has no
-// more variables; they hold under equal phase bytes, and otherwise only
-// their literals' phases are read, up to a true one.
-func (s *Solver) ExtendFromPhases(state []byte, clauses [][]int) (child []byte, model []bool, ok bool) {
+// checked says the caller already knows that state's loaded clauses pass
+// that check; then they are not read. A child this returns passes it by
+// construction: its clauses are state's, which passed, and the new ones,
+// which were just checked, its phases are state's rewritten as ±1 with the
+// same truth values, and its footer has ok 1 and no facts. So a child may
+// be extended with checked true for as long as its bytes are unchanged.
+// The footer is read either way: no flag in it is ever taken on trust.
+func ExtendFromPhases(state []byte, clauses [][]int, checked bool) (child []byte, model []bool, ok bool) {
 	f, err := readFooter(state)
 	if err != nil || f.ok != 1 || f.facts != 0 {
 		return nil, nil, false
@@ -177,23 +179,7 @@ func (s *Solver) ExtendFromPhases(state []byte, clauses [][]int) (child []byte, 
 		return nil, nil, false
 	}
 	// Then the loaded clauses, which are many more.
-	at, n, same := 0, f.clauses+f.learnts, 0
-	if len(s.heldPhases) <= len(phases) {
-		same = 8 * sharedWords(s.heldClauses, state[:8*cw])
-	}
-	samePhases := bytes.Equal(phases, s.heldPhases)
-	for ; n > 0 && at+8 <= same; n-- {
-		// A length word inside the memo's clauses is one it checked.
-		end := at + 8 + 8*int(le.Uint64(state[at:]))
-		if end > same {
-			break
-		}
-		if !samePhases && !phaseHolds(state[at+8:end], phases) {
-			return nil, nil, false
-		}
-		at = end
-	}
-	if !phaseClauses(state[at:8*cw], n, phases) {
+	if !checked && !phaseClauses(state[:8*cw], f.clauses+f.learnts, phases) {
 		return nil, nil, false
 	}
 
@@ -214,8 +200,6 @@ func (s *Solver) ExtendFromPhases(state []byte, clauses [][]int) (child []byte, 
 	for i, w := range [footerWords]uint64{f.clauses + f.learnts + k, 0, 0, f.vars, 1, solverMagic} {
 		le.PutUint64(tail[8*i:], w)
 	}
-	s.heldClauses = append(s.heldClauses[:same], child[same:8*cw+len(add)]...)
-	s.heldPhases = append(s.heldPhases[:0], moved...)
 	return child, model, true
 }
 
@@ -346,7 +330,6 @@ func (s *Solver) Reset() {
 		activity: s.activity[:0], heap: s.heap[:0], heapPos: s.heapPos[:0],
 		trail: s.trail[:0], trailLim: s.trailLim[:0], seen: s.seen[:0], scratch: s.scratch[:0],
 		memoRaw: s.memoRaw, memoArena: s.memoArena, memoMaxVar: s.memoMaxVar,
-		heldClauses: s.heldClauses, heldPhases: s.heldPhases,
 	}
 }
 

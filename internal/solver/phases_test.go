@@ -39,26 +39,21 @@ func extendBySolver(parent []byte, clauses [][]int) (solved, error) {
 	return out, nil
 }
 
-// checkExtendFromPhases runs ExtendFromPhases on a copy of parent with
-// room spare bytes of capacity, by a new solver and by recycled, whose
-// memo is what it last answered. The two must agree. When they decline,
-// the copies must be unchanged. When they answer, Load must accept
-// parent, and the solver path must come to Sat with no learnt clause, the
-// same model and the same bytes.
-func checkExtendFromPhases(t *testing.T, recycled *Solver, parent []byte, room int, clauses [][]int) bool {
+// checkExtendFromPhases runs ExtendFromPhases, scanning every loaded
+// clause, on a copy of parent with room spare bytes of capacity, and
+// returns the child, or nil if it declines. When it declines, the copy
+// must be unchanged. When it answers, Load must accept parent, and the
+// solver path must come to Sat with no learnt clause, the same model and
+// the same bytes.
+func checkExtendFromPhases(t *testing.T, parent []byte, room int, clauses [][]int) []byte {
 	t.Helper()
 	in := append(make([]byte, 0, len(parent)+room), parent...)
-	child, model, ok := New(0).ExtendFromPhases(in, clauses)
-	in2 := append(make([]byte, 0, len(parent)+room), parent...)
-	child2, model2, ok2 := recycled.ExtendFromPhases(in2, clauses)
-	if ok != ok2 || !bytes.Equal(child, child2) || !slices.Equal(model, model2) {
-		t.Fatalf("extend by %v: a new solver answers %v, one with a memo %v (or they differ)", clauses, ok, ok2)
-	}
+	child, model, ok := ExtendFromPhases(in, clauses, false)
 	if !ok {
-		if !bytes.Equal(in, parent) || !bytes.Equal(in2, parent) {
+		if !bytes.Equal(in, parent) {
 			t.Fatalf("extend by %v: declined, yet wrote into the state", clauses)
 		}
-		return false
+		return nil
 	}
 	want, err := extendBySolver(parent, clauses)
 	switch {
@@ -71,7 +66,22 @@ func checkExtendFromPhases(t *testing.T, recycled *Solver, parent []byte, room i
 	case !bytes.Equal(child, want.state):
 		t.Fatalf("extend by %v: the child state differs from the solver path's", clauses)
 	}
-	return true
+	return child
+}
+
+// checkChecked is the induction step behind the service's checked bit:
+// child, which ExtendFromPhases returned, passes the loaded-clause check
+// by construction, so extending it by clauses without the scan must give
+// what the scan gives — the same ok, model and bytes.
+func checkChecked(t *testing.T, child []byte, room int, clauses [][]int) {
+	t.Helper()
+	in := append(make([]byte, 0, len(child)+room), child...)
+	got, model, ok := ExtendFromPhases(in, clauses, true)
+	in2 := append(make([]byte, 0, len(child)+room), child...)
+	want, model2, ok2 := ExtendFromPhases(in2, clauses, false)
+	if ok != ok2 || !slices.Equal(model, model2) || !bytes.Equal(got, want) {
+		t.Fatalf("extend of a child by %v: answers %v unscanned and %v scanned (or they differ)", clauses, ok, ok2)
+	}
 }
 
 // TestExtendFromPhasesMatchesSolver runs random extends over four shapes
@@ -79,8 +89,7 @@ func checkExtendFromPhases(t *testing.T, recycled *Solver, parent []byte, room i
 // produced (Unsat ones included), with one or two clauses each. Mixed in
 // are unit clauses, clauses naming a new variable, tautologies, parents
 // whose phase words are scrambled, and parents with level-0 facts. Every
-// extend is done both ways, and by a solver whose memo is the extend
-// before.
+// extend is done both ways.
 func TestExtendFromPhasesMatchesSolver(t *testing.T) {
 	count := map[string]int{}
 	for _, shape := range []struct {
@@ -102,7 +111,7 @@ func TestExtendFromPhasesMatchesSolver(t *testing.T) {
 		}
 		base.Solve(0)
 		states := [][]byte{base.Marshal()}
-		answered, recycled := 0, New(0)
+		answered := 0
 		for i := 0; i < 1000; i++ {
 			parent := states[rng.Intn(len(states))]
 			clauses := [][]int{randomClause(rng, shape.nVars, shape.lit)}
@@ -127,7 +136,7 @@ func TestExtendFromPhasesMatchesSolver(t *testing.T) {
 			if facts := binary.LittleEndian.Uint64(parent[len(parent)-32:]); facts != 0 {
 				count["facts"]++
 			}
-			if checkExtendFromPhases(t, recycled, parent, (i%2)*4096, clauses) {
+			if checkExtendFromPhases(t, parent, (i%2)*4096, clauses) != nil {
 				answered++
 			}
 			next, err := extendBySolver(parent, clauses)
@@ -152,17 +161,20 @@ func TestExtendFromPhasesMatchesSolver(t *testing.T) {
 	}
 }
 
-// FuzzExtendFromPhases fuzzes ExtendFromPhases with a state and an extend's
-// clauses (one int8 literal per byte, a 0 byte ending a clause). It must
-// never panic, and whenever it answers, Load must accept the state and
-// the solver path must give the same verdict, model and bytes (see
-// checkExtendFromPhases), with no memo and with each seed state's as the
-// memo. The corpus is seeded with states Marshal wrote —
+// FuzzExtendFromPhases fuzzes ExtendFromPhases with a state and two
+// extends' clauses (one int8 literal per byte, a 0 byte ending a clause).
+// It must never panic, and whenever it answers, Load must accept the state
+// and the solver path must give the same verdict, model and bytes (see
+// checkExtendFromPhases). Its child, extended by the second clauses, must
+// then answer the same unscanned as scanned (checkChecked). The corpus is
+// seeded with states Marshal wrote —
 // Sat, Unsat, with learnt clauses, with level-0 facts — the scrambled and
 // re-encoded phase words of TestSolveFastPathMatchesSearch, truncated and
 // corrupt bytes, non-canonical clauses (a unit, literals out of order, a
-// literal twice, a variable both ways), and a Sat state whose phases, all
-// set to false, leave a loaded clause false while the new clause holds.
+// literal twice, a variable both ways), a Sat state whose phases, all
+// set to false, leave a loaded clause false while the new clause holds,
+// and extends the phases of a state with learnt clauses, or with 0 phase
+// words, satisfy twice over.
 func FuzzExtendFromPhases(f *testing.F) {
 	addAll := func(s *Solver, clauses ...[]int) *Solver {
 		for _, cl := range clauses {
@@ -212,51 +224,60 @@ func FuzzExtendFromPhases(f *testing.F) {
 		rawState(3, []int{-2, -2, 3}), rawState(3, []int{-2, 1, 2}))
 	for _, st := range states {
 		for _, ext := range [][]byte{{0xff, 0xfe, 0}, {1, 0xff, 0, 3, 4}, {2}, {}, {0}, {5, 6, 0, 0x81, 1}} {
-			f.Add(st, ext)
+			f.Add(st, ext, []byte{2, 0xfd, 0, 4, 0xff})
+		}
+	}
+	// holds is a clause over vars that state's phases make true.
+	holds := func(state []byte, vars ...int) []byte {
+		var cl []byte
+		for _, v := range vars {
+			at, _ := phaseIndex(state, v)
+			if int8(state[8*at]) == -1 {
+				v = -v
+			}
+			cl = append(cl, byte(int8(v)))
+		}
+		return append(cl, 0)
+	}
+	// Learnt clauses with no level-0 fact, so the phases may answer.
+	learnt = addAll(New(30), Random3SAT(30, 100, 2)...)
+	if learnt.NumLearnts() == 0 {
+		f.Fatal("the learnt-clause seed learnt nothing")
+	}
+	zeros := phasedState([]int64{-1, 0, 1, 0}, []int{1, 2}, []int{-1, 3}, []int{-3, -2, 4}, []int{-4, 2})
+	for _, st := range [][]byte{learnt.Marshal(), zeros} {
+		for _, ext := range [][2][]byte{
+			{holds(st, 1, 2), holds(st, 3, 4)},
+			{append(holds(st, 2, 3, 4), holds(st, 1, 4)...), holds(st, 1, 2, 3)},
+		} {
+			if _, _, ok := ExtendFromPhases(slices.Clone(st), fuzzClauses(ext[0]), false); !ok {
+				f.Fatalf("the seed extend by %v declined", fuzzClauses(ext[0]))
+			}
+			f.Add(st, ext[0], ext[1])
 		}
 	}
 
-	f.Fuzz(func(t *testing.T, state, ext []byte) {
-		var clauses [][]int
-		cl := []int{}
-		for _, b := range ext {
-			if b == 0 {
-				clauses, cl = append(clauses, cl), []int{}
-				continue
-			}
-			cl = append(cl, int(int8(b)))
-		}
-		if len(cl) > 0 {
-			clauses = append(clauses, cl)
-		}
-		for _, seed := range states {
-			recycled := New(0)
-			recycled.ExtendFromPhases(slices.Clone(seed), nil)
-			checkExtendFromPhases(t, recycled, state, 64, clauses)
+	f.Fuzz(func(t *testing.T, state, ext, ext2 []byte) {
+		if child := checkExtendFromPhases(t, state, 64, fuzzClauses(ext)); child != nil {
+			checkChecked(t, child, 64, fuzzClauses(ext2))
 		}
 	})
 }
 
-// TestExtendFromPhasesMemo: what the memo lets ExtendFromPhases skip is
-// only what it checked. After answering an extend of a four-variable
-// state, it must still decline, as a new solver does, a state that
-// shares the memo's clauses up to the length word of a clause that fails
-// under the phases; one whose phases make a shared clause false; and one
-// of three variables whose shared clauses name the fourth.
-func TestExtendFromPhasesMemo(t *testing.T) {
-	base := [][]int{{1, 2}, {-1, 3}, {-3, -2, 4}}
-	phases := []int64{-1, 1, 1, 1}
-	for name, state := range map[string][]byte{
-		"a clause past the shared length word": phasedState(phases, append(base, []int{-3, -2, 1})...),
-		"other phases":                         phasedState([]int64{-1, -1, -1, -1}, base...),
-		"fewer variables":                      phasedState(phases[:3], base...),
-	} {
-		recycled := New(0)
-		if _, _, ok := recycled.ExtendFromPhases(phasedState(phases, base...), [][]int{{1, 2, 3}}); !ok {
-			t.Fatal("the memo's extend declined")
+// fuzzClauses reads clauses from b, one int8 literal per byte, a 0 byte
+// ending a clause.
+func fuzzClauses(b []byte) [][]int {
+	var clauses [][]int
+	cl := []int{}
+	for _, x := range b {
+		if x == 0 {
+			clauses, cl = append(clauses, cl), []int{}
+			continue
 		}
-		if checkExtendFromPhases(t, recycled, state, 0, nil) {
-			t.Errorf("%s: answered", name)
-		}
+		cl = append(cl, int(int8(x)))
 	}
+	if len(cl) > 0 {
+		clauses = append(clauses, cl)
+	}
+	return clauses
 }

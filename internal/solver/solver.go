@@ -149,11 +149,6 @@ type Solver struct {
 	memoArena  []lit
 	memoMaxVar int
 
-	// heldClauses and heldPhases are ExtendFromPhases' memo (its last
-	// answer's clause section and phases), kept by Reset like Load's.
-	heldClauses []byte
-	heldPhases  []byte
-
 	Stats Stats
 }
 
