@@ -14,7 +14,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -41,12 +40,8 @@ func main() {
 
 	// Boards stream through the OnSolution hook the moment the guest prints
 	// them — no waiting for the full search; Ctrl-C stops cleanly with the
-	// partial count. The observer watches the engine's snapshot churn live.
-	var liveSnapshots atomic.Int64
+	// partial count. Result.Stats reports the snapshot churn.
 	eng := repro.NewEngine(repro.NewVMMachine(0),
-		repro.WithObserver(&repro.FuncObserver{
-			Snapshot: func(id uint64, depth int) { liveSnapshots.Add(1) },
-		}),
 		repro.WithOnSolution(func(s repro.Solution) repro.Decision {
 			if *show {
 				board := string(s.Out)
@@ -78,6 +73,6 @@ func main() {
 	}
 	fmt.Printf("n=%d: %d solutions in %v (strategy %s, %s)\n",
 		*n, len(res.Solutions), time.Since(start).Round(time.Microsecond), res.Strategy, status)
-	fmt.Printf("extension steps=%d snapshots=%d (observer saw %d) CoW page copies=%d\n",
-		res.Stats.Nodes, res.Stats.Snapshots, liveSnapshots.Load(), res.Stats.CowCopies)
+	fmt.Printf("extension steps=%d snapshots=%d CoW page copies=%d\n",
+		res.Stats.Nodes, res.Stats.Snapshots, res.Stats.CowCopies)
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/queens"
+	"repro/internal/service"
 	"repro/internal/solver"
 )
 
@@ -322,8 +323,8 @@ func E4(o Options) (*Table, error) {
 
 // E5 reproduces the incremental-solving argument (§2): solving p and then
 // p∧q from p's retained state beats solving p∧q from scratch. Three arms:
-// from-scratch, in-process incremental, and the snapshot-service shape
-// that serializes solver state into the candidate (what cmd/solversvc does).
+// from-scratch, in-process incremental, and the §3.2 snapshot service
+// (service.Extend on the parked parent, what cmd/solversvc serves).
 func E5(o Options) (*Table, error) {
 	nVars, nBase, batch, nBatches := 150, 520, 25, 5
 	if o.Quick {
@@ -344,17 +345,15 @@ func E5(o Options) (*Table, error) {
 	}
 	incBaseT := timed(func() { inc.Solve(0) })
 
-	// Snapshot-service arm: solver state parked as serialized bytes (the
-	// candidate's "memory image"), reloaded per request.
-	svcState := []byte(nil)
-	{
-		s := solver.New(nVars)
-		for _, cl := range baseClauses {
-			s.AddClause(cl...)
-		}
-		s.Solve(0)
-		svcState = s.Marshal()
+	// Snapshot-service arm: p parked in a service, each step extending
+	// the previous step's reference.
+	svc := service.New()
+	defer svc.Close()
+	base, err := svc.Extend(context.Background(), 0, baseClauses)
+	if err != nil {
+		return nil, err
 	}
+	svcID := base.ID
 
 	// Step 0: the base problem p itself.
 	scratchBaseT := timed(func() {
@@ -387,22 +386,15 @@ func E5(o Options) (*Table, error) {
 				panic(fmt.Sprintf("E5: incremental verdict %v != scratch %v", got, verdict))
 			}
 		})
-		var svcT time.Duration
-		{
-			svcT = timed(func() {
-				s, err := solver.Unmarshal(svcState)
-				if err != nil {
-					panic(err)
-				}
-				for _, cl := range chunk {
-					s.AddClause(cl...)
-				}
-				if got := s.Solve(0); got != verdict {
-					panic(fmt.Sprintf("E5: service verdict %v != scratch %v", got, verdict))
-				}
-				svcState = s.Marshal()
-			})
+		var r service.Result
+		svcT := timed(func() { r, err = svc.Extend(context.Background(), svcID, chunk) })
+		if err != nil {
+			return nil, err
 		}
+		if r.Verdict != verdict {
+			return nil, fmt.Errorf("E5: service verdict %v != scratch %v", r.Verdict, verdict)
+		}
+		svcID = r.ID
 		t.AddRow(fmt.Sprintf("p∧q%d", b+1), verdict.String(), scratchT, incT, svcT,
 			ratio(scratchT, incT))
 		if verdict == solver.Unsat {

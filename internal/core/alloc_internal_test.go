@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/search"
+	"repro/internal/snapshot"
 )
 
 // PoolsDropItems reports whether sync.Pool is throwing away a share of
@@ -65,8 +67,9 @@ func TestFailingStepAllocatesNothing(t *testing.T) {
 	}
 	// Run the real search first: root guesses, both extensions fail. That
 	// leaves a warm, finished engine whose pieces the loop below drives by
-	// hand, exactly as worker does.
-	e := New(NewHostedMachine(step), Config{Workers: 1, NoRunThrough: true})
+	// hand, exactly as worker does. BFS restores every extension, so the
+	// warm-up passes through the worker's context as the loop does.
+	e := New(NewHostedMachine(step), Config{Workers: 1, Strategy: search.NewBFS[*snapshot.State]()})
 	res, err := e.Run(context.Background(), root)
 	if err != nil || res.Stats.Fails != 2 {
 		t.Fatalf("warm-up search: %v, %+v", err, res)

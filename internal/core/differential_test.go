@@ -162,29 +162,25 @@ func TestWorkCountsMatchTheCommitBeforeReuse(t *testing.T) {
 	for _, g := range guests {
 		for _, workers := range []int{1, 2, 4} {
 			for _, noSteal := range []bool{false, true} {
-				for _, noRunThrough := range []bool{false, true} {
-					name := fmt.Sprintf("%s/w%d/nosteal=%v/norunthrough=%v", g.name, workers, noSteal, noRunThrough)
-					alloc := mem.NewFrameAllocator(0)
-					root, err := g.build(alloc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					eng := core.New(core.NewHostedMachine(g.step), core.Config{
-						Workers: workers, NoSteal: noSteal, NoRunThrough: noRunThrough,
-					})
-					res, err := eng.Run(context.Background(), root)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if res.Stats.Errors != 0 {
-						t.Errorf("%s: %d crashed paths: %v", name, res.Stats.Errors, res.FirstPathError)
-					}
-					if got := countsOf(res); got != g.want {
-						t.Errorf("%s:\n got %#v\nwant %#v", name, got, g.want)
-					}
-					if eng.Tree().Live() != 0 || alloc.Live() != 0 {
-						t.Errorf("%s: leak: %d snapshots, %d frames", name, eng.Tree().Live(), alloc.Live())
-					}
+				name := fmt.Sprintf("%s/w%d/nosteal=%v", g.name, workers, noSteal)
+				alloc := mem.NewFrameAllocator(0)
+				root, err := g.build(alloc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng := core.New(core.NewHostedMachine(g.step), core.Config{Workers: workers, NoSteal: noSteal})
+				res, err := eng.Run(context.Background(), root)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if res.Stats.Errors != 0 {
+					t.Errorf("%s: %d crashed paths: %v", name, res.Stats.Errors, res.FirstPathError)
+				}
+				if got := countsOf(res); got != g.want {
+					t.Errorf("%s:\n got %#v\nwant %#v", name, got, g.want)
+				}
+				if eng.Tree().Live() != 0 || alloc.Live() != 0 {
+					t.Errorf("%s: leak: %d snapshots, %d frames", name, eng.Tree().Live(), alloc.Live())
 				}
 			}
 		}

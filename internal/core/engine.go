@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/interpose"
 	"repro/internal/mem"
@@ -22,9 +21,11 @@ type Ext = search.Item[*snapshot.State]
 type Strategy = search.Strategy[*snapshot.State]
 
 // Config tunes an Engine. The zero value means: DFS, one worker, explore
-// everything, honor guest strategy selection.
+// everything. A run is bounded in time by the Context passed to Run and
+// watched through Result.Stats and OnSolution.
 type Config struct {
-	// Strategy schedules extension evaluation; nil means DFS.
+	// Strategy schedules extension evaluation; nil means DFS. A guest's
+	// sys_guess_strategy at the root step replaces it.
 	Strategy Strategy
 	// Workers is the number of simulated CPU cores (Fig. 2); <=0 means 1.
 	Workers int
@@ -33,18 +34,10 @@ type Config struct {
 	MaxSolutions int
 	// MaxNodes bounds evaluated extensions (safety net; 0 = unlimited).
 	MaxNodes int64
-	// MaxFanout bounds a single guess arity (0 means 4096).
-	MaxFanout uint64
 	// KeepExitSnapshots captures a final snapshot for every exiting path
-	// and hands it to the caller via Solution.Final (used by the
-	// incremental-solver service). The caller releases them via
-	// Result.Release.
+	// and hands it to the caller via Solution.Final. The caller releases
+	// them via Result.Release.
 	KeepExitSnapshots bool
-	// IgnoreGuestStrategy refuses sys_guess_strategy requests (ack 0).
-	IgnoreGuestStrategy bool
-	// SMACapacity is the queue bound handed to SM-A* when a guest selects
-	// it (0 means 65536).
-	SMACapacity int
 	// RandomSeed seeds the Random strategy when a guest selects it.
 	RandomSeed uint64
 	// NoSteal forces the single global queue even for order-insensitive
@@ -52,35 +45,19 @@ type Config struct {
 	// the measured baseline for the E12 scaling experiment and an escape
 	// hatch for strict single-queue pop order.
 	NoSteal bool
-	// NoRunThrough disables the DFS run-through optimization, in which the
-	// worker that hits a guess keeps executing extension 0 in its live
-	// context (no snapshot restore) and only the siblings are queued —
-	// the same trick S2E plays when it continues the current state after
-	// a fork. Under DFS the exploration order is identical; the savings
-	// are one restore plus the first-write path copies per interior node.
-	NoRunThrough bool
 	// OnSolution, when non-nil, is invoked synchronously from the worker
 	// that surfaced each solution, before it is appended to the Result.
 	// Returning Stop halts the search. With Workers > 1 the hook may be
-	// called concurrently. When DiscardSolutions is also set, the hook
-	// owns Solution.Final and must release it.
+	// called concurrently.
 	OnSolution func(Solution) Decision
-	// Observer, when non-nil, receives telemetry callbacks from the hot
-	// loop (see Observer). It runs in addition to OnSolution.
-	Observer Observer
-	// DiscardSolutions stops the engine from buffering solutions into
-	// Result.Solutions — for streaming callers that consume them through
-	// OnSolution (or Engine.Solutions) and don't want the run's full
-	// answer set held in memory. MaxSolutions still counts.
-	DiscardSolutions bool
-	// Timeout bounds the whole run; when it elapses Run stops and returns
-	// the partial Result with context.DeadlineExceeded. Zero means no
-	// timeout. Applied on top of the Context passed to Run.
-	Timeout time.Duration
-	// Deadline is the absolute-time form of Timeout; the zero value means
-	// no deadline. When both are set the earlier one wins.
-	Deadline time.Time
 }
+
+// maxFanout bounds a single guess arity: a larger guess crashes its path.
+const maxFanout = 4096
+
+// smaCapacity is the queue bound of the SM-A* strategy a guest selects
+// with sys_guess_strategy.
+const smaCapacity = 65536
 
 // SolutionKind distinguishes how a solution surfaced.
 type SolutionKind uint8
@@ -108,6 +85,27 @@ type Solution struct {
 	Status uint64          // exit status
 	Depth  int             // guesses along the path
 	Final  *snapshot.State // retained final snapshot when KeepExitSnapshots
+}
+
+// Decision is returned by solution hooks to direct the engine after a
+// solution surfaces.
+type Decision uint8
+
+// Decisions.
+const (
+	// Continue keeps searching.
+	Continue Decision = iota
+	// Stop halts the search: in-flight extension steps finish their current
+	// machine resume, queued extensions are drained and their snapshot
+	// references released, and Run returns the partial Result.
+	Stop
+)
+
+func (d Decision) String() string {
+	if d == Stop {
+		return "stop"
+	}
+	return "continue"
 }
 
 // Stats aggregates engine-level counters for one run.
@@ -160,8 +158,18 @@ type Engine struct {
 	stopped  bool
 	halted   atomic.Bool // mirrors stopped for lock-free reads
 
-	runThrough bool // continue extension 0 in-place (DFS only)
+	// runThrough (DFS only): the worker that hits a guess keeps executing
+	// extension 0 in its live context and queues only the siblings — the
+	// trick S2E plays when it continues the current state after a fork.
+	// The exploration order is DFS's; the saving is one restore plus the
+	// first-write path copies per interior node.
+	runThrough bool
 
+	// discard stops the engine from buffering solutions into
+	// Result.Solutions: Solutions streams them through the OnSolution
+	// hook it installs, which owns each Solution.Final, so the run's
+	// answer set is never held. MaxSolutions still counts.
+	discard   bool
 	solutions []Solution
 	recorded  int // surfaced solutions, whether or not buffered
 	pathErr   error
@@ -173,8 +181,13 @@ type Engine struct {
 	// cache line another worker reads; Run folds the counters at the end.
 	workers []worker
 
-	budget  atomic.Int64 // steps admitted under Config.MaxNodes; unused without a budget
-	evicted atomic.Int64 // SM-A* drops: the hook runs under the queue lock, not as a worker
+	budget atomic.Int64 // steps admitted under Config.MaxNodes; unused without a budget
+
+	// sma is the adopted strategy when it is SM-A*, and smaBase its
+	// eviction count at adoption (a Config.Strategy may be reused): Run
+	// reads the difference into Stats.Evicted once every worker is done.
+	sma     *search.SMAStar[*snapshot.State]
+	smaBase int64
 }
 
 // worker is one simulated core's private state: the Context every step it
@@ -200,12 +213,6 @@ func New(m Machine, cfg Config) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.MaxFanout == 0 {
-		cfg.MaxFanout = 4096
-	}
-	if cfg.SMACapacity == 0 {
-		cfg.SMACapacity = 65536
-	}
 	st := cfg.Strategy
 	if st == nil {
 		st = search.NewDFS[*snapshot.State]()
@@ -215,22 +222,18 @@ func New(m Machine, cfg Config) *Engine {
 	return e
 }
 
-// adoptStrategy installs st as the engine's policy: telemetry hooks, the
-// run-through flag, and the matching scheduler (sharded work-stealing for
+// adoptStrategy installs st as the engine's policy: the eviction count,
+// the run-through flag, and the matching scheduler (sharded work-stealing for
 // order-insensitive policies, the dedicated global queue otherwise). Only
 // called before workers exist — from New and from the root step's
 // sys_guess_strategy handling — under e.mu when e.mu already guards state.
 func (e *Engine) adoptStrategy(st Strategy) {
-	if sm, ok := st.(*search.SMAStar[*snapshot.State]); ok {
-		sm.SetEvictHook(func(it Ext) {
-			e.evicted.Add(1)
-			if e.cfg.Observer != nil {
-				e.cfg.Observer.OnEvict(it.Depth)
-			}
-		})
+	e.sma, _ = st.(*search.SMAStar[*snapshot.State])
+	if e.sma != nil {
+		e.smaBase = e.sma.Evicted
 	}
 	e.strategy = st
-	e.runThrough = st.Name() == "dfs" && !e.cfg.NoRunThrough
+	e.runThrough = st.Name() == "dfs"
 	if sb, ok := st.(search.Stealable); ok && !e.cfg.NoSteal {
 		seed := e.cfg.RandomSeed
 		if r, ok := st.(interface{ Seed() uint64 }); ok {
@@ -262,16 +265,6 @@ func (e *Engine) Run(ctx context.Context, root *snapshot.Context) (*Result, erro
 	}
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	if !e.cfg.Deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, e.cfg.Deadline)
-		defer cancel()
-	}
-	if e.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.cfg.Timeout)
-		defer cancel()
 	}
 	if err := ctx.Err(); err != nil {
 		root.Release()
@@ -329,7 +322,9 @@ func (e *Engine) Run(ctx context.Context, root *snapshot.Context) (*Result, erro
 		st.add(&e.workers[i].stats)
 	}
 	st.Nodes += e.budget.Load()
-	st.Evicted = e.evicted.Load()
+	if e.sma != nil {
+		st.Evicted = e.sma.Evicted - e.smaBase
+	}
 	st.Snapshots = e.tree.Created()
 	st.CaptureNs = e.tree.CaptureNs()
 	st.Steals, st.LocalPops = e.sched.stats()
@@ -428,11 +423,7 @@ func (e *Engine) evaluate(w int, parent *snapshot.State, ctx *snapshot.Context, 
 	if held := e.extend(w, parent, ctx, retval); held != nil {
 		held.Release()
 	}
-	st := ctx.Mem.Stats()
-	ws.stats.Stats.Add(st)
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.OnStepStats(st)
-	}
+	ws.stats.Stats.Add(ctx.Mem.Stats())
 	ctx.Release()
 }
 
@@ -451,7 +442,7 @@ func (e *Engine) extend(w int, parent *snapshot.State, ctx *snapshot.Context, re
 		}
 		for ev.Kind == EventStrategy {
 			ack := uint64(0)
-			if parent == nil && held == nil && !e.cfg.IgnoreGuestStrategy {
+			if parent == nil && held == nil {
 				if st := e.strategyByID(ev.N); st != nil {
 					// Only reachable from the root step, before the first
 					// guess: nothing is queued and no worker is running, so
@@ -482,23 +473,16 @@ func (e *Engine) extend(w int, parent *snapshot.State, ctx *snapshot.Context, re
 		case EventGuess:
 			if ev.N == 0 { // sys_guess(0) ≡ sys_guess_fail
 				ws.stats.Fails++
-				if e.cfg.Observer != nil {
-					e.cfg.Observer.OnFail(depth)
-				}
 				e.recordEmission(ws, parent, ctx)
 				return held
 			}
-			if ev.N > e.cfg.MaxFanout {
+			if ev.N > maxFanout {
 				ws.stats.Errors++
-				e.samplePathErr(fmt.Errorf("core: guess(%d) exceeds fanout bound %d", ev.N, e.cfg.MaxFanout))
+				e.samplePathErr(fmt.Errorf("core: guess(%d) exceeds fanout bound %d", ev.N, maxFanout))
 				return held
 			}
 			ws.stats.Guesses++
 			snap := e.tree.Capture(ctx, parent)
-			if e.cfg.Observer != nil {
-				e.cfg.Observer.OnGuess(depth, ev.N)
-				e.cfg.Observer.OnSnapshot(snap.ID(), snap.Depth())
-			}
 			runThrough := e.runThrough && !e.halted.Load()
 			first := uint64(0)
 			if runThrough {
@@ -554,18 +538,12 @@ func (e *Engine) extend(w int, parent *snapshot.State, ctx *snapshot.Context, re
 			}
 			if e.cfg.KeepExitSnapshots {
 				sol.Final = e.tree.Capture(ctx, parent)
-				if e.cfg.Observer != nil {
-					e.cfg.Observer.OnSnapshot(sol.Final.ID(), sol.Final.Depth())
-				}
 			}
 			e.recordSolution(sol)
 			return held
 
 		case EventFail:
 			ws.stats.Fails++
-			if e.cfg.Observer != nil {
-				e.cfg.Observer.OnFail(depth)
-			}
 			e.recordEmission(ws, parent, ctx)
 			return held
 
@@ -604,20 +582,13 @@ func (e *Engine) recordEmission(ws *worker, parent *snapshot.State, ctx *snapsho
 }
 
 func (e *Engine) recordSolution(sol Solution) {
-	if e.cfg.Observer != nil {
-		e.cfg.Observer.OnSolution(sol)
-	}
 	decision := Continue
 	if e.cfg.OnSolution != nil {
 		decision = e.cfg.OnSolution(sol)
-	} else if e.cfg.DiscardSolutions && sol.Final != nil {
-		// Nobody will ever see this solution; don't leak its snapshot.
-		sol.Final.Release()
-		sol.Final = nil
 	}
 	e.mu.Lock()
 	e.recorded++
-	if !e.cfg.DiscardSolutions {
+	if !e.discard {
 		e.solutions = append(e.solutions, sol)
 	}
 	hitLimit := e.cfg.MaxSolutions > 0 && e.recorded >= e.cfg.MaxSolutions
@@ -645,7 +616,7 @@ func (e *Engine) strategyByID(id uint64) Strategy {
 	case interpose.StrategyAStar:
 		return search.NewAStar[*snapshot.State]()
 	case interpose.StrategySMAStar:
-		return search.NewSMAStar[*snapshot.State](e.cfg.SMACapacity,
+		return search.NewSMAStar[*snapshot.State](smaCapacity,
 			func(it Ext) { it.Payload.Release() })
 	case interpose.StrategyRandom:
 		return search.NewRandom[*snapshot.State](e.cfg.RandomSeed)

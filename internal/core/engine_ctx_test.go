@@ -22,8 +22,19 @@ func infiniteStep(env *core.Env) error {
 	return nil
 }
 
-// TestCancelMidSearchReleasesEverything cancels an unbounded run from an
-// observer callback and asserts the partial result comes back with
+// cancelAfter wraps step so that its n-th call cancels the run's context.
+func cancelAfter(n int64, cancel context.CancelFunc, step core.StepFunc) core.StepFunc {
+	var calls atomic.Int64
+	return func(env *core.Env) error {
+		if calls.Add(1) == n {
+			cancel()
+		}
+		return step(env)
+	}
+}
+
+// TestCancelMidSearchReleasesEverything cancels an unbounded run after 50
+// guesses and asserts the partial result comes back with
 // context.Canceled, zero live snapshots, and zero live frames.
 func TestCancelMidSearchReleasesEverything(t *testing.T) {
 	alloc := mem.NewFrameAllocator(0)
@@ -33,17 +44,7 @@ func TestCancelMidSearchReleasesEverything(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var guesses atomic.Int64
-	eng := core.New(core.NewHostedMachine(infiniteStep), core.Config{
-		Workers: 2,
-		Observer: &core.FuncObserver{
-			Guess: func(depth int, fanout uint64) {
-				if guesses.Add(1) == 50 {
-					cancel()
-				}
-			},
-		},
-	})
+	eng := core.New(core.NewHostedMachine(cancelAfter(50, cancel, infiniteStep)), core.Config{Workers: 2})
 	res, err := eng.Run(ctx, root)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -62,16 +63,18 @@ func TestCancelMidSearchReleasesEverything(t *testing.T) {
 	}
 }
 
-// TestDeadlineExpiryReturnsPartialResult bounds an unbounded run with
-// Config.Timeout and expects context.DeadlineExceeded plus partial stats.
+// TestDeadlineExpiryReturnsPartialResult bounds an unbounded run with a
+// context deadline and expects context.DeadlineExceeded plus partial stats.
 func TestDeadlineExpiryReturnsPartialResult(t *testing.T) {
 	alloc := mem.NewFrameAllocator(0)
 	root, err := core.NewHostedContext(alloc, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.New(core.NewHostedMachine(infiniteStep), core.Config{Timeout: 30 * time.Millisecond})
-	res, err := eng.Run(context.Background(), root)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	eng := core.New(core.NewHostedMachine(infiniteStep), core.Config{})
+	res, err := eng.Run(ctx, root)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -263,66 +266,29 @@ func TestSolutionsIteratorKeepExitSnapshots(t *testing.T) {
 	}
 }
 
-// TestObserverCountsMatchStats cross-checks observer callback counts
-// against the engine's own counters on a full enumeration.
-func TestObserverCountsMatchStats(t *testing.T) {
-	alloc := mem.NewFrameAllocator(0)
-	root, err := queens.NewHostedContext(alloc, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var guesses, fails, sols, snaps atomic.Int64
-	eng := core.New(core.NewHostedMachine(queens.HostedStep(false)), core.Config{
-		Observer: &core.FuncObserver{
-			Guess:    func(int, uint64) { guesses.Add(1) },
-			Fail:     func(int) { fails.Add(1) },
-			Solution: func(core.Solution) { sols.Add(1) },
-			Snapshot: func(uint64, int) { snaps.Add(1) },
-		},
-	})
-	res, err := eng.Run(context.Background(), root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if guesses.Load() != res.Stats.Guesses {
-		t.Errorf("observer guesses = %d, stats = %d", guesses.Load(), res.Stats.Guesses)
-	}
-	if fails.Load() != res.Stats.Fails {
-		t.Errorf("observer fails = %d, stats = %d", fails.Load(), res.Stats.Fails)
-	}
-	if int(sols.Load()) != len(res.Solutions) {
-		t.Errorf("observer solutions = %d, result = %d", sols.Load(), len(res.Solutions))
-	}
-	if snaps.Load() != res.Stats.Snapshots {
-		t.Errorf("observer snapshots = %d, stats = %d", snaps.Load(), res.Stats.Snapshots)
-	}
-}
-
-// TestDiscardSolutionsStillCounts streams via the hook with buffering off:
-// MaxSolutions must still bound the run and the Result stays empty.
+// TestDiscardSolutionsStillCounts streams through Solutions, which stops
+// the engine buffering answers: MaxSolutions must still bound the run.
 func TestDiscardSolutionsStillCounts(t *testing.T) {
 	alloc := mem.NewFrameAllocator(0)
 	root, err := queens.NewHostedContext(alloc, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var streamed atomic.Int64
-	eng := core.New(core.NewHostedMachine(queens.HostedStep(false)), core.Config{
-		DiscardSolutions: true,
-		MaxSolutions:     2,
-		OnSolution:       func(core.Solution) core.Decision { streamed.Add(1); return core.Continue },
-	})
-	res, err := eng.Run(context.Background(), root)
-	if err != nil {
-		t.Fatal(err)
+	eng := core.New(core.NewHostedMachine(queens.HostedStep(false)), core.Config{MaxSolutions: 2})
+	streamed := 0
+	for _, err := range eng.Solutions(context.Background(), root) {
+		if err != nil {
+			t.Fatalf("stream error: %v", err)
+		}
+		streamed++
 	}
-	if len(res.Solutions) != 0 {
-		t.Errorf("buffered %d solutions despite DiscardSolutions", len(res.Solutions))
-	}
-	if streamed.Load() != 2 {
-		t.Errorf("hook saw %d solutions, want 2 (MaxSolutions)", streamed.Load())
+	if streamed != 2 {
+		t.Errorf("streamed %d solutions, want 2 (MaxSolutions)", streamed)
 	}
 	if live := eng.Tree().Live(); live != 0 {
 		t.Errorf("snapshot leak: %d live", live)
+	}
+	if live := alloc.Live(); live != 0 {
+		t.Errorf("frame leak: %d live", live)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -170,17 +169,7 @@ func TestParallelCancelStopsStealingWorkers(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var guesses atomic.Int64
-	eng := core.New(core.NewHostedMachine(infiniteStep), core.Config{
-		Workers: 4,
-		Observer: &core.FuncObserver{
-			Guess: func(depth int, fanout uint64) {
-				if guesses.Add(1) == 100 {
-					cancel()
-				}
-			},
-		},
-	})
+	eng := core.New(core.NewHostedMachine(cancelAfter(100, cancel, infiniteStep)), core.Config{Workers: 4})
 	res, err := eng.Run(ctx, root)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -225,8 +214,8 @@ func TestParallelMaxSolutionsEarlyStop(t *testing.T) {
 }
 
 // TestParallelSMAStarEvictionVisible runs a memory-bounded 4-worker
-// search and asserts the eviction satellite end to end: Stats.Evicted
-// and the Observer's OnEvict agree, are nonzero, and eviction releases
+// search and asserts evictions are visible end to end: Stats.Evicted and
+// the strategy's own count agree and are nonzero, and eviction releases
 // references (Tree accounting drops to zero).
 func TestParallelSMAStarEvictionVisible(t *testing.T) {
 	alloc := mem.NewFrameAllocator(0)
@@ -234,12 +223,10 @@ func TestParallelSMAStarEvictionVisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var observed atomic.Int64
 	st := search.NewSMAStar[*snapshot.State](8, func(it core.Ext) { it.Payload.Release() })
 	eng := core.New(core.NewHostedMachine(queens.HostedStep(false)), core.Config{
 		Workers:  4,
 		Strategy: st,
-		Observer: &core.FuncObserver{Evict: func(depth int) { observed.Add(1) }},
 	})
 	res, err := eng.Run(context.Background(), root)
 	if err != nil {
@@ -247,9 +234,6 @@ func TestParallelSMAStarEvictionVisible(t *testing.T) {
 	}
 	if res.Stats.Evicted == 0 {
 		t.Error("SM-A* with capacity 8 on queens-6 evicted nothing")
-	}
-	if observed.Load() != res.Stats.Evicted {
-		t.Errorf("Observer saw %d evictions, Stats.Evicted = %d", observed.Load(), res.Stats.Evicted)
 	}
 	if st.Evicted != res.Stats.Evicted {
 		t.Errorf("strategy counted %d evictions, Stats.Evicted = %d", st.Evicted, res.Stats.Evicted)
@@ -274,19 +258,12 @@ func TestParallelCombinedStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		var fails atomic.Int64
-		eng := core.New(core.NewHostedMachine(queens.HostedStep(false)), core.Config{
+		step := cancelAfter(int64(20+i*10), cancel, queens.HostedStep(false))
+		eng := core.New(core.NewHostedMachine(step), core.Config{
 			Workers:      4,
 			MaxSolutions: 3,
 			Strategy: search.NewSMAStar[*snapshot.State](4,
 				func(it core.Ext) { it.Payload.Release() }),
-			Observer: &core.FuncObserver{
-				Fail: func(int) {
-					if fails.Add(1) == int64(20+i*10) {
-						cancel()
-					}
-				},
-			},
 		})
 		res, err := eng.Run(ctx, root)
 		cancel()

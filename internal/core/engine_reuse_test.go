@@ -11,6 +11,8 @@ import (
 	"repro/internal/fs"
 	"repro/internal/mem"
 	"repro/internal/queens"
+	"repro/internal/search"
+	"repro/internal/snapshot"
 )
 
 // TestGuestOutOfFramesIsACrashedPath: with a bounded frame allocator a CoW
@@ -78,8 +80,8 @@ func TestRetainedEnvRefusesToDecide(t *testing.T) {
 }
 
 // TestWorkerContextReuseIsInvisible drives the isolation property through
-// the engine: one worker, no run-through, so every extension of the root's
-// guess is restored into the same worker-owned context, in order. Extension
+// the engine: one worker under BFS, so every extension of the root's guess
+// is restored into the same worker-owned context, in order. Extension
 // 0 dirties everything a step can reach and fails; extensions 1 and 2 check
 // that they see the snapshot and nothing else.
 func TestWorkerContextReuseIsInvisible(t *testing.T) {
@@ -138,7 +140,7 @@ func TestWorkerContextReuseIsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := core.New(core.NewHostedMachine(step), core.Config{Workers: 1, NoRunThrough: true})
+	eng := core.New(core.NewHostedMachine(step), core.Config{Workers: 1, Strategy: search.NewBFS[*snapshot.State]()})
 	res, err := eng.Run(context.Background(), root)
 	if err != nil {
 		t.Fatal(err)

@@ -319,17 +319,49 @@ func TestMaxNodesStops(t *testing.T) {
 	}
 }
 
+// TestFanoutGuard pins the guess arity bound at its edge and beyond:
+// guess(4096) evaluates every sibling, and a larger guess crashes its path,
+// naming the bound, with nothing left live.
 func TestFanoutGuard(t *testing.T) {
-	step := func(env *core.Env) error {
-		env.Guess(1 << 40)
-		return nil
-	}
-	res := hostedRun(t, step, 4096, core.Config{})
-	if res.Stats.Errors != 1 {
-		t.Errorf("errors = %d, want 1 (fanout bound)", res.Stats.Errors)
-	}
-	if res.FirstPathError == nil || !strings.Contains(res.FirstPathError.Error(), "fanout") {
-		t.Errorf("FirstPathError = %v", res.FirstPathError)
+	for _, n := range []uint64{4096, 4097, 1 << 40} {
+		step := func(env *core.Env) error {
+			m := env.Mem()
+			started, _ := m.ReadU64(core.HostedHeapBase)
+			if started == 0 {
+				m.WriteU64(core.HostedHeapBase, 1)
+				env.Guess(n)
+				return nil
+			}
+			env.Fail()
+			return nil
+		}
+		alloc := mem.NewFrameAllocator(0)
+		root, err := core.NewHostedContext(alloc, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := core.New(core.NewHostedMachine(step), core.Config{})
+		res, err := eng.Run(context.Background(), root)
+		if err != nil {
+			t.Fatalf("guess(%d): %v", n, err)
+		}
+		st := res.Stats
+		if n == 4096 {
+			if st.Errors != 0 || st.Guesses != 1 || st.Fails != 4096 {
+				t.Errorf("guess(4096): errors=%d guesses=%d fails=%d, want 0/1/4096 (%v)",
+					st.Errors, st.Guesses, st.Fails, res.FirstPathError)
+			}
+		} else {
+			if st.Errors != 1 || st.Guesses != 0 || st.Fails != 0 {
+				t.Errorf("guess(%d): errors=%d guesses=%d fails=%d, want 1/0/0", n, st.Errors, st.Guesses, st.Fails)
+			}
+			if res.FirstPathError == nil || !strings.Contains(res.FirstPathError.Error(), "fanout bound 4096") {
+				t.Errorf("guess(%d): FirstPathError = %v, want it to name the bound", n, res.FirstPathError)
+			}
+		}
+		if eng.Tree().Live() != 0 || alloc.Live() != 0 {
+			t.Errorf("guess(%d): leak: %d snapshots, %d frames", n, eng.Tree().Live(), alloc.Live())
+		}
 	}
 }
 

@@ -55,7 +55,7 @@ func (e *Engine) Solutions(ctx context.Context, root *snapshot.Context) iter.Seq
 				return Stop
 			}
 		}
-		e.cfg.DiscardSolutions = true
+		e.discard = true
 
 		done := make(chan error, 1)
 		go func() {

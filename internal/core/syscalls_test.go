@@ -2,13 +2,14 @@ package core_test
 
 import (
 	"context"
-
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/guest"
+	"repro/internal/interpose"
 	"repro/internal/mem"
 	"repro/internal/snapshot"
 )
@@ -367,5 +368,117 @@ bad:
 	}
 	if res.Stats.Errors != 0 {
 		t.Errorf("host-side path errors: %v", res.FirstPathError)
+	}
+}
+
+// strategyGuestSrc selects strategy id at the root step, then forks once:
+// extension 0 exits with the root's ack, extension 1 asks for BFS after
+// the first guess and exits with that ack.
+const strategyGuestSrc = `
+_start:
+    mov rax, 502        ; sys_guess_strategy
+    mov rdi, %d
+    syscall
+    mov r12, rax
+    mov rax, 500
+    mov rdi, 2
+    syscall
+    cmp rax, 0
+    jne late
+    mov rdi, r12
+    mov rax, 60
+    syscall
+late:
+    mov rax, 502
+    mov rdi, 1
+    syscall
+    mov rdi, rax
+    mov rax, 60
+    syscall
+`
+
+// TestGuestStrategySelection: a guest's sys_guess_strategy at the root step
+// installs each of the five strategies (ack 1, Result.Strategy names it);
+// the same call after the first guess, or with an unknown id, gets ack 0.
+func TestGuestStrategySelection(t *testing.T) {
+	for id, want := range []string{"dfs", "bfs", "astar", "sma-star", "random", "dfs"} {
+		res, _ := runNative(t, fmt.Sprintf(strategyGuestSrc, id), core.Config{})
+		if res.Strategy != want {
+			t.Errorf("id %d: Result.Strategy = %q, want %q", id, res.Strategy, want)
+		}
+		rootAck := uint64(1)
+		if id == interpose.StrategyRandom+1 {
+			rootAck = 0 // unknown id
+		}
+		acks := map[uint64]uint64{}
+		for _, sol := range res.Solutions {
+			acks[sol.Status]++
+		}
+		if len(res.Solutions) != 2 || acks[rootAck] == 0 || acks[0] == 0 {
+			t.Errorf("id %d: exit statuses %v, want root ack %d and a late ack 0", id, acks, rootAck)
+		}
+	}
+}
+
+// smaGuestSrc selects SM-A* and descends 17 levels by extension 0, each
+// level a guess(4096) hinted so that deeper candidates rank first; every
+// other extension fails. The queue peaks at 16·4095 + 4096 = 69 616
+// extensions, so a 65 536 bound evicts exactly 4 080 of them.
+const smaGuestSrc = `
+_start:
+    mov rax, 502        ; sys_guess_strategy
+    mov rdi, 3          ; SM-A*
+    syscall
+    cmp rax, 1
+    jne refused
+    mov r12, 0          ; level
+    mov r13, 0          ; hint: -2 per level, so priority = -level
+level:
+    mov rax, 503        ; sys_guess_hint
+    mov rdi, r13
+    syscall
+    mov rax, 500
+    mov rdi, 4096
+    syscall
+    cmp rax, 0
+    jne fail
+    inc r12
+    sub r13, 2
+    cmp r12, 17
+    jl level
+fail:
+    mov rax, 501
+    syscall
+refused:
+    mov rdi, 1
+    mov rax, 60
+    syscall
+`
+
+// TestGuestSMAStarCapacity pins the queue bound of a guest-selected SM-A*
+// at 65 536 by the exact eviction count it forces, with nothing leaked.
+func TestGuestSMAStarCapacity(t *testing.T) {
+	img, err := guest.AssembleImage(smaGuestSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := mem.NewFrameAllocator(0)
+	as, regs, err := guest.Load(img, alloc, guest.LoadOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.New(core.NewVMMachine(0), core.Config{})
+	res, err := eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.NewOn(alloc), Regs: regs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Strategy != "sma-star" || res.Stats.Guesses != 17 || len(res.Solutions) != 0 {
+		t.Fatalf("strategy %q, %d guesses, %d solutions; want sma-star, 17, 0", res.Strategy, res.Stats.Guesses, len(res.Solutions))
+	}
+	if res.Stats.Evicted != 4080 {
+		t.Errorf("Stats.Evicted = %d, want 4080 (a 65536-extension bound)", res.Stats.Evicted)
+	}
+	if eng.Tree().Live() != 0 || alloc.Live() != 0 {
+		t.Errorf("leak: %d snapshots, %d frames", eng.Tree().Live(), alloc.Live())
 	}
 }

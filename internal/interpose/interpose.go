@@ -1,8 +1,7 @@
 // Package interpose defines the guest/libOS system-call boundary: the
 // syscall numbers (including the paper's three new backtracking calls),
 // errno encoding, the containment policy for file paths, and the classic
-// log-and-undo machinery that the paper's §5 describes — kept here both as
-// a fallback for calls not subsumed by snapshot immutability and as the
+// log-and-undo machinery that the paper's §5 describes — kept as the
 // baseline for the interposition-cost experiment (E10).
 package interpose
 
@@ -92,22 +91,6 @@ func PathAllowed(path string) bool {
 	return true
 }
 
-// Counters tallies interposed system calls for the E10 experiment.
-type Counters struct {
-	Total    int64
-	ByNumber map[uint64]int64
-	Denied   int64 // policy rejections
-}
-
-// NewCounters returns zeroed counters.
-func NewCounters() *Counters { return &Counters{ByNumber: make(map[uint64]int64)} }
-
-// Record notes one interposed call.
-func (c *Counters) Record(nr uint64) {
-	c.Total++
-	c.ByNumber[nr]++
-}
-
 // UndoOp is one reversible side effect in the classic log-and-undo design.
 type UndoOp struct {
 	// Undo reverses the side effect.
@@ -119,9 +102,8 @@ type UndoOp struct {
 // UndoLog is the classic alternative to structural immutability: every
 // address-space-changing call is logged and reversed on backtracking
 // ([14]-style). Our snapshot design subsumes this (the VMA list and break
-// are part of the captured state), so the log exists as the measured
-// baseline in E10 and as the extension point for calls that cannot be
-// contained structurally.
+// are part of the captured state), so the log exists only as the measured
+// baseline in E10.
 type UndoLog struct {
 	ops []UndoOp
 }
@@ -144,20 +126,5 @@ func (l *UndoLog) Rollback() error {
 		}
 	}
 	l.ops = l.ops[:0]
-	return first
-}
-
-// Mark returns a position for partial rollback.
-func (l *UndoLog) Mark() int { return len(l.ops) }
-
-// RollbackTo undoes operations logged after mark.
-func (l *UndoLog) RollbackTo(mark int) error {
-	var first error
-	for i := len(l.ops) - 1; i >= mark; i-- {
-		if err := l.ops[i].Undo(); err != nil && first == nil {
-			first = err
-		}
-	}
-	l.ops = l.ops[:mark]
 	return first
 }

@@ -40,16 +40,6 @@ func TestPathPolicy(t *testing.T) {
 	}
 }
 
-func TestCounters(t *testing.T) {
-	c := NewCounters()
-	c.Record(SysWrite)
-	c.Record(SysWrite)
-	c.Record(SysBrk)
-	if c.Total != 3 || c.ByNumber[SysWrite] != 2 || c.ByNumber[SysBrk] != 1 {
-		t.Errorf("counters = %+v", c)
-	}
-}
-
 func TestUndoLogRollback(t *testing.T) {
 	var log UndoLog
 	var trace []string
@@ -69,20 +59,5 @@ func TestUndoLogRollback(t *testing.T) {
 	}
 	if log.Len() != 0 {
 		t.Errorf("len after rollback = %d", log.Len())
-	}
-}
-
-func TestUndoLogPartialRollback(t *testing.T) {
-	var log UndoLog
-	var n int
-	log.Log("keep", func() error { n += 100; return nil })
-	mark := log.Mark()
-	log.Log("x", func() error { n++; return nil })
-	log.Log("y", func() error { n++; return nil })
-	if err := log.RollbackTo(mark); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 || log.Len() != 1 {
-		t.Errorf("n=%d len=%d, want 2/1", n, log.Len())
 	}
 }

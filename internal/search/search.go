@@ -277,7 +277,6 @@ type SMAStar[T any] struct {
 	Best[T]
 	capacity int
 	drop     func(Item[T])
-	hook     func(Item[T])
 	// Evicted counts extensions dropped due to the memory bound.
 	Evicted int64
 }
@@ -292,14 +291,6 @@ func NewSMAStar[T any](capacity int, drop func(Item[T])) *SMAStar[T] {
 	return s
 }
 
-// SetEvictHook registers fn to observe every eviction, after the drop
-// callback has run — the engine's telemetry seam, so memory-bounded runs
-// surface how many candidates the bound silently discarded. The hook is
-// observational: by the time it runs, drop has already consumed the item's
-// payload reference. It is invoked under the scheduler's lock and must be
-// cheap.
-func (s *SMAStar[T]) SetEvictHook(fn func(Item[T])) { s.hook = fn }
-
 // PushAll implements Strategy, evicting worst items beyond capacity.
 func (s *SMAStar[T]) PushAll(items []Item[T]) {
 	s.Best.PushAll(items)
@@ -311,9 +302,6 @@ func (s *SMAStar[T]) PushAll(items []Item[T]) {
 		s.Evicted++
 		if s.drop != nil {
 			s.drop(it)
-		}
-		if s.hook != nil {
-			s.hook(it)
 		}
 	}
 }

@@ -1,16 +1,8 @@
 package repro
 
-import "time"
-
-// Option tunes an Engine at construction. Options wrap (rather than
-// replace) core.Config: WithConfig seeds the whole struct and later
-// options override individual fields, so existing Config-based callers
-// migrate with NewEngine(m, WithConfig(cfg)).
+// Option tunes an Engine at construction, one Config field each. A run is
+// bounded in time by the context passed to Run, not by an option.
 type Option func(*Config)
-
-// WithConfig replaces the engine configuration wholesale. Apply it first;
-// later options override its fields.
-func WithConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
 
 // WithStrategy schedules extension evaluation with st (default: DFS).
 func WithStrategy(st Strategy) Option { return func(c *Config) { c.Strategy = st } }
@@ -26,11 +18,6 @@ func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 // an escape hatch when strict single-queue pop order matters.
 func WithNoSteal() Option { return func(c *Config) { c.NoSteal = true } }
 
-// WithSMACapacity bounds the SM-A* queue selected by a guest's
-// sys_guess_strategy (default 65536). Evictions surface in
-// Stats.Evicted and Observer.OnEvict.
-func WithSMACapacity(n int) Option { return func(c *Config) { c.SMACapacity = n } }
-
 // WithRandomSeed seeds the Random strategy when a guest selects it, and
 // the per-worker pop streams of the sharded scheduler.
 func WithRandomSeed(seed uint64) Option { return func(c *Config) { c.RandomSeed = seed } }
@@ -41,18 +28,6 @@ func WithMaxSolutions(n int) Option { return func(c *Config) { c.MaxSolutions = 
 
 // WithMaxNodes bounds evaluated extension steps (a safety net).
 func WithMaxNodes(n int64) Option { return func(c *Config) { c.MaxNodes = n } }
-
-// WithTimeout bounds the whole run; on expiry Run returns the partial
-// Result with context.DeadlineExceeded.
-func WithTimeout(d time.Duration) Option { return func(c *Config) { c.Timeout = d } }
-
-// WithDeadline is the absolute-time form of WithTimeout.
-func WithDeadline(t time.Time) Option { return func(c *Config) { c.Deadline = t } }
-
-// WithObserver streams engine telemetry (guesses, fails, solutions,
-// snapshots) to o — the hook point for metrics export. o must be cheap
-// and safe for concurrent calls.
-func WithObserver(o Observer) Option { return func(c *Config) { c.Observer = o } }
 
 // WithOnSolution delivers each solution to fn as it surfaces; returning
 // Stop halts the search (queues drained, snapshots released).

@@ -16,7 +16,7 @@
 //	solver     incremental CDCL SAT (the Z3 stand-in)
 //	symexec    the S2E-style multi-path symbolic executor
 //	wam        the Prolog comparator
-//	checkpoint full-copy/incremental checkpoint and eager-fork baselines
+//	checkpoint full-copy checkpoint, eager-fork and scan-snapshot baselines
 //	service    the §3.2 multi-path solver service: a sharded, LRU-evicting
 //	           reference table over the snapshot tree, served concurrently
 //	           by cmd/solversvc (stdin/stdout or TCP with -listen)
@@ -30,13 +30,13 @@
 //	res, _ := eng.Run(ctx, root)
 //
 // where step is a repro.StepFunc calling env.Guess / env.Fail / env.Exit
-// and ctx is a context.Context: cancelling it (or a repro.WithTimeout /
-// repro.WithDeadline option) stops the search within one extension step,
+// and ctx is a context.Context: cancelling it, or its deadline passing
+// (context.WithTimeout), stops the search within one extension step,
 // releases every retained snapshot, and returns the partial Result with
-// ctx.Err().
+// ctx.Err(). Result.Stats counts the run's work.
 //
 // Solutions stream as they surface — either push-based through
-// repro.WithOnSolution / repro.WithObserver, or pull-based:
+// repro.WithOnSolution, or pull-based:
 //
 //	for sol, err := range eng.Solutions(ctx, root) {
 //	    if err != nil { ... }
@@ -79,11 +79,6 @@ type (
 	Stats = core.Stats
 	// Decision is returned by solution hooks (Continue or Stop).
 	Decision = core.Decision
-	// Observer receives engine telemetry (OnGuess/OnFail/OnSolution/
-	// OnSnapshot/OnStepStats) from the hot loop.
-	Observer = core.Observer
-	// FuncObserver adapts optional callbacks to Observer.
-	FuncObserver = core.FuncObserver
 	// Strategy is a search-scheduling policy (see DFS/BFS/AStar/Random).
 	Strategy = core.Strategy
 	// Context is the mutable execution state of one candidate.

@@ -168,7 +168,7 @@ func TestFacadeStreamingFirstSolution(t *testing.T) {
 }
 
 // TestFacadeOptions exercises the functional-option construction path:
-// strategy, workers, solution cap, and observer all arrive in the engine.
+// strategy, workers, solution cap, and solution hook all arrive in the engine.
 func TestFacadeOptions(t *testing.T) {
 	alloc := repro.NewFrameAllocator(0)
 	root, err := repro.NewHostedContext(alloc, 4096)
@@ -229,17 +229,19 @@ func TestFacadeSchedulerOptions(t *testing.T) {
 	}
 }
 
-// TestFacadeTimeout bounds an exhaustive 10-queens run far below its
-// runtime; the partial result must come back with DeadlineExceeded.
+// TestFacadeTimeout bounds an exhaustive 10-queens run by a context
+// deadline far below its runtime; the partial result must come back with
+// DeadlineExceeded.
 func TestFacadeTimeout(t *testing.T) {
 	alloc := repro.NewFrameAllocator(0)
 	root, err := repro.NewHostedContext(alloc, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := repro.NewEngine(repro.NewHostedMachine(queensStep(10)),
-		repro.WithTimeout(20*time.Millisecond))
-	res, err := eng.Run(context.Background(), root)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	eng := repro.NewEngine(repro.NewHostedMachine(queensStep(10)))
+	res, err := eng.Run(ctx, root)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
