@@ -33,10 +33,12 @@ func blockOf(b []byte, i, n int) []byte {
 // (one block) are shared with a snapshot, so every block the call writes
 // must be cloned or allocated. The call returns the allocator's FaultOOM.
 // WriteFile, ImportFile and a refused truncate leave every file
-// byte-identical; Write and UpdateFile leave every block of /f old or new,
-// with a size no larger than the write's, and a write past the end refused
-// at its first block does not grow the file. Every file still exports as
-// ImportFile takes it. Truncation to zero allocates nothing. No frame outlives the view and the snapshot.
+// byte-identical; Write, UpdateFile and UpdateFileAt leave every block of
+// /f old or new, with a size no larger than the write's, and a write past
+// the end refused at its first block does not grow the file. Every file
+// still exports as ImportFile takes it. Truncation to zero and an
+// identical tail allocate nothing. No frame outlives the view and the
+// snapshot.
 func TestFrameLimitFailurePaths(t *testing.T) {
 	old := fill('o', 2*BlockSize+BlockSize/2)
 	cases := []struct {
@@ -77,6 +79,13 @@ func TestFrameLimitFailurePaths(t *testing.T) {
 		{"WriteFile", 1, func(s *FS) error { return s.WriteFile("/f", fill('n', 3*BlockSize)) }, nil, true},
 		{"UpdateFile", 1, func(s *FS) error { return s.UpdateFile("/f", fill('n', 4*BlockSize)) }, fill('n', 4*BlockSize), true},
 		{"UpdateFile shrink", 0, func(s *FS) error { return s.UpdateFile("/f", old[:BlockSize+10]) }, nil, true},
+		{"UpdateFileAt", 1, func(s *FS) error { return s.UpdateFileAt("/f", BlockSize+10, fill('n', 3*BlockSize)) },
+			overlay(old[:BlockSize+10], BlockSize+10, fill('n', 3*BlockSize)), true},
+		{"UpdateFileAt shrink", 0, func(s *FS) error {
+			return s.UpdateFileAt("/f", BlockSize+10, old[BlockSize+10:BlockSize+20])
+		}, nil, true},
+		{"UpdateFileAt identical tail", 0, func(s *FS) error { return s.UpdateFileAt("/f", BlockSize+5, old[BlockSize+5:]) },
+			old, false},
 		{"ImportFile", 1, func(s *FS) error {
 			blocks := make([]*[BlockSize]byte, 3)
 			for i := range blocks {

@@ -14,6 +14,7 @@ import (
 	"io"
 	"path"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/mem"
@@ -240,7 +241,14 @@ func (s *FS) put(name string, f *File) {
 // FirstFD is the lowest fd number Open can return.
 const FirstFD = 3
 
-func cleanPath(p string) string { return path.Clean("/" + p) }
+// cleanPath makes p absolute and clean; a clean absolute p costs no
+// allocation.
+func cleanPath(p string) string {
+	if !strings.HasPrefix(p, "/") {
+		p = "/" + p
+	}
+	return path.Clean(p)
+}
 
 // WriteFile creates (or replaces) a file with the given content — the host
 // API for seeding inputs before a run and for parking serialized state
@@ -265,53 +273,72 @@ func (s *FS) WriteFile(name string, data []byte) error {
 }
 
 // UpdateFile replaces name's content with data, rewriting only the blocks
-// whose bytes actually change. Unmodified blocks stay physically shared
-// with snapshots that hold the previous version — the path the service
-// layer uses to park serialized solver state, where an extension changes
-// a suffix of the file and the common prefix keeps being shared by the
-// whole sibling set. Enforces the MaxFileSize bound like WriteFile, and
-// then the view is untouched; when the allocator refuses a block, each
-// block is old or new. Creates the file if absent.
-func (s *FS) UpdateFile(name string, data []byte) error {
-	if int64(len(data)) > MaxFileSize {
+// whose bytes actually change: UpdateFileAt from offset 0.
+func (s *FS) UpdateFile(name string, data []byte) error { return s.UpdateFileAt(name, 0, data) }
+
+// UpdateFileAt replaces name's content from offset off on with data: the
+// file becomes its first off bytes followed by data. Only the blocks from
+// off on whose bytes change are rewritten, so the others stay physically
+// shared with snapshots of the previous version. The service parks solver
+// state this way, from the end of the clause section a child shares with
+// its parent and siblings. off may be at most the file's size; an absent
+// file is created, from offset 0 only. Enforces MaxFileSize like
+// WriteFile; a refused offset or size leaves the view untouched, and when
+// the allocator refuses a block, each block is old or new.
+func (s *FS) UpdateFileAt(name string, off int64, data []byte) error {
+	if off < 0 {
+		return ErrInvalid
+	}
+	if int64(len(data)) > MaxFileSize-off {
 		return ErrTooBig
 	}
 	name = cleanPath(name)
 	f, ok := s.inodes[name]
-	if !ok {
+	switch {
+	case !ok && off == 0:
 		return s.WriteFile(name, data)
+	case !ok:
+		return ErrNotExist
+	case off > f.size:
+		return ErrInvalid
 	}
 	f = s.exclusive(name, f)
-	for off := 0; off < len(data); off += BlockSize {
-		chunk := data[off:min(off+BlockSize, len(data))]
-		bi := off / BlockSize
+	for done := 0; done < len(data); {
+		at := off + int64(done)
+		bi, bo := int(at/BlockSize), int(at%BlockSize)
+		chunk := data[done:min(done+BlockSize-bo, len(data))]
+		done += len(chunk)
 		if bi < len(f.blocks) && f.blocks[bi] != nil &&
-			bytes.Equal(f.blocks[bi].Data[:len(chunk)], chunk) {
+			bytes.Equal(f.blocks[bi].Data[bo:bo+len(chunk)], chunk) {
 			continue // identical: keep sharing the old block
 		}
-		if _, err := f.writeAt(chunk, int64(off)); err != nil {
+		if _, err := f.writeAt(chunk, at); err != nil {
 			return err
 		}
 	}
-	return f.truncate(int64(len(data)))
+	return f.truncate(off + int64(len(data)))
 }
 
 // ReadFile returns the full content of a file — the host inspection API.
-func (s *FS) ReadFile(name string) ([]byte, error) { return s.ReadFileInto(name, nil) }
+func (s *FS) ReadFile(name string) ([]byte, error) { return s.ReadFileAt(name, nil, 0) }
 
-// ReadFileInto is ReadFile into dst's array: it returns the content as
-// dst[:size], or in a new array of exactly the size when dst's is smaller.
-func (s *FS) ReadFileInto(name string, dst []byte) ([]byte, error) {
+// ReadFileAt returns name's content from offset off on, at most the
+// file's size, in dst's array: as dst[:size-off], or in a new array of
+// exactly that length when dst's is smaller.
+func (s *FS) ReadFileAt(name string, dst []byte, off int64) ([]byte, error) {
 	f, ok := s.inodes[cleanPath(name)]
 	if !ok {
 		return nil, ErrNotExist
 	}
-	out := dst[:0]
-	if int64(cap(out)) < f.size {
-		out = make([]byte, f.size)
+	if off < 0 || off > f.size {
+		return nil, ErrInvalid
 	}
-	out = out[:f.size]
-	f.readAt(out, 0)
+	out := dst[:0]
+	if int64(cap(out)) < f.size-off {
+		out = make([]byte, f.size-off)
+	}
+	out = out[:f.size-off]
+	f.readAt(out, off)
 	return out, nil
 }
 

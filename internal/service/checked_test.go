@@ -241,23 +241,32 @@ func modelClauses(model []bool) (holds, breaks func(v int) []int) {
 	return holds, breaks
 }
 
-// TestCheckedChainScansOnce: a searched base's loaded clauses are scanned
-// by the first extend its phases answer and never again — not by 10 more
-// extends of the base, nor by 10 extends down a chain of its
-// phase-answered descendants, which are parked checked. An extend the
-// phases decline (its new clause is false) marks nothing, and neither the
-// base nor its searched child start checked.
+// TestCheckedChainScansOnce: a base that comes back from the store after
+// a restart is unchecked — its bytes were read from disk — so its loaded
+// clauses are scanned by the first extend its phases answer and never
+// again: not by 10 more extends of the base, nor by 10 extends down a
+// chain of its phase-answered descendants, which are parked checked. An
+// extend the phases decline marks nothing, yet its searched Sat child is
+// born checked.
 func TestCheckedChainScansOnce(t *testing.T) {
 	scans := countScans(t)
-	s := New()
+	dir := t.TempDir()
+	cold := openStore(t, dir)
+	defer cold.Close()
+	first := NewWithConfig(Config{Store: cold})
+	base := mustExtend(t, first, 0, solver.Random3SAT(500, 1500, 1))
+	first.Close() // demotes base
+	s := NewWithConfig(Config{Store: cold})
 	defer s.Close()
-	base := mustExtend(t, s, 0, solver.Random3SAT(500, 1500, 1))
 	holds, breaks := modelClauses(base.Model)
 	searched := mustExtend(t, s, base.ID, [][]int{breaks(1)})
-	if isChecked(t, s, base.ID) || isChecked(t, s, searched.ID) {
-		t.Fatal("a searched state, or the parent of an extend its phases declined, is checked")
+	if s.Stats().Reloads != 1 || scans() != 1 {
+		t.Fatalf("the first extend after the restart: %d reloads, %d scans, want 1 and 1", s.Stats().Reloads, scans())
 	}
-	before, answers := scans(), s.Stats().PhaseAnswers
+	if isChecked(t, s, base.ID) || !isChecked(t, s, searched.ID) {
+		t.Fatal("the parent of an extend its phases declined is checked, or its searched Sat child is not")
+	}
+	answers := s.Stats().PhaseAnswers
 	chain := base.ID
 	for i := 0; i < 10; i++ {
 		mustExtend(t, s, base.ID, [][]int{holds(1 + 3*i)})
@@ -269,17 +278,57 @@ func TestCheckedChainScansOnce(t *testing.T) {
 	if n := s.Stats().PhaseAnswers - answers; n != 20 {
 		t.Fatalf("%d of 20 extends answered from the phases", n)
 	}
-	if n := scans() - before; n != 1 {
-		t.Errorf("20 phase-answered extends scanned loaded clauses %d times, want 1", n)
+	if n := scans(); n != 2 {
+		t.Errorf("20 phase-answered extends of the reloaded base scanned loaded clauses %d times, want 1", n-1)
 	}
-	if !isChecked(t, s, base.ID) || isChecked(t, s, searched.ID) {
-		t.Error("the scanned base is not checked, or the searched child is")
+	if !isChecked(t, s, base.ID) {
+		t.Error("the scanned base is not checked")
+	}
+}
+
+// TestCheckedAtPark: which children are parked checked. A phase-answered
+// child and a searched Sat child with no level-0 fact are; a child with a
+// level-0 fact (its own or its parent's), an Unsat child (by an empty
+// clause, so with no fact either) and the root are not. Either way the
+// phase check declines what it must, so the bit is read directly.
+func TestCheckedAtPark(t *testing.T) {
+	s := New()
+	defer s.Close()
+	base := mustExtend(t, s, 0, solver.Random3SAT(50, 150, 1))
+	holds, breaks := modelClauses(base.Model)
+	fact := mustExtend(t, s, base.ID, [][]int{{holds(1)[0]}})
+	unsat := mustExtend(t, s, base.ID, [][]int{{}})
+	if fact.Verdict != solver.Sat || unsat.Verdict != solver.Unsat {
+		t.Fatalf("children: %v by a unit clause, %v by an empty one", fact.Verdict, unsat.Verdict)
+	}
+	for _, tc := range []struct {
+		name    string
+		parent  uint64
+		clauses [][]int
+		checked bool
+	}{
+		{"a phase-answered child", base.ID, [][]int{holds(1)}, true},
+		{"a searched Sat child", base.ID, [][]int{breaks(1)}, true},
+		{"a searched child of the root", 0, solver.Random3SAT(20, 40, 2), true},
+		{"a searched child with a level-0 fact", base.ID, [][]int{{holds(4)[0]}}, false},
+		{"a searched child of a parent with a fact", fact.ID, [][]int{holds(7)}, false},
+		{"an Unsat child with no fact", base.ID, [][]int{{}}, false},
+		{"a child of an Unsat parent", unsat.ID, [][]int{holds(1)}, false},
+	} {
+		r := mustExtend(t, s, tc.parent, tc.clauses)
+		if got := isChecked(t, s, r.ID); got != tc.checked {
+			t.Errorf("%s (%v) is parked checked: %v, want %v", tc.name, r.Verdict, got, tc.checked)
+		}
+	}
+	if isChecked(t, s, 0) {
+		t.Error("the root is checked")
 	}
 }
 
 // TestReloadedChildScansOnce: a checked child that is demoted comes back
 // unchecked — its bytes were read from disk — so its next extend scans
-// its loaded clauses, and marks it; five more extends scan nothing.
+// its loaded clauses, and marks it; five more extends scan nothing. The
+// base, searched and so born checked, is never scanned.
 func TestReloadedChildScansOnce(t *testing.T) {
 	scans := countScans(t)
 	cold := openStore(t, t.TempDir())
@@ -294,22 +343,22 @@ func TestReloadedChildScansOnce(t *testing.T) {
 	child := mustExtend(t, s, base.ID, [][]int{holds(1)})
 	mustExtend(t, s, base.ID, [][]int{holds(4)})
 	mustExtend(t, s, base.ID, [][]int{holds(7)}) // demotes child
-	if n := scans(); n != 1 {
-		t.Fatalf("three extends of the base scanned %d times, want 1", n)
+	if n := scans(); n != 0 {
+		t.Fatalf("three extends of the base scanned %d times, want 0", n)
 	}
 	reloads := s.Stats().Reloads
 	mustExtend(t, s, child.ID, [][]int{holds(10)})
 	if s.Stats().Reloads != reloads+1 {
 		t.Fatal("the child was not reloaded")
 	}
-	if n := scans(); n != 2 {
-		t.Fatalf("the reloaded child's first extend: %d scans in all, want 2", n)
+	if n := scans(); n != 1 {
+		t.Fatalf("the reloaded child's first extend: %d scans in all, want 1", n)
 	}
 	for i := 0; i < 5; i++ {
 		mustExtend(t, s, child.ID, [][]int{holds(13 + 3*i)})
 	}
-	if n, r := scans(), s.Stats().Reloads; n != 2 || r != reloads+1 {
-		t.Errorf("five more extends of the reloaded child: %d scans in all (want 2), %d reloads (want %d)", n, r, reloads+1)
+	if n, r := scans(), s.Stats().Reloads; n != 1 || r != reloads+1 {
+		t.Errorf("five more extends of the reloaded child: %d scans in all (want 1), %d reloads (want %d)", n, r, reloads+1)
 	}
 }
 

@@ -217,9 +217,10 @@ type entry struct {
 	// can remove it from the table underneath that evictor.
 	demoting bool
 	// checked records that the (immutable) parked state passes the
-	// loaded-clause check of solver.ExtendFromPhases. It is set on a
-	// phase-answered child at park, and on a parent whose full scan
-	// passed; see DESIGN.md "Same answers".
+	// loaded-clause check of solver.ExtendFromPhases. It is set at park on
+	// a phase-answered child and on a searched Sat child with no level-0
+	// fact, and on a parent whose full scan passed; see DESIGN.md "The
+	// phase-answered extend".
 	checked bool // guarded_by: mu
 	// Intrusive per-shard LRU list links (unpinned entries only):
 	// the shard's lruHead is its least recently used entry, so finding
@@ -797,17 +798,29 @@ func (s *Service) Extend(ctx context.Context, id uint64, clauses [][]int) (Resul
 	defer solverPool.Put(pooled)
 	sol := pooled.sol
 	// A Sat parent whose model satisfies the new clauses is answered from
-	// its state bytes alone; any other extend loads a solver. A parent
-	// whose clauses passed the phase check is marked: they need no rescan.
-	data, err := cand.FS.ReadFileInto(stateFile, pooled.buf)
-	loaded, answered := err == nil, false
+	// its state bytes alone, a checked one from where its clause section
+	// ends (its footer says where); a parent whose clauses passed the phase
+	// check is marked. Any other extend loads a solver from the whole
+	// state. data is the parent's state from offset from on; the child is
+	// written from end, where their shared clause section ends.
 	res := Result{Verdict: solver.Sat}
-	var state []byte
+	var data, state []byte
+	from, end, answered := 0, 0, false
+	size, err := cand.FS.Stat(stateFile)
+	loaded := err == nil
 	if loaded {
-		if !checked {
+		if checked {
+			// A state shorter than a footer reads as nil, and ClauseEnd
+			// then says 0: read it all, and ExtendFromPhases declines.
+			foot, _ := cand.FS.ReadFileAt(stateFile, pooled.buf, size-solver.FooterBytes)
+			from = solver.ClauseEnd(foot, int(size))
+		} else {
 			scanning()
 		}
-		state, res.Model, answered = solver.ExtendFromPhases(data, clauses, checked)
+		// from is at most size, so the read cannot fail.
+		data, _ = cand.FS.ReadFileAt(stateFile, pooled.buf, int64(from))
+		end = solver.ClauseEnd(data, int(size))
+		state, res.Model, answered = solver.ExtendFromPhases(data, from, clauses, checked)
 	}
 	if answered && !checked {
 		sh := s.shardFor(id)
@@ -817,6 +830,10 @@ func (s *Service) Extend(ctx context.Context, id uint64, clauses [][]int) (Resul
 	}
 	if !answered {
 		if loaded {
+			if from > 0 { // only the tail was read; from 0 the read cannot fail
+				data, _ = cand.FS.ReadFileAt(stateFile, pooled.buf, 0)
+				from = 0
+			}
 			if err := sol.Load(data); err != nil {
 				return Result{}, fmt.Errorf("service: corrupt state for %d: %w", id, err)
 			}
@@ -852,23 +869,27 @@ func (s *Service) Extend(ctx context.Context, id uint64, clauses [][]int) (Resul
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
+	// A phase-answered child passes the loaded-clause check by
+	// construction, and so does a searched Sat child with no level-0 fact,
+	// whose phases are its model (DESIGN.md "The phase-answered extend").
+	born := answered || res.Verdict == solver.Sat && sol.NumFacts() == 0
 	if !answered {
-		state = marshalState(sol, data)
+		state = marshalState(sol, data) // keeps the child's first end bytes
 	}
-	// Block-aware update: only the state bytes this extension changed are
-	// rewritten, so the common prefix (the base problem's clauses) stays
-	// physically shared across the whole sibling set. A state too large
-	// to park fails the whole Extend — no reference is parked, nothing
-	// leaks, and the parent stays usable.
-	if err := cand.FS.UpdateFile(stateFile, state); err != nil {
+	// Block-aware update: only the state blocks this extension changed are
+	// rewritten, and those before end are not even compared, so the common
+	// prefix (the base problem's clauses) stays physically shared across
+	// the whole sibling set. A state too large to park fails the whole
+	// Extend — no reference is parked, nothing leaks, and the parent stays
+	// usable.
+	if err := cand.FS.UpdateFileAt(stateFile, int64(end), state[end-from:]); err != nil {
 		return Result{}, fmt.Errorf("service: parking state for extension of %d: %w", id, err)
 	}
-	if cap(state) > cap(pooled.buf) { // grown by the read or the child state
+	if cap(state) > cap(pooled.buf) { // grown by a read or the child state
 		pooled.buf = state
 	}
 
-	// A phase-answered child passes the check by construction.
-	res.ID, err = s.park(s.tree.Capture(cand, parent), answered)
+	res.ID, err = s.park(s.tree.Capture(cand, parent), born)
 	if err != nil {
 		return Result{}, err
 	}

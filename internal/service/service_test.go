@@ -506,6 +506,80 @@ func TestFrameLimitedExtendRefusesOOM(t *testing.T) {
 	}
 }
 
+// TestFrameLimitSweepPhaseAndSearch bounds a service's frames at every
+// count from what its setup holds (a base and a ballast child of the
+// root) up to what two extends of the base also need: a phase answer,
+// which reads and writes only the checked base's tail, and a search-arm
+// extend. At every limit each extend succeeds or fails with the
+// allocator's FaultOOM, and a failure leaves Refs(), LiveSnapshots() and
+// Live() as they were. Releasing the ballast then frees enough for the
+// base to serve both extends, and Close leaves no frame live.
+func TestFrameLimitSweepPhaseAndSearch(t *testing.T) {
+	ctx := context.Background()
+	var holds, breaks func(v int) []int
+	setup := func(s *Service) (base, ballast Result) {
+		base = mustExtend(t, s, 0, solver.Random3SAT(60, 200, 7))
+		ballast = mustExtend(t, s, 0, solver.Random3SAT(60, 420, 8))
+		holds, breaks = modelClauses(base.Model)
+		return base, ballast
+	}
+	free := New()
+	base, _ := setup(free)
+	held := free.alloc.Live()
+	mustExtend(t, free, base.ID, [][]int{holds(1)})
+	mustExtend(t, free, base.ID, [][]int{breaks(4)})
+	need := free.alloc.Live() - held
+	free.Close()
+
+	defer func(orig int64) { frameLimit = orig }(frameLimit)
+	failed, served := map[string]int{}, map[string]int{}
+	for spare := int64(0); spare <= need; spare++ {
+		frameLimit = held + spare
+		s := New()
+		base, ballast := setup(s)
+		if !isChecked(t, s, base.ID) {
+			t.Fatal("the searched base is not parked checked")
+		}
+		try := func(name string, clause []int) {
+			refs, snaps, live := s.Refs(), s.LiveSnapshots(), s.alloc.Live()
+			_, err := s.Extend(ctx, base.ID, [][]int{clause})
+			if err == nil {
+				served[name]++
+				return
+			}
+			failed[name]++
+			var fault *mem.Fault
+			if !errors.As(err, &fault) || fault.Kind != mem.FaultOOM {
+				t.Fatalf("limit %d: %s = %v, want success or a FaultOOM", frameLimit, name, err)
+			}
+			if s.Refs() != refs || s.LiveSnapshots() != snaps || s.alloc.Live() != live {
+				t.Errorf("limit %d: a refused %s left refs %d→%d, snapshots %d→%d, frames %d→%d", frameLimit, name,
+					refs, s.Refs(), snaps, s.LiveSnapshots(), live, s.alloc.Live())
+			}
+		}
+		try("phase answer", holds(1))
+		try("search", breaks(4))
+		if err := s.Release(ballast.ID); err != nil {
+			t.Fatal(err)
+		}
+		for _, clause := range [][]int{holds(7), breaks(10)} {
+			if _, err := s.Extend(ctx, base.ID, [][]int{clause}); err != nil {
+				t.Errorf("limit %d: an extend of the base once the ballast is released: %v", frameLimit, err)
+			}
+		}
+		s.Close()
+		if n := s.alloc.Live(); n != 0 {
+			t.Errorf("limit %d: %d frames live after Close, want 0", frameLimit, n)
+		}
+	}
+	t.Logf("setup holds %d frames, the two extends need %d more; refused %v, served %v", held, need, failed, served)
+	for _, name := range []string{"phase answer", "search"} {
+		if failed[name] == 0 || served[name] == 0 {
+			t.Errorf("%s: refused %d times, served %d: the sweep no longer crosses its need", name, failed[name], served[name])
+		}
+	}
+}
+
 func TestStatsFootprintSharing(t *testing.T) {
 	s := New()
 	defer s.Close()
@@ -633,11 +707,13 @@ func TestExtendAllocatesNothingPerClause(t *testing.T) {
 // BenchmarkExtendBig is one svc-bigbase request without the wire: a
 // three-literal extend off a pinned 500-variable base. In /model-holds
 // the base's model satisfies most clauses (7 in 8, as on svc-bigbase), so
-// the parent's phases answer them with no solver, and after the first
-// such extend the base is checked; in /model-breaks every clause is false
-// under that model, so each extend loads a solver and searches;
-// /checked-chain is /model-holds off a grandchild of the base that its
-// phases answered, parked checked. It asserts nothing.
+// the parent's phases answer them with no solver; in /model-breaks every
+// clause is false under that model, so each extend loads a solver and
+// searches; /checked-chain is /model-holds off a grandchild of the base
+// that its phases answered, parked checked; /searched-child is the first
+// extend of a child the base's search arm parked, by a clause the child's
+// own model satisfies (one child per iteration, made before the timer). It
+// asserts nothing.
 func BenchmarkExtendBig(b *testing.B) {
 	s := New()
 	defer s.Close()
@@ -690,4 +766,33 @@ func BenchmarkExtendBig(b *testing.B) {
 			}
 		})
 	}
+	b.Run("searched-child", func(b *testing.B) {
+		kids := make([]Result, b.N)
+		for i := range kids {
+			v := 1 + i%498
+			kid, err := s.Extend(ctx, base.ID, [][]int{{fails(v), fails(v + 1), fails(v + 2)}})
+			if err != nil || kid.Verdict != solver.Sat {
+				b.Fatalf("searched child: %v, %v", kid.Verdict, err)
+			}
+			kids[i] = kid
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i, kid := range kids {
+			holds, _ := modelClauses(kid.Model)
+			r, err := s.Extend(ctx, kid.ID, [][]int{holds(1 + i%498)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Release(r.ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		for _, kid := range kids {
+			if err := s.Release(kid.ID); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -158,25 +158,29 @@ func BenchmarkSolveAfterLoad(b *testing.B) {
 // from the base state's bytes, onto a buffer with room for the child, as
 // the service's pooled buffer has after its first extend: with the loaded
 // clauses known to pass the phase check (checked), as for a parked state
-// the service marked, or scanned (unchecked).
+// the service marked, or scanned (unchecked); /tail is /checked from the
+// end of the clause section on, the part of the state the service reads
+// and writes for a checked parent.
 func BenchmarkExtendFromPhases(b *testing.B) {
 	state, base := bigBaseState(b)
 	clause := []int{17, 230, 451}
 	if base.phase[17] == -1 {
 		clause[0] = -17
 	}
-	for _, checked := range []bool{true, false} {
-		name := "unchecked"
-		if checked {
-			name = "checked"
-		}
-		b.Run(name, func(b *testing.B) {
-			buf := make([]byte, len(state), len(state)+4096)
+	end := ClauseEnd(state, len(state))
+	for _, bc := range []struct {
+		name    string
+		off     int
+		checked bool
+	}{{"checked", 0, true}, {"unchecked", 0, false}, {"tail", end, true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			in := state[bc.off:]
+			buf := make([]byte, len(in), len(in)+4096)
 			b.ReportAllocs()
-			b.SetBytes(int64(len(state)))
+			b.SetBytes(int64(len(in)))
 			for i := 0; i < b.N; i++ {
-				copy(buf, state)
-				if _, _, ok := ExtendFromPhases(buf, [][]int{clause}, checked); !ok {
+				copy(buf, in)
+				if _, _, ok := ExtendFromPhases(buf, bc.off, [][]int{clause}, bc.checked); !ok {
 					b.Fatal("declined")
 				}
 			}

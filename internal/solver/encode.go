@@ -129,29 +129,36 @@ func sortWords(b []byte) {
 // ExtendFromPhases answers an extend of a parked state by clauses with
 // no solver, when the state's saved phases satisfy the extended problem:
 // it returns what Load, AddClause for each clause, Solve, Model and
-// MarshalOnto(state) would, the child built in state's array if it has
-// room, or ok false with state untouched. It answers only when the footer
-// is valid with the ok flag 1 and no level-0 facts, and every clause —
-// those of clauses sorted, a tautology dropped, and every loaded one — is
-// canonical as Load demands, names only the state's variables, and has a
-// literal true under the phases (anything but -1 reads as true, as in a
-// decision). Checking the loaded clauses, Solve's own phase check, is
-// what keeps it from trusting that an ok state was marshalled after Sat.
+// MarshalOnto would, or ok false with state untouched. It answers only
+// when the footer is valid with the ok flag 1 and no level-0 facts, and
+// every clause — those of clauses sorted, a tautology dropped, and every
+// loaded one — is canonical as Load demands, names only the state's
+// variables, and has a literal true under the phases (anything but -1
+// reads as true, as in a decision). Checking the loaded clauses, Solve's
+// own phase check, is what keeps it from trusting that an ok state was
+// marshalled after Sat.
 //
-// checked says the caller already knows that state's loaded clauses pass
-// that check; then they are not read. A child this returns passes it by
-// construction: its clauses are state's, which passed, and the new ones,
-// which were just checked, its phases are state's rewritten as ±1 with the
-// same truth values, and its footer has ok 1 and no facts. So a child may
-// be extended with checked true for as long as its bytes are unchanged.
-// The footer is read either way: no flag in it is ever taken on trust.
-func ExtendFromPhases(state []byte, clauses [][]int, checked bool) (child []byte, model []bool, ok bool) {
-	f, err := readFooter(state)
-	if err != nil || f.ok != 1 || f.facts != 0 {
+// state holds the parked bytes from offset off on, 0 or, when checked,
+// where the clause section ends (ClauseEnd): then only the phases and the
+// footer are read. child is returned from the same offset, built in
+// state's array if it has room; its bytes before off are the parent's.
+// The footer is validated against the whole state's size, off+len(state),
+// either way: no flag in it is ever taken on trust.
+//
+// checked says the caller already knows that the state's loaded clauses
+// pass that check; then they are not read. A child this returns passes it
+// by construction: its clauses are the parent's, which passed, and the
+// new ones, which were just checked, its phases are the parent's
+// rewritten as ±1 with the same truth values, and its footer has ok 1 and
+// no facts. So a child may be extended with checked true for as long as
+// its bytes are unchanged.
+func ExtendFromPhases(state []byte, off int, clauses [][]int, checked bool) (child []byte, model []bool, ok bool) {
+	f, err := readFooter(state, off+len(state))
+	if err != nil || f.ok != 1 || f.facts != 0 || off != 0 && (!checked || off != 8*f.clauseWords) {
 		return nil, nil, false
 	}
 	le := binary.LittleEndian
-	cw, nv := f.clauseWords, int(f.vars)
+	cw, nv := f.clauseWords-off/8, int(f.vars) // cw: the clause words state holds
 	words := cw + nv
 	phases := state[8*cw : 8*words]
 	// The new clauses first, staged in canonical form apart from state.
@@ -201,6 +208,20 @@ func ExtendFromPhases(state []byte, clauses [][]int, checked bool) (child []byte
 		le.PutUint64(tail[8*i:], w)
 	}
 	return child, model, true
+}
+
+// FooterBytes is the length of the footer every state ends with.
+const FooterBytes = 8 * footerWords
+
+// ClauseEnd returns where the clause section of a state of size bytes
+// ends, given the state's last bytes, its footer at least, or 0 when the
+// footer is not valid for that size.
+func ClauseEnd(tail []byte, size int) int {
+	f, err := readFooter(tail, size)
+	if err != nil {
+		return 0
+	}
+	return 8 * f.clauseWords
 }
 
 // phaseClauses reports that body is n clauses Load accepts — a length
@@ -324,9 +345,9 @@ func Unmarshal(data []byte) (*Solver, error) {
 // the next Load skip the clauses it shares with them.
 func (s *Solver) Reset() {
 	*s = Solver{
-		ok: true, varInc: 1,
+		ok: true, varInc: 1, cursor: 1,
 		arena: s.arena[:0], watches: s.watches[:0], watchMem: s.watchMem, watchCount: s.watchCount[:0],
-		assign: s.assign[:0], level: s.level[:0], reason: s.reason[:0], phase: s.phase[:0],
+		value: s.value[:0], level: s.level[:0], reason: s.reason[:0], phase: s.phase[:0],
 		activity: s.activity[:0], heap: s.heap[:0], heapPos: s.heapPos[:0],
 		trail: s.trail[:0], trailLim: s.trailLim[:0], seen: s.seen[:0], scratch: s.scratch[:0],
 		memoRaw: s.memoRaw, memoArena: s.memoArena, memoMaxVar: s.memoMaxVar,
@@ -360,7 +381,7 @@ func (s *Solver) Load(data []byte) error { return s.load(data, true) }
 // one.
 func (s *Solver) load(data []byte, keep bool) error {
 	s.Reset()
-	f, err := readFooter(data)
+	f, err := readFooter(data, len(data))
 	if err != nil {
 		return err
 	}
@@ -515,15 +536,17 @@ type footer struct {
 	clauseWords                       int
 }
 
-// readFooter reads data's footer and checks it against the body before
-// any count sizes anything: one word per phase and per fact, at least
-// three per clause, and clause offsets must fit a cref.
-func readFooter(data []byte) (footer, error) {
-	if len(data) < footerWords*8 || len(data)%8 != 0 {
-		return footer{}, fmt.Errorf("solver: truncated state (%d bytes)", len(data))
+// readFooter reads the footer at the end of tail, the last bytes of a
+// state of size bytes, and checks it against that size before any count
+// sizes anything: one word per phase and per fact, at least three per
+// clause, and clause offsets must fit a cref.
+func readFooter(tail []byte, size int) (footer, error) {
+	if size < FooterBytes || size%8 != 0 || len(tail) < FooterBytes || len(tail) > size {
+		return footer{}, fmt.Errorf("solver: truncated state (%d bytes)", size)
 	}
-	words := len(data)/8 - footerWords
-	word := func(i int) uint64 { return binary.LittleEndian.Uint64(data[8*(words+i):]) }
+	words := size/8 - footerWords
+	foot := tail[len(tail)-FooterBytes:]
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(foot[8*i:]) }
 	f := footer{clauses: word(0), learnts: word(1), facts: word(2), vars: word(3), ok: word(4)}
 	if word(5) != solverMagic {
 		return footer{}, fmt.Errorf("solver: bad state magic")

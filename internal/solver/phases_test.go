@@ -48,7 +48,7 @@ func extendBySolver(parent []byte, clauses [][]int) (solved, error) {
 func checkExtendFromPhases(t *testing.T, parent []byte, room int, clauses [][]int) []byte {
 	t.Helper()
 	in := append(make([]byte, 0, len(parent)+room), parent...)
-	child, model, ok := ExtendFromPhases(in, clauses, false)
+	child, model, ok := ExtendFromPhases(in, 0, clauses, false)
 	if !ok {
 		if !bytes.Equal(in, parent) {
 			t.Fatalf("extend by %v: declined, yet wrote into the state", clauses)
@@ -72,15 +72,29 @@ func checkExtendFromPhases(t *testing.T, parent []byte, room int, clauses [][]in
 // checkChecked is the induction step behind the service's checked bit:
 // child, which ExtendFromPhases returned, passes the loaded-clause check
 // by construction, so extending it by clauses without the scan must give
-// what the scan gives — the same ok, model and bytes.
+// what the scan gives — the same ok, model and bytes — and so must the
+// tail-only answer, which reads the child from the end of its clause
+// section on and returns the grandchild from there, or declines with that
+// tail untouched.
 func checkChecked(t *testing.T, child []byte, room int, clauses [][]int) {
 	t.Helper()
 	in := append(make([]byte, 0, len(child)+room), child...)
-	got, model, ok := ExtendFromPhases(in, clauses, true)
+	got, model, ok := ExtendFromPhases(in, 0, clauses, true)
 	in2 := append(make([]byte, 0, len(child)+room), child...)
-	want, model2, ok2 := ExtendFromPhases(in2, clauses, false)
+	want, model2, ok2 := ExtendFromPhases(in2, 0, clauses, false)
 	if ok != ok2 || !slices.Equal(model, model2) || !bytes.Equal(got, want) {
 		t.Fatalf("extend of a child by %v: answers %v unscanned and %v scanned (or they differ)", clauses, ok, ok2)
+	}
+	off := ClauseEnd(child, len(child))
+	in3 := append(make([]byte, 0, len(child)-off+room), child[off:]...)
+	tail, model3, ok3 := ExtendFromPhases(in3, off, clauses, true)
+	switch {
+	case ok3 != ok || !slices.Equal(model3, model):
+		t.Fatalf("extend of a child by %v: answers %v from the tail at %d, %v from the whole state (or the models differ)", clauses, ok3, off, ok)
+	case ok && !bytes.Equal(tail, got[off:]):
+		t.Fatalf("extend of a child by %v: the tail-only child differs from the whole one's bytes from %d", clauses, off)
+	case !ok && !bytes.Equal(in3, child[off:]):
+		t.Fatalf("extend of a child by %v: declined from the tail, yet wrote into it", clauses)
 	}
 }
 
@@ -89,7 +103,9 @@ func checkChecked(t *testing.T, child []byte, room int, clauses [][]int) {
 // produced (Unsat ones included), with one or two clauses each. Mixed in
 // are unit clauses, clauses naming a new variable, tautologies, parents
 // whose phase words are scrambled, and parents with level-0 facts. Every
-// extend is done both ways.
+// extend is done both ways, and every Sat child with no level-0 fact the
+// solver path makes, after a search with conflicts too, must pass the
+// loaded-clause check.
 func TestExtendFromPhasesMatchesSolver(t *testing.T) {
 	count := map[string]int{}
 	for _, shape := range []struct {
@@ -144,6 +160,16 @@ func TestExtendFromPhasesMatchesSolver(t *testing.T) {
 				t.Fatal(err)
 			}
 			count[next.verdict.String()]++
+			// A Sat state with no level-0 fact, searched or not, passes the
+			// loaded-clause check: the service parks it checked.
+			if next.verdict == Sat && binary.LittleEndian.Uint64(next.state[len(next.state)-32:]) == 0 {
+				if _, _, ok := ExtendFromPhases(slices.Clone(next.state), 0, nil, false); !ok {
+					t.Fatalf("extend by %v: a Sat child with no fact fails the loaded-clause check", clauses)
+				}
+				if next.learnts > 0 {
+					count["searched, born checked"]++
+				}
+			}
 			if i%10 != 0 || i%50 == 0 { // a unit clause's child has a fact, and so has every descendant
 				states = append(states, next.state)
 			}
@@ -154,7 +180,7 @@ func TestExtendFromPhasesMatchesSolver(t *testing.T) {
 		}
 	}
 	t.Logf("%v", count)
-	for key, least := range map[string]int{"unsat": 50, "facts": 50} {
+	for key, least := range map[string]int{"unsat": 50, "facts": 50, "searched, born checked": 50} {
 		if count[key] < least {
 			t.Errorf("%s: %d times, want at least %d: the sequence no longer exercises it", key, count[key], least)
 		}
@@ -250,7 +276,7 @@ func FuzzExtendFromPhases(f *testing.F) {
 			{holds(st, 1, 2), holds(st, 3, 4)},
 			{append(holds(st, 2, 3, 4), holds(st, 1, 4)...), holds(st, 1, 2, 3)},
 		} {
-			if _, _, ok := ExtendFromPhases(slices.Clone(st), fuzzClauses(ext[0]), false); !ok {
+			if _, _, ok := ExtendFromPhases(slices.Clone(st), 0, fuzzClauses(ext[0]), false); !ok {
 				f.Fatalf("the seed extend by %v declined", fuzzClauses(ext[0]))
 			}
 			f.Add(st, ext[0], ext[1])

@@ -106,7 +106,7 @@ type Solver struct {
 	ok       bool // false once an empty clause is derived at level 0
 
 	watches  [][]watch // indexed by lit
-	assign   []int8    // by var: 0 unset, +1 true, -1 false
+	value    []int8    // by lit: 0 unassigned, +1 true, -1 false
 	level    []int32   // by var
 	reason   []cref    // by var
 	phase    []int8    // saved phase by var
@@ -119,10 +119,15 @@ type Solver struct {
 	watchCount []int32
 
 	// heap is a binary heap of variables ordered by decidesBefore; heapPos
-	// is each variable's index in it, or -1. Every unassigned variable is
-	// in the heap; assigned ones leave it lazily, when they reach the top.
+	// is each variable's index in it, or -1. Every unassigned variable of
+	// activity above 0 is in the heap, and no variable of activity 0;
+	// assigned ones leave it lazily, when they reach the top. Every
+	// unassigned variable of activity 0 is at or after cursor, which never
+	// passes nVars+1: after a Load, when every activity is 0, decisions
+	// take the cursor's variables lowest index first at O(1) each.
 	heap    []int32
 	heapPos []int32
+	cursor  int
 
 	trail    []lit // capacity covers every variable: enqueue never grows it
 	trailLim []int
@@ -171,6 +176,15 @@ func (s *Solver) NumClauses() int { return s.nClauses }
 // marshalled state come back as problem clauses.
 func (s *Solver) NumLearnts() int { return s.nLearnts }
 
+// NumFacts returns the number of level-0 facts: the literals Marshal
+// writes between the clauses and the phases.
+func (s *Solver) NumFacts() int {
+	if len(s.trailLim) > 0 {
+		return s.trailLim[0]
+	}
+	return len(s.trail)
+}
+
 // grow extends every per-variable array to nVars in one step each.
 func (s *Solver) grow(nVars int) {
 	if nVars <= s.nVars {
@@ -178,9 +192,9 @@ func (s *Solver) grow(nVars int) {
 	}
 	s.nVars = nVars
 	s.watches = append(s.watches, make([][]watch, 2*nVars+2-len(s.watches))...)
-	from := len(s.assign)
+	s.value = append(s.value, make([]int8, 2*nVars+2-len(s.value))...)
+	from := len(s.level)
 	n := nVars + 1 - from
-	s.assign = append(s.assign, make([]int8, n)...)
 	s.level = append(s.level, make([]int32, n)...)
 	s.reason = append(s.reason, make([]cref, n)...)
 	s.phase = append(s.phase, make([]int8, n)...)
@@ -189,13 +203,12 @@ func (s *Solver) grow(nVars int) {
 	s.heapPos = append(s.heapPos, make([]int32, n)...)
 	s.trail = slices.Grow(s.trail, nVars-len(s.trail))
 	s.heap = slices.Grow(s.heap, nVars-len(s.heap))
+	// The new variables have activity 0, and the cursor is at most the
+	// old nVars+1: they are at or after it.
 	for v := from; v <= nVars; v++ {
 		s.reason[v] = crefNone
 		s.phase[v] = -1
 		s.heapPos[v] = -1
-		if v > 0 {
-			s.heapInsert(v)
-		}
 	}
 }
 
@@ -206,16 +219,7 @@ func (s *Solver) AddVar(v int) { s.grow(v) }
 // 0 unassigned.
 // hot_path: one load.
 // inline:
-func (s *Solver) valueLit(l lit) int8 {
-	v := s.assign[l.variable()]
-	if v == 0 {
-		return 0
-	}
-	if l.sign() {
-		return v
-	}
-	return -v
-}
+func (s *Solver) valueLit(l lit) int8 { return s.value[l] }
 
 // AddClause adds a clause of external literals (±var). It returns an error
 // on malformed input — a literal 0, a variable beyond VarLimit — before
@@ -311,14 +315,10 @@ func (s *Solver) attach(c cref, cl []lit) {
 	s.watches[cl[1].neg()] = append(s.watches[cl[1].neg()], watch{c: c, blocker: cl[0]})
 }
 
-// hot_path: four stores; the trail's capacity covers every variable.
+// hot_path: five stores; the trail's capacity covers every variable.
 func (s *Solver) enqueue(l lit, from cref) {
 	v := l.variable()
-	if l.sign() {
-		s.assign[v] = 1
-	} else {
-		s.assign[v] = -1
-	}
+	s.value[l], s.value[l.neg()] = 1, -1
 	s.level[v] = int32(len(s.trailLim))
 	s.reason[v] = from
 	n := len(s.trail)
@@ -389,18 +389,23 @@ func (s *Solver) propagate() cref {
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 // hot_path: unassigns the trail above lvl and returns its variables to the
-// order heap.
+// order heap, or, at activity 0, to the cursor.
 func (s *Solver) cancelUntil(lvl int) {
 	if s.decisionLevel() <= lvl {
 		return
 	}
 	bound := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= bound; i-- {
-		v := s.trail[i].variable()
-		s.phase[v] = s.assign[v] // phase saving
-		s.assign[v] = 0
+		l := s.trail[i]
+		v := l.variable()
+		s.phase[v] = s.value[2*v] // phase saving
+		s.value[l], s.value[l.neg()] = 0, 0
 		s.reason[v] = crefNone
-		s.heapInsert(v)
+		if s.activity[v] > 0 {
+			s.heapInsert(v)
+		} else {
+			s.cursor = min(s.cursor, v)
+		}
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:lvl]
@@ -469,42 +474,77 @@ func (s *Solver) heapInsert(v int) {
 	s.siftUp(n)
 }
 
-// pickBranchVar returns the unassigned variable that decides before every
-// other, or 0 when all are assigned.
+// heapPop removes the heap's top and returns it.
 //
-// hot_path: pops assigned variables off the top until an unassigned one.
+// hot_path: a sift of at most log2(nVars) steps.
+func (s *Solver) heapPop() int {
+	v := s.heap[0]
+	s.heapPos[v] = -1
+	last := s.heap[len(s.heap)-1]
+	s.heap = s.heap[:len(s.heap)-1]
+	if len(s.heap) > 0 {
+		s.heap[0] = last
+		s.siftDown(0)
+	}
+	return int(v)
+}
+
+// pickBranchVar returns the unassigned variable that decides before every
+// other, or 0 when all are assigned: of the heap's top, the first among
+// the unassigned variables of activity above 0, and the cursor's, the
+// first of activity 0, whichever decides before the other.
+//
+// hot_path: pops assigned variables off the heap's top and moves the
+// cursor past assigned and active ones, each at most once per assignment.
 func (s *Solver) pickBranchVar() int {
-	for len(s.heap) > 0 {
-		v := s.heap[0]
-		s.heapPos[v] = -1
-		last := s.heap[len(s.heap)-1]
-		s.heap = s.heap[:len(s.heap)-1]
-		if len(s.heap) > 0 {
-			s.heap[0] = last
-			s.siftDown(0)
-		}
-		if s.assign[v] == 0 {
-			return int(v)
-		}
+	for len(s.heap) > 0 && s.value[2*s.heap[0]] != 0 {
+		s.heapPop()
+	}
+	for s.cursor <= s.nVars && (s.value[2*s.cursor] != 0 || s.activity[s.cursor] > 0) {
+		s.cursor++
+	}
+	switch {
+	case len(s.heap) > 0 && (s.cursor > s.nVars || s.decidesBefore(s.heap[0], int32(s.cursor))):
+		return s.heapPop()
+	case s.cursor <= s.nVars:
+		return s.cursor
 	}
 	return 0
 }
 
 func (s *Solver) bumpVar(v int) {
 	s.activity[v] += s.varInc
-	if s.activity[v] > 1e100 {
+	switch i := s.heapPos[v]; {
+	case s.activity[v] > 1e100:
 		for i := range s.activity {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
-		// Scaling can round distinct activities into a tie, which the
-		// index then breaks the other way: re-establish the heap.
-		for i := len(s.heap)/2 - 1; i >= 0; i-- {
-			s.siftDown(i)
-		}
-	} else if i := s.heapPos[v]; i >= 0 {
+		s.rebuildHeap()
+	case i >= 0:
 		s.siftUp(int(i))
+	default:
+		s.heapInsert(v)
 	}
+}
+
+// rebuildHeap puts exactly the unassigned variables of activity above 0
+// into the heap and the cursor back at 1: a rescale can round distinct
+// activities into a tie, which the index then breaks the other way, or an
+// activity down to 0.
+func (s *Solver) rebuildHeap() {
+	s.heap = s.heap[:0]
+	for v := 1; v <= s.nVars; v++ {
+		s.heapPos[v] = -1
+		if s.activity[v] > 0 && s.value[2*v] == 0 {
+			s.heapPos[v] = int32(len(s.heap))
+			s.heap = append(s.heap, int32(v))
+		}
+	}
+	for i := len(s.heap)/2 - 1; i >= 0; i-- {
+		s.siftDown(i)
+	}
+	s.cursor = 1
 }
 
 // analyze performs first-UIP learning; returns the learned clause (with the
@@ -616,11 +656,11 @@ func (s *Solver) phasesSatisfy(from, to int) bool {
 		n := int(s.arena[c] >> 1)
 		sat := false
 		for _, l := range s.arena[c+1 : c+1+n] {
-			v := s.assign[l.variable()]
-			if v == 0 {
-				v = s.phase[l.variable()]
+			v := s.value[l]
+			if v == 0 && (s.phase[l.variable()] != -1) == l.sign() {
+				v = 1
 			}
-			if (v != -1) == l.sign() {
+			if v == 1 {
 				sat = true
 				break
 			}
@@ -639,7 +679,7 @@ func (s *Solver) phasesSatisfy(from, to int) bool {
 func (s *Solver) decidePhases() {
 	s.trailLim = append(s.trailLim, len(s.trail))
 	for v := 1; v <= s.nVars; v++ {
-		if s.assign[v] != 0 {
+		if s.value[2*v] != 0 {
 			continue
 		}
 		l := toLit(v)
@@ -712,7 +752,7 @@ func (s *Solver) search(maxConflicts int64) Status {
 func (s *Solver) Model() []bool {
 	m := make([]bool, s.nVars+1)
 	for v := 1; v <= s.nVars; v++ {
-		m[v] = s.assign[v] == 1
+		m[v] = s.value[2*v] == 1
 	}
 	return m
 }
