@@ -15,8 +15,9 @@
 //
 //	-json FILE   write a machine-readable report (findings, suppressed
 //	             count, package/analyzer inventory) to FILE
-//	-time        print per-analyzer cumulative wall time to stderr
-//	-jobs N      bound the per-package worker pool (default GOMAXPROCS)
+//	-time        print per-analyzer wall time to stderr
+//
+// Every analyzer runs once over all the loaded packages together.
 package main
 
 import (
@@ -49,7 +50,6 @@ func main() {
 	fs := flag.NewFlagSet("reprolint", flag.ExitOnError)
 	fs.StringVar(&opts.JSONPath, "json", "", "write a JSON report to this file")
 	fs.BoolVar(&opts.Time, "time", false, "print per-analyzer wall time to stderr")
-	fs.IntVar(&opts.Jobs, "jobs", 0, "per-package worker pool size (0 = GOMAXPROCS)")
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
@@ -60,5 +60,5 @@ func main() {
 		os.Exit(2)
 	}
 
-	os.Exit(reprolint.MainOpts(os.Stdout, os.Stderr, dir, suite(), fs.Args(), opts))
+	os.Exit(reprolint.Main(os.Stdout, os.Stderr, dir, suite(), fs.Args(), opts))
 }

@@ -17,7 +17,7 @@ import (
 func runSuite(t *testing.T, dir string, opts reprolint.Options) (int, string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	code := reprolint.MainOpts(&stdout, &stderr, dir, suite(), []string{"./..."}, opts)
+	code := reprolint.Main(&stdout, &stderr, dir, suite(), []string{"./..."}, opts)
 	if code == 2 {
 		t.Fatalf("loader/analyzer failure:\n%s%s", stderr.String(), stdout.String())
 	}

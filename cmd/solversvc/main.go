@@ -14,7 +14,6 @@
 //
 //	-listen ADDR         serve TCP on ADDR instead of stdin/stdout
 //	-cap N               keep at most N unpinned references; LRU-evict beyond
-//	-shards N            reference-table lock shards (0 = default)
 //	-req-timeout D       per-request deadline for extend (default 30s; 0 disables)
 //	-write-timeout D     per-reply write deadline on TCP (default 5s; 0 disables)
 //	-store DIR           demote evictions to DIR instead of dropping them
@@ -61,7 +60,6 @@ func main() {
 
 	listen := flag.String("listen", "", "serve on a TCP address (e.g. :7333) instead of stdin/stdout")
 	capacity := flag.Int("cap", 0, "max parked unpinned references; 0 = unbounded; LRU-evicted beyond")
-	shards := flag.Int("shards", 0, "reference-table lock shards (0 = default)")
 	reqTimeout := flag.Duration("req-timeout", 30*time.Second, "per-request deadline for extend (0 disables)")
 	writeTimeout := flag.Duration("write-timeout", 5*time.Second, "per-reply write deadline: a peer that stops reading fails its session instead of wedging it (0 disables)")
 	storeDir := flag.String("store", "", "persistence directory: evictions demote to disk instead of dropping, and a restart recovers previously-parked ids")
@@ -80,7 +78,7 @@ func main() {
 				len(ids), *storeDir, ids[len(ids)-1])
 		}
 	}
-	svc := service.NewWithConfig(service.Config{Capacity: *capacity, Shards: *shards, Store: cold})
+	svc := service.NewWithConfig(service.Config{Capacity: *capacity, Store: cold})
 
 	var sessionErr error
 	if *listen != "" {

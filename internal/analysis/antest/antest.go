@@ -1,8 +1,8 @@
 // Package antest is a miniature analysistest: it loads a package from a
 // testdata/src tree, typechecks it against the real standard library
 // (via compiler export data, so it works offline), runs one reprolint
-// analyzer, and compares the diagnostics against `// want "regexp"`
-// comments in the sources.
+// analyzer over it as a one-package Program, and compares the
+// diagnostics against `// want "regexp"` comments in the sources.
 //
 // Expectation syntax, on the line the diagnostic is anchored to:
 //
@@ -80,7 +80,8 @@ func RunAs(t *testing.T, testdata string, a *reprolint.Analyzer, pkgpath, import
 		TypesInfo:  info,
 	}
 
-	diags, err := reprolint.RunAnalyzers(pkg, []*reprolint.Analyzer{a})
+	prog := reprolint.NewProgram([]*reprolint.Package{pkg})
+	diags, _, err := reprolint.RunWholeProgram(prog, []*reprolint.Analyzer{a}, nil)
 	if err != nil {
 		t.Fatalf("antest: run %s: %v", a.Name, err)
 	}

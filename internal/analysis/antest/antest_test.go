@@ -15,11 +15,13 @@ import (
 var funcNamed = &reprolint.Analyzer{
 	Name: "funcnamed",
 	Doc:  "reports functions named bad*",
-	Run: func(pass *reprolint.Pass) error {
-		for _, f := range pass.Files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && len(fd.Name.Name) >= 3 && fd.Name.Name[:3] == "bad" {
-					pass.Reportf(fd.Pos(), "function %s is bad", fd.Name.Name)
+	RunProgram: func(pass *reprolint.ProgramPass) error {
+		for _, pkg := range pass.Prog.Pkgs {
+			for _, f := range pkg.Files {
+				for _, d := range f.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok && len(fd.Name.Name) >= 3 && fd.Name.Name[:3] == "bad" {
+						pass.Reportf(fd.Pos(), "function %s is bad", fd.Name.Name)
+					}
 				}
 			}
 		}

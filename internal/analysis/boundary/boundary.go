@@ -1,7 +1,11 @@
 // Package boundary implements reprolint's every-path obligation checker.
-// Each rule is one astcfg.PathTo query: no control-flow path may lead
-// from a trigger to a success exit (or to a manifest-log commit) without
-// passing a call that discharges the obligation.
+// Each rule is one astcfg.PathTo query over one function body: no
+// control-flow path may lead from a trigger to a success exit (or to a
+// manifest-log commit) without passing a call that discharges the
+// obligation. Like every reprolint analyzer it runs once over the whole
+// program. A call resolves to its callee's annotations when both are in
+// one package: an imported function is an export-data object, not the
+// declaration the annotations hang on.
 //
 //   - Functions annotated `// sharing_boundary` change page-sharing
 //     relationships in ways that make every cached translation suspect
@@ -47,9 +51,9 @@ import (
 
 // Analyzer is the boundary analyzer.
 var Analyzer = &reprolint.Analyzer{
-	Name: "boundary",
-	Doc:  "sharing_boundary functions flush the TLB, epoch_boundary functions advance the snapshot epoch, and store publishes are synced before the log or a success return names them, on every path",
-	Run:  run,
+	Name:       "boundary",
+	Doc:        "sharing_boundary functions flush the TLB, epoch_boundary functions advance the snapshot epoch, and store publishes are synced before the log or a success return names them, on every path",
+	RunProgram: run,
 }
 
 // storePkg is the package the fsync rules check.
@@ -65,44 +69,56 @@ var publishNames = map[string]bool{
 	"Mkdir":      true,
 }
 
-func run(pass *reprolint.Pass) error {
+func run(pass *reprolint.ProgramPass) error {
 	anns := map[*types.Func]reprolint.FuncAnn{}
-	for fn, fd := range reprolint.FuncDeclMap(pass) {
-		anns[fn] = reprolint.FuncAnnotation(fd)
-	}
-	// discharges matches a call by its bare name (when name is not
-	// empty), or by the annotation of its resolved callee.
-	discharges := func(name string, has func(reprolint.FuncAnn) bool) func(*ast.CallExpr) bool {
-		return func(call *ast.CallExpr) bool {
-			if name != "" && calleeName(call) == name {
-				return true
+	for _, pkg := range pass.Prog.Pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					if obj, ok := pkg.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+						anns[obj] = reprolint.FuncAnnotation(fd)
+					}
+				}
 			}
-			a, ok := anns[reprolint.CalleeFunc(pass.TypesInfo, call)]
-			return ok && has(a)
 		}
 	}
-	isFlush := discharges("flush", func(a reprolint.FuncAnn) bool { return a.FlushesTLB || a.SharingBoundary })
-	isBump := discharges("AdvanceEpoch", func(a reprolint.FuncAnn) bool { return a.BumpsEpoch || a.EpochBoundary })
-	isDurable := discharges("", func(a reprolint.FuncAnn) bool { return a.DurablePublish })
-	isSync := func(call *ast.CallExpr) bool {
-		name := calleeName(call)
-		return name == "Sync" || name == "syncDir" || isDurable(call)
-	}
-	store := pass.Pkg.Path() == storePkg || strings.HasSuffix(pass.Pkg.Path(), "/"+storePkg)
+	for _, pkg := range pass.Prog.Pkgs {
+		info := pkg.TypesInfo
+		// discharges matches a call by its bare name (when name is not
+		// empty), or by the annotation of its resolved callee.
+		discharges := func(name string, has func(reprolint.FuncAnn) bool) func(*ast.CallExpr) bool {
+			return func(call *ast.CallExpr) bool {
+				if name != "" && calleeName(call) == name {
+					return true
+				}
+				a, ok := anns[reprolint.CalleeFunc(info, call)]
+				return ok && has(a)
+			}
+		}
+		isFlush := discharges("flush", func(a reprolint.FuncAnn) bool { return a.FlushesTLB || a.SharingBoundary })
+		isBump := discharges("AdvanceEpoch", func(a reprolint.FuncAnn) bool { return a.BumpsEpoch || a.EpochBoundary })
+		isDurable := discharges("", func(a reprolint.FuncAnn) bool { return a.DurablePublish })
+		isSync := func(call *ast.CallExpr) bool {
+			name := calleeName(call)
+			return name == "Sync" || name == "syncDir" || isDurable(call)
+		}
+		path := pkg.Types.Path()
+		store := path == storePkg || strings.HasSuffix(path, "/"+storePkg)
 
-	for _, file := range pass.Files {
-		for _, scope := range reprolint.FuncScopes(file) {
-			c := &checker{pass: pass, scope: scope, sig: reprolint.ScopeSignature(pass.TypesInfo, scope)}
-			ann := reprolint.FuncAnnotation(scope.Decl)
-			if ann.SharingBoundary {
-				c.everySuccess(isFlush, "sharing_boundary", "TLB invalidation")
-			}
-			if ann.EpochBoundary {
-				c.everySuccess(isBump, "epoch_boundary", "snapshot-epoch advance")
-			}
-			if store {
-				c.publishesSynced(isDurable, isSync)
-				c.discardedSync(scope.Body.List, false)
+		for _, file := range pkg.Files {
+			for _, scope := range reprolint.FuncScopes(file) {
+				c := &checker{pass: pass, info: info, scope: scope, sig: reprolint.ScopeSignature(info, scope)}
+				ann := reprolint.FuncAnnotation(scope.Decl)
+				if ann.SharingBoundary {
+					c.everySuccess(isFlush, "sharing_boundary", "TLB invalidation")
+				}
+				if ann.EpochBoundary {
+					c.everySuccess(isBump, "epoch_boundary", "snapshot-epoch advance")
+				}
+				if store {
+					c.publishesSynced(isDurable, isSync)
+					c.discardedSync(scope.Body.List, false)
+				}
 			}
 		}
 	}
@@ -111,7 +127,8 @@ func run(pass *reprolint.Pass) error {
 
 // checker runs the rules over one function body.
 type checker struct {
-	pass  *reprolint.Pass
+	pass  *reprolint.ProgramPass
+	info  *types.Info
 	scope reprolint.FuncScope
 	sig   *types.Signature
 	graph *astcfg.Graph
@@ -137,7 +154,7 @@ func (c *checker) successExit(n ast.Node) bool {
 // where names the exit successExit matched.
 func (c *checker) where(n ast.Node) string {
 	if ret, ok := n.(*ast.ReturnStmt); ok && ret != nil {
-		return c.pass.Fset.Position(ret.Pos()).String()
+		return c.pass.Prog.Fset.Position(ret.Pos()).String()
 	}
 	return "the end of the function"
 }
@@ -160,7 +177,7 @@ func (c *checker) everySuccess(discharge func(*ast.CallExpr) bool, directive, ob
 // publishesSynced reports each publish that reaches a manifest-log
 // append, or else a success return, with no sync between.
 func (c *checker) publishesSynced(isDurable, isSync func(*ast.CallExpr) bool) {
-	info := c.pass.TypesInfo
+	info := c.info
 	reprolint.InspectShallow(c.scope.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || isDurable(call) {
@@ -182,7 +199,7 @@ func (c *checker) publishesSynced(isDurable, isSync func(*ast.CallExpr) bool) {
 		if hit, ok := g.PathTo(call, commit, synced); ok {
 			c.pass.Reportf(call.Pos(),
 				"%s reaches the manifest-log append at %s with no Sync/syncDir between: a crash can leave the log referencing unsynced data",
-				what, c.pass.Fset.Position(hit.Pos()))
+				what, c.pass.Prog.Fset.Position(hit.Pos()))
 		} else if hit, ok := g.PathTo(call, c.successExit, synced); ok {
 			c.pass.Reportf(call.Pos(),
 				"%s reaches a success return (%s) with no Sync/syncDir between: durability is reported before it exists",
@@ -206,9 +223,9 @@ func (c *checker) discardedSync(stmts []ast.Stmt, failure bool) {
 	}
 	for _, s := range stmts {
 		if sel := discardedCall(s); sel != nil && !failure &&
-			(sel.Sel.Name == "Sync" || sel.Sel.Name == "Close") && isOSFile(c.pass.TypesInfo, sel.X) {
+			(sel.Sel.Name == "Sync" || sel.Sel.Name == "Close") && isOSFile(c.info, sel.X) {
 			c.pass.Reportf(s.Pos(), "error from %s.%s() is discarded on a write path: a failed write-back would go unnoticed",
-				reprolint.ExprString(c.pass.Fset, sel.X), sel.Sel.Name)
+				reprolint.ExprString(c.pass.Prog.Fset, sel.X), sel.Sel.Name)
 		}
 		switch s := s.(type) {
 		case *ast.BlockStmt:

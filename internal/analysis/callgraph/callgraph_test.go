@@ -305,51 +305,6 @@ func top() {
 	}
 }
 
-// TestMergedParamSummary: callsite-edge facts merge across CHA
-// candidates — a fact holds if any candidate has it.
-func TestMergedParamSummary(t *testing.T) {
-	prog := load(t, `package p
-
-type Res struct{ n int }
-
-func (r *Res) Release() {}
-
-type Sink interface{ Take(r *Res) }
-
-type Dropper struct{}
-
-func (Dropper) Take(r *Res) { r.Release() }
-
-type Keeper struct{}
-
-var kept *Res
-
-func (Keeper) Take(r *Res) { kept = r }
-
-func hand(s Sink, r *Res) {
-	s.Take(r)
-}
-`)
-	g := callgraph.Build(prog)
-	sums := g.Summaries()
-	n := nodeByName(t, g, "hand")
-	if len(n.Calls) != 1 {
-		t.Fatalf("hand has %d edges, want 1", len(n.Calls))
-	}
-	// Param 1 of Take (0 is the receiver): Dropper releases it, Keeper
-	// stores it — the merge must carry both facts.
-	merged, ok := callgraph.MergedParamSummary(sums, n.Calls[0], 1)
-	if !ok {
-		t.Fatal("no resolved candidate summaries")
-	}
-	if !merged.Releases || !merged.Escapes {
-		t.Errorf("merged = %+v, want Releases && Escapes", merged)
-	}
-	if _, ok := callgraph.MergedParamSummary(sums, n.Calls[0], 9); ok {
-		t.Error("out-of-range param reported a summary")
-	}
-}
-
 // TestSCCFixpoint: mutually recursive releasing helpers converge.
 func TestSCCFixpoint(t *testing.T) {
 	prog := load(t, `package p

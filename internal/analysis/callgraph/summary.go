@@ -122,24 +122,6 @@ func (g *Graph) Summaries() map[*Node]*Summary {
 	return out
 }
 
-// SummaryFor returns the summary of a resolved callee at a callsite
-// edge, merged across CHA candidates: a fact holds if it holds for any
-// candidate. Returns nil when the edge has no resolved callees.
-func MergedParamSummary(sums map[*Node]*Summary, e Edge, param int) (ParamSummary, bool) {
-	var merged ParamSummary
-	found := false
-	for _, callee := range e.Callees {
-		s := sums[callee]
-		if s == nil || param >= len(s.Params) {
-			continue
-		}
-		found = true
-		merged.Releases = merged.Releases || s.Params[param].Releases
-		merged.Escapes = merged.Escapes || s.Params[param].Escapes
-	}
-	return merged, found
-}
-
 // paramObjs returns the node's parameter objects, receiver first.
 func paramObjs(n *Node) []*types.Var {
 	sig := n.Signature()
@@ -331,7 +313,7 @@ func classifyObj(n *Node, info *types.Info, obj types.Object, edgeOf map[*ast.Ca
 				esc = true
 			}
 		case *ast.FuncLit:
-			if mentions(info, x.Body, obj) {
+			if Mentions(info, x.Body, obj) {
 				esc = true
 			}
 			return false
@@ -547,8 +529,8 @@ func inspectOwn(root ast.Node, fn func(ast.Node) bool) {
 	})
 }
 
-// mentions reports whether any identifier under n resolves to obj.
-func mentions(info *types.Info, n ast.Node, obj types.Object) bool {
+// Mentions reports whether any identifier under n resolves to obj.
+func Mentions(info *types.Info, n ast.Node, obj types.Object) bool {
 	found := false
 	ast.Inspect(n, func(m ast.Node) bool {
 		if found {

@@ -18,12 +18,10 @@ type gateRow struct {
 	allocates bool   // whether the shape really allocates
 	hotpath   bool   // whether hotpath reports it
 	escape    bool   // whether escapegate reports it
-	hole      string // why neither gate reports an allocating row
 }
 
 // gateRows is the division of labour between the two allocation gates:
-// every class that allocates is reported by at least one of them,
-// except map-insert growth, which neither sees.
+// every class that allocates is reported by at least one of them.
 var gateRows = []gateRow{
 	// Escaping allocations: the compiler's verdict.
 	{fn: "func escAddr() *T { return &T{} }", allocates: true, escape: true},
@@ -50,9 +48,9 @@ var gateRows = []gateRow{
 	{fn: "func callItoa(v int) { sinkStr = strconv.Itoa(v) }", allocates: true, hotpath: true},
 	{fn: "func callAlloc() { sinkT = mk() }", allocates: true, hotpath: true},
 	{fn: "func callAllocInlined() { sinkT = mkInl() }", allocates: true, hotpath: true, escape: true},
-	// Growth: hotpath's append rule; map inserts are seen by neither.
+	// Growth: hotpath's append and map-insert rules.
 	{fn: "func appendGrow(s []int, v int) []int { return append(s, v) }", allocates: true, hotpath: true},
-	{fn: "func mapWrite(m map[int]int, k int) { m[k] = k }", allocates: true, hole: "map-insert growth"},
+	{fn: "func mapWrite(m map[int]int, k int) { m[k] = k }", allocates: true, hotpath: true},
 	// Shapes that stay on the stack, so neither gate should report them
 	// (TestStackShapesDoNotAllocate measures them).
 	{fn: "func stackAddr(x int) int { p := &T{n: x}; return p.n }"},
@@ -143,7 +141,7 @@ func TestAllocationGates(t *testing.T) {
 		if hp != r.hotpath || eg != r.escape {
 			t.Errorf("%s: hotpath=%v escapegate=%v, want hotpath=%v escapegate=%v", r.fn, hp, eg, r.hotpath, r.escape)
 		}
-		if r.allocates && !hp && !eg && r.hole == "" {
+		if r.allocates && !hp && !eg {
 			t.Errorf("%s allocates but neither gate reports it", r.fn)
 		}
 	}

@@ -9,17 +9,19 @@
 // cannot see or does not report as an escape. A function annotated
 // `// hot_path:` may contain
 //
-//   - no append (growth is a heap operation the escape verdicts never
-//     show; provably amortized growth carries a //lint:ignore);
+//   - no append and no map insert (`m[k] = v`, `m[k] op= v`, `m[k]++`):
+//     growth is a heap operation the escape verdicts never show;
+//     provably amortized growth carries a //lint:ignore;
 //   - no string concatenation and no string<->[]byte/[]rune
 //     conversion (they allocate above 32 bytes even when the result
 //     stays on the stack);
 //   - no go statement, and no defer except a deferred Unlock/RUnlock
 //     of a lock class the annotation allows via locks=;
-//   - no blocking op: channel send/receive outside a select with a
-//     default, select without default, ranging over a channel,
-//     WaitGroup/Cond waits, Once.Do, time.Sleep, and mutex acquisition
-//     unless the class is named in locks=.
+//   - no blocking op: nothing reprolint.Blocking lists (the definition
+//     lockorder's no_block rule shares: a select without default, a
+//     channel send or receive outside one with a default, ranging over
+//     a channel, WaitGroup/Cond waits, Once.Do, time.Sleep), and no
+//     mutex acquisition unless the class is named in locks=.
 //
 // The discipline is transitive: every resolved callee must itself be
 // hot_path:, cheap:, or on the small stdlib allowlist (sync/atomic,
@@ -38,8 +40,7 @@
 // "Performance invariants"): cheap bodies are trusted, not measured
 // (the AllocsPerRun gates are the dynamic backstop); calls through
 // function values resolve to no callee and are reported as
-// unresolvable rather than traced; map-insert growth is caught by
-// neither gate.
+// unresolvable rather than traced.
 package hotpath
 
 import (
@@ -71,14 +72,6 @@ var cheapFuncs = map[string]bool{
 	"(*sync.WaitGroup).Add":  true,
 	"(*sync.WaitGroup).Done": true,
 	"runtime.KeepAlive":      true,
-}
-
-// blockingFuncs block the calling goroutine outright.
-var blockingFuncs = map[string]bool{
-	"(*sync.WaitGroup).Wait": true,
-	"(*sync.Cond).Wait":      true,
-	"(*sync.Once).Do":        true,
-	"time.Sleep":             true,
 }
 
 // acquireFuncs block until the lock is free; allowed only for locks=
@@ -146,31 +139,15 @@ func (c *checker) check(n *callgraph.Node, locks map[string]bool, hot bool) {
 	for _, e := range n.Calls {
 		edges[e.Site] = e
 	}
-	nonBlock := nonBlockingOps(n.Body)
+	blocks := reprolint.Blocking(info, n.Body)
 	ast.Inspect(n.Body, func(m ast.Node) bool {
-		switch m := m.(type) {
-		case *ast.FuncLit:
+		if _, ok := m.(*ast.FuncLit); ok {
 			return false // a literal is its own node
-		case *ast.SendStmt:
-			if !nonBlock[m] {
-				c.pass.Reportf(m.Pos(), "channel send in %s blocks", where)
-			}
-		case *ast.UnaryExpr:
-			if m.Op == token.ARROW && !nonBlock[m] {
-				c.pass.Reportf(m.Pos(), "channel receive in %s blocks", where)
-			}
-		case *ast.SelectStmt:
-			if !hasDefault(m) {
-				c.pass.Reportf(m.Pos(), "select without default in %s blocks", where)
-			}
-		case *ast.RangeStmt:
-			if t := info.Types[m.X].Type; t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					c.pass.Reportf(m.Pos(), "ranging over a channel in %s blocks", where)
-				}
-			}
-		case *ast.CallExpr:
-			c.checkCall(n, m, edges, locks, hot, where)
+		}
+		if what, ok := blocks[m]; ok {
+			c.pass.Reportf(m.Pos(), "%s in %s blocks", what, where)
+		} else if call, ok := m.(*ast.CallExpr); ok {
+			c.checkCall(n, call, edges, locks, hot, where)
 		}
 		if !hot {
 			return true
@@ -190,13 +167,31 @@ func (c *checker) check(n *callgraph.Node, locks map[string]bool, hot bool) {
 			if m.Tok == token.ADD_ASSIGN && isStringType(info.Types[m.Lhs[0]].Type) {
 				c.pass.Reportf(m.Pos(), "string concatenation in %s allocates", where)
 			}
+			for _, lhs := range m.Lhs {
+				c.mapInsert(info, lhs, where)
+			}
+		case *ast.IncDecStmt:
+			c.mapInsert(info, m.X, where)
 		}
 		return true
 	})
 }
 
-// checkCall applies the blocking rules to one callsite and, in a hot
-// body, the growth, string-conversion and callee rules.
+// mapInsert reports a write through a map index: inserting a key may
+// grow the map, which no escape verdict shows.
+func (c *checker) mapInsert(info *types.Info, lhs ast.Expr, where string) {
+	if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+		if t := info.TypeOf(ix.X); t != nil {
+			if _, ok := t.Underlying().(*types.Map); ok {
+				c.pass.Reportf(lhs.Pos(), "map insert in %s may grow the map", where)
+			}
+		}
+	}
+}
+
+// checkCall applies the lock-acquisition rule to one non-blocking
+// callsite and, in a hot body, the growth, string-conversion and callee
+// rules.
 func (c *checker) checkCall(n *callgraph.Node, call *ast.CallExpr, edges map[*ast.CallExpr]callgraph.Edge, locks map[string]bool, hot bool, where string) {
 	info := n.Pkg.TypesInfo
 	fun := ast.Unparen(call.Fun)
@@ -240,9 +235,6 @@ func (c *checker) checkCall(n *callgraph.Node, call *ast.CallExpr, edges map[*as
 	if e.Func != nil {
 		full := e.Func.FullName()
 		switch {
-		case blockingFuncs[full]:
-			c.pass.Reportf(call.Pos(), "%s in %s blocks", full, where)
-			return
 		case acquireFuncs[full]:
 			if cls := lockClass(fun); !locks[cls] {
 				c.pass.Reportf(call.Pos(), "acquiring %s in %s blocks; name it in the annotation (locks=%s) if this short critical section is part of the contract", cls, where, cls)
@@ -309,46 +301,6 @@ func lockClass(fun ast.Expr) string {
 		return recv.Name
 	}
 	return ""
-}
-
-// nonBlockingOps marks the send/receive operations appearing as the
-// comm clauses of a select that has a default: they poll, not block.
-func nonBlockingOps(body ast.Node) map[ast.Node]bool {
-	m := map[ast.Node]bool{}
-	ast.Inspect(body, func(x ast.Node) bool {
-		sel, ok := x.(*ast.SelectStmt)
-		if !ok || !hasDefault(sel) {
-			return true
-		}
-		for _, cl := range sel.Body.List {
-			cc, ok := cl.(*ast.CommClause)
-			if !ok || cc.Comm == nil {
-				continue
-			}
-			ast.Inspect(cc.Comm, func(y ast.Node) bool {
-				switch y := y.(type) {
-				case *ast.SendStmt:
-					m[y] = true
-				case *ast.UnaryExpr:
-					if y.Op == token.ARROW {
-						m[y] = true
-					}
-				}
-				return true
-			})
-		}
-		return true
-	})
-	return m
-}
-
-func hasDefault(sel *ast.SelectStmt) bool {
-	for _, cl := range sel.Body.List {
-		if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
 }
 
 func isStringType(t types.Type) bool {

@@ -19,10 +19,9 @@
 //
 //  3. No blocking under fast-path locks. A `// no_block: <reason>`
 //     directive on a mutex declaration promises its critical sections
-//     never block: no channel send/receive (outside a select with a
-//     default), no select without a default, no further Lock/RLock of
-//     any class, no Wait or Sleep — directly or through any resolved
-//     callee.
+//     never block: nothing reprolint.Blocking lists (the definition
+//     hotpath shares) and no further Lock/RLock of any class — directly
+//     or through any resolved callee.
 //
 //  4. Guarded fields. A struct field annotated `// guarded_by: mu` names
 //     a sibling mutex field; every read or write of it must happen where
@@ -89,6 +88,7 @@ type analysis struct {
 	goLits  map[*ast.FuncLit]bool              // literals handed to a go statement
 	mayAcq  map[*callgraph.Node]map[*class]bool
 	mayBlk  map[*callgraph.Node]bool
+	blocks  map[*callgraph.Node]map[ast.Node]string // reprolint.Blocking of each body
 	edges   map[*class]map[*class]token.Pos
 }
 
@@ -267,7 +267,7 @@ type stmtOp struct {
 	access *access
 }
 
-func (a *analysis) stmtOps(info *types.Info, n ast.Node, nonBlocking map[ast.Node]bool) []stmtOp {
+func (a *analysis) stmtOps(info *types.Info, n ast.Node, blocks map[ast.Node]string) []stmtOp {
 	fset := a.pass.Prog.Fset
 	var ops []stmtOp
 	var walk func(m ast.Node)
@@ -275,26 +275,14 @@ func (a *analysis) stmtOps(info *types.Info, n ast.Node, nonBlocking map[ast.Nod
 		if m == nil {
 			return
 		}
+		if what, ok := blocks[m]; ok {
+			if call, ok := m.(*ast.CallExpr); ok {
+				what = "call to " + reprolint.ExprString(fset, call.Fun)
+			}
+			ops = append(ops, stmtOp{pos: m.Pos(), block: what})
+		}
 		switch x := m.(type) {
 		case *ast.FuncLit:
-			return
-		case *ast.SelectStmt:
-			if !hasDefault(x) {
-				ops = append(ops, stmtOp{pos: x.Pos(), block: "select without default"})
-			}
-			return // comm clauses are separate CFG nodes
-		case *ast.SendStmt:
-			if !nonBlocking[ast.Node(x)] {
-				ops = append(ops, stmtOp{pos: x.Pos(), block: "channel send"})
-			}
-			walk(x.Chan)
-			walk(x.Value)
-			return
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW && !nonBlocking[ast.Node(x)] {
-				ops = append(ops, stmtOp{pos: x.Pos(), block: "channel receive"})
-			}
-			walk(x.X)
 			return
 		case *ast.SelectorExpr:
 			if v, ok := info.Uses[x.Sel].(*types.Var); ok && a.guards[v] != nil {
@@ -315,14 +303,6 @@ func (a *analysis) stmtOps(info *types.Info, n ast.Node, nonBlocking map[ast.Nod
 						walk(sel.X)
 						return
 					}
-				}
-				if name == "Wait" || name == "Sleep" {
-					ops = append(ops, stmtOp{pos: x.Pos(), block: "call to " + reprolint.ExprString(fset, x.Fun)})
-					walk(sel.X)
-					for _, arg := range x.Args {
-						walk(arg)
-					}
-					return
 				}
 			}
 			ops = append(ops, stmtOp{pos: x.Pos(), call: x})
@@ -345,96 +325,24 @@ func (a *analysis) stmtOps(info *types.Info, n ast.Node, nonBlocking map[ast.Nod
 	return ops
 }
 
-func hasDefault(sel *ast.SelectStmt) bool {
-	for _, c := range sel.Body.List {
-		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// nonBlockingOps marks the comm statements of select-with-default
-// clauses: those channel operations never block.
-func nonBlockingOps(body ast.Node) map[ast.Node]bool {
-	out := map[ast.Node]bool{}
-	ast.Inspect(body, func(m ast.Node) bool {
-		sel, ok := m.(*ast.SelectStmt)
-		if !ok || !hasDefault(sel) {
-			return true
-		}
-		for _, c := range sel.Body.List {
-			cc, ok := c.(*ast.CommClause)
-			if !ok || cc.Comm == nil {
-				continue
-			}
-			switch comm := cc.Comm.(type) {
-			case *ast.SendStmt:
-				out[comm] = true
-			case *ast.ExprStmt:
-				out[unparenRecv(comm.X)] = true
-			case *ast.AssignStmt:
-				for _, r := range comm.Rhs {
-					out[unparenRecv(r)] = true
+// directFacts scans a node body once for its direct acquisitions and
+// reports whether it blocks directly: a blocking construct, or any
+// acquisition (acquiring a lock can block).
+func (a *analysis) directFacts(n *callgraph.Node) (map[*class]bool, bool) {
+	acq := map[*class]bool{}
+	info := n.Pkg.TypesInfo
+	reprolint.InspectShallow(n.Body, func(m ast.Node) bool {
+		if call, ok := m.(*ast.CallExpr); ok {
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && acquireNames[sel.Sel.Name] && len(call.Args) == 0 {
+				if c := a.classOf(info, sel.X); c != nil {
+					acq[c] = true
 				}
 			}
 		}
 		return true
 	})
-	return out
-}
-
-func unparenRecv(e ast.Expr) ast.Node {
-	return ast.Node(ast.Unparen(e))
-}
-
-// directFacts scans a node body once for its direct acquisitions and
-// directly blocking operations.
-func (a *analysis) directFacts(n *callgraph.Node) (map[*class]bool, bool) {
-	acq := map[*class]bool{}
-	blocks := false
-	info := n.Pkg.TypesInfo
-	nb := nonBlockingOps(n.Body)
-	var walk func(m ast.Node)
-	walk = func(m ast.Node) {
-		if m == nil {
-			return
-		}
-		if _, ok := m.(*ast.FuncLit); ok {
-			return
-		}
-		if sel, ok := m.(*ast.SelectStmt); ok && !hasDefault(sel) {
-			blocks = true
-		}
-		if send, ok := m.(*ast.SendStmt); ok && !nb[ast.Node(send)] {
-			blocks = true
-		}
-		if un, ok := m.(*ast.UnaryExpr); ok && un.Op == token.ARROW && !nb[ast.Node(un)] {
-			blocks = true
-		}
-		if call, ok := m.(*ast.CallExpr); ok {
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				switch {
-				case acquireNames[sel.Sel.Name] && len(call.Args) == 0:
-					if c := a.classOf(info, sel.X); c != nil {
-						acq[c] = true
-						blocks = true // acquiring any lock can block
-					}
-				case sel.Sel.Name == "Wait" || sel.Sel.Name == "Sleep":
-					blocks = true
-				}
-			}
-		}
-		ast.Inspect(m, func(k ast.Node) bool {
-			if k == nil || k == m {
-				return k == m
-			}
-			walk(k)
-			return false
-		})
-	}
-	walk(n.Body)
-	return acq, blocks
+	a.blocks[n] = reprolint.Blocking(info, n.Body)
+	return acq, len(acq) > 0 || len(a.blocks[n]) > 0
 }
 
 // computeMayAcquire finds, for every function, the lock classes it may
@@ -442,6 +350,7 @@ func (a *analysis) directFacts(n *callgraph.Node) (map[*class]bool, bool) {
 func (a *analysis) computeMayAcquire() {
 	a.mayAcq = map[*callgraph.Node]map[*class]bool{}
 	a.mayBlk = map[*callgraph.Node]bool{}
+	a.blocks = map[*callgraph.Node]map[ast.Node]string{}
 	for _, n := range a.graph.Nodes {
 		acq, blocks := a.directFacts(n)
 		a.mayAcq[n] = acq
@@ -544,7 +453,6 @@ func (a *analysis) walkNode(n *callgraph.Node) {
 	for _, e := range n.Calls {
 		edgeOf[e.Site] = e
 	}
-	nb := nonBlockingOps(n.Body)
 	g := astcfg.Build(n.Body)
 	entry := a.entryHeld(n)
 	contract := a.contract(n)
@@ -614,7 +522,7 @@ func (a *analysis) walkNode(n *callgraph.Node) {
 			// A deferred call runs at exit and does not affect the held
 			// walk; only the reads its arguments make happen here.
 			_, deferred := stmt.(*ast.DeferStmt)
-			for _, op := range a.stmtOps(info, stmt, nb) {
+			for _, op := range a.stmtOps(info, stmt, a.blocks[n]) {
 				switch {
 				case op.access != nil:
 					if acc := op.access; !unguarded[acc.sel] && !guarded(acc, cur) {

@@ -62,12 +62,17 @@ type stateMachine struct {
 	visited  map[*astcfg.Block]uint8
 }
 
-// check runs the automaton for obj. A non-nil acqStmt starts tracking
-// just after that statement; nil means obj is a parameter, live on
-// entry.
-func (sm *stateMachine) check(obj types.Object, acqStmt ast.Stmt) {
+// track points the machine at obj, dropping the events cached for the
+// previous object.
+func (sm *stateMachine) track(obj types.Object) {
 	sm.obj = obj
 	sm.events = map[ast.Node][]event{}
+}
+
+// check runs the automaton for the tracked object. A non-nil acqStmt
+// starts tracking just after that statement; nil means the object is a
+// parameter, live on entry.
+func (sm *stateMachine) check(acqStmt ast.Stmt) {
 	sm.reported = map[token.Pos]bool{}
 	sm.visited = map[*astcfg.Block]uint8{}
 
@@ -165,7 +170,7 @@ func (sm *stateMachine) extract(n ast.Node, evs *[]event) {
 		return // runs at exits; excluded by design (see file comment)
 	case *ast.GoStmt:
 		// The spawned goroutine owns whatever it captures or receives.
-		if mentionsObj(info, x.Call, sm.obj) {
+		if callgraph.Mentions(info, x.Call, sm.obj) {
 			*evs = append(*evs, event{pos: x.Pos(), kind: evTransfer})
 		}
 		return
@@ -249,7 +254,7 @@ func (sm *stateMachine) extract(n ast.Node, evs *[]event) {
 			return
 		}
 	case *ast.FuncLit:
-		if mentionsObj(info, x.Body, sm.obj) {
+		if callgraph.Mentions(info, x.Body, sm.obj) {
 			*evs = append(*evs, event{pos: x.Pos(), kind: evTransfer})
 		}
 		return

@@ -12,7 +12,10 @@
 //     Passing the value to a callee whose summary says it merely
 //     *borrows* the matching parameter discharges nothing — only calls
 //     that release or store the value (or calls the graph cannot
-//     resolve, conservatively) do.
+//     resolve, conservatively) do. The leak check asks the same
+//     release-state machine as diagnostics 2 and 3 (ownflow.go): a path
+//     is discharged at the first node whose events are anything but a
+//     use.
 //  2. Double release: a path releases the same value twice — directly,
 //     or through a helper chain whose summary releases the matching
 //     parameter.
@@ -41,7 +44,6 @@ package releasecheck
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -151,23 +153,19 @@ func checkNode(pass *reprolint.ProgramPass, node *callgraph.Node, sums map[*call
 	if len(obls) == 0 && len(params) == 0 {
 		return
 	}
-	graph := astcfg.Build(node.Body)
-
+	sm := &stateMachine{pass: pass, node: node, graph: astcfg.Build(node.Body), edgeOf: edgeOf, sums: sums}
 	for _, o := range obls {
-		checkFlow(pass, node, graph, o, edgeOf, sums)
-	}
-	sm := &stateMachine{pass: pass, node: node, graph: graph, edgeOf: edgeOf, sums: sums}
-	for _, o := range obls {
-		if refcounted(info, node.Body, o.varObj) {
-			continue
+		sm.track(o.varObj)
+		checkFlow(sm, o)
+		if !refcounted(info, node.Body, o.varObj) {
+			sm.check(o.acqStmt)
 		}
-		sm.check(o.varObj, o.acqStmt)
 	}
 	for _, p := range params {
-		if refcounted(info, node.Body, p) {
-			continue
+		if !refcounted(info, node.Body, p) {
+			sm.track(p)
+			sm.check(nil)
 		}
-		sm.check(p, nil)
 	}
 }
 
@@ -211,15 +209,21 @@ func refcounted(info *types.Info, body ast.Node, obj types.Object) bool {
 }
 
 // checkFlow is the leak check: a path from the acquisition to a
-// non-exempt exit with no consuming node.
-func checkFlow(pass *reprolint.ProgramPass, node *callgraph.Node, graph *astcfg.Graph, o obligation, edgeOf map[*ast.CallExpr]callgraph.Edge, sums map[*callgraph.Node]*callgraph.Summary) {
-	info := node.Pkg.TypesInfo
-	if deferConsumes(graph, info, o.varObj) {
+// non-exempt exit on which the state machine sees no event other than a
+// use — no release, transfer or rebind of the tracked value.
+func checkFlow(sm *stateMachine, o obligation) {
+	info := sm.node.Pkg.TypesInfo
+	if deferConsumes(sm.graph, info, o.varObj) {
 		return
 	}
-	exempt := reprolint.ErrGuardedNodes(node.Body, info, o.errObj)
-	stop := func(n ast.Node) bool {
-		return consumes(info, n, o.varObj, edgeOf, sums)
+	exempt := reprolint.ErrGuardedNodes(sm.node.Body, info, o.errObj)
+	discharges := func(n ast.Node) bool {
+		for _, ev := range sm.eventsFor(n) {
+			if ev.kind != evUse {
+				return true
+			}
+		}
+		return false
 	}
 	bad := func(n ast.Node) bool {
 		if n == nil {
@@ -232,17 +236,17 @@ func checkFlow(pass *reprolint.ProgramPass, node *callgraph.Node, graph *astcfg.
 		if exempt[ret] {
 			return false // the acquisition failed; nothing to release
 		}
-		if o.errObj != nil && mentionsObj(info, ret, o.errObj) {
+		if o.errObj != nil && callgraph.Mentions(info, ret, o.errObj) {
 			return false // propagating the paired error
 		}
 		return true
 	}
-	if leak, ok := graph.PathTo(o.acqStmt, bad, stop); ok {
+	if leak, ok := sm.graph.PathTo(o.acqStmt, bad, discharges); ok {
 		where := "the end of the function"
 		if ret, isRet := leak.(*ast.ReturnStmt); isRet && ret != nil {
-			where = pass.Prog.Fset.Position(ret.Pos()).String()
+			where = sm.pass.Prog.Fset.Position(ret.Pos()).String()
 		}
-		pass.Reportf(o.acqStmt.Pos(),
+		sm.pass.Reportf(o.acqStmt.Pos(),
 			"%s obtained from %s is neither released nor transferred on the path reaching %s",
 			o.varObj.Name(), o.callee, where)
 	}
@@ -349,142 +353,14 @@ func hasReleaseMethod(info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-// consumes reports whether executing node n discharges the obligation on
-// obj: a releasing method call, or any transfer of the value. Passing
-// the value to a callee whose summary borrows the matching parameter is
-// NOT a discharge — the interprocedural upgrade over the per-function
-// analyzer.
-func consumes(info *types.Info, n ast.Node, obj types.Object, edgeOf map[*ast.CallExpr]callgraph.Edge, sums map[*callgraph.Node]*callgraph.Summary) bool {
-	if n == nil {
-		return false
-	}
-	found := false
-	var walk func(node ast.Node)
-	usesObj := func(e ast.Expr) bool {
-		id, ok := ast.Unparen(e).(*ast.Ident)
-		return ok && (info.Uses[id] == obj || info.Defs[id] == obj)
-	}
-	walk = func(node ast.Node) {
-		if found || node == nil {
-			return
-		}
-		switch x := node.(type) {
-		case *ast.CallExpr:
-			// x.Release() / x.Close(): releasing method on the value.
-			// Only zero-argument forms release their receiver — with
-			// arguments the call releases the arguments instead
-			// (`fa.release(frame)`), handled below.
-			if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
-				if callgraph.ReleaseNames[sel.Sel.Name] && len(x.Args) == 0 && usesObj(sel.X) {
-					found = true
-					return
-				}
-			}
-			// The value as an argument: a transfer only when the callee
-			// may release or store it (or cannot be resolved).
-			for ai, arg := range x.Args {
-				if usesObj(arg) {
-					rel, esc := callgraph.ArgFate(info, edgeOf[x], x, ai, sums)
-					if rel || esc {
-						found = true
-						return
-					}
-				}
-			}
-		case *ast.CompositeLit:
-			for _, el := range x.Elts {
-				v := el
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					v = kv.Value
-				}
-				if usesObj(v) {
-					found = true
-					return
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range x.Results {
-				if usesObj(r) {
-					found = true
-					return
-				}
-			}
-		case *ast.AssignStmt:
-			// Ownership moves with the value: x on the RHS hands it to
-			// another owner; x on the LHS ends this binding's lifetime
-			// (the previous value must have been consumed before — the
-			// checker stops tracking rather than guessing).
-			for _, r := range x.Rhs {
-				if usesObj(r) {
-					found = true
-					return
-				}
-			}
-			for _, l := range x.Lhs {
-				if usesObj(l) {
-					found = true
-					return
-				}
-			}
-		case *ast.SendStmt:
-			if usesObj(x.Value) {
-				found = true
-				return
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.AND && usesObj(x.X) {
-				found = true
-				return
-			}
-		case *ast.FuncLit:
-			// Captured by a closure: the closure owns it now.
-			if mentionsObj(info, x.Body, obj) {
-				found = true
-			}
-			return // do not descend: inner uses were just accounted
-		}
-		// Generic descent.
-		switch node.(type) {
-		case ast.Expr, ast.Stmt:
-			ast.Inspect(node, func(m ast.Node) bool {
-				if found || m == nil {
-					return false
-				}
-				if m == node {
-					return true
-				}
-				walk(m)
-				return false
-			})
-		}
-	}
-	walk(n)
-	return found
-}
-
 // deferConsumes reports whether any defer in the graph mentions obj —
 // deferred cleanups run at every exit reached after them, and the
 // defer-at-acquisition idiom dominates this codebase.
 func deferConsumes(g *astcfg.Graph, info *types.Info, obj types.Object) bool {
 	for _, d := range g.Defers {
-		if mentionsObj(info, d, obj) {
+		if callgraph.Mentions(info, d, obj) {
 			return true
 		}
 	}
 	return false
-}
-
-// mentionsObj reports whether any identifier under n resolves to obj.
-func mentionsObj(info *types.Info, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(m ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := m.(*ast.Ident); ok && (info.Uses[id] == obj || info.Defs[id] == obj) {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

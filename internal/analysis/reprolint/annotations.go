@@ -55,15 +55,15 @@ import (
 //
 //	// no_block: <reason>
 //	    On a mutex field or package-level mutex var: its critical
-//	    sections must not block — no channel send/receive outside a
-//	    select with a default, no further Lock of any class, no file
-//	    I/O, no Cond/WaitGroup waits, directly or through any resolved
-//	    callee (lockorder).
+//	    sections must not block — nothing Blocking lists, no further
+//	    Lock of any class — directly or through any resolved callee
+//	    (lockorder).
 //
 //	// hot_path: [locks=<mutex>[,<mutex>...]] [prose]
 //	    On a function: it is on a performance-critical path. hotpath
-//	    forbids heap-allocation sites, defer (except a deferred Unlock
-//	    of an allowed lock class), and blocking ops inside it, and
+//	    forbids append, map inserts, string building, defer (except a
+//	    deferred Unlock of an allowed lock class), and blocking ops
+//	    (Blocking, and mutex acquisition) inside it, and
 //	    requires every resolved callee to be hot_path, cheap, or on
 //	    the stdlib cheap allowlist. The optional locks= list (no
 //	    spaces, comma-separated field names) names the short
@@ -298,14 +298,6 @@ func CollectAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
 		}
 	}
 	return a
-}
-
-// Filter drops diagnostics suppressed by a //lint: directive, returning
-// the survivors and the number suppressed. It is the exported form of
-// filterIgnored for out-of-package analyzers (escapegate) that produce
-// diagnostics outside the RunAnalyzers pipeline.
-func (a *Annotations) Filter(diags []Diagnostic) ([]Diagnostic, int) {
-	return a.filterIgnored(diags)
 }
 
 // filterIgnored drops diagnostics suppressed by a directive on their own

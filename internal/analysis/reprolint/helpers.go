@@ -70,24 +70,6 @@ func InspectShallow(n ast.Node, fn func(ast.Node) bool) {
 	})
 }
 
-// FuncDeclMap indexes the package's function declarations by their type
-// object, so analyzers can resolve a call to the callee's annotations.
-func FuncDeclMap(pass *Pass) map[*types.Func]*ast.FuncDecl {
-	m := map[*types.Func]*ast.FuncDecl{}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				m[obj] = fd
-			}
-		}
-	}
-	return m
-}
-
 // CalleeFunc resolves a call expression to its *types.Func (method or
 // function), or nil for indirect/builtin calls.
 func CalleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {

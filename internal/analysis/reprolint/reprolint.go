@@ -5,16 +5,16 @@
 // lockorder, boundary, hotpath, escapegate) run on it via
 // cmd/reprolint, which CI enforces as a hard gate over ./...
 //
-// The shapes deliberately match go/analysis (Analyzer, Pass, Diagnostic,
-// Reportf) so that the analyzers could be lifted onto the real
-// multichecker mechanically.
+// Every analyzer has one shape: it runs once over the whole Program
+// (cross-package facts such as call graphs and lock graphs need it),
+// and a test harness wraps a single package in a one-package Program.
+// There is no per-package pass.
 package reprolint
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"time"
 )
@@ -26,15 +26,8 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of the invariant enforced.
 	Doc string
-	// Run analyzes one package, reporting findings via pass.Report.
-	// Exactly one of Run and RunProgram must be set.
-	Run func(pass *Pass) error
-	// RunProgram marks a whole-program analyzer: the driver invokes it
-	// once with every loaded package (so cross-package facts — call
-	// graphs, lock graphs — are visible), instead
-	// of once per package. Test harnesses wrap a single package in a
-	// one-package Program, which keeps per-package testdata suites
-	// usable for whole-program analyzers too.
+	// RunProgram analyzes every loaded package at once, reporting
+	// findings via pass.Reportf.
 	RunProgram func(pass *ProgramPass) error
 }
 
@@ -73,17 +66,6 @@ func (p *ProgramPass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Pass carries one package's syntax and type information to an analyzer.
-type Pass struct {
-	Analyzer  *Analyzer
-	Fset      *token.FileSet
-	Files     []*ast.File
-	Pkg       *types.Package
-	TypesInfo *types.Info
-
-	diags *[]Diagnostic
-}
-
 // Diagnostic is one finding.
 type Diagnostic struct {
 	Pos      token.Position
@@ -95,66 +77,12 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Reportf records a finding at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Report records a finding.
-func (p *Pass) Report(d Diagnostic) { *p.diags = append(*p.diags, d) }
-
-// RunAnalyzers runs each analyzer over pkg and returns the surviving
-// diagnostics: suppression directives (//lint:ignore, and the analyzers'
-// own blessed annotations, which the analyzers honor themselves) have
-// been applied, and the result is sorted by position. A whole-program
-// analyzer in the list sees pkg wrapped as a one-package Program — the
-// mode the per-package testdata harness relies on.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	diags, _, err := runAnalyzers(pkg, analyzers, nil)
-	return diags, err
-}
-
-// runAnalyzers is RunAnalyzers plus the suppressed-diagnostic count and
-// an optional per-analyzer timing hook.
-func runAnalyzers(pkg *Package, analyzers []*Analyzer, timing func(name string, d time.Duration)) ([]Diagnostic, int, error) {
-	var diags []Diagnostic
-	ann := CollectAnnotations(pkg.Fset, pkg.Files)
-	for _, a := range analyzers {
-		start := time.Now()
-		var err error
-		if a.RunProgram != nil {
-			pass := &ProgramPass{Analyzer: a, Prog: NewProgram([]*Package{pkg}), diags: &diags}
-			err = a.RunProgram(pass)
-		} else {
-			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.TypesInfo,
-				diags:     &diags,
-			}
-			err = a.Run(pass)
-		}
-		if timing != nil {
-			timing(a.Name, time.Since(start))
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("%s: %s: %w", a.Name, pkg.Types.Path(), err)
-		}
-	}
-	kept, suppressed := ann.filterIgnored(diags)
-	sortDiags(kept)
-	return kept, suppressed, nil
-}
-
-// RunWholeProgram runs whole-program analyzers once over prog,
-// filtering suppressions against every package's annotations. It
-// returns the surviving diagnostics (sorted) and the suppressed count.
+// RunWholeProgram runs the analyzers once each over prog, filtering
+// suppressions (//lint:ignore, //lint:ownership transferred) against
+// every package's annotations; the analyzers honor their own blessed
+// annotations themselves. It returns the surviving diagnostics sorted
+// by position, and the suppressed count. timing, when non-nil, is told
+// each analyzer's wall time.
 func RunWholeProgram(prog *Program, analyzers []*Analyzer, timing func(name string, d time.Duration)) ([]Diagnostic, int, error) {
 	var diags []Diagnostic
 	var allFiles []*ast.File
@@ -163,9 +91,6 @@ func RunWholeProgram(prog *Program, analyzers []*Analyzer, timing func(name stri
 	}
 	ann := CollectAnnotations(prog.Fset, allFiles)
 	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			return nil, 0, fmt.Errorf("%s: not a whole-program analyzer", a.Name)
-		}
 		start := time.Now()
 		pass := &ProgramPass{Analyzer: a, Prog: prog, diags: &diags}
 		err := a.RunProgram(pass)

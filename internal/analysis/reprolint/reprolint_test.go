@@ -95,7 +95,7 @@ func TestMainReportsAndSuppresses(t *testing.T) {
 		boundary.Analyzer,
 	}
 	var stdout, stderr bytes.Buffer
-	code := reprolint.Main(&stdout, &stderr, dir, analyzers, nil)
+	code := reprolint.Main(&stdout, &stderr, dir, analyzers, nil, reprolint.Options{})
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
@@ -135,7 +135,7 @@ func (c *counter) get() int {
 	var stdout, stderr bytes.Buffer
 	code := reprolint.Main(&stdout, &stderr, dir, []*reprolint.Analyzer{
 		releasecheck.Analyzer, lockorder.Analyzer, boundary.Analyzer,
-	}, []string{"./..."})
+	}, []string{"./..."}, reprolint.Options{})
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
@@ -149,7 +149,7 @@ func (c *counter) get() int {
 func TestMainLoadError(t *testing.T) {
 	dir := writeModule(t, "package tmpmod\n")
 	var stdout, stderr bytes.Buffer
-	code := reprolint.Main(&stdout, &stderr, dir, []*reprolint.Analyzer{lockorder.Analyzer}, []string{"./no/such/dir"})
+	code := reprolint.Main(&stdout, &stderr, dir, []*reprolint.Analyzer{lockorder.Analyzer}, []string{"./no/such/dir"}, reprolint.Options{})
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
 	}

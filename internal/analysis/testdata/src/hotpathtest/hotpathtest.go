@@ -81,6 +81,14 @@ func (c *counter) hotAppend(v uint64) {
 }
 
 // hot_path:
+func hotMapInsert(m map[int]int, s []int, k int) {
+	m[k] = 1  // want `map insert in hot path hotMapInsert may grow the map`
+	m[k] += 2 // want `map insert in hot path hotMapInsert`
+	m[k]++    // want `map insert in hot path hotMapInsert`
+	s[k] = 3  // a slice element: nothing grows
+}
+
+// hot_path:
 func hotDefer(c *counter) {
 	defer c.cheapFill() // want `defer in hot path hotDefer`
 }

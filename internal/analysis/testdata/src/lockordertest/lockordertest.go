@@ -158,6 +158,25 @@ func goodTrySendUnderFast(fp *FastPath) {
 	fp.mu.Unlock()
 }
 
+// badRangeUnderFast drains a channel inside a no_block critical
+// section.
+func badRangeUnderFast(fp *FastPath) {
+	fp.mu.Lock()
+	for range ch { // want `ranging over a channel while holding no_block lock`
+	}
+	fp.mu.Unlock()
+}
+
+var once sync.Once
+
+// badOnceUnderFast runs a sync.Once inside a no_block critical section:
+// Do waits for a concurrent first call to finish.
+func badOnceUnderFast(fp *FastPath) {
+	fp.mu.Lock()
+	once.Do(func() {}) // want `call to once.Do while holding no_block lock`
+	fp.mu.Unlock()
+}
+
 func blocker() {
 	time.Sleep(time.Millisecond)
 }

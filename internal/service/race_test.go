@@ -56,7 +56,7 @@ func TestConcurrentExtendAcrossShards(t *testing.T) {
 		capRefs = 24
 	)
 	ctx := context.Background()
-	s := NewWithConfig(Config{Capacity: capRefs, Shards: 8})
+	s := NewWithConfig(Config{Capacity: capRefs})
 	base, err := s.Extend(ctx, 0, chainBase())
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestConcurrentClientSweepMatchesSerial(t *testing.T) {
 // defined error, and Close must leave zero live snapshots regardless of
 // interleaving.
 func TestConcurrentExtendReleaseClose(t *testing.T) {
-	s := NewWithConfig(Config{Capacity: 16, Shards: 4})
+	s := NewWithConfig(Config{Capacity: 16})
 	var wg sync.WaitGroup
 	var ids sync.Map // id → struct{} of parked refs, racing with Release
 	stop := make(chan struct{})

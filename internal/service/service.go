@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -98,11 +97,12 @@ var solverPool = sync.Pool{New: func() any { return &pooledSolver{sol: solver.Ne
 // clients a useful diagnostic for any recent eviction.
 const tombstoneCap = 4096
 
+// numShards is the lock-shard count of the reference table, a power of
+// two so shardFor is a mask, not a modulo.
+const numShards = 16
+
 // Config tunes the service. The zero value means defaults.
 type Config struct {
-	// Shards is the lock-shard count for the reference table, rounded up
-	// to a power of two. 0 means 16.
-	Shards int
 	// Capacity caps the number of parked unpinned references; beyond it
 	// the least-recently-used unpinned reference is evicted (its snapshot
 	// released, its id answering ErrEvicted). 0 means unbounded. Pinned
@@ -338,8 +338,7 @@ func (sh *shard) tombstone(id uint64) {
 
 // Service is a multi-path incremental SAT solver safe for concurrent use.
 type Service struct {
-	shards []*shard
-	mask   uint64
+	shards [numShards]*shard
 
 	tree  *snapshot.Tree
 	alloc *mem.FrameAllocator
@@ -381,7 +380,7 @@ type Service struct {
 	inflight sync.WaitGroup
 }
 
-// New returns a service with default configuration (16 shards, unbounded
+// New returns a service with default configuration (unbounded
 // capacity) whose root problem (reference 0) is empty.
 func New() *Service { return NewWithConfig(Config{}) }
 
@@ -389,22 +388,7 @@ func New() *Service { return NewWithConfig(Config{}) }
 // empty. The root is permanently pinned: it can be neither released nor
 // evicted.
 func NewWithConfig(cfg Config) *Service {
-	n := cfg.Shards
-	if n <= 0 {
-		n = 16
-	}
-	// Round up to a power of two so shardFor is a mask, not a modulo;
-	// clamp to a sane ceiling (shard count buys lock spread, not work).
-	const maxShards = 1 << 12
-	if n > maxShards {
-		n = maxShards
-	}
-	if n&(n-1) != 0 {
-		n = 1 << bits.Len(uint(n))
-	}
 	s := &Service{
-		shards:    make([]*shard, n),
-		mask:      uint64(n - 1),
 		tree:      snapshot.NewTree(),
 		alloc:     mem.NewFrameAllocator(frameLimit),
 		capacity:  cfg.Capacity,
@@ -437,7 +421,7 @@ func NewWithConfig(cfg Config) *Service {
 //
 // hot_path: a mask and an index.
 // inline:
-func (s *Service) shardFor(id uint64) *shard { return s.shards[id&s.mask] }
+func (s *Service) shardFor(id uint64) *shard { return s.shards[id%numShards] }
 
 // resolveMiss handles a lookup that found no live entry for id: a
 // spilled id is promoted from the persistence tier (retry=true tells

@@ -335,7 +335,7 @@ func TestRootPermanent(t *testing.T) {
 }
 
 func TestEvictionCapLRU(t *testing.T) {
-	s := NewWithConfig(Config{Capacity: 3, Shards: 4})
+	s := NewWithConfig(Config{Capacity: 3})
 	defer s.Close()
 
 	ids := make([]uint64, 0, 6)
