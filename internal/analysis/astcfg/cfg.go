@@ -28,6 +28,11 @@ type Block struct {
 	Succs []*Block
 	// Return is the return statement ending this block, if any.
 	Return *ast.ReturnStmt
+	// Select is the select statement ending this block, if any: Succs
+	// are its clauses. Nodes holds none of it, since its comms and bodies
+	// are recorded in the clause blocks, so an analysis that judges the
+	// select itself, such as whether it may block, reads it here.
+	Select *ast.SelectStmt
 	// Panics marks a block ending in panic/os.Exit/log.Fatal: control
 	// never reaches a successor or a normal return.
 	Panics bool
@@ -220,6 +225,10 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.add(s.Assign)
 		b.switchBody(label, s.Body, nil)
 	case *ast.SelectStmt:
+		if b.cur == nil {
+			b.cur = b.newBlock()
+		}
+		b.cur.Select = s
 		b.selectMode = true
 		b.switchBody(b.takeLabel(), s.Body, func(c ast.Stmt) ast.Node {
 			if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {

@@ -584,6 +584,14 @@ func (a *analysis) walkNode(n *callgraph.Node) {
 				}
 			}
 		}
+		// A select ends its block and its comms open the clause blocks,
+		// where each is judged; one with no clause has only itself.
+		if what, ok := a.blocks[n][b.Select]; ok && len(b.Select.Body.List) == 0 {
+			if nbc := noBlockHeld(cur); nbc != nil && !reported[b.Select.Pos()] {
+				reported[b.Select.Pos()] = true
+				a.pass.Reportf(b.Select.Pos(), "%s while holding no_block lock %s", what, nbc.name)
+			}
+		}
 		for _, succ := range b.Succs {
 			walk(succ, cur)
 		}

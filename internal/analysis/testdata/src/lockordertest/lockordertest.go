@@ -167,6 +167,23 @@ func badRangeUnderFast(fp *FastPath) {
 	fp.mu.Unlock()
 }
 
+// badSelectUnderFast parks forever inside a no_block critical section:
+// a select with no clause has no comm to report, only itself.
+func badSelectUnderFast(fp *FastPath) {
+	fp.mu.Lock()
+	select {} // want `select without default while holding no_block lock`
+}
+
+// badSelectRecvUnderFast waits on a select without default inside a
+// no_block critical section: reported once, at its comm.
+func badSelectRecvUnderFast(fp *FastPath) {
+	fp.mu.Lock()
+	select {
+	case <-ch: // want `channel receive while holding no_block lock`
+	}
+	fp.mu.Unlock()
+}
+
 var once sync.Once
 
 // badOnceUnderFast runs a sync.Once inside a no_block critical section:

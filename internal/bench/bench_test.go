@@ -1,11 +1,15 @@
 package bench
 
 import (
+	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/service"
+	"repro/internal/solver"
 )
 
 // TestAllExperimentsQuick runs every experiment at quick scale: the harness
@@ -95,6 +99,47 @@ func TestE1Ordering(t *testing.T) {
 		var v float64
 		if _, err := fmt.Sscanf(cell, "%fx", &v); err != nil {
 			t.Errorf("ratio cell %q is not a ratio", cell)
+		}
+	}
+}
+
+// TestE5ServiceLearnsNoMoreThanScratch is E5's claim as a count: on E5's
+// full chain, each step extended through the snapshot service from the
+// previous step's parked reference learns no more clauses than solving
+// the whole of p∧q from scratch. A reloaded search that ran colder than
+// a fresh one, with the parent's clauses and phases but not its decision
+// heuristic, broke this at q1 and q3: 26 and 457 learnt clauses against
+// scratch's 24 and 205.
+func TestE5ServiceLearnsNoMoreThanScratch(t *testing.T) {
+	nVars, base, batches := e5Chain(Options{})
+	svc := service.New()
+	defer svc.Close()
+	r, err := svc.Extend(context.Background(), 0, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accum := slices.Clone(base)
+	for b, chunk := range batches {
+		accum = append(accum, chunk...)
+		scratch := solver.New(nVars)
+		for _, cl := range accum {
+			if err := scratch.AddClause(cl...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		verdict := scratch.Solve(0)
+		if r, err = svc.Extend(context.Background(), r.ID, chunk); err != nil {
+			t.Fatal(err)
+		}
+		if r.Verdict != verdict {
+			t.Fatalf("p∧q%d: service %v, scratch %v", b+1, r.Verdict, verdict)
+		}
+		t.Logf("p∧q%d: %v, service learnt %d, scratch %d", b+1, verdict, r.Learned, scratch.NumLearnts())
+		if r.Learned > scratch.NumLearnts() {
+			t.Errorf("p∧q%d: the service learnt %d clauses, scratch %d", b+1, r.Learned, scratch.NumLearnts())
+		}
+		if verdict == solver.Unsat {
+			break
 		}
 	}
 }

@@ -321,22 +321,31 @@ func E4(o Options) (*Table, error) {
 	return t, nil
 }
 
+// e5Chain is E5's problem: nVars variables, the base problem p and the
+// batches q1, q2, ... each step adds.
+func e5Chain(o Options) (nVars int, base [][]int, batches [][][]int) {
+	nVars, nBase, batch, nBatches := 150, 520, 25, 5
+	if o.Quick {
+		nVars, nBase, batch, nBatches = 60, 200, 10, 3
+	}
+	extra := solver.Random3SAT(nVars, batch*nBatches, 43)
+	for b := range nBatches {
+		batches = append(batches, extra[b*batch:(b+1)*batch])
+	}
+	return nVars, solver.Random3SAT(nVars, nBase, 42), batches
+}
+
 // E5 reproduces the incremental-solving argument (§2): solving p and then
 // p∧q from p's retained state beats solving p∧q from scratch. Three arms:
 // from-scratch, in-process incremental, and the §3.2 snapshot service
 // (service.Extend on the parked parent, what cmd/solversvc serves).
 func E5(o Options) (*Table, error) {
-	nVars, nBase, batch, nBatches := 150, 520, 25, 5
-	if o.Quick {
-		nVars, nBase, batch, nBatches = 60, 200, 10, 3
-	}
+	nVars, baseClauses, batches := e5Chain(o)
 	t := &Table{
-		Title:   fmt.Sprintf("E5: incremental SAT — base %dv/%dc + %d×%d clauses", nVars, nBase, nBatches, batch),
+		Title:   fmt.Sprintf("E5: incremental SAT — base %dv/%dc + %d×%d clauses", nVars, len(baseClauses), len(batches), len(batches[0])),
 		Columns: []string{"step", "verdict", "scratch", "incremental", "snapshot-svc", "scratch/incr"},
 		Note:    "incremental retains learned clauses and phases across steps",
 	}
-	baseClauses := solver.Random3SAT(nVars, nBase, 42)
-	extra := solver.Random3SAT(nVars, batch*nBatches, 43)
 
 	// Incremental arm state.
 	inc := solver.New(nVars)
@@ -366,8 +375,7 @@ func E5(o Options) (*Table, error) {
 	t.AddRow("p", "sat", scratchBaseT, incBaseT, "-", ratio(scratchBaseT, incBaseT))
 
 	accum := append([][]int(nil), baseClauses...)
-	for b := 0; b < nBatches; b++ {
-		chunk := extra[b*batch : (b+1)*batch]
+	for b, chunk := range batches {
 		accum = append(accum, chunk...)
 
 		var verdict solver.Status

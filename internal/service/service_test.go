@@ -190,26 +190,52 @@ func readParked(s *Service, id uint64) ([]byte, error) {
 	return data, nil
 }
 
+// extendMatchesSolver extends parent by clauses and checks the answer
+// against the solver's own on the parent's parked state: Load, AddClause,
+// Solve. Verdict, model and learnt count must be the solver's, and the
+// parked state its Marshal, activities included.
+func extendMatchesSolver(t *testing.T, s *Service, parent uint64, clauses [][]int) Result {
+	t.Helper()
+	sol := solver.New(0)
+	if state := parkedState(t, s, parent); state != nil {
+		if err := sol.Load(state); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cl := range clauses {
+		if err := sol.AddClause(cl...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := Result{Verdict: sol.Solve(0), Learned: sol.NumLearnts()}
+	if want.Verdict == solver.Sat {
+		want.Model = sol.Model()
+	}
+	got, err := s.Extend(context.Background(), parent, clauses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Verdict != want.Verdict || got.Learned != want.Learned || !slices.Equal(got.Model, want.Model) {
+		t.Errorf("got %v, model %v, %d learnt; the solver says %v, %v, %d",
+			got.Verdict, got.Model, got.Learned, want.Verdict, want.Model, want.Learned)
+	}
+	if !bytes.Equal(parkedState(t, s, got.ID), sol.Marshal()) {
+		t.Error("the parked state differs from the solver's")
+	}
+	return got
+}
+
 // TestPhaseAnswers: an extend of a Sat parent whose model satisfies every
 // new clause is answered from the parent's phases with no solver, and
 // counted in Stats.PhaseAnswers; every other extend loads a solver. Either
-// way verdict, model, learnt count and parked bytes are what Load,
-// AddClause, Solve and Marshal make of the same parent.
+// way the answer and the parked state are the solver's
+// (extendMatchesSolver).
 func TestPhaseAnswers(t *testing.T) {
 	s := New()
 	defer s.Close()
-	ctx := context.Background()
-	extend := func(id uint64, clauses ...[]int) Result {
-		t.Helper()
-		r, err := s.Extend(ctx, id, clauses)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	base := extend(0, []int{1, 2}, []int{-1, 3}, []int{-2, -3, 4})
-	unsat := extend(0, []int{1}, []int{-1})
-	facts := extend(0, []int{1}, []int{2, 3})
+	base := extendMatchesSolver(t, s, 0, [][]int{{1, 2}, {-1, 3}, {-2, -3, 4}})
+	unsat := extendMatchesSolver(t, s, 0, [][]int{{1}, {-1}})
+	facts := extendMatchesSolver(t, s, 0, [][]int{{1}, {2, 3}})
 	if base.Verdict != solver.Sat || unsat.Verdict != solver.Unsat || facts.Verdict != solver.Sat {
 		t.Fatalf("parents: %v, %v, %v", base.Verdict, unsat.Verdict, facts.Verdict)
 	}
@@ -237,39 +263,46 @@ func TestPhaseAnswers(t *testing.T) {
 		{"the root", 0, [][]int{{1, 2}}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sol := solver.New(0)
-			if parent := parkedState(t, s, tc.parent); parent != nil {
-				if err := sol.Load(parent); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, cl := range tc.clauses {
-				if err := sol.AddClause(cl...); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want := Result{Verdict: sol.Solve(0), Learned: sol.NumLearnts()}
-			if want.Verdict == solver.Sat {
-				want.Model = sol.Model()
-			}
-
 			wantDelta := uint64(0)
 			if tc.answered {
 				wantDelta = 1
 			}
 			before := s.Stats().PhaseAnswers
-			got := extend(tc.parent, tc.clauses...)
+			extendMatchesSolver(t, s, tc.parent, tc.clauses)
 			if delta := s.Stats().PhaseAnswers - before; delta != wantDelta {
 				t.Errorf("phase answers rose by %d, want %d", delta, wantDelta)
 			}
-			if got.Verdict != want.Verdict || got.Learned != want.Learned || !slices.Equal(got.Model, want.Model) {
-				t.Errorf("got %v, model %v, %d learnt; the solver says %v, %v, %d",
-					got.Verdict, got.Model, got.Learned, want.Verdict, want.Model, want.Learned)
-			}
-			if !bytes.Equal(parkedState(t, s, got.ID), sol.Marshal()) {
-				t.Error("the parked state differs from the solver's")
-			}
 		})
+	}
+}
+
+// TestSearchedChainMatchesSolver: the search arm decides in the order of
+// the activities its parent's state carries. From a base whose search met
+// conflicts, a chain of children each naming one new variable, which
+// comes in at activity 0, each also extended by a clause its model
+// breaks, then a last extend that meets conflicts over them all, is
+// answered and parked exactly as the solver answers on the same state.
+func TestSearchedChainMatchesSolver(t *testing.T) {
+	const nVars = 50
+	s := New()
+	defer s.Close()
+	base := extendMatchesSolver(t, s, 0, solver.Random3SAT(nVars, 210, 4))
+	if base.Verdict != solver.Sat || base.Learned == 0 {
+		t.Fatalf("base: %v, %d learnt; the test needs a Sat base whose search met a conflict", base.Verdict, base.Learned)
+	}
+	prev := base
+	for v := nVars + 1; v <= nVars+8; v++ {
+		holds, breaks := modelClauses(prev.Model)
+		answers := s.Stats().PhaseAnswers
+		child := extendMatchesSolver(t, s, prev.ID, [][]int{{holds(v - nVars)[0], v}})
+		if s.Stats().PhaseAnswers != answers {
+			t.Fatalf("the extend naming variable %d was answered from the phases", v)
+		}
+		extendMatchesSolver(t, s, child.ID, [][]int{breaks(v - nVars)})
+		prev = child
+	}
+	if last := extendMatchesSolver(t, s, prev.ID, solver.Random3SAT(nVars+8, 150, 9)); last.Learned == 0 {
+		t.Error("the last extend met no conflict")
 	}
 }
 

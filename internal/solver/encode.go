@@ -19,8 +19,9 @@ import (
 // come first and everything volatile sits at the end.
 //
 //   - Sections, in order (all words little-endian uint64): problem-clause
-//     data, learned-clause data, level-0 trail literals, phases, then a
-//     fixed-size footer [nClauses, nLearnts, nFacts, nVars, ok, magic].
+//     data, learned-clause data, level-0 trail literals, one phase word per
+//     variable (see phaseWord), then a fixed-size footer [nClauses,
+//     nLearnts, nFacts, nVars, ok, magic].
 //     An extension appends clauses, so the parent's clause bytes are a
 //     bytewise prefix of the child's and their shared blocks stay shared.
 //   - No section begins with its own count — counts live in the footer —
@@ -87,7 +88,7 @@ func (s *Solver) MarshalOnto(loaded []byte) []byte {
 		put(uint64(int64(l.ext())))
 	}
 	for v := 1; v <= s.nVars; v++ {
-		put(uint64(int64(s.phase[v])))
+		put(phaseWord(s.phase[v], s.activity[v]/s.varInc))
 	}
 	// Footer.
 	put(uint64(s.nClauses))
@@ -101,6 +102,28 @@ func (s *Solver) MarshalOnto(loaded []byte) []byte {
 	put(ok)
 	put(solverMagic)
 	return buf
+}
+
+// phaseWord is a variable's word in the phase section: its saved phase,
+// sign-extended from the low byte, xor its decision activity, relative to
+// varInc, in the 56 bits above, as a float64 with its sign and its last 7
+// mantissa bits dropped. A variable of activity 0 gets the bare phase.
+// The activity only orders decisions, and varInc only scales it, so a
+// solver loaded with varInc 1 decides, learns and answers as the one that
+// marshalled it would have, but for that rounding. It sits in the phase word rather than a
+// section of its own because everything after the clauses shifts when an
+// extension appends one: an activity section there would double the tail
+// every extension rewrites, while the phase words have the room.
+func phaseWord(phase int8, activity float64) uint64 {
+	return uint64(int64(phase)) ^ math.Float64bits(activity)>>7<<8
+}
+
+// phaseActivity is the activity phaseWord packed into w, never negative,
+// and whether it is one: not the bits of a NaN or an infinity, which
+// phaseWord never writes.
+func phaseActivity(w uint64) (float64, bool) {
+	bits := (w ^ uint64(int64(int8(w)))) >> 8 << 7
+	return math.Float64frombits(bits), bits>>52 != 0x7ff
 }
 
 // sortWords sorts the little-endian int64 words of b in place. A Shell sort
@@ -130,8 +153,9 @@ func sortWords(b []byte) {
 // no solver, when the state's saved phases satisfy the extended problem:
 // it returns what Load, AddClause for each clause, Solve, Model and
 // MarshalOnto would, or ok false with state untouched. It answers only
-// when the footer is valid with the ok flag 1 and no level-0 facts, and
-// every clause — those of clauses sorted, a tautology dropped, and every
+// when the footer is valid with the ok flag 1 and no level-0 facts, every
+// phase word holds an activity Load accepts, and every clause — those of
+// clauses sorted, a tautology dropped, and every
 // loaded one — is canonical as Load demands, names only the state's
 // variables, and has a literal true under the phases (anything but -1
 // reads as true, as in a decision). Checking the loaded clauses, Solve's
@@ -149,9 +173,10 @@ func sortWords(b []byte) {
 // pass that check; then they are not read. A child this returns passes it
 // by construction: its clauses are the parent's, which passed, and the
 // new ones, which were just checked, its phases are the parent's
-// rewritten as ±1 with the same truth values, and its footer has ok 1 and
-// no facts. So a child may be extended with checked true for as long as
-// its bytes are unchanged.
+// rewritten as ±1 with the same truth values (and the same activities,
+// which no check reads), and its footer has ok 1 and no facts. So a
+// child may be extended with checked true for as long as its bytes are
+// unchanged.
 func ExtendFromPhases(state []byte, off int, clauses [][]int, checked bool) (child []byte, model []bool, ok bool) {
 	f, err := readFooter(state, off+len(state))
 	if err != nil || f.ok != 1 || f.facts != 0 || off != 0 && (!checked || off != 8*f.clauseWords) {
@@ -161,6 +186,11 @@ func ExtendFromPhases(state []byte, off int, clauses [][]int, checked bool) (chi
 	cw, nv := f.clauseWords-off/8, int(f.vars) // cw: the clause words state holds
 	words := cw + nv
 	phases := state[8*cw : 8*words]
+	for i := 0; i < len(phases); i += 8 { // Load's activity check
+		if _, ok := phaseActivity(le.Uint64(phases[i:])); !ok {
+			return nil, nil, false
+		}
+	}
 	// The new clauses first, staged in canonical form apart from state.
 	var small [512]byte
 	add, k := small[:0], uint64(0)
@@ -197,11 +227,14 @@ func ExtendFromPhases(state []byte, off int, clauses [][]int, checked bool) (chi
 	model = make([]bool, nv+1)
 	for v := 1; v <= nv; v++ {
 		p := moved[8*(v-1):]
-		model[v] = int8(p[0]) != -1
-		le.PutUint64(p, ^uint64(0)) // -1
-		if model[v] {
-			le.PutUint64(p, 1)
+		// The phase becomes ±1 and the activity bits stay: phaseWord's
+		// xor, swapped from the old phase's sign extension to the new's.
+		w := le.Uint64(p)
+		phase := ^uint64(0) // -1
+		if model[v] = int8(w) != -1; model[v] {
+			phase = 1
 		}
+		le.PutUint64(p, w^uint64(int64(int8(w)))^phase)
 	}
 	tail := child[8*words+len(add):]
 	for i, w := range [footerWords]uint64{f.clauses + f.learnts + k, 0, 0, f.vars, 1, solverMagic} {
@@ -311,17 +344,21 @@ const footerWords = 6
 //     which two literals are watched, the watch lists follow clause order,
 //     and the search follows the watch lists: a reloaded solver decides,
 //     learns and answers exactly as one that was handed the same clauses
-//     directly.
+//     directly and had the same activities.
 //   - Learned clauses come back as problem clauses: they are consequences
 //     of the problem, so nothing is lost, and NumLearnts restarts at zero.
 //   - Level-0 facts are asserted and propagated one by one, in trail order,
 //     after every clause is watched.
+//   - Phases and activities come back from the phase words (phaseWord),
+//     with varInc 1: a reloaded search decides first the variables its
+//     parent's conflicts bumped, as the parent would have, not by index.
 //
 // Only what Marshal writes is accepted. A state whose footer counts do not
 // account for every body word, that claims more than VarLimit variables,
-// that names a literal 0 or a variable beyond nVars, or that holds a clause
+// that names a literal 0 or a variable beyond nVars, that holds a clause
 // Marshal cannot produce — fewer than two literals, literals not strictly
-// ascending, a variable twice (x ∨ ¬x included) — is rejected as corrupt.
+// ascending, a variable twice (x ∨ ¬x included) — or an activity that is
+// NaN or infinite is rejected as corrupt.
 // Such a clause is not repaired: a state file is written by this package
 // alone, so a clause outside the canonical form means the bytes are not a
 // state, and a solver quietly built from them could answer for a different
@@ -520,8 +557,19 @@ func (s *Solver) load(data []byte, keep bool) error {
 			}
 		}
 	}
+	active := false
 	for v := 1; v <= int(nv); v++ {
-		s.phase[v] = int8(int64(word(clauseWords + int(nFacts) + v - 1)))
+		w := word(clauseWords + int(nFacts) + v - 1)
+		s.phase[v] = int8(w)
+		a, ok := phaseActivity(w)
+		if !ok {
+			return fmt.Errorf("solver: variable %d has activity %g", v, a)
+		}
+		s.activity[v] = a
+		active = active || a > 0
+	}
+	if active {
+		s.rebuildHeap()
 	}
 	if f.ok == 0 {
 		s.ok = false

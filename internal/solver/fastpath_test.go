@@ -99,7 +99,7 @@ func TestSolveFastPathMatchesSearch(t *testing.T) {
 			case 2: // phases other than ±1 (a phase is the word's low byte)
 				parent = slices.Clone(parent)
 				at, nv := phaseIndex(parent, 1)
-				odd := []uint64{0, 1, 2, 0xff, 0x80, 0x7f, 1 << 40, ^uint64(0)}
+				odd := []uint64{0, 1, 2, phaseWord(-1, 3), phaseWord(-128, 0), 0x7f, 1 << 40, ^uint64(0)}
 				for w := at; w < at+nv; w++ {
 					binary.LittleEndian.PutUint64(parent[8*w:], odd[rng.Intn(len(odd))])
 				}
@@ -109,7 +109,7 @@ func TestSolveFastPathMatchesSearch(t *testing.T) {
 				for w := at; w < at+nv; w++ {
 					same := []uint64{0, 2, 0x7f, 1 << 40} // not -1: a positive decision
 					if int8(parent[8*w]) == -1 {
-						same = []uint64{0xff, 0x1ff}
+						same = []uint64{phaseWord(-1, 0.5), ^uint64(1 << 40)}
 					}
 					binary.LittleEndian.PutUint64(parent[8*w:], same[rng.Intn(len(same))])
 				}

@@ -3,6 +3,7 @@ package solver
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 )
@@ -127,6 +128,15 @@ func FuzzSolverUnmarshal(f *testing.F) {
 	f.Add(rawState(3, []int{2, 1, 3}))              // unsorted
 	f.Add(rawState(3, []int{1, 2, 2}, []int{1, 3})) // a duplicated literal
 	f.Add(rawState(3, []int{-2, 1, 2}))             // a tautology
+
+	// Activities phaseWord cannot write: NaN and infinite. (A negative one
+	// has no bit to be written in.)
+	for _, a := range []float64{math.NaN(), math.Inf(1)} {
+		bad := slices.Clone(memos[2])
+		at := len(bad) - FooterBytes - 8 // variable 30's phase word
+		binary.LittleEndian.PutUint64(bad[at:], phaseWord(-1, a))
+		f.Add(bad)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recycled := New(0)

@@ -70,7 +70,8 @@ func decide(s *Solver, v int, positive bool) {
 // decisions, backjumps, variable growth, Resets and Loads, the heap and
 // the cursor pick the variable the linear scan picks, and their
 // invariants hold after every operation. One run starts from New, one
-// from a loaded 500-variable state, where every activity is 0.
+// from a loaded 500-variable state, which carries the activities of the
+// search that solved it.
 func TestPickBranchVarMatchesScan(t *testing.T) {
 	big := New(500)
 	for _, cl := range Random3SAT(500, 1500, 1) {

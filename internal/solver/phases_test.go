@@ -144,7 +144,7 @@ func TestExtendFromPhasesMatchesSolver(t *testing.T) {
 			case 3:
 				parent = slices.Clone(parent)
 				at, nv := phaseIndex(parent, 1)
-				odd := []uint64{0, 1, 2, 0xff, 0x80, 0x7f, 1 << 40, ^uint64(0)}
+				odd := []uint64{0, 1, 2, phaseWord(-1, 3), phaseWord(-128, 0), 0x7f, 1 << 40, ^uint64(0)}
 				for w := at; w < at+nv; w++ {
 					binary.LittleEndian.PutUint64(parent[8*w:], odd[rng.Intn(len(odd))])
 				}

@@ -3,6 +3,7 @@ package solver
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // unmarshalReference is the loader Unmarshal replaced, kept as the oracle:
@@ -97,10 +98,22 @@ func unmarshalReference(data []byte) (*Solver, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The low byte is the phase; above it, xor the phase's sign, the
+		// activity's float64 bits less the sign bit and the last 7.
+		bits := ph >> 8
+		if int8(ph) < 0 {
+			bits = ^ph >> 8
+		}
+		a := math.Float64frombits(bits << 7)
+		if math.IsNaN(a) || math.IsInf(a, 0) {
+			return nil, fmt.Errorf("solver: variable %d has activity %g", v, a)
+		}
 		if v < len(s.phase) {
 			s.phase[v] = int8(int64(ph))
+			s.activity[v] = a
 		}
 	}
+	s.rebuildHeap()
 	// The footer counts must account for every body byte: trailing data
 	// means the counts are inconsistent with the sections, and a solver
 	// silently missing constraints could answer sat for an unsat problem.

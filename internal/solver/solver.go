@@ -123,8 +123,9 @@ type Solver struct {
 	// activity above 0 is in the heap, and no variable of activity 0;
 	// assigned ones leave it lazily, when they reach the top. Every
 	// unassigned variable of activity 0 is at or after cursor, which never
-	// passes nVars+1: after a Load, when every activity is 0, decisions
-	// take the cursor's variables lowest index first at O(1) each.
+	// passes nVars+1: after a Load of a state no conflict has shaped, when
+	// every activity is 0, decisions take the cursor's variables lowest
+	// index first at O(1) each.
 	heap    []int32
 	heapPos []int32
 	cursor  int
