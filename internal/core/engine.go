@@ -362,7 +362,7 @@ func (e *Engine) worker(w int) {
 		// evaluated — a stopped engine finishes in-flight steps but
 		// never starts new ones (halted is set before the drain begins).
 		if !e.halted.Load() && e.countNode(ws) {
-			//lint:ignore hotpath evaluate runs the guest and captures a State per guess: the one allocation a step may make
+			//lint:ignore hotpath evaluate runs the guest's step, unannotated code; its captures take pooled States, and TestEngineAllocsPerNode pins what a step allocates
 			e.evaluate(w, item.Payload, item.Payload.RestoreInto(&ws.ctx), item.Choice)
 		}
 		item.Payload.Release()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -164,10 +165,12 @@ func TestWorkerContextReuseIsInvisible(t *testing.T) {
 }
 
 // TestEngineAllocsPerNode pins the whole loop: an 8-queens search from a
-// pinned base allocates a State per guess (one step in eight), the 92
-// boards and the engine's own set-up — about 0.16 objects a step where it
-// used to be 7.35. The bound leaves room for pools a GC cycle emptied, not
-// for one more allocation per guess.
+// pinned base allocates the 92 boards and the engine's own set-up, and
+// nothing per step — a guess's State comes from the pool of released
+// ones. About 0.04 objects and 2 bytes a step, where it used to be 7.35
+// objects and then, with a State per guess, 55 bytes. Bytes, not objects,
+// pace the garbage collector. The bounds leave room for pools a GC cycle
+// emptied, not for one more allocation per guess.
 func TestEngineAllocsPerNode(t *testing.T) {
 	if core.PoolsDropItems() {
 		t.Skip("sync.Pool drops items in this build (race detector): recycled objects get reallocated")
@@ -187,5 +190,16 @@ func TestEngineAllocsPerNode(t *testing.T) {
 	if perNode > 0.25 {
 		t.Errorf("%.3f allocations per step, want at most 0.25", perNode)
 	}
-	t.Logf("%.3f allocations per step", perNode)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		search()
+	}
+	runtime.ReadMemStats(&after)
+	bytesPerNode := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(wantQueens.Nodes)
+	if bytesPerNode > 4 {
+		t.Errorf("%.1f bytes allocated per step, want at most 4", bytesPerNode)
+	}
+	t.Logf("%.3f allocations, %.1f bytes per step", perNode, bytesPerNode)
 }

@@ -545,10 +545,12 @@ func (s *FS) SetFDs(fds []FD) {
 // empty) table and descriptor slice keep their capacity.
 // hot_path: O(#files) decrements; nothing for a view without files.
 func (s *FS) Release() {
-	for _, f := range s.inodes {
-		f.release()
+	if len(s.inodes) > 0 { // a range or clear of an empty map is a call
+		for _, f := range s.inodes {
+			f.release()
+		}
+		clear(s.inodes)
 	}
-	clear(s.inodes)
 	s.fds = s.fds[:0]
 }
 
@@ -558,21 +560,25 @@ func (s *FS) Release() {
 func (s *FS) Snapshot() *Snapshot { return s.SnapshotInto(new(Snapshot)) }
 
 // SnapshotInto is Snapshot into caller-provided storage (a State holds its
-// image by value); dst must be a zero Snapshot. A view with no files and
-// no descriptors captures as a nil map and a nil slice: no allocation.
+// image by value); dst must be a zero Snapshot or one that has been
+// Released. Its table and descriptor slice are refilled in place, as
+// MaterializeInto refills a view, so a recycled dst costs no allocation;
+// a view with no files leaves a nil table nil.
 func (s *FS) SnapshotInto(dst *Snapshot) *Snapshot {
+	if len(dst.inodes) != 0 || len(dst.fds) != 0 {
+		panic("fs: SnapshotInto a live image (Release it first)")
+	}
 	dst.alloc = s.alloc
 	if len(s.inodes) > 0 {
-		dst.inodes = make(map[string]*File, len(s.inodes))
+		if dst.inodes == nil {
+			dst.inodes = make(map[string]*File, len(s.inodes))
+		}
 		for p, f := range s.inodes {
 			f.retain()
 			dst.inodes[p] = f
 		}
 	}
-	if len(s.fds) > 0 {
-		dst.fds = make([]FD, len(s.fds))
-		copy(dst.fds, s.fds)
-	}
+	dst.fds = append(dst.fds[:0], s.fds...)
 	return dst
 }
 
@@ -643,10 +649,12 @@ func (sn *Snapshot) MaterializeInto(dst *FS) *FS {
 		panic("fs: MaterializeInto a live view (Release it first)")
 	}
 	dst.alloc = sn.alloc
-	for p, f := range sn.inodes {
-		f.retain()
-		//lint:ignore hotpath the first file a recycled view ever holds makes its table; later steps refill it
-		dst.put(p, f) //lint:ignore escapegate first use only: the map a recycled view keeps
+	if len(sn.inodes) > 0 { // a range over an empty map is a call
+		for p, f := range sn.inodes {
+			f.retain()
+			//lint:ignore hotpath the first file a recycled view ever holds makes its table; later steps refill it
+			dst.put(p, f) //lint:ignore escapegate first use only: the map a recycled view keeps
+		}
 	}
 	//lint:ignore hotpath amortized: the descriptor slice grows to the image's size once
 	dst.fds = append(dst.fds[:0], sn.fds...)
@@ -736,12 +744,16 @@ func (sn *Snapshot) Files() []string {
 	return out
 }
 
-// Release drops the snapshot's references.
+// Release drops the snapshot's references. The image must not be used
+// after, except as the destination of a SnapshotInto, which is why the
+// (now empty) table and descriptor slice keep their capacity.
 // cheap: O(#files) decrements, once per snapshot lifetime.
 func (sn *Snapshot) Release() {
-	for _, f := range sn.inodes {
-		f.release()
+	if len(sn.inodes) > 0 { // as FS.Release
+		for _, f := range sn.inodes {
+			f.release()
+		}
+		clear(sn.inodes)
 	}
-	sn.inodes = nil
-	sn.fds = nil
+	sn.fds = sn.fds[:0]
 }

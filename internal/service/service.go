@@ -74,20 +74,24 @@ var scanning = func() {}
 // tests can drive an extend into the allocator's FaultOOM.
 var frameLimit int64
 
-// pooledSolver is what one Extend borrows: a solver, and the buffer the
-// parent's state is read into and the child's is marshalled onto.
+// pooledSolver is what one Extend borrows: a solver, the buffer the
+// parent's state is read into and the child's is marshalled onto, and the
+// context the parent is restored into.
 type pooledSolver struct {
-	sol *solver.Solver
-	buf []byte
+	sol  *solver.Solver
+	buf  []byte
+	cand snapshot.Context
 }
 
 // solverPool recycles solvers and their state buffers across Extends. A
-// request's solver is garbage the moment its state is marshalled, and its
-// buffer the moment fs.UpdateFile has copied it into blocks; rebuilding
-// both inside the arrays of the last request leaves an extend of a large
-// problem allocating nothing in proportion to it (not the clause arena,
-// the watch lists, the per-variable arrays, nor the state read or
-// written). Nothing an Extend returns points into either.
+// request's solver is garbage the moment its state is marshalled, its
+// buffer the moment fs.UpdateFile has copied it into blocks, and its
+// context the moment the child is captured; rebuilding all three inside
+// the storage of the last request leaves an extend of a large problem
+// allocating nothing in proportion to it (not the clause arena, the watch
+// lists, the per-variable arrays, nor the state read or written), and the
+// restore nothing at all. Nothing an Extend returns points into any of
+// them.
 var solverPool = sync.Pool{New: func() any { return &pooledSolver{sol: solver.New(0)} }}
 
 // tombstoneCap bounds the per-shard memory of evicted-id records: the ids
@@ -775,11 +779,12 @@ func (s *Service) Extend(ctx context.Context, id uint64, clauses [][]int) (Resul
 		return Result{}, err
 	}
 
-	cand := parent.Restore()
-	defer cand.Release()
-
 	pooled := solverPool.Get().(*pooledSolver)
 	defer solverPool.Put(pooled)
+	// The context borrows the parent's memory (RestoreInto); the parent is
+	// held until it is released, since deferred calls run last-in first.
+	cand := parent.RestoreInto(&pooled.cand)
+	defer cand.Release()
 	sol := pooled.sol
 	// A Sat parent whose model satisfies the new clauses is answered from
 	// its state bytes alone, a checked one from where its clause section

@@ -1,7 +1,9 @@
 package snapshot
 
 import (
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/fs"
@@ -151,8 +153,9 @@ func TestRestoreIntoLiveContextPanics(t *testing.T) {
 
 // TestRestoreAndCaptureAllocations pins the snapshot layer's share of a
 // step: restoring into a warm context and releasing it allocates nothing,
-// and a capture is exactly one allocation (the State) when the path has
-// printed nothing and holds no files.
+// and so does a capture once the pool holds a released State — also of a
+// path that has printed and holds a file, whose output and image refill
+// the recycled State's buffer and table.
 func TestRestoreAndCaptureAllocations(t *testing.T) {
 	alloc := mem.NewFrameAllocator(0)
 	tree := NewTree()
@@ -186,15 +189,20 @@ func TestRestoreAndCaptureAllocations(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("RestoreInto + Release with output and a file: %.1f allocations, want 0", n)
 	}
-	full.Release()
 
-	snap.RestoreInto(&c)
-	if n := testing.AllocsPerRun(200, func() {
-		tree.Capture(&c, snap).Release()
-	}); n != 1 {
-		t.Errorf("Tree.Capture: %.1f allocations, want exactly 1", n)
+	// AllocsPerRun's warm-up capture fills the pool.
+	for _, from := range []*State{snap, full} {
+		from.RestoreInto(&c)
+		n := testing.AllocsPerRun(200, func() {
+			tree.Capture(&c, from).Release()
+		})
+		if n != 0 && !raceEnabled {
+			t.Errorf("Tree.Capture with %d bytes of output and files %v: %.1f allocations, want 0",
+				len(from.Out()), from.FS().Files(), n)
+		}
+		c.Release()
 	}
-	c.Release()
+	full.Release()
 	ctx.Release()
 	snap.Release()
 	if tree.Live() != 0 || alloc.Live() != 0 {
@@ -232,4 +240,152 @@ func BenchmarkCapture(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tree.Capture(ctx, nil).Release()
 	}
+}
+
+// TestRecycledStateCaptureStorm: goroutines capture chains of States off a
+// shared base, retain some, restore and check them, and release them, so
+// released States go back to the pool and come out again on other
+// goroutines while their neighbours are still held. Every held state keeps
+// its own memory, file, output, depth and parent through the churn; once
+// all are released no snapshot or frame is left; and a released State that
+// no capture has reused yet still panics on a retain or a second release.
+// Run with -race.
+func TestRecycledStateCaptureStorm(t *testing.T) {
+	const workers, rounds, depth = 4, 150, 6
+	alloc := mem.NewFrameAllocator(0)
+	tree := NewTree()
+	root := newCtx(t, alloc)
+	root.FS = fs.NewOn(alloc) // file blocks count in alloc.Live() too
+	if err := root.FS.WriteFile("/base", []byte("base")); err != nil {
+		t.Fatal(err)
+	}
+	base := tree.Capture(root, nil)
+	root.Release()
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var c Context
+			chain := make([]*State, depth)
+			for r := 0; r < rounds; r++ {
+				if err := stormRound(tree, base, &c, chain, uint64(w)<<32|uint64(r)<<8); err != nil {
+					t.Errorf("worker %d round %d: %v", w, r, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if tree.Live() != 1 {
+		t.Errorf("%d snapshots live after the storm, want only the base", tree.Live())
+	}
+	base.Release()
+
+	// Misuse of a released State that no capture has taken out of the
+	// pool again: nothing else captures now, so this one is still there.
+	ctx := newCtx(t, alloc)
+	ctx.FS = fs.NewOn(alloc)
+	if err := ctx.FS.WriteFile("/f", []byte("f")); err != nil {
+		t.Fatal(err)
+	}
+	s := tree.Capture(ctx, nil)
+	id := s.ID()
+	s.Release()
+	mustPanic(t, fmt.Sprintf("retain after free of state %d", id), func() { s.RetainN(2) })
+	mustPanic(t, fmt.Sprintf("double release of state %d", id), s.Release)
+	// Neither left a count behind that the next capture trips over.
+	again := tree.Capture(ctx, nil)
+	if b, err := again.FS().ReadFile("/f"); err != nil || string(b) != "f" {
+		t.Errorf("capture after the misuse reads /f = %q, %v", b, err)
+	}
+	again.Release()
+	ctx.Release()
+	if tree.Live() != 0 || alloc.Live() != 0 {
+		t.Fatalf("leak after the storm: %d snapshots, %d frames", tree.Live(), alloc.Live())
+	}
+}
+
+// stormRound captures a chain of len(chain) states off base, each with its
+// own word, file and output, drops the capture reference of every other
+// one and of the leaf (their children's parent links, where they have
+// children, keep them alive), checks every state still held, and releases
+// the rest.
+func stormRound(tree *Tree, base *State, c *Context, chain []*State, tag uint64) error {
+	parent := base
+	base.RestoreInto(c)
+	for d := range chain {
+		if err := c.Mem.WriteU64(0x10000+uint64(d)*mem.PageSize, tag+uint64(d)); err != nil {
+			return err
+		}
+		if err := c.FS.WriteFile("/tag", fmt.Appendf(nil, "%x", tag+uint64(d))); err != nil {
+			return err
+		}
+		c.Out = fmt.Appendf(c.Out, "%x;", tag+uint64(d))
+		chain[d] = tree.Capture(c, parent)
+		parent = chain[d]
+	}
+	c.Release()
+	held := func(d int) bool { return d%2 == 0 && d != len(chain)-1 }
+	for d, s := range chain {
+		if !held(d) {
+			s.Release()
+		}
+	}
+	for d, s := range chain {
+		if !held(d) {
+			continue
+		}
+		want := base
+		if d > 0 {
+			want = chain[d-1]
+		}
+		s.Retain()
+		err := checkStormState(s, c, tag, d)
+		if err == nil && (s.Depth() != d+1 || s.Parent() != want) {
+			err = fmt.Errorf("state %d: depth %d, parent %p, want %d, %p", d, s.Depth(), s.Parent(), d+1, want)
+		}
+		s.Release()
+		if err != nil {
+			return err
+		}
+	}
+	for d, s := range chain {
+		if held(d) {
+			s.Release()
+		}
+	}
+	return nil
+}
+
+// checkStormState restores s into c and compares what it holds with what
+// the chain wrote up to depth d.
+func checkStormState(s *State, c *Context, tag uint64, d int) error {
+	defer c.Release()
+	s.RestoreInto(c)
+	var out []byte
+	for i := 0; i <= d+1; i++ { // the chain's words up to d, then a page it wrote later
+		v, err := c.Mem.ReadU64(0x10000 + uint64(i)*mem.PageSize)
+		switch {
+		case err != nil:
+			return err
+		case i <= d && v != tag+uint64(i), i > d && v != 0:
+			return fmt.Errorf("state %d: page %d reads %#x", d, i, v)
+		}
+		if i <= d {
+			out = fmt.Appendf(out, "%x;", tag+uint64(i))
+		}
+	}
+	if string(c.Out) != string(out) || string(s.Out()) != string(out) {
+		return fmt.Errorf("state %d: output %q (frozen %q), want %q", d, c.Out, s.Out(), out)
+	}
+	f, err := c.FS.ReadFile("/tag")
+	if err != nil || string(f) != fmt.Sprintf("%x", tag+uint64(d)) {
+		return fmt.Errorf("state %d: /tag = %q, %v", d, f, err)
+	}
+	if b, err := c.FS.ReadFile("/base"); err != nil || string(b) != "base" {
+		return fmt.Errorf("state %d: /base = %q, %v", d, b, err)
+	}
+	return nil
 }

@@ -4,16 +4,19 @@
 // the output stream, linked into a refcounted tree of partial candidates.
 //
 // Creation cost is O(1) in the size of the address space (the page-table
-// root is shared and frozen) and one allocation, the State; restoration is
-// likewise O(1) and fills a mutable Context — a new one (Restore) or one
-// the caller owns and reuses (RestoreInto: no allocation) — whose writes
-// copy-on-write away from the snapshot. The parent relationship encodes
-// candidates space-efficiently: a child physically shares every page it
-// did not touch with its ancestors.
+// root is shared and frozen) and no allocation once warm: the last Release
+// of a State returns it to a pool, and a capture refills a pooled one —
+// its file table and output buffer too. Restoration is likewise O(1) and
+// fills a mutable Context — a new one (Restore) or one the caller owns and
+// reuses (RestoreInto: no allocation) — whose writes copy-on-write away
+// from the snapshot. The parent relationship encodes candidates
+// space-efficiently: a child physically shares every page it did not touch
+// with its ancestors.
 package snapshot
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -73,7 +76,11 @@ var stateSeq atomic.Uint64
 
 // State is one partial candidate: a lightweight immutable snapshot.
 // All fields are frozen after capture. States are reference counted; the
-// holder of the last reference releases the underlying memory and files.
+// holder of the last reference releases the underlying memory and files,
+// and the struct goes back to a pool that later captures refill. A
+// pointer kept past the last Release may therefore alias a later capture:
+// a State, and anything read out of it by reference (Out, FS, Mem), is
+// valid only while a reference is held.
 type State struct {
 	id     uint64
 	seq    uint64
@@ -83,13 +90,19 @@ type State struct {
 	refs   atomic.Int32
 
 	// The frozen CoW view and file image are part of the State, not behind
-	// pointers: a capture is one allocation. A State is never copied: refs
-	// is atomic, and go vet rejects a copied AddressSpace as well.
+	// pointers, so a recycled State brings all of its storage back with it.
+	// A State is never copied: refs is atomic, and go vet rejects a copied
+	// AddressSpace as well.
 	mem  mem.AddressSpace
 	fsys fs.Snapshot
 	regs vm.Registers
-	out  []byte // output captured up to the snapshot point (nil when empty)
+	out  []byte // output captured up to the snapshot point; capacity survives recycling
 }
+
+// statePool holds released States: refs 0, parent and tree nil, memory
+// and file image released with their storage kept. A capture takes one
+// and allocates only when the pool is empty.
+var statePool sync.Pool
 
 // ID returns the snapshot's unique id within its tree.
 func (s *State) ID() uint64 { return s.id }
@@ -108,7 +121,9 @@ func (s *State) Parent() *State { return s.parent }
 // Regs returns the frozen register file.
 func (s *State) Regs() vm.Registers { return s.regs }
 
-// Out returns the frozen output buffer. Callers must not modify it.
+// Out returns the frozen output buffer. Callers must not modify it, and
+// must copy what they keep: the buffer is valid only while they hold a
+// reference, since a recycled State refills it.
 func (s *State) Out() []byte { return s.out }
 
 // FS returns the frozen file image. Callers must not mutate it.
@@ -123,7 +138,10 @@ func (s *State) Mem() *mem.AddressSpace { return &s.mem }
 
 // Retain adds a reference. Retaining a snapshot whose count already hit
 // zero is a use-after-free — the backing pages and file blocks may already
-// be recycled — so it panics instead of resurrecting the state.
+// be recycled — so it panics instead of resurrecting the state, and takes
+// its add back first: a released State that no capture has reused yet
+// stays a clean member of the pool. (One that a capture has reused is a
+// live snapshot again; a stale pointer to it cannot be told apart.)
 //
 // hot_path: one atomic increment on the lookup hit path.
 func (s *State) Retain() *State { return s.RetainN(1) }
@@ -135,18 +153,21 @@ func (s *State) Retain() *State { return s.RetainN(1) }
 // hot_path: one atomic add per batch.
 func (s *State) RetainN(n int) *State {
 	if s.refs.Add(int32(n)) <= int32(n) {
+		s.refs.Add(-int32(n))
 		//lint:ignore hotpath panic message construction on the failure path only
 		panic(fmt.Sprintf("snapshot: retain after free of state %d", s.id)) //lint:ignore escapegate panic message on the failure path only
 	}
 	return s
 }
 
-// Release drops a reference; the last release frees the snapshot and drops
-// its reference on the parent. Chains release iteratively so very deep
-// snapshot trees (E8) cannot overflow the Go stack. A release that drives
-// the count negative is a double-release: it panics with the state id
-// rather than silently corrupting the tree's live accounting (and
-// potentially freeing a snapshot still held elsewhere).
+// Release drops a reference; the last release frees the snapshot, drops
+// its reference on the parent and returns the State to the pool, where a
+// later capture reuses it — the caller must not touch s again. Chains
+// release iteratively so very deep snapshot trees (E8) cannot overflow the
+// Go stack. A release that drives the count negative is a double-release:
+// it panics with the state id rather than silently corrupting the tree's
+// live accounting (and potentially freeing a snapshot still held
+// elsewhere), and takes its decrement back first, as Retain does.
 //
 // hot_path: one atomic decrement while siblings still hold the state — the
 // engine's per-step release; the teardown below it happens once per state.
@@ -157,16 +178,29 @@ func (s *State) Release() {
 			return
 		}
 		if n < 0 {
+			s.refs.Add(1)
 			//lint:ignore hotpath panic message construction on the failure path only
 			panic(fmt.Sprintf("snapshot: double release of state %d", s.id)) //lint:ignore escapegate panic message on the failure path only
 		}
-		s.mem.Release()
-		s.fsys.Release()
-		s.tree.live.Add(-1)
-		next := s.parent
-		s.parent = nil
-		s = next
+		s = s.recycle()
 	}
+}
+
+// recycle frees a State whose last reference is gone and puts it in the
+// pool, and returns the parent, whose reference is now the caller's to
+// drop. Everything is read and cleared before the Put: from then on a
+// capture on another goroutine may own s.
+//
+// cheap: once per state lifetime; the Put is what keeps a capture from
+// allocating.
+func (s *State) recycle() *State {
+	s.mem.Release()
+	s.fsys.Release()
+	s.tree.live.Add(-1)
+	parent := s.parent
+	s.parent, s.tree = nil, nil
+	statePool.Put(s)
+	return parent
 }
 
 // Restore materializes a new mutable Context whose initial state is
@@ -239,25 +273,30 @@ func (t *Tree) Capture(ctx *Context, parent *State) *State {
 // the parent link is gone (its chain may not be resident), but the depth
 // the manifest recorded survives for strategies and diagnostics. With a
 // non-nil parent, depth is ignored and the child sits at parent.depth+1.
+//
+// The State comes from the pool of released ones when it has any, so a
+// warm capture allocates nothing; id and seq are drawn fresh either way.
 func (t *Tree) CaptureAtDepth(ctx *Context, parent *State, depth int) *State {
 	start := time.Now()
-	s := &State{
-		id:     t.nextID.Add(1),
-		seq:    stateSeq.Add(1),
-		depth:  depth,
-		tree:   t,
-		parent: parent,
-		regs:   ctx.Regs,
+	s, _ := statePool.Get().(*State)
+	if s == nil {
+		s = new(State)
+	} else if r := s.refs.Load(); r != 0 || s.parent != nil {
+		panic(fmt.Sprintf("snapshot: pooled state %d has refcount %d and parent %p: recycled while still held", s.id, r, s.parent))
 	}
+	s.id = t.nextID.Add(1)
+	s.seq = stateSeq.Add(1)
+	s.depth = depth
+	s.tree = t
+	s.parent = parent
+	s.regs = ctx.Regs
 	// A captured space is shared across goroutines (restores fork it,
 	// inspectors read it concurrently); sealing switches its TLB off, so
 	// those reads walk the radix and write nothing, while ctx.Mem keeps
 	// its own TLB live and merely enters a new epoch.
 	ctx.Mem.ForkInto(&s.mem).Seal()
 	ctx.FS.SnapshotInto(&s.fsys)
-	if len(ctx.Out) > 0 {
-		s.out = append([]byte(nil), ctx.Out...)
-	}
+	s.out = append(s.out[:0], ctx.Out...)
 	if parent != nil {
 		parent.Retain()
 		s.depth = parent.depth + 1

@@ -84,6 +84,9 @@ type (
 	// Context is the mutable execution state of one candidate.
 	Context = snapshot.Context
 	// State is a partial candidate: a lightweight immutable snapshot.
+	// It is recycled after its last Release: a pointer kept past it may
+	// alias a later capture, and what it returns by reference (Out, FS,
+	// Mem) is valid only while a reference is held.
 	State = snapshot.State
 	// Tree tracks snapshot identity and liveness.
 	Tree = snapshot.Tree
