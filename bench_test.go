@@ -60,7 +60,7 @@ func BenchmarkE1QueensSnapshotNative(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng := core.New(core.NewVMMachine(0), core.Config{})
-		res, err := eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.New(), Regs: regs})
+		res, err := eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.NewOn(as.Alloc()), Regs: regs})
 		if err != nil || len(res.Solutions) != 92 {
 			b.Fatalf("res=%v err=%v", len(res.Solutions), err)
 		}
@@ -309,7 +309,7 @@ _start:
 					b.Fatal(err)
 				}
 				eng := core.New(core.NewVMMachine(0), core.Config{})
-				if _, err := eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.New(), Regs: regs}); err != nil {
+				if _, err := eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.NewOn(as.Alloc()), Regs: regs}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -401,7 +401,7 @@ loop:
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := &snapshot.Context{Mem: as, FS: fs.New(), Regs: regs}
+	ctx := &snapshot.Context{Mem: as, FS: fs.NewOn(as.Alloc()), Regs: regs}
 	defer ctx.Release()
 	m := core.NewVMMachine(int64(3 * b.N))
 	cpu := vm.New(ctx.Mem)
@@ -418,55 +418,6 @@ loop:
 		}
 	}
 }
-
-// --- E11: software-TLB write locality --------------------------------------
-
-func benchSamePageWrite(b *testing.B, tlbOn bool) {
-	b.Helper()
-	as := mem.NewAddressSpace(mem.NewFrameAllocator(0))
-	defer as.Release()
-	as.SetTLBEnabled(tlbOn)
-	if err := as.Map(0x10000, 64*mem.PageSize, mem.PermRW, "d"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := as.WriteU64(0x10000+uint64(i&511)*8, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if st := as.Stats(); tlbOn && st.TLBHits+st.TLBMisses != int64(b.N) {
-		b.Fatalf("hits+misses = %d, want %d", st.TLBHits+st.TLBMisses, b.N)
-	}
-}
-
-// BenchmarkE11SamePageWriteTLB is the repeated-write microbenchmark the
-// TLB exists for: every store after the first hits the write cache.
-func BenchmarkE11SamePageWriteTLB(b *testing.B)   { benchSamePageWrite(b, true) }
-func BenchmarkE11SamePageWriteNoTLB(b *testing.B) { benchSamePageWrite(b, false) }
-
-func benchSamePageRead(b *testing.B, tlbOn bool) {
-	b.Helper()
-	as := mem.NewAddressSpace(mem.NewFrameAllocator(0))
-	defer as.Release()
-	as.SetTLBEnabled(tlbOn)
-	if err := as.Map(0x10000, 64*mem.PageSize, mem.PermRW, "d"); err != nil {
-		b.Fatal(err)
-	}
-	if err := as.WriteU64(0x10000, 42); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := as.ReadU64(0x10000 + uint64(i&511)*8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE11SamePageReadTLB(b *testing.B)   { benchSamePageRead(b, true) }
-func BenchmarkE11SamePageReadNoTLB(b *testing.B) { benchSamePageRead(b, false) }
 
 // BenchmarkE11StridedWriteAt exercises the run-length write path: one
 // 32-page store resolves its leaf node once per leaf span (16 pages) instead of

@@ -1,10 +1,14 @@
 // Command reprolint runs the project's invariant checkers over the
-// module — the AST analyzers plus escapegate, which rebuilds the
-// annotated packages with -gcflags=-json and reports every compiler
+// program — the AST analyzers, deadcode, and escapegate, which rebuilds
+// the annotated packages with -gcflags=-json and reports every compiler
 // escape in a hot_path: function and every inline: function the
-// compiler declined to inline. Run it as
+// compiler declined to inline. Run it from the nested benchmark module,
+// whose build list holds the root module, so that one run loads both:
 //
-//	go run ./cmd/reprolint ./...
+//	cd benchmark && go run repro/cmd/reprolint repro/...
+//
+// deadcode needs that scope: some internal functions are called only
+// by the benchmark.
 //
 // Exit status 0 means the tree upholds every checked invariant, 1 means
 // findings were printed, 2 means the loader or an analyzer failed. CI
@@ -25,6 +29,7 @@ import (
 	"os"
 
 	"repro/internal/analysis/boundary"
+	"repro/internal/analysis/deadcode"
 	"repro/internal/analysis/escapegate"
 	"repro/internal/analysis/hotpath"
 	"repro/internal/analysis/lockorder"
@@ -42,6 +47,7 @@ func suite() []*reprolint.Analyzer {
 		boundary.Analyzer,
 		hotpath.Analyzer,
 		escapegate.Analyzer,
+		deadcode.Analyzer,
 	}
 }
 

@@ -12,12 +12,13 @@ import (
 	"repro/internal/analysis/reprolint"
 )
 
-// runSuite runs the full analyzer lineup over dir and returns the exit
-// code plus everything printed to stdout.
-func runSuite(t *testing.T, dir string, opts reprolint.Options) (int, string) {
+// runSuite runs the full analyzer lineup over the packages pattern
+// matches in dir and returns the exit code plus everything printed to
+// stdout.
+func runSuite(t *testing.T, dir, pattern string, opts reprolint.Options) (int, string) {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
-	code := reprolint.Main(&stdout, &stderr, dir, suite(), []string{"./..."}, opts)
+	code := reprolint.Main(&stdout, &stderr, dir, suite(), []string{pattern}, opts)
 	if code == 2 {
 		t.Fatalf("loader/analyzer failure:\n%s%s", stderr.String(), stdout.String())
 	}
@@ -28,12 +29,23 @@ func runSuite(t *testing.T, dir string, opts reprolint.Options) (int, string) {
 // tests exercise the real loader path end to end.
 func writeModule(t *testing.T, src string) string {
 	t.Helper()
+	return writeFiles(t, map[string]string{"p.go": src})
+}
+
+// writeFiles materializes module tmpmod with the given files, keyed by
+// slash-separated path.
+func writeFiles(t *testing.T, files map[string]string) string {
+	t.Helper()
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module tmpmod\n\ngo 1.24\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
+	files["go.mod"] = "module tmpmod\n\ngo 1.24\n"
+	for name, src := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return dir
 }
@@ -42,7 +54,7 @@ func writeModule(t *testing.T, src string) string {
 // expected analyzer convicts it, and returns the output.
 func assertFinds(t *testing.T, src, analyzer string) string {
 	t.Helper()
-	code, out := runSuite(t, writeModule(t, src), reprolint.Options{})
+	code, out := runSuite(t, writeModule(t, src), "./...", reprolint.Options{})
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1; output:\n%s", code, out)
 	}
@@ -140,6 +152,45 @@ func push(head *node) *node {
 	}
 }
 
+// TestSeededDeadCode: a function under internal/ that no file names is
+// dead. One called from another package, a method an interface declares
+// and a method of a type the module's root package aliases are not.
+func TestSeededDeadCode(t *testing.T) {
+	dir := writeFiles(t, map[string]string{
+		"facade.go": `package tmpmod
+
+import "tmpmod/internal/core"
+
+type Box = core.Box
+
+func Use() int { return core.Called() }
+`,
+		"internal/core/core.go": `package core
+
+type Box struct{ n int }
+
+func (b *Box) Size() int { return b.n }
+
+type sizer interface{ Len() int }
+
+type list []int
+
+func (l list) Len() int { return len(l) }
+
+func Called() int {
+	var s sizer = list{1}
+	return s.Len()
+}
+
+func Uncalled() int { return 1 }
+`,
+	})
+	code, out := runSuite(t, dir, "./...", reprolint.Options{})
+	if code != 1 || strings.Count(out, "\n") != 1 || !strings.Contains(out, "deadcode: tmpmod/internal/core.Uncalled is never used") {
+		t.Fatalf("exit = %d, want 1 with one deadcode finding for Uncalled; output:\n%s", code, out)
+	}
+}
+
 // TestJSONReport: -json writes a machine-readable report with each
 // finding's analyzer, position, and message, escapegate's included.
 func TestJSONReport(t *testing.T) {
@@ -171,7 +222,7 @@ func accepted() *counter {
 }
 `)
 	path := filepath.Join(t.TempDir(), "report.json")
-	code, _ := runSuite(t, dir, reprolint.Options{JSONPath: path})
+	code, _ := runSuite(t, dir, "./...", reprolint.Options{JSONPath: path})
 	if code != 1 {
 		t.Fatalf("exit = %d, want 1", code)
 	}
@@ -212,8 +263,9 @@ func accepted() *counter {
 	}
 }
 
-// copyRepo copies the module (go.mod plus every non-testdata .go file)
-// into a temp dir so the negative controls can mutate it freely.
+// copyRepo copies the program — the root module and the nested
+// benchmark module, go.mod files plus every non-testdata .go file — into
+// a temp dir so the negative controls can mutate it freely.
 func copyRepo(t *testing.T) string {
 	t.Helper()
 	root, err := filepath.Abs("../..")
@@ -281,8 +333,9 @@ func mutate(t *testing.T, dir, rel, old, new string) func() {
 // TestNegativeControls deletes one load-bearing statement at a time
 // from a copy of the real tree — a snapshot Release, the Fork epoch
 // bump, the manifest-log Sync, a client lock, a TLB flush — or seeds an
-// allocation into the TLB read hit path, and asserts the gate convicts
-// each mutant while passing the unmutated copy. No test catches the
+// allocation into the TLB read hit path, or adds a helper nothing calls,
+// and asserts the gate convicts each mutant while passing the unmutated
+// copy. No test catches the
 // Release (releasecheck), the client lock (lockorder; -race passes too)
 // or the Seal flush (boundary) rows. A sole row must be reported by its
 // analyzer alone.
@@ -291,8 +344,13 @@ func TestNegativeControls(t *testing.T) {
 		t.Skip("whole-tree loads are slow; skipped in -short")
 	}
 	dir := copyRepo(t)
+	// The one lint run (make lint): from the benchmark module, whose build
+	// list holds the root module, repro/... loads both.
+	lint := func() (int, string) {
+		return runSuite(t, filepath.Join(dir, "benchmark"), "repro/...", reprolint.Options{})
+	}
 
-	if code, out := runSuite(t, dir, reprolint.Options{}); code != 0 {
+	if code, out := lint(); code != 0 {
 		t.Fatalf("unmutated copy: exit = %d, want 0; output:\n%s", code, out)
 	}
 
@@ -354,6 +412,16 @@ func TestNegativeControls(t *testing.T) {
 			analyzer: "lockorder",
 		},
 		{
+			name: "uncalled helper added to the address space",
+			rel:  filepath.Join("internal", "mem", "addrspace.go"),
+			old:  "// InitBrk establishes the program break",
+			new: "// RegionCount returns the number of mapped regions.\n" +
+				"func (as *AddressSpace) RegionCount() int { return len(as.vmas) }\n\n" +
+				"// InitBrk establishes the program break",
+			analyzer: "deadcode",
+			sole:     true,
+		},
+		{
 			name:     "deleted Seal TLB flush",
 			rel:      filepath.Join("internal", "mem", "addrspace.go"),
 			old:      "\tas.tlb.off = true\n\tas.tlb.flush()\n\tas.sealed = true\n",
@@ -365,7 +433,7 @@ func TestNegativeControls(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			undo := mutate(t, dir, c.rel, c.old, c.new)
 			defer undo()
-			code, out := runSuite(t, dir, reprolint.Options{})
+			code, out := lint()
 			if code != 1 {
 				t.Fatalf("exit = %d, want 1 (mutation undetected)", code)
 			}

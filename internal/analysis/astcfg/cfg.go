@@ -406,16 +406,6 @@ func (b *builder) takeLabel() string {
 	return l
 }
 
-// Exit returns the function's synthetic exit block.
-func (g *Graph) Exit() *Block {
-	for _, b := range g.Blocks {
-		if b.Exit {
-			return b
-		}
-	}
-	return nil
-}
-
 // isTerminatingCall reports whether e is a call that never returns:
 // panic(...), os.Exit, log.Fatal*, runtime.Goexit, (testing helpers are
 // not analyzed). Purely syntactic — good enough for lint purposes.

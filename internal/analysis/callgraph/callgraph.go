@@ -318,11 +318,6 @@ func (n *Node) Name() string {
 	return "func literal"
 }
 
-// SCCs returns the strongly-connected components of the graph in
-// bottom-up (callees-before-callers) order, so a fixpoint over each
-// component in sequence sees every callee summary already computed.
-func (g *Graph) SCCs() [][]*Node { return g.sccs }
-
 // computeSCCs runs Tarjan's algorithm iteratively-enough for lint-sized
 // programs (recursion depth = call-chain depth).
 func (g *Graph) computeSCCs() {

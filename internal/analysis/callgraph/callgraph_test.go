@@ -230,7 +230,7 @@ func TestSummaries(t *testing.T) {
 		return s.Params[0]
 	}
 
-	if p := param("borrows"); !p.Borrowed() {
+	if p := param("borrows"); p.Releases || p.Escapes {
 		t.Errorf("borrows: %+v, want borrowed", p)
 	}
 	if p := param("releases"); !p.Releases || !p.MustRelease {

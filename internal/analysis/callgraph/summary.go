@@ -83,10 +83,6 @@ type ParamSummary struct {
 	Escapes bool
 }
 
-// Borrowed reports that the function neither releases nor stores the
-// parameter: passing a tracked value here is not a discharge.
-func (p ParamSummary) Borrowed() bool { return !p.Releases && !p.Escapes }
-
 // Summary is one function's ownership behavior.
 type Summary struct {
 	// Params has one entry per signature parameter, receiver first for

@@ -39,9 +39,11 @@ type listPackage struct {
 }
 
 // Load resolves patterns (e.g. "./...") with the go tool and typechecks
-// every matching package in the current module from source, importing
+// every matching non-standard package from source — the main module's,
+// and a required module's that a replace points at a local directory,
+// as the benchmark module's go.mod does for the root module — importing
 // dependencies (standard library included) from the compiler's export
-// data — so no network and no out-of-module source access is needed.
+// data, so no network and no out-of-module source access is needed.
 // Test files are not loaded: the invariants gate production code; tests
 // intentionally abuse lifecycles to prove the panics fire.
 func Load(dir string, patterns ...string) ([]*Package, error) {

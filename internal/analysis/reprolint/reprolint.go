@@ -2,8 +2,9 @@
 // dependency-free mirror of the golang.org/x/tools/go/analysis API plus a
 // package loader built on `go list -export` and the standard library's
 // gc-export-data importer. The project analyzers (releasecheck,
-// lockorder, boundary, hotpath, escapegate) run on it via
-// cmd/reprolint, which CI enforces as a hard gate over ./...
+// lockorder, boundary, hotpath, escapegate, deadcode) run on it via
+// cmd/reprolint, which CI enforces as a hard gate over the whole
+// program: the root module and the nested benchmark module.
 //
 // Every analyzer has one shape: it runs once over the whole Program
 // (cross-package facts such as call graphs and lock graphs need it),

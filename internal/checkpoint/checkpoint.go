@@ -28,9 +28,6 @@ type Image struct {
 	Pages []Page
 }
 
-// Bytes returns the checkpoint payload size.
-func (img *Image) Bytes() int64 { return int64(len(img.Pages)) * mem.PageSize }
-
 // Capture copies every resident page of as out of the address space —
 // the full-copy checkpoint baseline.
 func Capture(as *mem.AddressSpace) *Image {

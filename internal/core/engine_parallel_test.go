@@ -327,7 +327,7 @@ func TestNativeGuestPathSetAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := core.New(core.NewVMMachine(0), core.Config{Workers: workers})
-		res, err := eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.New(), Regs: regs})
+		res, err := eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.NewOn(alloc), Regs: regs})
 		if err != nil {
 			t.Fatal(err)
 		}

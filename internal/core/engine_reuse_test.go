@@ -115,12 +115,20 @@ func TestWorkerContextReuseIsInvisible(t *testing.T) {
 			for p := uint64(0); p < 4; p++ {
 				m.WriteU64(base+p*mem.PageSize+8, 0xd1d1)
 			}
-			m.Protect(base+mem.PageSize, mem.PageSize, mem.PermRead)
+			m.Map(base+heapBytes+8*mem.PageSize, mem.PageSize, mem.PermRead, "ro")
 			env.Fail()
 			return nil
 		}
 		var b strings.Builder
-		fmt.Fprintf(&b, "files=%v fds=%d ", f.List(), f.OpenFDs())
+		files := f.Snapshot()
+		open := 0
+		for _, fd := range files.FDs() {
+			if fd.Open {
+				open++
+			}
+		}
+		fmt.Fprintf(&b, "files=%v fds=%d ", files.Files(), open)
+		files.Release()
 		seed, _ := f.ReadFile("/seed")
 		brk, _ := m.Brk(0)
 		fmt.Fprintf(&b, "seed=%s brk=+%#x vmas=%d ", seed, brk-base, len(m.VMAs()))

@@ -133,7 +133,7 @@ func TestNativeQueensFigure1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &snapshot.Context{Mem: as, FS: fs.New(), Regs: regs}
+	ctx := &snapshot.Context{Mem: as, FS: fs.NewOn(as.Alloc()), Regs: regs}
 	eng := core.New(core.NewVMMachine(0), core.Config{})
 	res, err := eng.Run(context.Background(), ctx)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // the worker idle/termination protocol. Two implementations exist — a
 // sharded work-stealing pool for order-insensitive policies (DFS, Random)
 // and a single queue under a dedicated lock for order-sensitive ones
-// (BFS, A*, SM-A*, External) — so the engine hot loop never touches the
+// (BFS, A*, SM-A*) — so the engine hot loop never touches the
 // engine-state mutex to move work.
 type sched interface {
 	// push hands worker w's sibling batch to the scheduler. It returns

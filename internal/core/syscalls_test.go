@@ -29,7 +29,7 @@ func runNative(t *testing.T, src string, cfg core.Config) (*core.Result, *core.V
 	}
 	m := core.NewVMMachine(0)
 	eng := core.New(m, cfg)
-	res, err := eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.New(), Regs: regs})
+	res, err := eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.NewOn(as.Alloc()), Regs: regs})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -258,7 +258,7 @@ spin:
 		t.Fatal(err)
 	}
 	eng := core.New(core.NewVMMachine(10_000), core.Config{})
-	res, err := eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.New(), Regs: regs})
+	res, err := eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.NewOn(as.Alloc()), Regs: regs})
 	if err != nil {
 		t.Fatal(err)
 	}

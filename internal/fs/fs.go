@@ -342,16 +342,6 @@ func (s *FS) ReadFileAt(name string, dst []byte, off int64) ([]byte, error) {
 	return out, nil
 }
 
-// List returns all file paths in sorted order.
-func (s *FS) List() []string {
-	out := make([]string, 0, len(s.inodes))
-	for p := range s.inodes {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Stat returns the size of a file.
 func (s *FS) Stat(name string) (int64, error) {
 	f, ok := s.inodes[cleanPath(name)]
@@ -359,18 +349,6 @@ func (s *FS) Stat(name string) (int64, error) {
 		return 0, ErrNotExist
 	}
 	return f.size, nil
-}
-
-// Unlink removes a file.
-func (s *FS) Unlink(name string) error {
-	name = cleanPath(name)
-	f, ok := s.inodes[name]
-	if !ok {
-		return ErrNotExist
-	}
-	f.release()
-	delete(s.inodes, name)
-	return nil
 }
 
 // Open opens name and returns an fd number (>= FirstFD).
@@ -519,17 +497,6 @@ func (s *FS) Close(fdnum int) error {
 	}
 	fd.Open = false
 	return nil
-}
-
-// OpenFDs returns the number of open descriptors (diagnostics).
-func (s *FS) OpenFDs() int {
-	n := 0
-	for _, fd := range s.fds {
-		if fd.Open {
-			n++
-		}
-	}
-	return n
 }
 
 // SetFDs replaces the descriptor table wholesale (index 0 ↔ fd 3) — the

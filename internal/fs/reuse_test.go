@@ -2,6 +2,7 @@ package fs
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -19,12 +20,15 @@ func TestMaterializeIntoRefillsInPlace(t *testing.T) {
 	src.Seek(fd, 2, SeekSet)
 	two := src.Snapshot()
 	defer two.Release()
-
-	src.Unlink("/b")
-	src.Close(fd)
-	one := src.Snapshot() // one file, one closed descriptor slot
-	defer one.Release()
 	src.Release()
+
+	small := New()
+	small.WriteFile("/a", []byte("alpha"))
+	sfd, _ := small.Open("/a", ORdOnly)
+	small.Close(sfd)
+	one := small.Snapshot() // one file, one closed descriptor slot
+	defer one.Release()
+	small.Release()
 
 	var v FS
 	two.MaterializeInto(&v)
@@ -35,8 +39,10 @@ func TestMaterializeIntoRefillsInPlace(t *testing.T) {
 	got := one.MaterializeInto(&v)
 	want := one.Materialize()
 	defer want.Release()
-	if !reflect.DeepEqual(got.List(), want.List()) || got.OpenFDs() != want.OpenFDs() {
-		t.Errorf("refilled view: files %v fds %d, want %v / %d", got.List(), got.OpenFDs(), want.List(), want.OpenFDs())
+	gotFiles, gotFDs := contents(got)
+	wantFiles, wantFDs := contents(want)
+	if !reflect.DeepEqual(gotFiles, wantFiles) || gotFDs != wantFDs {
+		t.Errorf("refilled view: files %v fds %d, want %v / %d", gotFiles, gotFDs, wantFiles, wantFDs)
 	}
 	if _, err := got.ReadFile("/c"); err != ErrNotExist {
 		t.Errorf("file of the previous life still there: %v", err)
@@ -79,10 +85,10 @@ func TestEmptyImageIsNil(t *testing.T) {
 	if fd, err := w.Open("/second", OCreate|OWrOnly); err != nil || fd != FirstFD {
 		t.Fatalf("Open on a lazily made table: fd %d, %v", fd, err)
 	}
-	if got := w.List(); !reflect.DeepEqual(got, []string{"/first", "/second"}) {
+	if got, _ := contents(&w); !reflect.DeepEqual(got, []string{"/first", "/second"}) {
 		t.Errorf("files = %v", got)
 	}
-	if len(sn.Files()) != 0 || len(v.List()) != 0 {
+	if got, _ := contents(v); len(sn.Files()) != 0 || len(got) != 0 {
 		t.Error("a write to the materialized view reached its source")
 	}
 	w.Release()
@@ -102,4 +108,18 @@ func TestMaterializeIntoLiveViewPanics(t *testing.T) {
 		}
 	}()
 	sn.MaterializeInto(v)
+}
+
+// contents lists s's paths in order and counts its open descriptors.
+func contents(s *FS) (paths []string, open int) {
+	for p := range s.inodes {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	for _, fd := range s.fds {
+		if fd.Open {
+			open++
+		}
+	}
+	return paths, open
 }

@@ -336,13 +336,3 @@ func (b *Builder) Link(codeBase, dataBase uint64) (*Image, error) {
 	}
 	return img, nil
 }
-
-// MustLink is Link with the default bases, panicking on error (tests and
-// examples).
-func (b *Builder) MustLink() *Image {
-	img, err := b.Link(CodeBase, DataBase)
-	if err != nil {
-		panic(err)
-	}
-	return img
-}

@@ -9,6 +9,16 @@ import (
 	"repro/internal/vm"
 )
 
+// link links b at the default bases.
+func link(t *testing.T, b *guest.Builder) *guest.Image {
+	t.Helper()
+	img, err := b.Link(guest.CodeBase, guest.DataBase)
+	if err != nil {
+		t.Fatalf("Link: %v", err)
+	}
+	return img
+}
+
 func runImage(t *testing.T, img *guest.Image, fuel int64) (*vm.CPU, *vm.Trap) {
 	t.Helper()
 	as, regs, err := guest.Load(img, mem.NewFrameAllocator(0), guest.LoadOptions{})
@@ -177,7 +187,7 @@ func TestLoaderLayout(t *testing.T) {
 	b := guest.NewBuilder()
 	b.Label("_start").Hlt()
 	b.Data().Label("d").Quad(1)
-	img := b.MustLink()
+	img := link(t, b)
 	as, regs, err := guest.Load(img, mem.NewFrameAllocator(0), guest.LoadOptions{HeapPages: 2, StackSize: 2 * mem.PageSize})
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +251,7 @@ func TestQuickALUAgainstGo(t *testing.T) {
 			chosen = append(chosen, op.name)
 		}
 		b.Hlt()
-		cpu, trap := runImage(t, b.MustLink(), 0)
+		cpu, trap := runImage(t, link(t, b), 0)
 		if trap.Kind != vm.TrapHalt {
 			t.Fatalf("trial %d (%v): trap = %v", trial, chosen, trap)
 		}
@@ -259,7 +269,7 @@ func TestLoadExecOnlySegment(t *testing.T) {
 	b.Label("_start")
 	b.MovI(vm.RAX, 7)
 	b.Hlt()
-	img := b.MustLink()
+	img := link(t, b)
 	for i := range img.Segments {
 		if img.Segments[i].Name == "text" {
 			img.Segments[i].Perm = mem.PermExec

@@ -48,7 +48,7 @@ type AddressSpace struct {
 	sealed bool
 	// vmas is sorted by Start and non-overlapping. The backing array is
 	// immutable once assigned: forks share it (ForkInto copies the slice
-	// header, not the regions), so every edit — Map, Unmap, Protect, Brk —
+	// header, not the regions), so every edit — Map, Brk —
 	// builds a new list and swaps it in.
 	vmas  []VMA
 	brk   uint64
@@ -81,9 +81,6 @@ func (as *AddressSpace) Stats() Stats {
 	s.TLBMisses = as.tlb.misses
 	return s
 }
-
-// Epoch returns the space's current snapshot-epoch token.
-func (as *AddressSpace) Epoch() uint64 { return as.pt.epoch }
 
 // AdvanceEpoch starts a new snapshot epoch and returns its token. Every
 // write-TLB entry filled under the previous epoch goes stale in O(1) (the
@@ -131,20 +128,6 @@ func (as *AddressSpace) Seal() {
 // cheap: constructs the fault; writes to sealed views are off the hot path.
 func sealedWriteFault(addr uint64) error {
 	return &Fault{Kind: FaultProtection, Addr: addr, Access: AccessWrite}
-}
-
-// SetTLBEnabled toggles the software TLB (benchmark plumbing: the disabled
-// state measures the pre-TLB walk-per-access baseline). Disabling flushes
-// every entry; hit/miss counters stop advancing while disabled. No-op on a
-// sealed space, whose single-owner TLB must stay inert.
-func (as *AddressSpace) SetTLBEnabled(on bool) {
-	if as.sealed {
-		return
-	}
-	as.tlb.off = !on
-	if !on {
-		as.tlb.flush()
-	}
 }
 
 // VMAs returns a copy of the region list.
@@ -205,83 +188,6 @@ func (as *AddressSpace) Map(start, length uint64, perm Perm, name string) error 
 	return nil
 }
 
-// Unmap removes the page-aligned range [start, start+length), splitting
-// regions that straddle it and dropping the backing frames.
-//
-// sharing_boundary: cached translations and permissions go stale.
-func (as *AddressSpace) Unmap(start, length uint64) error {
-	if start&PageMask != 0 || length&PageMask != 0 {
-		return fmt.Errorf("mem: Unmap: unaligned range [%#x,+%#x)", start, length)
-	}
-	end := start + length
-	if end > MaxVA || end < start {
-		return &Fault{Kind: FaultBadAddress, Addr: start}
-	}
-	var out []VMA
-	for _, v := range as.vmas {
-		switch {
-		case v.End <= start || v.Start >= end: // untouched
-			out = append(out, v)
-		case v.Start < start && v.End > end: // split
-			out = append(out,
-				VMA{Start: v.Start, End: start, Perm: v.Perm, Name: v.Name},
-				VMA{Start: end, End: v.End, Perm: v.Perm, Name: v.Name})
-		case v.Start < start: // trim tail
-			out = append(out, VMA{Start: v.Start, End: start, Perm: v.Perm, Name: v.Name})
-		case v.End > end: // trim head
-			out = append(out, VMA{Start: end, End: v.End, Perm: v.Perm, Name: v.Name})
-		default: // fully covered
-		}
-	}
-	// out is in order: each region's pieces ascend, as the regions do.
-	as.vmas = out
-	for addr := start; addr < end; addr += PageSize {
-		as.pt.clearPage(addr, &as.stats)
-	}
-	as.tlb.flush() // cached translations and permissions are stale
-	return nil
-}
-
-// Protect changes the protection of the page-aligned range, which must be
-// fully mapped. Regions are split as needed (mprotect semantics).
-//
-// sharing_boundary: cached entries encode the old permissions.
-func (as *AddressSpace) Protect(start, length uint64, perm Perm) error {
-	if start&PageMask != 0 || length&PageMask != 0 {
-		return fmt.Errorf("mem: Protect: unaligned range [%#x,+%#x)", start, length)
-	}
-	end := start + length
-	if end > MaxVA || end < start {
-		return &Fault{Kind: FaultBadAddress, Addr: start}
-	}
-	for addr := start; addr < end; {
-		v := as.findVMA(addr)
-		if v == nil {
-			return &Fault{Kind: FaultNotMapped, Addr: addr}
-		}
-		addr = v.End
-	}
-	var out []VMA
-	for _, v := range as.vmas {
-		if v.End <= start || v.Start >= end {
-			out = append(out, v)
-			continue
-		}
-		if v.Start < start {
-			out = append(out, VMA{Start: v.Start, End: start, Perm: v.Perm, Name: v.Name})
-		}
-		lo, hi := max(v.Start, start), min(v.End, end)
-		out = append(out, VMA{Start: lo, End: hi, Perm: perm, Name: v.Name})
-		if v.End > end {
-			out = append(out, VMA{Start: end, End: v.End, Perm: v.Perm, Name: v.Name})
-		}
-	}
-	// out is in order: each region's pieces ascend, as the regions do.
-	as.vmas = out
-	as.tlb.flush() // cached entries encode the old permissions
-	return nil
-}
-
 // InitBrk establishes the program break for a heap region created by Map.
 func (as *AddressSpace) InitBrk(brk uint64) { as.brk = brk }
 
@@ -307,8 +213,8 @@ func (as *AddressSpace) Brk(newBrk uint64) (uint64, error) {
 		return as.brk, fmt.Errorf("mem: Brk: %#x below heap base %#x", newBrk, heap.Start)
 	}
 	if newBrk > MaxVA {
-		// Like Map/Unmap/Protect: never report success for a range the
-		// address space cannot grant (PageCeil would silently clamp).
+		// Like Map: never report success for a range the address
+		// space cannot grant (PageCeil would silently clamp).
 		return as.brk, &Fault{Kind: FaultBadAddress, Addr: newBrk}
 	}
 	newEnd := PageCeil(newBrk)
@@ -632,22 +538,6 @@ func (as *AddressSpace) WriteU8(addr uint64, v byte) error {
 	return as.WriteAt(b[:], addr)
 }
 
-// ReadU32 loads a little-endian 32-bit word.
-func (as *AddressSpace) ReadU32(addr uint64) (uint32, error) {
-	var b [4]byte
-	if err := as.ReadAt(b[:], addr); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-// WriteU32 stores a little-endian 32-bit word.
-func (as *AddressSpace) WriteU32(addr uint64, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return as.WriteAt(b[:], addr)
-}
-
 // ReadCString reads a NUL-terminated string of at most maxLen bytes.
 func (as *AddressSpace) ReadCString(addr uint64, maxLen int) (string, error) {
 	buf := make([]byte, 0, 64)
@@ -706,10 +596,10 @@ func (as *AddressSpace) ForkInto(dst *AddressSpace) *AddressSpace {
 // ViewInto makes dst a borrowed view of this sealed space and returns it:
 // what ForkInto gives, minus the reference and the epoch bump, so it
 // costs a dozen stores and no atomic. Reads walk the sealed table through
-// dst's own TLB. The first table mutation — a store, WriteForce, Unmap, a
-// Brk shrink, or a fork or checkpoint of dst — takes the reference and
+// dst's own TLB. The first table mutation — a store, WriteForce, a Brk
+// shrink, or a fork or checkpoint of dst — takes the reference and
 // draws an epoch (pageTable.own); from then on dst is exactly a fork.
-// Map, Protect and Brk growth edit only dst's region list.
+// Map and Brk growth edit only dst's region list.
 //
 // The caller must keep the sealed space alive until dst is Released, since
 // dst may read a table it holds no reference on; Own ends the borrow at
@@ -772,12 +662,6 @@ func (as *AddressSpace) Release() {
 // Footprint walks the page table and reports residency and sharing.
 func (as *AddressSpace) Footprint() Footprint { return footprint(as.pt.root, as.pt.borrowed) }
 
-// ResidentPages returns the number of frames reachable from this space.
-func (as *AddressSpace) ResidentPages() int {
-	fp := as.Footprint()
-	return fp.PrivatePages + fp.SharedPages
-}
-
 // ForEachPage calls fn for every resident page in ascending address order;
 // fn must not retain f. Used by the full-copy checkpoint baseline.
 func (as *AddressSpace) ForEachPage(fn func(addr uint64, f *Frame)) {
@@ -790,27 +674,3 @@ func (as *AddressSpace) ForEachPage(fn func(addr uint64, f *Frame)) {
 // trusted internal paths (instruction-fetch TLB, checkpoint walkers) that
 // validated the access already.
 func (as *AddressSpace) FrameAt(addr uint64) *Frame { return lookup(as.pt.root, as.pt.base, addr) }
-
-// TouchWritable forces the page containing addr to be privately owned,
-// taking the CoW fault eagerly. Benchmarks use it to charge fault costs at
-// controlled points.
-// hot_path: a write-TLB probe; the fault arm is cheap.
-func (as *AddressSpace) TouchWritable(addr uint64) error {
-	vpn := addr >> PageShift
-	if _, ok := as.tlb.writeFrame(vpn, as.pt.epoch); ok {
-		return nil // already privately owned this epoch
-	}
-	if err := as.check(addr, 1, AccessWrite); err != nil {
-		return err
-	}
-	if as.sealed {
-		//lint:ignore escapegate &Fault{...} of the inlined fault constructor: a write to a sealed space is a guest error
-		return sealedWriteFault(addr)
-	}
-	f, err := as.pt.ensureWritable(addr, &as.stats)
-	if err != nil {
-		return err
-	}
-	as.tlb.fillWrite(vpn, f, as.pt.epoch)
-	return nil
-}

@@ -36,22 +36,6 @@ func TestReadWriteU64HitPathZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestTouchWritableHitPathZeroAlloc(t *testing.T) {
-	as := newAS(t)
-	mustMap(t, as, 0x10000, 4*PageSize, PermRW, "data")
-	if err := as.TouchWritable(0x10010); err != nil {
-		t.Fatalf("warm TouchWritable: %v", err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := as.TouchWritable(0x10010); err != nil {
-			t.Fatalf("TouchWritable: %v", err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("TLB-hit TouchWritable allocated %.1f times per op", allocs)
-	}
-}
-
 // TestAllocLimitUnderContention hammers a small-limit allocator: the limit
 // is a hard bound on Live() at every instant, and the only way Alloc may
 // fail is FaultOOM.

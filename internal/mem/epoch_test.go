@@ -17,20 +17,20 @@ func TestEpochForkUniqueness(t *testing.T) {
 	if err := as.WriteU64(0x1000, 1); err != nil {
 		t.Fatal(err)
 	}
-	parentBefore := as.Epoch()
+	parentBefore := as.pt.epoch
 	child := as.Fork()
 	defer child.Release()
-	if as.Epoch() <= parentBefore {
-		t.Fatalf("Fork left parent epoch at %d (was %d); stale write entries survive", as.Epoch(), parentBefore)
+	if as.pt.epoch <= parentBefore {
+		t.Fatalf("Fork left parent epoch at %d (was %d); stale write entries survive", as.pt.epoch, parentBefore)
 	}
-	if child.Epoch() != 0 {
-		t.Fatalf("unwritten child drew epoch %d; want 0 until its first write", child.Epoch())
+	if child.pt.epoch != 0 {
+		t.Fatalf("unwritten child drew epoch %d; want 0 until its first write", child.pt.epoch)
 	}
 	if err := child.WriteU64(0x2000, 2); err != nil {
 		t.Fatal(err)
 	}
-	if child.Epoch() <= as.Epoch() {
-		t.Fatalf("child epoch %d after its first write not fresh (parent %d -> %d)", child.Epoch(), parentBefore, as.Epoch())
+	if child.pt.epoch <= as.pt.epoch {
+		t.Fatalf("child epoch %d after its first write not fresh (parent %d -> %d)", child.pt.epoch, parentBefore, as.pt.epoch)
 	}
 }
 
@@ -48,14 +48,14 @@ func TestAdvanceEpochSealed(t *testing.T) {
 	if !as.sealed {
 		t.Fatal("Seal did not seal")
 	}
-	e := as.Epoch()
-	if got := as.AdvanceEpoch(); got != e || as.Epoch() != e {
-		t.Fatalf("AdvanceEpoch on sealed space moved %d -> %d", e, as.Epoch())
+	e := as.pt.epoch
+	if got := as.AdvanceEpoch(); got != e || as.pt.epoch != e {
+		t.Fatalf("AdvanceEpoch on sealed space moved %d -> %d", e, as.pt.epoch)
 	}
 	child := as.Fork()
 	defer child.Release()
-	if as.Epoch() != e {
-		t.Fatalf("Fork mutated sealed parent's epoch: %d -> %d", e, as.Epoch())
+	if as.pt.epoch != e {
+		t.Fatalf("Fork mutated sealed parent's epoch: %d -> %d", e, as.pt.epoch)
 	}
 }
 

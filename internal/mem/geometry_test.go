@@ -88,7 +88,7 @@ func TestWriteAtRunSpansLeavesOnFork(t *testing.T) {
 		run[i] = byte(i*7 + 1)
 	}
 	runAt := start + 100
-	if firstLeaf, lastLeaf := PageNumber(runAt)>>levelBits, PageNumber(runAt+uint64(len(run))-1)>>levelBits; lastLeaf-firstLeaf < 3 {
+	if firstLeaf, lastLeaf := runAt>>PageShift>>levelBits, (runAt+uint64(len(run))-1)>>PageShift>>levelBits; lastLeaf-firstLeaf < 3 {
 		t.Fatalf("run covers leaves %d..%d; want at least three boundaries", firstLeaf, lastLeaf)
 	}
 	if err := child.WriteAt(run, runAt); err != nil {
@@ -207,8 +207,8 @@ func TestHeightFollowsSpan(t *testing.T) {
 		defer as.Release()
 		mustMap(t, as, at, PageSize, PermRW, "page")
 		write(t, as, at, 1)
-		if l, b := height(as); l != 0 || b != PageNumber(at)&^levelMask {
-			t.Errorf("root at level %d base %#x; want level 0 base %#x", l, b, PageNumber(at)&^levelMask)
+		if l, b := height(as); l != 0 || b != at>>PageShift&^levelMask {
+			t.Errorf("root at level %d base %#x; want level 0 base %#x", l, b, at>>PageShift&^levelMask)
 		}
 		for i := 0; i < 3; i++ {
 			child := as.Fork()
@@ -228,8 +228,8 @@ func TestHeightFollowsSpan(t *testing.T) {
 		mustMap(t, as, heapBase, heapBytes, PermRW, "heap")
 		write(t, as, heapBase, 1)
 		write(t, as, heapBase+heapBytes-8, 2)
-		if l, b := height(as); l != 3 || b != PageNumber(heapBase) {
-			t.Errorf("root at level %d base %#x; want level 3 base %#x", l, b, PageNumber(heapBase))
+		if l, b := height(as); l != 3 || b != heapBase>>PageShift {
+			t.Errorf("root at level %d base %#x; want level 3 base %#x", l, b, heapBase>>PageShift)
 		}
 		child := as.Fork()
 		defer child.Release()
@@ -259,8 +259,8 @@ func TestHeightFollowsSpan(t *testing.T) {
 		defer as.Release()
 		mustMap(t, as, 0, hi+PageSize, PermRW, "data")
 		write(t, as, hi, 1)
-		if l, b := height(as); l != 0 || b != PageNumber(hi)&^levelMask {
-			t.Fatalf("root at level %d base %#x; want level 0 base %#x", l, b, PageNumber(hi)&^levelMask)
+		if l, b := height(as); l != 0 || b != hi>>PageShift&^levelMask {
+			t.Fatalf("root at level %d base %#x; want level 0 base %#x", l, b, hi>>PageShift&^levelMask)
 		}
 		write(t, as, lo, 2)
 		if l, b := height(as); l != 1 || b != 0 {

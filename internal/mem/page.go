@@ -55,9 +55,6 @@ func PageCeil(addr uint64) uint64 {
 	return (addr + PageMask) &^ uint64(PageMask)
 }
 
-// PageNumber returns the virtual page number containing addr.
-func PageNumber(addr uint64) uint64 { return addr >> PageShift }
-
 // levelIndex returns the radix index of addr at the given level.
 // Level 0 holds PTEs; a root sits at most at level numLevels-1.
 // hot_path: shift-and-mask arithmetic.

@@ -39,10 +39,7 @@ func TestForkIntoResetsDestination(t *testing.T) {
 	if _, err := dst.Brk(0x10000 + 12*PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.Protect(0x12000, PageSize, PermRead); err != nil {
-		t.Fatal(err)
-	}
-	dst.SetTLBEnabled(false)
+	mustMap(t, dst, 0x80000, PageSize, PermRead, "ro")
 	dst.Seal()
 	if _, err := dst.ReadU64(0x10008); err != nil { // a sealed read
 		t.Fatal(err)
@@ -107,14 +104,9 @@ func TestForkIntoLiveSpacePanics(t *testing.T) {
 	base.ForkInto(live)
 }
 
-// faultKindAt classifies a one-byte access for the sharing test.
-func faultKindAt(as *AddressSpace, addr uint64, write bool) string {
-	var err error
-	if write {
-		err = as.TouchWritable(addr)
-	} else {
-		_, err = as.ReadU8(addr)
-	}
+// faultKindAt classifies a one-byte read for the sharing test.
+func faultKindAt(as *AddressSpace, addr uint64) string {
+	_, err := as.ReadU8(addr)
 	if err == nil {
 		return "ok"
 	}
@@ -133,17 +125,10 @@ func TestForkSharesRegionListSafely(t *testing.T) {
 		as := NewAddressSpace(alloc)
 		mustMap(t, as, heap, 4*PageSize, PermRW, "heap")
 		mustMap(t, as, 0x80000, 2*PageSize, PermRW, "data")
-		// Leave the list with spare capacity, as an Unmap's or Protect's
-		// append-built list has (three appends: capacity four): an in-place
-		// append by two forks would land in the same slot.
-		mustMap(t, as, 0x90000, PageSize, PermRW, "tmp")
 		mustMap(t, as, 0xa0000, PageSize, PermRW, "more")
-		if err := as.Unmap(0x90000, PageSize); err != nil {
-			t.Fatal(err)
-		}
-		if cap(as.vmas) == len(as.vmas) {
-			t.Fatal("test set-up: the region list has no spare capacity")
-		}
+		// Leave the list with spare capacity: an in-place append by two
+		// forks would land in the same slot.
+		as.vmas = append(make([]VMA, 0, len(as.vmas)+1), as.vmas...)
 		as.InitBrk(heapEnd)
 		return as
 	}
@@ -153,11 +138,11 @@ func TestForkSharesRegionListSafely(t *testing.T) {
 
 	probe := func(as *AddressSpace) [5]string {
 		return [5]string{
-			faultKindAt(as, heap, false),
-			faultKindAt(as, heapEnd, false),       // just past the heap
-			faultKindAt(as, 0x80000, false),       // data
-			faultKindAt(as, 0x200000, false),      // where a child maps
-			faultKindAt(as, heap+PageSize, false), // where a child protects/unmaps
+			faultKindAt(as, heap),
+			faultKindAt(as, heapEnd),       // just past the heap
+			faultKindAt(as, 0x80000),       // data
+			faultKindAt(as, 0x200000),      // where a child maps
+			faultKindAt(as, heap+PageSize), // where a child's Brk shrink unmaps
 		}
 	}
 	wantProbe := probe(parent)
@@ -175,8 +160,6 @@ func TestForkSharesRegionListSafely(t *testing.T) {
 			}
 			return nil
 		},
-		func(as *AddressSpace) error { return as.Unmap(heap+PageSize, PageSize) },
-		func(as *AddressSpace) error { return as.Protect(0x80000, PageSize, 0) },
 		func(as *AddressSpace) error { _, err := as.Brk(heapEnd + 2*PageSize); return err },
 		func(as *AddressSpace) error { _, err := as.Brk(heap + PageSize); return err },
 	}
@@ -301,10 +284,9 @@ func TestNodePoolRecyclesAndStaysLoud(t *testing.T) {
 // address; every write path fills in which store ran out of frames.
 func TestOOMFaultNamesTheStore(t *testing.T) {
 	stores := map[string]func(as *AddressSpace, addr uint64) error{
-		"WriteU64":      func(as *AddressSpace, addr uint64) error { return as.WriteU64(addr, 1) },
-		"WriteAt":       func(as *AddressSpace, addr uint64) error { return as.WriteAt([]byte{1, 2, 3}, addr) },
-		"WriteForce":    func(as *AddressSpace, addr uint64) error { return as.WriteForce([]byte{1}, addr) },
-		"TouchWritable": func(as *AddressSpace, addr uint64) error { return as.TouchWritable(addr) },
+		"WriteU64":   func(as *AddressSpace, addr uint64) error { return as.WriteU64(addr, 1) },
+		"WriteAt":    func(as *AddressSpace, addr uint64) error { return as.WriteAt([]byte{1, 2, 3}, addr) },
+		"WriteForce": func(as *AddressSpace, addr uint64) error { return as.WriteForce([]byte{1}, addr) },
 	}
 	for name, store := range stores {
 		alloc := NewFrameAllocator(1)

@@ -19,8 +19,8 @@ type Stats struct {
 	// kernel WriteForce path are not counted). For every such access
 	// made while the TLB is on, each page-sized unit increments exactly
 	// one of the two, so TLBHits+TLBMisses equals the number of page
-	// accesses issued. With the TLB off — SetTLBEnabled(false), or a
-	// sealed space — accesses count nothing.
+	// accesses issued. With the TLB off (a sealed space) accesses count
+	// nothing.
 	TLBHits   int64
 	TLBMisses int64
 }

@@ -29,8 +29,7 @@ import (
 //     O(1) without touching the entry block. Read entries stay valid — a
 //     newly shared frame is still the correct backing for reads until
 //     this space writes it, and the CoW fill refreshes the read entry.
-//   - Unmap, Protect, Brk shrink: mappings or permissions change, so both
-//     caches flush;
+//   - Brk shrink: mappings change, so both caches flush;
 //   - Release: the frames are gone, so both caches flush.
 //
 // A sealed snapshot space (Seal) is read concurrently by workers restoring

@@ -104,63 +104,36 @@ func TestTLBWriteAfterForkInvalidation(t *testing.T) {
 	}
 }
 
-// TestTLBUnmapThenRemapReadsZero: unmapping drops frames; a later mapping
-// of the same range must read demand-zero, not a stale cached frame.
+// TestTLBUnmapThenRemapReadsZero: a Brk shrink unmaps the heap's tail and
+// drops its frames; with both caches warm, the unmapped page must fault on
+// read and write, and a new region mapped over it must read demand-zero,
+// not a stale cached frame.
 func TestTLBUnmapThenRemapReadsZero(t *testing.T) {
 	as := newAS(t)
-	mustMap(t, as, 0x10000, 2*PageSize, PermRW, "data")
-	if err := as.WriteU64(0x10000, 42); err != nil {
+	mustMap(t, as, 0x10000, PageSize, PermRW, "heap")
+	as.InitBrk(0x10000 + PageSize)
+	if _, err := as.Brk(0x10000 + 3*PageSize); err != nil {
 		t.Fatal(err)
 	}
-	// Warm both caches.
-	if v, _ := as.ReadU64(0x10000); v != 42 {
+	const tail = 0x10000 + 2*PageSize
+	if err := as.WriteU64(tail, 42); err != nil { // warm the write entry
+		t.Fatal(err)
+	}
+	if v, _ := as.ReadU64(tail); v != 42 { // and the read entry
 		t.Fatal("setup read failed")
 	}
-	if err := as.Unmap(0x10000, 2*PageSize); err != nil {
+	if _, err := as.Brk(0x10000 + PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := as.ReadU64(0x10000); err == nil {
+	if _, err := as.ReadU64(tail); err == nil {
 		t.Fatal("read of unmapped page succeeded (stale TLB entry)")
 	}
-	if err := as.WriteU64(0x10000, 7); err == nil {
+	if err := as.WriteU64(tail, 7); err == nil {
 		t.Fatal("write to unmapped page succeeded (stale TLB entry)")
 	}
-	mustMap(t, as, 0x10000, 2*PageSize, PermRW, "data2")
-	if v, err := as.ReadU64(0x10000); err != nil || v != 0 {
+	mustMap(t, as, tail, PageSize, PermRW, "data")
+	if v, err := as.ReadU64(tail); err != nil || v != 0 {
 		t.Errorf("remapped page reads %d, %v; want demand-zero", v, err)
-	}
-}
-
-// TestTLBProtectRevokesCachedWrite: a hot write entry encodes PermWrite;
-// mprotect to read-only must revoke it, or stores bypass protection.
-func TestTLBProtectRevokesCachedWrite(t *testing.T) {
-	as := newAS(t)
-	mustMap(t, as, 0x10000, 2*PageSize, PermRW, "data")
-	if err := as.WriteU64(0x10000, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.WriteU64(0x10000, 2); err != nil { // TLB hit
-		t.Fatal(err)
-	}
-	if err := as.Protect(0x10000, 2*PageSize, PermRead); err != nil {
-		t.Fatal(err)
-	}
-	err := as.WriteU64(0x10000, 3)
-	if f, ok := IsFault(err); !ok || f.Kind != FaultProtection {
-		t.Fatalf("write after Protect = %v, want protection fault", err)
-	}
-	if v, _ := as.ReadU64(0x10000); v != 2 {
-		t.Errorf("protected page = %d, want 2", v)
-	}
-	// Granting write again re-fills on the next store.
-	if err := as.Protect(0x10000, 2*PageSize, PermRW); err != nil {
-		t.Fatal(err)
-	}
-	if err := as.WriteU64(0x10000, 4); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := as.ReadU64(0x10000); v != 4 {
-		t.Errorf("re-enabled page = %d, want 4", v)
 	}
 }
 
@@ -246,7 +219,7 @@ func TestTLBDemandZeroReadCached(t *testing.T) {
 // identically and reports zero TLB activity (the benchmark baseline).
 func TestTLBDisabledMatchesEnabled(t *testing.T) {
 	as := newAS(t)
-	as.SetTLBEnabled(false)
+	as.setTLBEnabled(false)
 	mustMap(t, as, 0x10000, 4*PageSize, PermRW, "data")
 	for i := 0; i < 10; i++ {
 		if err := as.WriteU64(0x10000, uint64(i)); err != nil {
@@ -260,7 +233,7 @@ func TestTLBDisabledMatchesEnabled(t *testing.T) {
 	if st.TLBHits != 0 || st.TLBMisses != 0 {
 		t.Errorf("disabled TLB counted %d/%d", st.TLBHits, st.TLBMisses)
 	}
-	as.SetTLBEnabled(true)
+	as.setTLBEnabled(true)
 	if err := as.WriteU64(0x10000, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -310,39 +283,6 @@ func TestWriteForceExecOnly(t *testing.T) {
 	err := as.WriteForce([]byte{1}, 0x600000)
 	if f, ok := IsFault(err); !ok || f.Kind != FaultNotMapped {
 		t.Errorf("WriteForce to unmapped range = %v, want not-mapped fault", err)
-	}
-}
-
-// TestUnmapProtectRangeValidation: like Map, Unmap and Protect must reject
-// ranges beyond MaxVA or wrapping the address space instead of silently
-// no-opping.
-func TestUnmapProtectRangeValidation(t *testing.T) {
-	as := newAS(t)
-	mustMap(t, as, 0x10000, 2*PageSize, PermRW, "data")
-
-	cases := []struct {
-		name          string
-		start, length uint64
-	}{
-		{"beyond-maxva", MaxVA - PageSize, 2 * PageSize},
-		{"wraparound", ^uint64(0) - PageSize + 1, 2 * PageSize},
-	}
-	for _, c := range cases {
-		err := as.Unmap(c.start, c.length)
-		if f, ok := IsFault(err); !ok || f.Kind != FaultBadAddress {
-			t.Errorf("Unmap %s = %v, want bad-address fault", c.name, err)
-		}
-		err = as.Protect(c.start, c.length, PermRead)
-		if f, ok := IsFault(err); !ok || f.Kind != FaultBadAddress {
-			t.Errorf("Protect %s = %v, want bad-address fault", c.name, err)
-		}
-	}
-	// In-range operations still work.
-	if err := as.Protect(0x10000, PageSize, PermRead); err != nil {
-		t.Errorf("valid Protect: %v", err)
-	}
-	if err := as.Unmap(0x10000, 2*PageSize); err != nil {
-		t.Errorf("valid Unmap: %v", err)
 	}
 }
 
@@ -486,7 +426,7 @@ func TestTLBWriteLocality(t *testing.T) {
 	)
 	sweep := func(pages int, enabled bool) (*AddressSpace, Stats) {
 		as := newAS(t)
-		as.SetTLBEnabled(enabled)
+		as.setTLBEnabled(enabled)
 		mustMap(t, as, base, uint64(pages)*PageSize, PermRW, "data")
 		for i := 0; i < pages; i++ {
 			if err := as.WriteU64(base+uint64(i)*PageSize, 1); err != nil {
@@ -571,3 +511,52 @@ func TestTLBFlushReturnsAllInvalidBlock(t *testing.T) {
 		}
 	}
 }
+
+// --- E11: software-TLB write locality --------------------------------------
+
+func benchSamePageWrite(b *testing.B, tlbOn bool) {
+	b.Helper()
+	as := NewAddressSpace(NewFrameAllocator(0))
+	defer as.Release()
+	as.setTLBEnabled(tlbOn)
+	if err := as.Map(0x10000, 64*PageSize, PermRW, "d"); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := as.WriteU64(0x10000+uint64(i&511)*8, uint64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := as.Stats(); tlbOn && st.TLBHits+st.TLBMisses != int64(b.N) {
+		b.Fatalf("hits+misses = %d, want %d", st.TLBHits+st.TLBMisses, b.N)
+	}
+}
+
+// BenchmarkE11SamePageWriteTLB is the repeated-write microbenchmark the
+// TLB exists for: every store after the first hits the write cache.
+func BenchmarkE11SamePageWriteTLB(b *testing.B)   { benchSamePageWrite(b, true) }
+func BenchmarkE11SamePageWriteNoTLB(b *testing.B) { benchSamePageWrite(b, false) }
+
+func benchSamePageRead(b *testing.B, tlbOn bool) {
+	b.Helper()
+	as := NewAddressSpace(NewFrameAllocator(0))
+	defer as.Release()
+	as.setTLBEnabled(tlbOn)
+	if err := as.Map(0x10000, 64*PageSize, PermRW, "d"); err != nil {
+		b.Fatal(err)
+	}
+	if err := as.WriteU64(0x10000, 42); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := as.ReadU64(0x10000 + uint64(i&511)*8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkE11SamePageReadTLB(b *testing.B)   { benchSamePageRead(b, true) }
+func BenchmarkE11SamePageReadNoTLB(b *testing.B) { benchSamePageRead(b, false) }

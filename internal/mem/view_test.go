@@ -76,8 +76,8 @@ func TestViewReadsTouchNoSharedLine(t *testing.T) {
 	var v AddressSpace
 	for round := 0; round < 3; round++ {
 		src.ViewInto(&v)
-		if v.Epoch() != 0 {
-			t.Fatalf("a view drew epoch %d before any write", v.Epoch())
+		if v.pt.epoch != 0 {
+			t.Fatalf("a view drew epoch %d before any write", v.pt.epoch)
 		}
 		for i := uint64(0); i < viewPages; i += 3 {
 			for k := 0; k < 2; k++ {
@@ -123,13 +123,13 @@ func TestViewFirstWriteOwns(t *testing.T) {
 	if r := root.ref.Load(); r != ref+1 {
 		t.Fatalf("Own: root refcount %d -> %d, want +1", ref, r)
 	}
-	if v.Epoch() <= seen {
-		t.Fatalf("Own drew epoch %d, not above %d", v.Epoch(), seen)
+	if v.pt.epoch <= seen {
+		t.Fatalf("Own drew epoch %d, not above %d", v.pt.epoch, seen)
 	}
-	e := v.Epoch()
+	e := v.pt.epoch
 	v.Own() // already owned: nothing more
-	if r := root.ref.Load(); r != ref+1 || v.Epoch() != e {
-		t.Fatalf("second Own moved refcount to %d, epoch %d -> %d", r, e, v.Epoch())
+	if r := root.ref.Load(); r != ref+1 || v.pt.epoch != e {
+		t.Fatalf("second Own moved refcount to %d, epoch %d -> %d", r, e, v.pt.epoch)
 	}
 	v.Release()
 	if r := root.ref.Load(); r != ref {
@@ -144,8 +144,8 @@ func TestViewFirstWriteOwns(t *testing.T) {
 	if err := v.WriteU64(viewHeap, 7); err != nil {
 		t.Fatal(err)
 	}
-	if v.Epoch() <= seen {
-		t.Fatalf("first write drew epoch %d, not above %d", v.Epoch(), seen)
+	if v.pt.epoch <= seen {
+		t.Fatalf("first write drew epoch %d, not above %d", v.pt.epoch, seen)
 	}
 	if v.pt.root == root || v.pt.root.ref.Load() != 1 || root.ref.Load() != ref {
 		t.Fatalf("first write did not path-copy the root: view root %p (ref %d), source root %p (ref %d -> %d)",
@@ -167,20 +167,12 @@ func TestViewFirstWriteOwns(t *testing.T) {
 }
 
 // TestViewMutationsLeaveTheSourceAlone: every mutation an unwritten view
-// can make — Unmap, a Brk shrink, Protect, WriteForce, a fork — leaves the
+// can make — a Brk shrink, WriteForce, a fork — leaves the
 // sealed source's bytes and faults unchanged, the source the only holder of
 // its table once the view is gone, and zero frames and nodes once both are
 // released.
 func TestViewMutationsLeaveTheSourceAlone(t *testing.T) {
 	ops := map[string]func(t *testing.T, v *AddressSpace){
-		"Unmap": func(t *testing.T, v *AddressSpace) {
-			if err := v.Unmap(viewHeap+2*PageSize, 2*PageSize); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := v.ReadU64(viewHeap + 2*PageSize); err == nil {
-				t.Fatal("unmapped page still reads in the view")
-			}
-		},
 		"Brk shrink": func(t *testing.T, v *AddressSpace) {
 			if _, err := v.Brk(viewHeap + 5*PageSize); err != nil {
 				t.Fatal(err)
@@ -194,14 +186,6 @@ func TestViewMutationsLeaveTheSourceAlone(t *testing.T) {
 			}
 			if got, err := v.ReadU64(viewHeap + 20*PageSize); err != nil || got != 0 {
 				t.Fatalf("regrown heap reads %d, %v; want 0", got, err)
-			}
-		},
-		"Protect": func(t *testing.T, v *AddressSpace) {
-			if err := v.Protect(viewHeap, PageSize, PermRead); err != nil {
-				t.Fatal(err)
-			}
-			if err := v.WriteU64(viewHeap, 1); err == nil {
-				t.Fatal("write to a page the view protected succeeded")
 			}
 		},
 		"WriteForce": func(t *testing.T, v *AddressSpace) {

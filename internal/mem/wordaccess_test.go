@@ -166,8 +166,8 @@ func TestFindVMAMatchesLinearScan(t *testing.T) {
 
 // TestConcurrentSealedMisses: goroutines view one sealed space at once, and
 // each view takes read misses, read faults, first writes, write faults and
-// a Protect of its own, while one more goroutine reads the sealed space
-// itself. Every view shares the source's region list until its Protect
+// a read-only Map of its own, while one more goroutine reads the sealed
+// space itself. Every view shares the source's region list until its Map
 // builds a new one (run with -race).
 func TestConcurrentSealedMisses(t *testing.T) {
 	alloc := NewFrameAllocator(0)
@@ -215,10 +215,10 @@ func TestConcurrentSealedMisses(t *testing.T) {
 						return err
 					}
 					if round%2 == 0 {
-						if err := v.Protect(page, PageSize, PermRead); err != nil {
+						if err := v.Map(gap, PageSize, PermRead, "ro"); err != nil {
 							return err
 						}
-						if err := expect(v.WriteU64(page+8, 1), FaultProtection, page+8); err != nil {
+						if err := expect(v.WriteU64(gap, 1), FaultProtection, gap); err != nil {
 							return err
 						}
 					}

@@ -89,7 +89,7 @@ func TestThreeImplementationsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	vmEng := core.New(core.NewVMMachine(0), core.Config{})
-	vmRes, err := vmEng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.New(), Regs: regs})
+	vmRes, err := vmEng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.NewOn(as.Alloc()), Regs: regs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ const (
 // Stealable marks strategies whose exploration order is insensitive to
 // worker interleaving, so the engine may replace the single shared queue
 // with per-worker deques and steal-half rebalancing. Order-sensitive
-// policies (BFS, A*, SM-A*, External) must not implement it.
+// policies (BFS, A*, SM-A*) must not implement it.
 type Stealable interface {
 	StealKind() StealKind
 }

@@ -20,7 +20,6 @@ func TestPushDoesNotRetainTheBatch(t *testing.T) {
 	var queues []queue
 	for _, st := range []Strategy[int]{
 		NewDFS[int](), NewBFS[int](), NewAStar[int](), NewSMAStar[int](64, nil), NewRandom[int](7),
-		NewExternal[int](func(pending []Item[int]) int { return len(pending) - 1 }),
 	} {
 		queues = append(queues, queue{st.Name(), st.PushAll, st.Pop})
 	}

@@ -230,19 +230,15 @@ func (h *heap[T]) popWorst() (Item[T], bool) {
 // deterministic FIFO tie-breaking. A* sets Priority = depth + guest hint;
 // coverage-optimized exploration sets Priority from visit counts.
 type Best[T any] struct {
-	name string
-	h    heap[T]
-	seq  uint64
+	h   heap[T]
+	seq uint64
 }
 
 // NewAStar returns a best-first strategy for A* (Priority = g + h).
-func NewAStar[T any]() *Best[T] { return &Best[T]{name: "astar"} }
-
-// NewBest returns a best-first strategy with a custom name.
-func NewBest[T any](name string) *Best[T] { return &Best[T]{name: name} }
+func NewAStar[T any]() *Best[T] { return &Best[T]{} }
 
 // Name implements Strategy.
-func (b *Best[T]) Name() string { return b.name }
+func (b *Best[T]) Name() string { return "astar" }
 
 // PushAll implements Strategy.
 func (b *Best[T]) PushAll(items []Item[T]) {
@@ -286,10 +282,11 @@ func NewSMAStar[T any](capacity int, drop func(Item[T])) *SMAStar[T] {
 	if capacity < 1 {
 		capacity = 1
 	}
-	s := &SMAStar[T]{capacity: capacity, drop: drop}
-	s.name = "sma-star"
-	return s
+	return &SMAStar[T]{capacity: capacity, drop: drop}
 }
+
+// Name implements Strategy.
+func (s *SMAStar[T]) Name() string { return "sma-star" }
 
 // PushAll implements Strategy, evicting worst items beyond capacity.
 func (s *SMAStar[T]) PushAll(items []Item[T]) {
@@ -388,54 +385,4 @@ func (r *Random[T]) Drain(drop func(Item[T])) {
 		drop(it)
 	}
 	r.items = r.items[:0]
-}
-
-// External is the paper's externally controlled strategy: an external
-// entity inspects the pending extensions and picks which to evaluate next.
-// The picker receives the pending items (do not retain the slice) and
-// returns the index to evaluate; returning a negative index falls back to
-// LIFO.
-type External[T any] struct {
-	items []Item[T]
-	pick  func(pending []Item[T]) int
-}
-
-// NewExternal returns an externally controlled strategy.
-func NewExternal[T any](pick func(pending []Item[T]) int) *External[T] {
-	return &External[T]{pick: pick}
-}
-
-// Name implements Strategy.
-func (e *External[T]) Name() string { return "external" }
-
-// PushAll implements Strategy.
-func (e *External[T]) PushAll(items []Item[T]) { e.items = append(e.items, items...) }
-
-// Pop implements Strategy.
-func (e *External[T]) Pop() (Item[T], bool) {
-	n := len(e.items)
-	if n == 0 {
-		var zero Item[T]
-		return zero, false
-	}
-	i := n - 1
-	if e.pick != nil {
-		if j := e.pick(e.items); j >= 0 && j < n {
-			i = j
-		}
-	}
-	it := e.items[i]
-	e.items = append(e.items[:i], e.items[i+1:]...)
-	return it, true
-}
-
-// Len implements Strategy.
-func (e *External[T]) Len() int { return len(e.items) }
-
-// Drain implements Strategy.
-func (e *External[T]) Drain(drop func(Item[T])) {
-	for _, it := range e.items {
-		drop(it)
-	}
-	e.items = e.items[:0]
 }

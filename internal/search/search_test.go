@@ -184,41 +184,10 @@ func TestRandomDeterministicBySeed(t *testing.T) {
 	}
 }
 
-func TestExternalPicker(t *testing.T) {
-	// Always pick the highest Choice.
-	e := NewExternal[string](func(pending []Item[string]) int {
-		best, bi := uint64(0), -1
-		for i, it := range pending {
-			if it.Choice >= best {
-				best, bi = it.Choice, i
-			}
-		}
-		return bi
-	})
-	e.PushAll(items(3, 1, 4, 1, 5))
-	var got []uint64
-	for _, it := range popAll[string](e) {
-		got = append(got, it.Choice)
-	}
-	want := []uint64{5, 4, 3, 1, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("external order = %v, want %v", got, want)
-		}
-	}
-	// Nil picker falls back to LIFO.
-	f := NewExternal[string](nil)
-	f.PushAll(items(1, 2))
-	it, _ := f.Pop()
-	if it.Choice != 2 {
-		t.Errorf("nil-picker pop = %d, want 2 (LIFO)", it.Choice)
-	}
-}
-
 func TestDrain(t *testing.T) {
 	for _, s := range []Strategy[string]{
 		NewDFS[string](), NewBFS[string](), NewAStar[string](),
-		NewRandom[string](1), NewExternal[string](nil),
+		NewRandom[string](1),
 		NewSMAStar[string](10, nil),
 	} {
 		s.PushAll(items(0, 1, 2))
@@ -235,8 +204,7 @@ func TestDrain(t *testing.T) {
 
 func TestNames(t *testing.T) {
 	if NewDFS[int]().Name() != "dfs" || NewBFS[int]().Name() != "bfs" ||
-		NewAStar[int]().Name() != "astar" || NewRandom[int](1).Name() != "random" ||
-		NewExternal[int](nil).Name() != "external" || NewBest[int]("coverage").Name() != "coverage" {
+		NewAStar[int]().Name() != "astar" || NewRandom[int](1).Name() != "random" {
 		t.Error("strategy names wrong")
 	}
 }

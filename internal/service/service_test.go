@@ -339,11 +339,11 @@ func TestLearnedClausesCarry(t *testing.T) {
 	s := New()
 	defer s.Close()
 	// A problem hard enough to learn something.
-	r1, err := s.Extend(context.Background(), 0, solver.Pigeonhole(4)[:20])
+	r1, err := s.Extend(context.Background(), 0, pigeonhole(4)[:20])
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := s.Extend(context.Background(), r1.ID, solver.Pigeonhole(4)[20:])
+	r2, err := s.Extend(context.Background(), r1.ID, pigeonhole(4)[20:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +650,7 @@ func TestDeadlineInterruptsHardSolve(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := s.Extend(ctx, 0, solver.Pigeonhole(9))
+	_, err := s.Extend(ctx, 0, pigeonhole(9))
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v after %v, want DeadlineExceeded", err, elapsed)
@@ -828,4 +828,24 @@ func BenchmarkExtendBig(b *testing.B) {
 			}
 		}
 	})
+}
+
+// pigeonhole is PHP(holes+1, holes), which is unsatisfiable: variable
+// p*holes+h+1 puts pigeon p in hole h.
+func pigeonhole(holes int) (out [][]int) {
+	for p := 0; p <= holes; p++ {
+		cl := make([]int, holes)
+		for h := range cl {
+			cl[h] = p*holes + h + 1
+		}
+		out = append(out, cl)
+	}
+	for h := 1; h <= holes; h++ {
+		for p1 := 0; p1 < holes; p1++ {
+			for p2 := p1 + 1; p2 <= holes; p2++ {
+				out = append(out, []int{-(p1*holes + h), -(p2*holes + h)})
+			}
+		}
+	}
+	return out
 }

@@ -185,31 +185,10 @@ func (c *Client) Release(ctx context.Context, id uint64) error {
 	return err
 }
 
-// Pin exempts id from capacity eviction.
-func (c *Client) Pin(ctx context.Context, id uint64) error {
-	_, err := c.Do(ctx, Request{Op: OpPin, ID: id})
-	return err
-}
-
-// Unpin makes id evictable again.
-func (c *Client) Unpin(ctx context.Context, id uint64) error {
-	_, err := c.Do(ctx, Request{Op: OpUnpin, ID: id})
-	return err
-}
-
 // Touch bumps id's LRU clock (keep-alive / liveness probe).
 func (c *Client) Touch(ctx context.Context, id uint64) error {
 	_, err := c.Do(ctx, Request{Op: OpTouch, ID: id})
 	return err
-}
-
-// Stats fetches the service counters line.
-func (c *Client) Stats(ctx context.Context) (string, error) {
-	resp, err := c.Do(ctx, Request{Op: OpStats})
-	if err != nil {
-		return "", err
-	}
-	return resp.Text, nil
 }
 
 // Close fails every in-flight call with ErrClientClosed and closes the

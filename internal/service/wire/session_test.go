@@ -74,18 +74,18 @@ func TestSessionEndToEnd(t *testing.T) {
 		t.Errorf("child of (1∨2)∧¬2: verdict=%v model=%v", child.Verdict, child.Model)
 	}
 
-	if err := cli.Pin(ctx, res[0].ID); err != nil {
+	if _, err := cli.Do(ctx, Request{Op: OpPin, ID: res[0].ID}); err != nil {
 		t.Errorf("pin: %v", err)
 	}
-	if err := cli.Unpin(ctx, res[0].ID); err != nil {
+	if _, err := cli.Do(ctx, Request{Op: OpUnpin, ID: res[0].ID}); err != nil {
 		t.Errorf("unpin: %v", err)
 	}
 	if err := cli.Touch(ctx, res[1].ID); err != nil {
 		t.Errorf("touch: %v", err)
 	}
-	line, err := cli.Stats(ctx)
-	if err != nil || !strings.Contains(line, "extends=4") {
-		t.Errorf("stats: %q, %v", line, err)
+	stats, err := cli.Do(ctx, Request{Op: OpStats})
+	if err != nil || !strings.Contains(stats.Text, "extends=4") {
+		t.Errorf("stats: %q, %v", stats.Text, err)
 	}
 	for _, r := range res {
 		if err := cli.Release(ctx, r.ID); err != nil {

@@ -17,8 +17,8 @@ import (
 
 // observe reads out everything a guest, the engine or a caller could see of
 // a context: registers, output, files, descriptors, the break, the regions,
-// the bytes of a few pages, whether the page the dirty step protects can be
-// written, and — last, because observing counts too — the counters.
+// the bytes of a few pages, whether one of them can be written, and — last,
+// because observing counts too — the counters.
 type observation struct {
 	Regs     vm.Registers
 	Out      string
@@ -39,7 +39,15 @@ const (
 
 func observe(t *testing.T, c *Context) observation {
 	t.Helper()
-	o := observation{Regs: c.Regs, Out: string(c.Out), Files: c.FS.List(), OpenFDs: c.FS.OpenFDs(), VMAs: c.Mem.VMAs()}
+	o := observation{Regs: c.Regs, Out: string(c.Out), VMAs: c.Mem.VMAs()}
+	files := c.FS.Snapshot()
+	o.Files = files.Files()
+	for _, fd := range files.FDs() {
+		if fd.Open {
+			o.OpenFDs++
+		}
+	}
+	files.Release()
 	if b, err := c.FS.ReadFile("/seed"); err == nil {
 		o.FileData = string(b)
 	}
@@ -86,7 +94,7 @@ func dirty(t *testing.T, c *Context) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.Mem.Protect(heapBase+2*mem.PageSize, mem.PageSize, mem.PermRead); err != nil {
+	if err := c.Mem.Map(heapEnd+8*mem.PageSize, mem.PageSize, mem.PermRead, "ro"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -102,7 +110,7 @@ func TestRestoreIntoHidesThePreviousStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	as.InitBrk(heapEnd)
-	root := &Context{Mem: as, FS: fs.New()}
+	root := &Context{Mem: as, FS: fs.NewOn(alloc)}
 	root.Regs.Set(vm.RAX, 1)
 	root.Out = append(root.Out, "old"...)
 	root.FS.WriteFile("/seed", []byte("v1"))
@@ -255,7 +263,6 @@ func TestRecycledStateCaptureStorm(t *testing.T) {
 	alloc := mem.NewFrameAllocator(0)
 	tree := NewTree()
 	root := newCtx(t, alloc)
-	root.FS = fs.NewOn(alloc) // file blocks count in alloc.Live() too
 	if err := root.FS.WriteFile("/base", []byte("base")); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func newCtx(t testing.TB, alloc *mem.FrameAllocator) *Context {
 	if err := as.Map(0x10000, 64*mem.PageSize, mem.PermRW, "data"); err != nil {
 		t.Fatal(err)
 	}
-	return &Context{Mem: as, FS: fs.New()}
+	return &Context{Mem: as, FS: fs.NewOn(alloc)}
 }
 
 func TestCaptureRestoreIsolation(t *testing.T) {
@@ -261,11 +261,12 @@ func TestRetainAfterFreePanics(t *testing.T) {
 	}
 }
 
-// TestCaptureStormLeaksNothing: a writer dirties pages and branches its
-// own lineage while capturers concurrently restore the shared base, write,
-// capture their fork and read it back through the sealed view. Every
-// capture sees its own write, the base sees none of them, and once every
-// reference is dropped no snapshot or frame is left. Run with -race.
+// TestCaptureStormLeaksNothing: a writer dirties pages and a file and
+// branches its own lineage while capturers concurrently restore the shared
+// base, write, capture their fork and read it back through the sealed view.
+// Every capture sees its own write, the base sees none of them, and once
+// every reference is dropped no snapshot, page or file block is left. Run
+// with -race.
 func TestCaptureStormLeaksNothing(t *testing.T) {
 	const pages, capturers, rounds = 64, 4, 200
 	alloc := mem.NewFrameAllocator(0)
@@ -273,6 +274,9 @@ func TestCaptureStormLeaksNothing(t *testing.T) {
 	root := newCtx(t, alloc)
 	for i := uint64(0); i < pages; i++ {
 		root.Mem.WriteU64(0x10000+i*mem.PageSize, i)
+	}
+	if err := root.FS.WriteFile("/base", []byte("base")); err != nil {
+		t.Fatal(err)
 	}
 	base := tree.Capture(root, nil)
 	root.Release()
@@ -306,6 +310,9 @@ func TestCaptureStormLeaksNothing(t *testing.T) {
 	for i := 0; i < rounds; i++ {
 		for j := 0; j < 16; j++ {
 			w.Mem.WriteU64(0x10000+uint64((i*16+j)%pages)*mem.PageSize, uint64(i))
+		}
+		if err := w.FS.WriteFile("/writer", []byte{byte(i)}); err != nil {
+			t.Fatal(err)
 		}
 		tree.Capture(w, base).Release()
 	}

@@ -49,7 +49,7 @@ func BenchmarkUnmarshalBig(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			benchSink += s.NumClauses()
+			benchSink += s.nClauses
 		}
 	})
 	b.Run("recycled", func(b *testing.B) {
@@ -60,7 +60,7 @@ func BenchmarkUnmarshalBig(b *testing.B) {
 			if err := s.Load(state); err != nil {
 				b.Fatal(err)
 			}
-			benchSink += s.NumClauses()
+			benchSink += s.nClauses
 		}
 	})
 	children := bigBaseChildren(b)
@@ -72,7 +72,7 @@ func BenchmarkUnmarshalBig(b *testing.B) {
 			if err := s.Load(children[i%2]); err != nil {
 				b.Fatal(err)
 			}
-			benchSink += s.NumClauses()
+			benchSink += s.nClauses
 		}
 	})
 }

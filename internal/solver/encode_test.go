@@ -20,8 +20,8 @@ func TestMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if re.NumVars() != s.NumVars() {
-		t.Errorf("vars %d vs %d", re.NumVars(), s.NumVars())
+	if re.nVars != s.nVars {
+		t.Errorf("vars %d vs %d", re.nVars, s.nVars)
 	}
 	if got := re.Solve(0); got != v1 {
 		t.Errorf("verdict after round trip = %v, want %v", got, v1)

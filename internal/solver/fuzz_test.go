@@ -150,7 +150,7 @@ func FuzzSolverUnmarshal(f *testing.F) {
 		s, err := Unmarshal(data)
 		ref, refErr := unmarshalReference(data)
 		if err != nil {
-			if refErr == nil && ref.NumVars() <= VarLimit && nonCanonical(data) == "" {
+			if refErr == nil && ref.nVars <= VarLimit && nonCanonical(data) == "" {
 				t.Fatalf("rejected a canonical state the reference accepts: %v", err)
 			}
 			return
@@ -197,7 +197,7 @@ func FuzzSolverUnmarshal(f *testing.F) {
 		if err := s.Load(loaded); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.AddClause(-1, s.NumVars()+1); err != nil {
+		if err := s.AddClause(-1, s.nVars+1); err != nil {
 			t.Fatal(err)
 		}
 		s.Solve(2000)

@@ -28,30 +28,6 @@ func Random3SAT(nVars, nClauses int, seed int64) [][]int {
 	return out
 }
 
-// Pigeonhole generates the classic UNSAT pigeonhole principle PHP(n+1, n):
-// n+1 pigeons into n holes. Variable p*(n)+h+1 means "pigeon p in hole h".
-func Pigeonhole(holes int) [][]int {
-	v := func(p, h int) int { return p*holes + h + 1 }
-	var out [][]int
-	// Every pigeon in some hole.
-	for p := 0; p <= holes; p++ {
-		cl := make([]int, holes)
-		for h := 0; h < holes; h++ {
-			cl[h] = v(p, h)
-		}
-		out = append(out, cl)
-	}
-	// No two pigeons share a hole.
-	for h := 0; h < holes; h++ {
-		for p1 := 0; p1 <= holes; p1++ {
-			for p2 := p1 + 1; p2 <= holes; p2++ {
-				out = append(out, []int{-v(p1, h), -v(p2, h)})
-			}
-		}
-	}
-	return out
-}
-
 // MaxVar returns the largest variable index in a clause set.
 func MaxVar(clauses [][]int) int {
 	m := 0

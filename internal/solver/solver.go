@@ -166,12 +166,6 @@ func New(nVars int) *Solver {
 	return s
 }
 
-// NumVars returns the current variable count.
-func (s *Solver) NumVars() int { return s.nVars }
-
-// NumClauses returns the number of problem clauses.
-func (s *Solver) NumClauses() int { return s.nClauses }
-
 // NumLearnts returns the number of clauses this solver has learned. A
 // solver rebuilt by Unmarshal starts at zero: the learned clauses of the
 // marshalled state come back as problem clauses.

@@ -3,7 +3,6 @@ package solver
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -16,6 +15,26 @@ func solveClauses(t *testing.T, clauses [][]int) (*Solver, Status) {
 		}
 	}
 	return s, s.Solve(0)
+}
+
+// pigeonhole is PHP(holes+1, holes), which is unsatisfiable: variable
+// p*holes+h+1 puts pigeon p in hole h.
+func pigeonhole(holes int) (out [][]int) {
+	for p := 0; p <= holes; p++ {
+		cl := make([]int, holes)
+		for h := range cl {
+			cl[h] = p*holes + h + 1
+		}
+		out = append(out, cl)
+	}
+	for h := 1; h <= holes; h++ {
+		for p1 := 0; p1 < holes; p1++ {
+			for p2 := p1 + 1; p2 <= holes; p2++ {
+				out = append(out, []int{-(p1*holes + h), -(p2*holes + h)})
+			}
+		}
+	}
+	return out
 }
 
 func TestTrivial(t *testing.T) {
@@ -50,7 +69,7 @@ func TestTautologyDropped(t *testing.T) {
 	if err := s.AddClause(1, -1); err != nil {
 		t.Fatal(err)
 	}
-	if s.NumClauses() != 0 {
+	if s.nClauses != 0 {
 		t.Errorf("tautology stored")
 	}
 	if got := s.Solve(0); got != Sat {
@@ -74,8 +93,8 @@ func TestVarLimit(t *testing.T) {
 			t.Errorf("AddClause(%v) accepted", cl)
 		}
 	}
-	if s.NumVars() != 2 || s.NumClauses() != 0 {
-		t.Errorf("refused clauses left %d vars, %d clauses", s.NumVars(), s.NumClauses())
+	if s.nVars != 2 || s.nClauses != 0 {
+		t.Errorf("refused clauses left %d vars, %d clauses", s.nVars, s.nClauses)
 	}
 	if err := s.AddClause(1, 2); err != nil || s.Solve(0) != Sat {
 		t.Errorf("solver unusable after refused clauses: %v", err)
@@ -95,14 +114,14 @@ func TestAddClauseRetainsNothingForDroppedClauses(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("dropped clauses cost %v allocations, want 0", n)
 	}
-	if s.NumClauses() != 1 {
-		t.Errorf("%d clauses stored, want 1", s.NumClauses())
+	if s.nClauses != 1 {
+		t.Errorf("%d clauses stored, want 1", s.nClauses)
 	}
 }
 
 func TestPigeonholeUnsat(t *testing.T) {
 	for holes := 2; holes <= 5; holes++ {
-		_, got := solveClauses(t, Pigeonhole(holes))
+		_, got := solveClauses(t, pigeonhole(holes))
 		if got != Unsat {
 			t.Errorf("PHP(%d+1,%d) = %v, want unsat", holes, holes, got)
 		}
@@ -193,7 +212,7 @@ func TestIncrementalMonotonic(t *testing.T) {
 
 func TestConflictBudget(t *testing.T) {
 	s := New(0)
-	for _, cl := range Pigeonhole(7) {
+	for _, cl := range pigeonhole(7) {
 		s.AddClause(cl...)
 	}
 	if got := s.Solve(5); got != Unknown {
@@ -206,7 +225,7 @@ func TestConflictBudget(t *testing.T) {
 }
 
 func TestStatsAccumulate(t *testing.T) {
-	s, got := solveClauses(t, Pigeonhole(4))
+	s, got := solveClauses(t, pigeonhole(4))
 	if got != Unsat {
 		t.Fatal("php4 not unsat")
 	}
@@ -215,53 +234,11 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestDIMACSRoundTrip(t *testing.T) {
-	clauses := Random3SAT(20, 50, 9)
-	var sb strings.Builder
-	if err := WriteDIMACS(&sb, 20, clauses); err != nil {
-		t.Fatal(err)
-	}
-	nVars, parsed, err := ParseDIMACS(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nVars != 20 || len(parsed) != len(clauses) {
-		t.Fatalf("nVars=%d clauses=%d", nVars, len(parsed))
-	}
-	for i := range clauses {
-		if len(parsed[i]) != len(clauses[i]) {
-			t.Fatalf("clause %d differs", i)
-		}
-		for j := range clauses[i] {
-			if parsed[i][j] != clauses[i][j] {
-				t.Fatalf("clause %d lit %d: %d vs %d", i, j, parsed[i][j], clauses[i][j])
-			}
-		}
-	}
-}
-
-func TestParseDIMACSErrors(t *testing.T) {
-	for _, src := range []string{
-		"p cnf x 3\n1 0\n",
-		"p dnf 3 1\n1 0\n",
-		"p cnf 3 1\n1 z 0\n",
-	} {
-		if _, _, err := ParseDIMACS(strings.NewReader(src)); err == nil {
-			t.Errorf("ParseDIMACS(%q) succeeded", src)
-		}
-	}
-	// Comments and missing trailing zero tolerated.
-	n, cls, err := ParseDIMACS(strings.NewReader("c hi\np cnf 2 1\n1 -2"))
-	if err != nil || n != 2 || len(cls) != 1 {
-		t.Errorf("lenient parse: %d %v %v", n, cls, err)
-	}
-}
-
 func TestGrowOnTheFly(t *testing.T) {
 	s := New(0)
 	s.AddClause(5, -7)
-	if s.NumVars() < 7 {
-		t.Errorf("nVars = %d", s.NumVars())
+	if s.nVars < 7 {
+		t.Errorf("nVars = %d", s.nVars)
 	}
 	if got := s.Solve(0); got != Sat {
 		t.Errorf("status = %v", got)

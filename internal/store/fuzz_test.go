@@ -42,7 +42,7 @@ func fuzzSeedManifests(tb testing.TB) [][]byte {
 	if err := as.WriteU64(0x1000, 77); err != nil {
 		tb.Fatal(err)
 	}
-	ctx := &snapshot.Context{Mem: as, FS: fs.New()}
+	ctx := &snapshot.Context{Mem: as, FS: fs.NewOn(alloc)}
 	if err := ctx.FS.WriteFile("/f", []byte("seed content")); err != nil {
 		tb.Fatal(err)
 	}
@@ -58,8 +58,7 @@ func fuzzSeedManifests(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	st.Release()
-	m, _ := s.Manifest(3)
-	add(m)
+	add(s.manifests[3])
 	s.Close()
 	return out
 }

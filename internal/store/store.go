@@ -768,15 +768,6 @@ func (s *Store) Has(id uint64) bool {
 	return ok
 }
 
-// Manifest returns the resident manifest for id (read-only; diagnostics
-// and tests).
-func (s *Store) Manifest(id uint64) (*Manifest, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.manifests[id]
-	return m, ok
-}
-
 // Delete drops id's manifest and garbage-collects chunks no other
 // manifest references. Deleting an absent id is a no-op.
 func (s *Store) Delete(id uint64) error {

@@ -155,7 +155,7 @@ func TestSpillDeltaSharesParentChunks(t *testing.T) {
 	for i := 0; i < pages; i++ {
 		mustWriteU64(t, as, 0x1000+uint64(i)*mem.PageSize, uint64(i)+1)
 	}
-	ctx := &snapshot.Context{Mem: as, FS: fs.New()}
+	ctx := &snapshot.Context{Mem: as, FS: fs.NewOn(alloc)}
 	tree := snapshot.NewTree()
 	parent := tree.Capture(ctx, nil)
 
@@ -298,7 +298,7 @@ func TestPageHashCacheNotReusedAcrossTrees(t *testing.T) {
 		}
 		mustWriteU64(t, as, addr, v)
 		tree := snapshot.NewTree()
-		ctx := &snapshot.Context{Mem: as, FS: fs.New()}
+		ctx := &snapshot.Context{Mem: as, FS: fs.NewOn(alloc)}
 		parent := tree.Capture(ctx, nil)
 		ctx.Release()
 		cctx := parent.Restore()

@@ -160,12 +160,6 @@ func NewExplorer(img *guest.Image, opts Options) (*Explorer, error) {
 	return ex, nil
 }
 
-// Tree exposes snapshot-tree statistics.
-func (ex *Explorer) Tree() *snapshot.Tree { return ex.tree }
-
-// Alloc exposes the frame allocator (memory accounting in benches).
-func (ex *Explorer) Alloc() *mem.FrameAllocator { return ex.alloc }
-
 func (ex *Explorer) release(p *pending) {
 	if p.snap != nil {
 		p.snap.Release()

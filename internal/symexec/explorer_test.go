@@ -21,7 +21,7 @@ func explore(t *testing.T, src string, opts Options) *Report {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if live := ex.Tree().Live(); live != 0 {
+	if live := ex.tree.Live(); live != 0 {
 		t.Errorf("snapshot leak: %d live", live)
 	}
 	return rep

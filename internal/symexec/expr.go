@@ -205,35 +205,6 @@ func (e *Expr) write(sb *strings.Builder, depth int) {
 	}
 }
 
-// Eval computes e under an assignment of symbolic inputs.
-func (e *Expr) Eval(inputs map[string]uint64) uint64 {
-	switch e.Op {
-	case OpConst:
-		return e.K
-	case OpVar:
-		return inputs[e.Name]
-	case OpAdd:
-		return e.A.Eval(inputs) + e.B.Eval(inputs)
-	case OpSub:
-		return e.A.Eval(inputs) - e.B.Eval(inputs)
-	case OpAnd:
-		return e.A.Eval(inputs) & e.B.Eval(inputs)
-	case OpOr:
-		return e.A.Eval(inputs) | e.B.Eval(inputs)
-	case OpXor:
-		return e.A.Eval(inputs) ^ e.B.Eval(inputs)
-	case OpNot:
-		return ^e.A.Eval(inputs)
-	case OpShl:
-		return e.A.Eval(inputs) << e.K
-	case OpShr:
-		return e.A.Eval(inputs) >> e.K
-	case OpMulK:
-		return e.A.Eval(inputs) * e.K
-	}
-	panic("symexec: bad expr op")
-}
-
 // CondOp compares two bitvector expressions.
 type CondOp uint8
 
@@ -281,28 +252,6 @@ func (c Cond) Concrete() (bool, bool) {
 		r = !r
 	}
 	return r, true
-}
-
-// Eval computes the condition's truth under an input assignment.
-func (c Cond) Eval(inputs map[string]uint64) bool {
-	a, b := c.A.Eval(inputs), c.B.Eval(inputs)
-	var r bool
-	switch c.Op {
-	case CondEq:
-		r = a == b
-	case CondULt:
-		r = a < b
-	case CondULe:
-		r = a <= b
-	case CondSLt:
-		r = int64(a) < int64(b)
-	case CondSLe:
-		r = int64(a) <= int64(b)
-	}
-	if c.Neg {
-		r = !r
-	}
-	return r
 }
 
 func (c Cond) String() string {

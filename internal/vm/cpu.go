@@ -22,7 +22,7 @@ type CPU struct {
 	fetchFrame *mem.Frame
 
 	// Retired counts instructions executed since the CPU was created
-	// (benchmark instrumentation, survives SetAS).
+	// (benchmark instrumentation).
 	Retired uint64
 }
 
@@ -31,23 +31,6 @@ func New(as *mem.AddressSpace) *CPU {
 	c := &CPU{as: as}
 	c.fetchPage = ^uint64(0)
 	return c
-}
-
-// AS returns the bound address space.
-func (c *CPU) AS() *mem.AddressSpace { return c.as }
-
-// SetAS rebinds the CPU to a new address space (snapshot restore) and
-// flushes the fetch TLB.
-func (c *CPU) SetAS(as *mem.AddressSpace) {
-	c.as = as
-	c.FlushTLB()
-}
-
-// FlushTLB invalidates the cached code page. Must be called after any
-// guest-visible protection or mapping change.
-func (c *CPU) FlushTLB() {
-	c.fetchPage = ^uint64(0)
-	c.fetchFrame = nil
 }
 
 // fetch reads n instruction bytes at addr into buf, going through the

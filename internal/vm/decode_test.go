@@ -1,7 +1,6 @@
 package vm_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/guest"
@@ -64,33 +63,31 @@ _start:
 `)
 	defer as.Release()
 
-	type want struct {
-		op   vm.Opcode
-		desc string
-	}
-	wants := []want{
-		{vm.OpMovRI, "mov rax, 0x1122334455667788"},
-		{vm.OpMovRR, "mov rbx, rcx"},
-		{vm.OpLoad, "load rdx, [rsi+16]"},
-		{vm.OpStore, "store rdx, [rsi-8]"},
-		{vm.OpLoadB, "loadb r8, [r9+1]"},
-		{vm.OpStorB, "storeb r8, [r9]"},
-		{vm.OpLea, "lea r10, [r11+256]"},
-		{vm.OpLoadX, "loadx r12, [r13+r14*8+32]"},
-		{vm.OpStorX, "storex r12, [r13+r14*4]"},
-		{vm.OpAddRI, "add rax, 42"},
-		{vm.OpSubRR, "sub rax, rbx"},
-		{vm.OpCmpRI, "cmp rax, -1"},
-		{vm.OpTestRR, "test rax, rbx"},
-		{vm.OpJne, ""},
-		{vm.OpCall, ""},
-		{vm.OpPush, "push r15"},
-		{vm.OpPop, "pop r15"},
-		{vm.OpNeg, "neg rax"},
-		{vm.OpSyscall, "syscall"},
-		{vm.OpRet, "ret"},
-		{vm.OpHlt, "hlt"},
-		{vm.OpNop, "nop"},
+	// Branch targets are checked by TestDecodeBranchTargets; only their
+	// opcodes are checked here.
+	wants := []vm.Instr{
+		{Op: vm.OpMovRI, R0: vm.RAX, Imm: 0x1122334455667788},
+		{Op: vm.OpMovRR, R0: vm.RBX, R1: vm.RCX},
+		{Op: vm.OpLoad, R0: vm.RDX, R1: vm.RSI, Imm: 16},
+		{Op: vm.OpStore, R0: vm.RDX, R1: vm.RSI, Imm: ^uint64(7)},
+		{Op: vm.OpLoadB, R0: vm.R8, R1: vm.R9, Imm: 1},
+		{Op: vm.OpStorB, R0: vm.R8, R1: vm.R9},
+		{Op: vm.OpLea, R0: vm.R10, R1: vm.R11, Imm: 256},
+		{Op: vm.OpLoadX, R0: vm.R12, R1: vm.R13, R2: vm.R14, Scale: 8, Imm: 32},
+		{Op: vm.OpStorX, R0: vm.R12, R1: vm.R13, R2: vm.R14, Scale: 4},
+		{Op: vm.OpAddRI, R0: vm.RAX, Imm: 42},
+		{Op: vm.OpSubRR, R0: vm.RAX, R1: vm.RBX},
+		{Op: vm.OpCmpRI, R0: vm.RAX, Imm: ^uint64(0)},
+		{Op: vm.OpTestRR, R0: vm.RAX, R1: vm.RBX},
+		{Op: vm.OpJne},
+		{Op: vm.OpCall},
+		{Op: vm.OpPush, R0: vm.R15},
+		{Op: vm.OpPop, R0: vm.R15},
+		{Op: vm.OpNeg, R0: vm.RAX},
+		{Op: vm.OpSyscall},
+		{Op: vm.OpRet},
+		{Op: vm.OpHlt},
+		{Op: vm.OpNop},
 	}
 	pc := start
 	for i, w := range wants {
@@ -98,13 +95,13 @@ _start:
 		if err != nil {
 			t.Fatalf("instr %d at %#x: %v", i, pc, err)
 		}
-		if in.Op != w.op {
-			t.Fatalf("instr %d: op = %v, want %v", i, in.Op, w.op)
+		got := in
+		got.Len = 0
+		if w.Op == vm.OpJne || w.Op == vm.OpCall {
+			got = vm.Instr{Op: in.Op}
 		}
-		if w.desc != "" {
-			if got := vm.Disasm(in); got != w.desc {
-				t.Errorf("instr %d: disasm = %q, want %q", i, got, w.desc)
-			}
+		if got != w {
+			t.Errorf("instr %d: decoded %+v, want %+v", i, got, w)
 		}
 		pc = in.Next(pc)
 	}
@@ -145,68 +142,5 @@ func TestDecodeInvalid(t *testing.T) {
 	_, err = vm.DecodeAt(as, 0x100000) // unmapped
 	if _, ok := mem.IsFault(err); !ok {
 		t.Errorf("err = %v, want fault", err)
-	}
-}
-
-// TestDisasmRoundTrip disassembles a program and re-assembles the listing,
-// checking the decoders and the assembler agree byte-for-byte on the ISA.
-func TestDisasmRoundTrip(t *testing.T) {
-	src := `
-_start:
-    mov rax, 500
-    mov rdi, 8
-    syscall
-    cmp rax, 4
-    jl _start
-    loadx rbx, [rsi+rcx*8+16]
-    add rbx, 7
-    hlt
-`
-	as, start, end := loadText(t, src)
-	defer as.Release()
-	listing := vm.DisasmRange(as, start, end)
-	if !strings.Contains(listing, "syscall") || !strings.Contains(listing, "loadx rbx, [rsi+rcx*8+16]") {
-		t.Fatalf("listing:\n%s", listing)
-	}
-	// Strip addresses, replace branch targets with a label, re-assemble.
-	var rebuilt strings.Builder
-	rebuilt.WriteString("_start:\n")
-	for _, line := range strings.Split(strings.TrimSpace(listing), "\n") {
-		_, ins, ok := strings.Cut(line, ": ")
-		if !ok {
-			t.Fatalf("bad listing line %q", line)
-		}
-		if strings.HasPrefix(ins, "jl ") {
-			ins = "jl _start"
-		}
-		rebuilt.WriteString(ins + "\n")
-	}
-	b2, err := guest.Assemble(rebuilt.String())
-	if err != nil {
-		t.Fatalf("re-assemble:\n%s\n%v", rebuilt.String(), err)
-	}
-	img2, err := b2.Link(guest.CodeBase, guest.DataBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	as2, _, err := guest.Load(img2, mem.NewFrameAllocator(0), guest.LoadOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer as2.Release()
-	// Byte-for-byte comparison of the two text segments.
-	n := int(end - start)
-	b1 := make([]byte, n)
-	b2b := make([]byte, n)
-	if err := as.FetchAt(b1, start); err != nil {
-		t.Fatal(err)
-	}
-	if err := as2.FetchAt(b2b, start); err != nil {
-		t.Fatal(err)
-	}
-	for i := range b1 {
-		if b1[i] != b2b[i] {
-			t.Fatalf("byte %d differs: %#x vs %#x\nlisting:\n%s", i, b1[i], b2b[i], listing)
-		}
 	}
 }

@@ -190,15 +190,6 @@ func operandLen(enc encoding) int {
 	panic("vm: unknown encoding")
 }
 
-// InstrLen returns the full encoded length of op, or 0 if op is invalid.
-func InstrLen(op Opcode) int {
-	info, ok := instrTable[op]
-	if !ok {
-		return 0
-	}
-	return 1 + operandLen(info.Enc)
-}
-
 // MaxInstrLen is the longest possible instruction encoding (mov reg, imm64).
 const MaxInstrLen = 10
 

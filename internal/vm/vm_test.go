@@ -20,6 +20,16 @@ func run(t *testing.T, img *guest.Image, fuel int64) (*vm.CPU, *vm.Trap) {
 	return cpu, cpu.Run(fuel)
 }
 
+// link links b at the default bases.
+func link(t *testing.T, b *guest.Builder) *guest.Image {
+	t.Helper()
+	img, err := b.Link(guest.CodeBase, guest.DataBase)
+	if err != nil {
+		t.Fatalf("Link: %v", err)
+	}
+	return img
+}
+
 func TestMovArithmetic(t *testing.T) {
 	b := guest.NewBuilder()
 	b.Label("_start").
@@ -34,7 +44,7 @@ func TestMovArithmetic(t *testing.T) {
 		ShlI(vm.RAX, 4).     // 32
 		OrI(vm.RAX, 1).      // 33
 		Hlt()
-	cpu, trap := run(t, b.MustLink(), 0)
+	cpu, trap := run(t, link(t, b), 0)
 	if trap.Kind != vm.TrapHalt {
 		t.Fatalf("trap = %v, want halt", trap)
 	}
@@ -63,7 +73,7 @@ func TestFib(t *testing.T) {
 		Jmp("loop").
 		Label("done").
 		Hlt()
-	cpu, trap := run(t, b.MustLink(), 0)
+	cpu, trap := run(t, link(t, b), 0)
 	if trap.Kind != vm.TrapHalt {
 		t.Fatalf("trap = %v", trap)
 	}
@@ -85,7 +95,7 @@ func TestCallRetStack(t *testing.T) {
 		Mov(vm.RAX, vm.RDI).
 		Mul(vm.RAX, vm.RDI).
 		Ret()
-	cpu, trap := run(t, b.MustLink(), 0)
+	cpu, trap := run(t, link(t, b), 0)
 	if trap.Kind != vm.TrapHalt {
 		t.Fatalf("trap = %v", trap)
 	}
@@ -117,7 +127,7 @@ func TestMemoryOps(t *testing.T) {
 		LoadB(vm.R10, vm.R8, 0). // now 0xbb
 		Lea(vm.R11, vm.RSI, 16).
 		Hlt()
-	cpu, trap := run(t, b.MustLink(), 0)
+	cpu, trap := run(t, link(t, b), 0)
 	if trap.Kind != vm.TrapHalt {
 		t.Fatalf("trap = %v", trap)
 	}
@@ -157,7 +167,7 @@ func TestConditionalJumps(t *testing.T) {
 			b.Label("_start").MovI(vm.RAX, tc.a).MovI(vm.RBX, tc.b).Cmp(vm.RAX, vm.RBX)
 			tc.jcc(b, "taken")
 			b.MovI(vm.RCX, 0).Hlt().Label("taken").MovI(vm.RCX, 1).Hlt()
-			cpu, trap := run(t, b.MustLink(), 0)
+			cpu, trap := run(t, link(t, b), 0)
 			if trap.Kind != vm.TrapHalt {
 				t.Fatalf("trap = %v", trap)
 			}
@@ -180,7 +190,7 @@ func TestSignedOverflowFlags(t *testing.T) {
 		MovI(vm.RBX, 100).
 		Hlt().
 		Label("ov").MovI(vm.RBX, 200).Hlt()
-	cpu, trap := run(t, b.MustLink(), 0)
+	cpu, trap := run(t, link(t, b), 0)
 	if trap.Kind != vm.TrapHalt {
 		t.Fatalf("trap = %v", trap)
 	}
@@ -197,7 +207,7 @@ func TestSyscallTrap(t *testing.T) {
 		Syscall().
 		Mov(vm.RBX, vm.RAX). // observes the kernel-written result
 		Hlt()
-	as, regs, err := guest.Load(b.MustLink(), mem.NewFrameAllocator(0), guest.LoadOptions{})
+	as, regs, err := guest.Load(link(t, b), mem.NewFrameAllocator(0), guest.LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +235,7 @@ func TestFaultTraps(t *testing.T) {
 	t.Run("load-unmapped", func(t *testing.T) {
 		b := guest.NewBuilder()
 		b.Label("_start").MovI(vm.RBX, 0x10).Load(vm.RAX, vm.RBX, 0).Hlt()
-		_, trap := run(t, b.MustLink(), 0)
+		_, trap := run(t, link(t, b), 0)
 		if trap.Kind != vm.TrapFault || trap.Fault == nil || trap.Fault.Kind != mem.FaultNotMapped {
 			t.Fatalf("trap = %v", trap)
 		}
@@ -233,7 +243,7 @@ func TestFaultTraps(t *testing.T) {
 	t.Run("store-to-text", func(t *testing.T) {
 		b := guest.NewBuilder()
 		b.Label("_start").MovI(vm.RBX, guest.CodeBase).Store(vm.RAX, vm.RBX, 0).Hlt()
-		_, trap := run(t, b.MustLink(), 0)
+		_, trap := run(t, link(t, b), 0)
 		if trap.Kind != vm.TrapFault || trap.Fault == nil || trap.Fault.Kind != mem.FaultProtection {
 			t.Fatalf("trap = %v", trap)
 		}
@@ -242,7 +252,7 @@ func TestFaultTraps(t *testing.T) {
 		b := guest.NewBuilder()
 		b.Data().Label("d").Quad(0x9090909090909090)
 		b.Text().Label("_start").Nop()
-		img := b.MustLink()
+		img := link(t, b)
 		as, regs, err := guest.Load(img, mem.NewFrameAllocator(0), guest.LoadOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -258,7 +268,7 @@ func TestFaultTraps(t *testing.T) {
 	t.Run("div-zero", func(t *testing.T) {
 		b := guest.NewBuilder()
 		b.Label("_start").MovI(vm.RAX, 5).MovI(vm.RBX, 0).Div(vm.RAX, vm.RBX).Hlt()
-		_, trap := run(t, b.MustLink(), 0)
+		_, trap := run(t, link(t, b), 0)
 		if trap.Kind != vm.TrapDivZero {
 			t.Fatalf("trap = %v", trap)
 		}
@@ -267,7 +277,7 @@ func TestFaultTraps(t *testing.T) {
 		// Jump to zeroed heap: opcode 0x00 is invalid by design.
 		b := guest.NewBuilder()
 		b.Label("_start").Nop()
-		img := b.MustLink()
+		img := link(t, b)
 		as, regs, err := guest.Load(img, mem.NewFrameAllocator(0), guest.LoadOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -287,7 +297,7 @@ func TestFaultTraps(t *testing.T) {
 	t.Run("stack-overflow", func(t *testing.T) {
 		b := guest.NewBuilder()
 		b.Label("_start").Label("loop").Push(vm.RAX).Jmp("loop")
-		_, trap := run(t, b.MustLink(), 0)
+		_, trap := run(t, link(t, b), 0)
 		if trap.Kind != vm.TrapFault || trap.Fault == nil || trap.Fault.Kind != mem.FaultNotMapped {
 			t.Fatalf("trap = %v", trap)
 		}
@@ -297,7 +307,7 @@ func TestFaultTraps(t *testing.T) {
 func TestInstrLimit(t *testing.T) {
 	b := guest.NewBuilder()
 	b.Label("_start").Label("spin").Jmp("spin")
-	_, trap := run(t, b.MustLink(), 1000)
+	_, trap := run(t, link(t, b), 1000)
 	if trap.Kind != vm.TrapInstrLimit {
 		t.Fatalf("trap = %v, want instr-limit", trap)
 	}
@@ -310,7 +320,7 @@ func TestNegNotIncDec(t *testing.T) {
 		MovI(vm.RBX, 0).Not(vm.RBX).                         // ^0
 		MovI(vm.RCX, 7).Inc(vm.RCX).Inc(vm.RCX).Dec(vm.RCX). // 8
 		Hlt()
-	cpu, trap := run(t, b.MustLink(), 0)
+	cpu, trap := run(t, link(t, b), 0)
 	if trap.Kind != vm.TrapHalt {
 		t.Fatalf("trap = %v", trap)
 	}
@@ -331,7 +341,7 @@ func TestSarVsShr(t *testing.T) {
 		MovI(vm.RAX, 0x8000000000000000).SarI(vm.RAX, 1).
 		MovI(vm.RBX, 0x8000000000000000).ShrI(vm.RBX, 1).
 		Hlt()
-	cpu, trap := run(t, b.MustLink(), 0)
+	cpu, trap := run(t, link(t, b), 0)
 	if trap.Kind != vm.TrapHalt {
 		t.Fatalf("trap = %v", trap)
 	}
@@ -340,21 +350,6 @@ func TestSarVsShr(t *testing.T) {
 	}
 	if got := cpu.Regs.Get(vm.RBX); got != 0x4000000000000000 {
 		t.Errorf("shr = %#x", got)
-	}
-}
-
-func TestInstrLen(t *testing.T) {
-	if n := vm.InstrLen(vm.OpMovRI); n != 10 {
-		t.Errorf("mov ri len = %d, want 10", n)
-	}
-	if n := vm.InstrLen(vm.OpRet); n != 1 {
-		t.Errorf("ret len = %d, want 1", n)
-	}
-	if n := vm.InstrLen(vm.OpInvalid); n != 0 {
-		t.Errorf("invalid len = %d, want 0", n)
-	}
-	if vm.MaxInstrLen != 10 {
-		t.Errorf("MaxInstrLen = %d", vm.MaxInstrLen)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 // DB is the clause database, indexed by functor/arity.
 type DB struct {
 	clauses map[string][]*Clause
-	order   []string
 }
 
 // NewDB returns an empty database.
@@ -17,9 +16,6 @@ func NewDB() *DB { return &DB{clauses: map[string][]*Clause{}} }
 // Assert appends a clause.
 func (db *DB) Assert(cl *Clause) {
 	key := indicator(cl.Head)
-	if _, seen := db.clauses[key]; !seen {
-		db.order = append(db.order, key)
-	}
 	db.clauses[key] = append(db.clauses[key], cl)
 }
 
@@ -34,9 +30,6 @@ func (db *DB) Consult(src string) error {
 	}
 	return nil
 }
-
-// Predicates returns the defined predicate indicators in assert order.
-func (db *DB) Predicates() []string { return append([]string(nil), db.order...) }
 
 // Stats counts runtime events of one query.
 type Stats struct {

@@ -12,7 +12,7 @@
 //	snapshot   partial candidates: snapshot trees, capture/restore
 //	vm, guest  the SVX64 CPU, assembler, and loader
 //	core       the backtracking engine and syscall interposition
-//	search     DFS/BFS/A*/SM-A*/Random/External strategies
+//	search     DFS/BFS/A*/SM-A*/Random strategies
 //	solver     incremental CDCL SAT (the Z3 stand-in)
 //	symexec    the S2E-style multi-path symbolic executor
 //	wam        the Prolog comparator
