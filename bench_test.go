@@ -27,7 +27,7 @@ import (
 
 func BenchmarkE1QueensHandCoded(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if queens.HandCoded(8, nil) != 92 {
+		if queens.HandCoded(8) != 92 {
 			b.Fatal("wrong count")
 		}
 	}

@@ -29,7 +29,7 @@ func E1(o Options) (*Table, error) {
 	}
 	for _, n := range ns {
 		var count int
-		handT := timed(func() { count = queens.HandCoded(n, nil) })
+		handT := timed(func() { count = queens.HandCoded(n) })
 
 		var hostedT time.Duration
 		{

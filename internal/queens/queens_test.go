@@ -15,30 +15,9 @@ import (
 
 func TestHandCodedCounts(t *testing.T) {
 	for n := 1; n <= 9; n++ {
-		if got := queens.HandCoded(n, nil); got != queens.Counts[n] {
+		if got := queens.HandCoded(n); got != queens.Counts[n] {
 			t.Errorf("HandCoded(%d) = %d, want %d", n, got, queens.Counts[n])
 		}
-	}
-}
-
-func TestHandCodedBoardsValid(t *testing.T) {
-	n := 6
-	count := 0
-	queens.HandCoded(n, func(cols []int) {
-		count++
-		for a := 0; a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				if cols[a] == cols[b] {
-					t.Fatalf("row conflict in %v", cols)
-				}
-				if cols[a]-cols[b] == a-b || cols[a]-cols[b] == b-a {
-					t.Fatalf("diagonal conflict in %v", cols)
-				}
-			}
-		}
-	})
-	if count != queens.Counts[n] {
-		t.Errorf("boards = %d", count)
 	}
 }
 
@@ -62,7 +41,7 @@ func TestPrologCounts(t *testing.T) {
 // engine must all find the same number of solutions.
 func TestThreeImplementationsAgree(t *testing.T) {
 	const n = 6
-	want := queens.HandCoded(n, nil)
+	want := queens.HandCoded(n)
 
 	// Hosted snapshot backend.
 	alloc := mem.NewFrameAllocator(0)

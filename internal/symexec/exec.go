@@ -220,42 +220,45 @@ func (sc *symCPU) storeByte(addr uint64, v sval) error {
 	return nil
 }
 
-// alu applies a binary operation, staying concrete when possible.
+// alu applies a two-operand op and sets the flags, staying concrete when
+// possible. Concrete operands compute through vm.ALU, so their result and
+// flags are the interpreter's.
 func (sc *symCPU) alu(op vm.Opcode, a, b sval) (sval, error) {
 	if a.isConc() && b.isConc() {
-		var r uint64
-		switch op {
-		case vm.OpAddRR, vm.OpAddRI:
-			r = a.c + b.c
-		case vm.OpSubRR, vm.OpSubRI:
-			r = a.c - b.c
-		case vm.OpAndRR, vm.OpAndRI:
-			r = a.c & b.c
-		case vm.OpOrRR, vm.OpOrRI:
-			r = a.c | b.c
-		case vm.OpXorRR, vm.OpXorRI:
-			r = a.c ^ b.c
-		case vm.OpShlRR, vm.OpShlRI:
-			r = a.c << (b.c & 63)
-		case vm.OpShrRR, vm.OpShrRI:
-			r = a.c >> (b.c & 63)
-		case vm.OpSarRR, vm.OpSarRI:
-			r = uint64(int64(a.c) >> (b.c & 63))
-		case vm.OpMulRR, vm.OpMulRI:
-			r = a.c * b.c
-		case vm.OpDivRR:
-			if b.c == 0 {
+		res, f, ok := vm.ALU(op, a.c, b.c)
+		if !ok {
+			switch op {
+			case vm.OpDivRR:
 				return sval{}, fmt.Errorf("division by zero")
-			}
-			r = a.c / b.c
-		case vm.OpModRR:
-			if b.c == 0 {
+			case vm.OpModRR:
 				return sval{}, fmt.Errorf("mod by zero")
 			}
-			r = a.c % b.c
+			return sval{}, fmt.Errorf("op 0x%02x is not an ALU op", byte(op))
 		}
-		return conc(r), nil
+		sc.setFlags(f)
+		return conc(res), nil
 	}
+	v, err := symALU(op, a, b)
+	if err != nil {
+		return sval{}, err
+	}
+	if v.isConc() {
+		// A symbolic operand folded away (x-x, x&0, x*0): ZF and SF come
+		// from the result, CF and OF are clear. Expr folds an add only
+		// when both operands are constant, so no carry is lost here.
+		_, f, _ := vm.ALU(vm.OpOrRR, v.c, 0)
+		sc.setFlags(f)
+	} else {
+		// A symbolic result poisons the flags until the next compare;
+		// branching on them is reported as an unsupported pattern.
+		sc.flagsOK, sc.cmpValid = false, false
+	}
+	return v, nil
+}
+
+// symALU builds the expression for op over operands at least one of which
+// is symbolic.
+func symALU(op vm.Opcode, a, b sval) (sval, error) {
 	switch op {
 	case vm.OpAddRR, vm.OpAddRI:
 		return symv(Add(a.expr(), b.expr())), nil
@@ -288,25 +291,6 @@ func (sc *symCPU) alu(op vm.Opcode, a, b sval) (sval, error) {
 		}
 	}
 	return sval{}, fmt.Errorf("unsupported symbolic op %v", op)
-}
-
-// concreteFlags replicates vm.CPU's CMP flag semantics.
-func cmpFlags(a, b uint64) uint64 {
-	res := a - b
-	var f uint64
-	if res == 0 {
-		f |= vm.FlagZF
-	}
-	if int64(res) < 0 {
-		f |= vm.FlagSF
-	}
-	if a < b {
-		f |= vm.FlagCF
-	}
-	if (a^b)&(1<<63) != 0 && (a^res)&(1<<63) != 0 {
-		f |= vm.FlagOF
-	}
-	return f
 }
 
 // branchCond maps a Jcc opcode to the condition over the recorded compare.
@@ -442,7 +426,6 @@ func (sc *symCPU) run(fuel int64) event {
 			if err != nil {
 				return sc.fault(pc, err)
 			}
-			sc.setALUFlags(r[in.R0], r[in.R1], v, in.Op)
 			r[in.R0] = v
 		case vm.OpAddRI, vm.OpSubRI, vm.OpAndRI, vm.OpOrRI, vm.OpXorRI,
 			vm.OpShlRI, vm.OpShrRI, vm.OpSarRI, vm.OpMulRI:
@@ -450,14 +433,12 @@ func (sc *symCPU) run(fuel int64) event {
 			if err != nil {
 				return sc.fault(pc, err)
 			}
-			sc.setALUFlags(r[in.R0], conc(in.Imm), v, in.Op)
 			r[in.R0] = v
 		case vm.OpNeg:
 			v, err := sc.alu(vm.OpSubRR, conc(0), r[in.R0])
 			if err != nil {
 				return sc.fault(pc, err)
 			}
-			sc.setALUFlags(conc(0), r[in.R0], v, vm.OpSubRR)
 			r[in.R0] = v
 		case vm.OpNot:
 			if r[in.R0].isConc() {
@@ -466,13 +447,9 @@ func (sc *symCPU) run(fuel int64) event {
 				r[in.R0] = symv(Not(r[in.R0].expr()))
 			}
 		case vm.OpInc:
-			v, _ := sc.alu(vm.OpAddRR, r[in.R0], conc(1))
-			sc.setALUFlags(r[in.R0], conc(1), v, vm.OpAddRR)
-			r[in.R0] = v
+			r[in.R0], _ = sc.alu(vm.OpAddRR, r[in.R0], conc(1))
 		case vm.OpDec:
-			v, _ := sc.alu(vm.OpSubRR, r[in.R0], conc(1))
-			sc.setALUFlags(r[in.R0], conc(1), v, vm.OpSubRR)
-			r[in.R0] = v
+			r[in.R0], _ = sc.alu(vm.OpSubRR, r[in.R0], conc(1))
 
 		case vm.OpCmpRR:
 			sc.recordCmp(r[in.R0], r[in.R1])
@@ -481,7 +458,8 @@ func (sc *symCPU) run(fuel int64) event {
 		case vm.OpTestRR:
 			av, bv := r[in.R0], r[in.R1]
 			if av.isConc() && bv.isConc() {
-				sc.recordCmpConcrete(av.c&bv.c, 0)
+				_, f, _ := vm.ALU(vm.OpTestRR, av.c, bv.c)
+				sc.setFlags(f)
 			} else {
 				sc.recordCmp(symv(And(av.expr(), bv.expr())), conc(0))
 			}
@@ -509,11 +487,7 @@ func (sc *symCPU) run(fuel int64) event {
 			if !sc.flagsOK {
 				return sc.fault(pc, fmt.Errorf("branch on symbolic flags from non-compare"))
 			}
-			saved := sc.ctx.Regs.Flags
-			sc.ctx.Regs.Flags = sc.flagsConc
-			taken := evalCond(in.Op, sc.flagsConc)
-			sc.ctx.Regs.Flags = saved
-			if taken {
+			if vm.Taken(in.Op, sc.flagsConc) {
 				sc.ctx.Regs.RIP = in.Target()
 			} else {
 				sc.ctx.Regs.RIP = next
@@ -594,7 +568,8 @@ func (sc *symCPU) run(fuel int64) event {
 
 func (sc *symCPU) recordCmp(a, b sval) {
 	if a.isConc() && b.isConc() {
-		sc.recordCmpConcrete(a.c, b.c)
+		_, f, _ := vm.ALU(vm.OpCmpRR, a.c, b.c)
+		sc.setFlags(f)
 		return
 	}
 	sc.cmpA, sc.cmpB = a, b
@@ -602,75 +577,11 @@ func (sc *symCPU) recordCmp(a, b sval) {
 	sc.flagsOK = false
 }
 
-func (sc *symCPU) recordCmpConcrete(a, b uint64) {
-	sc.flagsConc = cmpFlags(a, b)
+// setFlags records concrete flags, which the next Jcc reads.
+func (sc *symCPU) setFlags(f uint64) {
+	sc.flagsConc = f
 	sc.flagsOK = true
 	sc.cmpValid = false
-}
-
-// setALUFlags tracks flags for the non-compare ALU ops: concrete results
-// give exact concrete flags; symbolic results poison the flags until the
-// next compare (branching on them is reported as an unsupported pattern).
-func (sc *symCPU) setALUFlags(a, b, res sval, op vm.Opcode) {
-	if res.isConc() {
-		var f uint64
-		if res.c == 0 {
-			f |= vm.FlagZF
-		}
-		if int64(res.c) < 0 {
-			f |= vm.FlagSF
-		}
-		// CF/OF for add/sub mirror the concrete CPU; other ops clear them.
-		switch op {
-		case vm.OpAddRR, vm.OpAddRI:
-			if a.isConc() && res.c < a.c {
-				f |= vm.FlagCF
-			}
-			if a.isConc() && b.isConc() && (a.c^b.c)&(1<<63) == 0 && (a.c^res.c)&(1<<63) != 0 {
-				f |= vm.FlagOF
-			}
-		case vm.OpSubRR, vm.OpSubRI:
-			if a.isConc() && b.isConc() {
-				f = cmpFlags(a.c, b.c)
-			}
-		}
-		sc.flagsConc = f
-		sc.flagsOK = true
-		sc.cmpValid = false
-		return
-	}
-	sc.flagsOK = false
-	sc.cmpValid = false
-}
-
-func evalCond(op vm.Opcode, flags uint64) bool {
-	zf := flags&vm.FlagZF != 0
-	sf := flags&vm.FlagSF != 0
-	cf := flags&vm.FlagCF != 0
-	of := flags&vm.FlagOF != 0
-	switch op {
-	case vm.OpJe:
-		return zf
-	case vm.OpJne:
-		return !zf
-	case vm.OpJl:
-		return sf != of
-	case vm.OpJle:
-		return zf || sf != of
-	case vm.OpJg:
-		return !zf && sf == of
-	case vm.OpJge:
-		return sf == of
-	case vm.OpJb:
-		return cf
-	case vm.OpJbe:
-		return cf || zf
-	case vm.OpJa:
-		return !cf && !zf
-	case vm.OpJae:
-		return !cf
-	}
-	return false
 }
 
 // syscall handles the analysis-relevant subset. It returns handled=true
@@ -683,10 +594,7 @@ func (sc *symCPU) syscall(next uint64) (event, bool, error) {
 	a0 := sc.regs[vm.SysArg0Reg]
 	switch nr.c {
 	case interpose.SysExit:
-		if !a0.isConc() {
-			// A symbolic exit status is legal: expose its witness value.
-			return event{kind: evExit, status: a0.c}, false, nil
-		}
+		// A symbolic exit status is legal: expose its witness value.
 		return event{kind: evExit, status: a0.c}, false, nil
 
 	case interpose.SysMakeSymbolic:

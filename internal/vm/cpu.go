@@ -152,76 +152,35 @@ func (c *CPU) Step() *Trap {
 			return memTrap(err)
 		}
 
-	case OpAddRR:
-		c.add(reg(0), r.GPR[reg(1)])
-	case OpAddRI:
-		c.add(reg(0), imm32(1))
-	case OpSubRR:
-		c.sub(reg(0), r.GPR[reg(1)])
-	case OpSubRI:
-		c.sub(reg(0), imm32(1))
-	case OpAndRR:
-		c.logic(reg(0), r.GPR[reg(0)]&r.GPR[reg(1)])
-	case OpAndRI:
-		c.logic(reg(0), r.GPR[reg(0)]&imm32(1))
-	case OpOrRR:
-		c.logic(reg(0), r.GPR[reg(0)]|r.GPR[reg(1)])
-	case OpOrRI:
-		c.logic(reg(0), r.GPR[reg(0)]|imm32(1))
-	case OpXorRR:
-		c.logic(reg(0), r.GPR[reg(0)]^r.GPR[reg(1)])
-	case OpXorRI:
-		c.logic(reg(0), r.GPR[reg(0)]^imm32(1))
-	case OpShlRR:
-		c.logic(reg(0), r.GPR[reg(0)]<<(r.GPR[reg(1)]&63))
-	case OpShlRI:
-		c.logic(reg(0), r.GPR[reg(0)]<<(imm32(1)&63))
-	case OpShrRR:
-		c.logic(reg(0), r.GPR[reg(0)]>>(r.GPR[reg(1)]&63))
-	case OpShrRI:
-		c.logic(reg(0), r.GPR[reg(0)]>>(imm32(1)&63))
-	case OpSarRR:
-		c.logic(reg(0), uint64(int64(r.GPR[reg(0)])>>(r.GPR[reg(1)]&63)))
-	case OpSarRI:
-		c.logic(reg(0), uint64(int64(r.GPR[reg(0)])>>(imm32(1)&63)))
-	case OpMulRR:
-		c.logic(reg(0), r.GPR[reg(0)]*r.GPR[reg(1)])
-	case OpMulRI:
-		c.logic(reg(0), r.GPR[reg(0)]*imm32(1))
-	case OpDivRR:
-		d := r.GPR[reg(1)]
-		if d == 0 {
+	case OpAddRR, OpSubRR, OpAndRR, OpOrRR, OpXorRR, OpShlRR, OpShrRR,
+		OpSarRR, OpMulRR, OpDivRR, OpModRR:
+		res, f, ok := ALU(opcode, r.GPR[reg(0)], r.GPR[reg(1)])
+		if !ok {
 			return &Trap{Kind: TrapDivZero, PC: pc, Op: opcode}
 		}
-		c.logic(reg(0), r.GPR[reg(0)]/d)
-	case OpModRR:
-		d := r.GPR[reg(1)]
-		if d == 0 {
-			return &Trap{Kind: TrapDivZero, PC: pc, Op: opcode}
-		}
-		c.logic(reg(0), r.GPR[reg(0)]%d)
+		r.GPR[reg(0)], r.Flags = res, f
+	case OpAddRI, OpSubRI, OpAndRI, OpOrRI, OpXorRI, OpShlRI, OpShrRI,
+		OpSarRI, OpMulRI:
+		r.GPR[reg(0)], r.Flags, _ = ALU(opcode, r.GPR[reg(0)], imm32(1))
 	case OpNeg:
-		c.sub0(reg(0))
+		r.GPR[reg(0)], r.Flags, _ = ALU(OpSubRR, 0, r.GPR[reg(0)])
 	case OpNot:
 		r.GPR[reg(0)] = ^r.GPR[reg(0)]
 	case OpInc:
-		c.add(reg(0), 1)
+		r.GPR[reg(0)], r.Flags, _ = ALU(OpAddRR, r.GPR[reg(0)], 1)
 	case OpDec:
-		c.sub(reg(0), 1)
+		r.GPR[reg(0)], r.Flags, _ = ALU(OpSubRR, r.GPR[reg(0)], 1)
 
-	case OpCmpRR:
-		c.cmp(r.GPR[reg(0)], r.GPR[reg(1)])
+	case OpCmpRR, OpTestRR:
+		_, r.Flags, _ = ALU(opcode, r.GPR[reg(0)], r.GPR[reg(1)])
 	case OpCmpRI:
-		c.cmp(r.GPR[reg(0)], imm32(1))
-	case OpTestRR:
-		c.setZS(r.GPR[reg(0)] & r.GPR[reg(1)])
-		r.Flags &^= FlagCF | FlagOF
+		_, r.Flags, _ = ALU(opcode, r.GPR[reg(0)], imm32(1))
 
 	case OpJmp:
 		r.RIP = rel32()
 		return nil
 	case OpJe, OpJne, OpJl, OpJle, OpJg, OpJge, OpJb, OpJbe, OpJa, OpJae:
-		if c.cond(opcode) {
+		if Taken(opcode, r.Flags) {
 			r.RIP = rel32()
 			return nil
 		}
@@ -282,13 +241,79 @@ func (c *CPU) Run(fuel int64) *Trap {
 	}
 }
 
-// cond evaluates a conditional-jump predicate against the flags.
-func (c *CPU) cond(op Opcode) bool {
-	f := c.Regs.Flags
-	zf := f&FlagZF != 0
-	sf := f&FlagSF != 0
-	cf := f&FlagCF != 0
-	of := f&FlagOF != 0
+// ALU computes the two-operand op, in either form, on a and b: the one
+// statement of the ISA's arithmetic, which CPU.Step and the symbolic
+// executor both compute through. Cmp computes as Sub and Test as And; their
+// callers drop res. flags is the whole word the op leaves: ZF and SF from
+// res, CF and OF with x86 ADD and SUB/CMP semantics, both cleared by every
+// other op (shifts and mul simplified to the logical-op rule). Shift counts
+// are taken mod 64. ok is false for div or mod by zero and for an op that
+// is not two-operand.
+//
+// Callers assign flags over Registers.Flags. Nothing writes that word but
+// this function's results (Step, the symbolic executor) and a store
+// manifest's copy of one, so it never holds a bit beyond ZF|SF|CF|OF, and
+// the assignment is the same as updating ZF/SF and then CF/OF in place.
+func ALU(op Opcode, a, b uint64) (res, flags uint64, ok bool) {
+	switch op {
+	case OpAddRR, OpAddRI:
+		res = a + b
+		if res < a {
+			flags = FlagCF
+		}
+		if (a^b)&(1<<63) == 0 && (a^res)&(1<<63) != 0 {
+			flags |= FlagOF
+		}
+	case OpSubRR, OpSubRI, OpCmpRR, OpCmpRI:
+		res = a - b
+		if a < b {
+			flags = FlagCF
+		}
+		if (a^b)&(1<<63) != 0 && (a^res)&(1<<63) != 0 {
+			flags |= FlagOF
+		}
+	case OpAndRR, OpAndRI, OpTestRR:
+		res = a & b
+	case OpOrRR, OpOrRI:
+		res = a | b
+	case OpXorRR, OpXorRI:
+		res = a ^ b
+	case OpShlRR, OpShlRI:
+		res = a << (b & 63)
+	case OpShrRR, OpShrRI:
+		res = a >> (b & 63)
+	case OpSarRR, OpSarRI:
+		res = uint64(int64(a) >> (b & 63))
+	case OpMulRR, OpMulRI:
+		res = a * b
+	case OpDivRR:
+		if b == 0 {
+			return 0, 0, false
+		}
+		res = a / b
+	case OpModRR:
+		if b == 0 {
+			return 0, 0, false
+		}
+		res = a % b
+	default:
+		return 0, 0, false
+	}
+	if res == 0 {
+		flags |= FlagZF
+	}
+	if int64(res) < 0 {
+		flags |= FlagSF
+	}
+	return res, flags, true
+}
+
+// Taken reports whether the conditional jump op is taken under flags.
+func Taken(op Opcode, flags uint64) bool {
+	zf := flags&FlagZF != 0
+	sf := flags&FlagSF != 0
+	cf := flags&FlagCF != 0
+	of := flags&FlagOF != 0
 	switch op {
 	case OpJe:
 		return zf
@@ -312,68 +337,4 @@ func (c *CPU) cond(op Opcode) bool {
 		return !cf
 	}
 	return false
-}
-
-func (c *CPU) setZS(v uint64) {
-	f := c.Regs.Flags &^ (FlagZF | FlagSF)
-	if v == 0 {
-		f |= FlagZF
-	}
-	if int64(v) < 0 {
-		f |= FlagSF
-	}
-	c.Regs.Flags = f
-}
-
-// add computes dst += v with x86 ADD flag semantics.
-func (c *CPU) add(dst Reg, v uint64) {
-	a := c.Regs.GPR[dst]
-	res := a + v
-	c.Regs.GPR[dst] = res
-	c.setZS(res)
-	c.Regs.Flags &^= FlagCF | FlagOF
-	if res < a {
-		c.Regs.Flags |= FlagCF
-	}
-	if (a^v)&(1<<63) == 0 && (a^res)&(1<<63) != 0 {
-		c.Regs.Flags |= FlagOF
-	}
-}
-
-// sub computes dst -= v with x86 SUB/CMP flag semantics.
-func (c *CPU) sub(dst Reg, v uint64) {
-	a := c.Regs.GPR[dst]
-	res := a - v
-	c.Regs.GPR[dst] = res
-	c.flagsSub(a, v, res)
-}
-
-// sub0 computes dst = 0 - dst (NEG).
-func (c *CPU) sub0(dst Reg) {
-	a := c.Regs.GPR[dst]
-	res := -a
-	c.Regs.GPR[dst] = res
-	c.flagsSub(0, a, res)
-}
-
-// cmp sets flags from a-b without writing a register.
-func (c *CPU) cmp(a, b uint64) { c.flagsSub(a, b, a-b) }
-
-func (c *CPU) flagsSub(a, b, res uint64) {
-	c.setZS(res)
-	c.Regs.Flags &^= FlagCF | FlagOF
-	if a < b {
-		c.Regs.Flags |= FlagCF
-	}
-	if (a^b)&(1<<63) != 0 && (a^res)&(1<<63) != 0 {
-		c.Regs.Flags |= FlagOF
-	}
-}
-
-// logic writes v to dst and sets ZF/SF, clearing CF/OF (x86 logical-op
-// convention; shifts/mul simplified to the same rule).
-func (c *CPU) logic(dst Reg, v uint64) {
-	c.Regs.GPR[dst] = v
-	c.setZS(v)
-	c.Regs.Flags &^= FlagCF | FlagOF
 }

@@ -31,12 +31,6 @@ type token struct {
 	end  int // byte offset just past the token (call-syntax adjacency)
 }
 
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
-}
-
 func isSymbolChar(r byte) bool {
 	return strings.IndexByte("+-*/\\^<>=~:.?@#&", r) >= 0
 }

@@ -39,9 +39,8 @@ type Term struct {
 
 // Commonly used atoms.
 var (
-	atomNil   = Atom("[]")
-	atomTrue  = Atom("true")
-	atomEmpty = Atom("")
+	atomNil  = Atom("[]")
+	atomTrue = Atom("true")
 )
 
 // Var returns a fresh unbound variable named name (for printing only).
