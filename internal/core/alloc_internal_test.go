@@ -12,11 +12,12 @@ import (
 
 // PoolsDropItems reports whether sync.Pool is throwing away a share of
 // what it is given, as it does on purpose under the race detector (one Put
-// in four). The engine's zero-allocation path recycles Envs, TLB blocks,
-// page-table nodes and frames through pools, so an allocation pin means
-// nothing in such a build. 400 put/get pairs on one goroutine: a build that
-// keeps its items loses a handful at most (a preemption between the two),
-// a dropping one about a hundred.
+// in four). A step that guesses recycles States, page-table nodes and
+// frames through pools, so an allocation pin over such steps means nothing
+// in such a build. (A failing step's Env and TLB block belong to its
+// worker, so TestFailingStepAllocatesNothing needs no skip.) 400 put/get
+// pairs on one goroutine: a build that keeps its items loses a handful at
+// most (a preemption between the two), a dropping one about a hundred.
 func PoolsDropItems() bool {
 	var p sync.Pool
 	x, lost := new(int), 0
@@ -33,11 +34,9 @@ func PoolsDropItems() bool {
 // end: queue an extension, pop it, restore its parent into the worker's
 // context, run a step that reads a few words and fails, count it, release
 // the context and the reference. After the first pass has warmed the
-// context, the Env pool and the deque, that is zero allocations.
+// context, its TLB block and the deque, that is zero allocations. No pool
+// is on this path, so the pin holds under the race detector too.
 func TestFailingStepAllocatesNothing(t *testing.T) {
-	if PoolsDropItems() {
-		t.Skip("sync.Pool drops items in this build (race detector): recycled objects get reallocated")
-	}
 	base := HostedHeapBase
 	step := func(env *Env) error {
 		m := env.Mem()

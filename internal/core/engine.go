@@ -118,7 +118,7 @@ type Stats struct {
 	Emitted   int64
 	Evicted   int64 // extensions dropped by a memory-bounded strategy (SM-A*)
 	Snapshots int64 // partial candidates captured
-	CaptureNs int64 // cumulative wall time inside Tree.Capture (capture stall budget)
+	CaptureNs int64 // cumulative wall time inside Tree.Capture (capture stall budget), sampled: the mean of one capture in 64 times Snapshots
 	MaxDepth  int64
 	Steals    int64 // work-stealing scheduler: items taken from other workers
 	LocalPops int64 // work-stealing scheduler: items popped from the own deque
@@ -191,13 +191,14 @@ type Engine struct {
 }
 
 // worker is one simulated core's private state: the Context every step it
-// evaluates is restored into, the buffer its sibling batches are built in,
-// and its share of the run's counters. The ownership rule: only worker w's
-// goroutine (or Run, before the workers start and after they have exited)
-// touches workers[w]; nothing in it is retained by a step, a strategy or a
-// snapshot once the call it was passed to returns.
+// evaluates is restored into, the Env it resumes, the buffer its sibling
+// batches are built in, and its share of the run's counters. The ownership
+// rule: only worker w's goroutine (or Run, before the workers start and
+// after they have exited) touches workers[w]; nothing in it is retained by
+// a step, a strategy or a snapshot once the call it was passed to returns.
 type worker struct {
 	ctx   snapshot.Context
+	env   Env
 	sibs  []Ext
 	stats Stats
 	_     [64]byte // keep neighbours' counters off this worker's lines
@@ -435,7 +436,7 @@ func (e *Engine) evaluate(w int, parent *snapshot.State, ctx *snapshot.Context, 
 func (e *Engine) extend(w int, parent *snapshot.State, ctx *snapshot.Context, retval uint64) (held *snapshot.State) {
 	ws := &e.workers[w]
 	for {
-		ev, err := e.machine.Resume(ctx, retval)
+		ev, err := e.resume(ws, ctx, retval)
 		if err != nil {
 			e.stop(err)
 			return held
@@ -456,7 +457,7 @@ func (e *Engine) extend(w int, parent *snapshot.State, ctx *snapshot.Context, re
 					e.mu.Unlock()
 				}
 			}
-			ev, err = e.machine.Resume(ctx, ack)
+			ev, err = e.resume(ws, ctx, ack)
 			if err != nil {
 				e.stop(err)
 				return held
@@ -557,6 +558,15 @@ func (e *Engine) extend(w int, parent *snapshot.State, ctx *snapshot.Context, re
 			return held
 		}
 	}
+}
+
+// resume runs the machine on ctx, delivering retval, through the worker's
+// Env, which is dead (ctx nil) once the call returns.
+func (e *Engine) resume(ws *worker, ctx *snapshot.Context, retval uint64) (Event, error) {
+	ws.env = Env{ctx: ctx, choice: retval}
+	ev, err := e.machine.Resume(&ws.env)
+	ws.env = Env{}
+	return ev, err
 }
 
 // recordEmission surfaces output printed by a failing path (Fig. 1's

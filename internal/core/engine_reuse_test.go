@@ -181,7 +181,7 @@ func TestWorkerContextReuseIsInvisible(t *testing.T) {
 // emptied, not for one more allocation per guess.
 func TestEngineAllocsPerNode(t *testing.T) {
 	if core.PoolsDropItems() {
-		t.Skip("sync.Pool drops items in this build (race detector): recycled objects get reallocated")
+		t.Skip("sync.Pool drops items in this build (race detector): captured States (snapshot's State pool) get reallocated")
 	}
 	base := queensBase(t)
 	defer base.Release()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/fs"
 	"repro/internal/mem"
@@ -10,20 +9,21 @@ import (
 )
 
 // Machine abstracts the execution of candidate extension steps. Resume
-// continues the guest captured in ctx: retval is delivered as the result of
-// the system call that suspended it (the sys_guess result, or the strategy
-// acknowledgment); for a root context that has never run, retval is 0 and
-// execution starts at the entry point.
+// continues the guest captured in env's context: env.Choice() is
+// delivered as the result of the system call that suspended it (the
+// sys_guess result, or the strategy acknowledgment); for a root context
+// that has never run, it is 0 and execution starts at the entry point.
+// The Env is the calling worker's; the machine must not keep it.
 //
 // Resume runs until the guest produces a backtracking-relevant event and
-// must leave ctx consistent for capture (registers stored back, output
-// appended). A non-nil error reports an infrastructure failure, not a guest
-// failure — guest crashes are EventError.
+// must leave the context consistent for capture (registers stored back,
+// output appended). A non-nil error reports an infrastructure failure, not
+// a guest failure — guest crashes are EventError.
 //
 // Implementations must be safe for concurrent Resume calls on distinct
-// contexts: the engine invokes one Resume per worker in parallel.
+// Envs: the engine invokes one Resume per worker in parallel.
 type Machine interface {
-	Resume(ctx *snapshot.Context, retval uint64) (Event, error)
+	Resume(env *Env) (Event, error)
 }
 
 // Env is the system-call surface presented to hosted guests: typed access
@@ -33,8 +33,8 @@ type Machine interface {
 // closure are NOT part of the snapshot and must be treated as constants.
 //
 // An Env is valid only until the step function it was passed to returns:
-// the machine recycles it for the next step, and a retained Env refuses to
-// decide.
+// each engine worker owns one and refills it for every Resume, clearing it
+// in between, and a retained Env refuses to decide.
 type Env struct {
 	ctx     *snapshot.Context
 	choice  uint64
@@ -103,46 +103,25 @@ type StepFunc func(env *Env) error
 // evaluation runs the target until the next symbolic branch.
 type HostedMachine struct {
 	step StepFunc
-	envs sync.Pool // *Env between steps: ctx nil, so a retained one panics in decide
 }
 
 // NewHostedMachine returns a Machine evaluating step per extension.
 func NewHostedMachine(step StepFunc) *HostedMachine { return &HostedMachine{step: step} }
 
-// Resume implements Machine.
+// Resume implements Machine: the step function runs on the worker's Env.
 //
-// hot_path: one pooled Env per step; the step function is the guest.
-func (m *HostedMachine) Resume(ctx *snapshot.Context, retval uint64) (Event, error) {
-	//lint:ignore escapegate new(Env) when the pool is empty, inlined from getEnv: a first-use allocation
-	env := m.getEnv()
-	*env = Env{ctx: ctx, choice: retval}
+// hot_path: the step function is the guest.
+func (m *HostedMachine) Resume(env *Env) (Event, error) {
 	//lint:ignore hotpath the step function is the guest's own work, not the engine's
-	err := m.step(env)
-	ev, decided := env.ev, env.decided
-	*env = Env{} // ctx nil: the Env is dead to whoever kept it
-	m.putEnv(env)
-	if err != nil {
+	if err := m.step(env); err != nil {
 		return Event{Kind: EventError, Err: err}, nil
 	}
-	if !decided {
+	if !env.decided {
 		//lint:ignore hotpath infrastructure-failure path
 		return Event{}, fmt.Errorf("core: hosted step returned without calling Guess/Fail/Exit")
 	}
-	return ev, nil
+	return env.ev, nil
 }
-
-// getEnv takes an Env from the pool.
-// cheap: allocates only until every worker has run a step.
-func (m *HostedMachine) getEnv() *Env {
-	if env, ok := m.envs.Get().(*Env); ok {
-		return env
-	}
-	return new(Env)
-}
-
-// putEnv returns a dead Env to the pool.
-// cheap: a pool put.
-func (m *HostedMachine) putEnv(env *Env) { m.envs.Put(env) }
 
 // HostedHeapBase is where NewHostedContext maps the state heap.
 const HostedHeapBase uint64 = 0x1000_0000

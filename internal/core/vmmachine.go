@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/interpose"
-	"repro/internal/snapshot"
 	"repro/internal/vm"
 )
 
@@ -28,12 +27,13 @@ type VMMachine struct {
 // NewVMMachine returns a native-code Machine with the given per-step fuel.
 func NewVMMachine(fuel int64) *VMMachine { return &VMMachine{Fuel: fuel} }
 
-// Resume implements Machine. ctx.Regs must hold the register file captured
-// at the suspending sys_guess (or the entry-point registers for the root).
-func (m *VMMachine) Resume(ctx *snapshot.Context, retval uint64) (Event, error) {
+// Resume implements Machine. env's Regs must hold the register file
+// captured at the suspending sys_guess (or the entry point's, for the root).
+func (m *VMMachine) Resume(env *Env) (Event, error) {
+	ctx := env.ctx
 	cpu := vm.New(ctx.Mem)
 	cpu.Regs = ctx.Regs
-	cpu.Regs.Set(vm.SysRetReg, retval)
+	cpu.Regs.Set(vm.SysRetReg, env.choice)
 
 	var pendingHint int64
 	hintSet := false

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // VMA is a mapped virtual-memory region [Start, End) with region-granular
@@ -55,19 +54,10 @@ type AddressSpace struct {
 	stats Stats
 }
 
-// epochCounter issues process-wide snapshot-epoch tokens. Tokens are
-// globally unique across address spaces (not per-space sequence numbers).
-// Only a space's own write-TLB entries compare against its token, so
-// nothing needs that uniqueness any more (DESIGN.md "Snapshot epochs").
-var epochCounter atomic.Uint64
-
-// nextEpoch issues the next process-wide epoch token.
-// hot_path: one atomic increment.
-func nextEpoch() uint64 { return epochCounter.Add(1) }
-
 // NewAddressSpace returns an empty address space drawing frames from alloc.
+// Like a fork, it draws its first epoch at its first table mutation.
 func NewAddressSpace(alloc *FrameAllocator) *AddressSpace {
-	return &AddressSpace{pt: pageTable{alloc: alloc, epoch: nextEpoch()}}
+	return &AddressSpace{pt: pageTable{alloc: alloc}}
 }
 
 // Alloc returns the frame allocator backing this space.
@@ -93,8 +83,8 @@ func (as *AddressSpace) Stats() Stats {
 // is a view no longer.
 //
 // bumps_epoch
-// hot_path: the O(1) capture primitive — a branch, an atomic increment,
-// and two stores.
+// hot_path: the O(1) capture primitive — a branch, an increment of the
+// space's own counter, and a few stores.
 func (as *AddressSpace) AdvanceEpoch() uint64 {
 	if as.sealed {
 		return as.pt.epoch
@@ -565,8 +555,8 @@ func (as *AddressSpace) Fork() *AddressSpace { return as.ForkInto(new(AddressSpa
 // a zero AddressSpace or one that has been Released — the engine restores
 // every step into the same struct — and starts with an empty TLB, zeroed
 // counters and unsealed. Its epoch is 0 until its first table mutation
-// draws a fresh one (pageTable.own), so a fork that is sealed at once, as
-// every capture's is, never draws.
+// draws one from its own counter (pageTable.own), so a fork that is
+// sealed at once, as every capture's is, never draws.
 //
 // ForkInto is an epoch boundary: the parent's privately-owned pages become
 // shared the instant the fork exists, so the parent starts a new snapshot
@@ -578,7 +568,7 @@ func (as *AddressSpace) Fork() *AddressSpace { return as.ForkInto(new(AddressSpa
 // must not be mutated.
 //
 // epoch_boundary: the parent's privately-owned pages become shared.
-// hot_path: two atomic increments and a dozen stores; no allocation.
+// hot_path: one atomic increment and a dozen stores; no allocation.
 func (as *AddressSpace) ForkInto(dst *AddressSpace) *AddressSpace {
 	if dst.pt.root != nil {
 		//lint:ignore escapegate the panic message escapes on the misuse path only
@@ -619,7 +609,7 @@ func (as *AddressSpace) ViewInto(dst *AddressSpace) *AddressSpace {
 
 // inherit gives a fork or view destination the source's regions and break
 // and resets what a previous life may have set. Release left the entry
-// block with the pool.
+// block, if the space has one, in place and all-invalid.
 // hot_path: stores only.
 func (as *AddressSpace) inherit(src *AddressSpace) {
 	as.tlb.off, as.tlb.hits, as.tlb.misses = false, 0, 0

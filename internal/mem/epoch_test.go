@@ -6,14 +6,17 @@ import (
 	"testing"
 )
 
-// TestEpochForkUniqueness checks the sharing-side: Fork advances the
-// parent's epoch (its cached write entries go stale), and the child draws
-// a globally fresh epoch at its first write — none before, so a fork that
-// is never written never draws.
-func TestEpochForkUniqueness(t *testing.T) {
+// TestEpochForkFreshInItsSpace checks the sharing side with per-space
+// epochs: Fork advances the parent's epoch, so its cached write entries go
+// stale, and the child draws an epoch only at its first write, so a fork
+// that is never written never draws. Each epoch a space draws is non-zero
+// and no write entry of that space was filled under it before: the epoch
+// needs to be fresh only within its own space, because only that space's
+// entries are compared with it.
+func TestEpochForkFreshInItsSpace(t *testing.T) {
 	as := newAS(t)
 	defer as.Release()
-	mustMap(t, as, 0x1000, 2*PageSize, PermRW, "data")
+	mustMap(t, as, 0x1000, 4*PageSize, PermRW, "data")
 	if err := as.WriteU64(0x1000, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -23,14 +26,44 @@ func TestEpochForkUniqueness(t *testing.T) {
 	if as.pt.epoch <= parentBefore {
 		t.Fatalf("Fork left parent epoch at %d (was %d); stale write entries survive", as.pt.epoch, parentBefore)
 	}
+	if _, ok := as.tlb.writeFrame(0x1000>>PageShift, as.pt.epoch); ok {
+		t.Fatal("the parent's pre-fork write entry still hits")
+	}
 	if child.pt.epoch != 0 {
 		t.Fatalf("unwritten child drew epoch %d; want 0 until its first write", child.pt.epoch)
 	}
-	if err := child.WriteU64(0x2000, 2); err != nil {
-		t.Fatal(err)
-	}
-	if child.pt.epoch <= as.pt.epoch {
-		t.Fatalf("child epoch %d after its first write not fresh (parent %d -> %d)", child.pt.epoch, parentBefore, as.pt.epoch)
+	// Each round writes one page under a new epoch of the child, then
+	// forks the child so that its next write draws again.
+	for round := uint64(0); round < 3; round++ {
+		addr := 0x2000 + round*PageSize
+		var filled map[uint64]bool
+		if e := child.tlb.e; e != nil {
+			filled = map[uint64]bool{}
+			for i := range e.wepoch {
+				if e.wtag[i] != 0 {
+					filled[e.wepoch[i]] = true
+				}
+			}
+		}
+		if err := child.WriteU64(addr, round); err != nil {
+			t.Fatal(err)
+		}
+		ep := child.pt.epoch
+		if ep == 0 || filled[ep] {
+			t.Fatalf("round %d: the write ran under epoch %d (entries were filled under %v)", round, ep, filled)
+		}
+		for i, tag := range child.tlb.e.wtag {
+			if tag != 0 && child.tlb.e.wepoch[i] == ep && tag != addr>>PageShift+1 {
+				t.Fatalf("round %d: entry for vpn %#x carries the new epoch %d", round, tag-1, ep)
+			}
+		}
+		child.Fork().Release()
+		if child.pt.epoch <= ep {
+			t.Fatalf("round %d: a fork of the child left its epoch at %d (was %d)", round, child.pt.epoch, ep)
+		}
+		if _, ok := child.tlb.writeFrame(addr>>PageShift, child.pt.epoch); ok {
+			t.Fatalf("round %d: the child's entry still hits after a fork", round)
+		}
 	}
 }
 

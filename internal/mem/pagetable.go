@@ -153,13 +153,16 @@ type pageTable struct {
 	root  *tableNode
 	base  uint64 // first VPN root covers; meaningless while root is nil
 	alloc *FrameAllocator
-	// epoch is the space's current snapshot-epoch token, drawn from the
-	// process-wide counter so every (space, epoch) pair is globally unique.
-	// The TLB tags write entries with it: an entry filled under the
-	// current token names a frame this table owns exclusively. 0 means not
-	// drawn yet: a fork or a view draws its first token at its first
-	// mutation (own), so one that is never written never draws.
+	// epoch is the space's current snapshot-epoch token. The TLB tags
+	// write entries with it: an entry filled under the current token names
+	// a frame this table owns exclusively. 0 means not drawn yet: a fork or
+	// a view draws its first token at its first mutation (own), so one
+	// that is never written never draws.
 	epoch uint64
+	// epochs is the last token this table drew. Tokens are per space, and
+	// a reset table (ForkInto, ViewInto) starts again at 1: its space's
+	// entry block is all-invalid then (DESIGN.md "Snapshot epochs").
+	epochs uint64
 	// borrowed marks a view (AddressSpace.ViewInto): root belongs to the
 	// sealed space viewed and this table holds no reference on it. A
 	// borrowed table always has epoch 0; own ends the borrow.
@@ -170,9 +173,10 @@ type pageTable struct {
 // takes the reference on the root it borrowed, so the path copy that
 // follows sees the root as shared and clones it instead of writing the
 // sealed space's node; a table that has not drawn an epoch draws one, so
-// the write entries the mutation fills carry a fresh token.
-// cheap: two not-taken branches once owned; a view's or fork's first
-// mutation pays one atomic add for each.
+// the write entries the mutation fills carry a token no earlier entry of
+// the space carries.
+// cheap: two not-taken branches once owned; a view's first mutation pays
+// one atomic add.
 func (pt *pageTable) own() {
 	if pt.borrowed {
 		pt.borrowed = false
@@ -181,7 +185,8 @@ func (pt *pageTable) own() {
 		}
 	}
 	if pt.epoch == 0 {
-		pt.epoch = nextEpoch()
+		pt.epochs++
+		pt.epoch = pt.epochs
 	}
 }
 

@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
 // The software TLB: two small direct-mapped caches per address space that
 // short-circuit the hot path of the whole system. The paper's cost model
@@ -35,10 +32,9 @@ import (
 // A sealed snapshot space (Seal) is read concurrently by workers restoring
 // it (State.Restore forks it from many goroutines at once), so sealing
 // switches this single-owner TLB off: a read probes the nil entry block,
-// walks the radix and fills nothing, and concurrent readers write nothing.
-// There is no second, shared cache: one measured 2.5–4x slower than the
-// walk under two readers, because every reader wrote its slots and
-// counters. A worker that restores a snapshot reads it through a view
+// walks the radix and fills nothing, and concurrent readers write nothing
+// (DESIGN.md "Why there is no sealed cache"). A worker that restores a
+// snapshot reads it through a view
 // (ViewInto), whose TLB is on and its own: the view's read entries name
 // the sealed table's frames, and stay valid when its first write takes a
 // reference on that table, since the frames do not move; the CoW fill
@@ -46,13 +42,10 @@ import (
 //
 // The entry arrays live behind a pointer so that ForkInto and ViewInto —
 // the O(1) snapshot primitives the paper's latency claims rest on — pay
-// nothing for the TLB: a fork or view starts with no entry block, whether
-// its struct is new or is the one an engine worker restores every step
-// into (Release returned the previous step's block to the pool), and takes
-// one from the pool only
-// when its first slow-path access fills an entry. A step that faults
-// nothing in — or a snapshot's frozen fork, which is sealed at once —
-// never touches a block.
+// nothing for the TLB, and a sealed space holds no block. A space
+// allocates its block at its first fill and keeps it: Release clears the
+// filled slots in place, so an engine worker, which restores every step
+// into one struct, uses one block that no other worker writes.
 type tlb struct {
 	// off suppresses fills (and therefore future hits): set for sealed
 	// snapshot spaces and for benchmark baselines.
@@ -82,8 +75,9 @@ const (
 // eager invalidation when the frame is later CoW-replaced or released.
 //
 // used has bit i set once slot i of either cache has been filled, so flush
-// clears only those slots: a step that faults in one or two pages hands its
-// block back at the cost of those slots, not of the whole 2.5 KiB block.
+// clears only those slots: a step that faults in one or two pages leaves
+// its block all-invalid at the cost of those slots, not of the whole
+// 2.5 KiB block.
 type tlbEntries struct {
 	used   uint64
 	rtag   [tlbSize]uint64
@@ -92,14 +86,6 @@ type tlbEntries struct {
 	wepoch [tlbSize]uint64
 	wframe [tlbSize]*Frame
 }
-
-// tlbEntriesPool recycles entry blocks: the engine restores (forks) one
-// short-lived address space per extension step — into the same struct each
-// time, but a space's block goes back at Release so that flushing stays one
-// code path — and allocating a block per step showed up as GC pressure in
-// engine profiles. flush clears every filled slot before Put, so Get always
-// returns an all-invalid block.
-var tlbEntriesPool = sync.Pool{New: func() any { return new(tlbEntries) }}
 
 // readFrame probes the read cache. On a hit it charges the hit and returns
 // the cached frame (nil frame = demand-zero page, ok = true).
@@ -137,18 +123,24 @@ func (t *tlb) writeFrame(vpn, epoch uint64) (*Frame, bool) {
 	return e.wframe[i], true
 }
 
-// entries returns the entry block, taking one from the pool on first use.
-// cheap: one pooled allocation per space lifetime, amortized to zero.
+// entries returns the entry block, allocating it on first use.
+// cheap: a nil check once the space has its block, which it keeps.
 func (t *tlb) entries() *tlbEntries {
 	if t.e == nil {
-		t.e = tlbEntriesPool.Get().(*tlbEntries)
+		t.e = newEntries()
 	}
 	return t.e
 }
 
+// newEntries is out of line, so no inlined fill carries it into an access path.
+// cheap: one allocation per space struct.
+//
+//go:noinline
+func newEntries() *tlbEntries { return new(tlbEntries) }
+
 // fillRead records vpn → f (nil f = demand-zero) after a slow-path read
 // resolution, charging one miss.
-// cheap: miss-path bookkeeping; at most one pooled block fetch.
+// cheap: miss-path bookkeeping; at most one block allocation per space.
 func (t *tlb) fillRead(vpn uint64, f *Frame) {
 	if t.off {
 		return
@@ -165,7 +157,7 @@ func (t *tlb) fillRead(vpn uint64, f *Frame) {
 // slow-path write resolution, charging one miss. f is privately owned
 // (ensureFrame guarantees it). The read entry for vpn, if present, is
 // refreshed: a CoW copy just replaced the frame the reader cached.
-// cheap: miss-path bookkeeping; at most one pooled block fetch.
+// cheap: miss-path bookkeeping; at most one block allocation per space.
 func (t *tlb) fillWrite(vpn uint64, f *Frame, epoch uint64) {
 	if t.off {
 		return
@@ -198,12 +190,11 @@ func (t *tlb) refreshRead(vpn uint64, f *Frame) {
 }
 
 // flush drops every entry (mapping/permission change or release) and
-// returns the block to the pool: flush points are cold, and a released
-// space should not pin its block. Only the slots in the used mask are
-// cleared; every other slot is still zero from the pool, so the next
-// owner sees an all-invalid block either way.
+// leaves the block in place, all-invalid: clearing the slots in the used
+// mask zeroes it. A TLB that is off (Seal) fills nothing, so it lets its
+// block go.
 // cheap: a nil check for a space that never filled an entry; otherwise
-// one clear per filled slot and a pool put.
+// one clear per filled slot.
 func (t *tlb) flush() {
 	e := t.e
 	if e == nil {
@@ -215,6 +206,7 @@ func (t *tlb) flush() {
 		e.wtag[i], e.wepoch[i], e.wframe[i] = 0, 0, nil
 	}
 	e.used = 0
-	tlbEntriesPool.Put(e)
-	t.e = nil
+	if t.off {
+		t.e = nil
+	}
 }

@@ -480,11 +480,11 @@ func TestTLBWriteLocality(t *testing.T) {
 	}
 }
 
-// TestTLBFlushReturnsAllInvalidBlock checks the pool invariant flush keeps
-// while clearing only the slots in the used mask: after any mix of
-// fillRead, fillWrite and refreshRead, the block it hands back equals the
-// zero block.
-func TestTLBFlushReturnsAllInvalidBlock(t *testing.T) {
+// TestTLBFlushLeavesAllInvalidBlock checks what flush keeps while
+// clearing only the slots in the used mask: after any mix of fillRead,
+// fillWrite and refreshRead, the space keeps its block and the block
+// equals the zero block. A TLB that is off lets its block go.
+func TestTLBFlushLeavesAllInvalidBlock(t *testing.T) {
 	frames := []*Frame{nil, new(Frame), new(Frame)}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 500; trial++ {
@@ -503,11 +503,18 @@ func TestTLBFlushReturnsAllInvalidBlock(t *testing.T) {
 		}
 		e := tl.e
 		tl.flush()
-		if tl.e != nil {
-			t.Fatalf("trial %d: flush kept its block", trial)
+		if tl.e != e {
+			t.Fatalf("trial %d: flush replaced its block", trial)
 		}
 		if e != nil && *e != (tlbEntries{}) {
-			t.Fatalf("trial %d: flush handed back a block with live slots (used %#x)", trial, e.used)
+			t.Fatalf("trial %d: flush left a block with live slots (used %#x)", trial, e.used)
+		}
+		if e != nil {
+			tl.off = true
+			tl.flush()
+			if tl.e != nil {
+				t.Fatalf("trial %d: a TLB that is off kept its block", trial)
+			}
 		}
 	}
 }

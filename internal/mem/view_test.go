@@ -63,8 +63,9 @@ func tableNodes(root *tableNode) []*tableNode {
 }
 
 // TestViewReadsTouchNoSharedLine: a view read across several pages and then
-// released leaves the root's refcount and the epoch counter exactly as they
-// were, and its TLB served the repeat reads.
+// released leaves the root's refcount and the source's epoch counter
+// exactly as they were, draws no epoch of its own, and its TLB served the
+// repeat reads.
 func TestViewReadsTouchNoSharedLine(t *testing.T) {
 	alloc := NewFrameAllocator(0)
 	src := sealedSource(t, alloc)
@@ -72,7 +73,7 @@ func TestViewReadsTouchNoSharedLine(t *testing.T) {
 	want := contents(t, src)
 	fp := src.Footprint()
 
-	ref, epochs := src.pt.root.ref.Load(), epochCounter.Load()
+	ref, epochs := src.pt.root.ref.Load(), src.pt.epochs
 	var v AddressSpace
 	for round := 0; round < 3; round++ {
 		src.ViewInto(&v)
@@ -89,6 +90,9 @@ func TestViewReadsTouchNoSharedLine(t *testing.T) {
 		if !bytes.Equal(contents(t, &v), want) {
 			t.Fatal("view reads differ from the sealed source")
 		}
+		if v.pt.epoch != 0 || v.pt.epochs != 0 {
+			t.Fatalf("reads through a view drew epoch %d (counter %d)", v.pt.epoch, v.pt.epochs)
+		}
 		if s := v.Stats(); s.TLBHits == 0 || s.NodeClones != 0 {
 			t.Fatalf("view counters after reads: %+v", s)
 		}
@@ -97,7 +101,7 @@ func TestViewReadsTouchNoSharedLine(t *testing.T) {
 		}
 		v.Release()
 	}
-	if r, e := src.pt.root.ref.Load(), epochCounter.Load(); r != ref || e != epochs {
+	if r, e := src.pt.root.ref.Load(), src.pt.epochs; r != ref || e != epochs {
 		t.Fatalf("reads through views moved root refcount %d -> %d, epoch counter %d -> %d", ref, r, epochs, e)
 	}
 	if got := src.Footprint(); got != fp {
@@ -106,7 +110,7 @@ func TestViewReadsTouchNoSharedLine(t *testing.T) {
 }
 
 // TestViewFirstWriteOwns: ending the borrow takes one reference on the root
-// and draws an epoch above every epoch drawn before; a first write does
+// and draws an epoch above every epoch the view drew before; a first write does
 // both and then path-copies, so the source's root is back where it was and
 // the view's is a clone of its own.
 func TestViewFirstWriteOwns(t *testing.T) {
@@ -118,7 +122,7 @@ func TestViewFirstWriteOwns(t *testing.T) {
 
 	var v AddressSpace
 	src.ViewInto(&v)
-	ref, seen := root.ref.Load(), epochCounter.Load()
+	ref, seen := root.ref.Load(), v.pt.epochs
 	v.Own()
 	if r := root.ref.Load(); r != ref+1 {
 		t.Fatalf("Own: root refcount %d -> %d, want +1", ref, r)
@@ -140,7 +144,7 @@ func TestViewFirstWriteOwns(t *testing.T) {
 	if _, err := v.ReadU64(viewHeap); err != nil { // a read entry first
 		t.Fatal(err)
 	}
-	seen = epochCounter.Load()
+	seen = v.pt.epochs
 	if err := v.WriteU64(viewHeap, 7); err != nil {
 		t.Fatal(err)
 	}

@@ -157,9 +157,9 @@ type Stats struct {
 	LiveSnapshots int64
 	// Captures counts snapshots captured on the tree since it was created.
 	Captures int64
-	// CaptureNs is the cumulative wall time spent inside Tree.Capture —
-	// the capture-stall budget the epoch protocol keeps O(1) per capture,
-	// independent of the resident-set size of the captured lineage.
+	// CaptureNs is the cumulative wall time spent inside Tree.Capture, the
+	// capture-stall budget the epoch protocol keeps O(1) per capture
+	// whatever the lineage's resident set; sampled: one capture in 64's mean, times Captures.
 	CaptureNs int64
 	// PrivateBytes / SharedBytes sum the physical footprint over every
 	// parked snapshot — memory pages plus file blocks (the solver state

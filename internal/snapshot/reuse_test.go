@@ -147,6 +147,57 @@ func TestRestoreIntoHidesThePreviousStep(t *testing.T) {
 	}
 }
 
+// TestRestoreIntoEpochReuseMissesOldEntries: epochs are per space, so a
+// context restored into the same struct again starts its epochs over, and
+// the epoch its first write draws may equal one the previous step wrote
+// under. That is safe only because Release leaves the entry block
+// all-invalid: every write of the second step must miss, land in a frame
+// of its own, and leave the snapshot and the first step's frames alone.
+func TestRestoreIntoEpochReuseMissesOldEntries(t *testing.T) {
+	const pages = 8
+	alloc := mem.NewFrameAllocator(0)
+	tree := NewTree()
+	root := newCtx(t, alloc)
+	for i := uint64(0); i < pages; i++ {
+		if err := root.Mem.WriteU64(0x10000+i*mem.PageSize, i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := tree.Capture(root, nil)
+	root.Release()
+
+	var c Context
+	for round := uint64(1); round <= 3; round++ {
+		snap.RestoreInto(&c)
+		for i := uint64(0); i < pages; i++ {
+			if err := c.Mem.WriteU64(0x10000+i*mem.PageSize, 100*round+i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := c.Mem.Stats(); st.TLBHits != 0 || st.TLBMisses != pages || st.CowCopies != pages {
+			t.Fatalf("round %d: %d hits, %d misses, %d page copies for %d first writes; want 0, %d, %d",
+				round, st.TLBHits, st.TLBMisses, st.CowCopies, pages, pages, pages)
+		}
+		for i := uint64(0); i < pages; i++ {
+			addr := 0x10000 + i*mem.PageSize
+			if got, err := c.Mem.ReadU64(addr); err != nil || got != 100*round+i {
+				t.Fatalf("round %d: the context reads page %d as %d, %v", round, i, got, err)
+			}
+			if got, err := snap.Mem().ReadU64(addr); err != nil || got != i+1 {
+				t.Fatalf("round %d: the snapshot reads page %d as %d, %v", round, i, got, err)
+			}
+		}
+		if live := alloc.Live(); live != 2*pages {
+			t.Fatalf("round %d: %d frames live, want %d: the snapshot's and this step's", round, live, 2*pages)
+		}
+		c.Release()
+	}
+	snap.Release()
+	if tree.Live() != 0 || alloc.Live() != 0 {
+		t.Errorf("leak: %d snapshots, %d frames", tree.Live(), alloc.Live())
+	}
+}
+
 // TestRestoreIntoLiveContextPanics: the only legal reuse is Release, then
 // RestoreInto.
 func TestRestoreIntoLiveContextPanics(t *testing.T) {

@@ -71,7 +71,7 @@ func (c *Context) Release() {
 // tree-local id, a seq is never reused within the process — not even
 // across trees — so a cache that outlives one tree (the store's page-hash
 // cache outlives a service's tree) can key on it without ever confusing
-// two states.
+// two states. Only Seq draws from it, not every capture.
 var stateSeq atomic.Uint64
 
 // State is one partial candidate: a lightweight immutable snapshot.
@@ -83,7 +83,7 @@ var stateSeq atomic.Uint64
 // valid only while a reference is held.
 type State struct {
 	id     uint64
-	seq    uint64
+	seq    uint64 // 0 until Seq draws it; capture clears it before publishing
 	depth  int
 	parent *State
 	tree   *Tree
@@ -109,8 +109,14 @@ func (s *State) ID() uint64 { return s.id }
 
 // Seq returns the snapshot's process-global sequence number: unique and
 // never reused across every tree in this process. ID is the tree-scoped
-// identity; Seq is for process-lifetime caches keyed by state.
-func (s *State) Seq() uint64 { return s.seq }
+// identity; Seq is for process-lifetime caches keyed by state. It is
+// drawn at the first call, not at capture.
+func (s *State) Seq() uint64 {
+	if atomic.LoadUint64(&s.seq) == 0 {
+		atomic.CompareAndSwapUint64(&s.seq, 0, stateSeq.Add(1)) // a concurrent first call may win
+	}
+	return atomic.LoadUint64(&s.seq)
+}
 
 // Depth returns the distance from the root candidate.
 func (s *State) Depth() int { return s.depth }
@@ -243,11 +249,14 @@ func (s *State) RestoreInto(c *Context) *Context {
 	return c
 }
 
+// captureSample: CaptureAtDepth times a tree's captures 1, 65, 129, ….
+const captureSample = 64
+
 // Tree tracks snapshot identity and liveness statistics for one search.
 type Tree struct {
 	nextID    atomic.Uint64 // ids are 1, 2, …: the last one is the count captured
 	live      atomic.Int64
-	captureNs atomic.Int64 // cumulative wall time spent inside Capture
+	captureNs atomic.Int64 // wall time of the timed captures
 }
 
 // NewTree returns an empty snapshot tree.
@@ -275,17 +284,22 @@ func (t *Tree) Capture(ctx *Context, parent *State) *State {
 // non-nil parent, depth is ignored and the child sits at parent.depth+1.
 //
 // The State comes from the pool of released ones when it has any, so a
-// warm capture allocates nothing; id and seq are drawn fresh either way.
+// warm capture allocates nothing; its id is drawn fresh and its seq
+// cleared. One capture in captureSample reads the clock (CaptureNs).
 func (t *Tree) CaptureAtDepth(ctx *Context, parent *State, depth int) *State {
-	start := time.Now()
+	id := t.nextID.Add(1)
+	var start time.Time
+	if id%captureSample == 1 {
+		start = time.Now()
+	}
 	s, _ := statePool.Get().(*State)
 	if s == nil {
 		s = new(State)
 	} else if r := s.refs.Load(); r != 0 || s.parent != nil {
 		panic(fmt.Sprintf("snapshot: pooled state %d has refcount %d and parent %p: recycled while still held", s.id, r, s.parent))
 	}
-	s.id = t.nextID.Add(1)
-	s.seq = stateSeq.Add(1)
+	s.id = id
+	s.seq = 0
 	s.depth = depth
 	s.tree = t
 	s.parent = parent
@@ -303,7 +317,9 @@ func (t *Tree) CaptureAtDepth(ctx *Context, parent *State, depth int) *State {
 	}
 	s.refs.Store(1)
 	t.live.Add(1)
-	t.captureNs.Add(time.Since(start).Nanoseconds())
+	if !start.IsZero() {
+		t.captureNs.Add(time.Since(start).Nanoseconds())
+	}
 	return s
 }
 
@@ -313,7 +329,15 @@ func (t *Tree) Live() int64 { return t.live.Load() }
 // Created returns the cumulative number of snapshots captured.
 func (t *Tree) Created() int64 { return int64(t.nextID.Load()) }
 
-// CaptureNs returns the cumulative wall-clock nanoseconds spent capturing
-// snapshots on this tree — the capture-stall budget the epoch protocol is
-// designed to keep independent of resident-set size.
-func (t *Tree) CaptureNs() int64 { return t.captureNs.Load() }
+// CaptureNs estimates the cumulative wall-clock nanoseconds spent
+// capturing snapshots on this tree — the capture-stall budget the epoch
+// protocol is designed to keep independent of resident-set size — from
+// a sample: the mean time of one capture in captureSample, times Created.
+func (t *Tree) CaptureNs() int64 {
+	n := t.Created()
+	if n == 0 {
+		return 0
+	}
+	timed := (n + captureSample - 1) / captureSample
+	return int64(float64(t.captureNs.Load()) / float64(timed) * float64(n))
+}

@@ -62,25 +62,30 @@ type symCPU struct {
 	regs    [vm.NumRegs]sval
 	overlay map[uint64]*Expr // 8-byte-aligned cell → expression
 
-	// Comparison record for symbolic flag resolution.
-	cmpA, cmpB sval
-	cmpValid   bool
-	flagsConc  uint64 // concrete flags when cmpValid is false
-	flagsOK    bool   // concrete flags are meaningful
+	cmp       symCmp // comparison record for symbolic flag resolution
+	flagsConc uint64 // concrete flags when cmp is not valid
+	flagsOK   bool   // concrete flags are meaningful
 
 	nSym    int // fresh symbolic inputs created
 	retired uint64
 }
 
-// newSymCPU builds an interpreter over ctx. sregs, when non-nil, re-applies
-// the symbolic register values the path carried across a fork (snapshots
-// freeze only the concrete register file).
-func newSymCPU(ctx *snapshot.Context, overlay map[uint64]*Expr, sregs *[vm.NumRegs]*Expr) *symCPU {
-	sc := &symCPU{ctx: ctx, overlay: overlay, flagsOK: true}
+// symCmp is the last compare whose flags are symbolic: while valid is set,
+// a Jcc reads its operands, not the concrete flags.
+type symCmp struct {
+	a, b  sval
+	valid bool
+}
+
+// newSymCPU builds an interpreter over ctx that resumes path p: its
+// symbolic registers and compare, which the snapshot's concrete register
+// file (whose flags predate the compare) does not hold.
+func newSymCPU(ctx *snapshot.Context, p *symPath) *symCPU {
+	sc := &symCPU{ctx: ctx, overlay: p.overlay, cmp: p.cmp, flagsOK: true}
 	for i := range sc.regs {
 		sc.regs[i] = conc(ctx.Regs.GPR[i])
-		if sregs != nil && sregs[i] != nil {
-			sc.regs[i] = symv(sregs[i])
+		if p.sregs != nil && p.sregs[i] != nil {
+			sc.regs[i] = symv(p.sregs[i])
 		}
 	}
 	sc.flagsConc = ctx.Regs.Flags
@@ -251,7 +256,7 @@ func (sc *symCPU) alu(op vm.Opcode, a, b sval) (sval, error) {
 	} else {
 		// A symbolic result poisons the flags until the next compare;
 		// branching on them is reported as an unsupported pattern.
-		sc.flagsOK, sc.cmpValid = false, false
+		sc.flagsOK, sc.cmp.valid = false, false
 	}
 	return v, nil
 }
@@ -469,8 +474,8 @@ func (sc *symCPU) run(fuel int64) event {
 			continue
 		case vm.OpJe, vm.OpJne, vm.OpJl, vm.OpJle, vm.OpJg, vm.OpJge,
 			vm.OpJb, vm.OpJbe, vm.OpJa, vm.OpJae:
-			if sc.cmpValid {
-				cond, err := branchCond(in.Op, sc.cmpA.expr(), sc.cmpB.expr())
+			if sc.cmp.valid {
+				cond, err := branchCond(in.Op, sc.cmp.a.expr(), sc.cmp.b.expr())
 				if err != nil {
 					return sc.fault(pc, err)
 				}
@@ -572,8 +577,7 @@ func (sc *symCPU) recordCmp(a, b sval) {
 		sc.setFlags(f)
 		return
 	}
-	sc.cmpA, sc.cmpB = a, b
-	sc.cmpValid = true
+	sc.cmp = symCmp{a: a, b: b, valid: true}
 	sc.flagsOK = false
 }
 
@@ -581,7 +585,7 @@ func (sc *symCPU) recordCmp(a, b sval) {
 func (sc *symCPU) setFlags(f uint64) {
 	sc.flagsConc = f
 	sc.flagsOK = true
-	sc.cmpValid = false
+	sc.cmp.valid = false
 }
 
 // syscall handles the analysis-relevant subset. It returns handled=true

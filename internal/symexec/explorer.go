@@ -99,19 +99,25 @@ type Options struct {
 	EagerCopy bool
 }
 
+// symPath is the symbolic part of a path, which snapshots do not freeze:
+// the memory and register overlays, the compare a Jcc may still read,
+// and the path constraints.
+type symPath struct {
+	overlay map[uint64]*Expr
+	sregs   *[vm.NumRegs]*Expr // symbolic register overlay (may be nil)
+	cmp     symCmp
+	pcs     []Cond
+	forks   int
+}
+
 // pending is a schedulable symbolic state: the concrete part as either a
-// lightweight snapshot or an eager checkpoint, plus the symbolic overlay
-// and path constraints.
+// lightweight snapshot or an eager checkpoint, plus its symbolic part.
 type pending struct {
 	// Exactly one of snap/eager is set.
 	snap  *snapshot.State
 	eager *eagerState
-
-	overlay map[uint64]*Expr
-	sregs   *[vm.NumRegs]*Expr // symbolic register overlay (may be nil)
-	pcs     []Cond
-	rip     uint64
-	forks   int
+	symPath
+	rip uint64
 }
 
 type eagerState struct {
@@ -216,14 +222,11 @@ func cloneOverlay(o map[uint64]*Expr) map[uint64]*Expr {
 func (ex *Explorer) Run() (*Report, error) {
 	report := &Report{}
 	type live struct {
-		ctx     *snapshot.Context
-		overlay map[uint64]*Expr
-		sregs   *[vm.NumRegs]*Expr
-		pcs     []Cond
-		forks   int
+		ctx *snapshot.Context
+		symPath
 	}
 	// Seed with the root.
-	cur := &live{ctx: ex.rootCtx, overlay: map[uint64]*Expr{}}
+	cur := &live{ctx: ex.rootCtx, symPath: symPath{overlay: map[uint64]*Expr{}}}
 	ex.rootCtx = nil
 
 	finish := func(l *live, p Path) {
@@ -242,7 +245,7 @@ func (ex *Explorer) Run() (*Report, error) {
 	}
 
 	for cur != nil {
-		sc := newSymCPU(cur.ctx, cur.overlay, cur.sregs)
+		sc := newSymCPU(cur.ctx, &cur.symPath)
 	segment:
 		for {
 			ev := sc.run(ex.opts.FuelPerSegment)
@@ -289,18 +292,11 @@ func (ex *Explorer) Run() (*Report, error) {
 					}
 					ex.stats.Forks++
 					sc.syncRegs()
-					sregs := sc.symRegs()
+					arm := symPath{sregs: sc.symRegs(), cmp: sc.cmp, forks: cur.forks + 1}
 					pa, pb := ex.capture(cur.ctx)
-					pa.overlay = cloneOverlay(cur.overlay)
-					pa.sregs = sregs
-					pa.pcs = takenPCS
-					pa.rip = ev.taken
-					pa.forks = cur.forks + 1
-					pb.overlay = cloneOverlay(cur.overlay)
-					pb.sregs = sregs
-					pb.pcs = fallPCS
-					pb.rip = ev.fall
-					pb.forks = cur.forks + 1
+					pa.symPath, pb.symPath = arm, arm
+					pa.overlay, pa.pcs, pa.rip = cloneOverlay(cur.overlay), takenPCS, ev.taken
+					pb.overlay, pb.pcs, pb.rip = cloneOverlay(cur.overlay), fallPCS, ev.fall
 					ex.strategy.PushAll([]search.Item[*pending]{
 						{Payload: pa, Choice: 0, Depth: pa.forks},
 						{Payload: pb, Choice: 1, Depth: pb.forks},
@@ -345,7 +341,7 @@ func (ex *Explorer) Run() (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			cur = &live{ctx: ctx, overlay: p.overlay, sregs: p.sregs, pcs: p.pcs, forks: p.forks}
+			cur = &live{ctx: ctx, symPath: p.symPath}
 		}
 	}
 	// Drain anything left (MaxPaths stop).

@@ -61,6 +61,53 @@ func TestTwoPathFork(t *testing.T) {
 	}
 }
 
+// TestSecondJccAfterForkReadsTheCompare: both arms of a fork on a
+// symbolic compare keep the compare, so a second Jcc on the same flags
+// forks on it again instead of reading the concrete flags from before it.
+func TestSecondJccAfterForkReadsTheCompare(t *testing.T) {
+	rep := explore(t, `
+_start:
+    mov rax, 600
+    mov rdi, 0
+    syscall
+    cmp rax, 42
+    je eq
+    jl less
+    mov rdi, 2          ; greater
+    mov rax, 60
+    syscall
+eq:
+    mov rdi, 0
+    mov rax, 60
+    syscall
+less:
+    mov rdi, 1
+    mov rax, 60
+    syscall
+`, Options{})
+	if len(rep.Paths) != 3 {
+		t.Fatalf("paths = %d, want 3 (equal, less, greater)", len(rep.Paths))
+	}
+	seen := map[uint64]bool{}
+	for _, p := range rep.Paths {
+		if p.Status != PathExited {
+			t.Fatalf("path %+v did not exit", p)
+		}
+		in0 := int64(p.Inputs["in0"])
+		want := map[bool]uint64{true: 0, false: 2}[in0 == 42]
+		if in0 < 42 {
+			want = 1
+		}
+		if p.ExitStatus != want {
+			t.Errorf("in0 = %d exits %d, want %d", in0, p.ExitStatus, want)
+		}
+		seen[p.ExitStatus] = true
+	}
+	if len(seen) != 3 {
+		t.Errorf("exit statuses %v, want 0, 1 and 2", seen)
+	}
+}
+
 func TestEagerCopyAblationMatches(t *testing.T) {
 	a := explore(t, twoPathSrc, Options{})
 	b := explore(t, twoPathSrc, Options{EagerCopy: true})
