@@ -85,20 +85,18 @@ func TestFailingStepAllocatesNothing(t *testing.T) {
 
 	q := newStealSched(1, 0, 0)
 	ws := &e.workers[0]
-	batch := make([]Ext, 1)
 	failsBefore := ws.stats.Fails
 	one := func() {
-		batch[0] = Ext{Payload: parent.Retain(), Choice: 1, Depth: 1}
-		if !q.push(0, batch) {
+		if !q.push(0, span{Payload: parent.Retain(), Lo: 1, Hi: 2, Depth: 1}) {
 			t.Fatal("push refused")
 		}
-		item, ok := q.next(0)
+		p, choice, ok := q.next(0)
 		if !ok {
 			t.Fatal("nothing to pop")
 		}
 		e.countNode(ws)
-		e.evaluate(0, item.Payload, item.Payload.RestoreInto(&ws.ctx), item.Choice)
-		item.Payload.Release()
+		e.evaluate(0, p, p.RestoreInto(&ws.ctx), choice)
+		p.Release()
 		q.done(0)
 	}
 	one()

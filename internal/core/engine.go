@@ -17,6 +17,9 @@ import (
 // the parent partial candidate plus the extension number.
 type Ext = search.Item[*snapshot.State]
 
+// span is the siblings of one guess as the scheduler takes them.
+type span = search.Span[*snapshot.State]
+
 // Strategy is the search-policy type the engine schedules with.
 type Strategy = search.Strategy[*snapshot.State]
 
@@ -191,15 +194,14 @@ type Engine struct {
 }
 
 // worker is one simulated core's private state: the Context every step it
-// evaluates is restored into, the Env it resumes, the buffer its sibling
-// batches are built in, and its share of the run's counters. The ownership
+// evaluates is restored into, the Env it resumes, and its share of the
+// run's counters. The ownership
 // rule: only worker w's goroutine (or Run, before the workers start and
 // after they have exited) touches workers[w]; nothing in it is retained by
 // a step, a strategy or a snapshot once the call it was passed to returns.
 type worker struct {
 	ctx   snapshot.Context
 	env   Env
-	sibs  []Ext
 	stats Stats
 	_     [64]byte // keep neighbours' counters off this worker's lines
 }
@@ -291,7 +293,9 @@ func (e *Engine) Run(ctx context.Context, root *snapshot.Context) (*Result, erro
 	// Evaluate the root step synchronously: it may select the strategy
 	// (and with it the scheduler) before any sibling is queued.
 	// It runs as worker 0, which has not started yet.
+	rootMem := root.Mem
 	e.evaluate(0, nil, root, 0)
+	rootMem.DropTLB()
 
 	var wg sync.WaitGroup
 	for w := range e.workers {
@@ -302,6 +306,9 @@ func (e *Engine) Run(ctx context.Context, root *snapshot.Context) (*Result, erro
 		}(w)
 	}
 	wg.Wait()
+	for w := range e.workers {
+		e.workers[w].ctx.DropTLB() // the next Engine's workers take these blocks
+	}
 	close(watchDone)
 	// Join the watcher: if it is mid-stop, queued snapshot references
 	// are still being released, and Run's contract (zero live snapshots
@@ -354,7 +361,7 @@ func (e *Engine) worker(w int) {
 	ws := &e.workers[w]
 	for {
 		//lint:ignore hotpath the scheduler owns blocking: an idle worker waits in next by design; its pop path (Sharded.Pop) is annotated itself
-		item, ok := e.sched.next(w)
+		parent, choice, ok := e.sched.next(w)
 		if !ok {
 			return
 		}
@@ -364,9 +371,9 @@ func (e *Engine) worker(w int) {
 		// never starts new ones (halted is set before the drain begins).
 		if !e.halted.Load() && e.countNode(ws) {
 			//lint:ignore hotpath evaluate runs the guest's step, unannotated code; its captures take pooled States, and TestEngineAllocsPerNode pins what a step allocates
-			e.evaluate(w, item.Payload, item.Payload.RestoreInto(&ws.ctx), item.Choice)
+			e.evaluate(w, parent, parent.RestoreInto(&ws.ctx), choice)
 		}
-		item.Payload.Release()
+		parent.Release()
 		//lint:ignore hotpath the global queue's done takes its lock; the stealing pool's is empty
 		e.sched.done(w)
 	}
@@ -489,25 +496,15 @@ func (e *Engine) extend(w int, parent *snapshot.State, ctx *snapshot.Context, re
 			if runThrough {
 				first = 1 // extension 0 continues in this worker
 			}
-			// The batch is built in the worker's buffer: push copies it
-			// (Strategy.PushAll and Sharded.Push must not retain it). Its
+			// The siblings go to the scheduler as one span, whose
 			// references are taken with one add, not one per sibling.
-			items := ws.sibs[:0]
-			for c := first; c < ev.N; c++ {
-				items = append(items, Ext{
-					Payload:  snap,
-					Choice:   c,
-					Depth:    snap.Depth(),
-					Priority: int64(snap.Depth()) + ev.Hint,
-				})
-			}
-			ws.sibs = items
-			if len(items) > 0 {
-				snap.RetainN(len(items))
-				if e.halted.Load() || !e.sched.push(w, items) {
-					// Stopped: the scheduler refused the batch (or would
+			if n := int(ev.N - first); n > 0 {
+				snap.RetainN(n)
+				sp := span{Payload: snap, Lo: first, Hi: ev.N, Depth: snap.Depth(), Priority: int64(snap.Depth()) + ev.Hint}
+				if e.halted.Load() || !e.sched.push(w, sp) {
+					// Stopped: the scheduler refused the span (or would
 					// have); the sibling references are ours to drop.
-					for range items {
+					for range n {
 						snap.Release()
 					}
 				}

@@ -6,7 +6,9 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fs"
@@ -443,5 +445,66 @@ func TestParallelGrainsAcrossWorkers(t *testing.T) {
 		if eng.Tree().Live() != 0 || alloc.Live() != 0 {
 			t.Errorf("workers=%d: coarse leak: %d snapshots, %d frames", workers, eng.Tree().Live(), alloc.Live())
 		}
+	}
+}
+
+// TestLongStepSiblingIsStealable: a worker keeps its guesses' siblings on
+// a private stack, so a sibling is stealable while its owner is inside a
+// long step only because the owner published it. Path 1 of the root
+// guesses 4 (path 0 fails at once: under DFS it runs before the workers
+// start), and each of its children blocks until a different one has
+// started. With 2 workers that finishes only if the children the guessing
+// worker did not run through were published when it pushed them.
+func TestLongStepSiblingIsStealable(t *testing.T) {
+	var started atomic.Int32
+	var timedOut atomic.Bool
+	two := make(chan struct{})
+	step := func(env *core.Env) error {
+		m := env.Mem()
+		level, _ := m.ReadU64(core.HostedHeapBase)
+		m.WriteU64(core.HostedHeapBase, level+1)
+		switch {
+		case level == 0:
+			env.Guess(2)
+		case level == 1 && env.Choice() == 0:
+			env.Fail()
+		case level == 1:
+			env.Guess(4)
+		default:
+			if started.Add(1) == 2 {
+				close(two)
+			}
+			select {
+			case <-two:
+			case <-time.After(10 * time.Second):
+				timedOut.Store(true)
+			}
+			env.Exit(env.Choice())
+		}
+		return nil
+	}
+	alloc := mem.NewFrameAllocator(0)
+	root, err := core.NewHostedContext(alloc, mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.New(core.NewHostedMachine(step), core.Config{Workers: 2})
+	res, err := eng.Run(context.Background(), root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if timedOut.Load() {
+		t.Fatal("a child waited 10 s for a sibling: the siblings stayed private while their owner was inside a step")
+	}
+	got := make([]uint64, 0, len(res.Solutions))
+	for _, s := range res.Solutions {
+		got = append(got, s.Status)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, []uint64{0, 1, 2, 3}) || res.Stats.Fails != 1 {
+		t.Errorf("exits %v and %d fails, want 0..3 and 1", got, res.Stats.Fails)
+	}
+	if eng.Tree().Live() != 0 || alloc.Live() != 0 {
+		t.Errorf("leak: %d snapshots, %d frames", eng.Tree().Live(), alloc.Live())
 	}
 }

@@ -10,22 +10,26 @@ import (
 )
 
 // sched is the engine's internal scheduling seam: the strategy queue plus
-// the worker idle/termination protocol. Two implementations exist — a
-// sharded work-stealing pool for order-insensitive policies (DFS, Random)
-// and a single queue under a dedicated lock for order-sensitive ones
-// (BFS, A*, SM-A*) — so the engine hot loop never touches the
-// engine-state mutex to move work.
+// the worker idle/termination protocol. A guess reaches it as one span of
+// siblings, never as built items. Two implementations exist — a sharded
+// work-stealing pool for order-insensitive policies (DFS, Random), whose
+// owner keeps its spans on a private stack and publishes the oldest one
+// to thieves only when its shared deque is empty, and a single queue
+// under a dedicated lock for order-sensitive ones (BFS, A*, SM-A*), the
+// one place a span is expanded into a Strategy.PushAll batch — so the
+// engine hot loop never touches the engine-state mutex to move work.
 type sched interface {
-	// push hands worker w's sibling batch to the scheduler. It returns
-	// false when the scheduler is already stopped; the caller then still
-	// owns the items (and their snapshot references).
-	push(w int, items []Ext) bool
+	// push hands worker w's span to the scheduler. It returns false when
+	// the scheduler is already stopped; the caller then still owns the
+	// span's snapshot references.
+	push(w int, sp span) bool
 	// next blocks (or polls) until an extension is available for worker
-	// w, returning false when the search is over: stopped, or no queued
-	// work and no worker that could produce more. Every true return must
-	// be paired with done after the item's evaluation — including the
-	// pushes it performs — completes, and before the worker's next call.
-	next(w int) (Ext, bool)
+	// w, and returns its parent and choice, or false when the search is
+	// over: stopped, or no queued work and no worker that could produce
+	// more. Every true return must be paired with done after the item's
+	// evaluation — including the pushes it performs — completes, and
+	// before the worker's next call.
+	next(w int) (*snapshot.State, uint64, bool)
 	// done retires the item most recently handed to worker w.
 	done(w int)
 	// stop halts the scheduler and drains queued items into the drop
@@ -36,12 +40,12 @@ type sched interface {
 	stats() (steals, localPops int64)
 }
 
-// stealSched adapts search.Sharded to the sched seam: per-worker deques,
-// steal-half rebalancing, and a polling idle loop with escalating backoff
-// in place of a condvar. With work queued, next is one shard-local mutex
-// acquisition; idle workers burn a few Gosched rounds, then sleep in
-// microsecond steps, so both cancellation and new-work pickup latencies
-// stay far below one extension step.
+// stealSched adapts search.Sharded to the sched seam: per-worker private
+// span stacks over shared deques, steal-half rebalancing, and a polling
+// idle loop with escalating backoff in place of a condvar. With private
+// work queued, next takes no lock; idle workers burn a few Gosched rounds,
+// then sleep in microsecond steps, so both cancellation and new-work
+// pickup latencies stay far below one extension step.
 type stealSched struct {
 	q   *search.Sharded[*snapshot.State]
 	per []popCounts // indexed by worker; each written by its worker only
@@ -60,24 +64,23 @@ func newStealSched(workers int, kind search.StealKind, seed uint64) *stealSched 
 	return &stealSched{q: q, per: make([]popCounts, q.Workers())}
 }
 
-func (s *stealSched) push(w int, items []Ext) bool { return s.q.Push(w, items) }
+func (s *stealSched) push(w int, sp span) bool { return s.q.Push(w, sp) }
 
-func (s *stealSched) next(w int) (Ext, bool) {
+// next pops before it looks at Closed: the Pop after a Close is the one
+// that drops w's private spans.
+func (s *stealSched) next(w int) (*snapshot.State, uint64, bool) {
 	spins := 0
 	for {
-		if s.q.Closed() {
-			return Ext{}, false
-		}
-		if it, stolen, ok := s.q.Pop(w); ok {
+		if parent, choice, stolen, ok := s.q.Pop(w); ok {
 			if stolen {
 				s.per[w].steals++
 			} else {
 				s.per[w].localPops++
 			}
-			return it, true
+			return parent, choice, true
 		}
-		if s.q.Quiescent() {
-			return Ext{}, false
+		if s.q.Closed() || s.q.Quiescent() {
+			return nil, 0, false
 		}
 		// Escalating backoff: stay hot for a few rounds (a victim is
 		// usually mid-push), then nap in doubling steps up to 1ms so
@@ -117,6 +120,7 @@ type globalSched struct {
 	mu      sync.Mutex // lock_rank: 20 — queue-order lock, inside Engine.mu
 	cond    *sync.Cond
 	st      Strategy
+	buf     []Ext // guarded_by: mu — the batch PushAll takes, rebuilt per span
 	drop    func(Ext)
 	busy    int
 	stopped bool
@@ -128,19 +132,20 @@ func newGlobalSched(st Strategy, drop func(Ext)) *globalSched {
 	return g
 }
 
-func (g *globalSched) push(w int, items []Ext) bool {
+func (g *globalSched) push(w int, sp span) bool {
 	g.mu.Lock()
 	if g.stopped {
 		g.mu.Unlock()
 		return false
 	}
-	g.st.PushAll(items)
+	g.buf = sp.AppendItems(g.buf[:0])
+	g.st.PushAll(g.buf)
 	g.cond.Broadcast()
 	g.mu.Unlock()
 	return true
 }
 
-func (g *globalSched) next(w int) (Ext, bool) {
+func (g *globalSched) next(w int) (*snapshot.State, uint64, bool) {
 	g.mu.Lock()
 	for !g.stopped && g.st.Len() == 0 && g.busy > 0 {
 		g.cond.Wait()
@@ -148,12 +153,12 @@ func (g *globalSched) next(w int) (Ext, bool) {
 	if g.stopped || g.st.Len() == 0 {
 		g.cond.Broadcast()
 		g.mu.Unlock()
-		return Ext{}, false
+		return nil, 0, false
 	}
 	it, _ := g.st.Pop()
 	g.busy++
 	g.mu.Unlock()
-	return it, true
+	return it.Payload, it.Choice, true
 }
 
 func (g *globalSched) done(w int) {

@@ -344,7 +344,7 @@ func (as *AddressSpace) read(p []byte, addr uint64, access Access) error {
 			var ok bool
 			if f, ok = as.tlb.readFrame(addr >> PageShift); !ok {
 				f = lookup(as.pt.root, as.pt.base, addr)
-				as.tlb.fillRead(addr>>PageShift, f)
+				as.tlb.fillRead(addr>>PageShift, f, as.pt.alloc)
 			}
 		} else {
 			// Instruction fetches stay out of the TLB and its hit/miss
@@ -435,7 +435,7 @@ func (as *AddressSpace) writePages(p []byte, addr uint64, force bool) error {
 			if force {
 				as.tlb.refreshRead(vpn, f)
 			} else {
-				as.tlb.fillWrite(vpn, f, as.pt.epoch)
+				as.tlb.fillWrite(vpn, f, as.pt.epoch, as.pt.alloc)
 			}
 		}
 		copy(f.Data[off:off+n], p[:n])
@@ -466,7 +466,7 @@ func (as *AddressSpace) ReadU64(addr uint64) (uint64, error) {
 			return 0, as.check(addr, 8, AccessRead)
 		}
 		f := lookup(as.pt.root, as.pt.base, addr)
-		as.tlb.fillRead(vpn, f)
+		as.tlb.fillRead(vpn, f, as.pt.alloc)
 		if f == nil {
 			return 0, nil
 		}
@@ -504,7 +504,7 @@ func (as *AddressSpace) WriteU64(addr, val uint64) error {
 		if err != nil {
 			return err
 		}
-		as.tlb.fillWrite(vpn, f, as.pt.epoch)
+		as.tlb.fillWrite(vpn, f, as.pt.epoch, as.pt.alloc)
 		binary.LittleEndian.PutUint64(f.Data[off:off+8], val)
 		return nil
 	}
@@ -647,6 +647,17 @@ func (as *AddressSpace) Release() {
 	as.pt.borrowed = false
 	as.vmas = nil
 	as.tlb.flush() // cached frames were just released
+}
+
+// DropTLB hands the space's TLB entry block, cleared, to its allocator,
+// whose next space to fill an entry takes it instead of allocating one.
+// For a space struct that is done with: a later fill takes a block again.
+func (as *AddressSpace) DropTLB() {
+	if e := as.tlb.e; e != nil {
+		as.tlb.flush()
+		as.tlb.e = nil
+		as.pt.alloc.tlbs.Put(e)
+	}
 }
 
 // Footprint walks the page table and reports residency and sharing.

@@ -31,6 +31,7 @@ type FrameAllocator struct {
 	total atomic.Int64 // cumulative allocations
 	pool  sync.Pool    // released *Frame, contents stale
 	nodes sync.Pool    // released *tableNode, refcount 0, every slot nil
+	tlbs  sync.Pool    // all-invalid *tlbEntries that DropTLB handed back
 }
 
 // NewFrameAllocator returns an allocator bounded to limit live frames.

@@ -123,30 +123,36 @@ func (t *tlb) writeFrame(vpn, epoch uint64) (*Frame, bool) {
 	return e.wframe[i], true
 }
 
-// entries returns the entry block, allocating it on first use.
+// entries returns the entry block, taking one on first use.
 // cheap: a nil check once the space has its block, which it keeps.
-func (t *tlb) entries() *tlbEntries {
+func (t *tlb) entries(fa *FrameAllocator) *tlbEntries {
 	if t.e == nil {
-		t.e = newEntries()
+		t.e = newEntries(fa)
 	}
 	return t.e
 }
 
-// newEntries is out of line, so no inlined fill carries it into an access path.
-// cheap: one allocation per space struct.
+// newEntries takes a block DropTLB handed back to fa, or allocates one. It
+// is out of line, so no inlined fill carries it into an access path.
+// cheap: at most one allocation per space struct.
 //
 //go:noinline
-func newEntries() *tlbEntries { return new(tlbEntries) }
+func newEntries(fa *FrameAllocator) *tlbEntries {
+	if e, ok := fa.tlbs.Get().(*tlbEntries); ok {
+		return e
+	}
+	return new(tlbEntries)
+}
 
 // fillRead records vpn → f (nil f = demand-zero) after a slow-path read
 // resolution, charging one miss.
 // cheap: miss-path bookkeeping; at most one block allocation per space.
-func (t *tlb) fillRead(vpn uint64, f *Frame) {
+func (t *tlb) fillRead(vpn uint64, f *Frame, fa *FrameAllocator) {
 	if t.off {
 		return
 	}
 	t.misses++
-	e := t.entries()
+	e := t.entries(fa)
 	i := vpn & tlbMask
 	e.used |= 1 << i
 	e.rtag[i] = vpn + 1
@@ -158,12 +164,12 @@ func (t *tlb) fillRead(vpn uint64, f *Frame) {
 // (ensureFrame guarantees it). The read entry for vpn, if present, is
 // refreshed: a CoW copy just replaced the frame the reader cached.
 // cheap: miss-path bookkeeping; at most one block allocation per space.
-func (t *tlb) fillWrite(vpn uint64, f *Frame, epoch uint64) {
+func (t *tlb) fillWrite(vpn uint64, f *Frame, epoch uint64, fa *FrameAllocator) {
 	if t.off {
 		return
 	}
 	t.misses++
-	e := t.entries()
+	e := t.entries(fa)
 	i := vpn & tlbMask
 	e.used |= 1 << i
 	e.wtag[i] = vpn + 1

@@ -486,6 +486,7 @@ func TestTLBWriteLocality(t *testing.T) {
 // equals the zero block. A TLB that is off lets its block go.
 func TestTLBFlushLeavesAllInvalidBlock(t *testing.T) {
 	frames := []*Frame{nil, new(Frame), new(Frame)}
+	fa := NewFrameAllocator(0)
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 500; trial++ {
 		var tl tlb
@@ -494,9 +495,9 @@ func TestTLBFlushLeavesAllInvalidBlock(t *testing.T) {
 			f := frames[rng.Intn(len(frames))]
 			switch rng.Intn(3) {
 			case 0:
-				tl.fillRead(vpn, f)
+				tl.fillRead(vpn, f, fa)
 			case 1:
-				tl.fillWrite(vpn, f, uint64(rng.Intn(3)+1))
+				tl.fillWrite(vpn, f, uint64(rng.Intn(3)+1), fa)
 			default:
 				tl.refreshRead(vpn, f)
 			}
@@ -567,3 +568,47 @@ func benchSamePageRead(b *testing.B, tlbOn bool) {
 
 func BenchmarkE11SamePageReadTLB(b *testing.B)   { benchSamePageRead(b, true) }
 func BenchmarkE11SamePageReadNoTLB(b *testing.B) { benchSamePageRead(b, false) }
+
+// TestDropTLBRecyclesClearedBlock: DropTLB hands a space's entry block to
+// its allocator all-invalid, and the allocator's next space to fill an
+// entry takes that block instead of allocating one. (The race detector's
+// sync.Pool drops a quarter of what it is given, hence the rounds.)
+func TestDropTLBRecyclesClearedBlock(t *testing.T) {
+	fa := NewFrameAllocator(0)
+	reused := false
+	for round := 0; round < 8 && !reused; round++ {
+		a := NewAddressSpace(fa)
+		if err := a.Map(0, 8*PageSize, PermRW, "data"); err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < 8; i++ {
+			if err := a.WriteU64(i*PageSize, i+1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e := a.tlb.e
+		a.Release()
+		a.DropTLB()
+		if a.tlb.e != nil || *e != (tlbEntries{}) {
+			t.Fatalf("DropTLB kept its block (%v) or handed back live slots (used %#x)", a.tlb.e != nil, e.used)
+		}
+		b := NewAddressSpace(fa)
+		if err := b.Map(0, PageSize, PermRW, "data"); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.WriteU64(8, 7); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := b.ReadU64(8); err != nil || v != 7 {
+			t.Fatalf("read back %d, %v through a recycled block", v, err)
+		}
+		reused = b.tlb.e == e
+		b.Release()
+	}
+	if !reused {
+		t.Error("no fill took the dropped block in 8 rounds")
+	}
+	if fa.Live() != 0 {
+		t.Errorf("%d frames live", fa.Live())
+	}
+}

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -27,50 +28,42 @@ type Stealable interface {
 	StealKind() StealKind
 }
 
-// shard is one worker-owned deque. Each has its own lock, so the only
-// cross-worker contention is an actual steal. The padding keeps hot
-// shards off each other's cache lines.
+// shard is one worker's work: a private stack of spans (newest last) and
+// a shared deque of items under mu. The padding keeps shards off each
+// other's cache lines.
 type shard[T any] struct {
-	mu sync.Mutex // no_block: work-stealing hot path; holders only touch the slice and rng
+	mu sync.Mutex // no_block: work-stealing hot path; holders only touch the slice
 	// guarded_by: mu
 	items  []Item[T]
-	victim int    // round-robin steal cursor; owner-confined, not lock-guarded
-	rng    uint64 // guarded_by: mu — xorshift64* state for StealRandom local pops
-	// idle mirrors this worker's contribution to Sharded.idle. Owner-confined:
-	// only worker w reads or writes shards[w].idle (it clears it while holding
-	// the lock of the deque it is about to take from, which orders the counter
-	// update before the take, not the flag).
-	idle bool
-	_    [64]byte
+	shared atomic.Int32 // len(items): stored under mu; only the owner grows it
+	// Owner-confined: only worker w touches these in shards[w]. idle
+	// mirrors w's share of Sharded.idle; w clears it while holding the
+	// lock of the deque it is about to take from.
+	spans  []Span[T]
+	victim int    // round-robin steal cursor
+	rng    uint64 // xorshift64* state of StealRandom's local pops
+	idle   bool
+	_      [64]byte
 }
 
-// Sharded distributes one logical work pool over per-worker deques for
-// order-insensitive strategies: the owner pushes and pops at the tail
-// (LIFO — the paper's default depth-first policy within each worker's
-// subtree), while idle workers steal the older half of a victim's deque
-// (FIFO — the shallowest items, which head the largest remaining
-// subtrees, so one steal buys the thief the most private work).
+// Sharded distributes one logical work pool over per-worker shards for
+// order-insensitive strategies: a split deque (Dinan et al., SC'09; Acar,
+// Charguéraud and Rainey, PPoPP'13). The owner pushes each guess as one
+// Span onto its private stack and pops it back with no lock and no atomic
+// write (LIFO: depth-first within its own subtree); then it pops its
+// shared deque, then steals the older half of a victim's (FIFO: the
+// shallowest items, which head the largest subtrees). Publication: after
+// every push and private pop, a worker of a multi-worker pool with a
+// non-empty stack and an empty shared deque moves its oldest span there,
+// so at every step boundary its surplus work is stealable.
 //
-// Termination counts idle workers, not tasks, so that moving work touches
-// no line two workers share. A worker is *idle* from the Pop in which its
-// own deque and a full steal sweep both came up empty until the Pop that
-// next hands it an item; it leaves the count while it still holds the lock
-// of the deque it takes from, i.e. before the item leaves that deque. Two
-// invariants follow. An idle worker holds no item, and its own deque is
-// empty and stays empty: only the owner pushes to a deque, and only while
-// it is evaluating something. And an item is always either in a deque or
-// in the hands of a worker that is not counted idle. So when the count
-// equals the number of shards, every deque is empty, nobody holds an item,
-// and nobody can produce one: the pool is quiescent, and stays so. Push and
-// a successful local Pop never touch the count.
-//
-// The contract that makes this sound: Push(w, …) is called only by worker w
-// while it is evaluating an item it popped (or by whoever seeds the pool
-// before the workers start), and a worker calls Pop only when it holds
-// nothing — every child of the item it popped last has been pushed.
-//
-// Sharded is not a Strategy: its operations are worker-addressed. All
-// methods are safe for concurrent use.
+// Termination counts idle workers, not tasks: a worker is idle from a Pop
+// that found its stack, its deque and a steal sweep all empty until a Pop
+// hands it an item; when all are idle, nothing is queued or can be made
+// (DESIGN.md "Termination by counting idle workers"). This needs Push(w,
+// …) only from worker w while it evaluates an item it popped (or before
+// the workers start), and Pop only when w holds nothing. All methods are
+// safe for concurrent use.
 type Sharded[T any] struct {
 	shards []shard[T]
 	kind   StealKind
@@ -80,7 +73,7 @@ type Sharded[T any] struct {
 	closed atomic.Bool
 }
 
-// NewSharded returns a pool of `workers` deques. seed parameterizes the
+// NewSharded returns a pool of `workers` shards. seed parameterizes the
 // per-worker random streams under StealRandom (ignored for StealLIFO).
 // drop, which may be nil, receives every item the pool discards when it
 // is closed.
@@ -91,11 +84,13 @@ func NewSharded[T any](workers int, kind StealKind, seed uint64, drop func(Item[
 	if seed == 0 {
 		seed = 0x9e3779b97f4a7c15
 	}
+	if drop == nil {
+		drop = func(Item[T]) {}
+	}
 	s := &Sharded[T]{shards: make([]shard[T], workers), kind: kind, drop: drop}
 	for i := range s.shards {
 		s.shards[i].victim = (i + 1) % workers
 		// splitmix64 over the seed: decorrelated non-zero per-shard states.
-		//lint:ignore lockorder the pool is not yet published to any worker
 		s.shards[i].rng = splitmix64(seed+uint64(i+1)*0x9e3779b97f4a7c15) | 1
 	}
 	return s
@@ -103,20 +98,6 @@ func NewSharded[T any](workers int, kind StealKind, seed uint64, drop func(Item[
 
 // Workers returns the number of shards.
 func (s *Sharded[T]) Workers() int { return len(s.shards) }
-
-// Len returns the number of queued items across all shards (a sum of
-// per-shard lengths taken one lock at a time: exact only when nothing is
-// moving). Diagnostics and tests; the engine never asks.
-func (s *Sharded[T]) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += len(sh.items)
-		sh.mu.Unlock()
-	}
-	return n
-}
 
 // Closed reports whether Close has run.
 func (s *Sharded[T]) Closed() bool { return s.closed.Load() }
@@ -128,50 +109,94 @@ func (s *Sharded[T]) Closed() bool { return s.closed.Load() }
 // inline:
 func (s *Sharded[T]) Quiescent() bool { return int(s.idle.Load()) == len(s.shards) }
 
-// Push appends worker w's sibling batch to its own deque, in reverse so
-// the lowest Choice pops first under LIFO (matching DFS.PushAll). It
-// returns false — without retaining anything — when the pool is closed;
-// the caller still owns the items. The items are copied: the caller may
-// reuse the slice as soon as Push returns. A worker pushes the children of
-// an item before its next Pop, or Quiescent can fire early.
-// hot_path: locks=mu one short critical section per sibling batch.
-func (s *Sharded[T]) Push(w int, items []Item[T]) bool {
-	if len(items) == 0 {
+// Push puts worker w's span on its private stack, or returns false when
+// the pool is closed (the caller keeps the span's references). A span
+// pushed as Close runs is dropped by w's next Pop.
+// hot_path: no lock; a publication a few times a search.
+func (s *Sharded[T]) Push(w int, sp Span[T]) bool {
+	if sp.Lo >= sp.Hi {
 		return true
 	}
-	sh := &s.shards[w]
-	sh.mu.Lock()
 	if s.closed.Load() {
-		sh.mu.Unlock()
 		return false
 	}
-	for i := len(items) - 1; i >= 0; i-- {
-		//lint:ignore hotpath amortized growth: the deque doubles capacity, O(1)/push
-		sh.items = append(sh.items, items[i])
-	}
-	sh.mu.Unlock()
+	sh := &s.shards[w]
+	//lint:ignore hotpath amortized growth: the stack doubles capacity, O(1)/push
+	sh.spans = append(sh.spans, sp)
+	s.publish(sh)
 	return true
 }
 
-// Pop takes the next item for worker w: its own deque first, then a
-// steal sweep over the other shards. Calling Pop says the worker holds
-// nothing (see Sharded): when both come up empty it is counted idle until
-// a later Pop succeeds. stolen reports whether the item came from another
-// worker's deque.
-// hot_path: the local pop is the common case; a steal sweep is cheap.
-func (s *Sharded[T]) Pop(w int) (it Item[T], stolen bool, ok bool) {
+// Pop takes worker w's next item's payload and choice, in registers: the
+// lowest choice of its newest private span, else from its shared deque,
+// else from a steal sweep (stolen). When all three are empty, w counts as
+// idle until a later Pop succeeds. On a closed pool it drops w's spans.
+// hot_path: the private pop is the common case; a steal sweep is cheap.
+func (s *Sharded[T]) Pop(w int) (payload T, choice uint64, stolen, ok bool) {
+	if sh := &s.shards[w]; len(sh.spans) > 0 {
+		if !s.closed.Load() {
+			sp := &sh.spans[len(sh.spans)-1]
+			payload, choice = sp.Payload, sp.Lo
+			if sp.Lo++; sp.Lo == sp.Hi {
+				*sp = Span[T]{}
+				sh.spans = sh.spans[:len(sh.spans)-1]
+			}
+			s.publish(sh)
+			return payload, choice, false, true
+		}
+		s.dropPrivate(sh)
+	}
 	if it, ok := s.popLocal(w); ok {
-		return it, false, true
+		return it.Payload, it.Choice, false, true
 	}
 	if it, ok := s.steal(w); ok {
-		return it, true, true
+		return it.Payload, it.Choice, true, true
 	}
 	if me := &s.shards[w]; !me.idle {
 		me.idle = true
 		s.idle.Add(1)
 	}
-	var zero Item[T]
-	return zero, false, false
+	return payload, 0, false, false
+}
+
+// publish applies the publication rule (see Sharded); under StealRandom
+// it publishes every span, so the owner draws from all its local items.
+// hot_path: a length check and one atomic load when nothing moves.
+// inline:
+func (s *Sharded[T]) publish(sh *shard[T]) {
+	if len(sh.spans) > 0 && (s.kind == StealRandom || sh.shared.Load() == 0 && len(s.shards) > 1) {
+		s.share(sh)
+	}
+}
+
+// share moves the oldest private span into the shared deque, reversed so
+// its lowest choice pops first; on a closed pool, Pop drops it instead.
+// cheap: locks=mu a few times per search; the deque's append is amortized.
+func (s *Sharded[T]) share(sh *shard[T]) {
+	sh.mu.Lock()
+	if !s.closed.Load() {
+		n := len(sh.items)
+		sh.items = sh.spans[0].AppendItems(sh.items)
+		slices.Reverse(sh.items[n:])
+		sh.shared.Store(int32(len(sh.items)))
+		k := copy(sh.spans, sh.spans[1:])
+		sh.spans[k] = Span[T]{}
+		sh.spans = sh.spans[:k]
+	}
+	sh.mu.Unlock()
+}
+
+// dropPrivate hands every private item to drop: Close cannot reach an
+// owner-confined stack.
+// cheap: once per worker per closed pool.
+func (s *Sharded[T]) dropPrivate(sh *shard[T]) {
+	for _, sp := range sh.spans {
+		for _, it := range sp.AppendItems(nil) {
+			s.drop(it)
+		}
+	}
+	clear(sh.spans)
+	sh.spans = sh.spans[:0]
 }
 
 // wake takes worker w out of the idle count. Called with the lock of the
@@ -186,8 +211,8 @@ func (s *Sharded[T]) wake(w int) {
 	}
 }
 
-// popLocal pops from w's own deque (newest-first, or uniformly random
-// under StealRandom).
+// popLocal pops from w's own shared deque (newest-first, or uniformly
+// random under StealRandom).
 // hot_path: locks=mu a swap-and-truncate under the shard lock.
 func (s *Sharded[T]) popLocal(w int) (Item[T], bool) {
 	sh := &s.shards[w]
@@ -207,16 +232,16 @@ func (s *Sharded[T]) popLocal(w int) (Item[T], bool) {
 	s.wake(w) // only after a seed pushed to an idle worker's deque
 	it := sh.items[i]
 	sh.items[i] = sh.items[n-1]
-	var zero Item[T]
-	sh.items[n-1] = zero
+	clear(sh.items[n-1:])
 	sh.items = sh.items[:n-1]
+	sh.shared.Store(int32(n - 1))
 	sh.mu.Unlock()
 	return it, true
 }
 
 // steal sweeps the other shards round-robin from w's cursor, moving the
-// older half of the first non-empty victim deque into w's own deque and
-// returning the oldest item for immediate evaluation.
+// older half of the first non-empty victim deque into w's own shared
+// deque and returning the oldest item for immediate evaluation.
 // cheap: locks=mu a steal happens only when the local deque is empty;
 // banking the loot allocates by design.
 func (s *Sharded[T]) steal(w int) (Item[T], bool) {
@@ -237,28 +262,27 @@ func (s *Sharded[T]) steal(w int) (Item[T], bool) {
 			continue
 		}
 		me.victim = v
-		// Bank the surplus in our own deque. The closed check under our
-		// lock mirrors Push: if Close already drained us, banked loot
-		// would be stranded in a dead pool, so hand it to drop instead.
+		// Bank the surplus in our own deque, unless Close already drained
+		// it: loot banked there would be stranded, so it goes to drop.
 		me.mu.Lock()
 		if s.closed.Load() {
 			me.mu.Unlock()
-			if s.drop != nil {
-				for _, it := range loot {
-					s.drop(it)
-				}
+			for _, it := range loot {
+				s.drop(it)
 			}
 			return zero, false
 		}
 		me.items = append(me.items, loot[1:]...)
+		me.shared.Store(int32(len(me.items)))
 		me.mu.Unlock()
 		return loot[0], true
 	}
 	return zero, false
 }
 
-// stealFrom removes and returns the older half (rounded up) of shard v
-// for worker w, which stops being idle before the items leave v's deque.
+// stealFrom removes and returns the older half (rounded up) of shard v's
+// shared deque for worker w, which stops being idle before the items
+// leave v's deque.
 // cheap: locks=mu the loot slice allocates once per successful steal.
 func (s *Sharded[T]) stealFrom(v, w int) []Item[T] {
 	sh := &s.shards[v]
@@ -273,18 +297,16 @@ func (s *Sharded[T]) stealFrom(v, w int) []Item[T] {
 	loot := make([]Item[T], take)
 	copy(loot, sh.items[:take])
 	rest := copy(sh.items, sh.items[take:])
-	for i := rest; i < n; i++ {
-		var zero Item[T]
-		sh.items[i] = zero
-	}
+	clear(sh.items[rest:])
 	sh.items = sh.items[:rest]
+	sh.shared.Store(int32(rest))
 	sh.mu.Unlock()
 	return loot
 }
 
-// Close marks the pool stopped and drains every shard, passing each
-// queued item to the drop callback. Pushes that lose the race return
-// false and leave item ownership with the pusher. Idempotent.
+// Close marks the pool stopped and drains every shared deque into drop
+// (each owner drops its private spans at its next Pop). Pushes that lose
+// the race return false. Idempotent.
 func (s *Sharded[T]) Close() {
 	if s.closed.Swap(true) {
 		return
@@ -294,11 +316,10 @@ func (s *Sharded[T]) Close() {
 		sh.mu.Lock()
 		items := sh.items
 		sh.items = nil
+		sh.shared.Store(0)
 		sh.mu.Unlock()
-		if s.drop != nil {
-			for _, it := range items {
-				s.drop(it)
-			}
+		for _, it := range items {
+			s.drop(it)
 		}
 	}
 }

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestPushDoesNotRetainTheBatch: the engine builds every sibling batch in
-// one per-worker buffer and overwrites it as soon as the push returns, so a
-// strategy (or the sharded pool) that kept the slice it was given instead
-// of copying the items would schedule garbage. Push a batch, scribble over
+// TestPushDoesNotRetainTheBatch: the engine's global queue expands every
+// guess's span into one buffer and overwrites it as soon as PushAll
+// returns, so a strategy that kept the slice it was given instead of
+// copying the items would schedule garbage. Push a batch, scribble over
 // the slice, push a second batch from the same slice, and the queue must
 // still hold exactly the items that were pushed.
 func TestPushDoesNotRetainTheBatch(t *testing.T) {
@@ -23,10 +23,6 @@ func TestPushDoesNotRetainTheBatch(t *testing.T) {
 	} {
 		queues = append(queues, queue{st.Name(), st.PushAll, st.Pop})
 	}
-	sharded := NewSharded[int](1, StealLIFO, 0, nil)
-	queues = append(queues, queue{"sharded",
-		func(items []Item[int]) { sharded.Push(0, items) },
-		func() (Item[int], bool) { it, _, ok := sharded.Pop(0); return it, ok }})
 
 	for _, q := range queues {
 		buf := make([]Item[int], 3, 8) // spare capacity: an append-in-place would show too

@@ -16,14 +16,31 @@ type Item[T any] struct {
 	seq      uint64 // insertion order, for deterministic tie-breaking
 }
 
+// Span is a guess's siblings Lo..Hi-1, items that differ only in Choice.
+// It holds Hi-Lo references to Payload, one per item.
+type Span[T any] struct {
+	Payload  T
+	Lo, Hi   uint64
+	Depth    int
+	Priority int64
+}
+
+// AppendItems appends the span's items to buf in ascending Choice order.
+func (sp *Span[T]) AppendItems(buf []Item[T]) []Item[T] {
+	for c := sp.Lo; c < sp.Hi; c++ {
+		buf = append(buf, Item[T]{Payload: sp.Payload, Choice: c, Priority: sp.Priority, Depth: sp.Depth})
+	}
+	return buf
+}
+
 // Strategy schedules extension evaluation. PushAll receives all sibling
 // extensions of one guess at once so the strategy controls sibling order.
 type Strategy[T any] interface {
 	// Name identifies the policy ("dfs", "bfs", ...).
 	Name() string
 	// PushAll enqueues sibling extensions (ordered by ascending Choice).
-	// It must not retain items: the engine builds every batch in one
-	// per-worker buffer and overwrites it as soon as PushAll returns.
+	// It must not retain items: the engine's global queue expands every
+	// Span into one buffer, overwritten as soon as PushAll returns.
 	PushAll(items []Item[T])
 	// Pop removes and returns the next extension to evaluate.
 	Pop() (Item[T], bool)

@@ -6,12 +6,29 @@ import (
 	"testing"
 )
 
-func mkItems(vals ...int) []Item[int] {
-	out := make([]Item[int], len(vals))
-	for i, v := range vals {
-		out[i] = Item[int]{Payload: v, Choice: uint64(i)}
+// span is the guess payload p makes with choices lo..hi-1.
+func span(p int, lo, hi uint64) Span[int] { return Span[int]{Payload: p, Lo: lo, Hi: hi} }
+
+// queued counts the items on every private stack and shared deque. It
+// reads owner-confined stacks: call it only while no worker runs.
+func queued(s *Sharded[int]) int {
+	n := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		for _, sp := range sh.spans {
+			n += int(sp.Hi - sp.Lo)
+		}
+		sh.mu.Lock()
+		n += len(sh.items)
+		sh.mu.Unlock()
 	}
-	return out
+	return n
+}
+
+// pc is an item's (payload, choice) pair.
+type pc struct {
+	p int
+	c uint64
 }
 
 // TestShardedSingleWorkerIsDFS: with one shard, Push/Pop must reproduce
@@ -20,11 +37,14 @@ func mkItems(vals ...int) []Item[int] {
 func TestShardedSingleWorkerIsDFS(t *testing.T) {
 	s := NewSharded[int](1, StealLIFO, 0, nil)
 	d := NewDFS[int]()
-	s.Push(0, mkItems(1, 2, 3))
-	d.PushAll(mkItems(1, 2, 3))
+	push := func(sp Span[int]) {
+		s.Push(0, sp)
+		d.PushAll(sp.AppendItems(nil))
+	}
+	push(span(1, 0, 3))
 	// Interleave: pop one, push a child batch, pop the rest.
 	for step := 0; ; step++ {
-		it, stolen, ok := s.Pop(0)
+		p, c, stolen, ok := s.Pop(0)
 		dit, dok := d.Pop()
 		if ok != dok {
 			t.Fatalf("step %d: sharded ok=%v dfs ok=%v", step, ok, dok)
@@ -35,12 +55,14 @@ func TestShardedSingleWorkerIsDFS(t *testing.T) {
 		if stolen {
 			t.Fatalf("step %d: single shard cannot steal", step)
 		}
-		if it.Payload != dit.Payload {
-			t.Fatalf("step %d: sharded popped %d, dfs %d", step, it.Payload, dit.Payload)
+		if got, want := (pc{p, c}), (pc{dit.Payload, dit.Choice}); got != want {
+			t.Fatalf("step %d: sharded popped %v, dfs %v", step, got, want)
 		}
-		if step == 0 {
-			s.Push(0, mkItems(10, 11))
-			d.PushAll(mkItems(10, 11))
+		switch step {
+		case 0:
+			push(span(10, 0, 2))
+		case 1:
+			push(span(20, 1, 4))
 		}
 	}
 	if !s.Quiescent() {
@@ -49,85 +71,136 @@ func TestShardedSingleWorkerIsDFS(t *testing.T) {
 }
 
 // TestShardedStealHalf: a thief takes the older half of the victim's
-// deque and returns the oldest item first.
+// shared deque and returns the oldest item first.
 func TestShardedStealHalf(t *testing.T) {
 	s := NewSharded[int](2, StealLIFO, 0, nil)
-	s.Push(0, mkItems(1, 2, 3, 4, 5, 6)) // deque (tail→head pops): 6,5,4,3,2,1... stored reversed
-	if s.Len() != 6 {
-		t.Fatalf("Len = %d", s.Len())
+	s.Push(0, span(1, 1, 7)) // published at once: the shared deque was empty
+	if queued(s) != 6 {
+		t.Fatalf("Len = %d", queued(s))
 	}
-	it, stolen, ok := s.Pop(1)
+	_, c, stolen, ok := s.Pop(1)
 	if !ok || !stolen {
 		t.Fatalf("Pop(1) = %v stolen=%v", ok, stolen)
 	}
-	// Push stores reversed so choice 1 pops first locally; the "older"
-	// end of worker 0's deque therefore holds the highest choices. The
-	// thief must get the oldest queued item (payload 6).
-	if it.Payload != 6 {
-		t.Errorf("thief got %d, want 6 (oldest)", it.Payload)
+	// Publication stores the span reversed so choice 1 pops first locally;
+	// the "older" end of worker 0's deque therefore holds the highest
+	// choices. The thief must get the oldest queued item (choice 6).
+	if c != 6 {
+		t.Errorf("thief got %d, want 6 (oldest)", c)
 	}
-	if s.Len() != 5 {
-		t.Errorf("Len after steal = %d, want 5", s.Len())
+	if queued(s) != 5 {
+		t.Errorf("Len after steal = %d, want 5", queued(s))
 	}
 	// Thief banked half-minus-one locally ([5, 4], oldest at the bottom):
 	// its next pops stay local and take the newest banked item first.
-	it2, stolen2, _ := s.Pop(1)
+	_, c2, stolen2, _ := s.Pop(1)
 	if stolen2 {
 		t.Error("second pop should hit the banked loot, not steal again")
 	}
-	if it2.Payload != 4 {
-		t.Errorf("banked pop = %d, want 4", it2.Payload)
+	if c2 != 4 {
+		t.Errorf("banked pop = %d, want 4", c2)
 	}
 	if s.Quiescent() {
 		t.Error("pool with queued items and a busy worker reported quiescent")
 	}
 }
 
-// TestShardedIdleCount walks the termination protocol step by step: a
-// worker counts as idle from a Pop that found nothing anywhere until the
-// Pop that next hands it an item, and the pool is quiescent only when every
-// worker is idle — in particular not while a thief that was idle is still
-// evaluating what it stole.
+// TestShardedIdleCount walks the termination protocol and the publication
+// rule step by step. A worker counts as idle from a Pop that found nothing
+// anywhere until the Pop that next hands it an item, and the pool is
+// quiescent only when every worker is idle — in particular not while a
+// thief that was idle is still evaluating what it stole, and not while a
+// worker holds private spans. A worker publishes its oldest private span
+// after a push or a private pop, and only when its shared deque is empty.
 func TestShardedIdleCount(t *testing.T) {
+	type step struct {
+		w          int
+		push       *Span[int] // nil: Pop
+		ok, stolen bool       // the Pop's results
+		got        pc         // the popped item
+		priv, shrd [2]int     // items per worker after the step
+		quiescent  bool
+	}
+	sp := func(p int, lo, hi uint64) *Span[int] { x := span(p, lo, hi); return &x }
+	steps := []step{
+		{w: 1}, // nothing anywhere: worker 1 goes idle
+		{w: 1}, // polling again must not count it twice
+		{w: 0, push: sp(1, 0, 2), shrd: [2]int{2, 0}},                     // published: the deque was empty
+		{w: 0, push: sp(2, 0, 3), priv: [2]int{3, 0}, shrd: [2]int{2, 0}}, // kept: the deque is not
+		{w: 0, push: sp(3, 0, 2), priv: [2]int{5, 0}, shrd: [2]int{2, 0}},
+		// Idle worker 1 steals the older half of worker 0's deque.
+		{w: 1, ok: true, stolen: true, got: pc{1, 1}, priv: [2]int{5, 0}, shrd: [2]int{1, 0}},
+		// Worker 0 pops its newest span's lowest choice, no lock; its deque
+		// is not empty, so nothing is published.
+		{w: 0, ok: true, got: pc{3, 0}, priv: [2]int{4, 0}, shrd: [2]int{1, 0}},
+		{w: 1, ok: true, stolen: true, got: pc{1, 0}, priv: [2]int{4, 0}},
+		// Worker 0's deque is empty, but it is inside a step: nothing is
+		// published until its next push or pop, and worker 1 goes idle.
+		{w: 1, priv: [2]int{4, 0}},
+		// The pop empties span 3; the deque is empty, so the oldest span
+		// (2) is published.
+		{w: 0, ok: true, got: pc{3, 1}, shrd: [2]int{3, 0}},
+		{w: 0, push: sp(4, 0, 2), priv: [2]int{2, 0}, shrd: [2]int{3, 0}},
+		{w: 1, ok: true, stolen: true, got: pc{2, 2}, priv: [2]int{2, 0}, shrd: [2]int{1, 1}},
+		{w: 0, ok: true, got: pc{4, 0}, priv: [2]int{1, 0}, shrd: [2]int{1, 1}},
+		{w: 0, ok: true, got: pc{4, 1}, shrd: [2]int{1, 1}},
+		// Private stack empty: the shared deque, then a steal.
+		{w: 0, ok: true, got: pc{2, 0}, shrd: [2]int{0, 1}},
+		{w: 0, ok: true, stolen: true, got: pc{2, 1}},
+		{w: 1},                  // idle; worker 0 still holds an item
+		{w: 0, quiescent: true}, // everyone came back empty
+	}
 	s := NewSharded[int](2, StealLIFO, 0, nil)
-	if _, _, ok := s.Pop(1); ok {
-		t.Fatal("pop on an empty pool")
-	}
-	if s.Quiescent() {
-		t.Fatal("quiescent with worker 0 never having looked")
-	}
-	if _, _, ok := s.Pop(1); ok { // polling again must not count worker 1 twice
-		t.Fatal("pop on an empty pool")
-	}
-	s.Push(0, mkItems(1, 2))
-	if _, stolen, ok := s.Pop(1); !ok || !stolen {
-		t.Fatal("worker 1 should have stolen from worker 0")
-	}
-	// Worker 1 now holds an item. Worker 0 drains its own deque and goes
-	// idle; the pool must not be quiescent until worker 1 comes back empty.
-	for {
-		if _, _, ok := s.Pop(0); !ok {
-			break
-		}
-	}
-	if s.Quiescent() {
-		t.Fatal("quiescent while the thief still holds the item it stole")
-	}
-	// The thief's item has children: it pushes them, and worker 0 — idle —
-	// finds them on its next poll and is no longer idle.
-	s.Push(1, mkItems(3, 4, 5, 6))
-	if _, stolen, ok := s.Pop(0); !ok || !stolen {
-		t.Fatal("idle worker 0 should have stolen the thief's children")
-	}
-	for w := 0; w < 2; w++ {
-		for {
-			if _, _, ok := s.Pop(w); !ok {
-				break
+	for i, st := range steps {
+		if st.push != nil {
+			if !s.Push(st.w, *st.push) {
+				t.Fatalf("step %d: push refused", i)
+			}
+		} else {
+			p, c, stolen, ok := s.Pop(st.w)
+			if ok != st.ok || stolen != st.stolen || (ok && (pc{p, c}) != st.got) {
+				t.Fatalf("step %d: Pop(%d) = %v stolen=%v ok=%v, want %v stolen=%v ok=%v",
+					i, st.w, pc{p, c}, stolen, ok, st.got, st.stolen, st.ok)
 			}
 		}
+		var priv, shrd [2]int
+		for w := range priv {
+			for _, sp := range s.shards[w].spans {
+				priv[w] += int(sp.Hi - sp.Lo)
+			}
+			shrd[w] = int(s.shards[w].shared.Load())
+		}
+		if priv != st.priv || shrd != st.shrd {
+			t.Fatalf("step %d: private %v shared %v, want %v %v", i, priv, shrd, st.priv, st.shrd)
+		}
+		if s.Quiescent() != st.quiescent {
+			t.Fatalf("step %d: quiescent = %v, want %v", i, s.Quiescent(), st.quiescent)
+		}
 	}
-	if !s.Quiescent() || s.Len() != 0 {
-		t.Errorf("both workers came back empty: quiescent=%v len=%d", s.Quiescent(), s.Len())
+	if queued(s) != 0 {
+		t.Errorf("Len = %d after every worker came back empty", queued(s))
+	}
+}
+
+// TestShardedSingleShardKeepsSpansPrivate: with one worker there is no
+// thief, so nothing is ever published.
+func TestShardedSingleShardKeepsSpansPrivate(t *testing.T) {
+	s := NewSharded[int](1, StealLIFO, 0, nil)
+	s.Push(0, span(1, 0, 3))
+	s.Push(0, span(2, 0, 2))
+	for n := 5; n > 0; n-- {
+		if got := s.shards[0].shared.Load(); got != 0 {
+			t.Fatalf("single shard published %d items", got)
+		}
+		if s.Quiescent() {
+			t.Fatal("quiescent with private spans outstanding")
+		}
+		if _, _, _, ok := s.Pop(0); !ok {
+			t.Fatalf("pop failed with %d items left", n)
+		}
+	}
+	if _, _, _, ok := s.Pop(0); ok || !s.Quiescent() {
+		t.Errorf("drained single shard: pop ok=%v quiescent=%v", ok, s.Quiescent())
 	}
 }
 
@@ -136,13 +209,13 @@ func TestShardedIdleCount(t *testing.T) {
 func TestShardedCloseDrains(t *testing.T) {
 	var dropped atomic.Int64
 	s := NewSharded[int](4, StealLIFO, 0, func(Item[int]) { dropped.Add(1) })
-	s.Push(0, mkItems(1, 2, 3))
-	s.Push(2, mkItems(4, 5))
+	s.Push(0, span(1, 0, 3))
+	s.Push(2, span(2, 0, 2))
 	s.Close()
 	if dropped.Load() != 5 {
 		t.Errorf("dropped %d items, want 5", dropped.Load())
 	}
-	if s.Push(1, mkItems(9)) {
+	if s.Push(1, span(9, 0, 1)) {
 		t.Error("push after Close must be refused")
 	}
 	// Every worker's next Pop finds nothing and counts it idle: a closed,
@@ -151,16 +224,89 @@ func TestShardedCloseDrains(t *testing.T) {
 		if s.Quiescent() {
 			t.Errorf("quiescent after only %d of %d workers went idle", w, s.Workers())
 		}
-		if _, _, ok := s.Pop(w); ok {
+		if _, _, _, ok := s.Pop(w); ok {
 			t.Error("pop after Close must find nothing")
 		}
 	}
-	if !s.Quiescent() || s.Len() != 0 {
-		t.Errorf("closed pool: quiescent=%v len=%d", s.Quiescent(), s.Len())
+	if !s.Quiescent() || queued(s) != 0 {
+		t.Errorf("closed pool: quiescent=%v len=%d", s.Quiescent(), queued(s))
 	}
 	s.Close() // idempotent
 	if dropped.Load() != 5 {
 		t.Error("second Close dropped items again")
+	}
+}
+
+// TestShardedCloseDropsPrivateSpans: Close drains only the shared deques;
+// the owner's next Pop hands each private span's Hi-Lo items to drop,
+// exactly once, and returns nothing.
+func TestShardedCloseDropsPrivateSpans(t *testing.T) {
+	dropped := map[pc]int{}
+	s := NewSharded[int](2, StealLIFO, 0, func(it Item[int]) { dropped[pc{it.Payload, it.Choice}]++ })
+	s.Push(0, span(1, 0, 2)) // published
+	s.Push(0, span(2, 3, 7)) // private
+	s.Push(0, span(3, 1, 2)) // private
+	s.Close()
+	if len(dropped) != 2 || dropped[pc{1, 0}] != 1 || dropped[pc{1, 1}] != 1 {
+		t.Fatalf("Close dropped %v, want the published span's 2 items", dropped)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, _, ok := s.Pop(0); ok {
+			t.Fatal("pop after Close must find nothing")
+		}
+	}
+	want := map[pc]int{{1, 0}: 1, {1, 1}: 1, {2, 3}: 1, {2, 4}: 1, {2, 5}: 1, {2, 6}: 1, {3, 1}: 1}
+	if len(dropped) != len(want) {
+		t.Fatalf("dropped %v, want %v", dropped, want)
+	}
+	for k, n := range want {
+		if dropped[k] != n {
+			t.Fatalf("dropped %v, want %v", dropped, want)
+		}
+	}
+	if queued(s) != 0 {
+		t.Errorf("Len = %d after the owner's Pop", queued(s))
+	}
+}
+
+// TestShardedRandomReachesEveryChoice: under StealRandom a pop draws over
+// every local item of every span pushed. Draining pops each item exactly
+// once, and over many seeds the first pop lands on every item.
+func TestShardedRandomReachesEveryChoice(t *testing.T) {
+	spans := []Span[int]{span(1, 2, 10), span(2, 0, 3)}
+	all := map[pc]bool{}
+	for _, sp := range spans {
+		for _, it := range sp.AppendItems(nil) {
+			all[pc{it.Payload, it.Choice}] = true
+		}
+	}
+	first := map[pc]bool{}
+	for seed := uint64(1); seed <= 256; seed++ {
+		s := NewSharded[int](1, StealRandom, seed, nil)
+		for _, sp := range spans {
+			s.Push(0, sp)
+		}
+		seen := map[pc]bool{}
+		for {
+			p, c, _, ok := s.Pop(0)
+			if !ok {
+				break
+			}
+			k := pc{p, c}
+			if !all[k] || seen[k] {
+				t.Fatalf("seed %d: popped %v twice or out of the spans", seed, k)
+			}
+			if len(seen) == 0 {
+				first[k] = true
+			}
+			seen[k] = true
+		}
+		if len(seen) != len(all) {
+			t.Fatalf("seed %d: popped %d of %d items", seed, len(seen), len(all))
+		}
+	}
+	if len(first) != len(all) {
+		t.Errorf("first pops over 256 seeds reached %d of %d items", len(first), len(all))
 	}
 }
 
@@ -174,14 +320,14 @@ func TestShardedConcurrentTree(t *testing.T) {
 	for _, kind := range []StealKind{StealLIFO, StealRandom} {
 		s := NewSharded[int](workers, kind, 42, nil)
 		var consumed atomic.Int64
-		s.Push(0, mkItems(0, 0)) // two roots at depth 0 (payload = depth)
+		s.Push(0, span(0, 0, 2)) // two roots at depth 0 (payload = depth)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
 				for {
-					it, _, ok := s.Pop(w)
+					d, _, _, ok := s.Pop(w)
 					if !ok {
 						if s.Quiescent() {
 							return
@@ -189,8 +335,8 @@ func TestShardedConcurrentTree(t *testing.T) {
 						continue
 					}
 					consumed.Add(1)
-					if it.Payload < depth {
-						s.Push(w, mkItems(it.Payload+1, it.Payload+1))
+					if d < depth {
+						s.Push(w, span(d+1, 0, 2))
 					}
 				}
 			}(w)
@@ -200,7 +346,7 @@ func TestShardedConcurrentTree(t *testing.T) {
 		if consumed.Load() != want {
 			t.Errorf("kind %d: consumed %d items, want %d", kind, consumed.Load(), want)
 		}
-		if !s.Quiescent() || s.Len() != 0 {
+		if !s.Quiescent() || queued(s) != 0 {
 			t.Errorf("kind %d: pool not empty after join", kind)
 		}
 	}

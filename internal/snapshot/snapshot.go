@@ -67,6 +67,10 @@ func (c *Context) Release() {
 	}
 }
 
+// DropTLB hands the TLB block of RestoreInto's storage to its allocator
+// (mem.AddressSpace.DropTLB), for a released Context that is done with.
+func (c *Context) DropTLB() { c.mem.DropTLB() }
+
 // stateSeq issues process-global snapshot sequence numbers. Unlike the
 // tree-local id, a seq is never reused within the process — not even
 // across trees — so a cache that outlives one tree (the store's page-hash
