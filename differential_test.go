@@ -94,6 +94,11 @@ func (p *diffCSP) step(env *repro.Env) error {
 	return nil
 }
 
+// withNoSteal sets core.Config.NoSteal, which no public option sets: the
+// single global queue for an order-insensitive strategy, the reference
+// the stealing runs are compared with.
+func withNoSteal(c *repro.Config) { c.NoSteal = true }
+
 // solve runs the CSP under one engine configuration and returns the
 // sorted solution set.
 func (p *diffCSP) solve(t *testing.T, opts ...repro.Option) []uint64 {
@@ -238,7 +243,7 @@ func TestDifferentialStrategies(t *testing.T) {
 						repro.WithRandomSeed(99),
 					}
 					if noSteal {
-						opts = append(opts, repro.WithNoSteal())
+						opts = append(opts, withNoSteal)
 					}
 					got := p.solve(t, opts...)
 					if !slices.Equal(got, want) {

@@ -83,21 +83,20 @@ func TestFailingStepAllocatesNothing(t *testing.T) {
 	parent := e.tree.Capture(root, nil)
 	root.Release()
 
-	q := newStealSched(1, 0, 0)
+	q := search.NewSharded[*snapshot.State](1, search.StealLIFO, 0, nil)
 	ws := &e.workers[0]
 	failsBefore := ws.stats.Fails
 	one := func() {
-		if !q.push(0, span{Payload: parent.Retain(), Lo: 1, Hi: 2, Depth: 1}) {
+		if !q.Push(0, span{Payload: parent.Retain(), Lo: 1, Hi: 2}) {
 			t.Fatal("push refused")
 		}
-		p, choice, ok := q.next(0)
+		p, choice, ok := q.Next(0)
 		if !ok {
 			t.Fatal("nothing to pop")
 		}
 		e.countNode(ws)
 		e.evaluate(0, p, p.RestoreInto(&ws.ctx), choice)
 		p.Release()
-		q.done(0)
 	}
 	one()
 	if n := testing.AllocsPerRun(500, one); n != 0 {

@@ -23,6 +23,21 @@ type span = search.Span[*snapshot.State]
 // Strategy is the search-policy type the engine schedules with.
 type Strategy = search.Strategy[*snapshot.State]
 
+// queue is the scheduler as the engine sees it: search.Sharded, the
+// work-stealing pool of the order-insensitive policies, or search.Global,
+// one strategy under one lock. Both end a search by counting idle
+// workers, so a worker calls Next only when it holds nothing: its last
+// item's children are pushed and the item released. Next returns false
+// once the search is over. Close drains the queue into its drop callback,
+// concurrently with the rest; Stats, called after the workers exit,
+// reports steals, local pops and SM-A* evictions.
+type queue interface {
+	Push(w int, sp span) bool // false: closed, and the caller keeps sp's references
+	Next(w int) (parent *snapshot.State, choice uint64, ok bool)
+	Close()
+	Stats() (steals, localPops, evicted int64)
+}
+
 // Config tunes an Engine. The zero value means: DFS, one worker, explore
 // everything. A run is bounded in time by the Context passed to Run and
 // watched through Result.Stats and OnSolution.
@@ -45,8 +60,8 @@ type Config struct {
 	RandomSeed uint64
 	// NoSteal forces the single global queue even for order-insensitive
 	// policies (DFS, Random), instead of the sharded work-stealing pool —
-	// the measured baseline for the E12 scaling experiment and an escape
-	// hatch for strict single-queue pop order.
+	// the measured baseline of E9's scaling row and an escape hatch for
+	// strict single-queue pop order.
 	NoSteal bool
 	// OnSolution, when non-nil, is invoked synchronously from the worker
 	// that surfaced each solution, before it is appended to the Result.
@@ -155,9 +170,9 @@ type Engine struct {
 	cfg     Config
 	tree    *snapshot.Tree
 
-	mu       sync.Mutex // lock_rank: 10 — engine state; sched.mu nests inside via stats
+	mu       sync.Mutex // lock_rank: 10 — engine state; search.Global's mu nests inside via Stats
 	strategy Strategy   // policy identity; scheduling goes through sched
-	sched    sched      // fixed once workers start (swaps only during the root step)
+	sched    queue      // fixed once workers start (swaps only during the root step)
 	stopped  bool
 	halted   atomic.Bool // mirrors stopped for lock-free reads
 
@@ -185,12 +200,6 @@ type Engine struct {
 	workers []worker
 
 	budget atomic.Int64 // steps admitted under Config.MaxNodes; unused without a budget
-
-	// sma is the adopted strategy when it is SM-A*, and smaBase its
-	// eviction count at adoption (a Config.Strategy may be reused): Run
-	// reads the difference into Stats.Evicted once every worker is done.
-	sma     *search.SMAStar[*snapshot.State]
-	smaBase int64
 }
 
 // worker is one simulated core's private state: the Context every step it
@@ -225,26 +234,20 @@ func New(m Machine, cfg Config) *Engine {
 	return e
 }
 
-// adoptStrategy installs st as the engine's policy: the eviction count,
-// the run-through flag, and the matching scheduler (sharded work-stealing for
-// order-insensitive policies, the dedicated global queue otherwise). Only
-// called before workers exist — from New and from the root step's
-// sys_guess_strategy handling — under e.mu when e.mu already guards state.
+// adoptStrategy installs st as the engine's policy: the run-through flag
+// and the matching queue (sharded work-stealing for order-insensitive
+// policies, one global queue otherwise). Only called before workers exist
+// — from New and from the root step's sys_guess_strategy handling — under
+// e.mu when e.mu already guards state.
 func (e *Engine) adoptStrategy(st Strategy) {
-	e.sma, _ = st.(*search.SMAStar[*snapshot.State])
-	if e.sma != nil {
-		e.smaBase = e.sma.Evicted
-	}
 	e.strategy = st
 	e.runThrough = st.Name() == "dfs"
+	drop := func(it Ext) { it.Payload.Release() }
 	if sb, ok := st.(search.Stealable); ok && !e.cfg.NoSteal {
-		seed := e.cfg.RandomSeed
-		if r, ok := st.(interface{ Seed() uint64 }); ok {
-			seed = r.Seed()
-		}
-		e.sched = newStealSched(e.cfg.Workers, sb.StealKind(), seed)
+		kind, seed := sb.StealPolicy()
+		e.sched = search.NewSharded(e.cfg.Workers, kind, seed, drop)
 	} else {
-		e.sched = newGlobalSched(st, func(it Ext) { it.Payload.Release() })
+		e.sched = search.NewGlobal(e.cfg.Workers, st, drop)
 	}
 }
 
@@ -330,12 +333,9 @@ func (e *Engine) Run(ctx context.Context, root *snapshot.Context) (*Result, erro
 		st.add(&e.workers[i].stats)
 	}
 	st.Nodes += e.budget.Load()
-	if e.sma != nil {
-		st.Evicted = e.sma.Evicted - e.smaBase
-	}
 	st.Snapshots = e.tree.Created()
 	st.CaptureNs = e.tree.CaptureNs()
-	st.Steals, st.LocalPops = e.sched.stats()
+	st.Steals, st.LocalPops, st.Evicted = e.sched.Stats()
 	return res, ctx.Err()
 }
 
@@ -351,17 +351,17 @@ func (s *Stats) add(w *Stats) {
 	s.Stats.Add(w.Stats)
 }
 
-// worker is one simulated core: pop, restore, evaluate, retire — with no
-// shared engine lock, no allocation and no write to a line another worker
-// reads on the hot path. The scheduler owns blocking and termination;
+// worker is one simulated core: next, restore and evaluate, release —
+// with no shared engine lock, no allocation and no write to a line another
+// worker reads on the hot path. The queue owns blocking and termination;
 // countNode owns the MaxNodes budget.
 //
 // hot_path: the engine loop.
 func (e *Engine) worker(w int) {
 	ws := &e.workers[w]
 	for {
-		//lint:ignore hotpath the scheduler owns blocking: an idle worker waits in next by design; its pop path (Sharded.Pop) is annotated itself
-		parent, choice, ok := e.sched.next(w)
+		//lint:ignore hotpath the queue owns blocking: an idle worker waits in Next by design; its pop path (Sharded.pop) is annotated itself
+		parent, choice, ok := e.sched.Next(w)
 		if !ok {
 			return
 		}
@@ -374,8 +374,6 @@ func (e *Engine) worker(w int) {
 			e.evaluate(w, parent, parent.RestoreInto(&ws.ctx), choice)
 		}
 		parent.Release()
-		//lint:ignore hotpath the global queue's done takes its lock; the stealing pool's is empty
-		e.sched.done(w)
 	}
 }
 
@@ -419,7 +417,7 @@ func (e *Engine) stop(err error) {
 	e.halted.Store(true)
 	s := e.sched
 	e.mu.Unlock()
-	s.stop()
+	s.Close()
 }
 
 // evaluate runs extension steps starting from ctx until the path dies or a
@@ -500,8 +498,8 @@ func (e *Engine) extend(w int, parent *snapshot.State, ctx *snapshot.Context, re
 			// references are taken with one add, not one per sibling.
 			if n := int(ev.N - first); n > 0 {
 				snap.RetainN(n)
-				sp := span{Payload: snap, Lo: first, Hi: ev.N, Depth: snap.Depth(), Priority: int64(snap.Depth()) + ev.Hint}
-				if e.halted.Load() || !e.sched.push(w, sp) {
+				sp := span{Payload: snap, Lo: first, Hi: ev.N, Priority: int64(snap.Depth()) + ev.Hint}
+				if e.halted.Load() || !e.sched.Push(w, sp) {
 					// Stopped: the scheduler refused the span (or would
 					// have); the sibling references are ours to drop.
 					for range n {

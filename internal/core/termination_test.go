@@ -10,16 +10,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mem"
+	"repro/internal/search"
 	"repro/internal/snapshot"
 )
 
-// The work-stealing pool detects termination by counting idle workers. The
-// shapes that stress it are the ones where workers go idle and come back
-// over and over: long single-child chains (one worker busy, the rest
-// sweeping empty deques) broken by bursts of siblings (everybody wakes).
-// These tests run random trees of that shape and check that a search never
-// hangs, never loses a step, and leaves nothing live — to exhaustion, and
-// when stopped from a solution hook or cancelled at a random point.
+// Both queues detect termination by counting idle workers. The shapes that
+// stress it are the ones where workers go idle and come back over and
+// over: long single-child chains (one worker busy, the rest finding
+// nothing) broken by bursts of siblings (everybody wakes). These tests run
+// random trees of that shape and check that a search never hangs, never
+// loses a step, and leaves nothing live — to exhaustion, and when stopped
+// from a solution hook or cancelled at a random point.
 
 const (
 	chainMaxDepth = 48
@@ -128,6 +129,26 @@ func runWithTimeout(t *testing.T, name string, eng *core.Engine, ctx context.Con
 }
 
 func TestStealTerminationStress(t *testing.T) {
+	terminationStress(t, func() core.Config { return core.Config{} }, true)
+}
+
+// TestGlobalTerminationStress runs the same trees through the global
+// queue: under BFS, and under DFS with stealing off.
+func TestGlobalTerminationStress(t *testing.T) {
+	t.Run("bfs", func(t *testing.T) {
+		terminationStress(t, func() core.Config {
+			return core.Config{Strategy: search.NewBFS[*snapshot.State]()}
+		}, false)
+	})
+	t.Run("dfs-nosteal", func(t *testing.T) {
+		terminationStress(t, func() core.Config { return core.Config{NoSteal: true} }, false)
+	})
+}
+
+// terminationStress runs three random trees at 1, 2, 4 and 8 workers, to
+// exhaustion, stopped and cancelled, each on a fresh engine configured by
+// base. tallies says the queue counts its pops (the stealing pool does).
+func terminationStress(t *testing.T, base func() core.Config, tallies bool) {
 	rng := rand.New(rand.NewSource(1))
 	for tree := 0; tree < 3; tree++ {
 		seed := rng.Uint64() | 1
@@ -140,7 +161,8 @@ func TestStealTerminationStress(t *testing.T) {
 			for _, mode := range []string{"exhaust", "stop", "cancel"} {
 				name := fmt.Sprintf("tree %#x (%d steps) w%d %s", seed, wantNodes, workers, mode)
 				alloc := mem.NewFrameAllocator(0)
-				cfg := core.Config{Workers: workers}
+				cfg := base()
+				cfg.Workers = workers
 				ctx, cancel := context.WithCancel(context.Background())
 				var sols atomic.Int64
 				switch mode {
@@ -174,8 +196,13 @@ func TestStealTerminationStress(t *testing.T) {
 							name, res.Stats.Nodes, len(res.Solutions), wantNodes, wantLeaves)
 					}
 					// Every step is popped or is the run-through extension of
-					// a guess: the per-worker pop tallies must add up.
-					if pops := res.Stats.Steals + res.Stats.LocalPops; pops != res.Stats.Nodes-res.Stats.Guesses {
+					// a guess: the per-worker pop tallies must add up. A
+					// global queue keeps none.
+					want := res.Stats.Nodes - res.Stats.Guesses
+					if !tallies {
+						want = 0
+					}
+					if pops := res.Stats.Steals + res.Stats.LocalPops; pops != want {
 						t.Errorf("%s: %d pops for %d steps and %d guesses", name, pops, res.Stats.Nodes, res.Stats.Guesses)
 					}
 				case "stop":

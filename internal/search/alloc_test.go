@@ -21,7 +21,7 @@ func TestDequeLocalPathZeroAlloc(t *testing.T) {
 			}
 		}
 		for {
-			_, _, _, ok := s.Pop(0)
+			_, _, ok := s.pop(0)
 			if !ok {
 				break
 			}
@@ -31,7 +31,7 @@ func TestDequeLocalPathZeroAlloc(t *testing.T) {
 				t.Fatal("Push failed")
 			}
 			for c := sp.Lo; c < sp.Hi; c++ {
-				if _, _, _, ok := s.Pop(0); !ok {
+				if _, _, ok := s.pop(0); !ok {
 					t.Fatal("Pop failed")
 				}
 			}

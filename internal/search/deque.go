@@ -1,9 +1,11 @@
 package search
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // StealKind names the local pop policy of a sharded, work-stealing
@@ -22,10 +24,11 @@ const (
 
 // Stealable marks strategies whose exploration order is insensitive to
 // worker interleaving, so the engine may replace the single shared queue
-// with per-worker deques and steal-half rebalancing. Order-sensitive
-// policies (BFS, A*, SM-A*) must not implement it.
+// with per-worker deques and steal-half rebalancing. StealPolicy returns
+// the local pop policy and the seed of the per-worker random streams.
+// Order-sensitive policies (BFS, A*, SM-A*) must not implement it.
 type Stealable interface {
-	StealKind() StealKind
+	StealPolicy() (kind StealKind, seed uint64)
 }
 
 // shard is one worker's work: a private stack of spans (newest last) and
@@ -39,11 +42,12 @@ type shard[T any] struct {
 	// Owner-confined: only worker w touches these in shards[w]. idle
 	// mirrors w's share of Sharded.idle; w clears it while holding the
 	// lock of the deque it is about to take from.
-	spans  []Span[T]
-	victim int    // round-robin steal cursor
-	rng    uint64 // xorshift64* state of StealRandom's local pops
-	idle   bool
-	_      [64]byte
+	spans             []Span[T]
+	victim            int    // round-robin steal cursor
+	rng               uint64 // xorshift64* state of StealRandom's local pops
+	steals, localPops int64  // w's pops, by where the item came from
+	idle              bool
+	_                 [64]byte
 }
 
 // Sharded distributes one logical work pool over per-worker shards for
@@ -57,33 +61,27 @@ type shard[T any] struct {
 // non-empty stack and an empty shared deque moves its oldest span there,
 // so at every step boundary its surplus work is stealable.
 //
-// Termination counts idle workers, not tasks: a worker is idle from a Pop
-// that found its stack, its deque and a steal sweep all empty until a Pop
-// hands it an item; when all are idle, nothing is queued or can be made
-// (DESIGN.md "Termination by counting idle workers"). This needs Push(w,
-// …) only from worker w while it evaluates an item it popped (or before
-// the workers start), and Pop only when w holds nothing. All methods are
-// safe for concurrent use.
+// Termination counts idle workers, as Global's does: a worker is idle
+// from a pop that found its stack, its deque and a steal sweep all empty
+// until a pop hands it an item; when all are idle, nothing is queued or
+// can be made (DESIGN.md "Termination by counting idle workers"). This
+// needs Push(w, …) only from worker w while it evaluates an item Next
+// handed it (or before the workers start), and Next only when w holds
+// nothing. All methods are safe for concurrent use.
 type Sharded[T any] struct {
 	shards []shard[T]
 	kind   StealKind
 	drop   func(Item[T]) // receives items discarded by Close (and steal-vs-Close losers)
 
-	idle   atomic.Int32 // workers whose last Pop found nothing anywhere
+	idle   atomic.Int32 // workers whose last pop found nothing anywhere
 	closed atomic.Bool
 }
 
-// NewSharded returns a pool of `workers` shards. seed parameterizes the
-// per-worker random streams under StealRandom (ignored for StealLIFO).
-// drop, which may be nil, receives every item the pool discards when it
-// is closed.
+// NewSharded returns a pool of workers ≥ 1 shards. seed parameterizes
+// the per-worker random streams under StealRandom (ignored for
+// StealLIFO). drop, which may be nil, receives every item the pool
+// discards when it is closed.
 func NewSharded[T any](workers int, kind StealKind, seed uint64, drop func(Item[T])) *Sharded[T] {
-	if workers < 1 {
-		workers = 1
-	}
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
 	if drop == nil {
 		drop = func(Item[T]) {}
 	}
@@ -96,22 +94,16 @@ func NewSharded[T any](workers int, kind StealKind, seed uint64, drop func(Item[
 	return s
 }
 
-// Workers returns the number of shards.
-func (s *Sharded[T]) Workers() int { return len(s.shards) }
-
-// Closed reports whether Close has run.
-func (s *Sharded[T]) Closed() bool { return s.closed.Load() }
-
-// Quiescent reports global termination: every worker's last Pop found
+// quiescent reports global termination: every worker's last pop found
 // nothing anywhere, so nothing is queued, nothing is being evaluated, and
 // no future push can occur.
 // hot_path: one atomic load, on the idle path only.
 // inline:
-func (s *Sharded[T]) Quiescent() bool { return int(s.idle.Load()) == len(s.shards) }
+func (s *Sharded[T]) quiescent() bool { return int(s.idle.Load()) == len(s.shards) }
 
 // Push puts worker w's span on its private stack, or returns false when
 // the pool is closed (the caller keeps the span's references). A span
-// pushed as Close runs is dropped by w's next Pop.
+// pushed as Close runs is dropped by w's next pop.
 // hot_path: no lock; a publication a few times a search.
 func (s *Sharded[T]) Push(w int, sp Span[T]) bool {
 	if sp.Lo >= sp.Hi {
@@ -127,13 +119,35 @@ func (s *Sharded[T]) Push(w int, sp Span[T]) bool {
 	return true
 }
 
-// Pop takes worker w's next item's payload and choice, in registers: the
+// Next waits until worker w has an item and returns its payload and
+// choice, or returns false once the pool is closed or quiescent. It pops
+// before it looks at closed: the pop after a Close is the one that drops
+// w's private spans. An idle worker polls: a few Gosched rounds (a victim
+// is usually mid-push), then naps doubling up to 1ms, so a worker idled
+// by one long step does not pin its core, and stop and new-work latency
+// stay far below any step coarse enough to matter.
+func (s *Sharded[T]) Next(w int) (payload T, choice uint64, ok bool) {
+	for spins := 1; ; spins++ {
+		if payload, choice, ok = s.pop(w); ok || s.closed.Load() || s.quiescent() {
+			return payload, choice, ok
+		}
+		if spins < 8 {
+			runtime.Gosched()
+		} else {
+			time.Sleep(time.Microsecond << min(spins-8, 10))
+		}
+	}
+}
+
+// pop takes worker w's next item's payload and choice, in registers: the
 // lowest choice of its newest private span, else from its shared deque,
-// else from a steal sweep (stolen). When all three are empty, w counts as
-// idle until a later Pop succeeds. On a closed pool it drops w's spans.
+// else from a steal sweep, and counts it in w's tallies. When all three
+// are empty, w counts as idle until a later pop succeeds. On a closed
+// pool it drops w's spans.
 // hot_path: the private pop is the common case; a steal sweep is cheap.
-func (s *Sharded[T]) Pop(w int) (payload T, choice uint64, stolen, ok bool) {
-	if sh := &s.shards[w]; len(sh.spans) > 0 {
+func (s *Sharded[T]) pop(w int) (payload T, choice uint64, ok bool) {
+	sh := &s.shards[w]
+	if len(sh.spans) > 0 {
 		if !s.closed.Load() {
 			sp := &sh.spans[len(sh.spans)-1]
 			payload, choice = sp.Payload, sp.Lo
@@ -142,21 +156,24 @@ func (s *Sharded[T]) Pop(w int) (payload T, choice uint64, stolen, ok bool) {
 				sh.spans = sh.spans[:len(sh.spans)-1]
 			}
 			s.publish(sh)
-			return payload, choice, false, true
+			sh.localPops++
+			return payload, choice, true
 		}
 		s.dropPrivate(sh)
 	}
 	if it, ok := s.popLocal(w); ok {
-		return it.Payload, it.Choice, false, true
+		sh.localPops++
+		return it.Payload, it.Choice, true
 	}
 	if it, ok := s.steal(w); ok {
-		return it.Payload, it.Choice, true, true
+		sh.steals++
+		return it.Payload, it.Choice, true
 	}
-	if me := &s.shards[w]; !me.idle {
-		me.idle = true
+	if !sh.idle {
+		sh.idle = true
 		s.idle.Add(1)
 	}
-	return payload, 0, false, false
+	return payload, 0, false
 }
 
 // publish applies the publication rule (see Sharded); under StealRandom
@@ -170,7 +187,7 @@ func (s *Sharded[T]) publish(sh *shard[T]) {
 }
 
 // share moves the oldest private span into the shared deque, reversed so
-// its lowest choice pops first; on a closed pool, Pop drops it instead.
+// its lowest choice pops first; on a closed pool, pop drops it instead.
 // cheap: locks=mu a few times per search; the deque's append is amortized.
 func (s *Sharded[T]) share(sh *shard[T]) {
 	sh.mu.Lock()
@@ -305,7 +322,7 @@ func (s *Sharded[T]) stealFrom(v, w int) []Item[T] {
 }
 
 // Close marks the pool stopped and drains every shared deque into drop
-// (each owner drops its private spans at its next Pop). Pushes that lose
+// (each owner drops its private spans at its next pop). Pushes that lose
 // the race return false. Idempotent.
 func (s *Sharded[T]) Close() {
 	if s.closed.Swap(true) {
@@ -322,4 +339,14 @@ func (s *Sharded[T]) Close() {
 			s.drop(it)
 		}
 	}
+}
+
+// Stats sums the workers' pop tallies; a pool evicts nothing. Call it
+// only once the workers have stopped.
+func (s *Sharded[T]) Stats() (steals, localPops, evicted int64) {
+	for i := range s.shards {
+		steals += s.shards[i].steals
+		localPops += s.shards[i].localPops
+	}
+	return steals, localPops, 0
 }

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestPushDoesNotRetainTheBatch: the engine's global queue expands every
-// guess's span into one buffer and overwrites it as soon as PushAll
-// returns, so a strategy that kept the slice it was given instead of
-// copying the items would schedule garbage. Push a batch, scribble over
+// TestPushDoesNotRetainTheBatch: Global expands every guess's span into
+// one buffer and overwrites it as soon as PushAll returns, so a strategy
+// that kept the slice it was given instead of copying the items would
+// schedule garbage. Push a batch, scribble over
 // the slice, push a second batch from the same slice, and the queue must
 // still hold exactly the items that were pushed.
 func TestPushDoesNotRetainTheBatch(t *testing.T) {
@@ -30,12 +30,12 @@ func TestPushDoesNotRetainTheBatch(t *testing.T) {
 		for batch := 0; batch < 2; batch++ {
 			for i := range buf {
 				v := 100*batch + i
-				buf[i] = Item[int]{Payload: v, Choice: uint64(i), Priority: int64(v), Depth: batch}
+				buf[i] = Item[int]{Payload: v, Choice: uint64(i), Priority: int64(v)}
 				want = append(want, v)
 			}
 			q.push(buf)
 			for i := range buf {
-				buf[i] = Item[int]{Payload: -1, Choice: 99, Priority: -1, Depth: -1}
+				buf[i] = Item[int]{Payload: -1, Choice: 99, Priority: -1}
 			}
 		}
 		var got []int
@@ -44,7 +44,7 @@ func TestPushDoesNotRetainTheBatch(t *testing.T) {
 			if !ok {
 				break
 			}
-			if it.Choice == 99 || it.Depth < 0 {
+			if it.Choice == 99 || it.Priority < 0 {
 				t.Errorf("%s: popped an item overwritten after the push: %+v", q.name, it)
 			}
 			got = append(got, it.Payload)

@@ -3,7 +3,9 @@
 // deterministic Random, and an externally controlled strategy. A strategy
 // orders candidate extension steps; it never touches snapshots itself.
 //
-// Strategies are not safe for concurrent use; the engine serializes access.
+// Strategies are not safe for concurrent use: Global serializes access
+// for a pool of workers, and Sharded replaces the order-insensitive ones
+// with per-worker deques.
 package search
 
 // Item is one schedulable candidate extension step: an opaque reference to
@@ -12,7 +14,6 @@ type Item[T any] struct {
 	Payload  T      // parent partial candidate (opaque to the strategy)
 	Choice   uint64 // extension number delivered as the sys_guess result
 	Priority int64  // A*/coverage cost: lower is scheduled first
-	Depth    int    // distance from the root candidate
 	seq      uint64 // insertion order, for deterministic tie-breaking
 }
 
@@ -21,14 +22,13 @@ type Item[T any] struct {
 type Span[T any] struct {
 	Payload  T
 	Lo, Hi   uint64
-	Depth    int
 	Priority int64
 }
 
 // AppendItems appends the span's items to buf in ascending Choice order.
 func (sp *Span[T]) AppendItems(buf []Item[T]) []Item[T] {
 	for c := sp.Lo; c < sp.Hi; c++ {
-		buf = append(buf, Item[T]{Payload: sp.Payload, Choice: c, Priority: sp.Priority, Depth: sp.Depth})
+		buf = append(buf, Item[T]{Payload: sp.Payload, Choice: c, Priority: sp.Priority})
 	}
 	return buf
 }
@@ -39,8 +39,8 @@ type Strategy[T any] interface {
 	// Name identifies the policy ("dfs", "bfs", ...).
 	Name() string
 	// PushAll enqueues sibling extensions (ordered by ascending Choice).
-	// It must not retain items: the engine's global queue expands every
-	// Span into one buffer, overwritten as soon as PushAll returns.
+	// It must not retain items: Global expands every Span into one
+	// buffer, overwritten as soon as PushAll returns.
 	PushAll(items []Item[T])
 	// Pop removes and returns the next extension to evaluate.
 	Pop() (Item[T], bool)
@@ -88,10 +88,11 @@ func (d *DFS[T]) Pop() (Item[T], bool) {
 // Len implements Strategy.
 func (d *DFS[T]) Len() int { return len(d.stack) }
 
-// StealKind implements Stealable: depth-first exploration of an exhaustive
-// search is order-insensitive across workers, so the engine may shard it
-// over per-worker deques (LIFO locally ≡ DFS within each worker's subtree).
-func (d *DFS[T]) StealKind() StealKind { return StealLIFO }
+// StealPolicy implements Stealable: depth-first exploration of an
+// exhaustive search is order-insensitive across workers, so the engine may
+// shard it over per-worker deques (LIFO locally ≡ DFS within each worker's
+// subtree). LIFO pops draw no random numbers, so there is no seed.
+func (d *DFS[T]) StealPolicy() (StealKind, uint64) { return StealLIFO, 0 }
 
 // Drain implements Strategy.
 func (d *DFS[T]) Drain(drop func(Item[T])) {
@@ -357,13 +358,10 @@ func NewRandom[T any](seed uint64) *Random[T] {
 	return &Random[T]{state: seed, seed: seed}
 }
 
-// Seed returns the seed the strategy was constructed with (the sharded
-// scheduler derives per-worker streams from it).
-func (r *Random[T]) Seed() uint64 { return r.seed }
-
-// StealKind implements Stealable: randomized exploration has no order to
-// preserve, so shards pop uniformly from their local deque.
-func (r *Random[T]) StealKind() StealKind { return StealRandom }
+// StealPolicy implements Stealable: randomized exploration has no order to
+// preserve, so shards pop uniformly from their local deque, with streams
+// derived from the strategy's seed.
+func (r *Random[T]) StealPolicy() (StealKind, uint64) { return StealRandom, r.seed }
 
 // Name implements Strategy.
 func (r *Random[T]) Name() string { return "random" }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // span is the guess payload p makes with choices lo..hi-1.
@@ -25,6 +26,14 @@ func queued(s *Sharded[int]) int {
 	return n
 }
 
+// pop is one pop by worker w, and whether it was a steal, read off w's
+// tallies. Call it only from worker w.
+func pop(s *Sharded[int], w int) (p int, c uint64, stolen, ok bool) {
+	before := s.shards[w].steals
+	p, c, ok = s.pop(w)
+	return p, c, s.shards[w].steals != before, ok
+}
+
 // pc is an item's (payload, choice) pair.
 type pc struct {
 	p int
@@ -44,7 +53,7 @@ func TestShardedSingleWorkerIsDFS(t *testing.T) {
 	push(span(1, 0, 3))
 	// Interleave: pop one, push a child batch, pop the rest.
 	for step := 0; ; step++ {
-		p, c, stolen, ok := s.Pop(0)
+		p, c, stolen, ok := pop(s, 0)
 		dit, dok := d.Pop()
 		if ok != dok {
 			t.Fatalf("step %d: sharded ok=%v dfs ok=%v", step, ok, dok)
@@ -65,7 +74,7 @@ func TestShardedSingleWorkerIsDFS(t *testing.T) {
 			push(span(20, 1, 4))
 		}
 	}
-	if !s.Quiescent() {
+	if !s.quiescent() {
 		t.Error("drained pool not quiescent")
 	}
 }
@@ -78,7 +87,7 @@ func TestShardedStealHalf(t *testing.T) {
 	if queued(s) != 6 {
 		t.Fatalf("Len = %d", queued(s))
 	}
-	_, c, stolen, ok := s.Pop(1)
+	_, c, stolen, ok := pop(s, 1)
 	if !ok || !stolen {
 		t.Fatalf("Pop(1) = %v stolen=%v", ok, stolen)
 	}
@@ -93,14 +102,14 @@ func TestShardedStealHalf(t *testing.T) {
 	}
 	// Thief banked half-minus-one locally ([5, 4], oldest at the bottom):
 	// its next pops stay local and take the newest banked item first.
-	_, c2, stolen2, _ := s.Pop(1)
+	_, c2, stolen2, _ := pop(s, 1)
 	if stolen2 {
 		t.Error("second pop should hit the banked loot, not steal again")
 	}
 	if c2 != 4 {
 		t.Errorf("banked pop = %d, want 4", c2)
 	}
-	if s.Quiescent() {
+	if s.quiescent() {
 		t.Error("pool with queued items and a busy worker reported quiescent")
 	}
 }
@@ -157,7 +166,7 @@ func TestShardedIdleCount(t *testing.T) {
 				t.Fatalf("step %d: push refused", i)
 			}
 		} else {
-			p, c, stolen, ok := s.Pop(st.w)
+			p, c, stolen, ok := pop(s, st.w)
 			if ok != st.ok || stolen != st.stolen || (ok && (pc{p, c}) != st.got) {
 				t.Fatalf("step %d: Pop(%d) = %v stolen=%v ok=%v, want %v stolen=%v ok=%v",
 					i, st.w, pc{p, c}, stolen, ok, st.got, st.stolen, st.ok)
@@ -173,8 +182,8 @@ func TestShardedIdleCount(t *testing.T) {
 		if priv != st.priv || shrd != st.shrd {
 			t.Fatalf("step %d: private %v shared %v, want %v %v", i, priv, shrd, st.priv, st.shrd)
 		}
-		if s.Quiescent() != st.quiescent {
-			t.Fatalf("step %d: quiescent = %v, want %v", i, s.Quiescent(), st.quiescent)
+		if s.quiescent() != st.quiescent {
+			t.Fatalf("step %d: quiescent = %v, want %v", i, s.quiescent(), st.quiescent)
 		}
 	}
 	if queued(s) != 0 {
@@ -192,15 +201,106 @@ func TestShardedSingleShardKeepsSpansPrivate(t *testing.T) {
 		if got := s.shards[0].shared.Load(); got != 0 {
 			t.Fatalf("single shard published %d items", got)
 		}
-		if s.Quiescent() {
+		if s.quiescent() {
 			t.Fatal("quiescent with private spans outstanding")
 		}
-		if _, _, _, ok := s.Pop(0); !ok {
+		if _, _, _, ok := pop(s, 0); !ok {
 			t.Fatalf("pop failed with %d items left", n)
 		}
 	}
-	if _, _, _, ok := s.Pop(0); ok || !s.Quiescent() {
-		t.Errorf("drained single shard: pop ok=%v quiescent=%v", ok, s.Quiescent())
+	if _, _, _, ok := pop(s, 0); ok || !s.quiescent() {
+		t.Errorf("drained single shard: pop ok=%v quiescent=%v", ok, s.quiescent())
+	}
+}
+
+// nextResult is what one Next call returned.
+type nextResult struct {
+	it pc
+	ok bool
+}
+
+// goNext runs worker w's Next on its own goroutine; its result arrives on
+// the returned channel.
+func goNext(next func(int) (int, uint64, bool), w int) <-chan nextResult {
+	ch := make(chan nextResult, 1)
+	go func() {
+		p, c, ok := next(w)
+		ch <- nextResult{pc{p, c}, ok}
+	}()
+	return ch
+}
+
+// waitNext fails the test unless a Next result arrives within 10 s.
+func waitNext(t *testing.T, ch <-chan nextResult) nextResult {
+	t.Helper()
+	select {
+	case r := <-ch:
+		return r
+	case <-time.After(10 * time.Second):
+		t.Fatal("Next did not return")
+		return nextResult{}
+	}
+}
+
+// stillWaiting fails the test if a Next result arrives within 20 ms: the
+// call should be polling or parked.
+func stillWaiting(t *testing.T, ch <-chan nextResult, why string) {
+	t.Helper()
+	select {
+	case r := <-ch:
+		t.Fatalf("Next returned %+v %s", r, why)
+	case <-time.After(20 * time.Millisecond):
+	}
+}
+
+// TestShardedNext: Next polls while the pool is empty but a worker may
+// still push, returns an item another worker pushes meanwhile, and
+// returns false only once every worker is idle or the pool is closed.
+func TestShardedNext(t *testing.T) {
+	s := NewSharded[int](2, StealLIFO, 0, nil)
+	ch := goNext(s.Next, 1)
+	stillWaiting(t, ch, "on an empty pool while worker 0 is busy")
+	s.Push(0, span(7, 0, 1)) // published: worker 1 steals it
+	if r := waitNext(t, ch); r != (nextResult{pc{7, 0}, true}) {
+		t.Fatalf("Next(1) = %+v, want item (7, 0)", r)
+	}
+	ch = goNext(s.Next, 1)
+	stillWaiting(t, ch, "while worker 0 is busy")
+	// Worker 0 finds nothing: every worker is idle, so both calls end.
+	if _, _, ok := s.Next(0); ok {
+		t.Fatal("Next(0) found an item in an empty pool")
+	}
+	if r := waitNext(t, ch); r.ok {
+		t.Fatalf("Next(1) = %+v after the pool went quiescent", r)
+	}
+	if steals, local, _ := s.Stats(); steals != 1 || local != 0 {
+		t.Errorf("Stats = %d steals, %d local pops, want 1 and 0", steals, local)
+	}
+
+	// Close ends a poll though worker 0 is busy, and worker 0's next call
+	// drops its private spans and returns false.
+	var dropped atomic.Int64
+	s = NewSharded[int](2, StealLIFO, 0, func(Item[int]) { dropped.Add(1) })
+	s.Push(0, span(1, 0, 2)) // published
+	s.Push(0, span(2, 0, 3)) // private
+	if p, c, ok := s.Next(0); !ok || (pc{p, c}) != (pc{2, 0}) {
+		t.Fatalf("Next(0) = %v %v, want its private item (2, 0)", pc{p, c}, ok)
+	}
+	if p, c, ok := s.Next(1); !ok || (pc{p, c}) != (pc{1, 1}) {
+		t.Fatalf("Next(1) = %v %v, want the stolen item (1, 1)", pc{p, c}, ok)
+	}
+	ch = goNext(s.Next, 1)
+	if r := waitNext(t, ch); !r.ok || r.it != (pc{1, 0}) {
+		t.Fatalf("Next(1) = %+v, want its banked item (1, 0)", r)
+	}
+	ch = goNext(s.Next, 1)
+	stillWaiting(t, ch, "while worker 0 holds private spans")
+	s.Close()
+	if r := waitNext(t, ch); r.ok {
+		t.Fatalf("Next(1) = %+v after Close", r)
+	}
+	if _, _, ok := s.Next(0); ok || dropped.Load() != 2 {
+		t.Errorf("Next(0) after Close: ok=%v, %d items dropped, want false and 2", ok, dropped.Load())
 	}
 }
 
@@ -220,16 +320,16 @@ func TestShardedCloseDrains(t *testing.T) {
 	}
 	// Every worker's next Pop finds nothing and counts it idle: a closed,
 	// drained pool is quiescent once all of them have looked.
-	for w := 0; w < s.Workers(); w++ {
-		if s.Quiescent() {
-			t.Errorf("quiescent after only %d of %d workers went idle", w, s.Workers())
+	for w := 0; w < len(s.shards); w++ {
+		if s.quiescent() {
+			t.Errorf("quiescent after only %d of %d workers went idle", w, len(s.shards))
 		}
-		if _, _, _, ok := s.Pop(w); ok {
+		if _, _, _, ok := pop(s, w); ok {
 			t.Error("pop after Close must find nothing")
 		}
 	}
-	if !s.Quiescent() || queued(s) != 0 {
-		t.Errorf("closed pool: quiescent=%v len=%d", s.Quiescent(), queued(s))
+	if !s.quiescent() || queued(s) != 0 {
+		t.Errorf("closed pool: quiescent=%v len=%d", s.quiescent(), queued(s))
 	}
 	s.Close() // idempotent
 	if dropped.Load() != 5 {
@@ -251,7 +351,7 @@ func TestShardedCloseDropsPrivateSpans(t *testing.T) {
 		t.Fatalf("Close dropped %v, want the published span's 2 items", dropped)
 	}
 	for i := 0; i < 2; i++ {
-		if _, _, _, ok := s.Pop(0); ok {
+		if _, _, _, ok := pop(s, 0); ok {
 			t.Fatal("pop after Close must find nothing")
 		}
 	}
@@ -288,7 +388,7 @@ func TestShardedRandomReachesEveryChoice(t *testing.T) {
 		}
 		seen := map[pc]bool{}
 		for {
-			p, c, _, ok := s.Pop(0)
+			p, c, _, ok := pop(s, 0)
 			if !ok {
 				break
 			}
@@ -327,12 +427,9 @@ func TestShardedConcurrentTree(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for {
-					d, _, _, ok := s.Pop(w)
+					d, _, ok := s.Next(w)
 					if !ok {
-						if s.Quiescent() {
-							return
-						}
-						continue
+						return
 					}
 					consumed.Add(1)
 					if d < depth {
@@ -346,7 +443,7 @@ func TestShardedConcurrentTree(t *testing.T) {
 		if consumed.Load() != want {
 			t.Errorf("kind %d: consumed %d items, want %d", kind, consumed.Load(), want)
 		}
-		if !s.Quiescent() || queued(s) != 0 {
+		if !s.quiescent() || queued(s) != 0 {
 			t.Errorf("kind %d: pool not empty after join", kind)
 		}
 	}

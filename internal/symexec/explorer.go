@@ -298,8 +298,8 @@ func (ex *Explorer) Run() (*Report, error) {
 					pa.overlay, pa.pcs, pa.rip = cloneOverlay(cur.overlay), takenPCS, ev.taken
 					pb.overlay, pb.pcs, pb.rip = cloneOverlay(cur.overlay), fallPCS, ev.fall
 					ex.strategy.PushAll([]search.Item[*pending]{
-						{Payload: pa, Choice: 0, Depth: pa.forks},
-						{Payload: pb, Choice: 1, Depth: pb.forks},
+						{Payload: pa, Choice: 0},
+						{Payload: pb, Choice: 1},
 					})
 					if n := ex.strategy.Len(); n > ex.stats.PeakStates {
 						ex.stats.PeakStates = n

@@ -13,13 +13,9 @@ func WithStrategy(st Strategy) Option { return func(c *Config) { c.Strategy = st
 // single queue under a dedicated scheduler lock.
 func WithWorkers(n int) Option { return func(c *Config) { c.Workers = n } }
 
-// WithNoSteal forces the single global queue even for order-insensitive
-// strategies — the measured baseline for worker-scaling experiments and
-// an escape hatch when strict single-queue pop order matters.
-func WithNoSteal() Option { return func(c *Config) { c.NoSteal = true } }
-
-// WithRandomSeed seeds the Random strategy when a guest selects it, and
-// the per-worker pop streams of the sharded scheduler.
+// WithRandomSeed seeds the Random strategy when a guest selects it. The
+// sharded scheduler derives its per-worker pop streams from the Random
+// strategy's own seed.
 func WithRandomSeed(seed uint64) Option { return func(c *Config) { c.RandomSeed = seed } }
 
 // WithMaxSolutions stops the search after n recorded solutions. Prefer

@@ -216,7 +216,7 @@ func TestFacadeSchedulerOptions(t *testing.T) {
 		return res
 	}
 	steal := run(repro.WithWorkers(4), repro.WithRandomSeed(7))
-	global := run(repro.WithWorkers(4), repro.WithNoSteal())
+	global := run(repro.WithWorkers(4), withNoSteal)
 	if len(steal.Solutions) != len(global.Solutions) {
 		t.Errorf("stealing found %d solutions, global %d",
 			len(steal.Solutions), len(global.Solutions))
