@@ -1,5 +1,5 @@
 // Command snapbench regenerates the reproduction's experiment tables
-// (E1–E8 and E10 in DESIGN.md / EXPERIMENTS.md).
+// (E1–E10 in DESIGN.md / EXPERIMENTS.md).
 //
 // Usage:
 //
@@ -52,7 +52,7 @@ func main() {
 	// First signal: finish the current experiment, skip the rest. Restore
 	// default handling so a second signal kills immediately.
 	go func() { <-ctx.Done(); stop() }()
-	ids := flag.String("e", "", "experiment ids (1-8, 10), comma-separated; empty or 0 runs all")
+	ids := flag.String("e", "", "experiment ids (1-10), comma-separated; empty or 0 runs all")
 	quick := flag.Bool("quick", false, "reduced problem sizes")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()

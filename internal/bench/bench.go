@@ -1,21 +1,17 @@
 // Package bench implements the reproduction's experiment harness: one
-// function per paper claim in DESIGN.md's index (E1–E8, E10), each
-// returning a rendered table with the rows the claim is judged against.
-// cmd/snapbench prints them; timing claims beyond these tables live in the
-// repo benchmark (BENCHMARK.json).
+// function per paper claim in DESIGN.md's index (E1–E10), each returning a
+// rendered table with the rows the claim is judged against. Every arm of a
+// table is one unexported function that builds its input and returns an
+// op; the table times each op through timeOps, and the Go benchmark of the
+// same experiment (bench_test.go) loops the same op at one of the table's
+// full-scale sizes, so a table cell and a BenchmarkE* line time one
+// definition. cmd/snapbench prints the tables; timing claims beyond them
+// live in the repo benchmark (BENCHMARK.json).
 package bench
 
 import (
-	"context"
-
 	"fmt"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/fs"
-	"repro/internal/guest"
-	"repro/internal/mem"
-	"repro/internal/snapshot"
 )
 
 // Options tunes experiment scale. Quick shrinks problem sizes so the whole
@@ -43,6 +39,7 @@ func All() []Experiment {
 		{6, "symexec-forking", "§2: snapshot state forking vs eager state copy", E6},
 		{7, "strategies", "§3.1: pluggable DFS/BFS/A*/Random policies", E7},
 		{8, "snapshot-trees", "§1: rapid creation/destruction of snapshot trees", E8},
+		{9, "parallel-cores", "Fig. 2: extension steps evaluate across cores", E9},
 		{10, "interposition", "§5: system-call interposition cost", E10},
 	}
 }
@@ -57,24 +54,23 @@ func ByID(id int) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("bench: no experiment %d", id)
 }
 
-// runNativeEngine loads img and runs it to exhaustion under the engine.
-func runNativeEngine(img *guest.Image, cfg core.Config) (*core.Result, error) {
-	as, regs, err := guest.Load(img, mem.NewFrameAllocator(0), guest.LoadOptions{})
-	if err != nil {
-		return nil, err
-	}
-	eng := core.New(core.NewVMMachine(0), cfg)
-	return eng.Run(context.Background(), &snapshot.Context{Mem: as, FS: fs.NewOn(as.Alloc()), Regs: regs})
-}
+// op is one run of an arm's workload. It returns an error when the run's
+// answer is wrong (a count, a verdict, a crashed path), so every timed run
+// is a checked one.
+type op func() error
 
-// timeIt runs fn n times and returns total duration and per-op time.
-func timeIt(n int, fn func() error) (time.Duration, time.Duration, error) {
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if err := fn(); err != nil {
-			return 0, 0, err
+// timeOps is the harness's one timer: it runs each op reps times, in
+// order, and returns the mean duration of one run of each.
+func timeOps(reps int, ops ...op) ([]time.Duration, error) {
+	out := make([]time.Duration, len(ops))
+	for i, o := range ops {
+		start := time.Now()
+		for range reps {
+			if err := o(); err != nil {
+				return nil, err
+			}
 		}
+		out[i] = time.Since(start) / time.Duration(reps)
 	}
-	total := time.Since(start)
-	return total, total / time.Duration(n), nil
+	return out, nil
 }

@@ -3,7 +3,9 @@ package bench
 import (
 	"fmt"
 	"strings"
+	"text/tabwriter"
 	"time"
+	"unicode/utf8"
 )
 
 // Table is one experiment's output: a titled grid.
@@ -34,39 +36,19 @@ func (t *Table) AddRow(cells ...any) {
 
 // Render returns the aligned textual table.
 func (t *Table) Render() string {
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
 	var sb strings.Builder
 	if t.Title != "" {
 		fmt.Fprintf(&sb, "== %s ==\n", t.Title)
 	}
-	line := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[min(i, len(widths)-1)], cell)
-		}
-		sb.WriteByte('\n')
-	}
-	line(t.Columns)
+	tw := tabwriter.NewWriter(&sb, 0, 0, 2, ' ', 0)
 	sep := make([]string, len(t.Columns))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+	for i, c := range t.Columns {
+		sep[i] = strings.Repeat("-", utf8.RuneCountInString(c))
 	}
-	line(sep)
-	for _, row := range t.Rows {
-		line(row)
+	for _, row := range append([][]string{t.Columns, sep}, t.Rows...) {
+		fmt.Fprintln(tw, strings.Join(row, "\t"))
 	}
+	tw.Flush()
 	if t.Note != "" {
 		fmt.Fprintf(&sb, "note: %s\n", t.Note)
 	}
@@ -100,13 +82,6 @@ func formatBytes(n int64) string {
 	default:
 		return fmt.Sprintf("%.2fGiB", float64(n)/(1<<30))
 	}
-}
-
-// timed runs fn and returns its wall-clock duration.
-func timed(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start)
 }
 
 // ratio renders a/b with a sensible fallback for zero denominators.

@@ -69,8 +69,8 @@ func TestRatio(t *testing.T) {
 }
 
 func TestTime(t *testing.T) {
-	d := timed(func() { time.Sleep(5 * time.Millisecond) })
-	if d < 4*time.Millisecond {
-		t.Errorf("timed measured %v", d)
+	d, err := timeOps(2, func() error { time.Sleep(5 * time.Millisecond); return nil })
+	if err != nil || d[0] < 4*time.Millisecond {
+		t.Errorf("timeOps measured %v, %v", d, err)
 	}
 }

@@ -146,8 +146,9 @@ func TestGlobalTerminationStress(t *testing.T) {
 }
 
 // terminationStress runs three random trees at 1, 2, 4 and 8 workers, to
-// exhaustion, stopped and cancelled, each on a fresh engine configured by
-// base. tallies says the queue counts its pops (the stealing pool does).
+// exhaustion, stopped and cancelled, and lostWorkerStep's tree at 2, 4 and
+// 8 workers, each on a fresh engine configured by base. tallies says the
+// queue counts its pops (the stealing pool does).
 func terminationStress(t *testing.T, base func() core.Config, tallies bool) {
 	rng := rand.New(rand.NewSource(1))
 	for tree := 0; tree < 3; tree++ {
@@ -225,5 +226,99 @@ func terminationStress(t *testing.T, base func() core.Config, tallies bool) {
 				}
 			}
 		}
+	}
+	for _, workers := range []int{2, 4, 8} {
+		lostWorkerRow(t, base, workers)
+	}
+}
+
+// lostWorkerChain is the length of lostWorkerStep's single-worker phase,
+// in steps of a millisecond.
+const lostWorkerChain = 5
+
+// lostWorkerStep is a tree that a queue letting an idle worker leave
+// while another is busy cannot finish as specified. The root's extension
+// 0 is a leaf, so the root's synchronous evaluation ends there; its
+// queued extension 1 runs a chain of lostWorkerChain slow steps, during
+// which one worker holds all the work and the others go idle. Then comes
+// a burst of one sibling per worker: each sibling's step waits until all
+// of them are in flight at once. The wait is bounded (5 s, after which
+// later siblings stop waiting), so a worker that left early fails the
+// returned check instead of hanging the search.
+func lostWorkerStep(workers int) (step core.StepFunc, check func() error) {
+	var arrived, late atomic.Int32 // late: the siblings in flight when a wait timed out
+	all := make(chan struct{})
+	step = func(env *core.Env) error {
+		m := env.Mem()
+		base := core.HostedHeapBase
+		phase, _ := m.ReadU64(base)
+		depth, _ := m.ReadU64(base + 8)
+		switch {
+		case phase == 0: // the root
+			m.WriteU64(base, 1)
+			env.Guess(2)
+		case phase == 1 && env.Choice() == 0:
+			env.Exit(0)
+		case phase == 1 || phase == 2 && depth < lostWorkerChain: // the chain
+			m.WriteU64(base, 2)
+			m.WriteU64(base+8, depth+1)
+			time.Sleep(time.Millisecond) // time for the other workers to find nothing
+			env.Guess(1)
+		case phase == 2: // the chain's end
+			m.WriteU64(base, 3)
+			env.Guess(uint64(workers))
+		default: // a sibling of the burst
+			if arrived.Add(1) == int32(workers) {
+				close(all)
+			}
+			if late.Load() == 0 {
+				select {
+				case <-all:
+				case <-time.After(5 * time.Second):
+					late.CompareAndSwap(0, arrived.Load())
+				}
+			}
+			env.Exit(0)
+		}
+		return nil
+	}
+	check = func() error {
+		if n := late.Load(); n != 0 {
+			return fmt.Errorf("%d of %d burst siblings in flight after 5 s: a worker left while another was busy", n, workers)
+		}
+		return nil
+	}
+	return step, check
+}
+
+// lostWorkerRow runs lostWorkerStep's tree on workers workers of a fresh
+// engine configured by base.
+func lostWorkerRow(t *testing.T, base func() core.Config, workers int) {
+	t.Helper()
+	name := fmt.Sprintf("lost-worker tree w%d", workers)
+	step, check := lostWorkerStep(workers)
+	cfg := base()
+	cfg.Workers = workers
+	alloc := mem.NewFrameAllocator(0)
+	root, err := core.NewHostedContext(alloc, mem.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := core.New(core.NewHostedMachine(step), cfg)
+	res, err := runWithTimeout(t, name, eng, context.Background(), root)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := check(); err != nil {
+		t.Errorf("%s: %v", name, err)
+	}
+	if got := len(res.Solutions); got != 1+workers {
+		t.Errorf("%s: %d leaves, want %d", name, got, 1+workers)
+	}
+	if live := eng.Tree().Live(); live != 0 {
+		t.Errorf("%s: %d snapshots live", name, live)
+	}
+	if live := alloc.Live(); live != 0 {
+		t.Errorf("%s: %d frames live", name, live)
 	}
 }

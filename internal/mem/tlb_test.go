@@ -569,6 +569,24 @@ func benchSamePageRead(b *testing.B, tlbOn bool) {
 func BenchmarkE11SamePageReadTLB(b *testing.B)   { benchSamePageRead(b, true) }
 func BenchmarkE11SamePageReadNoTLB(b *testing.B) { benchSamePageRead(b, false) }
 
+// BenchmarkE11StridedWriteAt exercises the run-length write path: one
+// 32-page store resolves its leaf node once per leaf span (16 pages)
+// instead of walking from the root per page.
+func BenchmarkE11StridedWriteAt(b *testing.B) {
+	as := NewAddressSpace(NewFrameAllocator(0))
+	defer as.Release()
+	if err := as.Map(0x10000, 64*PageSize, PermRW, "d"); err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, 32*PageSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := as.WriteAt(buf, 0x10000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestDropTLBRecyclesClearedBlock: DropTLB hands a space's entry block to
 // its allocator all-invalid, and the allocator's next space to fill an
 // entry takes that block instead of allocating one. (The race detector's

@@ -79,6 +79,13 @@ func (r *Report) Bugs() []Path {
 	return out
 }
 
+// fuelPerSegment bounds the instructions a path runs between stops, and
+// maxConflicts the SAT effort of one feasibility query.
+const (
+	fuelPerSegment = 10_000_000
+	maxConflicts   = 100_000
+)
+
 // Options tunes an exploration.
 type Options struct {
 	// Strategy: "dfs" (default), "bfs", or "random".
@@ -87,12 +94,6 @@ type Options struct {
 	RandomSeed uint64
 	// MaxPaths bounds completed paths (0 = unlimited).
 	MaxPaths int
-	// MaxForks bounds state forks (0 = unlimited).
-	MaxForks int64
-	// FuelPerSegment bounds instructions between stops (default 10M).
-	FuelPerSegment int64
-	// MaxConflicts bounds SAT effort per feasibility query (default 100k).
-	MaxConflicts int64
 	// EagerCopy forks states by full-copy checkpointing instead of
 	// lightweight snapshots — the E6 ablation representing the software
 	// state-copying S2E grafts onto QEMU.
@@ -140,12 +141,6 @@ type Explorer struct {
 
 // NewExplorer loads img and prepares an exploration.
 func NewExplorer(img *guest.Image, opts Options) (*Explorer, error) {
-	if opts.FuelPerSegment == 0 {
-		opts.FuelPerSegment = 10_000_000
-	}
-	if opts.MaxConflicts == 0 {
-		opts.MaxConflicts = 100_000
-	}
 	alloc := mem.NewFrameAllocator(0)
 	as, regs, err := guest.Load(img, alloc, guest.LoadOptions{})
 	if err != nil {
@@ -248,7 +243,7 @@ func (ex *Explorer) Run() (*Report, error) {
 		sc := newSymCPU(cur.ctx, &cur.symPath)
 	segment:
 		for {
-			ev := sc.run(ex.opts.FuelPerSegment)
+			ev := sc.run(fuelPerSegment)
 			ex.stats.Instructions += sc.retired
 			sc.retired = 0
 			switch ev.kind {
@@ -284,12 +279,6 @@ func (ex *Explorer) Run() (*Report, error) {
 				switch {
 				case takenOK && fallOK:
 					// Genuine fork: freeze once, schedule both arms.
-					if ex.opts.MaxForks > 0 && ex.stats.Forks >= ex.opts.MaxForks {
-						finish(cur, Path{Status: PathError,
-							Err: fmt.Errorf("symexec: fork budget exhausted")})
-						cur = nil
-						break segment
-					}
 					ex.stats.Forks++
 					sc.syncRegs()
 					arm := symPath{sregs: sc.symRegs(), cmp: sc.cmp, forks: cur.forks + 1}
@@ -355,7 +344,7 @@ func (ex *Explorer) Run() (*Report, error) {
 
 func (ex *Explorer) check(pcs []Cond) CheckResult {
 	ex.stats.SolverCalls++
-	res := Check(pcs, ex.opts.MaxConflicts)
+	res := Check(pcs, maxConflicts)
 	ex.stats.Conflicts += res.Conflicts
 	return res
 }

@@ -365,3 +365,33 @@ func TestRegByName(t *testing.T) {
 		t.Error("Reg.String broken")
 	}
 }
+
+// BenchmarkVMInterpreter measures raw interpreter throughput (instructions
+// per second) as context for every native-guest number in EXPERIMENTS.md.
+func BenchmarkVMInterpreter(b *testing.B) {
+	img, err := guest.AssembleImage(`
+_start:
+    mov rcx, 0
+loop:
+    add rcx, 3
+    xor rcx, 5
+    shr rcx, 1
+    inc rcx
+    jmp loop
+`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	as, regs, err := guest.Load(img, mem.NewFrameAllocator(0), guest.LoadOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer as.Release()
+	cpu := vm.New(as)
+	cpu.Regs = regs
+	b.ResetTimer()
+	t := cpu.Run(int64(b.N))
+	if t.Kind != vm.TrapInstrLimit {
+		b.Fatalf("trap = %v", t)
+	}
+}
